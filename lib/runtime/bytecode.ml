@@ -110,46 +110,55 @@ let r_scale k r =
   else if k = 1 then r
   else match r with Rconst x -> Rconst (k * x) | _ -> Raff (0, [| (k, r) |])
 
-let rec rng_eval ~ints ~lo ~hi (r : rng) : (int * int) option =
-  let go = rng_eval ~ints ~lo ~hi in
-  match r with
-  | Rux -> None
-  | Rconst n -> Some (n, n)
-  | Rplan k -> Some (lo.(k), hi.(k))
-  | Rreg s ->
-      let v = ints.(s) in
-      Some (v, v)
-  | Raff (base, terms) ->
-      let acc = ref (Some (base, base)) in
-      Array.iter
-        (fun (c, t) ->
-          match (!acc, go t) with
-          | Some (a, b), Some (x, y) ->
-              let p = c * x and q = c * y in
-              acc := Some (a + min p q, b + max p q)
-          | _ -> acc := None)
-        terms;
-      !acc
-  | Rmul (a, b) -> (
-      match (go a, go b) with
-      | Some (al, ah), Some (bl, bh) ->
-          let p1 = al * bl and p2 = al * bh and p3 = ah * bl and p4 = ah * bh in
-          Some (min (min p1 p2) (min p3 p4), max (max p1 p2) (max p3 p4))
-      | _ -> None)
-  | Rmin (a, b) -> (
-      match (go a, go b) with
-      | Some (al, ah), Some (bl, bh) -> Some (min al bl, min ah bh)
-      | _ -> None)
-  | Rmax (a, b) -> (
-      match (go a, go b) with
-      | Some (al, ah), Some (bl, bh) -> Some (max al bl, max ah bh)
-      | _ -> None)
-  | Rspan (a, b) -> (
-      (* A serial index takes values in [lo .. hi]; executed accesses
-         only see iterations where lo <= hi, so the hull is sound. *)
-      match (go a, go b) with
-      | Some (al, _), Some (_, bh) -> Some (al, bh)
-      | _ -> None)
+(* Hull arithmetic raises on overflow: a wrapped bound could certify an
+   out-of-range subscript, so an overflowing skeleton is unanalyzable. *)
+exception Overflow
+
+let add_ov a b =
+  let s = a + b in
+  if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then raise Overflow else s
+
+let mul_ov a b =
+  if a = 0 || b = 0 then 0
+  else if (a = -1 && b = min_int) || (b = -1 && a = min_int) then raise Overflow
+  else
+    let p = a * b in
+    if p / b <> a then raise Overflow else p
+
+let rng_eval ~ints ~lo ~hi (r : rng) : (int * int) option =
+  let exception Unknown in
+  let rec go = function
+    | Rux -> raise Unknown
+    | Rconst n -> (n, n)
+    | Rplan k -> (lo.(k), hi.(k))
+    | Rreg s ->
+        let v = ints.(s) in
+        (v, v)
+    | Raff (base, terms) ->
+        Array.fold_left
+          (fun (a, b) (c, t) ->
+            let x, y = go t in
+            let p = mul_ov c x and q = mul_ov c y in
+            (add_ov a (min p q), add_ov b (max p q)))
+          (base, base) terms
+    | Rmul (a, b) ->
+        let al, ah = go a and bl, bh = go b in
+        let p1 = mul_ov al bl and p2 = mul_ov al bh in
+        let p3 = mul_ov ah bl and p4 = mul_ov ah bh in
+        (min (min p1 p2) (min p3 p4), max (max p1 p2) (max p3 p4))
+    | Rmin (a, b) ->
+        let al, ah = go a and bl, bh = go b in
+        (min al bl, min ah bh)
+    | Rmax (a, b) ->
+        let al, ah = go a and bl, bh = go b in
+        (max al bl, max ah bh)
+    | Rspan (a, b) ->
+        (* A serial index takes values in [lo .. hi]; executed accesses
+           only see iterations where lo <= hi, so the hull is sound. *)
+        let al, _ = go a and _, bh = go b in
+        (al, bh)
+  in
+  match go r with hull -> Some hull | exception (Unknown | Overflow) -> None
 
 (* ---------- instruction set ---------- *)
 
@@ -204,6 +213,9 @@ type instr =
   | Iloopc of int * int * int * int
       (** back-edge with constant step: reg <- reg + c; jump while
           reg <= bound-reg *)
+  | Icount of int
+      (** scratch slot += 1: a block counter, inserted by the profiler
+          only *)
 
 type access = {
   ac_slot : int;
@@ -931,46 +943,16 @@ let make_scratch tape =
 (* ---------- profiling ---------- *)
 
 (* Per-position dispatch counts for one tape, plus strip/iteration/time
-   totals. Position counts (not per-opcode counters) keep the profiled
-   interpreter's extra work to one unsafe increment per dispatch;
-   per-opcode and per-source-loop views are derived at report time by
-   joining the counts against the instruction arrays and the provenance
-   side tables. One instance per worker; [profile_merge] folds workers
-   together after the join. *)
+   totals; {!Profile} rebuilds them from a counting copy's block
+   counters. *)
 type profile = {
   pf_pre : int array;  (** per-[tp_pre] position dispatch count *)
   pf_ops : int array;  (** per-[tp_ops] position dispatch count *)
   pf_unrolled : int array;  (** per-[tp_unrolled] position dispatch count *)
-  mutable pf_strips : int;
-  mutable pf_iters : int;
-  mutable pf_ns : int;  (** wall ns spent inside profiled strip execution *)
+  pf_strips : int;
+  pf_iters : int;
+  pf_ns : int;  (** wall ns spent inside profiled chunk execution *)
 }
-
-let profile_create tape =
-  {
-    pf_pre = Array.make (Array.length tape.tp_pre) 0;
-    pf_ops = Array.make (Array.length tape.tp_ops) 0;
-    pf_unrolled =
-      (match tape.tp_unrolled with
-      | Some u -> Array.make (Array.length u) 0
-      | None -> [||]);
-    pf_strips = 0;
-    pf_iters = 0;
-    pf_ns = 0;
-  }
-
-let profile_merge ~into p =
-  let addv dst src = Array.iteri (fun i v -> dst.(i) <- dst.(i) + v) src in
-  addv into.pf_pre p.pf_pre;
-  addv into.pf_ops p.pf_ops;
-  addv into.pf_unrolled p.pf_unrolled;
-  into.pf_strips <- into.pf_strips + p.pf_strips;
-  into.pf_iters <- into.pf_iters + p.pf_iters;
-  into.pf_ns <- into.pf_ns + p.pf_ns
-
-let profile_dispatches p =
-  let sum = Array.fold_left ( + ) 0 in
-  sum p.pf_pre + sum p.pf_ops + sum p.pf_unrolled
 
 (* ---------- execution ---------- *)
 
@@ -1224,6 +1206,9 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
           let v = Array.unsafe_get ints r + c in
           Array.unsafe_set ints r v;
           if v <= Array.unsafe_get ints bnd then pc := top else incr pc
+      | Icount k ->
+          Array.unsafe_set inv k (Array.unsafe_get inv k + 1);
+          incr pc
     done
   in
   (* Strip prologue: float constants, strip-invariant ops hoisted by the
@@ -1271,279 +1256,6 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
         j := !j + jstep
       done)
 
-(* Profiled twin of [exec_strip]: identical dispatch structure plus one
-   unsafe position-count increment per dispatched instruction, recorded
-   into the [profile]'s array matching the instruction array being
-   executed. Kept as a separate top-level function — not a flag inside
-   [exec_strip] — so the unprofiled interpreter's machine code is
-   untouched and profiler-off runs stay bit-identical in output and
-   cost (the PR 2 tracing discipline). Mind keeping the two in sync. *)
-let exec_strip_profiled tape prep ~profile:pf ~ints ~reals ~arrays ~shadow ~inv
-    ~jslot ~j0 ~jstep ~len ~iter0 =
-  let accs = tape.tp_accs in
-  let unsafe = prep.pr_unsafe in
-  Array.unsafe_set ints jslot j0;
-  let off_of id (ac : access) =
-    if Array.unsafe_get unsafe id then
-      match ac.ac_vk with
-      | V0 -> Array.unsafe_get inv id
-      | V1 (c, r) -> Array.unsafe_get inv id + (c * Array.unsafe_get ints r)
-      | V2 (c1, r1, c2, r2) ->
-          Array.unsafe_get inv id
-          + (c1 * Array.unsafe_get ints r1)
-          + (c2 * Array.unsafe_get ints r2)
-      | Vn -> Array.unsafe_get inv id + aff_eval ints ac.ac_var
-      | Vs (s, b) ->
-          let v = Array.unsafe_get inv s in
-          Array.unsafe_set inv s (v + b);
-          v
-      | Vsj (s, c) ->
-          let v = Array.unsafe_get inv s in
-          Array.unsafe_set inv s (v + (c * jstep));
-          v
-      | Vsv (s, bs) ->
-          let v = Array.unsafe_get inv s in
-          Array.unsafe_set inv s (v + Array.unsafe_get inv bs);
-          v
-    else checked_offset ints ac
-  in
-  let[@inline] load_elem id iter =
-    let ac = Array.unsafe_get accs id in
-    let off = off_of id ac in
-    (match shadow with
-    | Some sh -> Sanitize.on_read sh ~slot:ac.ac_slot ~off ~iter
-    | None -> ());
-    Array.unsafe_get (Array.unsafe_get arrays ac.ac_slot) off
-  in
-  let exec_ops counts ops iter =
-    let stop = Array.length ops in
-    let pc = ref 0 in
-    while !pc < stop do
-      Array.unsafe_set counts !pc (Array.unsafe_get counts !pc + 1);
-      match Array.unsafe_get ops !pc with
-      | Iconst (d, v) ->
-          Array.unsafe_set ints d v;
-          incr pc
-      | Iaff (d, a) ->
-          Array.unsafe_set ints d (aff_eval ints a);
-          incr pc
-      | Imul (d, a, b) ->
-          Array.unsafe_set ints d
-            (Array.unsafe_get ints a * Array.unsafe_get ints b);
-          incr pc
-      | Idiv (d, a, b) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then error "integer division by zero";
-          Array.unsafe_set ints d (Array.unsafe_get ints a / y);
-          incr pc
-      | Imod (d, a, b) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then error "mod by zero";
-          Array.unsafe_set ints d (Array.unsafe_get ints a mod y);
-          incr pc
-      | Icdiv (d, a, b) ->
-          let y = Array.unsafe_get ints b in
-          if y <= 0 then error "ceildiv: non-positive divisor %d" y;
-          Array.unsafe_set ints d
-            (Loopcoal_util.Intmath.cdiv (Array.unsafe_get ints a) y);
-          incr pc
-      | Imin (d, a, b) ->
-          let x = Array.unsafe_get ints a and y = Array.unsafe_get ints b in
-          Array.unsafe_set ints d (if x <= y then x else y);
-          incr pc
-      | Imax (d, a, b) ->
-          let x = Array.unsafe_get ints a and y = Array.unsafe_get ints b in
-          Array.unsafe_set ints d (if x >= y then x else y);
-          incr pc
-      | Istep (r, name) ->
-          if Array.unsafe_get ints r <= 0 then
-            error "loop %s: step must be positive" name;
-          incr pc
-      | Fconst (d, x) ->
-          Array.unsafe_set reals d x;
-          incr pc
-      | Fmov (d, s) ->
-          Array.unsafe_set reals d (Array.unsafe_get reals s);
-          incr pc
-      | Fadd (d, a, b) ->
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a +. Array.unsafe_get reals b);
-          incr pc
-      | Fsub (d, a, b) ->
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a -. Array.unsafe_get reals b);
-          incr pc
-      | Fmul (d, a, b) ->
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a *. Array.unsafe_get reals b);
-          incr pc
-      | Fdiv (d, a, b) ->
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a /. Array.unsafe_get reals b);
-          incr pc
-      | Fmin (d, a, b) ->
-          let x = Array.unsafe_get reals a and y = Array.unsafe_get reals b in
-          Array.unsafe_set reals d (if x <= y then x else y);
-          incr pc
-      | Fmax (d, a, b) ->
-          let x = Array.unsafe_get reals a and y = Array.unsafe_get reals b in
-          Array.unsafe_set reals d (if x >= y then x else y);
-          incr pc
-      | Fneg (d, s) ->
-          Array.unsafe_set reals d (-.Array.unsafe_get reals s);
-          incr pc
-      | Fofi (d, s) ->
-          Array.unsafe_set reals d (float_of_int (Array.unsafe_get ints s));
-          incr pc
-      | Fmac (d, a, x, y) ->
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a
-            +. (Array.unsafe_get reals x *. Array.unsafe_get reals y));
-          incr pc
-      | Fmsb (d, a, x, y) ->
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a
-            -. (Array.unsafe_get reals x *. Array.unsafe_get reals y));
-          incr pc
-      | Fload (d, id) ->
-          let ac = Array.unsafe_get accs id in
-          let off = off_of id ac in
-          (match shadow with
-          | Some sh -> Sanitize.on_read sh ~slot:ac.ac_slot ~off ~iter
-          | None -> ());
-          Array.unsafe_set reals d
-            (Array.unsafe_get (Array.unsafe_get arrays ac.ac_slot) off);
-          incr pc
-      | Fstore (s, id) ->
-          let ac = Array.unsafe_get accs id in
-          let off = off_of id ac in
-          (match shadow with
-          | Some sh -> Sanitize.on_write sh ~slot:ac.ac_slot ~off ~iter
-          | None -> ());
-          Array.unsafe_set
-            (Array.unsafe_get arrays ac.ac_slot)
-            off (Array.unsafe_get reals s);
-          incr pc
-      | Sinit (s, a) ->
-          Array.unsafe_set inv s (aff_eval ints a);
-          incr pc
-      | Jadv ->
-          Array.unsafe_set ints jslot (Array.unsafe_get ints jslot + jstep);
-          incr pc
-      | Fmac2 (d, a, i1, i2) ->
-          let l1 = load_elem i1 iter in
-          let l2 = load_elem i2 iter in
-          Array.unsafe_set reals d (Array.unsafe_get reals a +. (l1 *. l2));
-          incr pc
-      | Fmsb2 (d, a, i1, i2) ->
-          let l1 = load_elem i1 iter in
-          let l2 = load_elem i2 iter in
-          Array.unsafe_set reals d (Array.unsafe_get reals a -. (l1 *. l2));
-          incr pc
-      | Fldmac (d, a, x, id) ->
-          let l = load_elem id iter in
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a +. (Array.unsafe_get reals x *. l));
-          incr pc
-      | Fldmsb (d, a, x, id) ->
-          let l = load_elem id iter in
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a -. (Array.unsafe_get reals x *. l));
-          incr pc
-      | Fldadd (d, x, id) ->
-          let l = load_elem id iter in
-          Array.unsafe_set reals d (Array.unsafe_get reals x +. l);
-          incr pc
-      | Fldsub (d, x, id) ->
-          let l = load_elem id iter in
-          Array.unsafe_set reals d (Array.unsafe_get reals x -. l);
-          incr pc
-      | Fldmul (d, x, id) ->
-          let l = load_elem id iter in
-          Array.unsafe_set reals d (Array.unsafe_get reals x *. l);
-          incr pc
-      | Fld2add (d, i1, i2) ->
-          let l1 = load_elem i1 iter in
-          let l2 = load_elem i2 iter in
-          Array.unsafe_set reals d (l1 +. l2);
-          incr pc
-      | Fldst (i1, i2) ->
-          let v = load_elem i1 iter in
-          let ac = Array.unsafe_get accs i2 in
-          let off = off_of i2 ac in
-          (match shadow with
-          | Some sh -> Sanitize.on_write sh ~slot:ac.ac_slot ~off ~iter
-          | None -> ());
-          Array.unsafe_set (Array.unsafe_get arrays ac.ac_slot) off v;
-          incr pc
-      | Jmp t -> pc := t
-      | Jii (op, a, b, t) ->
-          if icmp op (Array.unsafe_get ints a) (Array.unsafe_get ints b) then
-            pc := t
-          else incr pc
-      | Jff (op, a, b, t) ->
-          if fcmp op (Array.unsafe_get reals a) (Array.unsafe_get reals b) then
-            pc := t
-          else incr pc
-      | Jffn (op, a, b, t) ->
-          if fcmp op (Array.unsafe_get reals a) (Array.unsafe_get reals b) then
-            incr pc
-          else pc := t
-      | Iloop (r, a, bnd, top) ->
-          let v = aff_eval ints a in
-          Array.unsafe_set ints r v;
-          if v <= Array.unsafe_get ints bnd then pc := top else incr pc
-      | Iloopc (r, c, bnd, top) ->
-          let v = Array.unsafe_get ints r + c in
-          Array.unsafe_set ints r v;
-          if v <= Array.unsafe_get ints bnd then pc := top else incr pc
-    done
-  in
-  (* General prologue ops run through a one-instruction array; their
-     dispatch is counted at the prologue position, so the throwaway
-     counts array never reaches the report. *)
-  let scratch1 = Array.make 1 0 in
-  Array.iteri
-    (fun i op ->
-      Array.unsafe_set pf.pf_pre i (Array.unsafe_get pf.pf_pre i + 1);
-      match op with
-      | Fconst (d, x) -> Array.unsafe_set reals d x
-      | Sinit (s, a) -> Array.unsafe_set inv s (aff_eval ints a)
-      | op ->
-          scratch1.(0) <- 0;
-          exec_ops scratch1 [| op |] iter0)
-    tape.tp_pre;
-  for a = 0 to Array.length accs - 1 do
-    Array.unsafe_set inv a (aff_eval ints (Array.unsafe_get accs a).ac_inv)
-  done;
-  let j = ref j0 in
-  let unrolled =
-    match (tape.tp_unrolled, shadow) with
-    | (Some _ as u), None -> u
-    | _ -> None
-  in
-  (match unrolled with
-  | Some u ->
-      let groups = len / 4 in
-      for g = 0 to groups - 1 do
-        Array.unsafe_set ints jslot !j;
-        exec_ops pf.pf_unrolled u (iter0 + (g * 4));
-        j := !j + (4 * jstep)
-      done;
-      for k = groups * 4 to len - 1 do
-        Array.unsafe_set ints jslot !j;
-        exec_ops pf.pf_ops tape.tp_ops (iter0 + k);
-        j := !j + jstep
-      done
-  | None ->
-      for k = 0 to len - 1 do
-        Array.unsafe_set ints jslot !j;
-        exec_ops pf.pf_ops tape.tp_ops (iter0 + k);
-        j := !j + jstep
-      done);
-  pf.pf_strips <- pf.pf_strips + 1;
-  pf.pf_iters <- pf.pf_iters + len
-
 (* ---------- strip geometry ---------- *)
 
 let strip_bounds ~inner ~t0 ~len =
@@ -1585,6 +1297,15 @@ let instr_targets = function
   | Jii (_, _, _, t) | Jff (_, _, _, t) | Jffn (_, _, _, t) -> [ t ]
   | Iloop (_, _, _, top) | Iloopc (_, _, _, top) -> [ top ]
   | _ -> []
+
+let map_targets f = function
+  | Jmp t -> Jmp (f t)
+  | Jii (op, a, b, t) -> Jii (op, a, b, f t)
+  | Jff (op, a, b, t) -> Jff (op, a, b, f t)
+  | Jffn (op, a, b, t) -> Jffn (op, a, b, f t)
+  | Iloop (r, a, bnd, top) -> Iloop (r, a, bnd, f top)
+  | Iloopc (r, c, bnd, top) -> Iloopc (r, c, bnd, f top)
+  | i -> i
 
 let build_cfg (ops : instr array) : cfg =
   let n = Array.length ops in
@@ -1716,6 +1437,7 @@ let pp_instr (op : instr) =
       f "loop i%d <- %s while <= i%d -> %d" r (pp_aff a) bnd top
   | Iloopc (r, c, bnd, top) ->
       f "loopc i%d += %d while <= i%d -> %d" r c bnd top
+  | Icount k -> f "count s%d" k
 
 (* One lowercase mnemonic per constructor, for per-opcode profiler
    tables and folded stacks. *)
@@ -1760,6 +1482,7 @@ let instr_mnemonic = function
   | Jffn _ -> "jffn"
   | Iloop _ -> "iloop"
   | Iloopc _ -> "iloopc"
+  | Icount _ -> "icount"
 
 let pp_vkind = function
   | V0 -> "inv"

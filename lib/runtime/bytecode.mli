@@ -91,7 +91,8 @@ val rng_eval :
   ints:int array -> lo:int array -> hi:int array -> rng -> (int * int) option
 (** Interval hull of a symbolic range for a fork whose level-[k] plan
     index spans [lo.(k) .. hi.(k)]. [None] means unanalyzable ([Rux]
-    somewhere in the skeleton); such accesses take the checked path.
+    somewhere in the skeleton, or a hull bound that overflows the int
+    range); such accesses take the checked path.
     Exposed for {!Tapecheck}'s independent in-bounds audit. *)
 
 type instr =
@@ -144,6 +145,9 @@ type instr =
   | Iloopc of int * int * int * int
       (** back-edge with constant step: reg <- reg + c; jump while
           reg <= bound-reg *)
+  | Icount of int
+      (** scratch slot += 1: a basic-block counter, inserted by
+          {!Profile}'s instrumentation only *)
 
 type access = {
   ac_slot : int;
@@ -255,6 +259,10 @@ val build_cfg : instr array -> cfg
 val instr_targets : instr -> int list
 (** Explicit jump targets of one instruction (empty for straight-line). *)
 
+val map_targets : (int -> int) -> instr -> instr
+(** Rewrite an instruction's explicit jump targets (identity on
+    straight-line instructions). *)
+
 (** {1 Stable textual form} — used by [--dump-tape] and golden tests;
     deterministic, one line per instruction. *)
 
@@ -283,7 +291,9 @@ val unsafe_flags : prep -> bool array
 (** Copy of the per-access unsafe flags, in access order. *)
 
 val make_scratch : tape -> int array
-(** Per-domain scratch for hoisted invariant offsets; never shared. *)
+(** Per-domain scratch: hoisted invariant offsets, then stream slots
+    (on an instrumented tape these include the block counters); never
+    shared. *)
 
 val exec_strip :
   tape ->
@@ -313,10 +323,10 @@ val strip_bounds : inner:int -> t0:int -> len:int -> (int * int) list
 
 (** {1 Profiling}
 
-    Per-position dispatch counts for one tape. The profiled interpreter
-    {!exec_strip_profiled} is a twin of {!exec_strip} (one extra unsafe
-    increment per dispatch); the unprofiled path is untouched, so
-    profiler-off runs are bit-identical in output and cost. Per-opcode
+    Per-position dispatch counts for one tape, as {!Profile} reports
+    them. The profiler runs {!exec_strip} on a copy of the tape with an
+    [Icount] at every basic-block leader; each position's count is its
+    block's counter, and every prologue position runs once per strip. Per-opcode
     and per-source-loop views are derived at report time by joining the
     counts with the instruction arrays and the provenance tables. *)
 
@@ -326,36 +336,7 @@ type profile = {
   pf_unrolled : int array;
       (** per-[tp_unrolled] position dispatch count ([[||]] when the
           tape has no unrolled body) *)
-  mutable pf_strips : int;  (** strips executed *)
-  mutable pf_iters : int;  (** coalesced iterations executed *)
-  mutable pf_ns : int;  (** wall ns inside profiled strip execution *)
+  pf_strips : int;  (** strips executed *)
+  pf_iters : int;  (** coalesced iterations executed *)
+  pf_ns : int;  (** wall ns inside profiled chunk execution *)
 }
-
-val profile_create : tape -> profile
-(** Fresh zeroed counts sized for the tape (one per worker). *)
-
-val profile_merge : into:profile -> profile -> unit
-(** Element-wise accumulate a worker's counts. Both arguments must come
-    from {!profile_create} on the same tape. *)
-
-val profile_dispatches : profile -> int
-(** Total dispatched instructions across all sections. *)
-
-val exec_strip_profiled :
-  tape ->
-  prep ->
-  profile:profile ->
-  ints:int array ->
-  reals:float array ->
-  arrays:float array array ->
-  shadow:Sanitize.t option ->
-  inv:int array ->
-  jslot:int ->
-  j0:int ->
-  jstep:int ->
-  len:int ->
-  iter0:int ->
-  unit
-(** Exactly {!exec_strip}, additionally bumping the profile's position
-    counters ([pf_ns] is accounted by the caller, which brackets whole
-    chunks rather than paying two clock reads per strip). *)

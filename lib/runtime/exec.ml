@@ -57,12 +57,26 @@ let space_of (plan : plan) env =
   let step0 = plan.step_x env in
   if step0 <= 0 then
     error "loop %s: step must be positive" plan.index_names.(0);
+  (* A wrapped trip count would silently run the wrong number of
+     iterations, so overflow is a runtime fault naming the nest. *)
+  let overflow () =
+    error "loop %s: coalesced trip count exceeds the int range"
+      (String.concat "." (Array.to_list plan.index_names))
+  in
+  let trip lo hi step =
+    if hi < lo then 0
+    else
+      let d = hi - lo in
+      if d < 0 || d / step = max_int then overflow () else (d / step) + 1
+  in
   let sizes =
     Array.init depth (fun k ->
-        if k = 0 then max 0 ((his.(0) - los.(0) + step0) / step0)
-        else max 0 (his.(k) - los.(k) + 1))
+        trip los.(k) his.(k) (if k = 0 then step0 else 1))
   in
-  let total = Array.fold_left ( * ) 1 sizes in
+  let total =
+    try Array.fold_left Loopcoal_util.Intmath.checked_mul 1 sizes
+    with Invalid_argument _ -> overflow ()
+  in
   { sizes; los; his; step0; total }
 
 (* Set the nest indexes for coalesced iteration [t] (1-based): one round
@@ -114,20 +128,22 @@ type engine = Closure | Bytecode | Native
 
 let c_native_fallbacks = Registry.counter "native.fallbacks"
 
-(* Bytecode chunk runner: decompose the chunk into maximal runs over the
+(* Strip runner: decompose each chunk into maximal runs over the
    innermost coalesced digit (see [Bytecode.strip_bounds]) and execute
    each run as one strip — outer indexes set once by div/mod, the inner
-   index advanced by a constant increment on the tape. Chunk boundaries
-   are exactly those of the closure engine, so traces and metrics are
-   unchanged. *)
-let run_chunk_bytecode (plan : plan) sp env tape prep inv t0 len =
-  if len > 0 then begin
-    let depth = plan.depth in
-    let inner = sp.sizes.(depth - 1) in
-    let jslot = plan.index_slots.(depth - 1) in
-    let jlo = sp.los.(depth - 1) in
-    let jstep = if depth = 1 then sp.step0 else 1 in
-    let shadow = if Bytecode.sanitized tape then env.shadow else None in
+   index advanced by a constant increment. [strip j0 jstep len iter0]
+   runs one strip: the tape interpreter, on the plan's tape or on a
+   profiler's counting copy of it, or a native runner — chosen once per
+   binding, the loop itself is shared. Chunk boundaries are exactly
+   those of the closure engine, so traces and metrics are unchanged.
+   Tape faults and native runners' [Failure]s carry interpreter-identical
+   messages. *)
+let run_strips (plan : plan) sp env strip =
+  let depth = plan.depth in
+  let inner = sp.sizes.(depth - 1) in
+  let jlo = sp.los.(depth - 1) in
+  let jstep = if depth = 1 then sp.step0 else 1 in
+  fun t0 len ->
     let tlast = t0 + len - 1 in
     let t = ref t0 in
     try
@@ -136,45 +152,10 @@ let run_chunk_bytecode (plan : plan) sp env tape prep inv t0 len =
         let slen = min (tlast - !t + 1) (inner - pos) in
         if depth > 1 then set_cursor plan sp env !t;
         env.iter_id <- !t;
-        Bytecode.exec_strip tape prep ~ints:env.ints ~reals:env.reals
-          ~arrays:env.arrays ~shadow ~inv ~jslot
-          ~j0:(jlo + (pos * jstep))
-          ~jstep ~len:slen ~iter0:!t;
+        strip (jlo + (pos * jstep)) jstep slen !t;
         t := !t + slen
       done
-    with Bytecode.Error m -> raise (Compile.Error m)
-  end
-
-(* Twin of [run_chunk_bytecode] on the profiled interpreter. The clock
-   brackets the whole chunk (two reads per chunk, not per strip), so
-   [pf_ns] is wall time inside strip execution including the per-strip
-   cursor/bounds setup. *)
-let run_chunk_bytecode_prof (plan : plan) sp env tape prep inv pf t0 len =
-  if len > 0 then begin
-    let depth = plan.depth in
-    let inner = sp.sizes.(depth - 1) in
-    let jslot = plan.index_slots.(depth - 1) in
-    let jlo = sp.los.(depth - 1) in
-    let jstep = if depth = 1 then sp.step0 else 1 in
-    let shadow = if Bytecode.sanitized tape then env.shadow else None in
-    let tlast = t0 + len - 1 in
-    let t = ref t0 in
-    let clk0 = Trace.now () in
-    (try
-       while !t <= tlast do
-         let pos = (!t - 1) mod inner in
-         let slen = min (tlast - !t + 1) (inner - pos) in
-         if depth > 1 then set_cursor plan sp env !t;
-         env.iter_id <- !t;
-         Bytecode.exec_strip_profiled tape prep ~profile:pf ~ints:env.ints
-           ~reals:env.reals ~arrays:env.arrays ~shadow ~inv ~jslot
-           ~j0:(jlo + (pos * jstep))
-           ~jstep ~len:slen ~iter0:!t;
-         t := !t + slen
-       done
-     with Bytecode.Error m -> raise (Compile.Error m));
-    pf.Bytecode.pf_ns <- pf.Bytecode.pf_ns + (Trace.now () - clk0)
-  end
+    with Bytecode.Error m | Failure m -> raise (Compile.Error m)
 
 (* Per-fork bytecode preparation: the checked-vs-unsafe decision is made
    once against the fork's whole iteration space, so it is valid for
@@ -189,32 +170,6 @@ let bytecode_prep (plan : plan) sp env =
       in
       Some (tape, Bytecode.prepare tape ~ints:env.ints ~lo:sp.los ~hi)
   | _ -> None
-
-(* Native chunk runner: the same strip decomposition (and therefore the
-   same chunk boundaries, trace events and sanitizer cursor updates) as
-   [run_chunk_bytecode], but each strip runs the plan's Dynlink-loaded
-   machine-code runner instead of the tape interpreter. Generated code
-   raises [Failure] with interpreter-identical messages. *)
-let run_chunk_native (plan : plan) sp env nr t0 len =
-  if len > 0 then begin
-    let depth = plan.depth in
-    let inner = sp.sizes.(depth - 1) in
-    let jlo = sp.los.(depth - 1) in
-    let jstep = if depth = 1 then sp.step0 else 1 in
-    let tlast = t0 + len - 1 in
-    let t = ref t0 in
-    try
-      while !t <= tlast do
-        let pos = (!t - 1) mod inner in
-        let slen = min (tlast - !t + 1) (inner - pos) in
-        if depth > 1 then set_cursor plan sp env !t;
-        env.iter_id <- !t;
-        nr env.ints env.reals env.arrays (jlo + (pos * jstep)) jstep slen;
-        t := !t + slen
-      done
-    with
-    | Bytecode.Error m | Failure m -> raise (Compile.Error m)
-  end
 
 (* Per-fork engine decision, on top of [bytecode_prep]: the native
    engine uses a plan's runner only when the runner exists, profiling is
@@ -246,24 +201,41 @@ let fork_prep ?profile engine (plan : plan) sp env =
           in
           Some (tape, pr, nr))
 
-(* Bind the chunk runner for one (engine, plan, env): tape dispatch when
-   the bytecode engine is selected and the plan lowered, closure
-   dispatch otherwise. The invariant-offset scratch is per-binding, so
-   every domain hoists into its own. Like the trace probe, the
-   profiled-vs-plain decision is made here, once per binding: with
-   profiling off the executed closure is exactly the pre-profiler one. *)
+(* Bind the chunk runner for one (engine, plan, env): native strips
+   when the fork got a runner, tape strips when the plan lowered,
+   closure dispatch otherwise. The scratch is per-binding, so every
+   domain hoists (and counts) into its own. Like the trace probe, the
+   profiled-vs-plain decision is made here, once per binding: a plain
+   binding runs the plan's tape with no counting at all, a profiled one
+   runs the profiler's counting copy and brackets each chunk with two
+   clock reads. *)
 let chunk_runner ?profile (plan : plan) sp prep env : int -> int -> unit =
   match prep with
-  | Some (_, _, Some nr) -> fun t0 len -> run_chunk_native plan sp env nr t0 len
+  | None -> run_chunk plan sp env
+  | Some (_, _, Some nr) ->
+      run_strips plan sp env (fun j0 jstep len _ ->
+          nr env.ints env.reals env.arrays j0 jstep len)
   | Some (tape, pr, None) -> (
-      let inv = Bytecode.make_scratch tape in
+      let jslot = plan.index_slots.(plan.depth - 1) in
+      let shadow = if Bytecode.sanitized tape then env.shadow else None in
+      let exec tape inv j0 jstep len iter0 =
+        Bytecode.exec_strip tape pr ~ints:env.ints ~reals:env.reals
+          ~arrays:env.arrays ~shadow ~inv ~jslot ~j0 ~jstep ~len ~iter0
+      in
       match profile with
-      | None -> fun t0 len -> run_chunk_bytecode plan sp env tape pr inv t0 len
+      | None -> run_strips plan sp env (exec tape (Bytecode.make_scratch tape))
       | Some pc ->
-          let pf = Profile.slot pc tape in
+          let b = Profile.bind pc tape in
+          let exec = exec (Profile.instrumented b) (Profile.scratch b) in
+          let run =
+            run_strips plan sp env (fun j0 jstep len iter0 ->
+                exec j0 jstep len iter0;
+                Profile.count_strip b ~len)
+          in
           fun t0 len ->
-            run_chunk_bytecode_prof plan sp env tape pr inv pf t0 len)
-  | None -> fun t0 len -> run_chunk plan sp env t0 len
+            let clk0 = Trace.now () in
+            run t0 len;
+            Profile.add_ns b (Trace.now () - clk0))
 
 (* A new fork is a new sanitizer epoch: conflicts are only races between
    iterations of the {e same} fork. Called from the forking thread,
@@ -273,39 +245,31 @@ let new_epoch env =
 
 (* ---------- sequential execution ---------- *)
 
-let rec seq_fork_e engine ?profile (plan : plan) env =
+(* The whole space is one chunk. Traced, it is recorded on worker 0 as
+   a static block (which it literally is); nested parallel loops inside
+   the region run — and are timed — within this chunk, so only the
+   outermost fork hook traces. *)
+let rec seq_fork_e engine ?profile ?trace (plan : plan) env =
   let saved_fork = env.fork in
-  env.fork <- seq_fork_e engine ?profile;
+  env.fork <- seq_fork_e engine ?profile ?trace:None;
   new_epoch env;
   let sp = space_of plan env in
   let prep = fork_prep ?profile engine plan sp env in
   let run = chunk_runner ?profile plan sp prep env in
-  run 1 sp.total;
+  (match trace with
+  | None -> run 1 sp.total
+  | Some tracer ->
+      Trace.fork_begin tracer ~policy:Policy.Static_block ~n:sp.total ~p:1;
+      let a = Trace.now () in
+      run 1 sp.total;
+      let b = Trace.now () in
+      if sp.total > 0 then
+        Trace.record tracer ~worker:0 ~start:1 ~len:sp.total ~t0:a ~t1:b;
+      Trace.fork_end tracer);
   env.iter_id <- 0;
   env.fork <- saved_fork
 
 let seq_fork plan env = seq_fork_e Bytecode plan env
-
-(* Traced sequential fork: the whole space is one chunk on worker 0,
-   recorded as a static block (which it literally is). Nested parallel
-   loops inside the region run — and are timed — within this chunk, so
-   only the outermost fork hook traces. *)
-let seq_fork_traced_e engine ?profile tracer (plan : plan) env =
-  let saved_fork = env.fork in
-  env.fork <- seq_fork_e engine ?profile;
-  new_epoch env;
-  let sp = space_of plan env in
-  let prep = fork_prep ?profile engine plan sp env in
-  let run = chunk_runner ?profile plan sp prep env in
-  Trace.fork_begin tracer ~policy:Policy.Static_block ~n:sp.total ~p:1;
-  let a = Trace.now () in
-  run 1 sp.total;
-  let b = Trace.now () in
-  if sp.total > 0 then
-    Trace.record tracer ~worker:0 ~start:1 ~len:sp.total ~t0:a ~t1:b;
-  Trace.fork_end tracer;
-  env.iter_id <- 0;
-  env.fork <- saved_fork
 
 (* ---------- reduction merge ---------- *)
 
@@ -374,10 +338,7 @@ let parallel_fork_e engine ?trace ?profile pool policy (plan : plan) master =
   let sp = space_of plan master in
   let n = sp.total in
   if n = 0 then ()
-  else if p = 1 || n = 1 then
-    match trace with
-    | None -> seq_fork_e engine ?profile plan master
-    | Some tracer -> seq_fork_traced_e engine ?profile tracer plan master
+  else if p = 1 || n = 1 then seq_fork_e engine ?profile ?trace plan master
   else begin
     (match trace with
     | None -> ()
@@ -389,12 +350,34 @@ let parallel_fork_e engine ?trace ?profile pool policy (plan : plan) master =
     let clones =
       Array.init p (fun _ ->
           let c = clone_env master in
-          c.fork <- seq_fork_e engine ?profile;
+          c.fork <- seq_fork_e engine ?profile ?trace:None;
           reset_partials plan c;
           c)
     in
+    (* The domain that runs the chunk holding iteration [n] supplies
+       every non-reduction scalar after the join. It starts that chunk
+       from the fork-entry scalars (keeping its reduction partials), so
+       what it hands over depends on that chunk alone — not on which
+       earlier chunks a dynamic schedule gave it, which a scalar the
+       last chunk leaves unassigned would otherwise expose. *)
+    let restart c =
+      let ints = Array.copy c.ints and reals = Array.copy c.reals in
+      Array.blit master.ints 0 c.ints 0 (Array.length c.ints);
+      Array.blit master.reals 0 c.reals 0 (Array.length c.reals);
+      Array.iter
+        (fun r ->
+          if r.r_real then c.reals.(r.r_slot) <- reals.(r.r_slot)
+          else c.ints.(r.r_slot) <- ints.(r.r_slot))
+        plan.reductions
+    in
     let runners =
-      Array.map (fun c -> chunk_runner ?profile plan sp prep c) clones
+      Array.map
+        (fun c ->
+          let run = chunk_runner ?profile plan sp prep c in
+          fun t0 len ->
+            if t0 + len - 1 = n then restart c;
+            run t0 len)
+        clones
     in
     let hi_t = Array.make p 0 in
     (* The probe is selected here, once per fork: with tracing off the
@@ -520,10 +503,9 @@ let run_compiled ?(array_init = 0.0) ?pool ?(policy = Policy.Static_block)
     Registry.incr c_runs;
     Registry.time h_run_ns @@ fun () ->
     let fork =
-      match (pool, trace) with
-      | None, None -> seq_fork_e engine ?profile
-      | None, Some tracer -> seq_fork_traced_e engine ?profile tracer
-      | Some pool, _ -> parallel_fork_e engine ?trace ?profile pool policy
+      match pool with
+      | None -> seq_fork_e engine ?profile ?trace
+      | Some pool -> parallel_fork_e engine ?trace ?profile pool policy
     in
     let env = Compile.make_env ~array_init ?shadow t ~fork in
     Compile.run_code t env;

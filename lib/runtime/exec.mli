@@ -79,13 +79,16 @@ val run_compiled :
     recorded as a one-chunk [Static_block] region at [p = 1], since that
     is the dispatch that actually happened.
 
-    [profile] turns on tape profiling: every worker's dispatches are
-    counted per tape position into the collector (summarize with
-    {!Profile.summarize}). Results, traces and schedules are identical
-    with and without it, and — like [trace] — the unprofiled code paths
-    are exactly the pre-profiler ones, so profiling has zero cost when
-    off. Only tape-dispatched plans are profiled; the [Closure] engine
-    and closure-fallback plans contribute nothing.
+    [profile] turns on tape profiling: each worker runs the collector's
+    counting copy of the plan's tape (block counters at every basic-block
+    leader, see {!Profile}) through the same strip runner and tape
+    interpreter, and brackets each chunk with two clock reads; summarize
+    with {!Profile.summarize}. Results, traces and schedules are
+    identical with and without it, and — like [trace] — the choice is
+    made once per fork binding, so an unprofiled run executes the plain
+    tape with no counting. Only tape-dispatched plans are profiled; the
+    [Closure] engine and closure-fallback plans contribute nothing, and
+    profiled [Native] forks run on the bytecode tier.
 
     [shadow] attaches race-sanitizer shadow state to the run; it only
     has an effect on programs compiled with [Compile.compile

@@ -276,6 +276,9 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
               emit_store i2 v
           | Jadv | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _ | Iloopc _ ->
               assert false
+          | Icount _ ->
+              (* plan tapes never carry the profiler's counters *)
+              assert false
         in
         (* ---- runner header ---- *)
         out "let r%d : Natapi.runner =" idx;

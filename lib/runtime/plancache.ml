@@ -24,8 +24,9 @@ open Loopcoal_ir
       [tp_tags] carry instr -> source-loop attribution.
    5: transformation-search era — winning recipes ride next to plans as
       [<key>.recipe] side files and cached programs may be
-      recipe-transformed, so pre-search entries must not be replayed. *)
-let format_version = 5
+      recipe-transformed, so pre-search entries must not be replayed.
+   6: [Icount] (the profiler's block counter) joins [Bytecode.instr]. *)
+let format_version = 6
 
 (* A disk entry that fails to load — unreadable, corrupt, or written by
    a different format/build — is treated as a miss; count those

@@ -1,12 +1,20 @@
 (* Tape-profile collection and reporting.
 
-   Collection: the executor registers one {!Bytecode.profile} per
-   (worker, fork, tape) binding — registration takes the collector's
-   mutex once, then the worker owns its counts and bumps them without
-   any synchronization. Nothing is merged during the run; {!tapes}
-   folds the per-worker entries into one canonical profile per distinct
-   tape (physical equality — the same [tape] value is shared by every
-   fork of a plan) when a report is wanted.
+   Collection instruments the tape, so profiled runs go through the one
+   tape interpreter. Once per (collector, tape), [instrument] copies the
+   tape with an [Icount] at every basic-block leader of the body and of
+   the unrolled body; the counters live in extra scratch slots past the
+   tape's stream slots, and the access table is shared, so the fork's
+   range proof on the original tape holds for the copy. The executor
+   runs the copy through the ordinary [Bytecode.exec_strip], one
+   {!binding} (private scratch, strip/iteration/time totals) per worker,
+   fork and tape; registration takes the collector's mutex once, then
+   the worker counts without synchronization.
+
+   Nothing is merged during the run. {!tapes} rebuilds one per-position
+   profile per distinct tape (physical equality — the same [tape] value
+   is shared by every fork of a plan): a position runs exactly as often
+   as its block's leader, and every prologue position once per strip.
 
    Reporting joins the per-position dispatch counts with the tape's
    instruction arrays and provenance side tables, giving two views:
@@ -14,35 +22,134 @@
    machine actually spend its dispatches?) and by opcode (the
    interpreter-facing one: which handlers dominate?). *)
 
-type collector = {
-  mutex : Mutex.t;
-  mutable entries : (Bytecode.tape * Bytecode.profile) list;  (** newest first *)
+open Bytecode
+
+type inst = {
+  i_src : tape;  (** the tape as compiled *)
+  i_tape : tape;  (** the counting copy *)
+  i_ops : int array;  (** per [tp_ops] position: its block's counter slot *)
+  i_unrolled : int array;  (** per [tp_unrolled] position *)
 }
 
-let create () = { mutex = Mutex.create (); entries = [] }
+type binding = {
+  b_inst : inst;
+  b_scratch : int array;
+  mutable b_strips : int;
+  mutable b_iters : int;
+  mutable b_ns : int;
+}
 
-let slot c tape =
-  let pf = Bytecode.profile_create tape in
+type collector = {
+  mutex : Mutex.t;
+  mutable insts : inst list;  (** newest first *)
+  mutable bindings : binding list;
+}
+
+let create () = { mutex = Mutex.create (); insts = []; bindings = [] }
+
+(* Insert an [Icount] before every leader of [ops], counting block [k]
+   into slot [next + k]. Unlike [Tapeopt.insert_at], a jump to a leader
+   lands on its counter, so the counter runs on every entry to the
+   block. Block [k] of instruction [i] has [k] counters before it plus
+   its own, so [i] moves to [i + k + 1] and a jump to leader [t] (or to
+   the exit, the last block) to [t + k]. Returns the counting section,
+   its provenance, each position's counter slot and the counter count. *)
+let instrument_ops ops src ~next =
+  let cfg = build_cfg ops in
+  let block_of = cfg.cf_block_of in
+  let n = Array.length ops in
+  let ncounters = block_of.(n) in
+  let out = Array.make (n + ncounters) Jadv in
+  let osrc = Array.make (n + ncounters) 0 in
+  Array.iteri
+    (fun i op ->
+      let k = block_of.(i) in
+      if cfg.cf_blocks.(k).bb_start = i then begin
+        out.(i + k) <- Icount (next + k);
+        osrc.(i + k) <- src.(i)
+      end;
+      out.(i + k + 1) <- map_targets (fun t -> t + block_of.(t)) op;
+      osrc.(i + k + 1) <- src.(i))
+    ops;
+  (out, osrc, Array.init n (fun i -> next + block_of.(i)), ncounters)
+
+let instrument (t : tape) =
+  let base = Array.length t.tp_accs + t.tp_nstreams in
+  let ops, src, i_ops, nops = instrument_ops t.tp_ops t.tp_src ~next:base in
+  let unrolled, i_unrolled, nunrolled =
+    match (t.tp_unrolled, t.tp_unrolled_src) with
+    | Some u, Some usrc ->
+        let u, usrc, slots, nu = instrument_ops u usrc ~next:(base + nops) in
+        (Some (u, usrc), slots, nu)
+    | _ -> (None, [||], 0)
+  in
+  {
+    i_src = t;
+    i_tape =
+      {
+        t with
+        tp_ops = ops;
+        tp_src = src;
+        tp_unrolled = Option.map fst unrolled;
+        tp_unrolled_src = Option.map snd unrolled;
+        tp_nstreams = t.tp_nstreams + nops + nunrolled;
+      };
+    i_ops;
+    i_unrolled;
+  }
+
+let bind c tape =
   Mutex.lock c.mutex;
-  c.entries <- (tape, pf) :: c.entries;
+  let inst =
+    match List.find_opt (fun i -> i.i_src == tape) c.insts with
+    | Some i -> i
+    | None ->
+        let i = instrument tape in
+        c.insts <- i :: c.insts;
+        i
+  in
+  let b =
+    {
+      b_inst = inst;
+      b_scratch = make_scratch inst.i_tape;
+      b_strips = 0;
+      b_iters = 0;
+      b_ns = 0;
+    }
+  in
+  c.bindings <- b :: c.bindings;
   Mutex.unlock c.mutex;
-  pf
+  b
+
+let instrumented b = b.b_inst.i_tape
+let scratch b = b.b_scratch
+
+let count_strip b ~len =
+  b.b_strips <- b.b_strips + 1;
+  b.b_iters <- b.b_iters + len
+
+let add_ns b ns = b.b_ns <- b.b_ns + ns
 
 let tapes c =
   Mutex.lock c.mutex;
-  let entries = List.rev c.entries in
+  let insts = List.rev c.insts and bindings = c.bindings in
   Mutex.unlock c.mutex;
-  let merged = ref [] in
-  List.iter
-    (fun (t, pf) ->
-      match List.find_opt (fun (t', _) -> t' == t) !merged with
-      | Some (_, into) -> Bytecode.profile_merge ~into pf
-      | None ->
-          let into = Bytecode.profile_create t in
-          Bytecode.profile_merge ~into pf;
-          merged := !merged @ [ (t, into) ])
-    entries;
-  !merged
+  List.map
+    (fun inst ->
+      let mine = List.filter (fun b -> b.b_inst == inst) bindings in
+      let sum f = List.fold_left (fun acc b -> acc + f b) 0 mine in
+      let count slot = sum (fun b -> b.b_scratch.(slot)) in
+      let strips = sum (fun b -> b.b_strips) in
+      ( inst.i_src,
+        {
+          pf_pre = Array.make (Array.length inst.i_src.tp_pre) strips;
+          pf_ops = Array.map count inst.i_ops;
+          pf_unrolled = Array.map count inst.i_unrolled;
+          pf_strips = strips;
+          pf_iters = sum (fun b -> b.b_iters);
+          pf_ns = sum (fun b -> b.b_ns);
+        } ))
+    insts
 
 (* ---------- aggregation ---------- *)
 
@@ -61,7 +168,7 @@ type summary = {
   sm_opcodes : (string * int) list;  (** descending by dispatches *)
 }
 
-let fold_sections (t : Bytecode.tape) (pf : Bytecode.profile) ~f =
+let fold_sections (t : tape) (pf : profile) ~f =
   let sec ops src counts =
     Array.iteri
       (fun i c -> if c > 0 then f ops.(i) src.(i) c)
@@ -82,17 +189,19 @@ let summarize c =
     | Some r -> r := !r + n
     | None -> Hashtbl.replace tbl k (ref n)
   in
+  let sum = Array.fold_left ( + ) 0 in
   let dispatches = ref 0 and iters = ref 0 and strips = ref 0 and ns = ref 0 in
   List.iter
-    (fun ((t : Bytecode.tape), (pf : Bytecode.profile)) ->
-      dispatches := !dispatches + Bytecode.profile_dispatches pf;
+    (fun ((t : tape), (pf : profile)) ->
+      dispatches :=
+        !dispatches + sum pf.pf_pre + sum pf.pf_ops + sum pf.pf_unrolled;
       iters := !iters + pf.pf_iters;
       strips := !strips + pf.pf_strips;
       ns := !ns + pf.pf_ns;
       fold_sections t pf ~f:(fun op tag n ->
           let loc = t.tp_tags.(tag) in
           bump by_loop (loc.sl_loop, loc.sl_stmt) n;
-          bump by_op (Bytecode.instr_mnemonic op) n))
+          bump by_op (instr_mnemonic op) n))
     (tapes c);
   let desc_rows =
     Hashtbl.fold

@@ -1,22 +1,45 @@
 (** Tape-profile collection and reporting.
 
-    A {!collector} gathers per-worker {!Bytecode.profile}s during a
-    profiled run (the executor registers one per worker/fork/tape
-    binding; workers then count without synchronization); {!summarize}
-    joins the counts with each tape's provenance side tables into
+    Profiling instruments the tape rather than the interpreter: once per
+    (collector, tape) the profiler copies the tape with an [Icount] at
+    every basic-block leader of its body and unrolled body, counting
+    into extra scratch slots, and the executor runs the copy through the
+    ordinary {!Bytecode.exec_strip}. Each worker owns one {!binding} per
+    fork and tape and counts without synchronization; {!tapes} rebuilds
+    per-position dispatch counts from the block counters, and
+    {!summarize} joins them with each tape's provenance side tables into
     source-loop and opcode views. *)
 
 type collector
 
 val create : unit -> collector
 
-val slot : collector -> Bytecode.tape -> Bytecode.profile
-(** Register and return a fresh zeroed profile for [tape]. Takes the
-    collector's mutex once; the caller then owns the counts. *)
+type binding
+(** One worker's counters for one tape in one fork. *)
+
+val bind : collector -> Bytecode.tape -> binding
+(** Register a fresh zeroed binding for [tape], instrumenting the tape
+    on its first binding in this collector. Takes the collector's mutex
+    once; the caller then owns the binding. *)
+
+val instrumented : binding -> Bytecode.tape
+(** The counting copy of the bound tape: same prologue, accesses and
+    provenance, [Icount]s at the block leaders of the body and unrolled
+    body. Run it with the bound tape's {!Bytecode.prep}. *)
+
+val scratch : binding -> int array
+(** The binding's {!Bytecode.make_scratch} array for {!instrumented};
+    its slots past the stream slots are the block counters. *)
+
+val count_strip : binding -> len:int -> unit
+(** Account one executed strip of [len] iterations. *)
+
+val add_ns : binding -> int -> unit
+(** Account wall nanoseconds spent executing the binding's chunks. *)
 
 val tapes : collector -> (Bytecode.tape * Bytecode.profile) list
-(** One merged profile per distinct tape (physical equality), in
-    first-registration order. *)
+(** One profile per distinct bound tape (physical equality), summed
+    over its bindings, in first-binding order. *)
 
 type loop_row = {
   lr_loop : string;  (** source loop path, e.g. ["i.j/k"] *)

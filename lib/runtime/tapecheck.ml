@@ -88,7 +88,7 @@ let iter_int_reads f = function
   | Iconst _ | Fconst _ | Fmov _ | Fadd _ | Fsub _ | Fmul _ | Fdiv _ | Fmin _
   | Fmax _ | Fneg _ | Fmac _ | Fmsb _ | Fload _ | Fstore _ | Jadv | Fmac2 _
   | Fmsb2 _ | Fldmac _ | Fldmsb _ | Fldadd _ | Fldsub _ | Fldmul _ | Fld2add _
-  | Fldst _ | Jmp _ | Jff _ | Jffn _ ->
+  | Fldst _ | Jmp _ | Jff _ | Jffn _ | Icount _ ->
       ()
 
 let int_write = function
@@ -128,7 +128,7 @@ let iter_float_reads f = function
   | Fldadd (_, x, _) | Fldsub (_, x, _) | Fldmul (_, x, _) -> f x
   | Iconst _ | Iaff _ | Imul _ | Idiv _ | Imod _ | Icdiv _ | Imin _ | Imax _
   | Istep _ | Fconst _ | Fofi _ | Fload _ | Sinit _ | Jadv | Jmp _ | Jii _
-  | Iloop _ | Iloopc _ | Fld2add _ | Fldst _ ->
+  | Iloop _ | Iloopc _ | Fld2add _ | Fldst _ | Icount _ ->
       ()
 
 let float_write = function
@@ -232,6 +232,22 @@ let check_structure ctx ?full t =
     ok := false;
     report ctx "LC011" ~subject fmt
   in
+  (* Slots holding stream offsets or bumps: a counter there would
+     corrupt an unchecked access's offset. *)
+  let stream_slots = Hashtbl.create 8 in
+  let stream s = Hashtbl.replace stream_slots s () in
+  List.iter
+    (Array.iter (function Sinit (s, _) -> stream s | _ -> ()))
+    (t.tp_pre :: t.tp_ops :: Option.to_list t.tp_unrolled);
+  Array.iter
+    (fun ac ->
+      match ac.ac_vk with
+      | Vs (s, _) | Vsj (s, _) -> stream s
+      | Vsv (s, bs) ->
+          stream s;
+          stream bs
+      | V0 | V1 _ | V2 _ | Vn -> ())
+    t.tp_accs;
   let check_instr name i op =
     let subject = Printf.sprintf "%s[%d]" name i in
     (match full with
@@ -271,6 +287,13 @@ let check_structure ctx ?full t =
           bad subject
             "Sinit targets scratch slot %d outside the stream range %d..%d" s
             naccs (nslots - 1)
+    | Icount k ->
+        if k < naccs || k >= nslots then
+          bad subject
+            "Icount targets scratch slot %d outside the stream range %d..%d"
+            k naccs (nslots - 1)
+        else if Hashtbl.mem stream_slots k then
+          bad subject "Icount bumps stream slot %d" k
     | _ -> ()
   in
   (* Prologue: straight-line, access-free, no strip-index advance. *)

@@ -75,7 +75,7 @@ let iter_int_reads f = function
   | Iconst _ | Jadv | Fconst _ | Fmov _ | Fadd _ | Fsub _ | Fmul _ | Fdiv _
   | Fmin _ | Fmax _ | Fneg _ | Fmac _ | Fmsb _ | Fload _ | Fstore _ | Jmp _
   | Jff _ | Jffn _ | Fmac2 _ | Fmsb2 _ | Fldmac _ | Fldmsb _ | Fldadd _ | Fldsub _
-  | Fldmul _ | Fld2add _ | Fldst _ ->
+  | Fldmul _ | Fld2add _ | Fldst _ | Icount _ ->
       ()
 
 let int_write = function
@@ -114,7 +114,7 @@ let iter_float_reads f = function
   | Fldadd (_, x, _) | Fldsub (_, x, _) | Fldmul (_, x, _) -> f x
   | Iconst _ | Iaff _ | Imul _ | Idiv _ | Imod _ | Icdiv _ | Imin _ | Imax _
   | Istep _ | Fconst _ | Fofi _ | Fload _ | Sinit _ | Jadv | Jmp _ | Jii _
-  | Iloop _ | Iloopc _ | Fld2add _ | Fldst _ ->
+  | Iloop _ | Iloopc _ | Fld2add _ | Fldst _ | Icount _ ->
       ()
 
 let float_write = function
@@ -152,15 +152,6 @@ let rec iter_rng_regs f = function
 
 (* ---------- jump-target bookkeeping ---------- *)
 
-let remap_targets f = function
-  | Jmp t -> Jmp (f t)
-  | Jii (op, a, b, t) -> Jii (op, a, b, f t)
-  | Jff (op, a, b, t) -> Jff (op, a, b, f t)
-  | Jffn (op, a, b, t) -> Jffn (op, a, b, f t)
-  | Iloop (r, a, bnd, top) -> Iloop (r, a, bnd, f top)
-  | Iloopc (r, c, bnd, top) -> Iloopc (r, c, bnd, f top)
-  | i -> i
-
 let target_flags ops =
   let n = Array.length ops in
   let t = Array.make (n + 1) false in
@@ -197,7 +188,7 @@ let insert_at_map ops src inserts =
   in
   for i = 0 to n - 1 do
     List.iter (fun (op, tag) -> put op tag) by_pos.(i);
-    put (remap_targets (fun t -> newpos.(t)) ops.(i)) src.(i)
+    put (map_targets (fun t -> newpos.(t)) ops.(i)) src.(i)
   done;
   List.iter (fun (op, tag) -> put op tag) by_pos.(n);
   (out, osrc, newpos)
@@ -222,7 +213,7 @@ let delete_at ops src dead =
   let k = ref 0 in
   for i = 0 to n - 1 do
     if not dead.(i) then begin
-      out.(!k) <- remap_targets (fun t -> newpos.(t)) ops.(i);
+      out.(!k) <- map_targets (fun t -> newpos.(t)) ops.(i);
       osrc.(!k) <- src.(i);
       incr k
     end
@@ -1282,6 +1273,7 @@ let unroll ~int_base ~real_base ~fresh_int ~fresh_real (t : tape) =
       | Jffn (op, a, b, t) -> Jffn (op, gf a, gf b, t + off)
       | Iloop (r, a, bnd, top) -> Iloop (gi r, subst_aff imap a, gi bnd, top + off)
       | Iloopc (r, c, bnd, top) -> Iloopc (gi r, c, gi bnd, top + off)
+      | Icount k -> Icount k
     in
     let u = Array.make ((4 * n) + 3) Jadv in
     (* Separator [Jadv]s belong to the plan root (tag 0); the copies

@@ -370,6 +370,89 @@ let test_profile_engine_cli_error () =
         ]
         lines)
 
+(* ---------- adversarial overflow ---------- *)
+
+(* Subscripts whose range hull wraps: [4611686018427387903 * i]
+   overflows for i >= 2, and a wrapped hull certifies 1..3 for values
+   that really are 3, -4611686018427387902, ... The range proof must
+   give up, leaving the access on the checked path, so every engine
+   raises the interpreter's bounds error instead of reading or writing
+   out of bounds. *)
+let overflow_subscript_progs =
+  [
+    ( "load",
+      {|program
+  real A[10]
+  real B[3]
+begin
+  doall i = 1, 3
+    B[i] = A[4611686018427387903 * i - 4611686018427387900]
+  end
+end
+|} );
+    ( "store",
+      {|program
+  real A[10]
+begin
+  doall i = 1, 3
+    A[4611686018427387903 * i - 4611686018427387900] = 1.0
+  end
+end
+|} );
+  ]
+
+(* 2^32 * 2^31 iterations: the coalesced trip count wraps to 0. *)
+let overflow_trip_prog =
+  {|program
+  real A[10]
+begin
+  doall i = 1, 4294967296
+    doall j = 1, 2147483648
+      A[1] = 1.0
+    end
+  end
+end
+|}
+
+let parse what text =
+  match Driver.load_string text with
+  | Ok p -> p
+  | Error m -> Alcotest.failf "%s: parse error: %s" what m
+
+let compiled_error ~what prog =
+  List.map
+    (fun (cname, engine, opt_level) ->
+      match Exec.run ~engine ~opt_level prog with
+      | _ -> Alcotest.failf "%s: %s ran without a runtime error" what cname
+      | exception Compile.Error m -> (cname, m))
+    configs
+
+let test_overflow_subscript () =
+  List.iter
+    (fun (what, text) ->
+      let prog = parse what text in
+      let want =
+        match Eval.run prog with
+        | _ -> Alcotest.failf "%s: interpreter ran without an error" what
+        | exception Eval.Runtime_error m -> m
+      in
+      Alcotest.(check string)
+        (what ^ ": interpreter error")
+        "array A: subscript -4611686018427387902 out of bounds 1..10" want;
+      List.iter
+        (fun (cname, m) ->
+          Alcotest.(check string) (what ^ ": " ^ cname) want m)
+        (compiled_error ~what prog))
+    overflow_subscript_progs
+
+let test_overflow_trip_count () =
+  let prog = parse "trip" overflow_trip_prog in
+  List.iter
+    (fun (cname, m) ->
+      Alcotest.(check string) cname
+        "loop i.j: coalesced trip count exceeds the int range" m)
+    (compiled_error ~what:"trip count" prog)
+
 let suite =
   [
     Alcotest.test_case "codegen shape" `Quick test_codegen_shape;
@@ -388,4 +471,8 @@ let suite =
   @ [
       Gen.to_alcotest prop_serial_accum;
       Gen.to_alcotest prop_branchy_varstep;
+      Alcotest.test_case "overflowing subscript hull stays checked" `Quick
+        test_overflow_subscript;
+      Alcotest.test_case "overflowing coalesced trip count is an error"
+        `Quick test_overflow_trip_count;
     ]

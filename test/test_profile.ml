@@ -269,6 +269,227 @@ let prop_profile_onoff =
             [ 1; 2 ])
         opt_levels)
 
+(* ---------- instrumentation ---------- *)
+
+let kernel_tapes opt_level =
+  List.concat_map
+    (fun name ->
+      let prog = (Option.get (Kernels.by_name name)) () in
+      let c = Compile.compile ~opt_level prog in
+      List.filter_map
+        (fun (p : Compile.plan) -> p.Compile.tape)
+        (Compile.plans c))
+    Kernels.all_names
+
+let counting_copy t = Profile.instrumented (Profile.bind (Profile.create ()) t)
+
+(* Erase the counters of a counting section: each surviving instruction
+   keeps its tag, and a jump aimed at position [p] of the copy goes to
+   the original index of the first surviving instruction at or after
+   [p]. *)
+let erase ops src =
+  let n = Array.length ops in
+  let before = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun p op ->
+      before.(p + 1) <-
+        (before.(p) + match op with Bytecode.Icount _ -> 0 | _ -> 1))
+    ops;
+  let kept =
+    List.filter_map
+      (fun p ->
+        match ops.(p) with
+        | Bytecode.Icount _ -> None
+        | op -> Some (Bytecode.map_targets (fun t -> before.(t)) op, src.(p)))
+      (List.init n Fun.id)
+  in
+  (Array.of_list (List.map fst kept), Array.of_list (List.map snd kept))
+
+(* The counting copy is the tape plus one counter per block: erasing
+   the counters gives back every section, every jump of the copy lands
+   on a counter (or the end), the counters use distinct fresh scratch
+   slots, and the prologue, accesses and tag table are the tape's own. *)
+let test_counting_copy_shape () =
+  List.iter
+    (fun opt_level ->
+      List.iter
+        (fun (t : Bytecode.tape) ->
+          let c = counting_copy t in
+          let section name ops src ops' src' =
+            let e_ops, e_src = erase ops' src' in
+            if e_ops <> ops || e_src <> src then
+              Alcotest.failf "-O%d %s: erasing counters changes the section"
+                opt_level name;
+            Array.iteri
+              (fun i op ->
+                List.iter
+                  (fun tgt ->
+                    if tgt < Array.length ops' then
+                      match ops'.(tgt) with
+                      | Bytecode.Icount _ -> ()
+                      | _ ->
+                          Alcotest.failf
+                            "-O%d %s[%d]: jump to %d misses its counter"
+                            opt_level name i tgt)
+                  (Bytecode.instr_targets op))
+              ops'
+          in
+          section "ops" t.tp_ops t.tp_src c.tp_ops c.tp_src;
+          (match (t.tp_unrolled, t.tp_unrolled_src, c.tp_unrolled,
+                  c.tp_unrolled_src) with
+          | None, None, None, None -> ()
+          | Some u, Some us, Some u', Some us' -> section "unrolled" u us u' us'
+          | _ -> Alcotest.failf "-O%d: unrolled body not mirrored" opt_level);
+          Alcotest.(check bool) "prologue, accesses and tags shared" true
+            (c.tp_pre == t.tp_pre && c.tp_accs == t.tp_accs
+            && c.tp_tags == t.tp_tags);
+          let base = Array.length t.tp_accs + t.tp_nstreams in
+          let slots =
+            List.concat_map
+              (Array.fold_left
+                 (fun acc -> function Bytecode.Icount k -> k :: acc | _ -> acc)
+                 [])
+              (c.tp_ops :: Option.to_list c.tp_unrolled)
+            |> List.sort compare
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "-O%d counter slots" opt_level)
+            (List.init (c.tp_nstreams - t.tp_nstreams) (fun k -> base + k))
+            slots)
+        (kernel_tapes opt_level))
+    opt_levels
+
+(* Without its unrolled body (whose layout check assumes four equal
+   copies, while one counter may cover all four), a counting copy passes
+   the structural validator: counters sit on fresh scratch slots and
+   every jump keeps its shape. *)
+let test_counting_copy_validates () =
+  List.iter
+    (fun opt_level ->
+      List.iter
+        (fun (t : Bytecode.tape) ->
+          let c = counting_copy t in
+          let c = { c with tp_unrolled = None; tp_unrolled_src = None } in
+          match Runtime.Tapecheck.check_entry ~region:0 c with
+          | [] -> ()
+          | ds ->
+              Alcotest.failf "-O%d: %s" opt_level
+                (String.concat "; "
+                   (List.map
+                      (fun (d : Diag.t) -> d.Diag.code ^ " " ^ d.Diag.message)
+                      ds)))
+        (kernel_tapes opt_level))
+    opt_levels
+
+(* Counting copies are private to the collector: a profiled run (on
+   any engine) leaves every plan's tape — the one the plan cache stores
+   and native code generation reads — physically unchanged and free of
+   counters. *)
+let test_plan_tapes_untouched () =
+  let c = Compile.compile ~opt_level:2 (Kernels.matmul ~ra:6 ~ca:4 ~cb:5) in
+  let before =
+    List.map (fun (p : Compile.plan) -> p.Compile.tape) (Compile.plans c)
+  in
+  List.iter
+    (fun engine ->
+      ignore
+        (Exec.run_compiled ~domains:2 ~engine ~profile:(Profile.create ()) c
+          : Exec.outcome))
+    [ Exec.Bytecode; Exec.Native ];
+  List.iter2
+    (fun t0 (p : Compile.plan) ->
+      match (t0, p.Compile.tape) with
+      | Some t0, Some t ->
+          Alcotest.(check bool) "same tape" true (t0 == t);
+          Alcotest.(check bool) "no counters" false
+            (Array.exists
+               (function Bytecode.Icount _ -> true | _ -> false)
+               (Array.concat
+                  (t.tp_pre :: t.tp_ops :: Option.to_list t.tp_unrolled)))
+      | None, None -> ()
+      | _ -> Alcotest.fail "plan tape replaced")
+    before (Compile.plans c)
+
+(* ---------- pinned counts ---------- *)
+
+(* The exact profile of each built-in kernel as `loopc kernel K | loopc
+   profile --opt-level N` reports it at 1 domain (GSS, bytecode): the
+   kernel's printed text is parsed back, compiled cold and run once.
+   Counts are a property of the tape and the strip geometry, not of the
+   host, so any change to how the profiler collects them must reproduce
+   these numbers exactly. *)
+let pinned_totals =
+  [
+    ("matmul", (1958, 146, 22), (1438, 146, 22));
+    ("stencil", (1012, 164, 18), (858, 164, 18));
+    ("cond_stencil", (186, 22, 2), (162, 22, 2));
+    ("tri_gather", (229, 20, 2), (201, 20, 2));
+    ("transpose", (500, 200, 20), (550, 200, 20));
+    ("relax", (1381, 312, 13), (1319, 312, 13));
+  ]
+
+let cli_profile name opt_level =
+  let text =
+    Pretty.program_to_string ((Option.get (Kernels.by_name name)) ())
+  in
+  let prog =
+    match Driver.load_string text with
+    | Ok p -> p
+    | Error m -> Alcotest.failf "%s: reparse failed: %s" name m
+  in
+  match Compile.compile_result ~opt_level prog with
+  | Error m -> Alcotest.failf "%s: staging error: %s" name m
+  | Ok c ->
+      let pc = Profile.create () in
+      ignore
+        (Exec.run_compiled ~domains:1 ~policy:Policy.Gss
+           ~engine:Exec.Bytecode ~profile:pc c
+          : Exec.outcome);
+      Profile.summarize pc
+
+let test_pinned_totals () =
+  List.iter
+    (fun (name, o0, o2) ->
+      List.iter
+        (fun (opt_level, want) ->
+          let sm = cli_profile name opt_level in
+          Alcotest.(check (triple int int int))
+            (Printf.sprintf "%s -O%d dispatches/iterations/strips" name
+               opt_level)
+            want
+            (sm.Profile.sm_dispatches, sm.Profile.sm_iters,
+             sm.Profile.sm_strips))
+        [ (0, o0); (2, o2) ])
+    pinned_totals
+
+let test_pinned_matmul_rows () =
+  let sm = cli_profile "matmul" 2 in
+  Alcotest.(check (list (triple string string int)))
+    "matmul -O2 hot loops"
+    [
+      ("i.j/k", "for k", 448);
+      ("i.j/k", "C[] =", 336);
+      ("i.j", "for k", 232);
+      ("i.k", "A[] =", 144);
+      ("k.j", "B[] =", 126);
+      ("i.j", "C[] =", 56);
+      ("i.j", "strip", 40);
+      ("i.k", "strip", 32);
+      ("k.j", "strip", 24);
+    ]
+    (List.map
+       (fun r ->
+         (r.Profile.lr_loop, r.Profile.lr_stmt, r.Profile.lr_dispatches))
+       sm.Profile.sm_loops);
+  Alcotest.(check (list (pair string int)))
+    "matmul -O2 hot opcodes"
+    [
+      ("fmac2", 336); ("iloopc", 336); ("fstore", 202); ("iaff", 154);
+      ("sinit", 134); ("fofi", 90); ("jadv", 66); ("fload", 56); ("jii", 56);
+      ("fconst", 8);
+    ]
+    sm.Profile.sm_opcodes
+
 (* ---------- rendering ---------- *)
 
 let test_render_tables () =
@@ -303,5 +524,15 @@ let suite =
       `Quick test_profiled_run_identical;
     Alcotest.test_case "render has hot-loop and hot-opcode tables" `Quick
       test_render_tables;
+    Alcotest.test_case "pinned kernel totals (-O0/-O2, 1 domain)" `Quick
+      test_pinned_totals;
+    Alcotest.test_case "pinned matmul -O2 hot rows" `Quick
+      test_pinned_matmul_rows;
+    Alcotest.test_case "counting copy = tape + one counter per block" `Quick
+      test_counting_copy_shape;
+    Alcotest.test_case "counting copy validates" `Quick
+      test_counting_copy_validates;
+    Alcotest.test_case "profiling leaves plan tapes untouched" `Quick
+      test_plan_tapes_untouched;
     Gen.to_alcotest prop_profile_onoff;
   ]

@@ -325,6 +325,22 @@ let prop_parallel_equals_interp =
             domain_counts)
         all_policies)
 
+(* gauss_jordan's [mult] is a private scalar assigned under [if i <> j]:
+   the chunk holding the last iteration may leave it unassigned. What the
+   join adopts must still be the same on every run of a dynamic
+   schedule, whichever earlier chunks the adopting domain happened to
+   take. *)
+let test_adopted_scalars_repeatable () =
+  let prog = (Option.get (Kernels.by_name "gauss_jordan")) () in
+  List.iter
+    (fun policy ->
+      let first = Exec.run ~domains:4 ~policy prog in
+      for _ = 2 to 20 do
+        if Exec.run ~domains:4 ~policy prog <> first then
+          Alcotest.failf "%s: outcome changed between runs" (Policy.name policy)
+      done)
+    [ Policy.Gss; Policy.Factoring; Policy.Self_sched 1 ]
+
 let suite =
   [
     Alcotest.test_case "kernels x policies x domains" `Quick
@@ -341,6 +357,8 @@ let suite =
       test_pool_runs_all_workers;
     Alcotest.test_case "pool propagates exceptions" `Quick
       test_pool_propagates_exception;
+    Alcotest.test_case "adopted scalars repeatable under dynamic schedules"
+      `Quick test_adopted_scalars_repeatable;
     Gen.to_alcotest prop_compiled_seq_equals_interp;
     Gen.to_alcotest prop_parallel_equals_interp;
   ]

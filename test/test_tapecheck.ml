@@ -361,6 +361,53 @@ let test_disk_hit_validated () =
         "overwritten entry hits" (1, 2)
         (Counters.plan_cache_stats ()))
 
+(* A profiler counter must bump a fresh scratch slot: one aimed past
+   the scratch array, at an access's hoisted offset or at a stream slot
+   would write out of bounds or corrupt an unchecked access's offset. *)
+let test_icount_slot () =
+  let c = Compile.compile ~opt_level:1 stream_prog in
+  let t =
+    match List.filter_map (fun p -> p.Compile.tape) (Compile.plans c) with
+    | t :: _ -> t
+    | [] -> Alcotest.fail "fixture did not lower"
+  in
+  let copy =
+    Runtime.Profile.instrumented
+      (Runtime.Profile.bind (Runtime.Profile.create ()) t)
+  in
+  Alcotest.(check int) "counting copy validates" 0
+    (List.length (Runtime.Tapecheck.check_entry ~region:0 copy));
+  let stream_slot =
+    match
+      Array.find_map
+        (function Bytecode.Sinit (s, _) -> Some s | _ -> None)
+        (Array.append t.Bytecode.tp_pre t.Bytecode.tp_ops)
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "fixture has no stream"
+  in
+  let nslots =
+    Array.length copy.Bytecode.tp_accs + copy.Bytecode.tp_nstreams
+  in
+  List.iter
+    (fun (what, slot) ->
+      let ops = Array.copy copy.Bytecode.tp_ops in
+      let i =
+        Option.get
+          (Array.find_index
+             (function Bytecode.Icount _ -> true | _ -> false)
+             ops)
+      in
+      ops.(i) <- Bytecode.Icount slot;
+      check_code what "LC011"
+        (Runtime.Tapecheck.check_entry ~region:0
+           { copy with Bytecode.tp_ops = ops }))
+    [
+      ("counter past the scratch array", nslots);
+      ("counter on an access offset", 0);
+      ("counter on a stream slot", stream_slot);
+    ]
+
 let suite =
   [
     Alcotest.test_case "undefined register read -> LC010" `Quick
@@ -377,6 +424,8 @@ let suite =
       test_stream_slot_reuse;
     Alcotest.test_case "footprint divergence -> LC014" `Quick
       test_footprint_divergence;
+    Alcotest.test_case "counter off its scratch range -> LC011" `Quick
+      test_icount_slot;
     Alcotest.test_case "example programs validate clean" `Quick
       test_examples_clean;
     Alcotest.test_case "built-in kernels validate clean" `Quick
