@@ -62,7 +62,10 @@ let tokenize_with_positions src =
         | _ -> ());
         let text = String.sub src start (!pos - start) in
         if !is_real then emit (Treal (float_of_string text))
-        else emit (Tint (int_of_string text))
+        else (
+          match int_of_string_opt text with
+          | Some v -> emit (Tint v)
+          | None -> raise (Lex_error ("integer literal out of range", start)))
     | c when is_alpha c ->
         let word = take_while is_alnum in
         if List.mem word keywords then emit (Tkeyword word)

@@ -290,6 +290,12 @@ let parse_decls c =
         let v =
           if accept_punct c "-" then -expect_int c else expect_int c
         in
+        (* [sc_init] is a float: beyond 2^53 it would silently round *)
+        if abs v > 1 lsl 53 then
+          fail c
+            (Printf.sprintf
+               "int scalar %s: initializer %d exceeds 2^53 in magnitude" name
+               v);
         scalars :=
           { sc_name = name; sc_kind = Kint; sc_init = float_of_int v }
           :: !scalars;

@@ -11,6 +11,14 @@
    [.cmxs] with [Dynlink.loadfile_private], and attaches the registered
    runners to the compiled program's plans.
 
+   Code shape: each runner is one function with no inner closures.
+   Every int register, float register and stream slot the tape touches
+   is a non-escaping local [ref], so ocamlopt keeps it in a machine
+   register and unboxes the floats. The tape's basic blocks are the arms
+   of one [match] over a local block number inside a [while]; a block
+   whose [Iloop]/[Iloopc] jumps back to its own leader (every serial
+   inner loop the lowering emits) is an inner do-while loop.
+
    Semantics contract: the generated code replays [exec_strip]'s exact
    unsafe-path evaluation order — prologue, per-access invariant
    hoisting, then per-iteration block dispatch — with the same float
@@ -19,8 +27,9 @@
    (the executor maps both [Bytecode.Error] and [Failure] to
    [Compile.Error]). Two deliberate deviations, both unobservable:
 
-   - float registers are promoted to local [ref]s for the strip and
-     written back on normal exit (nothing reads [reals] mid-strip);
+   - registers are read from [ints]/[reals] once at runner entry and the
+     written ones are stored back on normal exit (nothing reads the
+     register files mid-strip, and a raised error aborts the run);
    - the x4-unrolled body is ignored — unrolling only amortizes
      interpreter dispatch, which native code does not pay.
 
@@ -63,47 +72,21 @@ let flit (x : float) =
   else if x = Float.neg_infinity then "neg_infinity"
   else Printf.sprintf "(%h)" x
 
-let iget r = Printf.sprintf "(Array.unsafe_get ints %d)" r
-
-let aff_str (a : Bytecode.aff) =
-  let terms =
-    Array.to_list (Array.mapi (fun i c -> (c, a.Bytecode.regs.(i))) a.Bytecode.coefs)
-  in
+(* [reg r] prints a read of int register [r]. *)
+let aff_str reg (a : Bytecode.aff) =
+  let open Bytecode in
+  let terms = Array.to_list (Array.mapi (fun i c -> (c, a.regs.(i))) a.coefs) in
   match terms with
-  | [] -> ilit a.Bytecode.base
+  | [] -> ilit a.base
   | _ ->
-      let ts =
-        List.map (fun (c, r) -> Printf.sprintf "(%s * %s)" (ilit c) (iget r)) terms
-      in
-      Printf.sprintf "(%s + %s)" (ilit a.Bytecode.base) (String.concat " + " ts)
+      let term (c, r) = Printf.sprintf "(%s * %s)" (ilit c) (reg r) in
+      let ts = List.map term terms in
+      Printf.sprintf "(%s + %s)" (ilit a.base) (String.concat " + " ts)
 
 let is_control (i : Bytecode.instr) =
   match i with
   | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _ | Iloopc _ -> true
   | _ -> false
-
-(* Registers the instruction reads from / writes to the float file. *)
-let freg_uses (i : Bytecode.instr) =
-  match i with
-  | Fconst (d, _) -> ([ d ], [])
-  | Fmov (d, s) | Fneg (d, s) -> ([ d ], [ s ])
-  | Fadd (d, a, b)
-  | Fsub (d, a, b)
-  | Fmul (d, a, b)
-  | Fdiv (d, a, b)
-  | Fmin (d, a, b)
-  | Fmax (d, a, b) ->
-      ([ d ], [ a; b ])
-  | Fofi (d, _) -> ([ d ], [])
-  | Fmac (d, a, x, y) | Fmsb (d, a, x, y) -> ([ d ], [ a; x; y ])
-  | Fload (d, _) -> ([ d ], [])
-  | Fstore (s, _) -> ([], [ s ])
-  | Fmac2 (d, a, _, _) | Fmsb2 (d, a, _, _) -> ([ d ], [ a ])
-  | Fldmac (d, a, x, _) | Fldmsb (d, a, x, _) -> ([ d ], [ a; x ])
-  | Fldadd (d, x, _) | Fldsub (d, x, _) | Fldmul (d, x, _) -> ([ d ], [ x ])
-  | Fld2add (d, _, _) -> ([ d ], [])
-  | Jff (_, a, b, _) | Jffn (_, a, b, _) -> ([], [ a; b ])
-  | _ -> ([], [])
 
 module IntSet = Set.Make (Int)
 
@@ -139,6 +122,30 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
           incr nloc;
           Printf.sprintf "%s%d" pfx !nloc
         in
+        (* ---- registers: local refs, recorded as the body is emitted;
+           the header binding them is prepended at the end ---- *)
+        let iused = ref IntSet.empty and iwritten = ref IntSet.empty in
+        let fused = ref IntSet.empty and fwritten = ref IntSet.empty in
+        let note set r = set := IntSet.add r !set in
+        let ir r =
+          note iused r;
+          Printf.sprintf "!ir%d" r
+        in
+        let fr r =
+          note fused r;
+          Printf.sprintf "!fr%d" r
+        in
+        let iset d e =
+          note iused d;
+          note iwritten d;
+          out "    ir%d := %s;" d e
+        in
+        let fset d e =
+          note fused d;
+          note fwritten d;
+          out "    fr%d := %s;" d e
+        in
+        let aff = aff_str ir in
         (* ---- emission helpers over the access table ---- *)
         let emit_off id =
           let ac = tp.tp_accs.(id) in
@@ -146,11 +153,11 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
           (match ac.ac_vk with
           | V0 -> out "    let %s = iv%d in" o id
           | V1 (c, r) ->
-              out "    let %s = iv%d + (%s * %s) in" o id (ilit c) (iget r)
+              out "    let %s = iv%d + (%s * %s) in" o id (ilit c) (ir r)
           | V2 (c1, r1, c2, r2) ->
               out "    let %s = iv%d + (%s * %s) + (%s * %s) in" o id (ilit c1)
-                (iget r1) (ilit c2) (iget r2)
-          | Vn -> out "    let %s = iv%d + %s in" o id (aff_str ac.ac_var)
+                (ir r1) (ilit c2) (ir r2)
+          | Vn -> out "    let %s = iv%d + %s in" o id (aff ac.ac_var)
           | Vs (s, bump) ->
               out "    let %s = !sl%d in" o s;
               out "    sl%d := !sl%d + %s;" s s (ilit bump)
@@ -173,104 +180,101 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
           let o = emit_off id in
           out "    Array.unsafe_set a%d %s %s;" tp.tp_accs.(id).ac_slot o src
         in
-        let iset d e = out "    Array.unsafe_set ints %d %s;" d e in
         (* ---- straight-line instruction -> statements ---- *)
         let emit_instr (i : instr) =
           match i with
           | Iconst (d, v) -> iset d (ilit v)
-          | Iaff (d, a) -> iset d (aff_str a)
+          | Iaff (d, a) -> iset d (aff a)
           | Imul (d, a, b) ->
-              iset d (Printf.sprintf "(%s * %s)" (iget a) (iget b))
+              iset d (Printf.sprintf "(%s * %s)" (ir a) (ir b))
           | Idiv (d, a, b) ->
               let y = fresh "y" in
-              out "    let %s = %s in" y (iget b);
+              out "    let %s = %s in" y (ir b);
               out "    if %s = 0 then failwith \"integer division by zero\";" y;
-              iset d (Printf.sprintf "(%s / %s)" (iget a) y)
+              iset d (Printf.sprintf "(%s / %s)" (ir a) y)
           | Imod (d, a, b) ->
               let y = fresh "y" in
-              out "    let %s = %s in" y (iget b);
+              out "    let %s = %s in" y (ir b);
               out "    if %s = 0 then failwith \"mod by zero\";" y;
-              iset d (Printf.sprintf "(%s mod %s)" (iget a) y)
+              iset d (Printf.sprintf "(%s mod %s)" (ir a) y)
           | Icdiv (d, a, b) ->
               let y = fresh "y" and x = fresh "x" in
-              out "    let %s = %s in" y (iget b);
+              out "    let %s = %s in" y (ir b);
               out
                 "    if %s <= 0 then failwith (Printf.sprintf \"ceildiv: \
                  non-positive divisor %%d\" %s);"
                 y y;
-              out "    let %s = %s in" x (iget a);
+              out "    let %s = %s in" x (ir a);
+              (* Intmath.cdiv, inlined *)
               iset d
                 (Printf.sprintf
-                   "(if %s > 0 then (%s + %s - 1) / %s else -(- %s / %s))" x x y
-                   y x y)
+                   "(if %s > 0 then ((%s - 1) / %s) + 1 else %s / %s)" x x y x
+                   y)
           | Imin (d, a, b) ->
               iset d
                 (Printf.sprintf
-                   "(let x = %s and y = %s in if x <= y then x else y)" (iget a)
-                   (iget b))
+                   "(let x = %s and y = %s in if x <= y then x else y)" (ir a)
+                   (ir b))
           | Imax (d, a, b) ->
               iset d
                 (Printf.sprintf
-                   "(let x = %s and y = %s in if x >= y then x else y)" (iget a)
-                   (iget b))
+                   "(let x = %s and y = %s in if x >= y then x else y)" (ir a)
+                   (ir b))
           | Istep (r, name) ->
-              out "    if %s <= 0 then failwith %S;" (iget r)
+              out "    if %s <= 0 then failwith %S;" (ir r)
                 (Printf.sprintf "loop %s: step must be positive" name)
-          | Fconst (d, x) -> out "    fr%d := %s;" d (flit x)
-          | Fmov (d, s) -> out "    fr%d := !fr%d;" d s
-          | Fadd (d, a, b) -> out "    fr%d := !fr%d +. !fr%d;" d a b
-          | Fsub (d, a, b) -> out "    fr%d := !fr%d -. !fr%d;" d a b
-          | Fmul (d, a, b) -> out "    fr%d := !fr%d *. !fr%d;" d a b
-          | Fdiv (d, a, b) -> out "    fr%d := !fr%d /. !fr%d;" d a b
+          | Fconst (d, x) -> fset d (flit x)
+          | Fmov (d, s) -> fset d (fr s)
+          | Fadd (d, a, b) -> fset d (Printf.sprintf "%s +. %s" (fr a) (fr b))
+          | Fsub (d, a, b) -> fset d (Printf.sprintf "%s -. %s" (fr a) (fr b))
+          | Fmul (d, a, b) -> fset d (Printf.sprintf "%s *. %s" (fr a) (fr b))
+          | Fdiv (d, a, b) -> fset d (Printf.sprintf "%s /. %s" (fr a) (fr b))
           | Fmin (d, a, b) ->
-              out
-                "    fr%d := (let x = !fr%d and y = !fr%d in if x <= y then x \
-                 else y);"
-                d a b
+              fset d
+                (Printf.sprintf
+                   "(let x = %s and y = %s in if x <= y then x else y)" (fr a)
+                   (fr b))
           | Fmax (d, a, b) ->
-              out
-                "    fr%d := (let x = !fr%d and y = !fr%d in if x >= y then x \
-                 else y);"
-                d a b
-          | Fneg (d, s) -> out "    fr%d := -. !fr%d;" d s
-          | Fofi (d, s) ->
-              out "    fr%d := float_of_int (Array.unsafe_get ints %d);" d s
+              fset d
+                (Printf.sprintf
+                   "(let x = %s and y = %s in if x >= y then x else y)" (fr a)
+                   (fr b))
+          | Fneg (d, s) -> fset d ("-. " ^ fr s)
+          | Fofi (d, s) -> fset d ("float_of_int " ^ ir s)
           | Fmac (d, a, x, y) ->
-              out "    fr%d := !fr%d +. (!fr%d *. !fr%d);" d a x y
+              fset d (Printf.sprintf "%s +. (%s *. %s)" (fr a) (fr x) (fr y))
           | Fmsb (d, a, x, y) ->
-              out "    fr%d := !fr%d -. (!fr%d *. !fr%d);" d a x y
-          | Fload (d, id) ->
-              let v = emit_load id in
-              out "    fr%d := %s;" d v
-          | Fstore (s, id) -> emit_store id (Printf.sprintf "!fr%d" s)
-          | Sinit (s, a) -> out "    sl%d := %s;" s (aff_str a)
+              fset d (Printf.sprintf "%s -. (%s *. %s)" (fr a) (fr x) (fr y))
+          | Fload (d, id) -> fset d (emit_load id)
+          | Fstore (s, id) -> emit_store id (fr s)
+          | Sinit (s, a) -> out "    sl%d := %s;" s (aff a)
           | Fmac2 (d, a, i1, i2) ->
               let v1 = emit_load i1 in
               let v2 = emit_load i2 in
-              out "    fr%d := !fr%d +. (%s *. %s);" d a v1 v2
+              fset d (Printf.sprintf "%s +. (%s *. %s)" (fr a) v1 v2)
           | Fmsb2 (d, a, i1, i2) ->
               let v1 = emit_load i1 in
               let v2 = emit_load i2 in
-              out "    fr%d := !fr%d -. (%s *. %s);" d a v1 v2
+              fset d (Printf.sprintf "%s -. (%s *. %s)" (fr a) v1 v2)
           | Fldmac (d, a, x, id) ->
               let v = emit_load id in
-              out "    fr%d := !fr%d +. (!fr%d *. %s);" d a x v
+              fset d (Printf.sprintf "%s +. (%s *. %s)" (fr a) (fr x) v)
           | Fldmsb (d, a, x, id) ->
               let v = emit_load id in
-              out "    fr%d := !fr%d -. (!fr%d *. %s);" d a x v
+              fset d (Printf.sprintf "%s -. (%s *. %s)" (fr a) (fr x) v)
           | Fldadd (d, x, id) ->
               let v = emit_load id in
-              out "    fr%d := !fr%d +. %s;" d x v
+              fset d (Printf.sprintf "%s +. %s" (fr x) v)
           | Fldsub (d, x, id) ->
               let v = emit_load id in
-              out "    fr%d := !fr%d -. %s;" d x v
+              fset d (Printf.sprintf "%s -. %s" (fr x) v)
           | Fldmul (d, x, id) ->
               let v = emit_load id in
-              out "    fr%d := !fr%d *. %s;" d x v
+              fset d (Printf.sprintf "%s *. %s" (fr x) v)
           | Fld2add (d, i1, i2) ->
               let v1 = emit_load i1 in
               let v2 = emit_load i2 in
-              out "    fr%d := %s +. %s;" d v1 v2
+              fset d (Printf.sprintf "%s +. %s" v1 v2)
           | Fldst (i1, i2) ->
               let v = emit_load i1 in
               emit_store i2 v
@@ -280,99 +284,113 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
               (* plan tapes never carry the profiler's counters *)
               assert false
         in
-        (* ---- runner header ---- *)
-        out "let r%d : Natapi.runner =" idx;
-        out " fun ints reals arrays j0 jstep len ->";
+        (* ---- strip prologue, interpreter order: prologue ops first,
+           then the per-access invariant offsets ---- *)
+        iset jslot "j0";
+        Array.iter emit_instr tp.tp_pre;
+        Array.iteri
+          (fun id (ac : access) ->
+            out "  let iv%d = %s in" id (aff ac.ac_inv))
+          tp.tp_accs;
+        (* ---- per-iteration body: one [match] arm per basic block,
+           dispatched on a local block number; -1 is the exit ---- *)
+        let cfg = build_cfg tp.tp_ops in
+        let n = Array.length tp.tp_ops in
+        let exit = cfg.cf_block_of.(n) in
+        let goto t =
+          let bid = cfg.cf_block_of.(t) in
+          if bid = exit then "(-1)" else string_of_int bid
+        in
+        out "  let j = ref j0 in";
+        out "  for _k = 0 to len - 1 do";
+        iset jslot "!j";
+        if exit > 0 then begin
+          out "    let bk = ref 0 in";
+          out "    while !bk >= 0 do";
+          out "    match !bk with";
+          for bid = 0 to exit - 1 do
+            let bb = cfg.cf_blocks.(bid) in
+            out "    | %s ->"
+              (if bid = exit - 1 then "_" else string_of_int bid);
+            let last = bb.bb_stop - 1 in
+            let term = tp.tp_ops.(last) in
+            (* a block looping to its own leader is a serial inner loop:
+               emit it as a do-while *)
+            let self_loop =
+              match term with
+              | Iloop (_, _, _, top) | Iloopc (_, _, _, top) ->
+                  top = bb.bb_start
+              | _ -> false
+            in
+            if self_loop then out "    while (";
+            let stop = if is_control term then last else bb.bb_stop in
+            for i = bb.bb_start to stop - 1 do
+              emit_instr tp.tp_ops.(i)
+            done;
+            (* serial-loop back-edge: bump, then test against the bound *)
+            let back_edge r next bnd top =
+              let v = fresh "v" in
+              out "    let %s = %s in" v next;
+              iset r v;
+              if self_loop then begin
+                out "    %s <= %s) do () done;" v (ir bnd);
+                out "    bk := %s" (goto bb.bb_stop)
+              end
+              else
+                out "    bk := (if %s <= %s then %s else %s)" v (ir bnd)
+                  (goto top) (goto bb.bb_stop)
+            in
+            match term with
+            | Jmp t -> out "    bk := %s" (goto t)
+            | Jii (op, x, y, t) ->
+                out "    bk := (if %s %s %s then %s else %s)" (ir x)
+                  (relop_str op) (ir y) (goto t) (goto bb.bb_stop)
+            | Jff (op, x, y, t) ->
+                out "    bk := (if %s %s %s then %s else %s)" (fr x)
+                  (relop_str op) (fr y) (goto t) (goto bb.bb_stop)
+            | Jffn (op, x, y, t) ->
+                out "    bk := (if %s %s %s then %s else %s)" (fr x)
+                  (relop_str op) (fr y) (goto bb.bb_stop) (goto t)
+            | Iloop (r, a, bnd, top) -> back_edge r (aff a) bnd top
+            | Iloopc (r, c, bnd, top) ->
+                back_edge r (Printf.sprintf "%s + %s" (ir r) (ilit c)) bnd top
+            | _ -> out "    bk := %s" (goto bb.bb_stop)
+          done;
+          out "    done;"
+        end;
+        out "    j := !j + jstep";
+        out "  done;";
+        IntSet.iter (fun r -> out "  Array.unsafe_set ints %d !ir%d;" r r)
+          !iwritten;
+        IntSet.iter (fun r -> out "  Array.unsafe_set reals %d !fr%d;" r r)
+          !fwritten;
+        out "  ()";
+        out "";
+        (* ---- runner header: array slots, then every register the body
+           touched as a local ref, read from its file once ---- *)
+        let h = Buffer.create (Buffer.length b + 1024) in
+        let hdr fmt = Printf.kbprintf (fun h -> Buffer.add_char h '\n') h fmt in
+        hdr "let r%d : Natapi.runner =" idx;
+        hdr " fun ints reals arrays j0 jstep len ->";
         let slots =
           Array.fold_left
             (fun s (ac : access) -> IntSet.add ac.ac_slot s)
             IntSet.empty tp.tp_accs
         in
         IntSet.iter
-          (fun s -> out "  let a%d = Array.unsafe_get arrays %d in" s s)
+          (fun s -> hdr "  let a%d = Array.unsafe_get arrays %d in" s s)
           slots;
-        let used, written =
-          Array.fold_left
-            (fun (u, w) i ->
-              let ws, rs = freg_uses i in
-              ( List.fold_left (fun s r -> IntSet.add r s) u (ws @ rs),
-                List.fold_left (fun s r -> IntSet.add r s) w ws ))
-            (IntSet.empty, IntSet.empty)
-            (Array.append tp.tp_pre tp.tp_ops)
-        in
         IntSet.iter
-          (fun r -> out "  let fr%d = ref (Array.unsafe_get reals %d) in" r r)
-          used;
+          (fun r -> hdr "  let ir%d = ref (Array.unsafe_get ints %d) in" r r)
+          !iused;
+        IntSet.iter
+          (fun r -> hdr "  let fr%d = ref (Array.unsafe_get reals %d) in" r r)
+          !fused;
         for s = naccs to naccs + tp.tp_nstreams - 1 do
-          out "  let sl%d = ref 0 in" s
+          hdr "  let sl%d = ref 0 in" s
         done;
-        out "  Array.unsafe_set ints %d j0;" jslot;
-        (* strip prologue, interpreter order: prologue ops first, then
-           the per-access invariant offsets *)
-        Array.iter emit_instr tp.tp_pre;
-        Array.iteri
-          (fun id (ac : access) -> out "  let iv%d = %s in" id (aff_str ac.ac_inv))
-          tp.tp_accs;
-        (* ---- per-iteration body as mutually tail-calling blocks ---- *)
-        let cfg = build_cfg tp.tp_ops in
-        let blk t = cfg.cf_block_of.(t) in
-        let n = Array.length tp.tp_ops in
-        Array.iteri
-          (fun bid (bb : bblock) ->
-            out "  %s b%d () =" (if bid = 0 then "let rec" else "and") bid;
-            if bb.bb_start >= n then out "    ()"
-            else begin
-              let last = bb.bb_stop - 1 in
-              for i = bb.bb_start to last - 1 do
-                emit_instr tp.tp_ops.(i)
-              done;
-              let term = tp.tp_ops.(last) in
-              if not (is_control term) then begin
-                emit_instr term;
-                out "    b%d ()" (blk bb.bb_stop)
-              end
-              else
-                let fall = if bb.bb_stop <= n then blk bb.bb_stop else bid in
-                match term with
-                | Jmp t -> out "    b%d ()" (blk t)
-                | Jii (op, x, y, t) ->
-                    out "    if %s %s %s then b%d () else b%d ()" (iget x)
-                      (relop_str op) (iget y) (blk t) fall
-                | Jff (op, x, y, t) ->
-                    out "    if !fr%d %s !fr%d then b%d () else b%d ()" x
-                      (relop_str op) y (blk t) fall
-                | Jffn (op, x, y, t) ->
-                    out "    if !fr%d %s !fr%d then b%d () else b%d ()" x
-                      (relop_str op) y fall (blk t)
-                | Iloop (r, a, bnd, top) ->
-                    let v = fresh "v" in
-                    out "    let %s = %s in" v (aff_str a);
-                    out "    Array.unsafe_set ints %d %s;" r v;
-                    out "    if %s <= %s then b%d () else b%d ()" v (iget bnd)
-                      (blk top) fall
-                | Iloopc (r, c, bnd, top) ->
-                    let v = fresh "v" in
-                    out "    let %s = %s + %s in" v (iget r) (ilit c);
-                    out "    Array.unsafe_set ints %d %s;" r v;
-                    out "    if %s <= %s then b%d () else b%d ()" v (iget bnd)
-                      (blk top) fall
-                | _ -> assert false
-            end)
-          cfg.cf_blocks;
-        out "  in";
-        (* ---- strip loop + float write-back ---- *)
-        out "  let j = ref j0 in";
-        out "  for _k = 0 to len - 1 do";
-        out "    Array.unsafe_set ints %d !j;" jslot;
-        out "    b%d ();" (blk 0);
-        out "    j := !j + jstep";
-        out "  done;";
-        IntSet.iter
-          (fun r -> out "  Array.unsafe_set reals %d !fr%d;" r r)
-          written;
-        out "  ()";
-        out "";
-        Some (Buffer.contents b))
+        Buffer.add_buffer h b;
+        Some (Buffer.contents h))
 
 (* Whole-plugin source: one runner per eligible plan plus the
    registration call the host consumes after [Dynlink]. Deterministic

@@ -1,10 +1,13 @@
+(* [/] truncates toward zero, which is the floor for [a >= 0] and the
+   ceiling for [a <= 0]; the other sign is shifted by one toward zero
+   first, so no intermediate leaves the int range. *)
 let fdiv a b =
   if b <= 0 then invalid_arg "Intmath.fdiv: divisor must be positive";
-  if a >= 0 then a / b else -((-a + b - 1) / b)
+  if a >= 0 then a / b else ((a + 1) / b) - 1
 
 let cdiv a b =
   if b <= 0 then invalid_arg "Intmath.cdiv: divisor must be positive";
-  if a > 0 then (a + b - 1) / b else -(-a / b)
+  if a > 0 then ((a - 1) / b) + 1 else a / b
 
 let emod a b =
   if b <= 0 then invalid_arg "Intmath.emod: divisor must be positive";

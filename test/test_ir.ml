@@ -286,6 +286,51 @@ let test_parse_error_positions () =
       if not (contains "line 5" && contains "column 1") then
         Alcotest.failf "position missing in %S" m
 
+(* Literals past max_int are a lexer diagnostic at the literal's offset,
+   not an escaping [int_of_string] failure; max_int itself lexes. *)
+let test_int_literal_out_of_range () =
+  let src = "program\n int s = 0\nbegin\n s = 4611686018427387904\nend\n" in
+  (match Parser.parse_program src with
+  | _ -> Alcotest.fail "expected a lex error"
+  | exception Lexer.Lex_error (m, pos) ->
+      Alcotest.(check string) "message" "integer literal out of range" m;
+      Alcotest.(check int) "offset of the literal" (String.index src '4') pos);
+  match Parser.parse_program "program int s = 0 begin s = 4611686018427387903 end" with
+  | p -> (
+      match Eval.scalar_value (Eval.run p) "s" with
+      | Eval.Vint n -> Alcotest.(check int) "max_int literal" max_int n
+      | _ -> Alcotest.fail "s is not an int")
+  | exception Lexer.Lex_error (m, _) -> Alcotest.failf "max_int: %s" m
+
+(* [sc_init] is a float, so an int initializer is exact only up to 2^53;
+   anything larger is rejected with a diagnostic naming the scalar. *)
+let test_int_init_range () =
+  let parse init =
+    Parser.parse_program (Printf.sprintf "program int s = %s begin end" init)
+  in
+  List.iter
+    (fun init ->
+      match parse init with
+      | p ->
+          let d = List.hd p.Ast.scalars in
+          Alcotest.(check string)
+            init init
+            (Printf.sprintf "%.0f" d.Ast.sc_init)
+      | exception Parser.Parse_error m ->
+          Alcotest.failf "%s rejected: %s" init m)
+    [ "9007199254740992"; "-9007199254740992" ];
+  List.iter
+    (fun init ->
+      match parse init with
+      | _ -> Alcotest.failf "%s accepted" init
+      | exception Parser.Parse_error m ->
+          let want = "int scalar s: initializer " in
+          if String.length m < String.length want
+             || String.sub m 0 (String.length want) <> want
+          then
+            Alcotest.failf "%s: diagnostic %S does not name the scalar" init m)
+    [ "9007199254740993"; "-9007199254740993"; "4611686018427387902" ]
+
 let test_lexer_position () =
   Alcotest.(check (pair int int)) "origin" (1, 1) (Lexer.position "abc" 0);
   Alcotest.(check (pair int int)) "mid-line" (1, 3) (Lexer.position "abc" 2);
@@ -298,4 +343,8 @@ let suite =
       Alcotest.test_case "parse error positions" `Quick
         test_parse_error_positions;
       Alcotest.test_case "lexer positions" `Quick test_lexer_position;
+      Alcotest.test_case "int literal out of range" `Quick
+        test_int_literal_out_of_range;
+      Alcotest.test_case "int initializer beyond 2^53" `Quick
+        test_int_init_range;
     ]

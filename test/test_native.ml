@@ -333,6 +333,17 @@ let test_codegen_shape () =
   Alcotest.(check bool)
     "no checked array access in generated code" false
     (contains src "Array.get ");
+  (* one closure-free function per plan: blocks are [match] arms *)
+  Alcotest.(check bool) "no let rec in generated code" false
+    (contains src "let rec");
+  (* int registers are read from [ints] once, in the runner prologue
+     ([let irN = ref (Array.unsafe_get ints N) in]), never in the body *)
+  List.iter
+    (fun line ->
+      if contains line "Array.unsafe_get ints"
+         && not (contains line "let ir" && contains line "= ref (")
+      then Alcotest.failf "int register file read after the prologue: %s" line)
+    (String.split_on_char '\n' src);
   (* The sanitized build carries shadow instrumentation the generated
      code does not replay: every plan must be ineligible. *)
   let sanitized = Compile.compile ~sanitize:true prog in
@@ -340,6 +351,48 @@ let test_codegen_shape () =
   Alcotest.(check bool)
     "sanitized plans are never native-eligible" false
     (List.exists Fun.id elig_s)
+
+(* ---------- allocation: registers stay in machine registers ---------- *)
+
+(* Every register a runner touches is a non-escaping local ref, which
+   ocamlopt keeps in a machine register (floats unboxed). A boxed float
+   per register write would cost at least 2 minor words per iteration;
+   a 1-domain run must stay under 0.01 words per coalesced iteration,
+   fixed per-run costs (environment, outcome) included. *)
+let alloc_kernels =
+  [
+    ("matmul", fun () -> Kernels.matmul ~ra:500 ~ca:4 ~cb:500);
+    ("stencil", fun () -> Kernels.stencil ~n:400);
+    ("transpose", fun () -> Kernels.transpose ~n:400);
+    ("cond_stencil", fun () -> Kernels.cond_stencil ~n:200_000);
+    ("tri_gather", fun () -> Kernels.tri_gather ~n:100_000);
+    ("relax", fun () -> Kernels.relax ~n:50_000 ~steps:4);
+  ]
+
+let test_native_no_alloc () =
+  require_toolchain ();
+  List.iter
+    (fun (name, mk) ->
+      let compiled = Compile.compile ~opt_level:2 (mk ()) in
+      (match Natgen.prepare compiled with
+      | Natgen.Ready _ -> ()
+      | Natgen.Unavailable m ->
+          Alcotest.failf "%s: native unavailable: %s" name m);
+      (* the traced run counts the coalesced iterations and warms up *)
+      let tracer = Trace.create ~p:1 () in
+      ignore (Exec.run_compiled ~engine:Exec.Native ~trace:tracer compiled);
+      let iters =
+        (Metrics.of_trace (Trace.snapshot tracer)).Metrics.total_iters
+      in
+      let w0 = Gc.minor_words () in
+      ignore (Exec.run_compiled ~engine:Exec.Native compiled);
+      let words = Gc.minor_words () -. w0 in
+      let per_iter = words /. float_of_int iters in
+      if per_iter >= 0.01 then
+        Alcotest.failf
+          "%s: %.0f minor words over %d iterations (%.4f per iteration)" name
+          words iters per_iter)
+    alloc_kernels
 
 (* ---------- profile CLI guard ---------- *)
 
@@ -445,6 +498,46 @@ let test_overflow_subscript () =
         (compiled_error ~what prog))
     overflow_subscript_progs
 
+(* ceildiv with operands at the int range edges: [a + b - 1] and
+   [-min_int] wrap, so every engine (the interpreter and the closure
+   engine through [Intmath.cdiv], the tape tiers in the plan, native
+   through its inline copy) must use the non-wrapping form. *)
+let cdiv_edge_prog =
+  {|program
+  real A[2]
+  real B[2]
+  int s = 0
+  int x = 0
+begin
+  s = 4611686018427387903
+  x = ceildiv(s, 2)
+  doall i = 1, 2
+    A[i] = ceildiv(s, i + 1)
+    B[i] = ceildiv(-s - 1, i + 2)
+  end
+end
+|}
+
+let test_cdiv_int_range () =
+  let prog = parse "cdiv" cdiv_edge_prog in
+  let st = Eval.run prog in
+  (match Eval.scalar_value st "x" with
+  | Eval.Vint x -> Alcotest.(check int) "interp x" 2305843009213693952 x
+  | Eval.Vreal _ -> Alcotest.fail "x is not an int");
+  let arrays, _ = Eval.dump st in
+  Alcotest.(check (array (float 0.0)))
+    "interp A" [| 2305843009213693952.; 1537228672809129301. |]
+    (List.assoc "A" arrays);
+  Alcotest.(check (array (float 0.0)))
+    "interp B" [| -1537228672809129301.; -1152921504606846976. |]
+    (List.assoc "B" arrays);
+  List.iter
+    (fun (cname, engine, opt_level) ->
+      let o = Exec.run ~engine ~opt_level prog in
+      if not (Exec.agrees_with_interpreter ~compare_scalars:true o st) then
+        Alcotest.failf "%s differs from the interpreter" cname)
+    configs
+
 let test_overflow_trip_count () =
   let prog = parse "trip" overflow_trip_prog in
   List.iter
@@ -459,6 +552,8 @@ let suite =
     Alcotest.test_case "toolchain-missing fallback" `Quick
       test_toolchain_missing_fallback;
     Alcotest.test_case "artifact cache hit" `Quick test_artifact_cache_hit;
+    Alcotest.test_case "native runs allocate nothing per iteration" `Quick
+      test_native_no_alloc;
     Alcotest.test_case "profile --engine rejects native" `Quick
       test_profile_engine_cli_error;
     Alcotest.test_case "trace and metrics shape vs bytecode" `Slow
@@ -475,4 +570,6 @@ let suite =
         test_overflow_subscript;
       Alcotest.test_case "overflowing coalesced trip count is an error"
         `Quick test_overflow_trip_count;
+      Alcotest.test_case "ceildiv at the int range edges, every engine"
+        `Quick test_cdiv_int_range;
     ]

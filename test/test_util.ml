@@ -22,6 +22,21 @@ let test_fdiv_emod () =
   check int_t "emod (-7) 3" 2 (Im.emod (-7) 3);
   check int_t "emod 0 3" 0 (Im.emod 0 3)
 
+(* No intermediate may leave the int range: [a + b - 1] and [-min_int]
+   both wrap. *)
+let test_div_int_range () =
+  check int_t "cdiv max_int 2" ((max_int / 2) + 1) (Im.cdiv max_int 2);
+  check int_t "cdiv (max_int - 1) 2" (max_int / 2) (Im.cdiv (max_int - 1) 2);
+  check int_t "cdiv max_int max_int" 1 (Im.cdiv max_int max_int);
+  check int_t "cdiv min_int 3" (min_int / 3) (Im.cdiv min_int 3);
+  check int_t "cdiv min_int 2" (min_int / 2) (Im.cdiv min_int 2);
+  check int_t "cdiv min_int max_int" (-1) (Im.cdiv min_int max_int);
+  check int_t "fdiv max_int 2" (max_int / 2) (Im.fdiv max_int 2);
+  check int_t "fdiv min_int 3" ((min_int / 3) - 1) (Im.fdiv min_int 3);
+  check int_t "fdiv min_int 2" (min_int / 2) (Im.fdiv min_int 2);
+  check int_t "fdiv min_int max_int" (-2) (Im.fdiv min_int max_int);
+  check int_t "fdiv (-1) max_int" (-1) (Im.fdiv (-1) max_int)
+
 let test_cdiv_raises () =
   Alcotest.check_raises "cdiv by zero"
     (Invalid_argument "Intmath.cdiv: divisor must be positive") (fun () ->
@@ -167,6 +182,8 @@ let suite =
   [
     Alcotest.test_case "cdiv basics" `Quick test_cdiv;
     Alcotest.test_case "fdiv/emod" `Quick test_fdiv_emod;
+    Alcotest.test_case "cdiv/fdiv at the int range edges" `Quick
+      test_div_int_range;
     Alcotest.test_case "cdiv rejects zero divisor" `Quick test_cdiv_raises;
     Alcotest.test_case "products" `Quick test_products;
     Alcotest.test_case "pow/ilog2" `Quick test_pow_ilog2;
