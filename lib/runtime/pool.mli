@@ -2,9 +2,16 @@
 
     A pool of size [p] owns [p - 1] spawned worker domains; the caller of
     {!run} participates as worker [0], so a parallel region occupies
-    exactly [p] domains. Workers persist across {!run} calls, which keeps
-    the per-region cost to one broadcast + one join — the single
-    fork-join the paper's coalesced loops are scheduled with. *)
+    exactly [p] domains. Workers persist across {!run} calls, so a
+    parallel region costs one fork-join — the single fork-join the
+    paper's coalesced loops are scheduled with.
+
+    Idle workers and the joining caller spin for about 50 us before they
+    park on a condition variable: back-to-back regions wake and join
+    without a kernel round trip, and a pool idle for longer sleeps. A
+    pool larger than [Domain.recommended_domain_count ()] never spins,
+    since a spinning domain would take the core a working one needs.
+    Every park is counted in the [pool.parks] registry counter. *)
 
 type t
 
@@ -18,11 +25,12 @@ val run : t -> (int -> unit) -> unit
 (** [run t f] executes [f q] for every worker id [q] in [0 .. size-1]
     concurrently and returns when all have finished. If any worker
     raises, the exception of the lowest worker id is re-raised after the
-    join (all workers still complete). *)
+    join (all workers still complete, and the pool stays usable).
+    Raises [Invalid_argument] on a pool that has been shut down. *)
 
 val shutdown : t -> unit
-(** Terminate and join the worker domains. The pool must not be used
-    afterwards. *)
+(** Terminate and join the worker domains. A second call does nothing;
+    {!run} raises afterwards. *)
 
 val with_pool : int -> (t -> 'a) -> 'a
 (** [with_pool p f] runs [f] with a fresh pool and always shuts it down. *)

@@ -225,6 +225,135 @@ let test_pool_propagates_exception () =
       Pool.run pool (fun q -> if q = 0 then ok := true);
       Alcotest.(check bool) "usable after failure" true !ok)
 
+(* The handshake tests below bound every wait with a watchdog domain: a
+   lost wake-up ends the test binary with a message instead of hanging
+   the whole suite. *)
+let with_watchdog ?(seconds = 60.) name f =
+  let finished = Atomic.make false in
+  let dog =
+    Domain.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. seconds in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.01
+        done;
+        if not (Atomic.get finished) then begin
+          Printf.eprintf "pool watchdog: %s hung for %.0f s\n%!" name seconds;
+          Unix._exit 3
+        end)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join dog)
+    f
+
+(* [forks] runs of [job] on [pool]; after each one, every worker id must
+   have run exactly once. *)
+let fork_checked ?(between = ignore) pool ~forks job =
+  let n = Pool.size pool in
+  let runs = Array.make n 0 in
+  for k = 1 to forks do
+    between k;
+    Pool.run pool (fun q ->
+        runs.(q) <- runs.(q) + 1;
+        job k q);
+    Array.iteri
+      (fun q r ->
+        if r <> k then
+          Alcotest.failf "fork %d: worker %d ran %d times in total" k q r)
+      runs
+  done
+
+let test_pool_spin_path () =
+  with_watchdog "spin path" @@ fun () ->
+  Pool.with_pool 2 (fun pool ->
+      fork_checked pool ~forks:100_000 (fun _ _ -> ()))
+
+let test_pool_park_path () =
+  with_watchdog "park path" @@ fun () ->
+  Pool.with_pool 2 (fun pool ->
+      (* Idle gaps far longer than the spin window park the workers;
+         workers other than the caller sleeping inside the job park the
+         caller in the join. *)
+      fork_checked pool ~forks:40
+        ~between:(fun _ -> Unix.sleepf 0.002)
+        (fun k q -> if q > 0 && k mod 2 = 0 then Unix.sleepf 0.002))
+
+let test_pool_oversubscribed () =
+  with_watchdog "oversubscribed" @@ fun () ->
+  let p = Domain.recommended_domain_count () + 2 in
+  Pool.with_pool p (fun pool ->
+      fork_checked pool ~forks:2_000 (fun _ _ -> ());
+      fork_checked pool ~forks:20
+        ~between:(fun _ -> Unix.sleepf 0.001)
+        (fun _ _ -> ()))
+
+let test_pool_random_exceptions () =
+  with_watchdog "random exceptions" @@ fun () ->
+  let rng = Random.State.make [| 15 |] in
+  List.iter
+    (fun p ->
+      Pool.with_pool p (fun pool ->
+          for _ = 1 to 300 do
+            let raising = Array.init p (fun _ -> Random.State.int rng 3 = 0) in
+            let ran = Array.make p false in
+            let expect =
+              let rec first q =
+                if q = p then None
+                else if raising.(q) then Some q
+                else first (q + 1)
+              in
+              first 0
+            in
+            let got =
+              match
+                Pool.run pool (fun q ->
+                    ran.(q) <- true;
+                    if raising.(q) then raise (Failure (string_of_int q)))
+              with
+              | () -> None
+              | exception Failure m -> Some (int_of_string m)
+            in
+            Alcotest.(check (option int)) "lowest-id exception" expect got;
+            Alcotest.(check bool) "every worker ran" true
+              (Array.for_all Fun.id ran)
+          done))
+    [ 2; 3; Domain.recommended_domain_count () + 2 ]
+
+let test_pool_counts_parks () =
+  with_watchdog "parks counter" @@ fun () ->
+  let parks = Registry.counter "pool.parks" in
+  let p = 2 and forks = 10 in
+  (* Read before the pool exists, so the first idle gap (right after the
+     workers start) is inside the count too. *)
+  let before = Registry.value parks in
+  Pool.with_pool p (fun pool ->
+      (* Each gap is 100x the spin window, so every worker parks once per
+         gap: the window is bounded by time, not by an iteration count. *)
+      fork_checked pool ~forks
+        ~between:(fun _ -> Unix.sleepf 0.005)
+        (fun _ _ -> ());
+      Unix.sleepf 0.005;
+      let parked = Registry.value parks - before in
+      if parked < (p - 1) * (forks + 1) then
+        Alcotest.failf "%d parks over %d idle gaps of %d workers" parked
+          (forks + 1) (p - 1))
+
+let test_pool_shutdown () =
+  with_watchdog "shutdown" @@ fun () ->
+  List.iter
+    (fun p ->
+      let pool = Pool.create p in
+      Pool.run pool ignore;
+      Pool.shutdown pool;
+      Alcotest.check_raises "run after shutdown"
+        (Invalid_argument "Pool.run: pool is shut down") (fun () ->
+          Pool.run pool ignore);
+      Pool.shutdown pool)
+    [ 1; 2; 3 ];
+  (* [with_pool]'s own shutdown after an explicit one is a no-op too. *)
+  Pool.with_pool 2 Pool.shutdown
+
 (* ---------- properties ---------- *)
 
 (* Staging correctness: arbitrary programs, sequential compiled execution
@@ -357,6 +486,17 @@ let suite =
       test_pool_runs_all_workers;
     Alcotest.test_case "pool propagates exceptions" `Quick
       test_pool_propagates_exception;
+    Alcotest.test_case "pool spin path: 100k back-to-back forks" `Quick
+      test_pool_spin_path;
+    Alcotest.test_case "pool park path: idle workers and joining caller"
+      `Quick test_pool_park_path;
+    Alcotest.test_case "pool oversubscribed" `Quick test_pool_oversubscribed;
+    Alcotest.test_case "pool random exceptions" `Quick
+      test_pool_random_exceptions;
+    Alcotest.test_case "pool.parks counts idle gaps" `Quick
+      test_pool_counts_parks;
+    Alcotest.test_case "pool shutdown: run raises, second is a no-op"
+      `Quick test_pool_shutdown;
     Alcotest.test_case "adopted scalars repeatable under dynamic schedules"
       `Quick test_adopted_scalars_repeatable;
     Gen.to_alcotest prop_compiled_seq_equals_interp;
