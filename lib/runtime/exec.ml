@@ -320,10 +320,11 @@ let merge_reductions (plan : plan) master clones =
    (t0, len) chunks; must be called with ascending t0 within a domain. *)
 let dispatch policy ~n ~p ~(q : int) ~run =
   match (policy : Policy.t) with
-  | Static_block ->
+  | Static_block -> (
       (* Contiguous blocks, identical to Static.block ownership. *)
-      let sched = Static.block ~n ~p in
-      List.iter (fun (t0, len) -> run t0 len) (Static.chunks_of sched q)
+      match Static.block_chunk ~n ~p q with
+      | Some (t0, len) -> run t0 len
+      | None -> ())
   | Static_cyclic ->
       let t = ref (q + 1) in
       while !t <= n do

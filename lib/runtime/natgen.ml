@@ -14,10 +14,23 @@
    Code shape: each runner is one function with no inner closures.
    Every int register, float register and stream slot the tape touches
    is a non-escaping local [ref], so ocamlopt keeps it in a machine
-   register and unboxes the floats. The tape's basic blocks are the arms
-   of one [match] over a local block number inside a [while]; a block
-   whose [Iloop]/[Iloopc] jumps back to its own leader (every serial
-   inner loop the lowering emits) is an inner do-while loop.
+   register and unboxes the floats. A body that is one block with no
+   control terminator is emitted straight-line; otherwise the tape's
+   basic blocks are the arms of one [match] over a local block number
+   inside a [while], and a block whose [Iloop]/[Iloopc] jumps back to
+   its own leader (every serial inner loop the lowering emits) is an
+   inner do-while loop.
+
+   Address arithmetic is kept to one induction variable per stride.
+   Strip streams ([Vsj], initialized once in the prologue) with the same
+   coefficient and the same register terms share one offset: each
+   access reads [!slL + d] for the constant distance [d] between the
+   initial offsets, and the leader is bumped once per iteration (see
+   [strip_groups]) — the offsets themselves are unchanged. An int
+   register whose only writer is a prologue [Iconst] is read as a
+   literal, so a constant divisor compiles to multiply-shift without a
+   zero test and loop bounds compare against an immediate; a literal
+   invalid divisor still raises the tape's message.
 
    Semantics contract: the generated code replays [exec_strip]'s exact
    unsafe-path evaluation order — prologue, per-access invariant
@@ -43,7 +56,10 @@
    [loopc_nat_<digest>.cmxs], keyed over the plan-cache key (or the
    generated source), the {!Plancache.stamp} producing-binary identity
    and {!Natapi.abi_version} — a warm cache pays zero codegen and zero
-   compiler cost. *)
+   compiler cost. A cold build is one compiler process: the build runs
+   directly, and only a failed build probes the compiler ([-version]) to
+   choose between trying the next candidate and reporting the build's
+   error. *)
 
 module Registry = Loopcoal_obs.Registry
 
@@ -88,7 +104,98 @@ let is_control (i : Bytecode.instr) =
   | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _ | Iloopc _ -> true
   | _ -> false
 
+let int_dst (i : Bytecode.instr) =
+  match i with
+  | Iconst (d, _)
+  | Iaff (d, _)
+  | Imul (d, _, _)
+  | Idiv (d, _, _)
+  | Imod (d, _, _)
+  | Icdiv (d, _, _)
+  | Imin (d, _, _)
+  | Imax (d, _, _)
+  | Iloop (d, _, _, _)
+  | Iloopc (d, _, _, _) ->
+      Some d
+  | _ -> None
+
 module IntSet = Set.Make (Int)
+module IntMap = Map.Make (Int)
+
+(* Int registers whose only writer is an [Iconst] in the prologue
+   (excluding the strip index): register -> value. Whether one is
+   actually read as a literal is decided during emission, in case the
+   prologue reads it before that [Iconst]. *)
+let const_regs ~jslot (tp : Bytecode.tape) =
+  let writes = Hashtbl.create 16 in
+  let count i =
+    match int_dst i with
+    | Some d ->
+        Hashtbl.replace writes d
+          (1 + Option.value ~default:0 (Hashtbl.find_opt writes d))
+    | None -> ()
+  in
+  Array.iter count tp.tp_pre;
+  Array.iter count tp.tp_ops;
+  Array.fold_left
+    (fun m (i : Bytecode.instr) ->
+      match i with
+      | Iconst (d, v) when d <> jslot && Hashtbl.find writes d = 1 ->
+          IntMap.add d v m
+      | _ -> m)
+    IntMap.empty tp.tp_pre
+
+(* Shared strip offsets. A strip stream ([Vsj]) whose only [Sinit] is in
+   the prologue advances by [coef * jstep] once per iteration. Streams
+   with the same coefficient whose initial offsets have the same
+   register terms, with none of those registers written between their
+   [Sinit]s, stay a constant distance apart for the whole strip: they
+   share the first one's slot (the leader), read as [!slL + d], and the
+   leader is bumped once at the end of each iteration. Returns slot ->
+   (leader, d) for every such stream, and the leaders with their
+   coefficients in prologue order. *)
+let strip_groups (tp : Bytecode.tape) =
+  let open Bytecode in
+  let coef = Hashtbl.create 8 in
+  Array.iter
+    (fun ac ->
+      match ac.ac_vk with Vsj (s, c) -> Hashtbl.replace coef s c | _ -> ())
+    tp.tp_accs;
+  let inits ops =
+    Array.fold_left
+      (fun acc i -> match i with Sinit (s, _) -> s :: acc | _ -> acc)
+      [] ops
+  in
+  let pre = inits tp.tp_pre and body = inits tp.tp_ops in
+  let once s =
+    Hashtbl.mem coef s
+    && List.length (List.filter (( = ) s) pre) = 1
+    && not (List.mem s body)
+  in
+  let member = Hashtbl.create 8 in
+  let leaders = ref [] in
+  (* open groups: (coef, coefs, regs) -> (leader slot, leader base) *)
+  let open_ = ref [] in
+  Array.iter
+    (fun i ->
+      (match i with
+      | Sinit (s, a) when once s -> (
+          let c = Hashtbl.find coef s in
+          let k = (c, a.coefs, a.regs) in
+          match List.assoc_opt k !open_ with
+          | Some (l, base) -> Hashtbl.replace member s (l, a.base - base)
+          | None ->
+              open_ := (k, (s, a.base)) :: !open_;
+              leaders := (s, c) :: !leaders;
+              Hashtbl.replace member s (s, 0))
+      | _ -> ());
+      match int_dst i with
+      | Some r ->
+          open_ :=
+            List.filter (fun ((_, _, regs), _) -> not (Array.mem r regs)) !open_
+      | None -> ())
+    tp.tp_pre;
+  (member, List.rev !leaders)
 
 (* Pretty-print one plan's tape as a [Natapi.runner]; [None] when the
    plan has no tape, is sanitized, or uses an instruction the generator
@@ -108,7 +215,6 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
       else
         let depth = p.Compile.depth in
         let jslot = p.Compile.index_slots.(depth - 1) in
-        let naccs = Array.length tp.tp_accs in
         let b = Buffer.create 4096 in
         let out fmt =
           Printf.ksprintf
@@ -126,10 +232,21 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
            the header binding them is prepended at the end ---- *)
         let iused = ref IntSet.empty and iwritten = ref IntSet.empty in
         let fused = ref IntSet.empty and fwritten = ref IntSet.empty in
+        let sused = ref IntSet.empty in
         let note set r = set := IntSet.add r !set in
+        (* constant registers currently read as literals *)
+        let consts = const_regs ~jslot tp in
+        let lits = ref IntMap.empty in
         let ir r =
-          note iused r;
-          Printf.sprintf "!ir%d" r
+          match IntMap.find_opt r !lits with
+          | Some v -> ilit v
+          | None ->
+              note iused r;
+              Printf.sprintf "!ir%d" r
+        in
+        let sl s =
+          note sused s;
+          Printf.sprintf "sl%d" s
         in
         let fr r =
           note fused r;
@@ -146,10 +263,15 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
           out "    fr%d := %s;" d e
         in
         let aff = aff_str ir in
+        let strip_of, strip_leaders = strip_groups tp in
         (* ---- emission helpers over the access table ---- *)
         let emit_off id =
           let ac = tp.tp_accs.(id) in
           let o = fresh "o" in
+          let bumped s bump =
+            out "    let %s = !%s in" o (sl s);
+            out "    %s := !%s + %s;" (sl s) (sl s) bump
+          in
           (match ac.ac_vk with
           | V0 -> out "    let %s = iv%d in" o id
           | V1 (c, r) ->
@@ -158,15 +280,13 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
               out "    let %s = iv%d + (%s * %s) + (%s * %s) in" o id (ilit c1)
                 (ir r1) (ilit c2) (ir r2)
           | Vn -> out "    let %s = iv%d + %s in" o id (aff ac.ac_var)
-          | Vs (s, bump) ->
-              out "    let %s = !sl%d in" o s;
-              out "    sl%d := !sl%d + %s;" s s (ilit bump)
-          | Vsj (s, c) ->
-              out "    let %s = !sl%d in" o s;
-              out "    sl%d := !sl%d + (%s * jstep);" s s (ilit c)
-          | Vsv (s, bs) ->
-              out "    let %s = !sl%d in" o s;
-              out "    sl%d := !sl%d + !sl%d;" s s bs);
+          | Vs (s, bump) -> bumped s (ilit bump)
+          | Vsj (s, _) when Hashtbl.mem strip_of s ->
+              let l, d = Hashtbl.find strip_of s in
+              if d = 0 then out "    let %s = !%s in" o (sl l)
+              else out "    let %s = !%s + %s in" o (sl l) (ilit d)
+          | Vsj (s, c) -> bumped s (Printf.sprintf "(%s * jstep)" (ilit c))
+          | Vsv (s, bs) -> bumped s ("!" ^ sl bs));
           o
         in
         let emit_load id =
@@ -180,30 +300,50 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
           let o = emit_off id in
           out "    Array.unsafe_set a%d %s %s;" tp.tp_accs.(id).ac_slot o src
         in
+        (* The divisor of [/], [mod] or ceildiv, behind the tape's fault
+           test ([= 0], or [<= 0] for ceildiv); [fault y] is the
+           message expression for divisor [y]. A literal divisor is
+           tested here instead: a valid one is printed as is (ocamlopt
+           then divides by multiply-shift), an invalid one raises
+           unconditionally. *)
+        let divisor b ~ceil fault =
+          let bad = if ceil then "<=" else "=" in
+          match IntMap.find_opt b !lits with
+          | Some v ->
+              if (ceil && v <= 0) || v = 0 then
+                out "    failwith %s;" (fault (ilit v));
+              ilit v
+          | None ->
+              let y = fresh "y" in
+              out "    let %s = %s in" y (ir b);
+              out "    if %s %s 0 then failwith %s;" y bad (fault y);
+              y
+        in
         (* ---- straight-line instruction -> statements ---- *)
         let emit_instr (i : instr) =
           match i with
-          | Iconst (d, v) -> iset d (ilit v)
+          | Iconst (d, v) ->
+              if IntMap.mem d consts && not (IntSet.mem d !iused) then
+                lits := IntMap.add d v !lits
+              else iset d (ilit v)
           | Iaff (d, a) -> iset d (aff a)
           | Imul (d, a, b) ->
               iset d (Printf.sprintf "(%s * %s)" (ir a) (ir b))
           | Idiv (d, a, b) ->
-              let y = fresh "y" in
-              out "    let %s = %s in" y (ir b);
-              out "    if %s = 0 then failwith \"integer division by zero\";" y;
+              let y =
+                divisor b ~ceil:false (fun _ -> {|"integer division by zero"|})
+              in
               iset d (Printf.sprintf "(%s / %s)" (ir a) y)
           | Imod (d, a, b) ->
-              let y = fresh "y" in
-              out "    let %s = %s in" y (ir b);
-              out "    if %s = 0 then failwith \"mod by zero\";" y;
+              let y = divisor b ~ceil:false (fun _ -> {|"mod by zero"|}) in
               iset d (Printf.sprintf "(%s mod %s)" (ir a) y)
           | Icdiv (d, a, b) ->
-              let y = fresh "y" and x = fresh "x" in
-              out "    let %s = %s in" y (ir b);
-              out
-                "    if %s <= 0 then failwith (Printf.sprintf \"ceildiv: \
-                 non-positive divisor %%d\" %s);"
-                y y;
+              let fault =
+                Printf.sprintf
+                  {|(Printf.sprintf "ceildiv: non-positive divisor %%d" %s)|}
+              in
+              let y = divisor b ~ceil:true fault in
+              let x = fresh "x" in
               out "    let %s = %s in" x (ir a);
               (* Intmath.cdiv, inlined *)
               iset d
@@ -247,7 +387,12 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
               fset d (Printf.sprintf "%s -. (%s *. %s)" (fr a) (fr x) (fr y))
           | Fload (d, id) -> fset d (emit_load id)
           | Fstore (s, id) -> emit_store id (fr s)
-          | Sinit (s, a) -> out "    sl%d := %s;" s (aff a)
+          | Sinit (s, a) -> (
+              match Hashtbl.find_opt strip_of s with
+              | Some (l, _) when l <> s ->
+                  (* a shared strip offset: its leader's slot stands in *)
+                  ()
+              | _ -> out "    %s := %s;" (sl s) (aff a))
           | Fmac2 (d, a, i1, i2) ->
               let v1 = emit_load i1 in
               let v2 = emit_load i2 in
@@ -290,10 +435,15 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
         Array.iter emit_instr tp.tp_pre;
         Array.iteri
           (fun id (ac : access) ->
-            out "  let iv%d = %s in" id (aff ac.ac_inv))
+            match ac.ac_vk with
+            | V0 | V1 _ | V2 _ | Vn ->
+                out "  let iv%d = %s in" id (aff ac.ac_inv)
+            | Vs _ | Vsj _ | Vsv _ -> (* the stream slot holds it *) ())
           tp.tp_accs;
-        (* ---- per-iteration body: one [match] arm per basic block,
-           dispatched on a local block number; -1 is the exit ---- *)
+        (* ---- per-iteration body: straight-line code for a single
+           block without a control terminator, otherwise one [match] arm
+           per basic block, dispatched on a local block number; -1 is
+           the exit ---- *)
         let cfg = build_cfg tp.tp_ops in
         let n = Array.length tp.tp_ops in
         let exit = cfg.cf_block_of.(n) in
@@ -304,7 +454,9 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
         out "  let j = ref j0 in";
         out "  for _k = 0 to len - 1 do";
         iset jslot "!j";
-        if exit > 0 then begin
+        if exit = 1 && not (is_control tp.tp_ops.(n - 1)) then
+          Array.iter emit_instr tp.tp_ops
+        else if exit > 0 then begin
           out "    let bk = ref 0 in";
           out "    while !bk >= 0 do";
           out "    match !bk with";
@@ -358,10 +510,16 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
           done;
           out "    done;"
         end;
+        List.iter
+          (fun (l, c) ->
+            out "    %s := !%s + (%s * jstep);" (sl l) (sl l) (ilit c))
+          strip_leaders;
         out "    j := !j + jstep";
         out "  done;";
         IntSet.iter (fun r -> out "  Array.unsafe_set ints %d !ir%d;" r r)
           !iwritten;
+        IntMap.iter (fun r v -> out "  Array.unsafe_set ints %d %s;" r (ilit v))
+          !lits;
         IntSet.iter (fun r -> out "  Array.unsafe_set reals %d !fr%d;" r r)
           !fwritten;
         out "  ()";
@@ -386,9 +544,7 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
         IntSet.iter
           (fun r -> hdr "  let fr%d = ref (Array.unsafe_get reals %d) in" r r)
           !fused;
-        for s = naccs to naccs + tp.tp_nstreams - 1 do
-          hdr "  let sl%d = ref 0 in" s
-        done;
+        IntSet.iter (fun s -> hdr "  let sl%d = ref 0 in" s) !sused;
         Buffer.add_buffer h b;
         Some (Buffer.contents h))
 
@@ -429,7 +585,20 @@ let disabled () =
   | Some ("off" | "0") -> true
   | _ -> false
 
-(* One shell probe per candidate compiler command per process. *)
+(* Compiler commands: [LOOPC_NATIVE_OCAMLOPT] alone when set, otherwise
+   the default candidates in order. *)
+let compilers () =
+  match Sys.getenv_opt "LOOPC_NATIVE_OCAMLOPT" with
+  | Some c when c <> "" -> [ c ]
+  | _ -> [ "ocamlfind ocamlopt"; "ocamlopt.opt"; "ocamlopt" ]
+
+let no_compiler () =
+  match Sys.getenv_opt "LOOPC_NATIVE_OCAMLOPT" with
+  | Some c when c <> "" -> Printf.sprintf "native compiler %s not usable" c
+  | _ -> "no ocamlopt found (tried ocamlfind ocamlopt, ocamlopt)"
+
+(* Whether a compiler command works, per process: a [-version] probe,
+   or a successful build. *)
 let probe_tbl : (string, bool) Hashtbl.t = Hashtbl.create 4
 
 let cmd_ok cmd =
@@ -441,15 +610,30 @@ let cmd_ok cmd =
       r
 
 let compiler () =
-  match Sys.getenv_opt "LOOPC_NATIVE_OCAMLOPT" with
-  | Some c when c <> "" ->
-      if cmd_ok c then Ok c
-      else Error (Printf.sprintf "native compiler %s not usable" c)
-  | _ -> (
-      let cands = [ "ocamlfind ocamlopt"; "ocamlopt.opt"; "ocamlopt" ] in
-      match List.find_opt cmd_ok cands with
-      | Some c -> Ok c
-      | None -> Error "no ocamlopt found (tried ocamlfind ocamlopt, ocamlopt)")
+  match List.find_opt cmd_ok (compilers ()) with
+  | Some c -> Ok c
+  | None -> Error (no_compiler ())
+
+(* Run [build oc] with the first compiler not known to be broken, with
+   no probe first: a cold build is one compiler process. Only a failed
+   build probes, to tell a broken compiler (try the next one) from a
+   failing build (report its first log line). *)
+let with_compiler build =
+  let rec go = function
+    | [] -> Error (no_compiler ())
+    | oc :: rest -> (
+        match build oc with
+        | Ok () ->
+            Hashtbl.replace probe_tbl oc true;
+            Ok ()
+        | Error log ->
+            if cmd_ok oc then Error ("native build failed: " ^ log)
+            else go rest)
+  in
+  go
+    (List.filter
+       (fun oc -> Hashtbl.find_opt probe_tbl oc <> Some false)
+       (compilers ()))
 
 let available () =
   if disabled () then Error "disabled via LOOPC_NATIVE"
@@ -611,51 +795,49 @@ let prepare ?key ?dir ?(persist = true) (t : Compile.t) : status =
           if not (List.exists Fun.id elig) then
             fail "no native-eligible plans (sanitized or not lowered)"
           else
-            match compiler () with
-            | Error m -> fail m
-            | Ok oc -> (
-                match natapi_dirs () with
-                | [] -> fail "cannot locate natapi.cmi for plugin compilation"
-                | incdirs ->
-                    with_tmpdir (fun tmp ->
-                        let ml = Filename.concat tmp (unit_name ^ ".ml") in
-                        let och = open_out ml in
-                        output_string och src;
-                        close_out och;
-                        let out = Filename.concat tmp (unit_name ^ ".cmxs") in
-                        match
+            match natapi_dirs () with
+            | [] -> fail "cannot locate natapi.cmi for plugin compilation"
+            | incdirs ->
+                with_tmpdir (fun tmp ->
+                    let ml = Filename.concat tmp (unit_name ^ ".ml") in
+                    let och = open_out ml in
+                    output_string och src;
+                    close_out och;
+                    let out = Filename.concat tmp (unit_name ^ ".cmxs") in
+                    match
+                      with_compiler (fun oc ->
                           Registry.time h_build_ns (fun () ->
-                              build_cmxs ~oc ~incdirs ~src:ml ~out)
-                        with
-                        | Error m -> fail ("native build failed: " ^ m)
-                        | Ok () -> (
-                            (* persist into the plan cache, best effort;
-                               tmp-then-rename keeps concurrent writers
-                               atomic *)
-                            let final =
-                              match cached_path with
-                              | Some p -> (
-                                  try
-                                    mkdirs (Filename.dirname p);
-                                    let tmpn =
-                                      Printf.sprintf "%s.tmp.%d" p
-                                        (Unix.getpid ())
-                                    in
-                                    copy_file out tmpn;
-                                    Sys.rename tmpn p;
-                                    Plancache.enforce_cap
-                                      (Filename.dirname p);
-                                    p
-                                  with Sys_error _ | Unix.Unix_error _ -> out)
-                              | None -> out
-                            in
-                            match load_runners final nplans with
-                            | Error m -> fail ("native load failed: " ^ m)
-                            | Ok rs ->
-                                Hashtbl.replace loaded digest rs;
-                                attach t rs;
-                                Registry.incr c_art_miss;
-                                Ready { artifact_hit = false })))
+                              build_cmxs ~oc ~incdirs ~src:ml ~out))
+                    with
+                    | Error m -> fail m
+                    | Ok () -> (
+                        (* persist into the plan cache, best effort;
+                           tmp-then-rename keeps concurrent writers
+                           atomic *)
+                        let final =
+                          match cached_path with
+                          | Some p -> (
+                              try
+                                mkdirs (Filename.dirname p);
+                                let tmpn =
+                                  Printf.sprintf "%s.tmp.%d" p
+                                    (Unix.getpid ())
+                                in
+                                copy_file out tmpn;
+                                Sys.rename tmpn p;
+                                Plancache.enforce_cap
+                                  (Filename.dirname p);
+                                p
+                              with Sys_error _ | Unix.Unix_error _ -> out)
+                          | None -> out
+                        in
+                        match load_runners final nplans with
+                        | Error m -> fail ("native load failed: " ^ m)
+                        | Ok rs ->
+                            Hashtbl.replace loaded digest rs;
+                            attach t rs;
+                            Registry.incr c_art_miss;
+                            Ready { artifact_hit = false }))
         in
         match Hashtbl.find_opt loaded digest with
         | Some rs ->

@@ -18,8 +18,8 @@
     [plan_cache.artifact.hit]/[.miss] record the costs.
 
     Environment knobs: [LOOPC_NATIVE=off] disables the tier,
-    [LOOPC_NATIVE_OCAMLOPT] pins the compiler command (probe failures
-    then report unavailable instead of trying the defaults),
+    [LOOPC_NATIVE_OCAMLOPT] pins the compiler command (an unusable one
+    then reports unavailable instead of trying the defaults),
     [LOOPC_NATAPI_DIR] pins the directory holding [natapi.cmi]. *)
 
 type status =
@@ -32,7 +32,9 @@ type status =
 
 val available : unit -> (unit, string) result
 (** Cheap toolchain probe (env kill-switch, native host, compiler on
-    PATH), memoized per command; does not look at artifacts. *)
+    PATH), memoized per command; does not look at artifacts. {!prepare}
+    does not call it: a cold build runs the compiler directly and probes
+    only when the build fails. *)
 
 val source : Compile.t -> string * bool list
 (** The plugin source that {!prepare} would compile, plus per-plan

@@ -17,6 +17,13 @@ let block ~n ~p =
   in
   { n; p; proc_of }
 
+let block_chunk ~n ~p q =
+  check ~n ~p;
+  let b = n / p and r = n mod p in
+  let len = if q < r then b + 1 else b in
+  if q < 0 || q >= p || len = 0 then None
+  else Some ((q * b) + min q r + 1, len)
+
 let cyclic ~n ~p =
   check ~n ~p;
   let proc_of j =

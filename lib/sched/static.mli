@@ -11,6 +11,11 @@ val block : n:int -> p:int -> t
     [⌈n/p⌉] iterations, the rest [⌊n/p⌋]. Every processor's share is
     contiguous. Requires [n >= 0], [p >= 1]. *)
 
+val block_chunk : n:int -> p:int -> int -> (int * int) option
+(** Processor [q]'s share of {!block} as [(start, len)], in closed form;
+    [None] when it owns nothing. Equals [chunks_of (block ~n ~p) q]
+    without the scan over [1..n]. *)
+
 val cyclic : n:int -> p:int -> t
 (** Iteration [j] on processor [(j-1) mod p]. *)
 

@@ -33,6 +33,13 @@ let require_toolchain () =
   | Ok () -> ()
   | Error _ -> Alcotest.skip ()
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i =
+    i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
+  in
+  nn > 0 && go 0
+
 (* ---------- five-way differential over the full corpus ---------- *)
 
 (* Interpreter oracle plus closure, raw and optimized bytecode, and the
@@ -83,6 +90,19 @@ let check_five_way ?(domain_counts = [ 1; 2; 4 ]) ~what prog =
             outcomes)
         domain_counts)
     [ Policy.Static_block; Policy.Gss ]
+
+let parse what text =
+  match Driver.load_string text with
+  | Ok p -> p
+  | Error m -> Alcotest.failf "%s: parse error: %s" what m
+
+let compiled_error ~what prog =
+  List.map
+    (fun (cname, engine, opt_level) ->
+      match Exec.run ~engine ~opt_level prog with
+      | _ -> Alcotest.failf "%s: %s ran without a runtime error" what cname
+      | exception Compile.Error m -> (cname, m))
+    configs
 
 let test_kernels_five_way () =
   require_toolchain ();
@@ -267,6 +287,103 @@ let test_toolchain_missing_fallback () =
       if not (Exec.agrees_with_interpreter o st) then
         Alcotest.fail "bytecode fallback differs from interpreter")
 
+(* ---------- compiler invocations ---------- *)
+
+(* A cold build runs the compiler once, with no [-version] probe before
+   it; only a failed build probes, to pick its diagnostic. The compiler
+   is pinned to a wrapper script that logs every call and forwards to
+   [ocamlfind ocamlopt] (or, with [~build_fails], answers [-version] but
+   refuses to build). *)
+let with_logging_compiler ?(build_fails = false) f =
+  if Sys.command "ocamlfind ocamlopt -version >/dev/null 2>&1" <> 0 then
+    Alcotest.skip ();
+  let script = Filename.temp_file ~temp_dir:scratch_cache "ocamlopt" ".sh" in
+  let log = script ^ ".log" in
+  Out_channel.with_open_text script (fun oc ->
+      Printf.fprintf oc "#!/bin/sh\necho \"$*\" >> %s\n" (Filename.quote log);
+      if build_fails then
+        Printf.fprintf oc
+          "case \"$1\" in -version) exec ocamlfind ocamlopt -version ;; \
+           esac\necho 'wrapper: build refused' >&2\nexit 2\n"
+      else Printf.fprintf oc "exec ocamlfind ocamlopt \"$@\"\n");
+  Unix.chmod script 0o755;
+  let calls () =
+    if Sys.file_exists log then
+      In_channel.with_open_text log In_channel.input_lines
+    else []
+  in
+  Unix.putenv "LOOPC_NATIVE_OCAMLOPT" script;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "LOOPC_NATIVE_OCAMLOPT" "")
+    (fun () -> f calls)
+
+(* A program no other test compiles, so neither the in-process artifact
+   table nor an artifact on disk can stand in for the build. *)
+let fresh_prog scale =
+  B.program
+    ~arrays:[ B.array "G" [ 6; 9 ] ]
+    [
+      B.doall "i" (B.int 1) (B.int 6)
+        [
+          B.doall "j" (B.int 1) (B.int 9)
+            [
+              B.store "G" [ B.var "i"; B.var "j" ]
+                B.((real scale * var "i") - var "j");
+            ];
+        ];
+    ]
+
+let test_one_compiler_call_per_cold_build () =
+  require_toolchain ();
+  with_logging_compiler (fun calls ->
+      let dir = Filename.concat scratch_cache "one-call" in
+      let prog = fresh_prog 0.6875 in
+      let key = "test-one-compiler-call" in
+      (match Natgen.prepare ~key ~dir (Compile.compile prog) with
+      | Natgen.Ready { artifact_hit } ->
+          Alcotest.(check bool) "cold prepare builds" false artifact_hit
+      | Natgen.Unavailable m -> Alcotest.failf "cold prepare: %s" m);
+      let cold = calls () in
+      Alcotest.(check int) "one compiler call" 1 (List.length cold);
+      List.iter
+        (fun c ->
+          if contains c "-version" then
+            Alcotest.failf "cold prepare probed the compiler: %s" c)
+        cold;
+      let warm = Compile.compile prog in
+      (match Natgen.prepare ~key ~dir warm with
+      | Natgen.Ready { artifact_hit } ->
+          Alcotest.(check bool) "warm prepare hits" true artifact_hit
+      | Natgen.Unavailable m -> Alcotest.failf "warm prepare: %s" m);
+      Alcotest.(check int)
+        "warm prepare calls no compiler" 1
+        (List.length (calls ()));
+      let o = Exec.run_compiled ~domains:2 ~engine:Exec.Native warm in
+      if not (Exec.agrees_with_interpreter o (Eval.run prog)) then
+        Alcotest.fail "runners built through the wrapper differ from interp")
+
+let test_failing_build_diagnosed () =
+  require_toolchain ();
+  with_logging_compiler ~build_fails:true (fun calls ->
+      let prog = fresh_prog 0.8125 in
+      let compiled = Compile.compile prog in
+      (match Natgen.prepare ~persist:false compiled with
+      | Natgen.Unavailable m ->
+          Alcotest.(check string)
+            "reason names the build, not the compiler"
+            "native build failed: wrapper: build refused" m
+      | Natgen.Ready _ -> Alcotest.fail "a refused build must not be Ready");
+      (match calls () with
+      | [ build; probe ] ->
+          Alcotest.(check bool) "build first" false (contains build "-version");
+          Alcotest.(check string) "then one probe" "-version" probe
+      | cs ->
+          Alcotest.failf "expected build + probe, got %d calls"
+            (List.length cs));
+      let o = Exec.run_compiled ~domains:2 ~engine:Exec.Native compiled in
+      if not (Exec.agrees_with_interpreter o (Eval.run prog)) then
+        Alcotest.fail "bytecode fallback differs from interpreter")
+
 (* ---------- artifact cache ---------- *)
 
 (* Two compiles of the same program prepared under the same caller key:
@@ -298,13 +415,6 @@ let test_artifact_cache_hit () =
     Alcotest.fail "runners from a cached artifact differ from interpreter"
 
 (* ---------- generated source shape ---------- *)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-  in
-  nn > 0 && go 0
 
 let test_codegen_shape () =
   let prog = (Option.get (Kernels.by_name "matmul")) () in
@@ -351,6 +461,139 @@ let test_codegen_shape () =
   Alcotest.(check bool)
     "sanitized plans are never native-eligible" false
     (List.exists Fun.id elig_s)
+
+(* One plan's runner out of a plugin source: from [let rN] up to the
+   next top-level binding. *)
+let runner_src src idx =
+  let head = Printf.sprintf "let r%d " idx in
+  let rec find i =
+    if i + String.length head > String.length src then
+      Alcotest.failf "no runner r%d in the source" idx
+    else if String.sub src i (String.length head) = head then i
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let rec stop i =
+    if i + 5 > String.length src then String.length src
+    else if String.sub src i 5 = "\nlet " then i
+    else stop (i + 1)
+  in
+  String.sub src start (stop (start + 1) - start)
+
+let count_lines p text =
+  List.length (List.filter p (String.split_on_char '\n' text))
+
+(* Strip streams with one coefficient and the same register terms share
+   one offset, bumped once per iteration; registers only ever set to a
+   literal are read as that literal, so a nonzero constant divisor needs
+   no zero test. *)
+let test_codegen_tight_strips () =
+  let src_of name =
+    let prog = (Option.get (Kernels.by_name name)) () in
+    fst (Natgen.source (Compile.compile ~opt_level:2 prog))
+  in
+  let bump line = contains line "* jstep);" in
+  let stencil = runner_src (src_of "stencil") 1 in
+  Alcotest.(check int) "5-point stencil: one offset bump" 1
+    (count_lines bump stencil);
+  Alcotest.(check bool) "5-point stencil: neighbours at a displacement" true
+    (contains stencil " + (-10) in");
+  let relax = src_of "relax" in
+  Alcotest.(check bool) "relax: literal mod" true (contains relax "mod 5)");
+  Alcotest.(check bool) "relax: no zero test on a nonzero literal" false
+    (contains relax "by zero");
+  Alcotest.(check int) "relax update: one offset bump" 1
+    (count_lines bump (runner_src relax 1));
+  (* a body without control flow has no block dispatch *)
+  Alcotest.(check bool) "relax update: straight-line body" false
+    (contains (runner_src relax 1) "match !bk");
+  (* exclusive arms read the one shared offset *)
+  let cond = runner_src (src_of "cond_stencil") 1 in
+  Alcotest.(check int)
+    "cond_stencil: one offset bump" 1 (count_lines bump cond);
+  Alcotest.(check bool) "cond_stencil: still dispatches blocks" true
+    (contains cond "match !bk")
+
+(* Strip streams with different coefficients ([B[2*i]] next to
+   [A[i-1]], [A[i+1]]) and constant displacements, in a 1-D and a
+   coalesced 2-D body: shared offsets must not change a single bit. *)
+let mixed_streams_prog =
+  {|program
+  real A[402]
+  real B[802]
+  real C[400]
+  real E[20, 82]
+  real D[20, 40]
+begin
+  doall i = 1, 402
+    A[i] = i * 0.5
+  end
+  doall i = 1, 802
+    B[i] = i % 7 - 2.5
+  end
+  doall i = 1, 20
+    doall j = 1, 82
+      E[i, j] = i * 0.25 + j % 5
+    end
+  end
+  doall i = 2, 400
+    C[i] = A[i - 1] + A[i + 1] * B[2 * i]
+  end
+  doall i = 1, 20
+    doall j = 2, 39
+      D[i, j] = E[i, j - 1] - E[i, j + 1] * E[i, 2 * j]
+    end
+  end
+end
+|}
+
+let test_mixed_streams_five_way () =
+  require_toolchain ();
+  let prog = parse "mixed streams" mixed_streams_prog in
+  let src = fst (Natgen.source (Compile.compile ~opt_level:2 prog)) in
+  Alcotest.(check bool) "a coefficient-2 stream" true
+    (contains src "(2 * jstep);");
+  check_five_way ~domain_counts:[ 1; 2 ] ~what:"mixed streams" prog
+
+let test_cond_stencil_five_way () =
+  require_toolchain ();
+  check_five_way ~domain_counts:[ 1; 2 ] ~what:"cond_stencil"
+    (Kernels.cond_stencil ~n:301)
+
+(* A literal zero (or, for ceildiv, non-positive) divisor is decided at
+   generation time, but must still raise the tape's exact message — not
+   [Division_by_zero] — on every engine. *)
+let zero_divisor_progs =
+  List.map
+    (fun (what, rhs, msg) ->
+      ( what,
+        Printf.sprintf
+          "program\n  real A[8]\nbegin\n  doall i = 1, 8\n    A[i] = %s\n  \
+           end\nend\n"
+          rhs,
+        msg ))
+    [
+      ("mod", "i % 0", "mod by zero");
+      ("div", "i / 0", "integer division by zero");
+      ("ceildiv", "ceildiv(i, 0 - 3)", "ceildiv: non-positive divisor -3");
+    ]
+
+let test_literal_zero_divisor () =
+  List.iter
+    (fun (what, text, want) ->
+      let prog = parse what text in
+      (match Eval.run prog with
+      | _ -> Alcotest.failf "%s: interpreter ran without an error" what
+      | exception Eval.Runtime_error m ->
+          Alcotest.(check string) (what ^ ": interpreter") want m);
+      let src = fst (Natgen.source (Compile.compile ~opt_level:2 prog)) in
+      Alcotest.(check bool)
+        (what ^ ": raised unconditionally") true
+        (contains src "\n    failwith ");
+      List.iter
+        (fun (cname, m) -> Alcotest.(check string) (what ^ ": " ^ cname) want m)
+        (compiled_error ~what prog))
+    zero_divisor_progs
 
 (* ---------- allocation: registers stay in machine registers ---------- *)
 
@@ -467,19 +710,6 @@ begin
 end
 |}
 
-let parse what text =
-  match Driver.load_string text with
-  | Ok p -> p
-  | Error m -> Alcotest.failf "%s: parse error: %s" what m
-
-let compiled_error ~what prog =
-  List.map
-    (fun (cname, engine, opt_level) ->
-      match Exec.run ~engine ~opt_level prog with
-      | _ -> Alcotest.failf "%s: %s ran without a runtime error" what cname
-      | exception Compile.Error m -> (cname, m))
-    configs
-
 let test_overflow_subscript () =
   List.iter
     (fun (what, text) ->
@@ -549,8 +779,16 @@ let test_overflow_trip_count () =
 let suite =
   [
     Alcotest.test_case "codegen shape" `Quick test_codegen_shape;
+    Alcotest.test_case "tight strips: shared offsets, literal constants"
+      `Quick test_codegen_tight_strips;
+    Alcotest.test_case "literal zero divisor keeps the tape message" `Quick
+      test_literal_zero_divisor;
     Alcotest.test_case "toolchain-missing fallback" `Quick
       test_toolchain_missing_fallback;
+    Alcotest.test_case "cold build: one compiler call, no probe" `Quick
+      test_one_compiler_call_per_cold_build;
+    Alcotest.test_case "failing build: diagnosed after one probe" `Quick
+      test_failing_build_diagnosed;
     Alcotest.test_case "artifact cache hit" `Quick test_artifact_cache_hit;
     Alcotest.test_case "native runs allocate nothing per iteration" `Quick
       test_native_no_alloc;
@@ -562,6 +800,10 @@ let suite =
       test_kernels_five_way;
     Alcotest.test_case "examples (five-way differential)" `Slow
       test_examples_five_way;
+    Alcotest.test_case "mixed stream coefficients (five-way)" `Slow
+      test_mixed_streams_five_way;
+    Alcotest.test_case "cond_stencil exclusive arms (five-way)" `Slow
+      test_cond_stencil_five_way;
   ]
   @ [
       Gen.to_alcotest prop_serial_accum;

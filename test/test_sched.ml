@@ -57,6 +57,20 @@ let prop_block_balance =
       and mn = Array.fold_left min max_int c in
       mx - mn <= 1 && mx = Intmath.cdiv n p)
 
+(* The executor's per-domain Static_block dispatch computes each block
+   in closed form instead of scanning [1..n]; it must own exactly what
+   the scanned partition gives the domain. *)
+let prop_block_chunk_closed_form =
+  QCheck.Test.make ~name:"block_chunk = chunks_of (block) q" ~count:300
+    (QCheck.pair (QCheck.int_range 0 10_000) (QCheck.int_range 1 8))
+    (fun (n, p) ->
+      let sched = Static.block ~n ~p in
+      List.for_all
+        (fun q ->
+          Option.to_list (Static.block_chunk ~n ~p q)
+          = Static.chunks_of sched q)
+        (List.init p Fun.id))
+
 (* ---------- GSS ---------- *)
 
 let test_gss_known_sequence () =
@@ -167,6 +181,7 @@ let suite =
     Alcotest.test_case "empty space" `Quick test_empty_space;
     Gen.to_alcotest prop_partition;
     Gen.to_alcotest prop_block_balance;
+    Gen.to_alcotest prop_block_chunk_closed_form;
     Alcotest.test_case "gss known sequence" `Quick test_gss_known_sequence;
     Alcotest.test_case "gss p=1" `Quick test_gss_p1;
     Alcotest.test_case "gss empty" `Quick test_gss_empty;
