@@ -937,6 +937,22 @@ let prepare tape ~ints ~lo ~hi =
 
 let unsafe_flags p = Array.copy p.pr_unsafe
 
+(* [prepare] reads [ints] only at the [Rreg] leaves of the access
+   ranges, so its flags are a function of those slots' values and of
+   [lo]/[hi]. *)
+let proof_inputs tape =
+  let rec regs acc = function
+    | Rux | Rconst _ | Rplan _ -> acc
+    | Rreg s -> s :: acc
+    | Raff (_, terms) -> Array.fold_left (fun acc (_, r) -> regs acc r) acc terms
+    | Rmul (a, b) | Rmin (a, b) | Rmax (a, b) | Rspan (a, b) ->
+        regs (regs acc a) b
+  in
+  Array.fold_left
+    (fun acc ac -> Array.fold_left regs acc ac.ac_rngs)
+    [] tape.tp_accs
+  |> List.sort_uniq Int.compare |> Array.of_list
+
 let make_scratch tape =
   Array.make (max 1 (Array.length tape.tp_accs + tape.tp_nstreams)) 0
 

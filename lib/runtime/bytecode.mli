@@ -290,6 +290,12 @@ val prepare : tape -> ints:int array -> lo:int array -> hi:int array -> prep
 val unsafe_flags : prep -> bool array
 (** Copy of the per-access unsafe flags, in access order. *)
 
+val proof_inputs : tape -> int array
+(** The int slots {!prepare} reads through [ints], ascending: the
+    [Rreg] leaves of every access range. Two [prepare] calls on one tape
+    return the same flags when these slots hold the same values and
+    [lo]/[hi] are equal. *)
+
 val make_scratch : tape -> int array
 (** Per-domain scratch: hoisted invariant offsets, then stream slots
     (on an instrumented tape these include the block counters); never

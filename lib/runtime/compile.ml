@@ -71,6 +71,62 @@ and plan = {
   mutable native : Natapi.runner option;
       (** Natgen's Dynlink-loaded strip runner, attached after the fact;
           the native engine falls back to the tape when [None] *)
+  mutable fork_state : fork_state option;
+      (** the executor's state for parallel forks of this plan, built on
+          the first one *)
+}
+
+(* A fork's coalesced iteration space; refilled in place per fork. *)
+and space = {
+  sizes : int array;  (** per-level trip counts *)
+  los : int array;
+  his : int array;
+  mutable step0 : int;  (** outermost step *)
+  mutable total : int;
+}
+
+(* What one parallel fork of a plan leaves for the next, so that a fork
+   refreshes only what changed. Owned by [Exec]: one fork at a time
+   holds it, through [fs_busy]; a fork that finds it held builds a
+   private one. *)
+and fork_state = {
+  fs_busy : bool Atomic.t;
+  fs_space : space;
+  fs_inputs : int array;  (** the int slots the range proof reads *)
+  fs_key : int array;
+      (** the inputs' values, then each level's lo, then its attained hi,
+          of the proof on record *)
+  fs_hi : int array;  (** scratch: attained hi per level *)
+  mutable fs_prep : Bytecode.prep option;  (** the proof on record *)
+  mutable fs_all_unsafe : bool;  (** every access of [fs_prep] unchecked *)
+  mutable fs_mode : fork_mode;  (** the running fork's engine decision *)
+  mutable fs_seq_key : Loopcoal_sched.Policy.t * int * int;
+      (** policy, n and p of [fs_seq] *)
+  mutable fs_seq : (int * int) array;  (** dynamic policy's chunk sequence *)
+  fs_next : int Atomic.t;  (** shared dispatch index *)
+  fs_saved_ints : int array;  (** master's pre-fork reduction values *)
+  fs_saved_reals : float array;
+  fs_part_ints : int array;  (** reduction partials across a restart *)
+  fs_part_reals : float array;
+  mutable fs_bound : binding option;
+}
+
+and fork_mode =
+  | Fork_closure
+  | Fork_tape of Bytecode.prep
+  | Fork_native of Natapi.runner
+
+(* Per-domain clones and the closures that run them, bound for one
+   master environment: the forks of one run share them. *)
+and binding = {
+  b_master : env;
+  b_p : int;
+  b_policy : Loopcoal_sched.Policy.t;
+  b_trace : Loopcoal_obs.Trace.collector option;
+  b_profile : Profile.collector option;
+  b_clones : env array;
+  b_marks : int array;  (** highest iteration per domain, padded apart *)
+  b_worker : int -> unit;
 }
 
 and red = {
@@ -627,6 +683,7 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
       reductions;
       tape;
       native = None;
+      fork_state = None;
     }
   in
   ctx.plans <- plan :: ctx.plans;

@@ -52,7 +52,69 @@ and plan = {
           [Dynlink], or [None] before {!Natgen.prepare} ran (or when it
           declined the plan) — the native engine then falls back to the
           bytecode runner for this plan *)
+  mutable fork_state : fork_state option;
+      (** the executor's state for parallel forks of this plan: [None]
+          until the plan first forks across domains, then kept across
+          forks and runs *)
 }
+
+and space = {
+  sizes : int array;  (** per-level trip counts *)
+  los : int array;  (** per-level lower bounds *)
+  his : int array;  (** per-level upper bounds (inclusive) *)
+  mutable step0 : int;  (** outermost step *)
+  mutable total : int;  (** coalesced trip count, the product of [sizes] *)
+}
+(** One fork's coalesced iteration space. *)
+
+and fork_state = {
+  fs_busy : bool Atomic.t;  (** held by the fork that uses the state *)
+  fs_space : space;  (** the running fork's space, refilled in place *)
+  fs_inputs : int array;
+      (** the int slots the range proof reads ({!Bytecode.proof_inputs}) *)
+  fs_key : int array;
+      (** the inputs' values, then each level's lo, then its attained
+          hi, of the proof on record *)
+  fs_hi : int array;  (** scratch: attained hi per level *)
+  mutable fs_prep : Bytecode.prep option;  (** the proof on record *)
+  mutable fs_all_unsafe : bool;  (** every access of [fs_prep] unchecked *)
+  mutable fs_mode : fork_mode;  (** the running fork's engine decision *)
+  mutable fs_seq_key : Loopcoal_sched.Policy.t * int * int;
+      (** policy, n and p of [fs_seq] *)
+  mutable fs_seq : (int * int) array;
+      (** a dynamic policy's chunk sequence, memoised *)
+  fs_next : int Atomic.t;  (** shared dispatch index of dynamic policies *)
+  fs_saved_ints : int array;  (** master's pre-fork reduction values *)
+  fs_saved_reals : float array;
+  fs_part_ints : int array;  (** reduction partials across a restart *)
+  fs_part_reals : float array;
+  mutable fs_bound : binding option;
+      (** clones and closures of the current run; dropped when the run
+          ends *)
+}
+(** What one parallel fork of a plan leaves for the next, so a fork
+    refreshes only what changed ({!Exec} owns every field). A fork
+    claims it by setting [fs_busy]; a fork that finds it held — the same
+    compiled program running on another domain — builds a private one. *)
+
+and fork_mode =
+  | Fork_closure  (** the staged closure body, per iteration *)
+  | Fork_tape of Bytecode.prep  (** tape strips under this proof *)
+  | Fork_native of Natapi.runner  (** machine-code strips *)
+
+and binding = {
+  b_master : env;
+  b_p : int;  (** domains *)
+  b_policy : Loopcoal_sched.Policy.t;
+  b_trace : Loopcoal_obs.Trace.collector option;
+  b_profile : Profile.collector option;
+  b_clones : env array;  (** one private scalar store per domain *)
+  b_marks : int array;  (** highest iteration per domain, padded apart *)
+  b_worker : int -> unit;  (** the pool job: domain [q]'s dispatch loop *)
+}
+(** Per-domain clones of one master environment and the closures bound
+    to them: built on a run's first fork of the plan, shared by the
+    run's later forks. *)
 
 and red = {
   r_name : string;

@@ -24,7 +24,11 @@
    reductions are merged in domain order from their identity-initialized
    partials, and the remaining scalars are adopted from the domain that
    executed the highest coalesced iteration, matching the sequential
-   last-iteration semantics for privatizable scalars. *)
+   last-iteration semantics for privatizable scalars.
+
+   A plan keeps those clones, its chunk sequence and its range proof in
+   a fork state ([Compile.fork_state]) that its later forks refresh
+   instead of rebuilding; see [claim] and [fork_on]. *)
 
 module Policy = Loopcoal_sched.Policy
 module Static = Loopcoal_sched.Static
@@ -42,42 +46,55 @@ let error fmt = Printf.ksprintf (fun s -> raise (Compile.Error s)) fmt
 
 (* ---------- plan geometry ---------- *)
 
-type space = {
-  sizes : int array;  (** per-level trip counts *)
-  los : int array;
-  his : int array;
-  step0 : int;  (** outermost step *)
-  total : int;
-}
+(* A wrapped trip count would silently run the wrong number of
+   iterations, so overflow is a runtime fault naming the nest. *)
+let overflow (plan : plan) =
+  error "loop %s: coalesced trip count exceeds the int range"
+    (String.concat "." (Array.to_list plan.index_names))
 
-let space_of (plan : plan) env =
+let trip plan lo hi step =
+  if hi < lo then 0
+  else
+    let d = hi - lo in
+    if d < 0 || d / step = max_int then overflow plan else (d / step) + 1
+
+(* Evaluate the plan's bounds under [env] into [sp]. *)
+let fill_space (plan : plan) sp env =
   let depth = plan.depth in
-  let los = Array.map (fun f -> f env) plan.lo_x in
-  let his = Array.map (fun f -> f env) plan.hi_x in
+  for k = 0 to depth - 1 do
+    sp.los.(k) <- plan.lo_x.(k) env
+  done;
+  for k = 0 to depth - 1 do
+    sp.his.(k) <- plan.hi_x.(k) env
+  done;
   let step0 = plan.step_x env in
   if step0 <= 0 then
     error "loop %s: step must be positive" plan.index_names.(0);
-  (* A wrapped trip count would silently run the wrong number of
-     iterations, so overflow is a runtime fault naming the nest. *)
-  let overflow () =
-    error "loop %s: coalesced trip count exceeds the int range"
-      (String.concat "." (Array.to_list plan.index_names))
-  in
-  let trip lo hi step =
-    if hi < lo then 0
-    else
-      let d = hi - lo in
-      if d < 0 || d / step = max_int then overflow () else (d / step) + 1
-  in
-  let sizes =
-    Array.init depth (fun k ->
-        trip los.(k) his.(k) (if k = 0 then step0 else 1))
-  in
-  let total =
-    try Array.fold_left Loopcoal_util.Intmath.checked_mul 1 sizes
-    with Invalid_argument _ -> overflow ()
-  in
-  { sizes; los; his; step0; total }
+  for k = 0 to depth - 1 do
+    sp.sizes.(k) <- trip plan sp.los.(k) sp.his.(k) (if k = 0 then step0 else 1)
+  done;
+  let total = ref 1 in
+  (try
+     for k = 0 to depth - 1 do
+       total := Loopcoal_util.Intmath.checked_mul !total sp.sizes.(k)
+     done
+   with Invalid_argument _ -> overflow plan);
+  sp.step0 <- step0;
+  sp.total <- !total
+
+let new_space depth =
+  {
+    sizes = Array.make depth 0;
+    los = Array.make depth 0;
+    his = Array.make depth 0;
+    step0 = 0;
+    total = 0;
+  }
+
+let space_of (plan : plan) env =
+  let sp = new_space plan.depth in
+  fill_space plan sp env;
+  sp
 
 (* Set the nest indexes for coalesced iteration [t] (1-based): one round
    of div/mod, used once per chunk. *)
@@ -131,111 +148,115 @@ let c_native_fallbacks = Registry.counter "native.fallbacks"
 (* Strip runner: decompose each chunk into maximal runs over the
    innermost coalesced digit (see [Bytecode.strip_bounds]) and execute
    each run as one strip — outer indexes set once by div/mod, the inner
-   index advanced by a constant increment. [strip j0 jstep len iter0]
-   runs one strip: the tape interpreter, on the plan's tape or on a
-   profiler's counting copy of it, or a native runner — chosen once per
-   binding, the loop itself is shared. Chunk boundaries are exactly
-   those of the closure engine, so traces and metrics are unchanged.
-   Tape faults and native runners' [Failure]s carry interpreter-identical
-   messages. *)
-let run_strips (plan : plan) sp env strip =
+   index advanced by a constant increment. [strip x j0 jstep len iter0]
+   runs one strip: the tape interpreter under proof [x], on the plan's
+   tape or on a profiler's counting copy of it, or native runner [x].
+   The space is read per chunk, so one binding serves every fork of a
+   fork state. Chunk boundaries are exactly those of the closure engine,
+   so traces and metrics are unchanged. Tape faults and native runners'
+   [Failure]s carry interpreter-identical messages. *)
+let run_strips (plan : plan) sp env strip x t0 len =
   let depth = plan.depth in
   let inner = sp.sizes.(depth - 1) in
   let jlo = sp.los.(depth - 1) in
   let jstep = if depth = 1 then sp.step0 else 1 in
-  fun t0 len ->
-    let tlast = t0 + len - 1 in
-    let t = ref t0 in
-    try
-      while !t <= tlast do
-        let pos = (!t - 1) mod inner in
-        let slen = min (tlast - !t + 1) (inner - pos) in
-        if depth > 1 then set_cursor plan sp env !t;
-        env.iter_id <- !t;
-        strip (jlo + (pos * jstep)) jstep slen !t;
-        t := !t + slen
-      done
-    with Bytecode.Error m | Failure m -> raise (Compile.Error m)
+  let tlast = t0 + len - 1 in
+  let t = ref t0 in
+  try
+    while !t <= tlast do
+      let pos = (!t - 1) mod inner in
+      let slen = min (tlast - !t + 1) (inner - pos) in
+      if depth > 1 then set_cursor plan sp env !t;
+      env.iter_id <- !t;
+      strip x (jlo + (pos * jstep)) jstep slen !t;
+      t := !t + slen
+    done
+  with Bytecode.Error m | Failure m -> raise (Compile.Error m)
 
-(* Per-fork bytecode preparation: the checked-vs-unsafe decision is made
-   once against the fork's whole iteration space, so it is valid for
-   every chunk any domain will dispatch. *)
-let bytecode_prep (plan : plan) sp env =
-  match plan.tape with
-  | Some tape when sp.total > 0 ->
-      let hi =
-        Array.init plan.depth (fun k ->
-            if k = 0 then sp.los.(0) + ((sp.sizes.(0) - 1) * sp.step0)
-            else sp.his.(k))
-      in
-      Some (tape, Bytecode.prepare tape ~ints:env.ints ~lo:sp.los ~hi)
-  | _ -> None
+(* The checked-vs-unsafe decision is made once against the fork's whole
+   iteration space, so it is valid for every chunk any domain will
+   dispatch. [hi] receives the attained upper bound of each level. *)
+let attained_hi (plan : plan) sp hi =
+  for k = 0 to plan.depth - 1 do
+    hi.(k) <-
+      (if k = 0 then sp.los.(0) + ((sp.sizes.(0) - 1) * sp.step0)
+       else sp.his.(k))
+  done
 
-(* Per-fork engine decision, on top of [bytecode_prep]: the native
+(* The engine decision of a tape fork under proof [pr]: the native
    engine uses a plan's runner only when the runner exists, profiling is
    off (the profiler attributes per-opcode dispatches, which native code
    does not perform) and every access proved in bounds for this fork —
    generated code only has the unsafe path. Anything else falls back to
    the bytecode tier for this fork, counted under [native.fallbacks]. *)
-let fork_prep ?profile engine (plan : plan) sp env =
-  match engine with
-  | Closure -> None
-  | Bytecode -> (
-      match bytecode_prep plan sp env with
-      | None -> None
-      | Some (tape, pr) -> Some (tape, pr, None))
-  | Native -> (
-      match bytecode_prep plan sp env with
-      | None ->
-          if sp.total > 0 then Registry.incr c_native_fallbacks;
-          None
-      | Some (tape, pr) ->
-          let nr =
-            match (plan.native, profile) with
-            | Some nr, None
-              when Array.for_all Fun.id (Bytecode.unsafe_flags pr) ->
-                Some nr
-            | _ ->
-                Registry.incr c_native_fallbacks;
-                None
-          in
-          Some (tape, pr, nr))
+let tape_mode ?profile engine (plan : plan) pr ~all_unsafe =
+  match (engine, plan.native, profile) with
+  | Native, Some nr, None when all_unsafe -> Fork_native nr
+  | Native, _, _ ->
+      Registry.incr c_native_fallbacks;
+      Fork_tape pr
+  | _ -> Fork_tape pr
 
-(* Bind the chunk runner for one (engine, plan, env): native strips
-   when the fork got a runner, tape strips when the plan lowered,
-   closure dispatch otherwise. The scratch is per-binding, so every
+(* A sequential fork's decision, proved afresh. *)
+let seq_mode ?profile engine (plan : plan) sp env =
+  match (engine, plan.tape) with
+  | _ when sp.total = 0 -> Fork_closure
+  | Closure, _ -> Fork_closure
+  | Bytecode, None -> Fork_closure
+  | Native, None ->
+      Registry.incr c_native_fallbacks;
+      Fork_closure
+  | (Bytecode | Native), Some tape ->
+      let hi = Array.make plan.depth 0 in
+      attained_hi plan sp hi;
+      let pr = Bytecode.prepare tape ~ints:env.ints ~lo:sp.los ~hi in
+      tape_mode ?profile engine plan pr
+        ~all_unsafe:
+          (engine = Native && Array.for_all Fun.id (Bytecode.unsafe_flags pr))
+
+(* Bind the chunk runner of one domain's environment: it runs a chunk
+   under the fork's decision, passed per call, so one binding serves
+   every fork that shares [sp]. The scratch is per-binding, so every
    domain hoists (and counts) into its own. Like the trace probe, the
    profiled-vs-plain decision is made here, once per binding: a plain
    binding runs the plan's tape with no counting at all, a profiled one
    runs the profiler's counting copy and brackets each chunk with two
-   clock reads. *)
-let chunk_runner ?profile (plan : plan) sp prep env : int -> int -> unit =
-  match prep with
-  | None -> run_chunk plan sp env
-  | Some (_, _, Some nr) ->
-      run_strips plan sp env (fun j0 jstep len _ ->
-          nr env.ints env.reals env.arrays j0 jstep len)
-  | Some (tape, pr, None) -> (
-      let jslot = plan.index_slots.(plan.depth - 1) in
-      let shadow = if Bytecode.sanitized tape then env.shadow else None in
-      let exec tape inv j0 jstep len iter0 =
-        Bytecode.exec_strip tape pr ~ints:env.ints ~reals:env.reals
-          ~arrays:env.arrays ~shadow ~inv ~jslot ~j0 ~jstep ~len ~iter0
-      in
-      match profile with
-      | None -> run_strips plan sp env (exec tape (Bytecode.make_scratch tape))
-      | Some pc ->
-          let b = Profile.bind pc tape in
-          let exec = exec (Profile.instrumented b) (Profile.scratch b) in
-          let run =
-            run_strips plan sp env (fun j0 jstep len iter0 ->
-                exec j0 jstep len iter0;
-                Profile.count_strip b ~len)
-          in
-          fun t0 len ->
-            let clk0 = Trace.now () in
-            run t0 len;
-            Profile.add_ns b (Trace.now () - clk0))
+   clock reads. Pass [profile] only to a binding that runs tape strips:
+   binding registers with the collector. *)
+let chunk_runner ?profile (plan : plan) sp env :
+    fork_mode -> int -> int -> unit =
+  let native_strip nr j0 jstep len _ =
+    nr env.ints env.reals env.arrays j0 jstep len
+  in
+  let run_tape =
+    match plan.tape with
+    | None -> fun _ _ _ -> invalid_arg "Exec: tape fork of a tape-less plan"
+    | Some tape -> (
+        let jslot = plan.index_slots.(plan.depth - 1) in
+        let shadow = if Bytecode.sanitized tape then env.shadow else None in
+        let exec tape inv pr j0 jstep len iter0 =
+          Bytecode.exec_strip tape pr ~ints:env.ints ~reals:env.reals
+            ~arrays:env.arrays ~shadow ~inv ~jslot ~j0 ~jstep ~len ~iter0
+        in
+        match profile with
+        | None -> run_strips plan sp env (exec tape (Bytecode.make_scratch tape))
+        | Some pc ->
+            let b = Profile.bind pc tape in
+            let exec = exec (Profile.instrumented b) (Profile.scratch b) in
+            let strip pr j0 jstep len iter0 =
+              exec pr j0 jstep len iter0;
+              Profile.count_strip b ~len
+            in
+            fun pr t0 len ->
+              let clk0 = Trace.now () in
+              run_strips plan sp env strip pr t0 len;
+              Profile.add_ns b (Trace.now () - clk0))
+  in
+  fun mode t0 len ->
+    match mode with
+    | Fork_closure -> run_chunk plan sp env t0 len
+    | Fork_tape pr -> run_tape pr t0 len
+    | Fork_native nr -> run_strips plan sp env native_strip nr t0 len
 
 (* A new fork is a new sanitizer epoch: conflicts are only races between
    iterations of the {e same} fork. Called from the forking thread,
@@ -254,8 +275,9 @@ let rec seq_fork_e engine ?profile ?trace (plan : plan) env =
   env.fork <- seq_fork_e engine ?profile ?trace:None;
   new_epoch env;
   let sp = space_of plan env in
-  let prep = fork_prep ?profile engine plan sp env in
-  let run = chunk_runner ?profile plan sp prep env in
+  let mode = seq_mode ?profile engine plan sp env in
+  let profile = match mode with Fork_tape _ -> profile | _ -> None in
+  let run = chunk_runner ?profile plan sp env mode in
   (match trace with
   | None -> run 1 sp.total
   | Some tracer ->
@@ -273,70 +295,298 @@ let seq_fork plan env = seq_fork_e Bytecode plan env
 
 (* ---------- reduction merge ---------- *)
 
-let identity_of (r : red) =
-  match r.r_op with Reduction.Sum -> 0.0 | Reduction.Product -> 1.0
-
 let reset_partials (plan : plan) env =
-  Array.iter
-    (fun r ->
-      if r.r_real then env.reals.(r.r_slot) <- identity_of r
-      else
-        env.ints.(r.r_slot) <-
-          (match r.r_op with Reduction.Sum -> 0 | Reduction.Product -> 1))
-    plan.reductions
+  let reds = plan.reductions in
+  for i = 0 to Array.length reds - 1 do
+    let r = reds.(i) in
+    match r.r_op with
+    | Reduction.Sum ->
+        if r.r_real then env.reals.(r.r_slot) <- 0.0 else env.ints.(r.r_slot) <- 0
+    | Reduction.Product ->
+        if r.r_real then env.reals.(r.r_slot) <- 1.0 else env.ints.(r.r_slot) <- 1
+  done
 
+(* Fold the domains' partials, in domain order, onto the master's value. *)
 let merge_reductions (plan : plan) master clones =
-  Array.iter
-    (fun r ->
-      if r.r_real then begin
-        let acc = ref master.reals.(r.r_slot) in
-        Array.iter
-          (fun c ->
-            let partial = c.reals.(r.r_slot) in
-            acc :=
-              (match r.r_op with
-              | Reduction.Sum -> !acc +. partial
-              | Reduction.Product -> !acc *. partial))
-          clones;
-        master.reals.(r.r_slot) <- !acc
-      end
-      else begin
-        let acc = ref master.ints.(r.r_slot) in
-        Array.iter
-          (fun c ->
-            let partial = c.ints.(r.r_slot) in
-            acc :=
-              (match r.r_op with
-              | Reduction.Sum -> !acc + partial
-              | Reduction.Product -> !acc * partial))
-          clones;
-        master.ints.(r.r_slot) <- !acc
-      end)
-    plan.reductions
+  let reds = plan.reductions in
+  for i = 0 to Array.length reds - 1 do
+    let r = reds.(i) in
+    let s = r.r_slot in
+    if r.r_real then begin
+      let acc = ref master.reals.(s) in
+      for q = 0 to Array.length clones - 1 do
+        let x = clones.(q).reals.(s) in
+        acc :=
+          match r.r_op with
+          | Reduction.Sum -> !acc +. x
+          | Reduction.Product -> !acc *. x
+      done;
+      master.reals.(s) <- !acc
+    end
+    else begin
+      let acc = ref master.ints.(s) in
+      for q = 0 to Array.length clones - 1 do
+        let x = clones.(q).ints.(s) in
+        acc :=
+          match r.r_op with
+          | Reduction.Sum -> !acc + x
+          | Reduction.Product -> !acc * x
+      done;
+      master.ints.(s) <- !acc
+    end
+  done
+
+(* Copy [env]'s reduction slots into [ints]/[reals], by reduction
+   index; [restore_reductions] copies them back. *)
+let save_reductions (plan : plan) env ints reals =
+  let reds = plan.reductions in
+  for i = 0 to Array.length reds - 1 do
+    let r = reds.(i) in
+    if r.r_real then reals.(i) <- env.reals.(r.r_slot)
+    else ints.(i) <- env.ints.(r.r_slot)
+  done
+
+let restore_reductions (plan : plan) env ints reals =
+  let reds = plan.reductions in
+  for i = 0 to Array.length reds - 1 do
+    let r = reds.(i) in
+    if r.r_real then env.reals.(r.r_slot) <- reals.(i)
+    else env.ints.(r.r_slot) <- ints.(i)
+  done
+
+let copy_scalars ~src ~dst =
+  Array.blit src.ints 0 dst.ints 0 (Array.length dst.ints);
+  Array.blit src.reals 0 dst.reals 0 (Array.length dst.reals)
+
+(* ---------- fork state ---------- *)
+
+let c_fork_states = Registry.counter "exec.fork_states"
+
+let new_state (plan : plan) =
+  Registry.incr c_fork_states;
+  let depth = plan.depth and nred = Array.length plan.reductions in
+  let inputs =
+    match plan.tape with Some t -> Bytecode.proof_inputs t | None -> [||]
+  in
+  {
+    fs_busy = Atomic.make true;
+    fs_space = new_space depth;
+    fs_inputs = inputs;
+    fs_key = Array.make (Array.length inputs + (2 * depth)) 0;
+    fs_hi = Array.make depth 0;
+    fs_prep = None;
+    fs_all_unsafe = false;
+    fs_mode = Fork_closure;
+    fs_seq_key = (Policy.Static_block, -1, 0);
+    fs_seq = [||];
+    fs_next = Atomic.make 0;
+    fs_saved_ints = Array.make nred 0;
+    fs_saved_reals = Array.make nred 0.0;
+    fs_part_ints = Array.make nred 0;
+    fs_part_reals = Array.make nred 0.0;
+    fs_bound = None;
+  }
+
+(* The plan's fork state, held for this fork: the kept one if it is
+   free, else a private fresh one (another domain is forking the same
+   plan). The first fork of a plan keeps what it builds. *)
+let claim (plan : plan) =
+  match plan.fork_state with
+  | Some st when Atomic.compare_and_set st.fs_busy false true -> st
+  | Some _ -> new_state plan
+  | None ->
+      let st = new_state plan in
+      plan.fork_state <- Some st;
+      st
+
+let release st = Atomic.set st.fs_busy false
+
+(* Drop a finished run's binding (and with it its environment and
+   arrays), unless another fork holds the state. *)
+let unbind env (plan : plan) =
+  match plan.fork_state with
+  | Some st when Atomic.compare_and_set st.fs_busy false true ->
+      (match st.fs_bound with
+      | Some b when b.b_master == env -> st.fs_bound <- None
+      | _ -> ());
+      release st
+  | _ -> ()
+
+(* Store [v] at [key.(i)]; whether it differed. *)
+let rekey key i v = key.(i) <> v && (key.(i) <- v; true)
+
+(* The fork's range proof: the one on record when its inputs repeat —
+   the [Rreg] slots' values and the fork's lo and attained hi, with
+   profiling off — else a fresh one, recorded. *)
+let prove ?profile st (plan : plan) master tape =
+  let sp = st.fs_space and key = st.fs_key and inputs = st.fs_inputs in
+  let depth = plan.depth and ni = Array.length inputs in
+  attained_hi plan sp st.fs_hi;
+  let changed = ref false in
+  for i = 0 to ni - 1 do
+    if rekey key i master.ints.(inputs.(i)) then changed := true
+  done;
+  for k = 0 to depth - 1 do
+    if rekey key (ni + k) sp.los.(k) then changed := true;
+    if rekey key (ni + depth + k) st.fs_hi.(k) then changed := true
+  done;
+  match st.fs_prep with
+  | Some pr when (not !changed) && Option.is_none profile -> pr
+  | _ ->
+      (* The key is already the new one: no stale proof may sit under
+         it if [prepare] raises. *)
+      st.fs_prep <- None;
+      let pr = Bytecode.prepare tape ~ints:master.ints ~lo:sp.los ~hi:st.fs_hi in
+      st.fs_all_unsafe <- Array.for_all Fun.id (Bytecode.unsafe_flags pr);
+      st.fs_prep <- Some pr;
+      pr
+
+(* A parallel fork's decision, on the state's proof. *)
+let decide ?profile engine st (plan : plan) master =
+  match (engine, plan.tape) with
+  | Closure, _ -> Fork_closure
+  | Bytecode, None -> Fork_closure
+  | Native, None ->
+      Registry.incr c_native_fallbacks;
+      Fork_closure
+  | (Bytecode | Native), Some tape ->
+      let pr = prove ?profile st plan master tape in
+      tape_mode ?profile engine plan pr ~all_unsafe:st.fs_all_unsafe
+
+(* Highest-iteration marks sit this many ints apart: one cache line
+   and the one the adjacent-line prefetcher pairs with it. *)
+let mark_stride = 16
+
+(* The domain that runs the chunk holding iteration [n] supplies every
+   non-reduction scalar after the join. It starts that chunk from the
+   fork-entry scalars (keeping its reduction partials), so what it hands
+   over depends on that chunk alone — not on which earlier chunks a
+   dynamic schedule gave it, which a scalar the last chunk leaves
+   unassigned would otherwise expose. *)
+let restart st (plan : plan) master c =
+  save_reductions plan c st.fs_part_ints st.fs_part_reals;
+  copy_scalars ~src:master ~dst:c;
+  restore_reductions plan c st.fs_part_ints st.fs_part_reals
+
+(* Clone [master] once per domain and bind each clone's chunk runner and
+   the pool job over them. Everything a fork changes is read from [st]
+   per call: the space, the engine decision, the chunk sequence. *)
+let bind ?profile ~trace ~policy ~p st (plan : plan) master =
+  let sp = st.fs_space in
+  let clones = Array.init p (fun _ -> clone_env master) in
+  let runners =
+    Array.map
+      (fun c ->
+        let run = chunk_runner ?profile plan sp c in
+        fun mode t0 len ->
+          if t0 + len - 1 = sp.total then restart st plan master c;
+          run mode t0 len)
+      clones
+  in
+  let marks = Array.make (p * mark_stride) 0 in
+  (* The probe is selected here, once per binding: with tracing off the
+     executed closure is exactly the untraced one — no timestamp, no
+     branch, no write on the chunk path. *)
+  let run_on =
+    match trace with
+    | None ->
+        fun q mode t0 len ->
+          runners.(q) mode t0 len;
+          let m = q * mark_stride in
+          if t0 + len - 1 > marks.(m) then marks.(m) <- t0 + len - 1
+    | Some tracer ->
+        fun q mode t0 len ->
+          let a = Trace.now () in
+          runners.(q) mode t0 len;
+          let b = Trace.now () in
+          Trace.record tracer ~worker:q ~start:t0 ~len ~t0:a ~t1:b;
+          let m = q * mark_stride in
+          if t0 + len - 1 > marks.(m) then marks.(m) <- t0 + len - 1
+  in
+  let worker : int -> unit =
+    match (policy : Policy.t) with
+    | Static_block ->
+        (* Contiguous blocks, identical to Static.block ownership. *)
+        fun q ->
+          (match Static.block_chunk ~n:sp.total ~p q with
+          | Some (t0, len) -> run_on q st.fs_mode t0 len
+          | None -> ())
+    | Static_cyclic ->
+        fun q ->
+          let mode = st.fs_mode and n = sp.total in
+          let t = ref (q + 1) in
+          while !t <= n do
+            run_on q mode !t 1;
+            t := !t + p
+          done
+    | Self_sched c ->
+        (* The paper's self-scheduling: a single shared coalesced index,
+           advanced with one atomic fetch-and-add per dispatch. *)
+        fun q ->
+          let mode = st.fs_mode and n = sp.total in
+          let continue_ = ref true in
+          while !continue_ do
+            let t0 = Atomic.fetch_and_add st.fs_next c in
+            if t0 > n then continue_ := false
+            else run_on q mode t0 (min c (n - t0 + 1))
+          done
+    | Gss | Factoring | Trapezoid ->
+        (* The policy's closed-form chunk sequence (a function of n and
+           p only), served from an atomic queue: one fetch-and-add per
+           dispatch, chunks in dispatch order. *)
+        fun q ->
+          let mode = st.fs_mode and chunks = st.fs_seq in
+          let continue_ = ref true in
+          while !continue_ do
+            let k = Atomic.fetch_and_add st.fs_next 1 in
+            if k >= Array.length chunks then continue_ := false
+            else begin
+              let t0, len = chunks.(k) in
+              run_on q mode t0 len
+            end
+          done
+  in
+  {
+    b_master = master;
+    b_p = p;
+    b_policy = policy;
+    b_trace = trace;
+    b_profile = profile;
+    b_clones = clones;
+    b_marks = marks;
+    b_worker = worker;
+  }
+
+let same_opt a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> x == y
+  | _ -> false
+
+(* The state's binding for this fork: the kept one when it was bound for
+   the same master, domains, policy, tracer and profiler — every fork of
+   a run after its first — else a new one. *)
+let binding ?profile ~trace ~policy ~p st plan master =
+  match st.fs_bound with
+  | Some b
+    when b.b_master == master && b.b_p = p && b.b_policy = policy
+         && same_opt b.b_trace trace && same_opt b.b_profile profile ->
+      b
+  | _ ->
+      let b = bind ?profile ~trace ~policy ~p st plan master in
+      st.fs_bound <- Some b;
+      b
 
 (* ---------- parallel execution ---------- *)
 
-(* Per-domain dispatch loop for one policy over [1..n]. [run] receives
-   (t0, len) chunks; must be called with ascending t0 within a domain. *)
-let dispatch policy ~n ~p ~(q : int) ~run =
-  match (policy : Policy.t) with
-  | Static_block -> (
-      (* Contiguous blocks, identical to Static.block ownership. *)
-      match Static.block_chunk ~n ~p q with
-      | Some (t0, len) -> run t0 len
-      | None -> ())
-  | Static_cyclic ->
-      let t = ref (q + 1) in
-      while !t <= n do
-        run !t 1;
-        t := !t + p
-      done
-  | Self_sched _ | Gss | Factoring | Trapezoid ->
-      assert false (* dynamic policies are dispatched from shared state *)
-
-let parallel_fork_e engine ?trace ?profile pool policy (plan : plan) master =
+(* One parallel fork on a held state. Per fork it only refreshes: the
+   space in place, the proof when its inputs changed, the clones'
+   scalars and partials, the chunk sequence when (policy, n, p) changed,
+   the dispatch index and the marks. *)
+let fork_on st engine ?trace ?profile pool policy (plan : plan) master =
   let p = Pool.size pool in
-  let sp = space_of plan master in
+  let sp = st.fs_space in
+  fill_space plan sp master;
   let n = sp.total in
   if n = 0 then ()
   else if p = 1 || n = 1 then seq_fork_e engine ?profile ?trace plan master
@@ -347,120 +597,50 @@ let parallel_fork_e engine ?trace ?profile pool policy (plan : plan) master =
     new_epoch master;
     (* The unsafe/checked decision is shared (it covers the whole
        space); each domain's runner hoists into private scratch. *)
-    let prep = fork_prep ?profile engine plan sp master in
-    let clones =
-      Array.init p (fun _ ->
-          let c = clone_env master in
-          c.fork <- seq_fork_e engine ?profile ?trace:None;
-          reset_partials plan c;
-          c)
+    st.fs_mode <- decide ?profile engine st plan master;
+    let b =
+      binding
+        ?profile:(match st.fs_mode with Fork_tape _ -> profile | _ -> None)
+        ~trace ~policy ~p st plan master
     in
-    (* The domain that runs the chunk holding iteration [n] supplies
-       every non-reduction scalar after the join. It starts that chunk
-       from the fork-entry scalars (keeping its reduction partials), so
-       what it hands over depends on that chunk alone — not on which
-       earlier chunks a dynamic schedule gave it, which a scalar the
-       last chunk leaves unassigned would otherwise expose. *)
-    let restart c =
-      let ints = Array.copy c.ints and reals = Array.copy c.reals in
-      Array.blit master.ints 0 c.ints 0 (Array.length c.ints);
-      Array.blit master.reals 0 c.reals 0 (Array.length c.reals);
-      Array.iter
-        (fun r ->
-          if r.r_real then c.reals.(r.r_slot) <- reals.(r.r_slot)
-          else c.ints.(r.r_slot) <- ints.(r.r_slot))
-        plan.reductions
-    in
-    let runners =
-      Array.map
-        (fun c ->
-          let run = chunk_runner ?profile plan sp prep c in
-          fun t0 len ->
-            if t0 + len - 1 = n then restart c;
-            run t0 len)
-        clones
-    in
-    let hi_t = Array.make p 0 in
-    (* The probe is selected here, once per fork: with tracing off the
-       executed closure is exactly the untraced one — no timestamp, no
-       branch, no write on the chunk path. *)
-    let run_on =
-      match trace with
-      | None ->
-          fun q t0 len ->
-            runners.(q) t0 len;
-            if t0 + len - 1 > hi_t.(q) then hi_t.(q) <- t0 + len - 1
-      | Some tracer ->
-          fun q t0 len ->
-            let a = Trace.now () in
-            runners.(q) t0 len;
-            let b = Trace.now () in
-            Trace.record tracer ~worker:q ~start:t0 ~len ~t0:a ~t1:b;
-            if t0 + len - 1 > hi_t.(q) then hi_t.(q) <- t0 + len - 1
-    in
-    let worker : int -> unit =
-      match (policy : Policy.t) with
-      | Static_block | Static_cyclic ->
-          fun q -> dispatch policy ~n ~p ~q ~run:(run_on q)
-      | Self_sched c ->
-          (* The paper's self-scheduling: a single shared coalesced index,
-             advanced with one atomic fetch-and-add per dispatch. *)
-          let next = Atomic.make 1 in
-          fun q ->
-            let continue_ = ref true in
-            while !continue_ do
-              let t0 = Atomic.fetch_and_add next c in
-              if t0 > n then continue_ := false
-              else run_on q t0 (min c (n - t0 + 1))
-            done
-      | Gss | Factoring | Trapezoid ->
-          (* The policy's closed-form chunk sequence (a function of n and
-             p only), served from an atomic queue: one fetch-and-add per
-             dispatch, chunks in dispatch order. *)
-          let chunks = Option.get (Chunks.dynamic_sequence policy ~n ~p) in
-          let next = Atomic.make 0 in
-          fun q ->
-            let continue_ = ref true in
-            while !continue_ do
-              let k = Atomic.fetch_and_add next 1 in
-              if k >= Array.length chunks then continue_ := false
-              else begin
-                let t0, len = chunks.(k) in
-                run_on q t0 len
-              end
-            done
-    in
+    let nested = seq_fork_e engine ?profile ?trace:None in
+    let clones = b.b_clones in
+    for q = 0 to p - 1 do
+      let c = clones.(q) in
+      copy_scalars ~src:master ~dst:c;
+      reset_partials plan c;
+      c.fork <- nested;
+      c.iter_id <- 0;
+      b.b_marks.(q * mark_stride) <- 0
+    done;
+    (match (policy : Policy.t) with
+    | Static_block | Static_cyclic -> ()
+    | Self_sched _ -> Atomic.set st.fs_next 1
+    | Gss | Factoring | Trapezoid ->
+        let kpol, kn, kp = st.fs_seq_key in
+        if not (kn = n && kp = p && kpol = policy) then begin
+          st.fs_seq <- Option.get (Chunks.dynamic_sequence policy ~n ~p);
+          st.fs_seq_key <- (policy, n, p)
+        end;
+        Atomic.set st.fs_next 0);
     (* Save the master's pre-loop reduction values: they are the base of
        the merge and must survive the wholesale scalar adoption below. *)
-    let saved_ints =
-      Array.map
-        (fun r -> if r.r_real then 0 else master.ints.(r.r_slot))
-        plan.reductions
-    in
-    let saved_reals =
-      Array.map
-        (fun r -> if r.r_real then master.reals.(r.r_slot) else 0.0)
-        plan.reductions
-    in
-    Pool.run pool worker;
+    save_reductions plan master st.fs_saved_ints st.fs_saved_reals;
+    Pool.run pool b.b_worker;
     (* Merge: adopt scalars from the domain that ran the highest
        iteration (sequential last-iteration-wins semantics for
        privatized scalars), then fold reduction partials in domain
        order on top of the master's pre-loop value. *)
-    let qlast = ref (-1) in
-    Array.iteri
-      (fun q t -> if t > 0 && (!qlast < 0 || t > hi_t.(!qlast)) then qlast := q)
-      hi_t;
-    if !qlast >= 0 then begin
-      Array.blit clones.(!qlast).ints 0 master.ints 0 (Array.length master.ints);
-      Array.blit clones.(!qlast).reals 0 master.reals 0
-        (Array.length master.reals)
-    end;
-    Array.iteri
-      (fun k (r : red) ->
-        if r.r_real then master.reals.(r.r_slot) <- saved_reals.(k)
-        else master.ints.(r.r_slot) <- saved_ints.(k))
-      plan.reductions;
+    let qlast = ref (-1) and tlast = ref 0 in
+    for q = 0 to p - 1 do
+      let t = b.b_marks.(q * mark_stride) in
+      if t > !tlast then begin
+        tlast := t;
+        qlast := q
+      end
+    done;
+    if !qlast >= 0 then copy_scalars ~src:clones.(!qlast) ~dst:master;
+    restore_reductions plan master st.fs_saved_ints st.fs_saved_reals;
     merge_reductions plan master clones;
     (* The traced region closes after the merge: its wall time is the
        full fork-to-usable-result span, so join latency includes the
@@ -469,6 +649,15 @@ let parallel_fork_e engine ?trace ?profile pool policy (plan : plan) master =
     | None -> ()
     | Some tracer -> Trace.fork_end tracer
   end
+
+let parallel_fork_e engine ?trace ?profile pool policy (plan : plan) master =
+  let st = claim plan in
+  match fork_on st engine ?trace ?profile pool policy plan master with
+  | () -> release st
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      release st;
+      Printexc.raise_with_backtrace e bt
 
 let parallel_fork ?trace pool policy plan master =
   parallel_fork_e Bytecode ?trace pool policy plan master
@@ -509,7 +698,12 @@ let run_compiled ?(array_init = 0.0) ?pool ?(policy = Policy.Static_block)
       | Some pool -> parallel_fork_e engine ?trace ?profile pool policy
     in
     let env = Compile.make_env ~array_init ?shadow t ~fork in
-    Compile.run_code t env;
+    (* Plans keep their fork states across runs, but not this run's
+       environment and arrays. *)
+    Fun.protect
+      ~finally:(fun () ->
+        if Option.is_some pool then List.iter (unbind env) (Compile.plans t))
+      (fun () -> Compile.run_code t env);
     outcome_of t env
   in
   match pool with

@@ -32,7 +32,21 @@
    doubling up to [max_backoff] while spins keep running out and halving
    on each fork whose spins all succeed. A join also skips its spin when
    [publish] had to wake a worker: the woken domain needs a scheduler
-   decision and perhaps the caller's own core. *)
+   decision and perhaps the caller's own core. [next_backoff] is that
+   rule as a pure transition, unit-tested against scripted outcomes.
+
+   Known lock-in, not yet fixed (measured on a 2-vCPU Xeon VM). A
+   long-lived pool that forks back to back mostly spins: perfbench's
+   native legs park 0.33-0.43 times per fork. In a fresh process the
+   pool can instead lock into 1.5 parks per fork with both domains
+   sharing one CPU: worker 1 finds no chunks left, and [publish] calls
+   take 17 us. Pinning the caller and the workers to distinct CPUs
+   removes the lock-in in that probe (a 2048-element reduce, 300 forks:
+   1.5 -> 0.002-0.02 parks per fork, 4.4-4.9 -> 2.2-2.8 ms); pinning the
+   workers alone does not. Pinning the caller at [create] made
+   perfbench's fork_heavy native_run_vs_hand worse, 0.48 -> 0.81-0.97,
+   so naive affinity is ruled out. The cause is not isolated; one
+   candidate is that child processes inherit a one-CPU mask. *)
 
 module Registry = Loopcoal_obs.Registry
 module Trace = Loopcoal_obs.Trace
@@ -57,6 +71,25 @@ let spin_window_ns = 50_000
    forks (10-20 ms) costs at most one spin window, under 1%. *)
 let max_backoff = 1024
 
+type backoff = { quiet : int; backoff : int }
+
+(* One fork's back-off update. [quiet] is read at the fork's start: a
+   positive one made the fork park at once and counts down. A spin that
+   ran out — an idle worker that had to be woken, or a join window that
+   closed before the join — sets [quiet] to the doubled [backoff]; a
+   fork whose spins all succeeded halves [backoff]; a fork with no spin
+   at all leaves it. *)
+let next_backoff s ~idle_spun ~woke ~join_window ~joined =
+  if (idle_spun && woke) || (join_window && not joined) then
+    let b = min max_backoff ((2 * s.backoff) + 1) in
+    { quiet = b; backoff = b }
+  else
+    let quiet = max 0 (s.quiet - 1) in
+    let backoff =
+      if idle_spun || join_window then s.backoff / 2 else s.backoff
+    in
+    if quiet = s.quiet && backoff = s.backoff then s else { quiet; backoff }
+
 type t = {
   size : int;
   window_ns : int;  (* 0 for an oversubscribed pool *)
@@ -65,8 +98,7 @@ type t = {
   cond_done : Condition.t;
   mutable job : int -> unit;
   mutable job_window_ns : int;  (* spin window of the published fork *)
-  mutable quiet : int;  (* forks left that park at once *)
-  mutable backoff : int;  (* [quiet] after the next spin that runs out *)
+  mutable boff : backoff;  (* see [next_backoff] *)
   generation : int Atomic.t;
   remaining : int Atomic.t;
   sleepers : int Atomic.t;  (* workers parked on [cond_job] *)
@@ -140,8 +172,7 @@ let create size =
       cond_done = Condition.create ();
       job = no_job;
       job_window_ns = 0;
-      quiet = 0;
-      backoff = 0;
+      boff = { quiet = 0; backoff = 0 };
       generation = Atomic.make 0;
       remaining = Atomic.make 0;
       sleepers = Atomic.make 0;
@@ -192,8 +223,7 @@ let run t f =
     t.job <- f;
     (* Workers have spun since the last fork iff its window was open. *)
     let idle_spun = t.job_window_ns > 0 in
-    t.job_window_ns <- (if t.quiet > 0 then 0 else t.window_ns);
-    t.quiet <- max 0 (t.quiet - 1);
+    t.job_window_ns <- (if t.boff.quiet > 0 then 0 else t.window_ns);
     Atomic.set t.remaining (t.size - 1);
     let woke = publish t in
     (* The caller is worker 0. *)
@@ -202,11 +232,9 @@ let run t f =
        the join spins only when every worker was already spinning. *)
     let join_window_ns = if woke then 0 else t.job_window_ns in
     let joined = join t ~window_ns:join_window_ns in
-    if (idle_spun && woke) || (join_window_ns > 0 && not joined) then begin
-      t.backoff <- min max_backoff ((2 * t.backoff) + 1);
-      t.quiet <- t.backoff
-    end
-    else if idle_spun || join_window_ns > 0 then t.backoff <- t.backoff / 2;
+    t.boff <-
+      next_backoff t.boff ~idle_spun ~woke ~join_window:(join_window_ns > 0)
+        ~joined;
     t.job <- no_job;
     (* Re-raise the lowest-id failure for determinism. *)
     Array.iter (function Some e -> raise e | None -> ()) t.errors

@@ -34,3 +34,21 @@ val shutdown : t -> unit
 
 val with_pool : int -> (t -> 'a) -> 'a
 (** [with_pool p f] runs [f] with a fresh pool and always shuts it down. *)
+
+type backoff = {
+  quiet : int;  (** forks left that park at once *)
+  backoff : int;  (** [quiet] after the next spin that runs out *)
+}
+
+val next_backoff :
+  backoff -> idle_spun:bool -> woke:bool -> join_window:bool -> joined:bool ->
+  backoff
+(** The pool's back-off rule, as {!run} applies it after each join.
+    [quiet] is the value at the fork's start (positive: the fork parked
+    at once). [idle_spun]: the workers spun since the previous fork;
+    [woke]: publishing had to wake a parked worker; [join_window]: the
+    join spun; [joined]: that spin saw every worker finish. A spin that
+    ran out ([idle_spun && woke], or [join_window && not joined]) sets
+    [quiet] and [backoff] to [2 * backoff + 1], capped at 1024; else
+    [quiet] counts down, and [backoff] halves when some spin ran and
+    stays when none did. Pure; exposed for its tests. *)

@@ -13,6 +13,7 @@ module B = Builder
 module Exec = Runtime.Exec
 module Compile = Runtime.Compile
 module Natgen = Runtime.Natgen
+module Pool = Runtime.Pool
 
 (* Keep native [.cmxs] artifacts (and any plan-cache traffic from the
    CLI subprocess below) out of the user's real cache directory. The
@@ -637,6 +638,88 @@ let test_native_no_alloc () =
           words iters per_iter)
     alloc_kernels
 
+(* ---------- per-plan fork state ---------- *)
+
+(* The range proof a fork reuses must be the one its inputs would
+   produce: on the native tier a stale "all in bounds" would run the
+   out-of-bounds sweep unchecked. *)
+let test_fork_state_proof_reuse () =
+  require_toolchain ();
+  Test_runtime.check_shift_sweeps Exec.Native;
+  Test_runtime.check_triangle Exec.Native
+
+(* Engines alternate on one compiled program: a bytecode run's decision
+   must not leak into the native run, which must run its plans' runners
+   on every fork, and must not leak back. The runners are wrapped to
+   count their strips. *)
+let test_fork_state_engine_switch () =
+  require_toolchain ();
+  let prog = Test_runtime.relax_prog in
+  let st = Eval.run prog in
+  let t = Compile.compile prog in
+  (match Natgen.prepare t with
+  | Natgen.Ready _ -> ()
+  | Natgen.Unavailable m -> Alcotest.failf "native unavailable: %s" m);
+  let strips = Atomic.make 0 in
+  List.iter
+    (fun (plan : Compile.plan) ->
+      plan.Compile.native <-
+        Option.map
+          (fun nr ints reals arrays j0 jstep len ->
+            Atomic.incr strips;
+            nr ints reals arrays j0 jstep len)
+          plan.Compile.native)
+    (Compile.plans t);
+  let fallbacks = Registry.counter "native.fallbacks" in
+  Pool.with_pool 2 (fun pool ->
+      List.iter
+        (fun engine ->
+          let before = Registry.value fallbacks in
+          Atomic.set strips 0;
+          Test_runtime.agrees ~what:"relax"
+            (Exec.run_compiled ~pool ~policy:Policy.Gss ~engine t)
+            st;
+          if engine = Exec.Native then begin
+            Alcotest.(check int) "native run: no fallback" before
+              (Registry.value fallbacks);
+            (* 21 forks, each at least one strip *)
+            Alcotest.(check bool) "native run: runners ran" true
+              (Atomic.get strips >= 21)
+          end
+          else Alcotest.(check int) "bytecode run: no runner" 0
+              (Atomic.get strips))
+        [ Exec.Bytecode; Exec.Native; Exec.Bytecode ])
+
+(* Per fork, the caller refreshes a kept state instead of rebuilding
+   clones, runners, chunk queue and proof: relax's 401 forks at 2
+   domains under GSS stay under 100 minor words each on the caller's
+   domain, fixed per-run costs included. *)
+let test_fork_alloc_bound () =
+  require_toolchain ();
+  let compiled = Compile.compile (Kernels.relax ~n:4096 ~steps:400) in
+  (match Natgen.prepare compiled with
+  | Natgen.Ready _ -> ()
+  | Natgen.Unavailable m -> Alcotest.failf "native unavailable: %s" m);
+  let forks = Registry.counter "pool.forks" in
+  let fallbacks = Registry.counter "native.fallbacks" in
+  Pool.with_pool 2 (fun pool ->
+      let run () =
+        ignore
+          (Exec.run_compiled ~pool ~policy:Policy.Gss ~engine:Exec.Native
+             compiled)
+      in
+      run ();
+      let f0 = Registry.value forks and fb0 = Registry.value fallbacks in
+      let w0 = Gc.minor_words () in
+      run ();
+      let words = Gc.minor_words () -. w0 in
+      let n = Registry.value forks - f0 in
+      Alcotest.(check int) "no fallback" fb0 (Registry.value fallbacks);
+      let per_fork = words /. float_of_int n in
+      if per_fork > 100.0 then
+        Alcotest.failf "%.0f minor words over %d forks (%.1f per fork)" words
+          n per_fork)
+
 (* ---------- profile CLI guard ---------- *)
 
 (* [loopc profile] only profiles the bytecode tier; any other engine is
@@ -792,6 +875,12 @@ let suite =
     Alcotest.test_case "artifact cache hit" `Quick test_artifact_cache_hit;
     Alcotest.test_case "native runs allocate nothing per iteration" `Quick
       test_native_no_alloc;
+    Alcotest.test_case "fork state: proof reused only on equal inputs"
+      `Quick test_fork_state_proof_reuse;
+    Alcotest.test_case "fork state: bytecode, native, bytecode" `Quick
+      test_fork_state_engine_switch;
+    Alcotest.test_case "fork state: under 100 words per fork" `Quick
+      test_fork_alloc_bound;
     Alcotest.test_case "profile --engine rejects native" `Quick
       test_profile_engine_cli_error;
     Alcotest.test_case "trace and metrics shape vs bytecode" `Slow

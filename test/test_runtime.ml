@@ -470,6 +470,217 @@ let test_adopted_scalars_repeatable () =
       done)
     [ Policy.Gss; Policy.Factoring; Policy.Self_sched 1 ]
 
+(* The back-off rule against scripted spin outcomes, independent of
+   the host's timing. *)
+let test_pool_backoff_rule () =
+  let step s (idle_spun, woke, join_window, joined) =
+    Pool.next_backoff s ~idle_spun ~woke ~join_window ~joined
+  in
+  let check what (want_q, want_b) (s : Pool.backoff) =
+    Alcotest.(check (pair int int)) what (want_q, want_b) (s.quiet, s.backoff)
+  in
+  let woken = (true, true, false, false)
+  and join_ran_out = (true, false, true, false)
+  and spun = (true, false, true, true)
+  and parked = (false, false, false, false) in
+  (* Spins that keep running out double the back-off up to 1024. *)
+  let s = ref { Pool.quiet = 0; backoff = 0 } in
+  List.iteri
+    (fun k want ->
+      s := step !s (if k mod 2 = 0 then woken else join_ran_out);
+      check (Printf.sprintf "run-out %d" (k + 1)) (want, want) !s)
+    [ 1; 3; 7; 15; 31; 63; 127; 255; 511; 1023; 1024; 1024 ];
+  (* A fork that started quiet parks at once: no spin, no change to the
+     back-off, one fewer quiet fork. *)
+  s := step !s parked;
+  check "quiet fork" (1023, 1024) !s;
+  for _ = 1 to 1023 do
+    s := step !s parked
+  done;
+  check "quiet run over" (0, 1024) !s;
+  (* Each fork whose spins all succeed halves it. *)
+  List.iter
+    (fun want ->
+      s := step !s spun;
+      check "spun" (0, want) !s)
+    [ 512; 256; 128; 64; 32; 16; 8; 4; 2; 1; 0; 0 ];
+  (* A probe that ran out mid-halving doubles from where it stands. *)
+  s := step { Pool.quiet = 0; backoff = 5 } woken;
+  check "run-out after halving" (11, 11) !s;
+  (* The workers' idle spin alone — the fork started quiet, so its join
+     did not spin — still counts as a success. *)
+  check "idle spin only" (2, 2)
+    (step { Pool.quiet = 3; backoff = 5 } (true, false, false, false));
+  check "join spin only" (0, 2)
+    (step { Pool.quiet = 0; backoff = 5 } (false, false, true, true))
+
+(* ---------- per-plan fork state ---------- *)
+
+(* A plan keeps its fork state (clones, chunk sequence, range proof)
+   across forks and runs. Reusing a proof is sound only on identical
+   inputs; these programs change exactly those inputs between forks. *)
+
+let parse what text =
+  match Driver.load_string text with
+  | Ok p -> p
+  | Error m -> Alcotest.failf "%s: parse error: %s" what m
+
+let fork_policies = [ Policy.Static_block; Policy.Gss; Policy.Self_sched 1 ]
+
+(* The serial [k] shifts the subscript: sweeps 1-2 share k = 0 (the
+   proof repeats), 3-5 share k = 5 and sweep 6 has k = 16, where one
+   iteration, the last, reaches A[41] — so its message does not depend
+   on the schedule. *)
+let shift_prog sweeps =
+  parse "shift"
+    (Printf.sprintf
+       {|program
+  real A[40]
+  int k = 0
+begin
+  do t = 1, %d
+    k = (t / 3) * 5 + (t / 6) * 6
+    doall i = 1, 25
+      A[i + k] = A[i + k] + t
+    end
+  end
+end
+|}
+       sweeps)
+
+(* The bounds change on every fork; [s] is an exact integer sum. *)
+let triangle_prog =
+  parse "triangle"
+    {|program
+  real A[12, 12]
+  int s = 0
+begin
+  do i = 1, 12
+    doall j = 1, i
+      A[i, j] = A[j, j] + i * j
+      s = s + i * j
+    end
+  end
+end
+|}
+
+let relax_prog = Kernels.relax ~n:64 ~steps:20
+
+let agrees ~what (o : Exec.outcome) st =
+  if not (Exec.agrees_with_interpreter ~compare_scalars:true o st) then
+    Alcotest.failf "%s differs from the interpreter" what
+
+let check_shift_sweeps engine =
+  let ok = shift_prog 5 and last = shift_prog 6 in
+  let st = Eval.run ok in
+  let want =
+    match Eval.run last with
+    | _ -> Alcotest.fail "the interpreter ran the out-of-bounds sweep"
+    | exception Eval.Runtime_error m -> m
+  in
+  List.iter
+    (fun policy ->
+      let what = Policy.name policy in
+      let t_ok = Compile.compile ok and t_last = Compile.compile last in
+      (* Twice each: a second run starts from the state the first kept. *)
+      for _ = 1 to 2 do
+        agrees ~what (Exec.run_compiled ~domains:2 ~policy ~engine t_ok) st;
+        match Exec.run_compiled ~domains:2 ~policy ~engine t_last with
+        | _ -> Alcotest.failf "%s: the out-of-bounds sweep ran" what
+        | exception Compile.Error m -> Alcotest.(check string) what want m
+      done)
+    fork_policies
+
+let check_triangle engine =
+  let st = Eval.run triangle_prog in
+  List.iter
+    (fun policy ->
+      let t = Compile.compile triangle_prog in
+      for _ = 1 to 2 do
+        agrees ~what:(Policy.name policy)
+          (Exec.run_compiled ~domains:2 ~policy ~engine t)
+          st
+      done)
+    fork_policies
+
+let test_fork_state_proof_reuse () =
+  check_shift_sweeps Exec.Bytecode;
+  check_triangle Exec.Bytecode
+
+(* One compiled program run from two domains at once, each with its own
+   pool: forks of the same plan contend for its state, and the loser
+   runs on a private one. *)
+let test_fork_state_concurrent_runs () =
+  let st = Eval.run relax_prog in
+  let t = Compile.compile relax_prog in
+  List.iter
+    (fun policy ->
+      let run () =
+        Pool.with_pool 2 (fun pool -> Exec.run_compiled ~pool ~policy t)
+      in
+      let other = Domain.spawn run in
+      let mine = run () in
+      let theirs = Domain.join other in
+      agrees ~what:(Policy.name policy ^ ", caller") mine st;
+      agrees ~what:(Policy.name policy ^ ", spawned") theirs st)
+    all_policies
+
+(* A worker's fault re-raises through the join and releases the state:
+   the next run of the program claims it again. [d] is zero in sweep 3
+   exactly when the arrays start at 1.0. *)
+let fault_prog =
+  parse "fault"
+    {|program
+  real A[40]
+  int d = 1
+begin
+  do t = 1, 5
+    if A[40] > 0.5 then
+      d = 3 - t
+    else
+      d = 1
+    end
+    doall i = 1, 39
+      A[i] = A[i] + i / d
+    end
+  end
+end
+|}
+
+let test_fork_state_fault_release () =
+  let want =
+    match Eval.run ~array_init:1.0 fault_prog with
+    | _ -> Alcotest.fail "the interpreter ran the zero divisor"
+    | exception Eval.Runtime_error m -> m
+  in
+  let st = Eval.run fault_prog in
+  let builds = Registry.counter "exec.fork_states" in
+  List.iter
+    (fun policy ->
+      let what = Policy.name policy in
+      let t = Compile.compile fault_prog in
+      Pool.with_pool 2 (fun pool ->
+          agrees ~what (Exec.run_compiled ~pool ~policy t) st;
+          (match Exec.run_compiled ~array_init:1.0 ~pool ~policy t with
+          | _ -> Alcotest.failf "%s: the zero divisor ran" what
+          | exception Compile.Error m -> Alcotest.(check string) what want m);
+          let before = Registry.value builds in
+          agrees ~what (Exec.run_compiled ~pool ~policy t) st;
+          Alcotest.(check int)
+            (what ^ ": later run reuses the state")
+            before (Registry.value builds));
+      List.iter
+        (fun (plan : Compile.plan) ->
+          match plan.Compile.fork_state with
+          | None -> ()
+          | Some fs ->
+              Alcotest.(check bool) (what ^ ": released") false
+                (Atomic.get fs.Compile.fs_busy);
+              Alcotest.(check bool) (what ^ ": run's binding dropped") true
+                (Option.is_none fs.Compile.fs_bound))
+        (Compile.plans t))
+    all_policies
+
 let suite =
   [
     Alcotest.test_case "kernels x policies x domains" `Quick
@@ -495,10 +706,18 @@ let suite =
       test_pool_random_exceptions;
     Alcotest.test_case "pool.parks counts idle gaps" `Quick
       test_pool_counts_parks;
+    Alcotest.test_case "pool back-off rule: scripted spin outcomes" `Quick
+      test_pool_backoff_rule;
     Alcotest.test_case "pool shutdown: run raises, second is a no-op"
       `Quick test_pool_shutdown;
     Alcotest.test_case "adopted scalars repeatable under dynamic schedules"
       `Quick test_adopted_scalars_repeatable;
+    Alcotest.test_case "fork state: proof reused only on equal inputs"
+      `Quick test_fork_state_proof_reuse;
+    Alcotest.test_case "fork state: one program run from two domains" `Quick
+      test_fork_state_concurrent_runs;
+    Alcotest.test_case "fork state: released after a worker fault" `Quick
+      test_fork_state_fault_release;
     Gen.to_alcotest prop_compiled_seq_equals_interp;
     Gen.to_alcotest prop_parallel_equals_interp;
   ]
