@@ -22,9 +22,10 @@ let usage () =
   print_endline
     "  --oversubscribe   include domain counts beyond the host's cores";
   print_endline
-    "  --gate            1-domain perf gates: bytecode <= 1.05x closure \
-     ns/iter, -O2 geomean >= 1.15x -O0, and the profiler-off repeat-run \
-     noise canary (exit 1 on failure)"
+    "  --gate            1-domain perf gates: bytecode speedup over the \
+     interpreter >= per-kernel floor / 1.05, -O2 geomean >= 1.15x -O0, \
+     search never slower, and the profiler-off repeat-run noise canary \
+     (exit 1 on failure)"
 
 let run_id ~oversubscribe ~gate id =
   match List.assoc_opt id Experiments.all with

@@ -55,7 +55,7 @@ let time_min reps f =
 type record = {
   kernel : string;
   engine : string;
-      (* "interpreter" | "closure" | "bytecode" | "native" |
+      (* "interpreter" | "bytecode" | "native" |
          "bytecode-prof" (bytecode with the tape-profile collector
          attached) *)
   policy : string option;
@@ -152,7 +152,7 @@ let host_cores = Domain.recommended_domain_count ()
 
 (* Robust per-kernel sequential ratios, filled by [bench_kernel] and
    read back by the headline tables and perf gates: kernel ->
-   (median closure/-O2 time ratio, median -O0/-O2 time ratio). Each
+   (median interpreter/-O2 time ratio, median -O0/-O2 time ratio). Each
    ratio is computed within one interleaved round — both sides see the
    same host-speed drift window — and the median over rounds rejects
    the rounds a noisy neighbour poisoned. Minima of independent
@@ -171,8 +171,8 @@ let native_ratios : (string, float) Hashtbl.t = Hashtbl.create 16
    ratio). The first is a noise canary — two identical profiler-off
    configurations in the same interleaved rounds — because a
    pre-profiler binary is not available in-tree to difference against;
-   the off path's absolute speed is guarded by the bytecode-vs-closure
-   gate. The second prices turning the collector on. *)
+   the off path's absolute speed is guarded by Gate 1's floor. The
+   second prices turning the collector on. *)
 let prof_ratios : (string, float * float) Hashtbl.t = Hashtbl.create 16
 
 let median = function
@@ -245,25 +245,6 @@ let bench_kernel ~out ~score ~domain_counts (name, mk) =
      comparable. *)
   let st = Eval.run ~fuel:max_int prog in
   let iters = (Eval.counters st).Eval.loop_iters in
-  let t_interp = time_min 3 (fun () -> ignore (Eval.run ~fuel:max_int prog)) in
-  out
-    {
-      kernel = name;
-      engine = "interpreter";
-      policy = None;
-      domains = 1;
-      opt_level = None;
-      iters;
-      time_s = t_interp;
-      speedup_vs_interp = None;
-      speedup_vs_1dom = None;
-      predicted_speedup = None;
-      chunks_dispatched = None;
-      imbalance = None;
-      sync_ops_per_iter = None;
-      note = None;
-      profile = None;
-    };
   let compiled = compile_validated prog in
   let compiled0 = compile_validated ~opt_level:0 prog in
   (* Sequential baseline per engine configuration; parallel rows report
@@ -289,7 +270,6 @@ let bench_kernel ~out ~score ~domain_counts (name, mk) =
   in
   let seq_configs =
     [
-      ("closure", Exec.Closure, compiled, None);
       ("bytecode", Exec.Bytecode, compiled0, Some 0);
       ("bytecode", Exec.Bytecode, compiled, Some 2);
     ]
@@ -304,34 +284,70 @@ let bench_kernel ~out ~score ~domain_counts (name, mk) =
      configuration reports its best round; the gate ratios take the
      median over all rounds, so the round count (odd, and large enough
      that a handful of poisoned rounds cannot move the middle) bounds
-     the gate's run-to-run variance. *)
+     the gate's run-to-run variance. The interpreter runs in every round
+     too, as the fixed yardstick of Gate 1.
+
+     A run reads differently depending on which configuration ran just
+     before it (timed back to back, swapping -O0 and -O2 moved their
+     geomean ratio by 2-3%), so every compiled configuration is timed
+     right after one untimed run of itself: no timed run follows
+     another configuration, and the configuration order no longer
+     moves the ratios. The interpreter opens each round, after the
+     previous round's last compiled run. *)
   let seq_best =
-    let n = List.length seq_configs in
+    let runs =
+      (false, fun () -> ignore (Eval.run ~fuel:max_int prog))
+      :: List.map
+           (fun (_, engine, c, _) ->
+             (true, fun () -> ignore (Exec.run_compiled ~domains:1 ~engine c)))
+           seq_configs
+    in
+    let n = List.length runs in
     let best = Array.make n infinity in
     let rounds = ref [] in
     for _ = 1 to 41 do
       let times = Array.make n 0.0 in
       List.iteri
-        (fun i (_, engine, c, _) ->
+        (fun i (warm, run) ->
+          if warm then run ();
           let t0 = now () in
-          ignore (Exec.run_compiled ~domains:1 ~engine c);
+          run ();
           let dt = now () -. t0 in
           times.(i) <- dt;
           if dt < best.(i) then best.(i) <- dt)
-        seq_configs;
+        runs;
       rounds := times :: !rounds
     done;
-    (* Config order in [seq_configs]: closure, bytecode -O0, -O2, then
-       the native tier when present. *)
+    (* Run order: the interpreter, bytecode -O0, -O2, then the native
+       tier when present. *)
     let ratio i j = median (List.map (fun a -> a.(i) /. a.(j)) !rounds) in
     Hashtbl.replace seq_ratios name (ratio 0 2, ratio 1 2);
     if native_ok then Hashtbl.replace native_ratios name (ratio 2 3);
     best
   in
+  let t_interp = seq_best.(0) in
+  out
+    {
+      kernel = name;
+      engine = "interpreter";
+      policy = None;
+      domains = 1;
+      opt_level = None;
+      iters;
+      time_s = t_interp;
+      speedup_vs_interp = None;
+      speedup_vs_1dom = None;
+      predicted_speedup = None;
+      chunks_dispatched = None;
+      imbalance = None;
+      sync_ops_per_iter = None;
+      note = None;
+      profile = None;
+    };
   let seq_times =
     List.mapi
       (fun i (ename, engine, c, lvl) ->
-        let t_seq = seq_best.(i) in
+        let t_seq = seq_best.(i + 1) in
         out
           {
             kernel = name;
@@ -358,13 +374,16 @@ let bench_kernel ~out ~score ~domain_counts (name, mk) =
      rep), and profiler off again. The off/off-repeat ratio is the
      noise canary [prof_ratios] documents; on/off is the collector's
      price. A profiled run also furnishes the record's profile summary
-     — the same attribution `loopc profile` prints. *)
+     — the same attribution `loopc profile` prints. As in the sequential
+     rounds, each configuration is timed right after one untimed run of
+     itself, so the two off runs never differ by what ran before them. *)
   let t_prof_on =
     let best = Array.make 3 infinity in
     let rounds = ref [] in
     for _ = 1 to 21 do
       let times = Array.make 3 0.0 in
       let timed i f =
+        f ();
         let t0 = now () in
         f ();
         let dt = now () -. t0 in
@@ -523,10 +542,31 @@ let bench_kernels =
 
 (* The CI perf-smoke gates (relative guards — absolute thresholds flake
    on shared runners), both scaled by LOOPC_GATE_FACTOR: each kernel's
-   1-domain bytecode -O2 ns/iter must not exceed the closure engine's by
-   more than 5%, and the -O0/-O2 geomean speedup must reach 1.15x. *)
+   1-domain bytecode -O2 speedup over the interpreter must stay within
+   5% of its floor in [interp_speedup_floors], and the -O0/-O2 geomean
+   speedup must reach 1.15x. *)
 let gate_kernels =
   [ "matmul"; "stencil"; "transpose"; "cond_stencil"; "tri_gather" ]
+
+(* Gate 1's floors: each gate kernel's 1-domain speedup over the
+   interpreter when plan bodies still ran on a staged closure tree — the
+   tier Gate 1 used to time beside the tape. Measured as the gate
+   measures -O2 (median per-round ratio, the interpreter opening each
+   round, the closure tier timed after an untimed run of itself); median
+   of five bench runs on a 2-core Intel Xeon host. The floors are
+   calibrated on that host and are not portable: a host where the
+   interpreter is relatively slower passes with a wide margin, one where
+   it is relatively faster can fail. The gate prints each kernel's
+   margin on every run; LOOPC_GATE_FACTOR relaxes it on slower or
+   noisier runners. *)
+let interp_speedup_floors =
+  [
+    ("matmul", 13.46);
+    ("stencil", 7.42);
+    ("transpose", 7.09);
+    ("cond_stencil", 6.76);
+    ("tri_gather", 12.70);
+  ]
 
 let geomean = function
   | [] -> nan
@@ -702,8 +742,8 @@ let run ?(oversubscribe = false) ?(gate = false) () =
   let records = List.rev !records in
   let oc = open_out "BENCH_runtime.json" in
   Printf.fprintf oc
-    "{\n  \"host_cores\": %d,\n  \"note\": \"engine is interpreter, closure \
-     (staged closure tree), bytecode (flat register tape, strip-mined) or \
+    "{\n  \"host_cores\": %d,\n  \"note\": \"engine is interpreter, \
+     bytecode (flat register tape, strip-mined) or \
      native (the -O2 tape Dynlink-compiled to machine code; rows present \
      only when the host has ocamlopt); \
      opt_level on bytecode rows is the Tapeopt level (0 = raw lowering, 2 = \
@@ -726,8 +766,8 @@ let run ?(oversubscribe = false) ?(gate = false) () =
   close_out oc;
   Printf.printf "wrote BENCH_runtime.json (%d records)\n%!"
     (List.length records);
-  (* Closure-vs-bytecode and -O2-vs-O0 headlines at 1 domain, and the
-     perf gates. LOOPC_GATE_FACTOR > 1 relaxes both thresholds for
+  (* Bytecode-vs-interpreter and -O2-vs-O0 headlines at 1 domain, and
+     the perf gates. LOOPC_GATE_FACTOR > 1 relaxes every threshold for
      noisy shared runners. *)
   let gate_factor =
     match Sys.getenv_opt "LOOPC_GATE_FACTOR" with
@@ -748,14 +788,14 @@ let run ?(oversubscribe = false) ?(gate = false) () =
   let pairs =
     List.filter_map
       (fun (kname, _) ->
-        match (seq_row kname "closure" None, seq_row kname "bytecode" (Some 2)) with
-        | Some c, Some b ->
+        match (seq_row kname "interpreter" None, seq_row kname "bytecode" (Some 2)) with
+        | Some i, Some b ->
             let r =
               match Hashtbl.find_opt seq_ratios kname with
               | Some (r, _) -> r
-              | None -> ns_per_iter c /. ns_per_iter b
+              | None -> ns_per_iter i /. ns_per_iter b
             in
-            Some (kname, ns_per_iter c, ns_per_iter b, r)
+            Some (kname, ns_per_iter i, ns_per_iter b, r)
         | _ -> None)
       kernels
   in
@@ -779,28 +819,27 @@ let run ?(oversubscribe = false) ?(gate = false) () =
     Table.create
       [
         ("kernel", Table.Left);
-        ("closure ns/iter", Table.Right);
+        ("interp ns/iter", Table.Right);
         ("bytecode ns/iter", Table.Right);
         ("speedup", Table.Right);
+        ("gate floor", Table.Right);
       ]
   in
   List.iter
-    (fun (k, c, b, r) ->
+    (fun (k, i, b, r) ->
       Table.add_row st
         [
           k;
-          Table.cell_float ~dec:1 c;
+          Table.cell_float ~dec:1 i;
           Table.cell_float ~dec:1 b;
           Printf.sprintf "%.2fx" r;
+          (match List.assoc_opt k interp_speedup_floors with
+          | Some f -> Printf.sprintf "%.2fx" f
+          | None -> "-");
         ])
     pairs;
-  Printf.printf "\n== bytecode vs closure engine, 1 domain ==\n";
+  Printf.printf "\n== bytecode -O2 vs interpreter, 1 domain ==\n";
   Table.print st;
-  (match pairs with
-  | [] -> ()
-  | _ ->
-      Printf.printf "geomean speedup: %.2fx\n%!"
-        (geomean (List.map (fun (_, _, _, r) -> r) pairs)));
   (* Tapeopt price table: raw lowering (-O0) vs the full pipeline (-O2)
      at 1 domain — printed, and written to BENCH_opt.md so CI can keep
      it as an artifact. *)
@@ -967,24 +1006,38 @@ let run ?(oversubscribe = false) ?(gate = false) () =
           else Some (k, nan, nan, nan))
         gate_kernels
     in
-    (* Gate 1: bytecode -O2 must stay within 5% of the closure tier. *)
-    let closure_thresh = 1.05 *. gate_factor in
+    (* Gate 1: bytecode -O2's speedup over the interpreter must stay
+       within 5% of the kernel's floor. *)
+    let floor_band = 1.05 *. gate_factor in
+    let floor k = List.assoc k interp_speedup_floors /. floor_band in
+    (* The floors are host-calibrated, so print every margin: a margin
+       far above zero on every kernel means the gate barely bites on
+       this host. *)
+    List.iter
+      (fun (k, _, _, r) ->
+        if List.mem k gate_kernels then
+          Printf.printf
+            "perf gate: %s speedup %.2fx, threshold %.2fx, margin %+.0f%%\n%!"
+            k r (floor k)
+            (100.0 *. ((r /. floor k) -. 1.0)))
+      pairs;
     let failures =
-      List.filter (fun (_, _, _, r) -> not (r >= 1.0 /. closure_thresh)) pairs
+      List.filter (fun (k, _, _, r) -> not (r >= floor k)) pairs
       @ missing pairs
     in
     (match failures with
     | [] ->
-        Printf.printf "perf gate: OK (bytecode <= %.2fx closure time)\n%!"
-          closure_thresh
+        Printf.printf
+          "perf gate: OK (bytecode speedup over interp >= floor / %.2f)\n%!"
+          floor_band
     | fs ->
         List.iter
           (fun (k, _, _, r) ->
             Printf.printf
-              "perf gate FAILED: %s closure/bytecode median ratio %.2fx < \
+              "perf gate FAILED: %s interp/bytecode median ratio %.2fx < \
                %.2fx\n\
                %!"
-              k r (1.0 /. closure_thresh))
+              k r (floor k))
           fs;
         exit 1);
     (* Gate 2: the optimizer must pay for itself — geomean -O0/-O2
@@ -1022,12 +1075,11 @@ let run ?(oversubscribe = false) ?(gate = false) () =
        chunk runner are compiled-in twins selected once per run binding,
        so with no collector attached the executor runs the exact
        pre-profiler closures — two identical off configurations must
-       agree within the same relative band the closure gate uses. A
-       genuine off-path slowdown would also trip the bytecode-vs-closure
-       gate above; this canary certifies the rounds were quiet enough
-       for that verdict to mean something. *)
+       agree within Gate 1's relative band. A genuine off-path slowdown
+       would also trip Gate 1 above; this canary certifies the rounds
+       were quiet enough for that verdict to mean something. *)
     (* Search gates. Never-slower: the winner's median ratio must stay
-       within the same relative band the closure gate uses — the
+       within Gate 1's relative band — the
        identity recipe is always a search survivor and ties go to the
        baseline, so a slower winner means the scorer ranked candidates
        backwards. Win-count: the searcher must actually find speedups,

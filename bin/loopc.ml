@@ -670,25 +670,23 @@ let emit_c_cmd =
 
 (* ---------- run (compiled runtime) ---------- *)
 
-type run_engine = Interp | Closure | Bytecode | Native
+type run_engine = Interp | Bytecode | Native
 
 let run_engine_name = function
   | Interp -> "interp"
-  | Closure -> "closure"
   | Bytecode -> "bytecode"
   | Native -> "native"
 
 let engine_conv =
   let parse = function
     | "interp" -> Ok Interp
-    | "closure" -> Ok Closure
     | "bytecode" -> Ok Bytecode
     | "native" -> Ok Native
     | s ->
         Error
           (`Msg
              (Printf.sprintf
-                "unknown engine %S (interp|closure|bytecode|native)" s))
+                "unknown engine %S (interp|bytecode|native)" s))
   in
   Arg.conv (parse, fun fmt e -> Format.pp_print_string fmt (run_engine_name e))
 
@@ -728,7 +726,6 @@ let search_measure ~engine ~domains ~policy p' =
   | exception _ -> infinity
 
 let exec_engine_of = function
-  | Closure -> Some L.Runtime.Exec.Closure
   | Bytecode -> Some L.Runtime.Exec.Bytecode
   | Native -> Some L.Runtime.Exec.Native
   | Interp -> None
@@ -822,8 +819,7 @@ let run_cmd =
              a flat register tape with strip-mined unchecked inner loops, \
              $(b,native) compiles the same tapes to OCaml machine code \
              out of process and Dynlinks the result (per-plan fallback \
-             to bytecode when no toolchain is present), $(b,closure) \
-             calls the staged closure tree once per iteration, \
+             to bytecode when no toolchain is present), \
              $(b,interp) uses the sequential reference interpreter \
              (incompatible with $(b,--parallel), $(b,--trace), \
              $(b,--metrics) and $(b,--sanitize)).")
@@ -1017,10 +1013,9 @@ let run_cmd =
               print_endline
                 (L.Report.time_line ~engine:"interp" ~domains:1
                    ~policy:(L.Policy.name policy) ~wall_s:elapsed))
-    | (Closure | Bytecode | Native) as eng -> (
+    | (Bytecode | Native) as eng -> (
     let exec_engine =
       match eng with
-      | Closure -> L.Runtime.Exec.Closure
       | Native -> L.Runtime.Exec.Native
       | _ -> L.Runtime.Exec.Bytecode
     in
@@ -1328,7 +1323,7 @@ let run_cmd =
           sequentially, or with $(b,--parallel) across OCaml domains \
           under a real scheduling policy (static block/cyclic, \
           self-scheduling via atomic fetch-and-add, GSS, factoring, \
-          trapezoid). $(b,--engine) $(i,interp|closure|bytecode|native) \
+          trapezoid). $(b,--engine) $(i,interp|bytecode|native) \
           picks the execution tier (default $(b,bytecode): flat register \
           tape, tuned by $(b,--opt-level) $(i,0|1|2) and reused across \
           invocations via a persistent plan cache unless \
@@ -1434,7 +1429,7 @@ let tune_cmd =
               | None ->
                   Printf.eprintf
                     "error: --measure needs a compiled engine \
-                     (closure|bytecode|native)\n";
+                     (bytecode|native)\n";
                   exit 1
               | Some eng ->
                   ( L.Search.Measure k,
@@ -2125,25 +2120,20 @@ let check_cmd =
                       | [] ->
                           Printf.eprintf "error: --mutate %s: %s\n" kind
                             (Option.value last
-                               ~default:
-                                 "no plan lowered to the bytecode tier");
+                               ~default:"the program has no parallel plan");
                           exit 2
                       | t :: rest -> (
                           match apply_mutation kind t with
                           | Ok () -> ()
                           | Error m -> try_tapes (Some m) rest)
                     in
-                    try_tapes None
-                      (List.filter_map (fun pl -> pl.C.tape) plans);
+                    try_tapes None (List.map (fun pl -> pl.C.tape) plans);
                     List.iteri
                       (fun i pl ->
-                        match pl.C.tape with
-                        | Some t ->
-                            collected :=
-                              !collected
-                              @ L.Runtime.Tapecheck.check_entry
-                                  ~region:(i + 1) t
-                        | None -> ())
+                        collected :=
+                          !collected
+                          @ L.Runtime.Tapecheck.check_entry ~region:(i + 1)
+                              pl.C.tape)
                       plans);
                 let regions =
                   List.mapi
@@ -2154,10 +2144,7 @@ let check_cmd =
                       in
                       {
                         L.Diag.ri_ordinal = i + 1;
-                        ri_label =
-                          (match pl.C.tape with
-                          | Some _ -> "doall " ^ names
-                          | None -> "doall " ^ names ^ ", closure tier");
+                        ri_label = "doall " ^ names;
                         ri_iters = None;
                       })
                     plans

@@ -1,7 +1,7 @@
 (* Bytecode tier: staged plan bodies lowered to a flat register tape.
 
-   The tape is a linear [instr array] over the same register files the
-   closure tier uses (the environment's [ints]/[reals] slot arrays), so
+   The tape is a linear [instr array] over the register files of the
+   compiled program's environment (its [ints]/[reals] slot arrays), so
    reductions, scalar privatization and the executor's adoption/merge
    logic work unchanged. Control flow is absolute jumps; expression
    trees become three-address instructions over fresh temporary
@@ -281,11 +281,13 @@ let n_instrs t = Array.length t.tp_ops
 let n_accesses t = Array.length t.tp_accs
 
 
-(* ---------- lowering ---------- *)
+(* ---------- lowering ----------
 
-exception Unsupported
+   Lowering is total: a body it rejects is a static error ([Error], with
+   the message the reference interpreter's type rules give), never a
+   fallback. *)
 
-type binding = Bint of int | Breal of int
+type binding = Bint of int | Breal of int | Bindex of int
 
 type array_ref = {
   ba_slot : int;
@@ -424,7 +426,9 @@ let to_real st = function
         d
       end
 
-let to_int = function Xi v -> v | Xr _ -> raise Unsupported
+let to_int what = function
+  | Xi v -> v
+  | Xr _ -> error "%s: expected an integer value" what
 
 (* Move [src] into [dst] — retargeting the just-emitted producer of
    [src] instead when [src] is its single-use destination temporary.
@@ -543,12 +547,17 @@ let plan_level st v =
   in
   go 0
 
-let make_access st aname (subs : ival list) =
+(* Register the access [aname[subs]] (subscripts already lowered) and
+   return its id. The array is resolved, and then the subscripts checked
+   for arity and kind, only after every subscript lowered. *)
+let make_access st aname (subs : xval list) =
   match st.arr aname with
-  | None -> raise Unsupported
+  | None -> error "unbound array %s" aname
   | Some info ->
-      if List.length subs <> Array.length info.ba_dims then raise Unsupported;
-      let subs = Array.of_list subs in
+      if List.length subs <> Array.length info.ba_dims then
+        error "array %s: %d subscripts for %d dimensions" aname
+          (List.length subs) (Array.length info.ba_dims);
+      let subs = Array.of_list (List.map (to_int "subscript") subs) in
       let off = ref (aff_const (-Array.fold_left ( + ) 0 info.ba_strides)) in
       Array.iteri
         (fun k v -> off := aff_add !off (aff_scale info.ba_strides.(k) v.va))
@@ -577,7 +586,7 @@ let rec lower_expr st (e : Ast.expr) : xval =
           | Some k -> Xi { va = aff_reg st.plan_slots.(k); vr = Rplan k }
           | None -> (
               match st.lookup v with
-              | Some (Bint s) ->
+              | Some (Bint s | Bindex s) ->
                   let vr =
                     if List.mem v st.assigned || Hashtbl.mem st.written s then
                       Rux
@@ -585,7 +594,7 @@ let rec lower_expr st (e : Ast.expr) : xval =
                   in
                   Xi { va = aff_reg s; vr }
               | Some (Breal s) -> Xr s
-              | None -> raise Unsupported)))
+              | None -> error "unbound variable %s" v)))
   | Neg a -> (
       match lower_expr st a with
       | Xi v -> Xi { va = aff_scale (-1) v.va; vr = r_scale (-1) v.vr }
@@ -601,8 +610,7 @@ let rec lower_expr st (e : Ast.expr) : xval =
       with
       | Some (_, _, r) -> Xr r
       | None ->
-          let subs = List.map (fun s -> to_int (lower_expr st s)) subs in
-          let id = make_access st a subs in
+          let id = make_access st a (List.map (lower_expr st) subs) in
           let d = st.fresh_r () in
           emit st (Fload (d, id));
           Xr d)
@@ -655,7 +663,8 @@ and lower_bin st (op : Ast.binop) xa xb : xval =
   | Div, Xi a, Xi b -> int3 (fun d x y -> Idiv (d, x, y)) Rux a b
   | Mod, Xi a, Xi b -> int3 (fun d x y -> Imod (d, x, y)) Rux a b
   | Cdiv, Xi a, Xi b -> int3 (fun d x y -> Icdiv (d, x, y)) Rux a b
-  | (Mod | Cdiv), _, _ -> raise Unsupported
+  | Mod, _, _ -> error "mod: expected an integer value"
+  | Cdiv, _, _ -> error "ceildiv: expected an integer value"
   | Add, _, _ -> fuse_mac ~add:true
   | Sub, _, _ -> fuse_mac ~add:false
   | Mul, _, _ -> flt2 (fun d x y -> Fmul (d, x, y))
@@ -665,8 +674,8 @@ and lower_bin st (op : Ast.binop) xa xb : xval =
 
 (* Lower a condition to branch chains. Returns the positions of pending
    jumps taken when the condition is true resp. false; both lists must
-   be patched by the caller. Short-circuit order matches the closure
-   tier. *)
+   be patched by the caller. Short-circuit order matches the
+   interpreter's. *)
 let rec lower_cond st (c : Ast.cond) : int list * int list =
   match c with
   | True ->
@@ -707,17 +716,16 @@ let rec lower_stmt st (s : Ast.stmt) =
   match s with
   | Assign (Scalar v, e) -> (
       set_tag st (v ^ " =");
-      if List.mem_assoc v st.scope || plan_level st v <> None then
-        raise Unsupported;
       match st.lookup v with
-      | Some (Bint slot) -> (
-          match lower_expr st e with
-          | Xi iv -> emit st (Iaff (slot, iv.va))
-          | Xr _ -> raise Unsupported)
-      | Some (Breal slot) ->
-          let r = to_real st (lower_expr st e) in
-          emit_mov st slot r
-      | None -> raise Unsupported)
+      | Some (Bindex _) -> error "cannot assign to loop index %s" v
+      | _ when List.mem_assoc v st.scope || plan_level st v <> None ->
+          error "cannot assign to loop index %s" v
+      | target -> (
+          match (target, lower_expr st e) with
+          | Some (Bint slot), Xi iv -> emit st (Iaff (slot, iv.va))
+          | Some (Bint _), Xr _ -> error "assigning real to int scalar %s" v
+          | Some (Breal slot), x -> emit_mov st slot (to_real st x)
+          | _ -> error "unbound scalar %s" v))
   | Assign (Elem (a, subs), e) -> (
       set_tag st (a ^ "[] =");
       match
@@ -729,8 +737,15 @@ let rec lower_stmt st (s : Ast.stmt) =
           let r = to_real st (lower_expr st e) in
           emit_mov st reg r
       | None ->
-          let subs = List.map (fun x -> to_int (lower_expr st x)) subs in
-          let id = make_access st a subs in
+          (* The target's code comes first, but a static error in the
+             stored value takes precedence over one in the target. *)
+          let id =
+            match make_access st a (List.map (lower_expr st) subs) with
+            | id -> id
+            | exception (Error _ as target_error) ->
+                ignore (lower_expr st e : xval);
+                raise target_error
+          in
           let r = to_real st (lower_expr st e) in
           emit st (Fstore (r, id)))
   | If (c, t, []) ->
@@ -757,12 +772,12 @@ and lower_serial_loop st (l : Ast.loop) =
      enclosing path; the body — and the back edge, which runs once per
      iteration — to the extended path. *)
   set_tag st ("for " ^ l.index);
-  let lo = to_int (lower_expr st l.lo) in
-  let hi = to_int (lower_expr st l.hi) in
-  let step = to_int (lower_expr st l.step) in
+  let lo = to_int "loop bound" (lower_expr st l.lo) in
+  let hi = to_int "loop bound" (lower_expr st l.hi) in
+  let step = to_int "loop step" (lower_expr st l.step) in
   let ri = st.fresh_i () in
   emit st (Iaff (ri, lo.va));
-  (* Snapshot the bound and step once per entry, like the closure tier:
+  (* Snapshot the bound and step once per entry, like the interpreter:
      the body may mutate scalars they read. *)
   let rh = st.fresh_i () in
   emit st (Iaff (rh, hi.va));
@@ -786,7 +801,9 @@ and lower_serial_loop st (l : Ast.loop) =
      stores loads once here — after the trip-count guard, so a
      zero-trip loop touches nothing — lives in a register for the whole
      loop, and stores back once past the back edge. Skipped on
-     sanitized tapes, which keep the per-iteration shadow protocol. *)
+     sanitized tapes, which keep the per-iteration shadow protocol. An
+     element whose reference is statically wrong is not promoted: its
+     store reports the error in statement order. *)
   let promos =
     if st.sanitize then []
     else
@@ -794,14 +811,14 @@ and lower_serial_loop st (l : Ast.loop) =
         (fun (a, subs) ->
           if List.exists (fun (a', _, _) -> String.equal a a') st.promo then
             None
-          else begin
-            let lowered = List.map (fun x -> to_int (lower_expr st x)) subs in
-            let id = make_access st a lowered in
-            let r = st.fresh_r () in
-            Hashtbl.replace st.pinned r ();
-            emit st (Fload (r, id));
-            Some (a, subs, r, id)
-          end)
+          else
+            match make_access st a (List.map (lower_expr st) subs) with
+            | exception Error _ -> None
+            | id ->
+                let r = st.fresh_r () in
+                Hashtbl.replace st.pinned r ();
+                emit st (Fload (r, id));
+                Some (a, subs, r, id))
         (promotable l)
   in
   st.promo <- List.map (fun (a, s, r, _) -> (a, s, r)) promos @ st.promo;
@@ -823,7 +840,7 @@ and lower_serial_loop st (l : Ast.loop) =
 and lower_block st (b : Ast.block) = List.iter (lower_stmt st) b
 
 let lower ~lookup ~array_ref ~fresh_int ~fresh_real ~assigned ~plan_names
-    ~plan_slots ~sanitize (body : Ast.block) : tape option =
+    ~plan_slots ~sanitize (body : Ast.block) : tape =
   let root = String.concat "." (Array.to_list plan_names) in
   let st =
     {
@@ -857,61 +874,57 @@ let lower ~lookup ~array_ref ~fresh_int ~fresh_real ~assigned ~plan_names
      prologue, optimizer-hoisted ops) and anything else not attributed
      to a specific statement. *)
   ignore (intern_tag st root "strip" : int);
-  match lower_block st body with
-  | exception Unsupported -> None
-  | () ->
-      let jj = plan_slots.(Array.length plan_slots - 1) in
-      let finish (ra : raw_access) =
-        (* Split the flat offset: terms over registers the tape never
-           writes and that are not the strip index are constant for a
-           whole strip. *)
-        let inv = ref [] and var = ref [] in
-        Array.iteri
-          (fun m r ->
-            let t = (ra.ra_off.coefs.(m), r) in
-            if r = jj || Hashtbl.mem st.written r then var := t :: !var
-            else inv := t :: !inv)
-          ra.ra_off.regs;
-        let ac_var = aff_make 0 !var in
-        let ac_vk =
-          match Array.length ac_var.regs with
-          | 0 -> V0
-          | 1 -> V1 (ac_var.coefs.(0), ac_var.regs.(0))
-          | 2 ->
-              V2
-                ( ac_var.coefs.(0),
-                  ac_var.regs.(0),
-                  ac_var.coefs.(1),
-                  ac_var.regs.(1) )
-          | _ -> Vn
-        in
-        {
-          ac_slot = ra.ra_ref.ba_slot;
-          ac_name = ra.ra_ref.ba_name;
-          ac_dims = ra.ra_ref.ba_dims;
-          ac_strides = ra.ra_ref.ba_strides;
-          ac_subs = ra.ra_subs;
-          ac_rngs = ra.ra_rngs;
-          ac_inv = aff_make ra.ra_off.base !inv;
-          ac_var;
-          ac_vk;
-        }
-      in
-      let pre = Array.of_list (List.rev st.pre) in
-      Some
-        {
-          tp_pre = pre;
-          tp_ops = Array.sub st.code 0 st.len;
-          tp_unrolled = None;
-          tp_accs =
-            Array.map finish (Array.of_list (List.rev st.raccs));
-          tp_nstreams = 0;
-          tp_sanitize = sanitize;
-          tp_src = Array.sub st.srcs 0 st.len;
-          tp_pre_src = Array.make (Array.length pre) 0;
-          tp_unrolled_src = None;
-          tp_tags = Array.of_list (List.rev st.tag_list);
-        }
+  lower_block st body;
+  let jj = plan_slots.(Array.length plan_slots - 1) in
+  let finish (ra : raw_access) =
+    (* Split the flat offset: terms over registers the tape never
+       writes and that are not the strip index are constant for a
+       whole strip. *)
+    let inv = ref [] and var = ref [] in
+    Array.iteri
+      (fun m r ->
+        let t = (ra.ra_off.coefs.(m), r) in
+        if r = jj || Hashtbl.mem st.written r then var := t :: !var
+        else inv := t :: !inv)
+      ra.ra_off.regs;
+    let ac_var = aff_make 0 !var in
+    let ac_vk =
+      match Array.length ac_var.regs with
+      | 0 -> V0
+      | 1 -> V1 (ac_var.coefs.(0), ac_var.regs.(0))
+      | 2 ->
+          V2
+            ( ac_var.coefs.(0),
+              ac_var.regs.(0),
+              ac_var.coefs.(1),
+              ac_var.regs.(1) )
+      | _ -> Vn
+    in
+    {
+      ac_slot = ra.ra_ref.ba_slot;
+      ac_name = ra.ra_ref.ba_name;
+      ac_dims = ra.ra_ref.ba_dims;
+      ac_strides = ra.ra_ref.ba_strides;
+      ac_subs = ra.ra_subs;
+      ac_rngs = ra.ra_rngs;
+      ac_inv = aff_make ra.ra_off.base !inv;
+      ac_var;
+      ac_vk;
+    }
+  in
+  let pre = Array.of_list (List.rev st.pre) in
+  {
+    tp_pre = pre;
+    tp_ops = Array.sub st.code 0 st.len;
+    tp_unrolled = None;
+    tp_accs = Array.map finish (Array.of_list (List.rev st.raccs));
+    tp_nstreams = 0;
+    tp_sanitize = sanitize;
+    tp_src = Array.sub st.srcs 0 st.len;
+    tp_pre_src = Array.make (Array.length pre) 0;
+    tp_unrolled_src = None;
+    tp_tags = Array.of_list (List.rev st.tag_list);
+  }
 
 (* ---------- per-fork preparation ---------- *)
 

@@ -1,22 +1,17 @@
-(** Bytecode execution tier: staged bodies lowered to a flat register
+(** Bytecode execution tier: plan bodies lowered to a flat register
     tape, strip-mined over the innermost coalesced digit.
 
-    The closure tier ({!Compile}) removes name resolution and boxing but
-    still pays an OCaml closure call per expression node, re-derives
-    every subscript from the odometer state, and bounds-checks every
-    access on every iteration. This module lowers the same staged body
-    one level further, into a linear array of register-machine
-    instructions — int and float register files, array operations
-    carrying precomputed row-major strides — executed by a tight
-    dispatch loop with no closures on the hot path.
-
-    Three optimizations the closure tier cannot express:
+    {!lower} turns a coalesced plan body into a linear array of
+    register-machine instructions — int and float register files, array
+    operations carrying precomputed row-major strides — executed by a
+    tight dispatch loop with no closures on the hot path. Three
+    optimizations make it fast:
 
     - {b strip mining}: the executor decomposes each schedule chunk into
       maximal runs over the innermost coalesced digit and executes each
       run as one strip: the inner index advances by a constant
       increment, with no odometer carry and no div/mod, and the
-      sanitizer [iter_id] is one base plus the in-strip offset;
+      sanitizer iteration id is one base plus the in-strip offset;
     - {b invariant hoisting}: every access's flat offset is split into a
       strip-invariant affine part (outer indexes, unmodified scalars),
       evaluated once per strip into a scratch register, and a variant
@@ -30,20 +25,22 @@
       unsafe path: every access runs checked and drives the
       {!Sanitize} shadow cells with its iteration id.
 
-    Lowering is total on the staged subset or it is nothing: any
-    construct the tape cannot express makes {!lower} return [None] and
-    the plan keeps executing on the closure tier. *)
+    Lowering is total: every plan body runs on a tape (or on native code
+    generated from it), and a body the tape rejects is a static error. *)
 
 open Loopcoal_ir
 
 exception Error of string
-(** Runtime faults on the tape (bounds, zero division, non-positive
-    steps), with messages identical to the closure tier's
-    [Compile.Error]. The executor re-raises them as [Compile.Error]. *)
+(** Static errors from {!lower} (unbound names, int/real mismatches,
+    assignment to a loop index) and runtime faults on the tape (bounds,
+    zero division, non-positive steps), with messages identical to
+    [Compile.Error]'s. The compiler and the executor re-raise them as
+    [Compile.Error]. *)
 
 (** How the host compiler resolves a free name: an int or float register
-    (= scalar slot) in the shared environment. *)
-type binding = Bint of int | Breal of int
+    (= scalar slot) in the shared environment, or the int register of an
+    enclosing loop's index, which the body may read but not assign. *)
+type binding = Bint of int | Breal of int | Bindex of int
 
 type array_ref = {
   ba_slot : int;
@@ -220,14 +217,16 @@ val lower :
   plan_slots:int array ->
   sanitize:bool ->
   Ast.block ->
-  tape option
+  tape
 (** Lower a coalesced plan body. [plan_names]/[plan_slots] are the
     flattened nest's indexes, outer first; the last slot is the strip
     index. [lookup] resolves free names exactly as the staging compiler
     scoped them; [assigned] lists scalars the body assigns (their values
     cannot participate in range analysis). [fresh_int]/[fresh_real]
-    allocate temporary registers from the host register files. Returns
-    [None] when some construct cannot be expressed on the tape. *)
+    allocate temporary registers from the host register files. Raises
+    {!exception:Error} on a statically ill-typed body: the first fault in
+    evaluation order (an expression's right operand before its left, a
+    stored value before its target), with the interpreter's message. *)
 
 val sanitized : tape -> bool
 val n_instrs : tape -> int

@@ -1,4 +1,5 @@
-(* Staging compiler: AST -> closure tree.
+(* Staging compiler: AST -> closure tree for serial code, tapes for plan
+   bodies.
 
    The reference interpreter ([Loopcoal_ir.Eval]) re-resolves every name
    through hash tables, walks subscript lists with folds, and boxes every
@@ -17,9 +18,11 @@
    - a [For] loop annotated [Parallel] that is not already inside a
      parallel region is compiled to a {!plan}: the maximal rectangular
      perfectly-nested parallel prefix is flattened into one coalesced
-     iteration space, executed through the [env]'s [fork] hook. The
+     iteration space whose body is lowered to a bytecode tape
+     ({!Bytecode.lower}), executed through the [env]'s [fork] hook. The
      executor ([Exec]) decides whether a plan runs sequentially or
-     across domains.
+     across domains. Only the serial code around the plans stays a
+     closure tree.
 
    Bounds checks and the interpreter's runtime error conditions
    (division by zero, non-positive steps, subscripts out of range) are
@@ -47,10 +50,8 @@ type env = {
   ints : int array;  (** loop indexes and integer scalars *)
   reals : float array;  (** real scalars *)
   arrays : float array array;  (** shared array data, one slot per decl *)
-  mutable fork : plan -> env -> unit;
+  fork : plan -> env -> unit;
       (** how to execute a parallel plan encountered in this context *)
-  mutable iter_id : int;
-      (** coalesced iteration currently executing, 0 outside forks *)
   shadow : Sanitize.t option;
       (** race-sanitizer shadow state, shared across clones *)
 }
@@ -62,12 +63,10 @@ and plan = {
   lo_x : (env -> int) array;  (** per-level lower bounds *)
   hi_x : (env -> int) array;  (** per-level upper bounds (inclusive) *)
   step_x : env -> int;  (** outermost step; inner levels are unit-step *)
-  body : env -> unit;  (** one iteration; index slots already set *)
   reductions : red array;
-  tape : Bytecode.tape option;
-      (** the body lowered to the bytecode tier, when expressible; the
-          executor's bytecode engine dispatches strips over it and falls
-          back to [body] when [None] *)
+  tape : Bytecode.tape;
+      (** the body lowered to the bytecode tier: the executor dispatches
+          strips over it *)
   mutable native : Natapi.runner option;
       (** Natgen's Dynlink-loaded strip runner, attached after the fact;
           the native engine falls back to the tape when [None] *)
@@ -99,7 +98,8 @@ and fork_state = {
   fs_hi : int array;  (** scratch: attained hi per level *)
   mutable fs_prep : Bytecode.prep option;  (** the proof on record *)
   mutable fs_all_unsafe : bool;  (** every access of [fs_prep] unchecked *)
-  mutable fs_mode : fork_mode;  (** the running fork's engine decision *)
+  mutable fs_mode : fork_mode option;
+      (** the running fork's engine decision; [None] before the first *)
   mutable fs_seq_key : Loopcoal_sched.Policy.t * int * int;
       (** policy, n and p of [fs_seq] *)
   mutable fs_seq : (int * int) array;  (** dynamic policy's chunk sequence *)
@@ -112,7 +112,6 @@ and fork_state = {
 }
 
 and fork_mode =
-  | Fork_closure
   | Fork_tape of Bytecode.prep
   | Fork_native of Natapi.runner
 
@@ -159,16 +158,16 @@ type ctx = {
   mutable n_ints : int;
   mutable n_reals : int;
   mutable plans : plan list;  (** compiled parallel plans, reversed *)
-  sanitize : bool;  (** instrument array accesses with shadow-cell hooks *)
+  sanitize : bool;  (** lower tapes that drive the shadow cells *)
   opt_level : int;  (** tape optimizer level (0 = lowering output) *)
   tape_dump : (plan:int -> pass:string -> Bytecode.tape -> unit) option;
       (** per-pass observer threaded into {!Tapeopt.optimize} *)
   validate :
     (plan:int -> pass:string -> Loopcoal_verify.Diag.t list -> unit) option;
       (** per-pass {!Tapecheck} observer; receives each pass's findings *)
-  mutable tape_reuse : (Bytecode.tape option * int * int) list option;
+  mutable tape_reuse : (Bytecode.tape * int * int) list option;
       (** plan-cache hit: per-plan tapes + register deltas to replay *)
-  mutable tape_log : (Bytecode.tape option * int * int) list;
+  mutable tape_log : (Bytecode.tape * int * int) list;
       (** what this compile lowered, reversed — stored on a cache miss *)
 }
 
@@ -192,54 +191,9 @@ let to_r = function
   | R f -> f
   | I f -> fun env -> float_of_int (f env)
 
-(* Bounds-checked flat element offset of a reference, as a closure. Used
-   by the sanitizer instrumentation, which needs the offset by itself
-   before touching the data array. *)
-let offset_closure info a subs : iexp =
-  let oob s d = error "array %s: subscript %d out of bounds 1..%d" a s d in
-  match (subs, info.a_dims) with
-  | [ s1 ], [| d1 |] ->
-      fun env ->
-        let i1 = s1 env in
-        if i1 < 1 || i1 > d1 then oob i1 d1;
-        i1 - 1
-  | [ s1; s2 ], [| d1; d2 |] ->
-      fun env ->
-        let i1 = s1 env in
-        if i1 < 1 || i1 > d1 then oob i1 d1;
-        let i2 = s2 env in
-        if i2 < 1 || i2 > d2 then oob i2 d2;
-        ((i1 - 1) * d2) + (i2 - 1)
-  | subs, dims ->
-      let subs = Array.of_list subs in
-      let strides = info.a_strides in
-      fun env ->
-        let off = ref 0 in
-        for k = 0 to Array.length subs - 1 do
-          let s = subs.(k) env in
-          if s < 1 || s > dims.(k) then oob s dims.(k);
-          off := !off + ((s - 1) * strides.(k))
-        done;
-        !off
-
 let compile_load ctx a subs_c : rexp =
   match Hashtbl.find_opt ctx.arr_tbl a with
   | None -> error "unbound array %s" a
-  | Some info when ctx.sanitize ->
-      if List.length subs_c <> Array.length info.a_dims then
-        error "array %s: %d subscripts for %d dimensions" a
-          (List.length subs_c)
-          (Array.length info.a_dims);
-      let subs = List.map (to_i "subscript") subs_c in
-      let slot = info.a_slot in
-      let off = offset_closure info a subs in
-      fun env ->
-        let o = off env in
-        (match env.shadow with
-        | Some sh when env.iter_id > 0 ->
-            Sanitize.on_read sh ~slot ~off:o ~iter:env.iter_id
-        | _ -> ());
-        env.arrays.(slot).(o)
   | Some info ->
       if List.length subs_c <> Array.length info.a_dims then
         error "array %s: %d subscripts for %d dimensions" a
@@ -276,22 +230,6 @@ let compile_load ctx a subs_c : rexp =
 let compile_store ctx a subs_c (value : rexp) : code =
   match Hashtbl.find_opt ctx.arr_tbl a with
   | None -> error "unbound array %s" a
-  | Some info when ctx.sanitize ->
-      if List.length subs_c <> Array.length info.a_dims then
-        error "array %s: %d subscripts for %d dimensions" a
-          (List.length subs_c)
-          (Array.length info.a_dims);
-      let subs = List.map (to_i "subscript") subs_c in
-      let slot = info.a_slot in
-      let off = offset_closure info a subs in
-      fun env ->
-        let o = off env in
-        let v = value env in
-        (match env.shadow with
-        | Some sh when env.iter_id > 0 ->
-            Sanitize.on_write sh ~slot ~off:o ~iter:env.iter_id
-        | _ -> ());
-        env.arrays.(slot).(o) <- v
   | Some info ->
       if List.length subs_c <> Array.length info.a_dims then
         error "array %s: %d subscripts for %d dimensions" a
@@ -451,7 +389,7 @@ let rec assigned_scalars (b : Ast.block) =
       | For l -> assigned_scalars l.body)
     b
 
-let rec compile_stmt ctx ~in_par (s : Ast.stmt) : code =
+let rec compile_stmt ctx (s : Ast.stmt) : code =
   match s with
   | Assign (Scalar v, e) -> (
       if List.mem_assoc v ctx.scope then
@@ -472,20 +410,20 @@ let rec compile_stmt ctx ~in_par (s : Ast.stmt) : code =
         (to_r (compile_expr ctx e))
   | If (c, t, f) ->
       let fc = compile_cond ctx c in
-      let ft = compile_block ctx ~in_par t in
-      let ff = compile_block ctx ~in_par f in
+      let ft = compile_block ctx t in
+      let ff = compile_block ctx f in
       fun env -> if fc env then ft env else ff env
-  | For l when (not in_par) && l.par = Parallel -> compile_parallel_nest ctx l
-  | For l -> compile_serial_loop ctx ~in_par l
+  | For l when l.par = Parallel -> compile_parallel_nest ctx l
+  | For l -> compile_serial_loop ctx l
 
-and compile_serial_loop ctx ~in_par (l : Ast.loop) : code =
+and compile_serial_loop ctx (l : Ast.loop) : code =
   let flo = to_i "loop bound" (compile_expr ctx l.lo) in
   let fhi = to_i "loop bound" (compile_expr ctx l.hi) in
   let fstep = to_i "loop step" (compile_expr ctx l.step) in
   let slot = fresh_int ctx in
   let saved = ctx.scope in
   ctx.scope <- (l.index, slot) :: saved;
-  let body = compile_block ctx ~in_par l.body in
+  let body = compile_block ctx l.body in
   ctx.scope <- saved;
   let index = l.index in
   fun env ->
@@ -549,7 +487,6 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
         slot)
       index_names
   in
-  let body = compile_block ctx ~in_par:true inner_body in
   (* Recognized scalar reductions in the flattened body get per-domain
      partial results and an ordered merge in the executor. *)
   let reductions =
@@ -577,12 +514,13 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
              | None -> None)
     |> Array.of_list
   in
-  (* Lower the same body to the bytecode tier while the nest indexes are
-     still in scope. Names resolve exactly as the closure compile did;
-     temporaries come from the same slot counters, so [make_env] sizes
-     the register files for both tiers. On a plan-cache hit the stored
-     tape and its register-counter deltas are replayed instead, which
-     reproduces the cold compile's numbering exactly. *)
+  (* Lower the body to a tape while the nest indexes are still in scope:
+     names resolve as in the serial code around it, and temporaries come
+     from the same slot counters, so [make_env] sizes one set of register
+     files for both. Lowering's static errors are staging errors. On a
+     plan-cache hit the stored tape and its register-counter deltas are
+     replayed instead, which reproduces the cold compile's numbering
+     exactly. *)
   let tape =
     match ctx.tape_reuse with
     | Some ((t, d_ints, d_reals) :: rest) ->
@@ -595,7 +533,7 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
         let scope_now = ctx.scope in
         let lookup v =
           match List.assoc_opt v scope_now with
-          | Some s -> Some (Bytecode.Bint s)
+          | Some s -> Some (Bytecode.Bindex s)
           | None -> (
               match Hashtbl.find_opt ctx.sc_tbl v with
               | Some (Si s) -> Some (Bytecode.Bint s)
@@ -615,12 +553,14 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
         in
         let t =
           Registry.time h_lower_ns (fun () ->
-              Bytecode.lower ~lookup ~array_ref
-                ~fresh_int:(fun () -> fresh_int ctx)
-                ~fresh_real:(fun () -> fresh_real ctx)
-                ~assigned:(assigned_scalars inner_body)
-                ~plan_names:index_names ~plan_slots:index_slots
-                ~sanitize:ctx.sanitize inner_body)
+              try
+                Bytecode.lower ~lookup ~array_ref
+                  ~fresh_int:(fun () -> fresh_int ctx)
+                  ~fresh_real:(fun () -> fresh_real ctx)
+                  ~assigned:(assigned_scalars inner_body)
+                  ~plan_names:index_names ~plan_slots:index_slots
+                  ~sanitize:ctx.sanitize inner_body
+              with Bytecode.Error m -> raise (Error m))
         in
         let plan_ord = List.length ctx.plans in
         let user_dump =
@@ -659,11 +599,10 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
         in
         let t =
           Registry.time h_opt_ns (fun () ->
-              Option.map
-                (Tapeopt.optimize ?dump ~level:ctx.opt_level
-                   ~jslot:index_slots.(depth - 1) ~int_base ~real_base
-                   ~fresh_int:(fun () -> fresh_int ctx)
-                   ~fresh_real:(fun () -> fresh_real ctx))
+              Tapeopt.optimize ?dump ~level:ctx.opt_level
+                ~jslot:index_slots.(depth - 1) ~int_base ~real_base
+                ~fresh_int:(fun () -> fresh_int ctx)
+                ~fresh_real:(fun () -> fresh_real ctx)
                 t)
         in
         ctx.tape_log <-
@@ -679,7 +618,6 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
       lo_x;
       hi_x;
       step_x;
-      body;
       reductions;
       tape;
       native = None;
@@ -689,8 +627,8 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
   ctx.plans <- plan :: ctx.plans;
   fun env -> env.fork plan env
 
-and compile_block ctx ~in_par (b : Ast.block) : code =
-  seq (List.map (compile_stmt ctx ~in_par) b)
+and compile_block ctx (b : Ast.block) : code =
+  seq (List.map (compile_stmt ctx) b)
 
 (* ---------- program compilation ---------- *)
 
@@ -728,11 +666,8 @@ let compile ?(sanitize = false) ?(opt_level = 2) ?cache ?(cache_salt = "")
               let bad = ref false in
               List.iteri
                 (fun i (t, _, _) ->
-                  match t with
-                  | Some t ->
-                      if Tapecheck.check_entry ~region:(i + 1) t <> [] then
-                        bad := true
-                  | None -> ())
+                  if Tapecheck.check_entry ~region:(i + 1) t <> [] then
+                    bad := true)
                 e.e_plans;
               if !bad then begin
                 Plancache.reject c k;
@@ -792,7 +727,7 @@ let compile ?(sanitize = false) ?(opt_level = 2) ?cache ?(cache_salt = "")
           real_init := (slot, s.sc_init) :: !real_init;
           Hashtbl.add ctx.sc_tbl s.sc_name (Sr slot))
     p.scalars;
-  let prog_code = compile_block ctx ~in_par:false p.body in
+  let prog_code = compile_block ctx p.body in
   (match (cache_key, cached) with
   | Some (c, k), None ->
       Plancache.store c k { Plancache.e_plans = List.rev ctx.tape_log }
@@ -842,7 +777,6 @@ let make_env ?(array_init = 0.0) ?shadow t ~fork =
       arrays =
         Array.map (fun (_, _, size) -> Array.make size array_init) t.array_decls;
       fork;
-      iter_id = 0;
       shadow;
     }
   in
@@ -857,7 +791,6 @@ let clone_env env =
     arrays = env.arrays;
     (* shared *)
     fork = env.fork;
-    iter_id = 0;
     shadow = env.shadow;
     (* shared *)
   }

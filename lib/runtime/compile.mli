@@ -1,13 +1,15 @@
-(** Staging compiler: AST -> closure tree over slot-resolved state.
+(** Staging compiler: AST -> slot-resolved executable code.
 
     Compilation resolves every name once — scalars and loop indexes to
     slots in flat arrays, array references to pre-computed row-major
-    strides — and infers int/real kinds statically, so the resulting
-    closures execute with no hash lookups, no list folds and no value
-    boxing on the hot path. Parallel loops (outside an enclosing parallel
-    region) compile to {!plan}s: flattened, coalesced iteration spaces
-    dispatched through the environment's [fork] hook, which the executor
-    binds to sequential or multi-domain execution.
+    strides — and infers int/real kinds statically. Parallel loops
+    (outside an enclosing parallel region) compile to {!plan}s:
+    flattened, coalesced iteration spaces whose body is lowered to one
+    bytecode tape ({!Bytecode.lower}), dispatched through the
+    environment's [fork] hook, which the executor binds to sequential or
+    multi-domain execution. The serial code around the plans compiles to
+    a closure tree that runs with no hash lookups, no list folds and no
+    value boxing.
 
     The interpreter's runtime error conditions (bounds, zero division,
     non-positive steps, int/real mismatches) are preserved as
@@ -24,14 +26,10 @@ type env = {
   ints : int array;
   reals : float array;
   arrays : float array array;
-  mutable fork : plan -> env -> unit;
-  mutable iter_id : int;
-      (** coalesced iteration currently executing, 0 outside forks; kept
-          up to date by the executor so sanitizer hooks can attribute
-          accesses to iterations *)
+  fork : plan -> env -> unit;
   shadow : Sanitize.t option;
       (** race-sanitizer shadow state, shared across clones; consulted
-          only by code compiled with [~sanitize:true] *)
+          only by tapes lowered with [~sanitize:true] *)
 }
 
 and plan = {
@@ -41,12 +39,11 @@ and plan = {
   lo_x : (env -> int) array;
   hi_x : (env -> int) array;
   step_x : env -> int;
-  body : env -> unit;
   reductions : red array;
-  tape : Bytecode.tape option;
-      (** the body lowered to the bytecode tier ({!Bytecode.lower}), or
-          [None] when it contains a construct the tape cannot express —
-          the bytecode engine then falls back to [body] for this plan *)
+  tape : Bytecode.tape;
+      (** the body lowered to the bytecode tier ({!Bytecode.lower}) and
+          optimized ({!Tapeopt}): the one executable form of the body,
+          run by the bytecode engine and compiled further by {!Natgen} *)
   mutable native : Natapi.runner option;
       (** the tape compiled to machine code by {!Natgen} and loaded via
           [Dynlink], or [None] before {!Natgen.prepare} ran (or when it
@@ -78,7 +75,8 @@ and fork_state = {
   fs_hi : int array;  (** scratch: attained hi per level *)
   mutable fs_prep : Bytecode.prep option;  (** the proof on record *)
   mutable fs_all_unsafe : bool;  (** every access of [fs_prep] unchecked *)
-  mutable fs_mode : fork_mode;  (** the running fork's engine decision *)
+  mutable fs_mode : fork_mode option;
+      (** the running fork's engine decision; [None] before the first *)
   mutable fs_seq_key : Loopcoal_sched.Policy.t * int * int;
       (** policy, n and p of [fs_seq] *)
   mutable fs_seq : (int * int) array;
@@ -98,7 +96,6 @@ and fork_state = {
     compiled program running on another domain — builds a private one. *)
 
 and fork_mode =
-  | Fork_closure  (** the staged closure body, per iteration *)
   | Fork_tape of Bytecode.prep  (** tape strips under this proof *)
   | Fork_native of Natapi.runner  (** machine-code strips *)
 
@@ -137,7 +134,8 @@ val compile :
 (** Stage a program. Raises {!exception:Error} on programs the
     interpreter would also reject, and on statically detectable type
     errors the interpreter would only hit when the offending statement
-    executes. With [~sanitize:true] (default false), every array access
+    executes — in a plan body, the ones {!Bytecode.lower} reports. With
+    [~sanitize:true] (default false), every array access in a plan body
     additionally drives the {!Sanitize} shadow cells through the
     environment's [shadow] field.
 

@@ -14,9 +14,11 @@
    - [Gss] / [Factoring] / [Trapezoid]: the chunk-size sequences from
      [Gss.chunk_sizes] etc., served from an atomic chunk queue.
 
-   Within a chunk, the multi-index is recovered once by div/mod and then
-   advanced with the O(1) odometer step of [Index_recovery]'s incremental
-   strategy — no per-iteration division.
+   A chunk runs as strips: maximal runs over the innermost coalesced
+   digit, each one call of the plan's tape (or its native runner) with
+   the outer indexes recovered once by div/mod and the inner index
+   advanced by a constant increment — no per-iteration division and no
+   odometer carry.
 
    Per-domain state: each domain gets a private copy of the scalar store
    (arrays are shared; DOALL iterations write disjoint elements by
@@ -97,7 +99,7 @@ let space_of (plan : plan) env =
   sp
 
 (* Set the nest indexes for coalesced iteration [t] (1-based): one round
-   of div/mod, used once per chunk. *)
+   of div/mod, used once per strip. *)
 let set_cursor (plan : plan) sp env t =
   let rem = ref (t - 1) in
   for k = plan.depth - 1 downto 1 do
@@ -105,39 +107,6 @@ let set_cursor (plan : plan) sp env t =
     rem := !rem / sp.sizes.(k)
   done;
   env.ints.(plan.index_slots.(0)) <- sp.los.(0) + (!rem * sp.step0)
-
-(* Odometer advance: increment the innermost index, carry outward on
-   overflow. O(1) amortized; no division. *)
-let advance (plan : plan) sp env =
-  let rec bump k =
-    if k = 0 then
-      env.ints.(plan.index_slots.(0)) <-
-        env.ints.(plan.index_slots.(0)) + sp.step0
-    else begin
-      let v = env.ints.(plan.index_slots.(k)) + 1 in
-      if v > sp.his.(k) then begin
-        env.ints.(plan.index_slots.(k)) <- sp.los.(k);
-        bump (k - 1)
-      end
-      else env.ints.(plan.index_slots.(k)) <- v
-    end
-  in
-  bump (plan.depth - 1)
-
-(* Run the contiguous chunk [t0 .. t0+len-1] of the coalesced space. The
-   environment's [iter_id] tracks the running coalesced iteration so
-   sanitizer-instrumented bodies can attribute their accesses. *)
-let run_chunk (plan : plan) sp env t0 len =
-  if len > 0 then begin
-    set_cursor plan sp env t0;
-    env.iter_id <- t0;
-    plan.body env;
-    for k = 2 to len do
-      advance plan sp env;
-      env.iter_id <- t0 + k - 1;
-      plan.body env
-    done
-  end
 
 (* ---------- engines ---------- *)
 
@@ -152,9 +121,9 @@ let c_native_fallbacks = Registry.counter "native.fallbacks"
    runs one strip: the tape interpreter under proof [x], on the plan's
    tape or on a profiler's counting copy of it, or native runner [x].
    The space is read per chunk, so one binding serves every fork of a
-   fork state. Chunk boundaries are exactly those of the closure engine,
-   so traces and metrics are unchanged. Tape faults and native runners'
-   [Failure]s carry interpreter-identical messages. *)
+   fork state. Chunk boundaries are the schedule's, whatever the engine,
+   so traces and metrics do not depend on it. Tape faults and native
+   runners' [Failure]s carry interpreter-identical messages. *)
 let run_strips (plan : plan) sp env strip x t0 len =
   let depth = plan.depth in
   let inner = sp.sizes.(depth - 1) in
@@ -167,7 +136,6 @@ let run_strips (plan : plan) sp env strip x t0 len =
       let pos = (!t - 1) mod inner in
       let slen = min (tlast - !t + 1) (inner - pos) in
       if depth > 1 then set_cursor plan sp env !t;
-      env.iter_id <- !t;
       strip x (jlo + (pos * jstep)) jstep slen !t;
       t := !t + slen
     done
@@ -199,20 +167,12 @@ let tape_mode ?profile engine (plan : plan) pr ~all_unsafe =
 
 (* A sequential fork's decision, proved afresh. *)
 let seq_mode ?profile engine (plan : plan) sp env =
-  match (engine, plan.tape) with
-  | _ when sp.total = 0 -> Fork_closure
-  | Closure, _ -> Fork_closure
-  | Bytecode, None -> Fork_closure
-  | Native, None ->
-      Registry.incr c_native_fallbacks;
-      Fork_closure
-  | (Bytecode | Native), Some tape ->
-      let hi = Array.make plan.depth 0 in
-      attained_hi plan sp hi;
-      let pr = Bytecode.prepare tape ~ints:env.ints ~lo:sp.los ~hi in
-      tape_mode ?profile engine plan pr
-        ~all_unsafe:
-          (engine = Native && Array.for_all Fun.id (Bytecode.unsafe_flags pr))
+  let hi = Array.make plan.depth 0 in
+  attained_hi plan sp hi;
+  let pr = Bytecode.prepare plan.tape ~ints:env.ints ~lo:sp.los ~hi in
+  tape_mode ?profile engine plan pr
+    ~all_unsafe:
+      (engine = Native && Array.for_all Fun.id (Bytecode.unsafe_flags pr))
 
 (* Bind the chunk runner of one domain's environment: it runs a chunk
    under the fork's decision, passed per call, so one binding serves
@@ -221,40 +181,37 @@ let seq_mode ?profile engine (plan : plan) sp env =
    profiled-vs-plain decision is made here, once per binding: a plain
    binding runs the plan's tape with no counting at all, a profiled one
    runs the profiler's counting copy and brackets each chunk with two
-   clock reads. Pass [profile] only to a binding that runs tape strips:
-   binding registers with the collector. *)
+   clock reads. A profiled binding registers the tape with the
+   collector. *)
 let chunk_runner ?profile (plan : plan) sp env :
     fork_mode -> int -> int -> unit =
   let native_strip nr j0 jstep len _ =
     nr env.ints env.reals env.arrays j0 jstep len
   in
   let run_tape =
-    match plan.tape with
-    | None -> fun _ _ _ -> invalid_arg "Exec: tape fork of a tape-less plan"
-    | Some tape -> (
-        let jslot = plan.index_slots.(plan.depth - 1) in
-        let shadow = if Bytecode.sanitized tape then env.shadow else None in
-        let exec tape inv pr j0 jstep len iter0 =
-          Bytecode.exec_strip tape pr ~ints:env.ints ~reals:env.reals
-            ~arrays:env.arrays ~shadow ~inv ~jslot ~j0 ~jstep ~len ~iter0
+    let tape = plan.tape in
+    let jslot = plan.index_slots.(plan.depth - 1) in
+    let shadow = if Bytecode.sanitized tape then env.shadow else None in
+    let exec tape inv pr j0 jstep len iter0 =
+      Bytecode.exec_strip tape pr ~ints:env.ints ~reals:env.reals
+        ~arrays:env.arrays ~shadow ~inv ~jslot ~j0 ~jstep ~len ~iter0
+    in
+    match profile with
+    | None -> run_strips plan sp env (exec tape (Bytecode.make_scratch tape))
+    | Some pc ->
+        let b = Profile.bind pc tape in
+        let exec = exec (Profile.instrumented b) (Profile.scratch b) in
+        let strip pr j0 jstep len iter0 =
+          exec pr j0 jstep len iter0;
+          Profile.count_strip b ~len
         in
-        match profile with
-        | None -> run_strips plan sp env (exec tape (Bytecode.make_scratch tape))
-        | Some pc ->
-            let b = Profile.bind pc tape in
-            let exec = exec (Profile.instrumented b) (Profile.scratch b) in
-            let strip pr j0 jstep len iter0 =
-              exec pr j0 jstep len iter0;
-              Profile.count_strip b ~len
-            in
-            fun pr t0 len ->
-              let clk0 = Trace.now () in
-              run_strips plan sp env strip pr t0 len;
-              Profile.add_ns b (Trace.now () - clk0))
+        fun pr t0 len ->
+          let clk0 = Trace.now () in
+          run_strips plan sp env strip pr t0 len;
+          Profile.add_ns b (Trace.now () - clk0)
   in
   fun mode t0 len ->
     match mode with
-    | Fork_closure -> run_chunk plan sp env t0 len
     | Fork_tape pr -> run_tape pr t0 len
     | Fork_native nr -> run_strips plan sp env native_strip nr t0 len
 
@@ -267,29 +224,27 @@ let new_epoch env =
 (* ---------- sequential execution ---------- *)
 
 (* The whole space is one chunk. Traced, it is recorded on worker 0 as
-   a static block (which it literally is); nested parallel loops inside
-   the region run — and are timed — within this chunk, so only the
-   outermost fork hook traces. *)
-let rec seq_fork_e engine ?profile ?trace (plan : plan) env =
-  let saved_fork = env.fork in
-  env.fork <- seq_fork_e engine ?profile ?trace:None;
+   a static block (which it literally is); a zero-trip space runs
+   nothing but still opens and closes its region. *)
+let seq_fork_e engine ?profile ?trace (plan : plan) env =
   new_epoch env;
   let sp = space_of plan env in
-  let mode = seq_mode ?profile engine plan sp env in
-  let profile = match mode with Fork_tape _ -> profile | _ -> None in
-  let run = chunk_runner ?profile plan sp env mode in
-  (match trace with
-  | None -> run 1 sp.total
+  let run () =
+    if sp.total > 0 then
+      chunk_runner ?profile plan sp env
+        (seq_mode ?profile engine plan sp env)
+        1 sp.total
+  in
+  match trace with
+  | None -> run ()
   | Some tracer ->
       Trace.fork_begin tracer ~policy:Policy.Static_block ~n:sp.total ~p:1;
       let a = Trace.now () in
-      run 1 sp.total;
+      run ();
       let b = Trace.now () in
       if sp.total > 0 then
         Trace.record tracer ~worker:0 ~start:1 ~len:sp.total ~t0:a ~t1:b;
-      Trace.fork_end tracer);
-  env.iter_id <- 0;
-  env.fork <- saved_fork
+      Trace.fork_end tracer
 
 let seq_fork plan env = seq_fork_e Bytecode plan env
 
@@ -365,9 +320,7 @@ let c_fork_states = Registry.counter "exec.fork_states"
 let new_state (plan : plan) =
   Registry.incr c_fork_states;
   let depth = plan.depth and nred = Array.length plan.reductions in
-  let inputs =
-    match plan.tape with Some t -> Bytecode.proof_inputs t | None -> [||]
-  in
+  let inputs = Bytecode.proof_inputs plan.tape in
   {
     fs_busy = Atomic.make true;
     fs_space = new_space depth;
@@ -376,7 +329,7 @@ let new_state (plan : plan) =
     fs_hi = Array.make depth 0;
     fs_prep = None;
     fs_all_unsafe = false;
-    fs_mode = Fork_closure;
+    fs_mode = None;
     fs_seq_key = (Policy.Static_block, -1, 0);
     fs_seq = [||];
     fs_next = Atomic.make 0;
@@ -418,7 +371,7 @@ let rekey key i v = key.(i) <> v && (key.(i) <- v; true)
 (* The fork's range proof: the one on record when its inputs repeat —
    the [Rreg] slots' values and the fork's lo and attained hi, with
    profiling off — else a fresh one, recorded. *)
-let prove ?profile st (plan : plan) master tape =
+let prove ?profile st (plan : plan) master =
   let sp = st.fs_space and key = st.fs_key and inputs = st.fs_inputs in
   let depth = plan.depth and ni = Array.length inputs in
   attained_hi plan sp st.fs_hi;
@@ -436,22 +389,17 @@ let prove ?profile st (plan : plan) master tape =
       (* The key is already the new one: no stale proof may sit under
          it if [prepare] raises. *)
       st.fs_prep <- None;
-      let pr = Bytecode.prepare tape ~ints:master.ints ~lo:sp.los ~hi:st.fs_hi in
+      let pr =
+        Bytecode.prepare plan.tape ~ints:master.ints ~lo:sp.los ~hi:st.fs_hi
+      in
       st.fs_all_unsafe <- Array.for_all Fun.id (Bytecode.unsafe_flags pr);
       st.fs_prep <- Some pr;
       pr
 
 (* A parallel fork's decision, on the state's proof. *)
 let decide ?profile engine st (plan : plan) master =
-  match (engine, plan.tape) with
-  | Closure, _ -> Fork_closure
-  | Bytecode, None -> Fork_closure
-  | Native, None ->
-      Registry.incr c_native_fallbacks;
-      Fork_closure
-  | (Bytecode | Native), Some tape ->
-      let pr = prove ?profile st plan master tape in
-      tape_mode ?profile engine plan pr ~all_unsafe:st.fs_all_unsafe
+  let pr = prove ?profile st plan master in
+  tape_mode ?profile engine plan pr ~all_unsafe:st.fs_all_unsafe
 
 (* Highest-iteration marks sit this many ints apart: one cache line
    and the one the adjacent-line prefetcher pairs with it. *)
@@ -509,11 +457,11 @@ let bind ?profile ~trace ~policy ~p st (plan : plan) master =
         (* Contiguous blocks, identical to Static.block ownership. *)
         fun q ->
           (match Static.block_chunk ~n:sp.total ~p q with
-          | Some (t0, len) -> run_on q st.fs_mode t0 len
+          | Some (t0, len) -> run_on q (Option.get st.fs_mode) t0 len
           | None -> ())
     | Static_cyclic ->
         fun q ->
-          let mode = st.fs_mode and n = sp.total in
+          let mode = Option.get st.fs_mode and n = sp.total in
           let t = ref (q + 1) in
           while !t <= n do
             run_on q mode !t 1;
@@ -523,7 +471,7 @@ let bind ?profile ~trace ~policy ~p st (plan : plan) master =
         (* The paper's self-scheduling: a single shared coalesced index,
            advanced with one atomic fetch-and-add per dispatch. *)
         fun q ->
-          let mode = st.fs_mode and n = sp.total in
+          let mode = Option.get st.fs_mode and n = sp.total in
           let continue_ = ref true in
           while !continue_ do
             let t0 = Atomic.fetch_and_add st.fs_next c in
@@ -535,7 +483,7 @@ let bind ?profile ~trace ~policy ~p st (plan : plan) master =
            p only), served from an atomic queue: one fetch-and-add per
            dispatch, chunks in dispatch order. *)
         fun q ->
-          let mode = st.fs_mode and chunks = st.fs_seq in
+          let mode = Option.get st.fs_mode and chunks = st.fs_seq in
           let continue_ = ref true in
           while !continue_ do
             let k = Atomic.fetch_and_add st.fs_next 1 in
@@ -597,20 +545,13 @@ let fork_on st engine ?trace ?profile pool policy (plan : plan) master =
     new_epoch master;
     (* The unsafe/checked decision is shared (it covers the whole
        space); each domain's runner hoists into private scratch. *)
-    st.fs_mode <- decide ?profile engine st plan master;
-    let b =
-      binding
-        ?profile:(match st.fs_mode with Fork_tape _ -> profile | _ -> None)
-        ~trace ~policy ~p st plan master
-    in
-    let nested = seq_fork_e engine ?profile ?trace:None in
+    st.fs_mode <- Some (decide ?profile engine st plan master);
+    let b = binding ?profile ~trace ~policy ~p st plan master in
     let clones = b.b_clones in
     for q = 0 to p - 1 do
       let c = clones.(q) in
       copy_scalars ~src:master ~dst:c;
       reset_partials plan c;
-      c.fork <- nested;
-      c.iter_id <- 0;
       b.b_marks.(q * mark_stride) <- 0
     done;
     (match (policy : Policy.t) with
@@ -676,6 +617,9 @@ let run_compiled ?(array_init = 0.0) ?pool ?(policy = Policy.Static_block)
     ?(domains = 1) ?(engine = Bytecode) ?trace ?profile ?shadow
     (t : Compile.t) =
   if domains < 1 then invalid_arg "Exec.run_compiled: domains must be >= 1";
+  (* [Closure] is a synonym for [Bytecode]: plan bodies run only on their
+     tapes. *)
+  let engine = match engine with Closure -> Bytecode | e -> e in
   (match Policy.validate policy with
   | Ok () -> ()
   | Error m -> invalid_arg ("Exec.run_compiled: " ^ m));

@@ -6,8 +6,9 @@
     ownership comes from [Static]; self-scheduling performs one atomic
     fetch-and-add on the shared coalesced index per dispatch; GSS,
     factoring and trapezoid serve their [chunk_sizes] sequences from an
-    atomic chunk queue. Within a chunk, indexes are recovered once by
-    div/mod and advanced with the O(1) odometer step.
+    atomic chunk queue. A chunk runs as strips over the innermost
+    coalesced digit: the outer indexes are recovered once per strip by
+    div/mod, the inner one advances by a constant increment.
 
     Arrays are shared between domains (DOALL iterations write disjoint
     elements by assumption of the [Parallel] annotation); scalars are
@@ -23,19 +24,18 @@ type outcome = {
 }
 
 type engine = Closure | Bytecode | Native
-(** How plan bodies execute within chunks. [Closure] calls the staged
-    closure tree once per iteration, advancing the odometer. [Bytecode]
-    (the default) dispatches each chunk as contiguous strips over the
-    innermost coalesced digit on the plan's lowered tape
-    ({!Bytecode.tape}): invariant address parts hoisted per strip,
-    accesses proven in-range for the whole fork run unchecked. [Native]
-    runs the same strips through {!Natgen}'s Dynlink-loaded machine-code
-    runners; forks whose accesses are not all proven in bounds, plans
-    without runners (no toolchain, sanitized) and profiled runs fall
-    back to the bytecode tier per fork, counted under
-    [native.fallbacks]. Chunk boundaries, schedules, traces and results
-    are identical across engines; plans whose body could not be lowered
-    fall back to the closure path per plan. *)
+(** How plan bodies execute within chunks. [Bytecode] (the default)
+    dispatches each chunk as contiguous strips over the innermost
+    coalesced digit on the plan's lowered tape ({!Bytecode.tape}):
+    invariant address parts hoisted per strip, accesses proven in-range
+    for the whole fork run unchecked. [Native] runs the same strips
+    through {!Natgen}'s Dynlink-loaded machine-code runners; forks whose
+    accesses are not all proven in bounds, plans without runners (no
+    toolchain, sanitized) and profiled runs fall back to the bytecode
+    tier per fork, counted under [native.fallbacks]. Chunk boundaries,
+    schedules, traces and results are identical across engines.
+    [Closure] is a synonym for [Bytecode], kept for existing callers:
+    every plan body runs on its tape, so there is no closure engine. *)
 
 val seq_fork : Compile.plan -> Compile.env -> unit
 (** Run a plan sequentially in ascending coalesced order (the exact
@@ -86,8 +86,7 @@ val run_compiled :
     with {!Profile.summarize}. Results, traces and schedules are
     identical with and without it, and — like [trace] — the choice is
     made once per fork binding, so an unprofiled run executes the plain
-    tape with no counting. Only tape-dispatched plans are profiled; the
-    [Closure] engine and closure-fallback plans contribute nothing, and
+    tape with no counting. Every plan's forks are profiled on its tape;
     profiled [Native] forks run on the bytecode tier.
 
     [shadow] attaches race-sanitizer shadow state to the run; it only

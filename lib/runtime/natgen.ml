@@ -198,14 +198,13 @@ let strip_groups (tp : Bytecode.tape) =
   (member, List.rev !leaders)
 
 (* Pretty-print one plan's tape as a [Natapi.runner]; [None] when the
-   plan has no tape, is sanitized, or uses an instruction the generator
-   declines ([Jadv] outside the unrolled body, control flow in the
-   prologue — neither is produced by the current lowering). *)
+   tape is sanitized or uses an instruction the generator declines
+   ([Jadv] outside the unrolled body, control flow in the prologue —
+   neither is produced by the current lowering). *)
 let plan_runner_src ~idx (p : Compile.plan) : string option =
   match p.Compile.tape with
-  | None -> None
-  | Some tp when tp.Bytecode.tp_sanitize -> None
-  | Some tp -> (
+  | tp when tp.Bytecode.tp_sanitize -> None
+  | tp -> (
       let open Bytecode in
       let pre_ok =
         Array.for_all (fun i -> (not (is_control i)) && i <> Jadv) tp.tp_pre

@@ -9,7 +9,7 @@
    version bumped whenever the tape representation changes, and the
    producing binary's identity (see [build_stamp]).
 
-   A cached entry stores, per plan in program order, the tape option and
+   A cached entry stores, per plan in program order, the tape and
    how many int/float registers its lowering+optimization allocated; on
    a hit the compiler replays those deltas against its own counters, so
    register numbering and environment sizing are identical to a cold
@@ -25,8 +25,9 @@ open Loopcoal_ir
    5: transformation-search era — winning recipes ride next to plans as
       [<key>.recipe] side files and cached programs may be
       recipe-transformed, so pre-search entries must not be replayed.
-   6: [Icount] (the profiler's block counter) joins [Bytecode.instr]. *)
-let format_version = 6
+   6: [Icount] (the profiler's block counter) joins [Bytecode.instr].
+   7: every plan has a tape — entries hold [tape], not [tape option]. *)
+let format_version = 7
 
 (* A disk entry that fails to load — unreadable, corrupt, or written by
    a different format/build — is treated as a miss; count those
@@ -52,7 +53,7 @@ let build_stamp =
 
 let stamp () = Lazy.force build_stamp
 
-type entry = { e_plans : (Bytecode.tape option * int * int) list }
+type entry = { e_plans : (Bytecode.tape * int * int) list }
 
 type t = {
   mem : (string, entry) Hashtbl.t;

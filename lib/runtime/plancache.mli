@@ -14,10 +14,9 @@
 
 open Loopcoal_ir
 
-type entry = { e_plans : (Bytecode.tape option * int * int) list }
-(** Per plan in program order: the tape (or [None] for closure-tier
-    fallback) and the int/float register-counter deltas its
-    lowering+optimization consumed. *)
+type entry = { e_plans : (Bytecode.tape * int * int) list }
+(** Per plan in program order: the tape and the int/float
+    register-counter deltas its lowering+optimization consumed. *)
 
 type t
 

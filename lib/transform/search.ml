@@ -253,23 +253,23 @@ let reduction_sites (p : Ast.program) =
       p.Ast.scalars
   in
   let sites = ref [] in
-  let rec blk ~in_par b = List.iter (stmt ~in_par) b
-  and stmt ~in_par (s : Ast.stmt) =
+  let rec blk b = List.iter stmt b
+  and stmt (s : Ast.stmt) =
     match s with
     | Ast.Assign _ -> ()
     | Ast.If (_, t, f) ->
-        blk ~in_par t;
-        blk ~in_par f
+        blk t;
+        blk f
+    | Ast.For l when l.par = Parallel -> ()  (* no host-level loop inside *)
     | Ast.For l ->
-        (if (not in_par) && l.par = Serial then
-           List.iter
-             (fun (r : Reduction.t) ->
-               if is_real r.Reduction.scalar then
-                 sites := (l.index, r.Reduction.scalar) :: !sites)
-             (Reduction.detect l.body));
-        blk ~in_par:(in_par || l.par = Parallel) l.body
+        List.iter
+          (fun (r : Reduction.t) ->
+            if is_real r.Reduction.scalar then
+              sites := (l.index, r.Reduction.scalar) :: !sites)
+          (Reduction.detect l.body);
+        blk l.body
   in
-  blk ~in_par:false p.Ast.body;
+  blk p.Ast.body;
   List.rev !sites
 
 let enumerate ?(fp_reassoc = false) ~procs ~budget (p : Ast.program) :

@@ -74,19 +74,18 @@ let collect_nest (l : Ast.loop) =
   in
   collect [] l
 
-let rec regions_of_block ~in_par acc (b : Ast.block) =
-  List.fold_left (regions_of_stmt ~in_par) acc b
+let rec regions_of_block acc (b : Ast.block) =
+  List.fold_left regions_of_stmt acc b
 
-and regions_of_stmt ~in_par acc (s : Ast.stmt) =
+and regions_of_stmt acc (s : Ast.stmt) =
   match s with
   | Assign _ -> acc
-  | If (_, t, f) ->
-      regions_of_block ~in_par (regions_of_block ~in_par acc t) f
-  | For l when (not in_par) && l.par = Parallel ->
-      (* The runtime compiles the region body with [in_par = true]: no
+  | If (_, t, f) -> regions_of_block (regions_of_block acc t) f
+  | For l when l.par = Parallel ->
+      (* The runtime lowers the whole region body to one tape: no
          further forks happen inside, so discovery does not descend. *)
       collect_nest l :: acc
-  | For l -> regions_of_block ~in_par acc l.body
+  | For l -> regions_of_block acc l.body
 
 (* ---------- coalesced-index recovery recognition ---------- *)
 
@@ -576,7 +575,7 @@ let h_check_ns = Loopcoal_obs.Registry.histogram "verify.check_ns"
 
 let check_program ?(hints = []) (p : Ast.program) =
   Loopcoal_obs.Registry.time h_check_ns @@ fun () ->
-  let raw = List.rev (regions_of_block ~in_par:false [] p.body) in
+  let raw = List.rev (regions_of_block [] p.body) in
   let regions = List.mapi (fun i rg -> analyze_region ~hints (i + 1) rg) raw in
   { regions; diags = List.concat_map (fun (r : region) -> r.diags) regions }
 

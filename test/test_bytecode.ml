@@ -1,6 +1,6 @@
 (* Bytecode execution tier: strip geometry, checked-then-unsafe access,
-   register promotion, and differential equivalence against both the
-   closure engine and the reference interpreter.
+   register promotion, and differential equivalence between raw and
+   optimized tapes and against the reference interpreter.
 
    The strip decomposition is pinned exactly (it determines which
    iterations run without an odometer step), and every differential
@@ -27,12 +27,11 @@ let all_policies =
 
 let domain_counts = [ 1; 2; 4 ]
 
-(* Engine x optimizer-level configurations: together with the reference
-   interpreter these make every differential four-way — closure, raw
-   bytecode (-O0) and the full Tapeopt pipeline (-O2) must all agree. *)
+(* Optimizer-level configurations: together with the reference
+   interpreter these make every differential three-way — raw bytecode
+   (-O0) and the full Tapeopt pipeline (-O2) must both agree with it. *)
 let configs =
   [
-    ("closure", Exec.Closure, 2);
     ("bytecode -O0", Exec.Bytecode, 0);
     ("bytecode -O2", Exec.Bytecode, 2);
   ]
@@ -230,8 +229,11 @@ let test_range_fail_falls_back () =
   in
   let mb = message Exec.Bytecode in
   Alcotest.(check bool) "bytecode engine faults" true (mb <> None);
-  Alcotest.(check (option string)) "same fault as the closure engine"
-    (message Exec.Closure) mb;
+  Alcotest.(check (option string)) "same fault as the interpreter"
+    (match Eval.run oob with
+    | _ -> None
+    | exception Eval.Runtime_error m -> Some m)
+    mb;
   (* In-bounds prefix of the same shape runs unchecked and agrees. *)
   let ok =
     B.program
@@ -264,14 +266,12 @@ let plan_flags compiled =
   let env = Compile.make_env compiled ~fork:(fun _ _ -> ()) in
   List.map
     (fun (pl : Compile.plan) ->
-      match pl.Compile.tape with
-      | None -> Alcotest.fail "body should lower to the bytecode tier"
-      | Some tape ->
-          let lo = Array.map (fun f -> f env) pl.Compile.lo_x in
-          let hi = Array.map (fun f -> f env) pl.Compile.hi_x in
-          ( tape,
-            Bytecode.unsafe_flags
-              (Bytecode.prepare tape ~ints:env.Compile.ints ~lo ~hi) ))
+      let tape = pl.Compile.tape in
+      let lo = Array.map (fun f -> f env) pl.Compile.lo_x in
+      let hi = Array.map (fun f -> f env) pl.Compile.hi_x in
+      ( tape,
+        Bytecode.unsafe_flags
+          (Bytecode.prepare tape ~ints:env.Compile.ints ~lo ~hi) ))
     (Compile.plans compiled)
 
 let test_sanitized_tape_stays_checked () =
@@ -324,18 +324,11 @@ let test_sanitizer_on_bytecode () =
 (* ---------- differential properties ---------- *)
 
 (* Race-free DOALL nests (writes indexed exactly by the nest indices):
-   interpreter, closure, bytecode -O0 and bytecode -O2 agree bit-for-bit
-   under every policy and domain count, and the sanitized bytecode run
-   is clean. *)
-let differential ?(require_tapes = false) arb ~name ~count =
+   interpreter, bytecode -O0 and bytecode -O2 agree bit-for-bit under
+   every policy and domain count, and the sanitized bytecode run is
+   clean. *)
+let differential arb ~name ~count =
   QCheck.Test.make ~count ~name arb (fun prog ->
-      (* With [require_tapes], a silent closure fallback would make the
-         property vacuous — every plan must reach the bytecode tier. *)
-      ((not require_tapes)
-      || List.for_all
-           (fun (p : Compile.plan) -> p.Compile.tape <> None)
-           (Compile.plans (Compile.compile prog)))
-      &&
       let st = Eval.run prog in
       List.for_all
         (fun policy ->
@@ -358,7 +351,7 @@ let differential ?(require_tapes = false) arb ~name ~count =
 
 let prop_doall_nests_agree =
   differential Test_runtime.arbitrary_doall_nest ~count:10
-    ~name:"bytecode = closure = interpreter (random DOALL nests)"
+    ~name:"bytecode -O0 = -O2 = interpreter (random DOALL nests)"
 
 (* Nests whose innermost statement is a serial accumulation into the
    element the nest indexes — the register-promotion fragment: invariant
@@ -418,7 +411,7 @@ let prop_promotion_agrees =
   differential
     (QCheck.make ~print:Pretty.program_to_string serial_accum_gen)
     ~count:12
-    ~name:"bytecode = closure = interpreter (serial accumulation nests)"
+    ~name:"bytecode -O0 = -O2 = interpreter (serial accumulation nests)"
 
 (* Branchy bodies over variable-step serial loops — the fragment the SSA
    pipeline streams with shared store slots (exclusive if/else arms
@@ -484,10 +477,10 @@ let branchy_varstep_gen : Ast.program QCheck.Gen.t =
   }
 
 let prop_branchy_varstep_agrees =
-  differential ~require_tapes:true
+  differential
     (QCheck.make ~print:Pretty.program_to_string branchy_varstep_gen)
     ~count:12
-    ~name:"bytecode = closure = interpreter (branchy variable-step nests)"
+    ~name:"bytecode -O0 = -O2 = interpreter (branchy variable-step nests)"
 
 (* ---------- unrolled strips: remainder handling, traces, metrics ---------- *)
 
@@ -559,12 +552,6 @@ let test_unrolled_strips_identical () =
         (fun domains ->
           let run lvl =
             let compiled = Compile.compile ~opt_level:lvl prog in
-            List.iter
-              (fun (p : Compile.plan) ->
-                if p.Compile.tape = None then
-                  Alcotest.failf "%s: plan did not lower to the bytecode tier"
-                    what)
-              (Compile.plans compiled);
             let tracer = Trace.create ~p:domains () in
             let outcome =
               Exec.run_compiled ~domains ~policy:Policy.Static_block

@@ -43,14 +43,13 @@ let contains hay needle =
 
 (* ---------- five-way differential over the full corpus ---------- *)
 
-(* Interpreter oracle plus closure, raw and optimized bytecode, and the
-   native tier at both opt levels. Native outcomes must additionally be
+(* Interpreter oracle plus raw and optimized bytecode, and the native
+   tier at both opt levels. Native outcomes must additionally be
    *exactly* equal to same-level bytecode outcomes, scalars included:
    the generated code preserves the tape's float operation structure,
    so there is no tolerance to hide behind. *)
 let configs =
   [
-    ("closure", Exec.Closure, 2);
     ("bytecode -O0", Exec.Bytecode, 0);
     ("bytecode -O2", Exec.Bytecode, 2);
     ("native -O0", Exec.Native, 0);
@@ -812,9 +811,9 @@ let test_overflow_subscript () =
     overflow_subscript_progs
 
 (* ceildiv with operands at the int range edges: [a + b - 1] and
-   [-min_int] wrap, so every engine (the interpreter and the closure
-   engine through [Intmath.cdiv], the tape tiers in the plan, native
-   through its inline copy) must use the non-wrapping form. *)
+   [-min_int] wrap, so every engine (the interpreter and the serial
+   closure code through [Intmath.cdiv], the tape tiers in the plan,
+   native through its inline copy) must use the non-wrapping form. *)
 let cdiv_edge_prog =
   {|program
   real A[2]

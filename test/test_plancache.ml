@@ -69,11 +69,8 @@ let test_key_discrimination () =
   check_stats "sanitize changes the key" (0, 2);
   List.iter
     (fun t ->
-      match t with
-      | None -> Alcotest.fail "sanitized plan should lower to a tape"
-      | Some t ->
-          Alcotest.(check bool) "cached-path tape is sanitized" true
-            (Bytecode.sanitized t))
+      Alcotest.(check bool) "cached-path tape is sanitized" true
+        (Bytecode.sanitized t))
     (tapes cs);
   (* ... and re-compiling each flavor now hits its own entry. *)
   let cs2 = Compile.compile ~cache ~sanitize:true prog in
@@ -83,16 +80,13 @@ let test_key_discrimination () =
     (tapes cs = tapes cs2);
   List.iter
     (fun t ->
-      match t with
-      | None -> Alcotest.fail "plan should lower to a tape"
-      | Some t ->
-          Alcotest.(check bool) "unsanitized hit stays unsanitized" false
-            (Bytecode.sanitized t))
+      Alcotest.(check bool) "unsanitized hit stays unsanitized" false
+        (Bytecode.sanitized t))
     (tapes cu);
   (* Opt level and engine salt are part of the key too. *)
   let _ = Compile.compile ~cache ~opt_level:0 prog in
   check_stats "opt level changes the key" (2, 3);
-  let _ = Compile.compile ~cache ~cache_salt:"closure" prog in
+  let _ = Compile.compile ~cache ~cache_salt:"native" prog in
   check_stats "engine salt changes the key" (2, 4)
 
 let test_no_cache_bypass () =
@@ -147,30 +141,50 @@ let test_disk_persistence () =
       Alcotest.(check bool) "recompile after corruption agrees" true
         (tapes c1 = tapes c3))
 
+(* The entry layout of format version 6, when a plan's tape was
+   optional: what an older build leaves on disk. *)
+type v6_entry = { v6_plans : (Bytecode.tape option * int * int) list }
+
 (* A well-formed entry marshaled under an older format version — the
    tape layout it carries may not match the current [Bytecode.tape] —
-   must be skipped as a miss, not deserialized or treated as an error. *)
+   must be skipped as a counted miss, not deserialized or treated as an
+   error. *)
 let test_stale_format_is_a_miss () =
-  with_temp_dir (fun dir ->
-      Counters.reset ();
-      let c1 = Compile.compile ~cache:(Plancache.create ~dir ()) prog in
-      check_stats "cold disk cache misses" (0, 1);
-      Array.iter
-        (fun f ->
-          if Filename.check_suffix f ".plan" then begin
-            let oc = open_out_bin (Filename.concat dir f) in
-            output_value oc (2, { Plancache.e_plans = [] });
-            close_out oc
-          end)
-        (Sys.readdir dir);
-      let c2 = Compile.compile ~cache:(Plancache.create ~dir ()) prog in
-      check_stats "stale format version is a miss" (0, 2);
-      Alcotest.(check bool) "recompile after format skew agrees" true
-        (tapes c1 = tapes c2);
-      let o1 = Exec.run_compiled ~domains:2 c1 in
-      let o2 = Exec.run_compiled ~domains:2 c2 in
-      Alcotest.(check bool) "recompile runs identically" true
-        (o1.Exec.arrays = o2.Exec.arrays && o1.Exec.scalars = o2.Exec.scalars))
+  List.iter
+    (fun (what, stale) ->
+      with_temp_dir (fun dir ->
+          Counters.reset ();
+          let evict = Registry.counter "plan_cache.evict" in
+          let c1 = Compile.compile ~cache:(Plancache.create ~dir ()) prog in
+          check_stats (what ^ ": cold disk cache misses") (0, 1);
+          Array.iter
+            (fun f ->
+              if Filename.check_suffix f ".plan" then begin
+                let oc = open_out_bin (Filename.concat dir f) in
+                stale oc c1;
+                close_out oc
+              end)
+            (Sys.readdir dir);
+          let evicted0 = Registry.value evict in
+          let c2 = Compile.compile ~cache:(Plancache.create ~dir ()) prog in
+          check_stats (what ^ ": stale format version is a miss") (0, 2);
+          Alcotest.(check bool) (what ^ ": stale entry counted") true
+            (Registry.value evict > evicted0);
+          Alcotest.(check bool) (what ^ ": recompile after format skew agrees")
+            true
+            (tapes c1 = tapes c2);
+          let o1 = Exec.run_compiled ~domains:2 c1 in
+          let o2 = Exec.run_compiled ~domains:2 c2 in
+          Alcotest.(check bool) (what ^ ": recompile runs identically") true
+            (o1.Exec.arrays = o2.Exec.arrays && o1.Exec.scalars = o2.Exec.scalars)))
+    [
+      ( "version 2, no plans",
+        fun oc _ -> output_value oc (2, { Plancache.e_plans = [] }) );
+      ( "version 6, tape options",
+        fun oc c1 ->
+          output_value oc
+            (6, { v6_plans = List.map (fun t -> (Some t, 0, 0)) (tapes c1) }) );
+    ]
 
 (* ---------- winning-recipe side files ---------- *)
 

@@ -55,12 +55,9 @@ let test_provenance_invariants () =
           let c = Compile.compile ~opt_level (mk ()) in
           List.iteri
             (fun i (p : Compile.plan) ->
-              match p.Compile.tape with
-              | None -> ()
-              | Some t ->
-                  check_tape_provenance
-                    (Printf.sprintf "%s -O%d plan %d" name opt_level i)
-                    t)
+              check_tape_provenance
+                (Printf.sprintf "%s -O%d plan %d" name opt_level i)
+                p.Compile.tape)
             (Compile.plans c))
         opt_levels)
     Kernels.all_names
@@ -68,7 +65,7 @@ let test_provenance_invariants () =
 (* pp_provenance renders every tag and is stable under re-rendering. *)
 let test_pp_provenance () =
   let c = Compile.compile ~opt_level:2 (Kernels.matmul ~ra:4 ~ca:5 ~cb:3) in
-  let tapes = List.filter_map (fun p -> p.Compile.tape) (Compile.plans c) in
+  let tapes = List.map (fun p -> p.Compile.tape) (Compile.plans c) in
   Alcotest.(check bool) "matmul lowers" true (tapes <> []);
   List.iter
     (fun t ->
@@ -213,33 +210,28 @@ let test_profiled_run_identical () =
   List.iter
     (fun opt_level ->
       List.iter
-        (fun engine ->
-          List.iter
-            (fun domains ->
-              let c = Compile.compile ~opt_level prog in
-              let off = Exec.run_compiled ~domains ~engine c in
-              let pc = Profile.create () in
-              let on = Exec.run_compiled ~domains ~engine ~profile:pc c in
-              if off <> on then
-                Alcotest.failf "-O%d %d domains: profiled outcome differs"
-                  opt_level domains;
-              (* Trace structure is profile-invariant too (timestamps are
-                 not — compare epochs, ownership and chunk geometry). *)
-              let tr_off = Trace.create ~p:domains () in
-              let tr_on = Trace.create ~p:domains () in
-              ignore (Exec.run_compiled ~domains ~engine ~trace:tr_off c);
-              let pc2 = Profile.create () in
-              ignore
-                (Exec.run_compiled ~domains ~engine ~trace:tr_on ~profile:pc2
-                   c);
-              if
-                trace_shape (Trace.snapshot tr_off)
-                <> trace_shape (Trace.snapshot tr_on)
-              then
-                Alcotest.failf "-O%d %d domains: profiled trace shape differs"
-                  opt_level domains)
-            [ 1; 3 ])
-        [ Exec.Bytecode; Exec.Closure ])
+        (fun domains ->
+          let c = Compile.compile ~opt_level prog in
+          let off = Exec.run_compiled ~domains c in
+          let pc = Profile.create () in
+          let on = Exec.run_compiled ~domains ~profile:pc c in
+          if off <> on then
+            Alcotest.failf "-O%d %d domains: profiled outcome differs"
+              opt_level domains;
+          (* Trace structure is profile-invariant too (timestamps are
+             not — compare epochs, ownership and chunk geometry). *)
+          let tr_off = Trace.create ~p:domains () in
+          let tr_on = Trace.create ~p:domains () in
+          ignore (Exec.run_compiled ~domains ~trace:tr_off c);
+          let pc2 = Profile.create () in
+          ignore (Exec.run_compiled ~domains ~trace:tr_on ~profile:pc2 c);
+          if
+            trace_shape (Trace.snapshot tr_off)
+            <> trace_shape (Trace.snapshot tr_on)
+          then
+            Alcotest.failf "-O%d %d domains: profiled trace shape differs"
+              opt_level domains)
+        [ 1; 3 ])
     opt_levels
 
 let prop_profile_onoff =
@@ -260,11 +252,8 @@ let prop_profile_onoff =
                     Exec.run_compiled ~domains ~policy ~profile:pc c
                   in
                   off = on
-                  (* Profiled bytecode runs must actually count. *)
-                  && ((Profile.summarize pc).Profile.sm_dispatches > 0
-                     || List.for_all
-                          (fun (p : Compile.plan) -> p.Compile.tape = None)
-                          (Compile.plans c)))
+                  (* Profiled runs must actually count. *)
+                  && (Profile.summarize pc).Profile.sm_dispatches > 0)
                 [ Policy.Static_block; Policy.Gss ])
             [ 1; 2 ])
         opt_levels)
@@ -276,9 +265,7 @@ let kernel_tapes opt_level =
     (fun name ->
       let prog = (Option.get (Kernels.by_name name)) () in
       let c = Compile.compile ~opt_level prog in
-      List.filter_map
-        (fun (p : Compile.plan) -> p.Compile.tape)
-        (Compile.plans c))
+      List.map (fun (p : Compile.plan) -> p.Compile.tape) (Compile.plans c))
     Kernels.all_names
 
 let counting_copy t = Profile.instrumented (Profile.bind (Profile.create ()) t)
@@ -398,16 +385,13 @@ let test_plan_tapes_untouched () =
     [ Exec.Bytecode; Exec.Native ];
   List.iter2
     (fun t0 (p : Compile.plan) ->
-      match (t0, p.Compile.tape) with
-      | Some t0, Some t ->
-          Alcotest.(check bool) "same tape" true (t0 == t);
-          Alcotest.(check bool) "no counters" false
-            (Array.exists
-               (function Bytecode.Icount _ -> true | _ -> false)
-               (Array.concat
-                  (t.tp_pre :: t.tp_ops :: Option.to_list t.tp_unrolled)))
-      | None, None -> ()
-      | _ -> Alcotest.fail "plan tape replaced")
+      let t = p.Compile.tape in
+      Alcotest.(check bool) "same tape" true (t0 == t);
+      Alcotest.(check bool) "no counters" false
+        (Array.exists
+           (function Bytecode.Icount _ -> true | _ -> false)
+           (Array.concat
+              (t.tp_pre :: t.tp_ops :: Option.to_list t.tp_unrolled))))
     before (Compile.plans c)
 
 (* ---------- pinned counts ---------- *)

@@ -202,6 +202,62 @@ let test_assign_to_index_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "assignment to loop index should be rejected"
 
+(* Every static error a plan body can raise, one fault per program,
+   inside [do k / doall i]. The expected messages are the ones the
+   staging compiler gave before plan bodies were compiled only to tapes,
+   including which fault wins when a store's value and target are both
+   wrong: the value's. *)
+let test_lowering_error_parity () =
+  let open B in
+  let x = real 1.5 in
+  let cases =
+    [
+      ([ store "A" [ var "i" ] (var "zz") ], "unbound variable zz");
+      ([ assign "zz" (int 1) ], "unbound scalar zz");
+      ([ store "Z" [ var "i" ] (real 1.0) ], "unbound array Z");
+      ( [ store "M" [ var "i" ] (real 1.0) ],
+        "array M: 1 subscripts for 2 dimensions" );
+      ([ store "A" [ x ] (real 1.0) ], "subscript: expected an integer value");
+      ([ assign "n" (var "i" % x) ], "mod: expected an integer value");
+      ([ assign "n" (cdiv x (var "i")) ], "ceildiv: expected an integer value");
+      ( [ for_ "j" (int 1) (var "r") [ store "A" [ var "j" ] x ] ],
+        "loop bound: expected an integer value" );
+      ( [ for_ ~step:x "j" (int 1) (int 2) [ store "A" [ var "j" ] x ] ],
+        "loop step: expected an integer value" );
+      ([ assign "i" (int 0) ], "cannot assign to loop index i");
+      ([ assign "k" (int 0) ], "cannot assign to loop index k");
+      ( [ for_ "j" (int 1) (int 2) [ assign "j" (int 0) ] ],
+        "cannot assign to loop index j" );
+      ([ assign "n" x ], "assigning real to int scalar n");
+      (* A store with both parts wrong, both ways round. *)
+      ([ store "A" [ x ] (var "zz") ], "unbound variable zz");
+      ( [ store "A" [ var "zz" ] (load "A" [ x ]) ],
+        "subscript: expected an integer value" );
+      ([ store "Z" [ var "i" ] (var "zz") ], "unbound variable zz");
+      (* An operator's right operand is checked first. *)
+      ([ assign "r" (var "yy" + var "zz") ], "unbound variable zz");
+      (* A promotable store in a serial loop with a faulty subscript does
+         not hide an earlier statement's fault. *)
+      ( [
+          for_ "j" (int 1) (int 2)
+            [ assign "n" (var "zz"); store "A" [ x ] (real 0.0) ];
+        ],
+        "unbound variable zz" );
+    ]
+  in
+  List.iter
+    (fun (body, expected) ->
+      let prog =
+        program
+          ~arrays:[ array "A" [ 4 ]; array "M" [ 4; 4 ] ]
+          ~scalars:[ int_scalar "n"; real_scalar "r" ]
+          [ for_ "k" (int 1) (int 2) [ doall "i" (int 1) (int 4) body ] ]
+      in
+      match Compile.compile_result prog with
+      | Error m -> Alcotest.(check string) expected expected m
+      | Ok _ -> Alcotest.failf "%s: compiled without error" expected)
+    cases
+
 (* ---------- pool ---------- *)
 
 let test_pool_runs_all_workers () =
@@ -693,6 +749,8 @@ let suite =
       test_error_parity;
     Alcotest.test_case "assign to index rejected" `Quick
       test_assign_to_index_rejected;
+    Alcotest.test_case "lowering errors match the stager's" `Quick
+      test_lowering_error_parity;
     Alcotest.test_case "pool runs all workers" `Quick
       test_pool_runs_all_workers;
     Alcotest.test_case "pool propagates exceptions" `Quick

@@ -218,26 +218,23 @@ let test_searched_results_bit_identical () =
       (match Pipeline.observably_equal ~reference:p rp.Search.rp_program with
       | Ok () -> ()
       | Error m -> Alcotest.failf "%s: searched program differs: %s" name m);
-      (* engine x domains: original and searched agree bit for bit *)
+      (* at every domain count: original and searched agree bit for bit *)
       List.iter
-        (fun engine ->
+        (fun domains ->
+          let a = Exec.run ~domains p in
+          let b = Exec.run ~domains rp.Search.rp_program in
+          if a.Exec.arrays <> b.Exec.arrays then
+            Alcotest.failf "%s: arrays differ (%d domains)" name domains;
+          (* searched programs may introduce temporaries; the original
+             program's scalars must be unchanged *)
           List.iter
-            (fun domains ->
-              let a = Exec.run ~domains ~engine p in
-              let b = Exec.run ~domains ~engine rp.Search.rp_program in
-              if a.Exec.arrays <> b.Exec.arrays then
-                Alcotest.failf "%s: arrays differ (%d domains)" name domains;
-              (* searched programs may introduce temporaries; the
-                 original program's scalars must be unchanged *)
-              List.iter
-                (fun (s : Ast.scalar_decl) ->
-                  let v o = List.assoc_opt s.Ast.sc_name o.Exec.scalars in
-                  if v a <> v b then
-                    Alcotest.failf "%s: scalar %s differs (%d domains)" name
-                      s.Ast.sc_name domains)
-                p.Ast.scalars)
-            [ 1; 2; 4 ])
-        [ Exec.Closure; Exec.Bytecode ])
+            (fun (s : Ast.scalar_decl) ->
+              let v o = List.assoc_opt s.Ast.sc_name o.Exec.scalars in
+              if v a <> v b then
+                Alcotest.failf "%s: scalar %s differs (%d domains)" name
+                  s.Ast.sc_name domains)
+            p.Ast.scalars)
+        [ 1; 2; 4 ])
     differential_kernels
 
 let test_pi_preduce_close_to_reference () =
