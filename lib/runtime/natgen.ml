@@ -27,10 +27,11 @@
    access reads [!slL + d] for the constant distance [d] between the
    initial offsets, and the leader is bumped once per iteration (see
    [strip_groups]) — the offsets themselves are unchanged. An int
-   register whose only writer is a prologue [Iconst] is read as a
-   literal, so a constant divisor compiles to multiply-shift without a
-   zero test and loop bounds compare against an immediate; a literal
-   invalid divisor still raises the tape's message.
+   register whose only writer is a prologue constant ([Iconst], or a
+   term-free [Iaff], the lowering's form of a literal loop bound) is
+   read as a literal, so a constant divisor compiles to multiply-shift
+   without a zero test and loop bounds compare against an immediate; a
+   literal invalid divisor still raises the tape's message.
 
    Semantics contract: the generated code replays [exec_strip]'s exact
    unsafe-path evaluation order — prologue, per-access invariant
@@ -38,13 +39,40 @@
    operation structure (no reassociation: ocamlopt never reorders float
    arithmetic) and byte-identical error messages, raised as [Failure]
    (the executor maps both [Bytecode.Error] and [Failure] to
-   [Compile.Error]). Two deliberate deviations, both unobservable:
+   [Compile.Error]). Three deliberate deviations, all unobservable:
 
    - registers are read from [ints]/[reals] once at runner entry and the
      written ones are stored back on normal exit (nothing reads the
      register files mid-strip, and a raised error aborts the run);
    - the x4-unrolled body is ignored — unrolling only amortizes
-     interpreter dispatch, which native code does not pay.
+     interpreter dispatch, which native code does not pay;
+   - an eligible body is unrolled and jammed: a main loop runs groups
+     of four strip iterations ([j], [j + jstep], [j + 2 jstep],
+     [j + 3 jstep]) through one block dispatcher, and the [len mod 4]
+     left over run the single-iteration loop. In the group, a strip-
+     uniform instruction (one reading only literals, prologue registers,
+     registers the body never writes and other uniform registers) is
+     emitted once; any other is emitted once per copy, copy 0 first, in
+     place, with its varying int and float registers renamed per copy
+     (copy 3 keeps the plain names, so the written-back registers are
+     the sequentially last iteration's). A stream whose offset has a
+     [c * jslot] term stays one ref: copy [u] reads copy 0's offset
+     plus [u * sdS], [sdS = c * jstep] bound at runner entry. A load at
+     a uniform offset is shared by the four copies; in matmul's [k]
+     loop that gives four independent accumulator chains over one
+     [A[i,k]] load and one row of [B]. See [jam_plan]: the body needs a
+     self-loop block (a serial inner loop; straight-line bodies gain
+     nothing, as with unrolling); every branch and every loop counter's
+     start, step and bound must be uniform, so any float compare
+     disqualifies it; no register may be carried across iterations
+     (each read follows a write on every path through the iteration,
+     or reads a register the body never writes); every stored array is
+     accessed in the body through one offset [inv + c * jslot], c <> 0,
+     so the copies touch disjoint elements and none reads another's;
+     and no instruction can raise ([Istep], or a divisor that is not a
+     valid literal), so errors and their order stay the bytecode tier's.
+     Under these rules the interleaving equals running the four
+     iterations in order, whatever the [doall] annotation claims.
 
    The generator only ever emits the *unsafe* access path, so the
    executor uses a plan's native runner for a fork only when
@@ -122,10 +150,11 @@ let int_dst (i : Bytecode.instr) =
 module IntSet = Set.Make (Int)
 module IntMap = Map.Make (Int)
 
-(* Int registers whose only writer is an [Iconst] in the prologue
-   (excluding the strip index): register -> value. Whether one is
-   actually read as a literal is decided during emission, in case the
-   prologue reads it before that [Iconst]. *)
+(* Int registers whose only writer is a constant in the prologue: an
+   [Iconst], or an [Iaff] with no terms (the lowering's form of a
+   literal serial-loop bound), excluding the strip index: register ->
+   value. Whether one is actually read as a literal is decided during
+   emission, in case the prologue reads it before that write. *)
 let const_regs ~jslot (tp : Bytecode.tape) =
   let writes = Hashtbl.create 16 in
   let count i =
@@ -140,7 +169,8 @@ let const_regs ~jslot (tp : Bytecode.tape) =
   Array.fold_left
     (fun m (i : Bytecode.instr) ->
       match i with
-      | Iconst (d, v) when d <> jslot && Hashtbl.find writes d = 1 ->
+      | (Iconst (d, v) | Iaff (d, { base = v; coefs = [||]; _ }))
+        when d <> jslot && Hashtbl.find writes d = 1 ->
           IntMap.add d v m
       | _ -> m)
     IntMap.empty tp.tp_pre
@@ -197,6 +227,322 @@ let strip_groups (tp : Bytecode.tape) =
     tp.tp_pre;
   (member, List.rev !leaders)
 
+(* ---------- unroll-and-jam analysis ---------- *)
+
+let float_dst (i : Bytecode.instr) =
+  match i with
+  | Fconst (d, _)
+  | Fmov (d, _)
+  | Fadd (d, _, _)
+  | Fsub (d, _, _)
+  | Fmul (d, _, _)
+  | Fdiv (d, _, _)
+  | Fmin (d, _, _)
+  | Fmax (d, _, _)
+  | Fneg (d, _)
+  | Fofi (d, _)
+  | Fmac (d, _, _, _)
+  | Fmsb (d, _, _, _)
+  | Fload (d, _)
+  | Fmac2 (d, _, _, _)
+  | Fmsb2 (d, _, _, _)
+  | Fldmac (d, _, _, _)
+  | Fldmsb (d, _, _, _)
+  | Fldadd (d, _, _)
+  | Fldsub (d, _, _)
+  | Fldmul (d, _, _)
+  | Fld2add (d, _, _) ->
+      Some d
+  | _ -> None
+
+(* What one instruction reads: int registers, float registers, and
+   access ids in the order the emitter visits them. *)
+let reads (i : Bytecode.instr) =
+  match i with
+  | Iconst _ | Fconst _ | Jadv | Jmp _ | Icount _ -> ([], [], [])
+  | Iaff (_, a) | Sinit (_, a) -> (Array.to_list a.regs, [], [])
+  | Imul (_, a, b)
+  | Idiv (_, a, b)
+  | Imod (_, a, b)
+  | Icdiv (_, a, b)
+  | Imin (_, a, b)
+  | Imax (_, a, b)
+  | Jii (_, a, b, _) ->
+      ([ a; b ], [], [])
+  | Istep (r, _) | Fofi (_, r) -> ([ r ], [], [])
+  | Iloop (_, a, bnd, _) -> (bnd :: Array.to_list a.regs, [], [])
+  | Iloopc (r, _, bnd, _) -> ([ r; bnd ], [], [])
+  | Fmov (_, s) | Fneg (_, s) -> ([], [ s ], [])
+  | Fadd (_, a, b)
+  | Fsub (_, a, b)
+  | Fmul (_, a, b)
+  | Fdiv (_, a, b)
+  | Fmin (_, a, b)
+  | Fmax (_, a, b)
+  | Jff (_, a, b, _)
+  | Jffn (_, a, b, _) ->
+      ([], [ a; b ], [])
+  | Fmac (_, a, x, y) | Fmsb (_, a, x, y) -> ([], [ a; x; y ], [])
+  | Fload (_, id) -> ([], [], [ id ])
+  | Fstore (s, id) -> ([], [ s ], [ id ])
+  | Fmac2 (_, a, i1, i2) | Fmsb2 (_, a, i1, i2) -> ([], [ a ], [ i1; i2 ])
+  | Fldmac (_, a, x, id) | Fldmsb (_, a, x, id) -> ([], [ a; x ], [ id ])
+  | Fldadd (_, x, id) | Fldsub (_, x, id) | Fldmul (_, x, id) ->
+      ([], [ x ], [ id ])
+  | Fld2add (_, i1, i2) | Fldst (i1, i2) -> ([], [], [ i1; i2 ])
+
+(* Int registers an access's unsafe-path offset reads per execution. *)
+let acc_regs (ac : Bytecode.access) =
+  match ac.ac_vk with
+  | V1 (_, r) -> [ r ]
+  | V2 (_, r1, _, r2) -> [ r1; r2 ]
+  | Vn -> Array.to_list ac.ac_var.regs
+  | V0 | Vs _ | Vsj _ | Vsv _ -> []
+
+let aff_coef (a : Bytecode.aff) r =
+  let c = ref 0 in
+  Array.iteri (fun m r' -> if r' = r then c := a.coefs.(m)) a.regs;
+  !c
+
+(* A jammed body: int and float registers that vary with the strip
+   index (renamed per copy), the strip coefficient [c] of every stream
+   slot whose offset has a [c * jslot] term (copy [u] reads it
+   [u * c * jstep] past copy 0), and, per access, whether every copy
+   reads the same element. *)
+type jam = {
+  vary_i : IntSet.t;
+  vary_f : IntSet.t;
+  stride : int IntMap.t;
+  uniform : bool array;
+}
+
+(* Whether running four consecutive strip iterations instruction by
+   instruction, in place, equals running them in order; [None] unless
+   every rule in the header holds. [lits] are the registers read as
+   literals. *)
+let jam_plan ~jslot ~lits ~strip_of (tp : Bytecode.tape) =
+  let open Bytecode in
+  let ops = tp.tp_ops in
+  let cfg = build_cfg ops in
+  let exit = cfg.cf_block_of.(Array.length ops) in
+  let acc id = tp.tp_accs.(id) in
+  let set_of f =
+    Array.fold_left
+      (fun s i -> match f i with Some d -> IntSet.add d s | None -> s)
+      IntSet.empty ops
+  in
+  let written_i = set_of int_dst and written_f = set_of float_dst in
+  let self_loop bid =
+    let bb = cfg.cf_blocks.(bid) in
+    bb.bb_stop > bb.bb_start
+    &&
+    match ops.(bb.bb_stop - 1) with
+    | Iloop (_, _, _, top) | Iloopc (_, _, _, top) -> top = bb.bb_start
+    | _ -> false
+  in
+  (* registers and stream slots that vary with the strip index *)
+  let vi = ref (IntSet.singleton jslot) and vf = ref IntSet.empty in
+  let vs = ref IntSet.empty in
+  let acc_varies id =
+    let ac = acc id in
+    match ac.ac_vk with
+    | V0 -> false
+    | V1 _ | V2 _ | Vn -> List.exists (fun r -> IntSet.mem r !vi) (acc_regs ac)
+    | Vsj _ -> true
+    | Vs (s, _) | Vsv (s, _) -> IntSet.mem s !vs
+  in
+  let changed = ref true in
+  let add set x =
+    if not (IntSet.mem x !set) then begin
+      set := IntSet.add x !set;
+      changed := true
+    end
+  in
+  while !changed do
+    changed := false;
+    Array.iter
+      (fun i ->
+        let ir, fr, ids = reads i in
+        if
+          List.exists (fun r -> IntSet.mem r !vi) ir
+          || List.exists (fun r -> IntSet.mem r !vf) fr
+          || List.exists acc_varies ids
+        then begin
+          (match i with Sinit (s, _) -> add vs s | _ -> ());
+          Option.iter (add vi) (int_dst i);
+          Option.iter (add vf) (float_dst i)
+        end)
+      ops
+  done;
+  let uniform r = not (IntSet.mem r !vi) in
+  (* strip coefficients: body [Sinit]s must agree per slot and read no
+     varying register besides the strip index; grouped strip streams
+     (never [Sinit] in the body) stride by their leader, and ungrouped
+     ones disqualify the body *)
+  let stride = ref IntMap.empty and ok = ref true in
+  Array.iter
+    (fun i ->
+      match i with
+      | Sinit (s, a) ->
+          let c = aff_coef a jslot in
+          if not (Array.for_all (fun r -> r = jslot || uniform r) a.regs) then
+            ok := false;
+          (match IntMap.find_opt s !stride with
+          | Some c' when c' <> c -> ok := false
+          | _ -> ());
+          stride := IntMap.add s c !stride
+      | _ -> ())
+    ops;
+  stride := IntMap.filter (fun _ c -> c <> 0) !stride;
+  Array.iter
+    (fun (ac : access) ->
+      match ac.ac_vk with
+      | Vsj (s, c) -> (
+          match Hashtbl.find_opt strip_of s with
+          | Some (l, _) -> stride := IntMap.add l c !stride
+          | None -> ())
+      | _ -> ())
+    tp.tp_accs;
+  (* a [Vsv] stream belongs to a variable-step loop, whose [Istep]
+     stays in the body and disqualifies it anyway *)
+  let accs_ok id =
+    match (acc id).ac_vk with
+    | Vsj (s, _) -> Hashtbl.mem strip_of s
+    | Vsv _ -> false
+    | V0 | V1 _ | V2 _ | Vn | Vs _ -> true
+  in
+  let valid_lit b p =
+    match IntMap.find_opt b lits with Some v -> p v | None -> false
+  in
+  let instr_ok (i : instr) =
+    let ir, _, ids = reads i in
+    List.for_all accs_ok ids
+    &&
+    match i with
+    | Jff _ | Jffn _ | Istep _ -> false
+    | Idiv (_, _, b) | Imod (_, _, b) -> valid_lit b (fun v -> v <> 0)
+    | Icdiv (_, _, b) -> valid_lit b (fun v -> v > 0)
+    | Jii _ | Iloop _ | Iloopc _ ->
+        List.for_all uniform ir
+        && Option.fold ~none:true ~some:uniform (int_dst i)
+    | _ -> true
+  in
+  (* no register carried across iterations: a read of anything the body
+     writes must follow a write on every path through the iteration
+     (keys: int 3r, float 3r+1, stream slot 3s+2) *)
+  let needs i =
+    let ir, fr, ids = reads i in
+    List.filter_map
+      (fun r -> if IntSet.mem r written_i then Some (3 * r) else None)
+      ir
+    @ List.filter_map
+        (fun r -> if IntSet.mem r written_f then Some ((3 * r) + 1) else None)
+        fr
+    @ List.concat_map
+        (fun id ->
+          let ac = acc id in
+          List.filter_map
+            (fun r -> if IntSet.mem r written_i then Some (3 * r) else None)
+            (acc_regs ac)
+          @
+          match ac.ac_vk with
+          | Vs (s, _) -> [ (3 * s) + 2 ]
+          | V0 | V1 _ | V2 _ | Vn | Vsj _ | Vsv _ -> [])
+        ids
+  in
+  let defs d i =
+    let add k r = IntSet.add ((3 * r) + k) in
+    let d = Option.fold ~none:d ~some:(fun r -> add 0 r d) (int_dst i) in
+    let d = Option.fold ~none:d ~some:(fun r -> add 1 r d) (float_dst i) in
+    match i with Sinit (s, _) -> add 2 s d | _ -> d
+  in
+  let outs = Array.make exit None in
+  let block_in bid =
+    if bid = 0 then Some IntSet.empty
+    else
+      List.fold_left
+        (fun acc p ->
+          match (acc, if p < exit then outs.(p) else None) with
+          | None, o | o, None -> o
+          | Some a, Some b -> Some (IntSet.inter a b))
+        None cfg.cf_blocks.(bid).bb_preds
+  in
+  let walk bid check =
+    match block_in bid with
+    | None -> None
+    | Some d ->
+        let bb = cfg.cf_blocks.(bid) in
+        let d = ref d in
+        for p = bb.bb_start to bb.bb_stop - 1 do
+          let defined k = IntSet.mem k !d in
+          if check && not (List.for_all defined (needs ops.(p))) then
+            ok := false;
+          d := defs !d ops.(p)
+        done;
+        Some !d
+  in
+  let stable = ref false in
+  while not !stable do
+    stable := true;
+    for bid = 0 to exit - 1 do
+      let o = walk bid false in
+      if o <> outs.(bid) then begin
+        stable := false;
+        outs.(bid) <- o
+      end
+    done
+  done;
+  for bid = 0 to exit - 1 do
+    ignore (walk bid true)
+  done;
+  (* every stored array is accessed at one element per copy: the same
+     [ac_inv] and [ac_var = c * jslot], c <> 0, in every access *)
+  let body_accs =
+    List.concat_map
+      (fun i ->
+        let _, _, ids = reads i in
+        ids)
+      (Array.to_list ops)
+  in
+  let stored =
+    Array.fold_left
+      (fun s i ->
+        match i with
+        | Fstore (_, id) | Fldst (_, id) -> IntSet.add (acc id).ac_slot s
+        | _ -> s)
+      IntSet.empty ops
+  in
+  let one_element id =
+    let ac = acc id in
+    (not (IntSet.mem ac.ac_slot stored))
+    || (ac.ac_var.base = 0
+       && ac.ac_var.regs = [| jslot |]
+       && ac.ac_var.coefs.(0) <> 0
+       && Array.for_all (fun r -> not (IntSet.mem r written_i)) ac.ac_inv.regs
+       && List.for_all
+            (fun id' ->
+              let ac' = acc id' in
+              ac'.ac_slot <> ac.ac_slot
+              || (ac'.ac_inv = ac.ac_inv && ac'.ac_var = ac.ac_var))
+            body_accs)
+  in
+  let eligible =
+    List.exists self_loop (List.init exit Fun.id)
+    && Array.for_all instr_ok ops
+    && List.for_all one_element body_accs
+    && !ok
+  in
+  if not eligible then None
+  else
+    Some
+      {
+        vary_i = !vi;
+        vary_f = !vf;
+        stride = !stride;
+        uniform =
+          Array.init (Array.length tp.tp_accs) (fun id -> not (acc_varies id));
+      }
+
 (* Pretty-print one plan's tape as a [Natapi.runner]; [None] when the
    tape is sanitized or uses an instruction the generator declines
    ([Jadv] outside the unrolled body, control flow in the prologue —
@@ -236,41 +582,84 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
         (* constant registers currently read as literals *)
         let consts = const_regs ~jslot tp in
         let lits = ref IntMap.empty in
+        (* unroll-and-jam: the copy being emitted (-1 outside the jammed
+           loop) and the registers renamed per copy; copy 3 keeps the
+           plain names, so the written-back values are the sequentially
+           last iteration's *)
+        let jam = ref None and cur = ref (-1) in
+        let copy_refs = ref [] and strides = ref IntSet.empty in
+        let copy_name pfx r =
+          match !jam with
+          | Some jm
+            when !cur >= 0 && !cur < 3
+                 && IntSet.mem r (if pfx = "ir" then jm.vary_i else jm.vary_f)
+            ->
+              let n = Printf.sprintf "%s%dc%d" pfx r !cur in
+              if not (List.mem n !copy_refs) then copy_refs := n :: !copy_refs;
+              Some n
+          | _ -> None
+        in
         let ir r =
           match IntMap.find_opt r !lits with
           | Some v -> ilit v
-          | None ->
-              note iused r;
-              Printf.sprintf "!ir%d" r
+          | None -> (
+              match copy_name "ir" r with
+              | Some n -> "!" ^ n
+              | None ->
+                  note iused r;
+                  Printf.sprintf "!ir%d" r)
         in
         let sl s =
           note sused s;
           Printf.sprintf "sl%d" s
         in
         let fr r =
-          note fused r;
-          Printf.sprintf "!fr%d" r
+          match copy_name "fr" r with
+          | Some n -> "!" ^ n
+          | None ->
+              note fused r;
+              Printf.sprintf "!fr%d" r
         in
         let iset d e =
-          note iused d;
-          note iwritten d;
-          out "    ir%d := %s;" d e
+          match copy_name "ir" d with
+          | Some n -> out "    %s := %s;" n e
+          | None ->
+              note iused d;
+              note iwritten d;
+              out "    ir%d := %s;" d e
         in
         let fset d e =
-          note fused d;
-          note fwritten d;
-          out "    fr%d := %s;" d e
+          match copy_name "fr" d with
+          | Some n -> out "    %s := %s;" n e
+          | None ->
+              note fused d;
+              note fwritten d;
+              out "    fr%d := %s;" d e
+        in
+        (* [u] strides of stream slot [s] ([sdS = c * jstep], bound at
+           runner entry) *)
+        let stride u s =
+          strides := IntSet.add s !strides;
+          if u = 1 then Printf.sprintf "sd%d" s
+          else Printf.sprintf "(%d * sd%d)" u s
         in
         let aff = aff_str ir in
         let strip_of, strip_leaders = strip_groups tp in
         (* ---- emission helpers over the access table ---- *)
-        let emit_off id =
+        (* Within one jammed instruction, copy 0's offsets and loaded
+           values by operand position: a later copy reads a shared
+           stream at copy 0's offset plus its strides, and takes a load
+           at a strip-uniform offset from copy 0. *)
+        let opnd = ref 0 in
+        let off0 = Hashtbl.create 4 and val0 = Hashtbl.create 4 in
+        let emit_off k id =
           let ac = tp.tp_accs.(id) in
           let o = fresh "o" in
           let bumped s bump =
             out "    let %s = !%s in" o (sl s);
             out "    %s := !%s + %s;" (sl s) (sl s) bump
           in
+          let u = !cur in
           (match ac.ac_vk with
           | V0 -> out "    let %s = iv%d in" o id
           | V1 (c, r) ->
@@ -279,24 +668,42 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
               out "    let %s = iv%d + (%s * %s) + (%s * %s) in" o id (ilit c1)
                 (ir r1) (ilit c2) (ir r2)
           | Vn -> out "    let %s = iv%d + %s in" o id (aff ac.ac_var)
+          | Vs (s, _) when u > 0 ->
+              out "    let %s = %s + %s in" o (Hashtbl.find off0 k) (stride u s)
           | Vs (s, bump) -> bumped s (ilit bump)
           | Vsj (s, _) when Hashtbl.mem strip_of s ->
               let l, d = Hashtbl.find strip_of s in
-              if d = 0 then out "    let %s = !%s in" o (sl l)
-              else out "    let %s = !%s + %s in" o (sl l) (ilit d)
+              let parts =
+                ("!" ^ sl l)
+                :: ((if d = 0 then [] else [ ilit d ])
+                   @ if u > 0 then [ stride u l ] else [])
+              in
+              out "    let %s = %s in" o (String.concat " + " parts)
           | Vsj (s, c) -> bumped s (Printf.sprintf "(%s * jstep)" (ilit c))
           | Vsv (s, bs) -> bumped s ("!" ^ sl bs));
+          if u = 0 then Hashtbl.replace off0 k o;
           o
         in
         let emit_load id =
-          let o = emit_off id in
-          let v = fresh "v" in
-          out "    let %s = Array.unsafe_get a%d %s in" v
-            tp.tp_accs.(id).ac_slot o;
-          v
+          let k = !opnd in
+          incr opnd;
+          match Hashtbl.find_opt val0 k with
+          | Some v when !cur > 0 -> v
+          | _ ->
+              let o = emit_off k id in
+              let v = fresh "v" in
+              out "    let %s = Array.unsafe_get a%d %s in" v
+                tp.tp_accs.(id).ac_slot o;
+              (match !jam with
+              | Some jm when !cur = 0 && jm.uniform.(id) ->
+                  Hashtbl.replace val0 k v
+              | _ -> ());
+              v
         in
         let emit_store id src =
-          let o = emit_off id in
+          let k = !opnd in
+          incr opnd;
+          let o = emit_off k id in
           out "    Array.unsafe_set a%d %s %s;" tp.tp_accs.(id).ac_slot o src
         in
         (* The divisor of [/], [mod] or ceildiv, behind the tape's fault
@@ -321,10 +728,10 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
         (* ---- straight-line instruction -> statements ---- *)
         let emit_instr (i : instr) =
           match i with
-          | Iconst (d, v) ->
-              if IntMap.mem d consts && not (IntSet.mem d !iused) then
-                lits := IntMap.add d v !lits
-              else iset d (ilit v)
+          | Iconst (d, v) | Iaff (d, { base = v; coefs = [||]; _ })
+            when IntMap.mem d consts && not (IntSet.mem d !iused) ->
+              lits := IntMap.add d v !lits
+          | Iconst (d, v) -> iset d (ilit v)
           | Iaff (d, a) -> iset d (aff a)
           | Imul (d, a, b) ->
               iset d (Printf.sprintf "(%s * %s)" (ir a) (ir b))
@@ -450,65 +857,115 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
           let bid = cfg.cf_block_of.(t) in
           if bid = exit then "(-1)" else string_of_int bid
         in
+        let iteration emit_one =
+          if exit = 1 && not (is_control tp.tp_ops.(n - 1)) then
+            Array.iter emit_one tp.tp_ops
+          else if exit > 0 then begin
+            out "    let bk = ref 0 in";
+            out "    while !bk >= 0 do";
+            out "    match !bk with";
+            for bid = 0 to exit - 1 do
+              let bb = cfg.cf_blocks.(bid) in
+              out "    | %s ->"
+                (if bid = exit - 1 then "_" else string_of_int bid);
+              let last = bb.bb_stop - 1 in
+              let term = tp.tp_ops.(last) in
+              (* a block looping to its own leader is a serial inner loop:
+                 emit it as a do-while *)
+              let self_loop =
+                match term with
+                | Iloop (_, _, _, top) | Iloopc (_, _, _, top) ->
+                    top = bb.bb_start
+                | _ -> false
+              in
+              if self_loop then out "    while (";
+              let stop = if is_control term then last else bb.bb_stop in
+              for i = bb.bb_start to stop - 1 do
+                emit_one tp.tp_ops.(i)
+              done;
+              (* serial-loop back-edge: bump, then test against the bound *)
+              let back_edge r next bnd top =
+                let v = fresh "v" in
+                out "    let %s = %s in" v next;
+                iset r v;
+                if self_loop then begin
+                  out "    %s <= %s) do () done;" v (ir bnd);
+                  out "    bk := %s" (goto bb.bb_stop)
+                end
+                else
+                  out "    bk := (if %s <= %s then %s else %s)" v (ir bnd)
+                    (goto top) (goto bb.bb_stop)
+              in
+              match term with
+              | Jmp t -> out "    bk := %s" (goto t)
+              | Jii (op, x, y, t) ->
+                  out "    bk := (if %s %s %s then %s else %s)" (ir x)
+                    (relop_str op) (ir y) (goto t) (goto bb.bb_stop)
+              | Jff (op, x, y, t) ->
+                  out "    bk := (if %s %s %s then %s else %s)" (fr x)
+                    (relop_str op) (fr y) (goto t) (goto bb.bb_stop)
+              | Jffn (op, x, y, t) ->
+                  out "    bk := (if %s %s %s then %s else %s)" (fr x)
+                    (relop_str op) (fr y) (goto bb.bb_stop) (goto t)
+              | Iloop (r, a, bnd, top) -> back_edge r (aff a) bnd top
+              | Iloopc (r, c, bnd, top) ->
+                  back_edge r (Printf.sprintf "%s + %s" (ir r) (ilit c)) bnd top
+              | _ -> out "    bk := %s" (goto bb.bb_stop)
+            done;
+            out "    done;"
+          end
+        in
         out "  let j = ref j0 in";
+        (* ---- unroll-and-jam main loop: groups of four iterations, one
+           dispatcher; a strip-uniform instruction is emitted once, any
+           other once per copy, copy 0 first; the remainder runs the
+           single-iteration loop below ---- *)
+        jam := jam_plan ~jslot ~lits:!lits ~strip_of tp;
+        (match !jam with
+        | None -> ()
+        | Some jm ->
+            let ops_of i =
+              Hashtbl.reset off0;
+              Hashtbl.reset val0;
+              let varies =
+                match i with
+                | Fstore _ | Fldst _ -> true
+                | _ ->
+                    Option.fold ~none:false
+                      ~some:(fun d -> IntSet.mem d jm.vary_i)
+                      (int_dst i)
+                    || Option.fold ~none:false
+                         ~some:(fun d -> IntSet.mem d jm.vary_f)
+                         (float_dst i)
+              in
+              for u = 0 to if varies then 3 else 0 do
+                cur := u;
+                opnd := 0;
+                emit_instr i
+              done;
+              cur := -1
+            in
+            out "  for _g = 1 to len / 4 do";
+            for u = 0 to 3 do
+              cur := u;
+              iset jslot
+                (match u with
+                | 0 -> "!j"
+                | 1 -> "!j + jstep"
+                | u -> Printf.sprintf "!j + (%d * jstep)" u)
+            done;
+            cur := -1;
+            iteration ops_of;
+            List.iter
+              (fun (l, _) ->
+                out "    %s := !%s + (4 * %s);" (sl l) (sl l) (stride 1 l))
+              strip_leaders;
+            out "    j := !j + (4 * jstep)";
+            out "  done;";
+            out "  let len = len mod 4 in");
         out "  for _k = 0 to len - 1 do";
         iset jslot "!j";
-        if exit = 1 && not (is_control tp.tp_ops.(n - 1)) then
-          Array.iter emit_instr tp.tp_ops
-        else if exit > 0 then begin
-          out "    let bk = ref 0 in";
-          out "    while !bk >= 0 do";
-          out "    match !bk with";
-          for bid = 0 to exit - 1 do
-            let bb = cfg.cf_blocks.(bid) in
-            out "    | %s ->"
-              (if bid = exit - 1 then "_" else string_of_int bid);
-            let last = bb.bb_stop - 1 in
-            let term = tp.tp_ops.(last) in
-            (* a block looping to its own leader is a serial inner loop:
-               emit it as a do-while *)
-            let self_loop =
-              match term with
-              | Iloop (_, _, _, top) | Iloopc (_, _, _, top) ->
-                  top = bb.bb_start
-              | _ -> false
-            in
-            if self_loop then out "    while (";
-            let stop = if is_control term then last else bb.bb_stop in
-            for i = bb.bb_start to stop - 1 do
-              emit_instr tp.tp_ops.(i)
-            done;
-            (* serial-loop back-edge: bump, then test against the bound *)
-            let back_edge r next bnd top =
-              let v = fresh "v" in
-              out "    let %s = %s in" v next;
-              iset r v;
-              if self_loop then begin
-                out "    %s <= %s) do () done;" v (ir bnd);
-                out "    bk := %s" (goto bb.bb_stop)
-              end
-              else
-                out "    bk := (if %s <= %s then %s else %s)" v (ir bnd)
-                  (goto top) (goto bb.bb_stop)
-            in
-            match term with
-            | Jmp t -> out "    bk := %s" (goto t)
-            | Jii (op, x, y, t) ->
-                out "    bk := (if %s %s %s then %s else %s)" (ir x)
-                  (relop_str op) (ir y) (goto t) (goto bb.bb_stop)
-            | Jff (op, x, y, t) ->
-                out "    bk := (if %s %s %s then %s else %s)" (fr x)
-                  (relop_str op) (fr y) (goto t) (goto bb.bb_stop)
-            | Jffn (op, x, y, t) ->
-                out "    bk := (if %s %s %s then %s else %s)" (fr x)
-                  (relop_str op) (fr y) (goto bb.bb_stop) (goto t)
-            | Iloop (r, a, bnd, top) -> back_edge r (aff a) bnd top
-            | Iloopc (r, c, bnd, top) ->
-                back_edge r (Printf.sprintf "%s + %s" (ir r) (ilit c)) bnd top
-            | _ -> out "    bk := %s" (goto bb.bb_stop)
-          done;
-          out "    done;"
-        end;
+        iteration emit_instr;
         List.iter
           (fun (l, c) ->
             out "    %s := !%s + (%s * jstep);" (sl l) (sl l) (ilit c))
@@ -544,6 +1001,18 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
           (fun r -> hdr "  let fr%d = ref (Array.unsafe_get reals %d) in" r r)
           !fused;
         IntSet.iter (fun s -> hdr "  let sl%d = ref 0 in" s) !sused;
+        (match !jam with
+        | None -> ()
+        | Some jm ->
+            IntSet.iter
+              (fun s ->
+                hdr "  let sd%d = %s * jstep in" s
+                  (ilit (IntMap.find s jm.stride)))
+              !strides;
+            List.iter
+              (fun n ->
+                hdr "  let %s = ref %s in" n (if n.[0] = 'i' then "0" else "0."))
+              (List.sort compare !copy_refs));
         Buffer.add_buffer h b;
         Some (Buffer.contents h))
 

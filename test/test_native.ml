@@ -56,7 +56,8 @@ let configs =
     ("native -O2", Exec.Native, 2);
   ]
 
-let check_five_way ?(domain_counts = [ 1; 2; 4 ]) ~what prog =
+let check_five_way ?(domain_counts = [ 1; 2; 4 ])
+    ?(policies = [ Policy.Static_block; Policy.Gss ]) ~what prog =
   let st = Eval.run prog in
   List.iter
     (fun policy ->
@@ -89,7 +90,7 @@ let check_five_way ?(domain_counts = [ 1; 2; 4 ]) ~what prog =
                     what cname domains)
             outcomes)
         domain_counts)
-    [ Policy.Static_block; Policy.Gss ]
+    policies
 
 let parse what text =
   match Driver.load_string text with
@@ -416,6 +417,27 @@ let test_artifact_cache_hit () =
 
 (* ---------- generated source shape ---------- *)
 
+(* One plan's runner out of a plugin source: from [let rN] up to the
+   next top-level binding. *)
+let runner_src src idx =
+  let head = Printf.sprintf "let r%d " idx in
+  let rec find i =
+    if i + String.length head > String.length src then
+      Alcotest.failf "no runner r%d in the source" idx
+    else if String.sub src i (String.length head) = head then i
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let rec stop i =
+    if i + 5 > String.length src then String.length src
+    else if String.sub src i 5 = "\nlet " then i
+    else stop (i + 1)
+  in
+  String.sub src start (stop (start + 1) - start)
+
+let count_lines p text =
+  List.length (List.filter p (String.split_on_char '\n' text))
+
 let test_codegen_shape () =
   let prog = (Option.get (Kernels.by_name "matmul")) () in
   let compiled = Compile.compile ~opt_level:2 prog in
@@ -454,6 +476,19 @@ let test_codegen_shape () =
          && not (contains line "let ir" && contains line "= ref (")
       then Alcotest.failf "int register file read after the prologue: %s" line)
     (String.split_on_char '\n' src);
+  (* A literal serial-loop bound (lowered as a constant [Iaff]) is read
+     as an immediate, not a register. *)
+  let mm160 =
+    let p = Kernels.matmul ~ra:4 ~ca:160 ~cb:5 in
+    fst (Natgen.source (Compile.compile ~opt_level:2 p))
+  in
+  let inner = runner_src mm160 2 in
+  Alcotest.(check bool) "matmul: k loop compares against 160" true
+    (contains inner " <= 160) do () done;");
+  Alcotest.(check bool) "matmul: no bound register" false
+    (contains inner "<= !ir");
+  Alcotest.(check bool) "matmul: jammed by four" true
+    (contains inner "for _g = 1 to len / 4 do");
   (* The sanitized build carries shadow instrumentation the generated
      code does not replay: every plan must be ineligible. *)
   let sanitized = Compile.compile ~sanitize:true prog in
@@ -461,27 +496,6 @@ let test_codegen_shape () =
   Alcotest.(check bool)
     "sanitized plans are never native-eligible" false
     (List.exists Fun.id elig_s)
-
-(* One plan's runner out of a plugin source: from [let rN] up to the
-   next top-level binding. *)
-let runner_src src idx =
-  let head = Printf.sprintf "let r%d " idx in
-  let rec find i =
-    if i + String.length head > String.length src then
-      Alcotest.failf "no runner r%d in the source" idx
-    else if String.sub src i (String.length head) = head then i
-    else find (i + 1)
-  in
-  let start = find 0 in
-  let rec stop i =
-    if i + 5 > String.length src then String.length src
-    else if String.sub src i 5 = "\nlet " then i
-    else stop (i + 1)
-  in
-  String.sub src start (stop (start + 1) - start)
-
-let count_lines p text =
-  List.length (List.filter p (String.split_on_char '\n' text))
 
 (* Strip streams with one coefficient and the same register terms share
    one offset, bumped once per iteration; registers only ever set to a
@@ -559,6 +573,154 @@ let test_cond_stencil_five_way () =
   require_toolchain ();
   check_five_way ~domain_counts:[ 1; 2 ] ~what:"cond_stencil"
     (Kernels.cond_stencil ~n:301)
+
+(* ---------- unroll-and-jam ---------- *)
+
+(* A matmul-shaped [doall i / doall j / do k] nest around [body], with
+   [nj] columns: every strip has at most [nj] iterations, so extents 1-9
+   give strips shorter than one group of four and every remainder. [t]
+   is written in the body and read after the nest, so the written-back
+   registers must be the sequentially last iteration's. *)
+let jam_nest ?(decls = "") ?(nk = 3) ~nj body =
+  let kd = max 1 nk in
+  Printf.sprintf
+    "program\n\
+    \  real A[3, %d]\n\
+    \  real B[%d, %d]\n\
+    \  real C[3, %d]\n\
+    \  real T[3]\n\
+    \  real E[2]\n\
+    \  real t = 0.0\n\
+     %sbegin\n\
+    \  doall i = 1, 3\n\
+    \    doall k = 1, %d\n\
+    \      A[i, k] = i + 2 * k + 0.5\n\
+    \    end\n\
+    \  end\n\
+    \  doall k = 1, %d\n\
+    \    doall j = 1, %d\n\
+    \      B[k, j] = k - j * 0.75\n\
+    \    end\n\
+    \  end\n\
+    \  doall i = 1, 3\n\
+    \    doall j = 1, %d\n\
+     %s\
+    \    end\n\
+    \  end\n\
+    \  E[1] = t\n\
+     end\n"
+    kd kd nj nj decls kd kd nj nj body
+
+let jam_matmul ~nk =
+  Printf.sprintf
+    "      t = j * 0.25 + i\n\
+    \      C[i, j] = t\n\
+    \      do k = 1, %d\n\
+    \        C[i, j] = C[i, j] + A[i, k] * B[k, j] * t\n\
+    \      end\n"
+    nk
+
+(* jammed shapes with more control: a bound and a branch on the outer
+   index, and a serial loop nested in another *)
+let jam_positives =
+  [
+    ( "outer-index bound and branch",
+      "      C[i, j] = 0.0\n\
+      \      if i > 1 then\n\
+      \        do k = 1, i + 1, 2\n\
+      \          C[i, j] = C[i, j] + A[i, k] * B[k, j]\n\
+      \        end\n\
+      \      end\n" );
+    ( "nested serial loops",
+      "      C[i, j] = 0.0\n\
+      \      do k = 1, 3\n\
+      \        do l = 1, 2\n\
+      \          C[i, j] = C[i, j] * 0.5 + A[i, k] * B[k, j] + l\n\
+      \        end\n\
+      \      end\n" );
+  ]
+
+(* shapes the jam must leave alone: a strip-carried scalar, a divisor
+   that is not a literal, a store every copy would make to one element,
+   and a data-dependent branch *)
+let jam_negatives =
+  [
+    ( "strip-carried scalar",
+      "",
+      "      C[i, j] = 0.0\n\
+      \      do k = 1, 3\n\
+      \        C[i, j] = C[i, j] + A[i, k] * B[k, j]\n\
+      \      end\n\
+      \      t = t + C[i, j]\n" );
+    ( "non-literal divisor",
+      "  int d = 2\n",
+      "      C[i, j] = 0.0\n\
+      \      do k = 1, 3\n\
+      \        C[i, j] = C[i, j] + A[i, k] * ((j + k) / d)\n\
+      \      end\n" );
+    ( "store at a strip-invariant element",
+      "",
+      "      C[i, j] = 0.0\n\
+      \      do k = 1, 3\n\
+      \        C[i, j] = C[i, j] + A[i, k] * B[k, j]\n\
+      \      end\n\
+      \      T[i] = A[i, 1] * 2.0\n" );
+    ( "data-dependent if",
+      "",
+      "      C[i, j] = 0.0\n\
+      \      do k = 1, 3\n\
+      \        if B[k, j] > 0.0 then\n\
+      \          C[i, j] = C[i, j] + A[i, k]\n\
+      \        end\n\
+      \      end\n" );
+  ]
+
+let jams src idx = contains (runner_src src idx) "for _g = 1 to len / 4 do"
+
+let check_jam ~what ~jam prog =
+  List.iter
+    (fun lvl ->
+      let src = fst (Natgen.source (Compile.compile ~opt_level:lvl prog)) in
+      List.iter
+        (fun idx ->
+          if jams src idx <> (jam && idx = 2) then
+            Alcotest.failf "%s -O%d: runner r%d %s" what lvl idx
+              (if jam && idx = 2 then "is not jammed" else "is jammed"))
+        [ 0; 1; 2 ])
+    [ 0; 1; 2 ];
+  if Lazy.force toolchain = Ok () then
+    check_five_way ~domain_counts:[ 1; 2; 3 ]
+      ~policies:[ Policy.Static_block; Policy.Gss; Policy.Self_sched 3 ]
+      ~what prog
+
+(* Strips of every length 1-9, a zero-trip inner loop, and the negative
+   shapes, under static, guided and fixed-chunk schedules (chunks of 3
+   cut strips short): native must stay bit-identical to bytecode. *)
+let test_jam_five_way () =
+  List.iter
+    (fun nj ->
+      check_jam ~jam:true
+        ~what:(Printf.sprintf "jam nj=%d" nj)
+        (parse "jam" (jam_nest ~nj (jam_matmul ~nk:3))))
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ];
+  check_jam ~jam:true ~what:"jam, zero-trip k loop"
+    (parse "jam" (jam_nest ~nk:0 ~nj:6 (jam_matmul ~nk:0)));
+  List.iter
+    (fun (what, body) ->
+      check_jam ~jam:true ~what (parse what (jam_nest ~nk:4 ~nj:7 body)))
+    jam_positives;
+  List.iter
+    (fun (what, decls, body) ->
+      check_jam ~jam:false ~what (parse what (jam_nest ~decls ~nj:7 body)))
+    jam_negatives;
+  let tri = Kernels.tri_gather ~n:50 in
+  let src = fst (Natgen.source (Compile.compile ~opt_level:2 tri)) in
+  Alcotest.(check bool) "tri_gather: not jammed" false
+    (contains src "for _g");
+  if Lazy.force toolchain = Ok () then
+    check_five_way ~domain_counts:[ 1; 2; 3 ]
+      ~policies:[ Policy.Static_block; Policy.Gss; Policy.Self_sched 3 ]
+      ~what:"tri_gather" tri
 
 (* A literal zero (or, for ceildiv, non-positive) divisor is decided at
    generation time, but must still raise the tape's exact message — not
@@ -892,6 +1054,8 @@ let suite =
       test_mixed_streams_five_way;
     Alcotest.test_case "cond_stencil exclusive arms (five-way)" `Slow
       test_cond_stencil_five_way;
+    Alcotest.test_case "unroll-and-jam: strips 1-9, negatives (five-way)"
+      `Slow test_jam_five_way;
   ]
   @ [
       Gen.to_alcotest prop_serial_accum;
