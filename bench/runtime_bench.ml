@@ -743,7 +743,8 @@ let run ?(oversubscribe = false) ?(gate = false) () =
   let oc = open_out "BENCH_runtime.json" in
   Printf.fprintf oc
     "{\n  \"host_cores\": %d,\n  \"note\": \"engine is interpreter, \
-     bytecode (flat register tape, strip-mined) or \
+     bytecode (flat register tape, strip-mined; eligible strips run \
+     lane-at-a-time unless profiled) or \
      native (the -O2 tape Dynlink-compiled to machine code; rows present \
      only when the host has ocamlopt); \
      opt_level on bytecode rows is the Tapeopt level (0 = raw lowering, 2 = \

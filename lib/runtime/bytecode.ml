@@ -280,6 +280,46 @@ let sanitized t = t.tp_sanitize
 let n_instrs t = Array.length t.tp_ops
 let n_accesses t = Array.length t.tp_accs
 
+(* The int, resp. float, register an instruction writes. *)
+let int_dst = function
+  | Iconst (d, _)
+  | Iaff (d, _)
+  | Imul (d, _, _)
+  | Idiv (d, _, _)
+  | Imod (d, _, _)
+  | Icdiv (d, _, _)
+  | Imin (d, _, _)
+  | Imax (d, _, _)
+  | Iloop (d, _, _, _)
+  | Iloopc (d, _, _, _) ->
+      Some d
+  | _ -> None
+
+let float_dst = function
+  | Fconst (d, _)
+  | Fmov (d, _)
+  | Fadd (d, _, _)
+  | Fsub (d, _, _)
+  | Fmul (d, _, _)
+  | Fdiv (d, _, _)
+  | Fmin (d, _, _)
+  | Fmax (d, _, _)
+  | Fneg (d, _)
+  | Fofi (d, _)
+  | Fmac (d, _, _, _)
+  | Fmsb (d, _, _, _)
+  | Fload (d, _)
+  | Fmac2 (d, _, _, _)
+  | Fmsb2 (d, _, _, _)
+  | Fldmac (d, _, _, _)
+  | Fldmsb (d, _, _, _)
+  | Fldadd (d, _, _)
+  | Fldsub (d, _, _)
+  | Fldmul (d, _, _)
+  | Fld2add (d, _, _) ->
+      Some d
+  | _ -> None
+
 
 (* ---------- lowering ----------
 
@@ -366,19 +406,7 @@ let emit st i =
   st.code.(st.len) <- i;
   st.srcs.(st.len) <- st.cur_tag;
   st.len <- st.len + 1;
-  match i with
-  | Iconst (d, _)
-  | Iaff (d, _)
-  | Imul (d, _, _)
-  | Idiv (d, _, _)
-  | Imod (d, _, _)
-  | Icdiv (d, _, _)
-  | Imin (d, _, _)
-  | Imax (d, _, _)
-  | Iloop (d, _, _, _)
-  | Iloopc (d, _, _, _) ->
-      Hashtbl.replace st.written d ()
-  | _ -> ()
+  Option.iter (fun d -> Hashtbl.replace st.written d ()) (int_dst i)
 
 let patch st pos target =
   st.code.(pos) <-
@@ -1402,6 +1430,927 @@ let build_cfg (ops : instr array) : cfg =
         bounds;
     cf_block_of = block_of;
   }
+
+(* ---------- strip-lane legality ----------
+
+   Whether running consecutive strip iterations one instruction at a
+   time across all of them, in place, equals running them in order:
+   the lane path below runs up to [lane_width] iterations per pass, the
+   native tier's unroll-and-jam four. The rules, checked in this order
+   (the first that fails is the reason):
+
+   - uniform control: every branch and every serial-loop counter's
+     start, step and bound is uniform — computed only from literals,
+     prologue registers, registers the body never writes and other
+     uniform registers — and there is no float compare;
+   - stream offsets: a stream initialized in the body reads no varying
+     register besides the strip index, with one coefficient per slot;
+   - nothing carried: every register the body reads is defined earlier
+     on every path through the same iteration, or never written in it;
+   - one element per iteration: every stored array is accessed, in all
+     of its loads and stores, at one offset [inv + c * j], c <> 0, or
+     with one subscript [c * j + inv] and no other varying one, so
+     iterations touch distinct elements and none reads another's;
+   - nothing can raise: no [Istep], no variable-step stream, and every
+     divisor a valid literal, so errors and their order cannot depend
+     on the interleaving. *)
+
+module IntSet = Set.Make (Int)
+module IntMap = Map.Make (Int)
+
+let reads = function
+  | Iconst _ | Fconst _ | Jadv | Jmp _ | Icount _ -> ([], [], [])
+  | Iaff (_, a) | Sinit (_, a) -> (Array.to_list a.regs, [], [])
+  | Imul (_, a, b)
+  | Idiv (_, a, b)
+  | Imod (_, a, b)
+  | Icdiv (_, a, b)
+  | Imin (_, a, b)
+  | Imax (_, a, b)
+  | Jii (_, a, b, _) ->
+      ([ a; b ], [], [])
+  | Istep (r, _) | Fofi (_, r) -> ([ r ], [], [])
+  | Iloop (_, a, bnd, _) -> (bnd :: Array.to_list a.regs, [], [])
+  | Iloopc (r, _, bnd, _) -> ([ r; bnd ], [], [])
+  | Fmov (_, s) | Fneg (_, s) -> ([], [ s ], [])
+  | Fadd (_, a, b)
+  | Fsub (_, a, b)
+  | Fmul (_, a, b)
+  | Fdiv (_, a, b)
+  | Fmin (_, a, b)
+  | Fmax (_, a, b)
+  | Jff (_, a, b, _)
+  | Jffn (_, a, b, _) ->
+      ([], [ a; b ], [])
+  | Fmac (_, a, x, y) | Fmsb (_, a, x, y) -> ([], [ a; x; y ], [])
+  | Fload (_, id) -> ([], [], [ id ])
+  | Fstore (s, id) -> ([], [ s ], [ id ])
+  | Fmac2 (_, a, i1, i2) | Fmsb2 (_, a, i1, i2) -> ([], [ a ], [ i1; i2 ])
+  | Fldmac (_, a, x, id) | Fldmsb (_, a, x, id) -> ([], [ a; x ], [ id ])
+  | Fldadd (_, x, id) | Fldsub (_, x, id) | Fldmul (_, x, id) ->
+      ([], [ x ], [ id ])
+  | Fld2add (_, i1, i2) | Fldst (i1, i2) -> ([], [], [ i1; i2 ])
+
+(* Int registers an access's unsafe-path offset reads per execution. *)
+let acc_regs (ac : access) =
+  match ac.ac_vk with
+  | V1 (_, r) -> [ r ]
+  | V2 (_, r1, _, r2) -> [ r1; r2 ]
+  | Vn -> Array.to_list ac.ac_var.regs
+  | V0 | Vs _ | Vsj _ | Vsv _ -> []
+
+let const_regs ~jslot (tp : tape) =
+  let writes = Hashtbl.create 16 in
+  let count i =
+    match int_dst i with
+    | Some d ->
+        Hashtbl.replace writes d
+          (1 + Option.value ~default:0 (Hashtbl.find_opt writes d))
+    | None -> ()
+  in
+  Array.iter count tp.tp_pre;
+  Array.iter count tp.tp_ops;
+  Array.fold_left
+    (fun m i ->
+      match i with
+      | (Iconst (d, v) | Iaff (d, { base = v; coefs = [||]; _ }))
+        when d <> jslot && Hashtbl.find writes d = 1 ->
+          IntMap.add d v m
+      | _ -> m)
+    IntMap.empty tp.tp_pre
+
+let aff_coef (a : aff) r =
+  let c = ref 0 in
+  Array.iteri (fun m r' -> if r' = r then c := a.coefs.(m)) a.regs;
+  !c
+
+type lane_plan = {
+  lp_vary_i : IntSet.t;
+  lp_vary_f : IntSet.t;
+  lp_stride : int IntMap.t;
+  lp_flat_stores : bool;
+  lp_uniform : bool array;
+}
+
+let lane_plan ~jslot ~lits (tp : tape) =
+  let ops = tp.tp_ops in
+  let cfg = build_cfg ops in
+  let exit = cfg.cf_block_of.(Array.length ops) in
+  let acc id = tp.tp_accs.(id) in
+  let set_of f =
+    Array.fold_left
+      (fun s i -> match f i with Some d -> IntSet.add d s | None -> s)
+      IntSet.empty ops
+  in
+  let written_i = set_of int_dst and written_f = set_of float_dst in
+  (* registers and stream slots that vary with the strip index *)
+  let vi = ref (IntSet.singleton jslot) and vf = ref IntSet.empty in
+  let vs = ref IntSet.empty in
+  let acc_varies id =
+    let ac = acc id in
+    match ac.ac_vk with
+    | V0 -> false
+    | V1 _ | V2 _ | Vn -> List.exists (fun r -> IntSet.mem r !vi) (acc_regs ac)
+    | Vsj _ -> true
+    | Vs (s, _) | Vsv (s, _) -> IntSet.mem s !vs
+  in
+  let changed = ref true in
+  let add set x =
+    if not (IntSet.mem x !set) then begin
+      set := IntSet.add x !set;
+      changed := true
+    end
+  in
+  while !changed do
+    changed := false;
+    Array.iter
+      (fun i ->
+        let ir, fr, ids = reads i in
+        if
+          List.exists (fun r -> IntSet.mem r !vi) ir
+          || List.exists (fun r -> IntSet.mem r !vf) fr
+          || List.exists acc_varies ids
+        then begin
+          (match i with Sinit (s, _) -> add vs s | _ -> ());
+          Option.iter (add vi) (int_dst i);
+          Option.iter (add vf) (float_dst i)
+        end)
+      ops
+  done;
+  let uniform r = not (IntSet.mem r !vi) in
+  let varying_control () =
+    Array.exists
+      (fun i ->
+        match i with
+        | Jii _ | Iloop _ | Iloopc _ ->
+            let ir, _, _ = reads i in
+            not
+              (List.for_all uniform ir
+              && Option.fold ~none:true ~some:uniform (int_dst i))
+        | _ -> false)
+      ops
+  in
+  (* strip coefficients of the body's [Sinit]s: they must agree per slot
+     and read no varying register besides the strip index *)
+  let stride = ref IntMap.empty and stream_ok = ref true in
+  Array.iter
+    (fun i ->
+      match i with
+      | Sinit (s, a) ->
+          let c = aff_coef a jslot in
+          if not (Array.for_all (fun r -> r = jslot || uniform r) a.regs) then
+            stream_ok := false;
+          (match IntMap.find_opt s !stride with
+          | Some c' when c' <> c -> stream_ok := false
+          | _ -> ());
+          stride := IntMap.add s c !stride
+      | _ -> ())
+    ops;
+  (* nothing carried: a read of anything the body writes must follow a
+     write on every path through the iteration (keys: int 3r, float
+     3r+1, stream slot 3s+2) *)
+  let carried () =
+    let needs i =
+      let ir, fr, ids = reads i in
+      List.filter_map
+        (fun r -> if IntSet.mem r written_i then Some (3 * r) else None)
+        ir
+      @ List.filter_map
+          (fun r -> if IntSet.mem r written_f then Some ((3 * r) + 1) else None)
+          fr
+      @ List.concat_map
+          (fun id ->
+            let ac = acc id in
+            List.filter_map
+              (fun r -> if IntSet.mem r written_i then Some (3 * r) else None)
+              (acc_regs ac)
+            @
+            match ac.ac_vk with
+            | Vs (s, _) -> [ (3 * s) + 2 ]
+            | V0 | V1 _ | V2 _ | Vn | Vsj _ | Vsv _ -> [])
+          ids
+    in
+    let defs d i =
+      let add k r = IntSet.add ((3 * r) + k) in
+      let d = Option.fold ~none:d ~some:(fun r -> add 0 r d) (int_dst i) in
+      let d = Option.fold ~none:d ~some:(fun r -> add 1 r d) (float_dst i) in
+      match i with Sinit (s, _) -> add 2 s d | _ -> d
+    in
+    let outs = Array.make exit None in
+    let block_in bid =
+      if bid = 0 then Some IntSet.empty
+      else
+        List.fold_left
+          (fun acc p ->
+            match (acc, if p < exit then outs.(p) else None) with
+            | None, o | o, None -> o
+            | Some a, Some b -> Some (IntSet.inter a b))
+          None cfg.cf_blocks.(bid).bb_preds
+    in
+    let bad = ref false in
+    let walk bid check =
+      match block_in bid with
+      | None -> None
+      | Some d ->
+          let bb = cfg.cf_blocks.(bid) in
+          let d = ref d in
+          for p = bb.bb_start to bb.bb_stop - 1 do
+            let defined k = IntSet.mem k !d in
+            if check && not (List.for_all defined (needs ops.(p))) then
+              bad := true;
+            d := defs !d ops.(p)
+          done;
+          Some !d
+    in
+    let stable = ref false in
+    while not !stable do
+      stable := true;
+      for bid = 0 to exit - 1 do
+        let o = walk bid false in
+        if o <> outs.(bid) then begin
+          stable := false;
+          outs.(bid) <- o
+        end
+      done
+    done;
+    for bid = 0 to exit - 1 do
+      ignore (walk bid true)
+    done;
+    !bad
+  in
+  (* every stored array is accessed at one element per iteration, in
+     one of two forms: flat, the same [ac_inv] and [ac_var = c * jslot],
+     c <> 0, in every access; or pinned, one subscript the same
+     [c * jslot + e] in every access (e over registers the body never
+     writes) and no subscript reading a varying register but the strip
+     index — the range proof a lane fork needs keeps subscripts in
+     bounds, so distinct iterations touch distinct rows *)
+  let body_accs =
+    List.concat_map
+      (fun i ->
+        let _, _, ids = reads i in
+        ids)
+      (Array.to_list ops)
+  in
+  let stored =
+    Array.fold_left
+      (fun s i ->
+        match i with
+        | Fstore (_, id) | Fldst (_, id) -> IntSet.add (acc id).ac_slot s
+        | _ -> s)
+      IntSet.empty ops
+  in
+  let same_slot (ac : access) =
+    List.filter_map
+      (fun id ->
+        let ac' = acc id in
+        if ac'.ac_slot = ac.ac_slot then Some ac' else None)
+      body_accs
+  in
+  let flat id =
+    let ac = acc id in
+    (not (IntSet.mem ac.ac_slot stored))
+    || ac.ac_var.base = 0
+       && ac.ac_var.regs = [| jslot |]
+       && ac.ac_var.coefs.(0) <> 0
+       && Array.for_all (fun r -> not (IntSet.mem r written_i)) ac.ac_inv.regs
+       && List.for_all
+            (fun (ac' : access) ->
+              ac'.ac_inv = ac.ac_inv && ac'.ac_var = ac.ac_var)
+            (same_slot ac)
+  in
+  let pinned id =
+    let ac = acc id in
+    let others = same_slot ac in
+    let pins (a : aff) =
+      aff_coef a jslot <> 0
+      && Array.for_all
+           (fun r -> r = jslot || not (IntSet.mem r written_i))
+           a.regs
+    in
+    List.for_all
+      (fun (ac' : access) ->
+        Array.for_all
+          (fun (a : aff) ->
+            Array.for_all (fun r -> r = jslot || uniform r) a.regs)
+          ac'.ac_subs)
+      others
+    && Array.exists Fun.id
+         (Array.mapi
+            (fun d a ->
+              pins a
+              && List.for_all
+                   (fun (ac' : access) -> ac'.ac_subs.(d) = a)
+                   others)
+            ac.ac_subs)
+  in
+  let shared_store () =
+    not (List.for_all (fun id -> flat id || pinned id) body_accs)
+  in
+  (* a [Vsv] stream belongs to a variable-step loop, whose [Istep] stays
+     in the body *)
+  let may_raise () =
+    let valid_lit b p =
+      match IntMap.find_opt b lits with Some v -> p v | None -> false
+    in
+    Array.exists
+      (fun i ->
+        let _, _, ids = reads i in
+        List.exists
+          (fun id -> match (acc id).ac_vk with Vsv _ -> true | _ -> false)
+          ids
+        ||
+        match i with
+        | Istep _ -> true
+        | Idiv (_, _, b) | Imod (_, _, b) -> not (valid_lit b (fun v -> v <> 0))
+        | Icdiv (_, _, b) -> not (valid_lit b (fun v -> v > 0))
+        | _ -> false)
+      ops
+  in
+  let float_compare () =
+    Array.exists (function Jff _ | Jffn _ -> true | _ -> false) ops
+  in
+  let rules =
+    [
+      ("sanitized tape", fun () -> tp.tp_sanitize);
+      ("float compare", float_compare);
+      ("varying control", varying_control);
+      ("varying stream offset", fun () -> not !stream_ok);
+      ("register carried across iterations", carried);
+      ("stored array not at one offset inv + c*j", shared_store);
+      ("may raise", may_raise);
+    ]
+  in
+  match List.find_opt (fun (_, fails) -> fails ()) rules with
+  | Some (why, _) -> Result.Error why
+  | None ->
+      Result.Ok
+        {
+          lp_vary_i = !vi;
+          lp_vary_f = !vf;
+          lp_stride = IntMap.filter (fun _ c -> c <> 0) !stride;
+          lp_flat_stores = List.for_all flat body_accs;
+          lp_uniform =
+            Array.init (Array.length tp.tp_accs) (fun id ->
+                not (acc_varies id));
+        }
+
+(* ---------- lane execution ----------
+
+   An eligible strip runs in pieces of up to [lane_width] iterations.
+   Control, uniform registers and stream slots stay scalar, in the
+   register files and scratch, and run once per piece; a varying
+   register lives in a lane array, one slot per iteration of the piece,
+   and an instruction writing one (or storing) runs as one loop over
+   the piece. Every operand is a strided view [arr.(base + l * step)]:
+   a lane array (step 1), a scalar register (step 0) or an array access
+   whose offset at iteration [l] of the piece is its offset at the
+   piece's first iteration plus [l * c * jstep] — streams are bumped
+   once per piece. An access whose offset reads a varying register
+   other than the strip index is gathered lane by lane. The strip index
+   register holds the piece's first iteration, so offsets and stream
+   initializers evaluate there. After the strip the last iteration's
+   varying registers go back to the register files. *)
+
+let lane_width = 256
+
+type lane_acc =
+  | La_fix  (** [V0]: the hoisted invariant offset *)
+  | La_aff of int  (** invariant + variant part; strip coefficient *)
+  | La_gather  (** reads a varying register besides the strip index *)
+  | La_stream of int * int * int  (** [Vs]: slot, bump, strip coefficient *)
+  | La_strip of int * int  (** [Vsj]: slot, strip coefficient *)
+
+type lanes = {
+  ln_vary : bool array;  (** per [tp_ops] position: runs across lanes *)
+  ln_ilane : int array;  (** int register -> lane array base, or -1 *)
+  ln_flane : int array;  (** float register -> lane array base, or -1 *)
+  ln_iregs : int array;  (** varying int registers, in lane order *)
+  ln_fregs : int array;  (** varying float registers, in lane order *)
+  ln_acc : lane_acc array;
+}
+
+let lanes ~jslot (tp : tape) =
+  match lane_plan ~jslot ~lits:(const_regs ~jslot tp) tp with
+  | Result.Error why -> Result.Error why
+  | Result.Ok lp ->
+      let iregs = Array.of_list (IntSet.elements lp.lp_vary_i) in
+      let fregs = Array.of_list (IntSet.elements lp.lp_vary_f) in
+      let map regs =
+        let m = Array.make (Array.fold_left max (-1) regs + 1) (-1) in
+        Array.iteri (fun k r -> m.(r) <- k * lane_width) regs;
+        m
+      in
+      let varies i =
+        match i with
+        | Fstore _ | Fldst _ -> true
+        | _ ->
+            Option.fold ~none:false
+              ~some:(fun d -> IntSet.mem d lp.lp_vary_i)
+              (int_dst i)
+            || Option.fold ~none:false
+                 ~some:(fun d -> IntSet.mem d lp.lp_vary_f)
+                 (float_dst i)
+      in
+      let lacc (ac : access) =
+        match ac.ac_vk with
+        | V0 -> La_fix
+        | V1 _ | V2 _ | Vn ->
+            if
+              Array.for_all
+                (fun r -> r = jslot || not (IntSet.mem r lp.lp_vary_i))
+                ac.ac_var.regs
+            then La_aff (aff_coef ac.ac_var jslot)
+            else La_gather
+        | Vs (s, b) ->
+            let c = Option.value ~default:0 (IntMap.find_opt s lp.lp_stride) in
+            La_stream (s, b, c)
+        | Vsj (s, c) -> La_strip (s, c)
+        | Vsv _ ->
+            (* only in an access no instruction reads: [lane_plan]
+               rejects the variable-step loops these stream *)
+            La_gather
+      in
+      Result.Ok
+        {
+          ln_vary = Array.map varies tp.tp_ops;
+          ln_ilane = map iregs;
+          ln_flane = map fregs;
+          ln_iregs = iregs;
+          ln_fregs = fregs;
+          ln_acc = Array.map lacc tp.tp_accs;
+        }
+
+(* A strided view [arr.(base + l * step)]. *)
+type 'a view = {
+  mutable arr : 'a array;
+  mutable base : int;
+  mutable step : int;
+}
+
+(* Lane kernels: [n] iterations over views; element [l] of every
+   operand is read before element [l] of the destination is written, so
+   a destination may alias an operand. No kernel allocates. *)
+
+let k_fcopy n (d : float view) (a : float view) =
+  let da = d.arr and db = d.base and ds = d.step in
+  let aa = a.arr and ab = a.base and as_ = a.step in
+  for l = 0 to n - 1 do
+    Array.unsafe_set da (db + (l * ds)) (Array.unsafe_get aa (ab + (l * as_)))
+  done
+
+let k_ffill n (d : float view) x =
+  let da = d.arr and db = d.base and ds = d.step in
+  for l = 0 to n - 1 do
+    Array.unsafe_set da (db + (l * ds)) x
+  done
+
+let k_fneg n (d : float view) (a : float view) =
+  let da = d.arr and db = d.base and ds = d.step in
+  let aa = a.arr and ab = a.base and as_ = a.step in
+  for l = 0 to n - 1 do
+    Array.unsafe_set da (db + (l * ds)) (-.Array.unsafe_get aa (ab + (l * as_)))
+  done
+
+let k_fofi n (d : float view) (a : int view) =
+  let da = d.arr and db = d.base and ds = d.step in
+  let aa = a.arr and ab = a.base and as_ = a.step in
+  for l = 0 to n - 1 do
+    Array.unsafe_set da (db + (l * ds))
+      (float_of_int (Array.unsafe_get aa (ab + (l * as_))))
+  done
+
+type fop = Kadd | Ksub | Kmul | Kdiv | Kmin | Kmax
+
+let k_fbin op n (d : float view) (a : float view) (b : float view) =
+  let da = d.arr and db = d.base and ds = d.step in
+  let aa = a.arr and ab = a.base and as_ = a.step in
+  let ba = b.arr and bb = b.base and bs = b.step in
+  match op with
+  | Kadd ->
+      for l = 0 to n - 1 do
+        Array.unsafe_set da (db + (l * ds))
+          (Array.unsafe_get aa (ab + (l * as_))
+          +. Array.unsafe_get ba (bb + (l * bs)))
+      done
+  | Ksub ->
+      for l = 0 to n - 1 do
+        Array.unsafe_set da (db + (l * ds))
+          (Array.unsafe_get aa (ab + (l * as_))
+          -. Array.unsafe_get ba (bb + (l * bs)))
+      done
+  | Kmul ->
+      for l = 0 to n - 1 do
+        Array.unsafe_set da (db + (l * ds))
+          (Array.unsafe_get aa (ab + (l * as_))
+          *. Array.unsafe_get ba (bb + (l * bs)))
+      done
+  | Kdiv ->
+      for l = 0 to n - 1 do
+        Array.unsafe_set da (db + (l * ds))
+          (Array.unsafe_get aa (ab + (l * as_))
+          /. Array.unsafe_get ba (bb + (l * bs)))
+      done
+  | Kmin ->
+      for l = 0 to n - 1 do
+        let x = Array.unsafe_get aa (ab + (l * as_))
+        and y = Array.unsafe_get ba (bb + (l * bs)) in
+        Array.unsafe_set da (db + (l * ds)) (if x <= y then x else y)
+      done
+  | Kmax ->
+      for l = 0 to n - 1 do
+        let x = Array.unsafe_get aa (ab + (l * as_))
+        and y = Array.unsafe_get ba (bb + (l * bs)) in
+        Array.unsafe_set da (db + (l * ds)) (if x >= y then x else y)
+      done
+
+(* d <- a +. x *. y, or a -. x *. y *)
+let k_fmac ~add n (d : float view) (a : float view) (x : float view)
+    (y : float view) =
+  let da = d.arr and db = d.base and ds = d.step in
+  let aa = a.arr and ab = a.base and as_ = a.step in
+  let xa = x.arr and xb = x.base and xs = x.step in
+  let ya = y.arr and yb = y.base and ys = y.step in
+  if add then
+    for l = 0 to n - 1 do
+      Array.unsafe_set da (db + (l * ds))
+        (Array.unsafe_get aa (ab + (l * as_))
+        +. (Array.unsafe_get xa (xb + (l * xs))
+           *. Array.unsafe_get ya (yb + (l * ys))))
+    done
+  else
+    for l = 0 to n - 1 do
+      Array.unsafe_set da (db + (l * ds))
+        (Array.unsafe_get aa (ab + (l * as_))
+        -. (Array.unsafe_get xa (xb + (l * xs))
+           *. Array.unsafe_get ya (yb + (l * ys))))
+    done
+
+(* divisors are valid literals ([lane_plan]) *)
+let k_ibin (i : instr) n (d : int view) (a : int view) (b : int view) =
+  let da = d.arr and db = d.base and ds = d.step in
+  let aa = a.arr and ab = a.base and as_ = a.step in
+  let ba = b.arr and bb = b.base and bs = b.step in
+  for l = 0 to n - 1 do
+    let x = Array.unsafe_get aa (ab + (l * as_))
+    and y = Array.unsafe_get ba (bb + (l * bs)) in
+    Array.unsafe_set da (db + (l * ds))
+      (match i with
+      | Imul _ -> x * y
+      | Idiv _ -> x / y
+      | Imod _ -> x mod y
+      | Icdiv _ -> Loopcoal_util.Intmath.cdiv x y
+      | Imin _ -> if x <= y then x else y
+      | _ -> if x >= y then x else y)
+  done
+
+(* One domain's lane arrays: they hold no register file or array, so a
+   fork state keeps them across runs. *)
+type lane_state = {
+  ls_i : int array;  (** int lane arrays *)
+  ls_f : float array;  (** float lane arrays *)
+  ls_off : int array;  (** gathered offsets *)
+  ls_g : float array;  (** gathered loads, one lane array per operand *)
+  ls_dirty : bool array;  (** varying registers written, ints then floats *)
+}
+
+let make_lane_state ln =
+  let nvi = Array.length ln.ln_iregs and nvf = Array.length ln.ln_fregs in
+  let gathers = Array.mem La_gather ln.ln_acc in
+  {
+    ls_i = Array.make (nvi * lane_width) 0;
+    ls_f = Array.make (nvf * lane_width) 0.0;
+    ls_off = (if gathers then Array.make lane_width 0 else [||]);
+    ls_g = (if gathers then Array.make (4 * lane_width) 0.0 else [||]);
+    ls_dirty = Array.make (nvi + nvf) false;
+  }
+
+(* One domain's lane runner: what its strips read, and the operand
+   views — slot 0 the destination, then the operands. *)
+type lane_run = {
+  lr_tape : tape;
+  lr_ln : lanes;
+  lr_ls : lane_state;
+  lr_ints : int array;
+  lr_reals : float array;
+  lr_arrays : float array array;
+  lr_inv : int array;
+  lr_fv : float view array;
+  lr_iv : int view array;
+  mutable lr_jstep : int;
+}
+
+(* A view slot mostly sees the same array again: skip the write barrier
+   then. *)
+let set_view (v : _ view) arr base step =
+  if v.arr != arr then v.arr <- arr;
+  v.base <- base;
+  v.step <- step
+
+(* The lane array base of a register, or -1 for a scalar one; [lanes]
+   is false in the prologue, which runs on the register files alone. *)
+let ibase lr ~lanes r =
+  let m = lr.lr_ln.ln_ilane in
+  if lanes && r < Array.length m then Array.unsafe_get m r else -1
+
+let fbase lr ~lanes r =
+  let m = lr.lr_ln.ln_flane in
+  if lanes && r < Array.length m then Array.unsafe_get m r else -1
+
+let ireg lr ~lanes k r =
+  let b = ibase lr ~lanes r in
+  if b >= 0 then set_view lr.lr_iv.(k) lr.lr_ls.ls_i b 1
+  else set_view lr.lr_iv.(k) lr.lr_ints r 0
+
+let freg lr ~lanes k r =
+  let b = fbase lr ~lanes r in
+  if b >= 0 then set_view lr.lr_fv.(k) lr.lr_ls.ls_f b 1
+  else set_view lr.lr_fv.(k) lr.lr_reals r 0
+
+let idst lr ~lanes r =
+  let b = ibase lr ~lanes r in
+  if b >= 0 then begin
+    Array.unsafe_set lr.lr_ls.ls_dirty (b / lane_width) true;
+    set_view lr.lr_iv.(0) lr.lr_ls.ls_i b 1
+  end
+  else set_view lr.lr_iv.(0) lr.lr_ints r 0
+
+let fdst lr ~lanes r =
+  let b = fbase lr ~lanes r in
+  if b >= 0 then begin
+    Array.unsafe_set lr.lr_ls.ls_dirty
+      (Array.length lr.lr_ln.ln_iregs + (b / lane_width))
+      true;
+    set_view lr.lr_fv.(0) lr.lr_ls.ls_f b 1
+  end
+  else set_view lr.lr_fv.(0) lr.lr_reals r 0
+
+(* View [k] over access [id] for a use by [n] iterations. *)
+let fmem lr k n id =
+  let ac = Array.unsafe_get lr.lr_tape.tp_accs id in
+  let a = Array.unsafe_get lr.lr_arrays ac.ac_slot in
+  let inv = lr.lr_inv and js = lr.lr_jstep in
+  let v = lr.lr_fv.(k) in
+  match Array.unsafe_get lr.lr_ln.ln_acc id with
+  | La_fix -> set_view v a (Array.unsafe_get inv id) 0
+  | La_aff c ->
+      let o = Array.unsafe_get inv id + aff_eval lr.lr_ints ac.ac_var in
+      set_view v a o (c * js)
+  | La_stream (s, b, c) ->
+      let o = Array.unsafe_get inv s in
+      Array.unsafe_set inv s (o + b);
+      set_view v a o (c * js)
+  | La_strip (s, c) ->
+      let o = Array.unsafe_get inv s in
+      Array.unsafe_set inv s (o + (n * c * js));
+      set_view v a o (c * js)
+  | La_gather ->
+      let off = lr.lr_ls.ls_off and li = lr.lr_ls.ls_i and var = ac.ac_var in
+      Array.fill off 0 n (Array.unsafe_get inv id);
+      for m = 0 to Array.length var.regs - 1 do
+        let c = var.coefs.(m) and r = var.regs.(m) in
+        let b = ibase lr ~lanes:true r in
+        if b >= 0 then
+          for l = 0 to n - 1 do
+            Array.unsafe_set off l
+              (Array.unsafe_get off l + (c * Array.unsafe_get li (b + l)))
+          done
+        else
+          let x = c * Array.unsafe_get lr.lr_ints r in
+          for l = 0 to n - 1 do
+            Array.unsafe_set off l (Array.unsafe_get off l + x)
+          done
+      done;
+      let g = lr.lr_ls.ls_g and gb = k * lane_width in
+      for l = 0 to n - 1 do
+        Array.unsafe_set g (gb + l)
+          (Array.unsafe_get a (Array.unsafe_get off l))
+      done;
+      set_view v g gb 1
+
+(* dst <- base + sum coef * reg: the terms over scalar registers sum
+   once *)
+let lane_aff lr ~lanes n d (a : aff) =
+  let ints = lr.lr_ints and li = lr.lr_ls.ls_i in
+  let k = ref a.base and nlane = ref 0 and lc = ref 0 and lb = ref 0 in
+  for m = 0 to Array.length a.regs - 1 do
+    let r = a.regs.(m) and c = a.coefs.(m) in
+    let b = ibase lr ~lanes r in
+    if b >= 0 then begin
+      incr nlane;
+      lc := c;
+      lb := b
+    end
+    else k := !k + (c * Array.unsafe_get ints r)
+  done;
+  idst lr ~lanes d;
+  let v = lr.lr_iv.(0) in
+  let da = v.arr and db = v.base and ds = v.step in
+  let k = !k and c = !lc and b = !lb in
+  if !nlane = 0 then
+    for l = 0 to n - 1 do
+      Array.unsafe_set da (db + (l * ds)) k
+    done
+  else if !nlane = 1 then
+    for l = 0 to n - 1 do
+      Array.unsafe_set da (db + (l * ds))
+        (k + (c * Array.unsafe_get li (b + l)))
+    done
+  else
+    for l = 0 to n - 1 do
+      let x = ref k in
+      for m = 0 to Array.length a.regs - 1 do
+        let b = ibase lr ~lanes a.regs.(m) in
+        if b >= 0 then x := !x + (a.coefs.(m) * Array.unsafe_get li (b + l))
+      done;
+      Array.unsafe_set da (db + (l * ds)) !x
+    done
+
+(* One straight-line instruction over [n] iterations. *)
+let lane_step lr ~lanes n (i : instr) =
+  let fv = lr.lr_fv and iv = lr.lr_iv in
+  match i with
+  | Iconst (d, x) ->
+      idst lr ~lanes d;
+      let v = iv.(0) in
+      for l = 0 to n - 1 do
+        Array.unsafe_set v.arr (v.base + (l * v.step)) x
+      done
+  | Iaff (d, a) -> lane_aff lr ~lanes n d a
+  | Imul (d, a, b)
+  | Idiv (d, a, b)
+  | Imod (d, a, b)
+  | Icdiv (d, a, b)
+  | Imin (d, a, b)
+  | Imax (d, a, b) ->
+      ireg lr ~lanes 1 a;
+      ireg lr ~lanes 2 b;
+      idst lr ~lanes d;
+      k_ibin i n iv.(0) iv.(1) iv.(2)
+  | Fconst (d, x) ->
+      fdst lr ~lanes d;
+      k_ffill n fv.(0) x
+  | Fmov (d, s) ->
+      freg lr ~lanes 1 s;
+      fdst lr ~lanes d;
+      k_fcopy n fv.(0) fv.(1)
+  | Fneg (d, s) ->
+      freg lr ~lanes 1 s;
+      fdst lr ~lanes d;
+      k_fneg n fv.(0) fv.(1)
+  | Fofi (d, s) ->
+      ireg lr ~lanes 1 s;
+      fdst lr ~lanes d;
+      k_fofi n fv.(0) iv.(1)
+  | Fadd (d, a, b)
+  | Fsub (d, a, b)
+  | Fmul (d, a, b)
+  | Fdiv (d, a, b)
+  | Fmin (d, a, b)
+  | Fmax (d, a, b) ->
+      let op =
+        match i with
+        | Fadd _ -> Kadd
+        | Fsub _ -> Ksub
+        | Fmul _ -> Kmul
+        | Fdiv _ -> Kdiv
+        | Fmin _ -> Kmin
+        | _ -> Kmax
+      in
+      freg lr ~lanes 1 a;
+      freg lr ~lanes 2 b;
+      fdst lr ~lanes d;
+      k_fbin op n fv.(0) fv.(1) fv.(2)
+  | Fmac (d, a, x, y) | Fmsb (d, a, x, y) ->
+      freg lr ~lanes 1 a;
+      freg lr ~lanes 2 x;
+      freg lr ~lanes 3 y;
+      fdst lr ~lanes d;
+      k_fmac
+        ~add:(match i with Fmac _ -> true | _ -> false)
+        n fv.(0) fv.(1) fv.(2) fv.(3)
+  | Fload (d, id) ->
+      fmem lr 1 n id;
+      fdst lr ~lanes d;
+      k_fcopy n fv.(0) fv.(1)
+  | Fstore (s, id) ->
+      freg lr ~lanes 1 s;
+      fmem lr 0 n id;
+      k_fcopy n fv.(0) fv.(1)
+  | Fmac2 (d, a, i1, i2) | Fmsb2 (d, a, i1, i2) ->
+      freg lr ~lanes 1 a;
+      fmem lr 2 n i1;
+      fmem lr 3 n i2;
+      fdst lr ~lanes d;
+      k_fmac
+        ~add:(match i with Fmac2 _ -> true | _ -> false)
+        n fv.(0) fv.(1) fv.(2) fv.(3)
+  | Fldmac (d, a, x, id) | Fldmsb (d, a, x, id) ->
+      freg lr ~lanes 1 a;
+      freg lr ~lanes 2 x;
+      fmem lr 3 n id;
+      fdst lr ~lanes d;
+      k_fmac
+        ~add:(match i with Fldmac _ -> true | _ -> false)
+        n fv.(0) fv.(1) fv.(2) fv.(3)
+  | Fldadd (d, x, id) | Fldsub (d, x, id) | Fldmul (d, x, id) ->
+      freg lr ~lanes 1 x;
+      fmem lr 2 n id;
+      fdst lr ~lanes d;
+      let op = match i with Fldadd _ -> Kadd | Fldsub _ -> Ksub | _ -> Kmul in
+      k_fbin op n fv.(0) fv.(1) fv.(2)
+  | Fld2add (d, i1, i2) ->
+      fmem lr 1 n i1;
+      fmem lr 2 n i2;
+      fdst lr ~lanes d;
+      k_fbin Kadd n fv.(0) fv.(1) fv.(2)
+  | Fldst (i1, i2) ->
+      fmem lr 1 n i1;
+      fmem lr 0 n i2;
+      k_fcopy n fv.(0) fv.(1)
+  | Sinit (s, a) -> Array.unsafe_set lr.lr_inv s (aff_eval lr.lr_ints a)
+  | Istep _ | Jadv | Icount _ | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _
+  | Iloopc _ ->
+      assert false
+
+let lane_strip lr ~jslot j0 jstep len =
+  let tape = lr.lr_tape and ln = lr.lr_ln and ints = lr.lr_ints in
+  let li = lr.lr_ls.ls_i and dirty = lr.lr_ls.ls_dirty in
+  let accs = tape.tp_accs and pre = tape.tp_pre in
+  let ops = tape.tp_ops and vary = ln.ln_vary in
+  let stop = Array.length ops in
+  let jb = Array.unsafe_get ln.ln_ilane jslot in
+  lr.lr_jstep <- jstep;
+  (* strip prologue and invariant offsets, as [exec_strip] *)
+  Array.unsafe_set ints jslot j0;
+  for p = 0 to Array.length pre - 1 do
+    lane_step lr ~lanes:false 1 (Array.unsafe_get pre p)
+  done;
+  for a = 0 to Array.length accs - 1 do
+    Array.unsafe_set lr.lr_inv a
+      (aff_eval ints (Array.unsafe_get accs a).ac_inv)
+  done;
+  Array.fill dirty 0 (Array.length dirty) false;
+  let p = ref 0 and n = ref 0 in
+  while !p < len do
+    n := if len - !p < lane_width then len - !p else lane_width;
+    let j = j0 + (!p * jstep) in
+    Array.unsafe_set ints jslot j;
+    for l = 0 to !n - 1 do
+      Array.unsafe_set li (jb + l) (j + (l * jstep))
+    done;
+    let pc = ref 0 in
+    while !pc < stop do
+      match Array.unsafe_get ops !pc with
+      | Jmp t -> pc := t
+      | Jii (op, a, b, t) ->
+          if icmp op (Array.unsafe_get ints a) (Array.unsafe_get ints b) then
+            pc := t
+          else incr pc
+      | Iloop (r, a, bnd, top) ->
+          let v = aff_eval ints a in
+          Array.unsafe_set ints r v;
+          if v <= Array.unsafe_get ints bnd then pc := top else incr pc
+      | Iloopc (r, c, bnd, top) ->
+          let v = Array.unsafe_get ints r + c in
+          Array.unsafe_set ints r v;
+          if v <= Array.unsafe_get ints bnd then pc := top else incr pc
+      | i ->
+          let n = if Array.unsafe_get vary !pc then !n else 1 in
+          lane_step lr ~lanes:true n i;
+          incr pc
+    done;
+    p := !p + !n
+  done;
+  (* the last iteration's varying registers, the strip index included *)
+  if len > 0 then begin
+    let last = !n - 1 and nvi = Array.length ln.ln_iregs in
+    Array.unsafe_set dirty (jb / lane_width) true;
+    for k = 0 to nvi - 1 do
+      if dirty.(k) then ints.(ln.ln_iregs.(k)) <- li.((k * lane_width) + last)
+    done;
+    for k = 0 to Array.length ln.ln_fregs - 1 do
+      if dirty.(nvi + k) then
+        lr.lr_reals.(ln.ln_fregs.(k)) <- lr.lr_ls.ls_f.((k * lane_width) + last)
+    done
+  end
+
+let lane_runner tape ln ls ~ints ~reals ~arrays ~inv ~jslot =
+  let lr =
+    {
+      lr_tape = tape;
+      lr_ln = ln;
+      lr_ls = ls;
+      lr_ints = ints;
+      lr_reals = reals;
+      lr_arrays = arrays;
+      lr_inv = inv;
+      lr_fv = Array.init 4 (fun _ -> { arr = reals; base = 0; step = 0 });
+      lr_iv = Array.init 3 (fun _ -> { arr = ints; base = 0; step = 0 });
+      lr_jstep = 0;
+    }
+  in
+  fun j0 jstep len -> lane_strip lr ~jslot j0 jstep len
 
 (* ---------- stable textual form (for --dump-tape and golden tests) ---------- *)
 

@@ -320,6 +320,90 @@ val exec_strip :
     registers must already be set. [inv] is a {!make_scratch} array;
     invariant offset parts are (re)hoisted into it on entry. *)
 
+(** {1 Lane execution}
+
+    An eligible strip runs up to {!lane_width} iterations per pass: one
+    dispatch per instruction per pass instead of per iteration. See
+    {!lane_plan} for the rules that make this equal to running the
+    iterations in order. *)
+
+module IntSet : Set.S with type elt = int
+module IntMap : Map.S with type key = int
+
+val int_dst : instr -> int option
+(** The int register an instruction writes. *)
+
+val float_dst : instr -> int option
+(** The float register an instruction writes. *)
+
+val reads : instr -> int list * int list * int list
+(** What one instruction reads: int registers, float registers, and
+    access ids in operand order. *)
+
+val const_regs : jslot:int -> tape -> int IntMap.t
+(** Int registers whose only writer is a prologue constant ([Iconst],
+    or a term-free [Iaff]), other than the strip index: register ->
+    value. *)
+
+type lane_plan = {
+  lp_vary_i : IntSet.t;  (** int registers that vary with the strip index *)
+  lp_vary_f : IntSet.t;  (** float registers that vary with it *)
+  lp_stride : int IntMap.t;
+      (** stream slots initialized in the body with a [c * jslot] term:
+          slot -> c *)
+  lp_flat_stores : bool;
+      (** every stored array at one flat offset [inv + c * jslot]; else
+          some is only pinned to its iteration by one subscript *)
+  lp_uniform : bool array;
+      (** per access: every iteration of a strip reads the same element *)
+}
+
+val lane_plan :
+  jslot:int -> lits:int IntMap.t -> tape -> (lane_plan, string) result
+(** Whether running consecutive strip iterations one instruction at a
+    time across all of them, in place, equals running them in order —
+    the legality analysis of both the lane path and the native tier's
+    unroll-and-jam. [lits] are the registers known to hold literals
+    (for divisors). [Error] names the first rule that fails, in order:
+    ["sanitized tape"], ["float compare"], ["varying control"],
+    ["varying stream offset"], ["register carried across iterations"],
+    ["stored array not at one offset inv + c*j"], ["may raise"]. *)
+
+val lane_width : int
+(** Iterations per lane pass. *)
+
+type lanes
+(** A tape's lane program: {!lane_plan} with [lits = const_regs]. *)
+
+val lanes : jslot:int -> tape -> (lanes, string) result
+
+type lane_state
+(** One domain's lane arrays. They reference no register file or array,
+    so they can outlive the runs that use them; never shared between
+    domains. *)
+
+val make_lane_state : lanes -> lane_state
+
+val lane_runner :
+  tape ->
+  lanes ->
+  lane_state ->
+  ints:int array ->
+  reals:float array ->
+  arrays:float array array ->
+  inv:int array ->
+  jslot:int ->
+  int ->
+  int ->
+  int ->
+  unit
+(** [lane_runner tape ln ls ~ints ~reals ~arrays ~inv ~jslot] is one
+    domain's strip runner [fun j0 jstep len -> ...] over lane arrays
+    [ls]: {!exec_strip} on the lane path, for a fork whose proof made
+    every access unchecked on a tape that is not sanitized — the same
+    arrays, and the same registers after the strip. [inv] is a
+    {!make_scratch} array. The runner allocates nothing. *)
+
 val strip_bounds : inner:int -> t0:int -> len:int -> (int * int) list
 (** Pure model of the executor's chunk decomposition: the maximal
     contiguous strips [(t_start, strip_len)] covering coalesced range

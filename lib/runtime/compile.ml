@@ -84,7 +84,7 @@ and space = {
   mutable total : int;
 }
 
-(* What one parallel fork of a plan leaves for the next, so that a fork
+(* What one fork of a plan leaves for the next, so that a fork
    refreshes only what changed. Owned by [Exec]: one fork at a time
    holds it, through [fs_busy]; a fork that finds it held builds a
    private one. *)
@@ -109,11 +109,23 @@ and fork_state = {
   fs_part_ints : int array;  (** reduction partials across a restart *)
   fs_part_reals : float array;
   mutable fs_bound : binding option;
+  mutable fs_solo : solo option;
+  fs_lanes : (Bytecode.lanes, string) result;
+      (** the body's lane program, or the lane rule it fails *)
+  mutable fs_lane_states : Bytecode.lane_state array;  (** per domain *)
 }
 
 and fork_mode =
   | Fork_tape of Bytecode.prep
+  | Fork_lanes of Bytecode.prep
   | Fork_native of Natapi.runner
+
+(* The master environment's own chunk runner, for sequential forks. *)
+and solo = {
+  so_env : env;
+  so_profile : Profile.collector option;
+  so_run : fork_mode -> int -> int -> unit;
+}
 
 (* Per-domain clones and the closures that run them, bound for one
    master environment: the forks of one run share them. *)

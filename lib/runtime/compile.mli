@@ -50,9 +50,8 @@ and plan = {
           declined the plan) — the native engine then falls back to the
           bytecode runner for this plan *)
   mutable fork_state : fork_state option;
-      (** the executor's state for parallel forks of this plan: [None]
-          until the plan first forks across domains, then kept across
-          forks and runs *)
+      (** the executor's state for forks of this plan: [None] until the
+          plan first forks, then kept across forks and runs *)
 }
 
 and space = {
@@ -89,15 +88,36 @@ and fork_state = {
   mutable fs_bound : binding option;
       (** clones and closures of the current run; dropped when the run
           ends *)
+  mutable fs_solo : solo option;
+      (** the current run's sequential runner; dropped when the run
+          ends *)
+  fs_lanes : (Bytecode.lanes, string) result;
+      (** the body's lane program ({!Bytecode.lanes}), or the first lane
+          rule it fails *)
+  mutable fs_lane_states : Bytecode.lane_state array;
+      (** lane arrays per domain, kept across runs *)
 }
-(** What one parallel fork of a plan leaves for the next, so a fork
+(** What one fork of a plan leaves for the next, so a fork
     refreshes only what changed ({!Exec} owns every field). A fork
     claims it by setting [fs_busy]; a fork that finds it held — the same
     compiled program running on another domain — builds a private one. *)
 
 and fork_mode =
   | Fork_tape of Bytecode.prep  (** tape strips under this proof *)
+  | Fork_lanes of Bytecode.prep
+      (** tape strips on the lane path (every access unchecked under
+          this proof) *)
   | Fork_native of Natapi.runner  (** machine-code strips *)
+
+and solo = {
+  so_env : env;
+  so_profile : Profile.collector option;
+  so_run : fork_mode -> int -> int -> unit;
+      (** the chunk runner bound to [so_env] *)
+}
+(** The chunk runner of sequential forks, bound to the master
+    environment itself: built on a run's first sequential fork of the
+    plan, shared by the run's later ones. *)
 
 and binding = {
   b_master : env;

@@ -93,11 +93,6 @@ let new_space depth =
     total = 0;
   }
 
-let space_of (plan : plan) env =
-  let sp = new_space plan.depth in
-  fill_space plan sp env;
-  sp
-
 (* Set the nest indexes for coalesced iteration [t] (1-based): one round
    of div/mod, used once per strip. *)
 let set_cursor (plan : plan) sp env t =
@@ -113,17 +108,19 @@ let set_cursor (plan : plan) sp env t =
 type engine = Closure | Bytecode | Native
 
 let c_native_fallbacks = Registry.counter "native.fallbacks"
+let c_lane_forks = Registry.counter "exec.lane_forks"
 
 (* Strip runner: decompose each chunk into maximal runs over the
    innermost coalesced digit (see [Bytecode.strip_bounds]) and execute
    each run as one strip — outer indexes set once by div/mod, the inner
    index advanced by a constant increment. [strip x j0 jstep len iter0]
    runs one strip: the tape interpreter under proof [x], on the plan's
-   tape or on a profiler's counting copy of it, or native runner [x].
-   The space is read per chunk, so one binding serves every fork of a
-   fork state. Chunk boundaries are the schedule's, whatever the engine,
-   so traces and metrics do not depend on it. Tape faults and native
-   runners' [Failure]s carry interpreter-identical messages. *)
+   tape or on a profiler's counting copy of it, the lane path over lane
+   program [x], or native runner [x]. The space is read per chunk, so
+   one binding serves every fork of a fork state. Chunk boundaries are
+   the schedule's, whatever the engine, so traces and metrics do not
+   depend on it. Tape faults and native runners' [Failure]s carry
+   interpreter-identical messages. *)
 let run_strips (plan : plan) sp env strip x t0 len =
   let depth = plan.depth in
   let inner = sp.sizes.(depth - 1) in
@@ -156,48 +153,48 @@ let attained_hi (plan : plan) sp hi =
    off (the profiler attributes per-opcode dispatches, which native code
    does not perform) and every access proved in bounds for this fork —
    generated code only has the unsafe path. Anything else falls back to
-   the bytecode tier for this fork, counted under [native.fallbacks]. *)
-let tape_mode ?profile engine (plan : plan) pr ~all_unsafe =
+   the bytecode tier for this fork, counted under [native.fallbacks].
+   The bytecode tier runs the fork on the lane path when the body has a
+   lane program, every access proved in bounds and profiling is off
+   (sanitized tapes have no lane program), counted under
+   [exec.lane_forks]; else on the scalar interpreter. *)
+let tape_mode ?profile engine (plan : plan) lanes pr ~all_unsafe =
   match (engine, plan.native, profile) with
   | Native, Some nr, None when all_unsafe -> Fork_native nr
-  | Native, _, _ ->
-      Registry.incr c_native_fallbacks;
-      Fork_tape pr
-  | _ -> Fork_tape pr
-
-(* A sequential fork's decision, proved afresh. *)
-let seq_mode ?profile engine (plan : plan) sp env =
-  let hi = Array.make plan.depth 0 in
-  attained_hi plan sp hi;
-  let pr = Bytecode.prepare plan.tape ~ints:env.ints ~lo:sp.los ~hi in
-  tape_mode ?profile engine plan pr
-    ~all_unsafe:
-      (engine = Native && Array.for_all Fun.id (Bytecode.unsafe_flags pr))
+  | _ -> (
+      if engine = Native then Registry.incr c_native_fallbacks;
+      match (lanes, profile) with
+      | Ok _, None when all_unsafe ->
+          Registry.incr c_lane_forks;
+          Fork_lanes pr
+      | _ -> Fork_tape pr)
 
 (* Bind the chunk runner of one domain's environment: it runs a chunk
    under the fork's decision, passed per call, so one binding serves
-   every fork that shares [sp]. The scratch is per-binding, so every
+   every fork that shares [sp]. The scratch is per-binding and [lanes]
+   (the body's lane program and lane arrays) per domain, so every
    domain hoists (and counts) into its own. Like the trace probe, the
    profiled-vs-plain decision is made here, once per binding: a plain
    binding runs the plan's tape with no counting at all, a profiled one
    runs the profiler's counting copy and brackets each chunk with two
    clock reads. A profiled binding registers the tape with the
    collector. *)
-let chunk_runner ?profile (plan : plan) sp env :
+let chunk_runner ?profile ?lanes (plan : plan) sp env :
     fork_mode -> int -> int -> unit =
   let native_strip nr j0 jstep len _ =
     nr env.ints env.reals env.arrays j0 jstep len
   in
+  let tape = plan.tape in
+  let jslot = plan.index_slots.(plan.depth - 1) in
+  let inv = Bytecode.make_scratch tape in
+  let shadow = if Bytecode.sanitized tape then env.shadow else None in
+  let exec tape inv pr j0 jstep len iter0 =
+    Bytecode.exec_strip tape pr ~ints:env.ints ~reals:env.reals
+      ~arrays:env.arrays ~shadow ~inv ~jslot ~j0 ~jstep ~len ~iter0
+  in
   let run_tape =
-    let tape = plan.tape in
-    let jslot = plan.index_slots.(plan.depth - 1) in
-    let shadow = if Bytecode.sanitized tape then env.shadow else None in
-    let exec tape inv pr j0 jstep len iter0 =
-      Bytecode.exec_strip tape pr ~ints:env.ints ~reals:env.reals
-        ~arrays:env.arrays ~shadow ~inv ~jslot ~j0 ~jstep ~len ~iter0
-    in
     match profile with
-    | None -> run_strips plan sp env (exec tape (Bytecode.make_scratch tape))
+    | None -> run_strips plan sp env (exec tape inv)
     | Some pc ->
         let b = Profile.bind pc tape in
         let exec = exec (Profile.instrumented b) (Profile.scratch b) in
@@ -210,9 +207,30 @@ let chunk_runner ?profile (plan : plan) sp env :
           run_strips plan sp env strip pr t0 len;
           Profile.add_ns b (Trace.now () - clk0)
   in
+  (* made at the binding's first lane fork *)
+  let run_lanes = ref None in
+  let lane_chunks ln ls =
+    let run =
+      Bytecode.lane_runner tape ln ls ~ints:env.ints ~reals:env.reals
+        ~arrays:env.arrays ~inv ~jslot
+    in
+    (* a one-iteration strip gains nothing from lanes *)
+    let strip pr j0 jstep len iter0 =
+      if len > 1 then run j0 jstep len else exec tape inv pr j0 jstep len iter0
+    in
+    run_strips plan sp env strip
+  in
   fun mode t0 len ->
     match mode with
     | Fork_tape pr -> run_tape pr t0 len
+    | Fork_lanes pr -> (
+        match (!run_lanes, lanes) with
+        | Some f, _ -> f pr t0 len
+        | None, Some (ln, ls) ->
+            let f = lane_chunks ln ls in
+            run_lanes := Some f;
+            f pr t0 len
+        | None, None -> run_tape pr t0 len)
     | Fork_native nr -> run_strips plan sp env native_strip nr t0 len
 
 (* A new fork is a new sanitizer epoch: conflicts are only races between
@@ -220,33 +238,6 @@ let chunk_runner ?profile (plan : plan) sp env :
    before any domain starts. *)
 let new_epoch env =
   match env.shadow with Some sh -> Sanitize.new_epoch sh | None -> ()
-
-(* ---------- sequential execution ---------- *)
-
-(* The whole space is one chunk. Traced, it is recorded on worker 0 as
-   a static block (which it literally is); a zero-trip space runs
-   nothing but still opens and closes its region. *)
-let seq_fork_e engine ?profile ?trace (plan : plan) env =
-  new_epoch env;
-  let sp = space_of plan env in
-  let run () =
-    if sp.total > 0 then
-      chunk_runner ?profile plan sp env
-        (seq_mode ?profile engine plan sp env)
-        1 sp.total
-  in
-  match trace with
-  | None -> run ()
-  | Some tracer ->
-      Trace.fork_begin tracer ~policy:Policy.Static_block ~n:sp.total ~p:1;
-      let a = Trace.now () in
-      run ();
-      let b = Trace.now () in
-      if sp.total > 0 then
-        Trace.record tracer ~worker:0 ~start:1 ~len:sp.total ~t0:a ~t1:b;
-      Trace.fork_end tracer
-
-let seq_fork plan env = seq_fork_e Bytecode plan env
 
 (* ---------- reduction merge ---------- *)
 
@@ -338,6 +329,10 @@ let new_state (plan : plan) =
     fs_part_ints = Array.make nred 0;
     fs_part_reals = Array.make nred 0.0;
     fs_bound = None;
+    fs_solo = None;
+    fs_lanes =
+      Bytecode.lanes ~jslot:plan.index_slots.(depth - 1) plan.tape;
+    fs_lane_states = [||];
   }
 
 (* The plan's fork state, held for this fork: the kept one if it is
@@ -354,13 +349,32 @@ let claim (plan : plan) =
 
 let release st = Atomic.set st.fs_busy false
 
-(* Drop a finished run's binding (and with it its environment and
+(* What the chunk runner of domain [q] needs for lane forks: the body's
+   lane program and the state's lane arrays for [q], made on the
+   forking thread when first needed and kept across runs. A profiled
+   binding never runs lanes. *)
+let lanes_for ?profile st q =
+  match (st.fs_lanes, profile) with
+  | Ok ln, None ->
+      let have = st.fs_lane_states in
+      if q >= Array.length have then
+        st.fs_lane_states <-
+          Array.init (q + 1) (fun i ->
+              if i < Array.length have then have.(i)
+              else Bytecode.make_lane_state ln);
+      Some (ln, st.fs_lane_states.(q))
+  | _ -> None
+
+(* Drop a finished run's bindings (and with them its environment and
    arrays), unless another fork holds the state. *)
 let unbind env (plan : plan) =
   match plan.fork_state with
   | Some st when Atomic.compare_and_set st.fs_busy false true ->
       (match st.fs_bound with
       | Some b when b.b_master == env -> st.fs_bound <- None
+      | _ -> ());
+      (match st.fs_solo with
+      | Some so when so.so_env == env -> st.fs_solo <- None
       | _ -> ());
       release st
   | _ -> ()
@@ -396,10 +410,72 @@ let prove ?profile st (plan : plan) master =
       st.fs_prep <- Some pr;
       pr
 
-(* A parallel fork's decision, on the state's proof. *)
+(* A fork's decision, on the state's proof. *)
 let decide ?profile engine st (plan : plan) master =
   let pr = prove ?profile st plan master in
-  tape_mode ?profile engine plan pr ~all_unsafe:st.fs_all_unsafe
+  tape_mode ?profile engine plan st.fs_lanes pr ~all_unsafe:st.fs_all_unsafe
+
+let same_opt a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> x == y
+  | _ -> false
+
+(* ---------- sequential execution ---------- *)
+
+(* The chunk runner of [env] itself: the kept one when it was bound for
+   the same environment and profiler — every sequential fork of a run
+   after its first — else a new one. *)
+let solo ?profile st (plan : plan) env =
+  match st.fs_solo with
+  | Some so when so.so_env == env && same_opt so.so_profile profile ->
+      so.so_run
+  | _ ->
+      let lanes = lanes_for ?profile st 0 in
+      let run = chunk_runner ?profile ?lanes plan st.fs_space env in
+      st.fs_solo <- Some { so_env = env; so_profile = profile; so_run = run };
+      run
+
+(* One sequential fork on a held state whose space is filled: the whole
+   space is one chunk. Traced, it is recorded on worker 0 as a static
+   block (which it literally is); a zero-trip space runs nothing but
+   still opens and closes its region. *)
+let seq_on st engine ?profile ?trace (plan : plan) env =
+  new_epoch env;
+  let sp = st.fs_space in
+  let run () =
+    if sp.total > 0 then
+      solo ?profile st plan env
+        (decide ?profile engine st plan env)
+        1 sp.total
+  in
+  match trace with
+  | None -> run ()
+  | Some tracer ->
+      Trace.fork_begin tracer ~policy:Policy.Static_block ~n:sp.total ~p:1;
+      let a = Trace.now () in
+      run ();
+      let b = Trace.now () in
+      if sp.total > 0 then
+        Trace.record tracer ~worker:0 ~start:1 ~len:sp.total ~t0:a ~t1:b;
+      Trace.fork_end tracer
+
+(* Run [f] on the plan's fork state, held for the call. *)
+let holding (plan : plan) f =
+  let st = claim plan in
+  match f st with
+  | () -> release st
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      release st;
+      Printexc.raise_with_backtrace e bt
+
+let seq_fork_e engine ?profile ?trace (plan : plan) env =
+  holding plan (fun st ->
+      fill_space plan st.fs_space env;
+      seq_on st engine ?profile ?trace plan env)
+
+let seq_fork plan env = seq_fork_e Bytecode plan env
 
 (* Highest-iteration marks sit this many ints apart: one cache line
    and the one the adjacent-line prefetcher pairs with it. *)
@@ -423,9 +499,10 @@ let bind ?profile ~trace ~policy ~p st (plan : plan) master =
   let sp = st.fs_space in
   let clones = Array.init p (fun _ -> clone_env master) in
   let runners =
-    Array.map
-      (fun c ->
-        let run = chunk_runner ?profile plan sp c in
+    Array.mapi
+      (fun q c ->
+        let lanes = lanes_for ?profile st q in
+        let run = chunk_runner ?profile ?lanes plan sp c in
         fun mode t0 len ->
           if t0 + len - 1 = sp.total then restart st plan master c;
           run mode t0 len)
@@ -505,12 +582,6 @@ let bind ?profile ~trace ~policy ~p st (plan : plan) master =
     b_worker = worker;
   }
 
-let same_opt a b =
-  match (a, b) with
-  | None, None -> true
-  | Some x, Some y -> x == y
-  | _ -> false
-
 (* The state's binding for this fork: the kept one when it was bound for
    the same master, domains, policy, tracer and profiler — every fork of
    a run after its first — else a new one. *)
@@ -537,7 +608,7 @@ let fork_on st engine ?trace ?profile pool policy (plan : plan) master =
   fill_space plan sp master;
   let n = sp.total in
   if n = 0 then ()
-  else if p = 1 || n = 1 then seq_fork_e engine ?profile ?trace plan master
+  else if p = 1 || n = 1 then seq_on st engine ?profile ?trace plan master
   else begin
     (match trace with
     | None -> ()
@@ -592,13 +663,8 @@ let fork_on st engine ?trace ?profile pool policy (plan : plan) master =
   end
 
 let parallel_fork_e engine ?trace ?profile pool policy (plan : plan) master =
-  let st = claim plan in
-  match fork_on st engine ?trace ?profile pool policy plan master with
-  | () -> release st
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      release st;
-      Printexc.raise_with_backtrace e bt
+  holding plan (fun st ->
+      fork_on st engine ?trace ?profile pool policy plan master)
 
 let parallel_fork ?trace pool policy plan master =
   parallel_fork_e Bytecode ?trace pool policy plan master
@@ -645,8 +711,7 @@ let run_compiled ?(array_init = 0.0) ?pool ?(policy = Policy.Static_block)
     (* Plans keep their fork states across runs, but not this run's
        environment and arrays. *)
     Fun.protect
-      ~finally:(fun () ->
-        if Option.is_some pool then List.iter (unbind env) (Compile.plans t))
+      ~finally:(fun () -> List.iter (unbind env) (Compile.plans t))
       (fun () -> Compile.run_code t env);
     outcome_of t env
   in

@@ -28,7 +28,11 @@ type engine = Closure | Bytecode | Native
     dispatches each chunk as contiguous strips over the innermost
     coalesced digit on the plan's lowered tape ({!Bytecode.tape}):
     invariant address parts hoisted per strip, accesses proven in-range
-    for the whole fork run unchecked. [Native] runs the same strips
+    for the whole fork run unchecked. A fork whose body has a lane
+    program ({!Bytecode.lanes}), whose accesses all proved in range and
+    that runs unprofiled takes the lane path — one dispatch per
+    instruction per {!Bytecode.lane_width} iterations — counted under
+    [exec.lane_forks]. [Native] runs the same strips
     through {!Natgen}'s Dynlink-loaded machine-code runners; forks whose
     accesses are not all proven in bounds, plans without runners (no
     toolchain, sanitized) and profiled runs fall back to the bytecode

@@ -60,19 +60,18 @@
      plus [u * sdS], [sdS = c * jstep] bound at runner entry. A load at
      a uniform offset is shared by the four copies; in matmul's [k]
      loop that gives four independent accumulator chains over one
-     [A[i,k]] load and one row of [B]. See [jam_plan]: the body needs a
-     self-loop block (a serial inner loop; straight-line bodies gain
-     nothing, as with unrolling); every branch and every loop counter's
-     start, step and bound must be uniform, so any float compare
-     disqualifies it; no register may be carried across iterations
-     (each read follows a write on every path through the iteration,
-     or reads a register the body never writes); every stored array is
-     accessed in the body through one offset [inv + c * jslot], c <> 0,
-     so the copies touch disjoint elements and none reads another's;
-     and no instruction can raise ([Istep], or a divisor that is not a
-     valid literal), so errors and their order stay the bytecode tier's.
-     Under these rules the interleaving equals running the four
-     iterations in order, whatever the [doall] annotation claims.
+     [A[i,k]] load and one row of [B]. Whether the interleaving equals
+     running the four iterations in order, whatever the [doall]
+     annotation claims, is {!Bytecode.lane_plan}'s analysis, shared
+     with the bytecode tier's lane path: uniform control and no float
+     compare, no register carried across iterations, every stored
+     array confined to one element per iteration, and nothing that can
+     raise, so errors and their order stay the bytecode tier's.
+     [jam_plan] adds the emitter's own filters: a self-loop block (a
+     serial inner loop; straight-line bodies gain nothing, as with
+     unrolling), every strip stream grouped (see [strip_groups]) and
+     every stored array at one flat offset [inv + c * jslot], c <> 0
+     (the analysis also accepts an array pinned by one subscript).
 
    The generator only ever emits the *unsafe* access path, so the
    executor uses a plan's native runner for a fork only when
@@ -132,48 +131,8 @@ let is_control (i : Bytecode.instr) =
   | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _ | Iloopc _ -> true
   | _ -> false
 
-let int_dst (i : Bytecode.instr) =
-  match i with
-  | Iconst (d, _)
-  | Iaff (d, _)
-  | Imul (d, _, _)
-  | Idiv (d, _, _)
-  | Imod (d, _, _)
-  | Icdiv (d, _, _)
-  | Imin (d, _, _)
-  | Imax (d, _, _)
-  | Iloop (d, _, _, _)
-  | Iloopc (d, _, _, _) ->
-      Some d
-  | _ -> None
-
-module IntSet = Set.Make (Int)
-module IntMap = Map.Make (Int)
-
-(* Int registers whose only writer is a constant in the prologue: an
-   [Iconst], or an [Iaff] with no terms (the lowering's form of a
-   literal serial-loop bound), excluding the strip index: register ->
-   value. Whether one is actually read as a literal is decided during
-   emission, in case the prologue reads it before that write. *)
-let const_regs ~jslot (tp : Bytecode.tape) =
-  let writes = Hashtbl.create 16 in
-  let count i =
-    match int_dst i with
-    | Some d ->
-        Hashtbl.replace writes d
-          (1 + Option.value ~default:0 (Hashtbl.find_opt writes d))
-    | None -> ()
-  in
-  Array.iter count tp.tp_pre;
-  Array.iter count tp.tp_ops;
-  Array.fold_left
-    (fun m (i : Bytecode.instr) ->
-      match i with
-      | (Iconst (d, v) | Iaff (d, { base = v; coefs = [||]; _ }))
-        when d <> jslot && Hashtbl.find writes d = 1 ->
-          IntMap.add d v m
-      | _ -> m)
-    IntMap.empty tp.tp_pre
+module IntSet = Bytecode.IntSet
+module IntMap = Bytecode.IntMap
 
 (* Shared strip offsets. A strip stream ([Vsj]) whose only [Sinit] is in
    the prologue advances by [coef * jstep] once per iteration. Streams
@@ -229,81 +188,6 @@ let strip_groups (tp : Bytecode.tape) =
 
 (* ---------- unroll-and-jam analysis ---------- *)
 
-let float_dst (i : Bytecode.instr) =
-  match i with
-  | Fconst (d, _)
-  | Fmov (d, _)
-  | Fadd (d, _, _)
-  | Fsub (d, _, _)
-  | Fmul (d, _, _)
-  | Fdiv (d, _, _)
-  | Fmin (d, _, _)
-  | Fmax (d, _, _)
-  | Fneg (d, _)
-  | Fofi (d, _)
-  | Fmac (d, _, _, _)
-  | Fmsb (d, _, _, _)
-  | Fload (d, _)
-  | Fmac2 (d, _, _, _)
-  | Fmsb2 (d, _, _, _)
-  | Fldmac (d, _, _, _)
-  | Fldmsb (d, _, _, _)
-  | Fldadd (d, _, _)
-  | Fldsub (d, _, _)
-  | Fldmul (d, _, _)
-  | Fld2add (d, _, _) ->
-      Some d
-  | _ -> None
-
-(* What one instruction reads: int registers, float registers, and
-   access ids in the order the emitter visits them. *)
-let reads (i : Bytecode.instr) =
-  match i with
-  | Iconst _ | Fconst _ | Jadv | Jmp _ | Icount _ -> ([], [], [])
-  | Iaff (_, a) | Sinit (_, a) -> (Array.to_list a.regs, [], [])
-  | Imul (_, a, b)
-  | Idiv (_, a, b)
-  | Imod (_, a, b)
-  | Icdiv (_, a, b)
-  | Imin (_, a, b)
-  | Imax (_, a, b)
-  | Jii (_, a, b, _) ->
-      ([ a; b ], [], [])
-  | Istep (r, _) | Fofi (_, r) -> ([ r ], [], [])
-  | Iloop (_, a, bnd, _) -> (bnd :: Array.to_list a.regs, [], [])
-  | Iloopc (r, _, bnd, _) -> ([ r; bnd ], [], [])
-  | Fmov (_, s) | Fneg (_, s) -> ([], [ s ], [])
-  | Fadd (_, a, b)
-  | Fsub (_, a, b)
-  | Fmul (_, a, b)
-  | Fdiv (_, a, b)
-  | Fmin (_, a, b)
-  | Fmax (_, a, b)
-  | Jff (_, a, b, _)
-  | Jffn (_, a, b, _) ->
-      ([], [ a; b ], [])
-  | Fmac (_, a, x, y) | Fmsb (_, a, x, y) -> ([], [ a; x; y ], [])
-  | Fload (_, id) -> ([], [], [ id ])
-  | Fstore (s, id) -> ([], [ s ], [ id ])
-  | Fmac2 (_, a, i1, i2) | Fmsb2 (_, a, i1, i2) -> ([], [ a ], [ i1; i2 ])
-  | Fldmac (_, a, x, id) | Fldmsb (_, a, x, id) -> ([], [ a; x ], [ id ])
-  | Fldadd (_, x, id) | Fldsub (_, x, id) | Fldmul (_, x, id) ->
-      ([], [ x ], [ id ])
-  | Fld2add (_, i1, i2) | Fldst (i1, i2) -> ([], [], [ i1; i2 ])
-
-(* Int registers an access's unsafe-path offset reads per execution. *)
-let acc_regs (ac : Bytecode.access) =
-  match ac.ac_vk with
-  | V1 (_, r) -> [ r ]
-  | V2 (_, r1, _, r2) -> [ r1; r2 ]
-  | Vn -> Array.to_list ac.ac_var.regs
-  | V0 | Vs _ | Vsj _ | Vsv _ -> []
-
-let aff_coef (a : Bytecode.aff) r =
-  let c = ref 0 in
-  Array.iteri (fun m r' -> if r' = r then c := a.coefs.(m)) a.regs;
-  !c
-
 (* A jammed body: int and float registers that vary with the strip
    index (renamed per copy), the strip coefficient [c] of every stream
    slot whose offset has a [c * jslot] term (copy [u] reads it
@@ -316,232 +200,66 @@ type jam = {
   uniform : bool array;
 }
 
-(* Whether running four consecutive strip iterations instruction by
-   instruction, in place, equals running them in order; [None] unless
-   every rule in the header holds. [lits] are the registers read as
-   literals. *)
+(* Whether to jam: {!Bytecode.lane_plan} decides whether running four
+   consecutive strip iterations instruction by instruction, in place,
+   equals running them in order; on top of it the emitter wants a
+   self-loop block (a serial inner loop), every strip stream it reads
+   grouped (see [strip_groups]) and every stored array at one flat
+   offset. [lits] are the registers read as literals. *)
 let jam_plan ~jslot ~lits ~strip_of (tp : Bytecode.tape) =
-  let open Bytecode in
-  let ops = tp.tp_ops in
-  let cfg = build_cfg ops in
-  let exit = cfg.cf_block_of.(Array.length ops) in
-  let acc id = tp.tp_accs.(id) in
-  let set_of f =
-    Array.fold_left
-      (fun s i -> match f i with Some d -> IntSet.add d s | None -> s)
-      IntSet.empty ops
-  in
-  let written_i = set_of int_dst and written_f = set_of float_dst in
-  let self_loop bid =
-    let bb = cfg.cf_blocks.(bid) in
-    bb.bb_stop > bb.bb_start
-    &&
-    match ops.(bb.bb_stop - 1) with
-    | Iloop (_, _, _, top) | Iloopc (_, _, _, top) -> top = bb.bb_start
-    | _ -> false
-  in
-  (* registers and stream slots that vary with the strip index *)
-  let vi = ref (IntSet.singleton jslot) and vf = ref IntSet.empty in
-  let vs = ref IntSet.empty in
-  let acc_varies id =
-    let ac = acc id in
-    match ac.ac_vk with
-    | V0 -> false
-    | V1 _ | V2 _ | Vn -> List.exists (fun r -> IntSet.mem r !vi) (acc_regs ac)
-    | Vsj _ -> true
-    | Vs (s, _) | Vsv (s, _) -> IntSet.mem s !vs
-  in
-  let changed = ref true in
-  let add set x =
-    if not (IntSet.mem x !set) then begin
-      set := IntSet.add x !set;
-      changed := true
-    end
-  in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun i ->
-        let ir, fr, ids = reads i in
-        if
-          List.exists (fun r -> IntSet.mem r !vi) ir
-          || List.exists (fun r -> IntSet.mem r !vf) fr
-          || List.exists acc_varies ids
-        then begin
-          (match i with Sinit (s, _) -> add vs s | _ -> ());
-          Option.iter (add vi) (int_dst i);
-          Option.iter (add vf) (float_dst i)
-        end)
-      ops
-  done;
-  let uniform r = not (IntSet.mem r !vi) in
-  (* strip coefficients: body [Sinit]s must agree per slot and read no
-     varying register besides the strip index; grouped strip streams
-     (never [Sinit] in the body) stride by their leader, and ungrouped
-     ones disqualify the body *)
-  let stride = ref IntMap.empty and ok = ref true in
-  Array.iter
-    (fun i ->
-      match i with
-      | Sinit (s, a) ->
-          let c = aff_coef a jslot in
-          if not (Array.for_all (fun r -> r = jslot || uniform r) a.regs) then
-            ok := false;
-          (match IntMap.find_opt s !stride with
-          | Some c' when c' <> c -> ok := false
-          | _ -> ());
-          stride := IntMap.add s c !stride
-      | _ -> ())
-    ops;
-  stride := IntMap.filter (fun _ c -> c <> 0) !stride;
-  Array.iter
-    (fun (ac : access) ->
-      match ac.ac_vk with
-      | Vsj (s, c) -> (
-          match Hashtbl.find_opt strip_of s with
-          | Some (l, _) -> stride := IntMap.add l c !stride
-          | None -> ())
-      | _ -> ())
-    tp.tp_accs;
-  (* a [Vsv] stream belongs to a variable-step loop, whose [Istep]
-     stays in the body and disqualifies it anyway *)
-  let accs_ok id =
-    match (acc id).ac_vk with
-    | Vsj (s, _) -> Hashtbl.mem strip_of s
-    | Vsv _ -> false
-    | V0 | V1 _ | V2 _ | Vn | Vs _ -> true
-  in
-  let valid_lit b p =
-    match IntMap.find_opt b lits with Some v -> p v | None -> false
-  in
-  let instr_ok (i : instr) =
-    let ir, _, ids = reads i in
-    List.for_all accs_ok ids
-    &&
-    match i with
-    | Jff _ | Jffn _ | Istep _ -> false
-    | Idiv (_, _, b) | Imod (_, _, b) -> valid_lit b (fun v -> v <> 0)
-    | Icdiv (_, _, b) -> valid_lit b (fun v -> v > 0)
-    | Jii _ | Iloop _ | Iloopc _ ->
-        List.for_all uniform ir
-        && Option.fold ~none:true ~some:uniform (int_dst i)
-    | _ -> true
-  in
-  (* no register carried across iterations: a read of anything the body
-     writes must follow a write on every path through the iteration
-     (keys: int 3r, float 3r+1, stream slot 3s+2) *)
-  let needs i =
-    let ir, fr, ids = reads i in
-    List.filter_map
-      (fun r -> if IntSet.mem r written_i then Some (3 * r) else None)
-      ir
-    @ List.filter_map
-        (fun r -> if IntSet.mem r written_f then Some ((3 * r) + 1) else None)
-        fr
-    @ List.concat_map
-        (fun id ->
-          let ac = acc id in
-          List.filter_map
-            (fun r -> if IntSet.mem r written_i then Some (3 * r) else None)
-            (acc_regs ac)
-          @
-          match ac.ac_vk with
-          | Vs (s, _) -> [ (3 * s) + 2 ]
-          | V0 | V1 _ | V2 _ | Vn | Vsj _ | Vsv _ -> [])
-        ids
-  in
-  let defs d i =
-    let add k r = IntSet.add ((3 * r) + k) in
-    let d = Option.fold ~none:d ~some:(fun r -> add 0 r d) (int_dst i) in
-    let d = Option.fold ~none:d ~some:(fun r -> add 1 r d) (float_dst i) in
-    match i with Sinit (s, _) -> add 2 s d | _ -> d
-  in
-  let outs = Array.make exit None in
-  let block_in bid =
-    if bid = 0 then Some IntSet.empty
-    else
-      List.fold_left
-        (fun acc p ->
-          match (acc, if p < exit then outs.(p) else None) with
-          | None, o | o, None -> o
-          | Some a, Some b -> Some (IntSet.inter a b))
-        None cfg.cf_blocks.(bid).bb_preds
-  in
-  let walk bid check =
-    match block_in bid with
-    | None -> None
-    | Some d ->
+  match Bytecode.lane_plan ~jslot ~lits tp with
+  | Error _ -> None
+  | Ok lp ->
+      let open Bytecode in
+      let ops = tp.tp_ops in
+      let cfg = build_cfg ops in
+      let exit = cfg.cf_block_of.(Array.length ops) in
+      let self_loop bid =
         let bb = cfg.cf_blocks.(bid) in
-        let d = ref d in
-        for p = bb.bb_start to bb.bb_stop - 1 do
-          let defined k = IntSet.mem k !d in
-          if check && not (List.for_all defined (needs ops.(p))) then
-            ok := false;
-          d := defs !d ops.(p)
-        done;
-        Some !d
-  in
-  let stable = ref false in
-  while not !stable do
-    stable := true;
-    for bid = 0 to exit - 1 do
-      let o = walk bid false in
-      if o <> outs.(bid) then begin
-        stable := false;
-        outs.(bid) <- o
-      end
-    done
-  done;
-  for bid = 0 to exit - 1 do
-    ignore (walk bid true)
-  done;
-  (* every stored array is accessed at one element per copy: the same
-     [ac_inv] and [ac_var = c * jslot], c <> 0, in every access *)
-  let body_accs =
-    List.concat_map
-      (fun i ->
-        let _, _, ids = reads i in
-        ids)
-      (Array.to_list ops)
-  in
-  let stored =
-    Array.fold_left
-      (fun s i ->
-        match i with
-        | Fstore (_, id) | Fldst (_, id) -> IntSet.add (acc id).ac_slot s
-        | _ -> s)
-      IntSet.empty ops
-  in
-  let one_element id =
-    let ac = acc id in
-    (not (IntSet.mem ac.ac_slot stored))
-    || (ac.ac_var.base = 0
-       && ac.ac_var.regs = [| jslot |]
-       && ac.ac_var.coefs.(0) <> 0
-       && Array.for_all (fun r -> not (IntSet.mem r written_i)) ac.ac_inv.regs
-       && List.for_all
-            (fun id' ->
-              let ac' = acc id' in
-              ac'.ac_slot <> ac.ac_slot
-              || (ac'.ac_inv = ac.ac_inv && ac'.ac_var = ac.ac_var))
-            body_accs)
-  in
-  let eligible =
-    List.exists self_loop (List.init exit Fun.id)
-    && Array.for_all instr_ok ops
-    && List.for_all one_element body_accs
-    && !ok
-  in
-  if not eligible then None
-  else
-    Some
-      {
-        vary_i = !vi;
-        vary_f = !vf;
-        stride = !stride;
-        uniform =
-          Array.init (Array.length tp.tp_accs) (fun id -> not (acc_varies id));
-      }
+        bb.bb_stop > bb.bb_start
+        &&
+        match ops.(bb.bb_stop - 1) with
+        | Iloop (_, _, _, top) | Iloopc (_, _, _, top) -> top = bb.bb_start
+        | _ -> false
+      in
+      let grouped id =
+        match tp.tp_accs.(id).ac_vk with
+        | Vsj (s, _) -> Hashtbl.mem strip_of s
+        | _ -> true
+      in
+      let streams_grouped =
+        Array.for_all
+          (fun i ->
+            let _, _, ids = reads i in
+            List.for_all grouped ids)
+          ops
+      in
+      if
+        not
+          (lp.lp_flat_stores
+          && List.exists self_loop (List.init exit Fun.id)
+          && streams_grouped)
+      then None
+      else
+        (* grouped strip streams stride by their leader *)
+        let stride =
+          Array.fold_left
+            (fun m (ac : access) ->
+              match ac.ac_vk with
+              | Vsj (s, c) -> (
+                  match Hashtbl.find_opt strip_of s with
+                  | Some (l, _) -> IntMap.add l c m
+                  | None -> m)
+              | _ -> m)
+            lp.lp_stride tp.tp_accs
+        in
+        Some
+          {
+            vary_i = lp.lp_vary_i;
+            vary_f = lp.lp_vary_f;
+            stride;
+            uniform = lp.lp_uniform;
+          }
 
 (* Pretty-print one plan's tape as a [Natapi.runner]; [None] when the
    tape is sanitized or uses an instruction the generator declines
@@ -580,7 +298,7 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
         let sused = ref IntSet.empty in
         let note set r = set := IntSet.add r !set in
         (* constant registers currently read as literals *)
-        let consts = const_regs ~jslot tp in
+        let consts = Bytecode.const_regs ~jslot tp in
         let lits = ref IntMap.empty in
         (* unroll-and-jam: the copy being emitted (-1 outside the jammed
            loop) and the registers renamed per copy; copy 3 keeps the

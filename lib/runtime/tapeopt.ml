@@ -78,20 +78,6 @@ let iter_int_reads f = function
   | Fldmul _ | Fld2add _ | Fldst _ | Icount _ ->
       ()
 
-let int_write = function
-  | Iconst (d, _)
-  | Iaff (d, _)
-  | Imul (d, _, _)
-  | Idiv (d, _, _)
-  | Imod (d, _, _)
-  | Icdiv (d, _, _)
-  | Imin (d, _, _)
-  | Imax (d, _, _)
-  | Iloop (d, _, _, _)
-  | Iloopc (d, _, _, _) ->
-      Some d
-  | _ -> None
-
 let iter_float_reads f = function
   | Fmov (_, s) | Fneg (_, s) | Fstore (s, _) -> f s
   | Fadd (_, a, b)
@@ -116,31 +102,6 @@ let iter_float_reads f = function
   | Istep _ | Fconst _ | Fofi _ | Fload _ | Sinit _ | Jadv | Jmp _ | Jii _
   | Iloop _ | Iloopc _ | Fld2add _ | Fldst _ | Icount _ ->
       ()
-
-let float_write = function
-  | Fconst (d, _)
-  | Fmov (d, _)
-  | Fadd (d, _, _)
-  | Fsub (d, _, _)
-  | Fmul (d, _, _)
-  | Fdiv (d, _, _)
-  | Fmin (d, _, _)
-  | Fmax (d, _, _)
-  | Fneg (d, _)
-  | Fofi (d, _)
-  | Fmac (d, _, _, _)
-  | Fmsb (d, _, _, _)
-  | Fload (d, _)
-  | Fmac2 (d, _, _, _)
-  | Fmsb2 (d, _, _, _)
-  | Fldmac (d, _, _, _)
-  | Fldmsb (d, _, _, _)
-  | Fldadd (d, _, _)
-  | Fldsub (d, _, _)
-  | Fldmul (d, _, _)
-  | Fld2add (d, _, _) ->
-      Some d
-  | _ -> None
 
 let rec iter_rng_regs f = function
   | Rux | Rconst _ | Rplan _ -> ()
@@ -241,7 +202,7 @@ let max_int_reg ops =
   Array.iter
     (fun op ->
       iter_int_reads (fun r -> if r > !m then m := r) op;
-      match int_write op with Some d when d > !m -> m := d | _ -> ())
+      match int_dst op with Some d when d > !m -> m := d | _ -> ())
     ops;
   !m + 1
 
@@ -297,7 +258,7 @@ let build_dom (cfg : cfg) ops =
   let defblocks = Array.make (max 1 nregs) [] in
   Array.iteri
     (fun i op ->
-      match int_write op with
+      match int_dst op with
       | Some d ->
           let b = cfg.cf_block_of.(i) in
           if idom.(b) >= 0 && not (List.mem b defblocks.(d)) then
@@ -399,7 +360,7 @@ let gvn ops =
           | Imax (_, a, b) -> Some (Kmax (vn a, vn b))
           | _ -> None
         in
-        match (key, int_write op) with
+        match (key, int_dst op) with
         | Some k, Some d -> (
             match Hashtbl.find_opt table k with
             | Some (x, vx) when top x = vx && x <> d ->
@@ -520,8 +481,8 @@ let count_writes ops pre =
     Hashtbl.replace tbl r (1 + Option.value ~default:0 (Hashtbl.find_opt tbl r))
   in
   let scan op =
-    (match int_write op with Some d -> bump ints d | None -> ());
-    match float_write op with Some d -> bump flts d | None -> ()
+    (match int_dst op with Some d -> bump ints d | None -> ());
+    match float_dst op with Some d -> bump flts d | None -> ()
   in
   Array.iter scan ops;
   Array.iter scan pre;
@@ -554,10 +515,10 @@ let region_hoists ~int_base ~real_base (t : tape) ops (l : loopinfo) =
   let idpos = acc_id_positions ops (Array.length t.tp_accs) in
   let rdef_i = Hashtbl.create 16 and rdef_f = Hashtbl.create 16 in
   for i = l.l_top to l.l_back do
-    (match int_write ops.(i) with
+    (match int_dst ops.(i) with
     | Some d -> Hashtbl.replace rdef_i d ()
     | None -> ());
-    match float_write ops.(i) with
+    match float_dst ops.(i) with
     | Some d -> Hashtbl.replace rdef_f d ()
     | None -> ()
   done;
@@ -585,12 +546,12 @@ let region_hoists ~int_base ~real_base (t : tape) ops (l : loopinfo) =
     iter_float_reads (fun r -> if not (inv_f r) then ops_inv := false) op;
     let cand =
       if pure_int op then
-        match int_write op with
+        match int_dst op with
         | Some d when d >= int_base && count ints_c d = 1 && !ops_inv ->
             Some (`I d)
         | _ -> None
       else if pure_float op then
-        match float_write op with
+        match float_dst op with
         | Some d when d >= real_base && count flts_c d = 1 && !ops_inv ->
             Some (`F d)
         | _ -> None
@@ -675,12 +636,12 @@ let licm_strip ~int_base ~real_base ~jslot (t : tape) =
       iter_float_reads (fun r -> if not (inv_f r) then ops_inv := false) op;
       let cand =
         if pure_int op then
-          match int_write op with
+          match int_dst op with
           | Some d when d >= int_base && count ints_c d = 1 && !ops_inv ->
               Some (`I d)
           | _ -> None
         else if pure_float op then
-          match float_write op with
+          match float_dst op with
           | Some d when d >= real_base && count flts_c d = 1 && !ops_inv ->
               Some (`F d)
           | _ -> None
@@ -792,7 +753,7 @@ let stream ~jslot (t : tape) =
     let written_in lo hi_excl r =
       let w = ref false in
       for i = lo to hi_excl - 1 do
-        match int_write ops.(i) with Some d when d = r -> w := true | _ -> ()
+        match int_dst ops.(i) with Some d when d = r -> w := true | _ -> ()
       done;
       !w
     in
@@ -1003,10 +964,10 @@ let sink_loads ~real_base (t : tape) =
                       if t.tp_accs.(id2).ac_slot = slot then ok := false
                   | Sinit (s, _) -> if List.mem s streams then ok := false
                   | _ -> ());
-                  (match int_write op with
+                  (match int_dst op with
                   | Some r when List.mem r regs -> ok := false
                   | _ -> ());
-                  match float_write op with
+                  match float_dst op with
                   | Some r when r = d -> ok := false
                   | _ -> ()
                 done;
@@ -1207,8 +1168,8 @@ let unroll ~int_base ~real_base ~fresh_int ~fresh_real (t : tape) =
       (fun op ->
         iter_int_reads (fun r -> first iseen r false) op;
         iter_float_reads (fun r -> first rseen r false) op;
-        (match int_write op with Some d -> first iseen d true | None -> ());
-        match float_write op with Some d -> first rseen d true | None -> ())
+        (match int_dst op with Some d -> first iseen d true | None -> ());
+        match float_dst op with Some d -> first rseen d true | None -> ())
       ops;
     let iren = Hashtbl.create 16 and rren = Hashtbl.create 16 in
     Hashtbl.iter

@@ -639,6 +639,392 @@ let test_sanitizer_identical_across_opt () =
       trip_prog_branchy ~trips:3;
     ]
 
+(* ---------- lane path ---------- *)
+
+(* A matmul-shaped [doall i / doall j / do k] nest around [body], with
+   [nj] columns: every strip has at most [nj] iterations, so extents 1-9
+   give strips shorter than the native tier's jammed group of four and
+   every remainder, and extents around [Bytecode.lane_width] strips that
+   fill, cross and just miss one lane pass. [t] is written in the body
+   and read after the nest, so the written-back registers must be the
+   sequentially last iteration's. *)
+let jam_nest ?(decls = "") ?(nk = 3) ~nj body =
+  let kd = max 1 nk in
+  Printf.sprintf
+    "program\n\
+    \  real A[3, %d]\n\
+    \  real B[%d, %d]\n\
+    \  real C[3, %d]\n\
+    \  real T[3]\n\
+    \  real E[2]\n\
+    \  real t = 0.0\n\
+     %sbegin\n\
+    \  doall i = 1, 3\n\
+    \    doall k = 1, %d\n\
+    \      A[i, k] = i + 2 * k + 0.5\n\
+    \    end\n\
+    \  end\n\
+    \  doall k = 1, %d\n\
+    \    doall j = 1, %d\n\
+    \      B[k, j] = k - j * 0.75\n\
+    \    end\n\
+    \  end\n\
+    \  doall i = 1, 3\n\
+    \    doall j = 1, %d\n\
+     %s\
+    \    end\n\
+    \  end\n\
+    \  E[1] = t\n\
+     end\n"
+    kd kd nj nj decls kd kd nj nj body
+
+let jam_matmul ~nk =
+  Printf.sprintf
+    "      t = j * 0.25 + i\n\
+    \      C[i, j] = t\n\
+    \      do k = 1, %d\n\
+    \        C[i, j] = C[i, j] + A[i, k] * B[k, j] * t\n\
+    \      end\n"
+    nk
+
+(* jammed shapes with more control: a bound and a branch on the outer
+   index, and a serial loop nested in another *)
+let jam_positives =
+  [
+    ( "outer-index bound and branch",
+      "      C[i, j] = 0.0\n\
+      \      if i > 1 then\n\
+      \        do k = 1, i + 1, 2\n\
+      \          C[i, j] = C[i, j] + A[i, k] * B[k, j]\n\
+      \        end\n\
+      \      end\n" );
+    ( "nested serial loops",
+      "      C[i, j] = 0.0\n\
+      \      do k = 1, 3\n\
+      \        do l = 1, 2\n\
+      \          C[i, j] = C[i, j] * 0.5 + A[i, k] * B[k, j] + l\n\
+      \        end\n\
+      \      end\n" );
+  ]
+
+(* shapes that must run in order, with the lane rule each fails first: a
+   strip-carried scalar, a divisor that is not a literal, a store every
+   iteration would make to one element, and a data-dependent branch *)
+let jam_negatives =
+  [
+    ( "strip-carried scalar",
+      "",
+      "      C[i, j] = 0.0\n\
+      \      do k = 1, 3\n\
+      \        C[i, j] = C[i, j] + A[i, k] * B[k, j]\n\
+      \      end\n\
+      \      t = t + C[i, j]\n",
+      "register carried across iterations" );
+    ( "non-literal divisor",
+      "  int d = 2\n",
+      "      C[i, j] = 0.0\n\
+      \      do k = 1, 3\n\
+      \        C[i, j] = C[i, j] + A[i, k] * ((j + k) / d)\n\
+      \      end\n",
+      "may raise" );
+    ( "store at a strip-invariant element",
+      "",
+      "      C[i, j] = 0.0\n\
+      \      do k = 1, 3\n\
+      \        C[i, j] = C[i, j] + A[i, k] * B[k, j]\n\
+      \      end\n\
+      \      T[i] = A[i, 1] * 2.0\n",
+      "stored array not at one offset inv + c*j" );
+    ( "data-dependent if",
+      "",
+      "      C[i, j] = 0.0\n\
+      \      do k = 1, 3\n\
+      \        if B[k, j] > 0.0 then\n\
+      \          C[i, j] = C[i, j] + A[i, k]\n\
+      \        end\n\
+      \      end\n",
+      "float compare" );
+  ]
+
+
+let parse what text =
+  match Driver.load_string text with
+  | Ok p -> p
+  | Error m -> Alcotest.failf "%s: parse error: %s" what m
+
+let lane_forks = Registry.counter "exec.lane_forks"
+
+(* Every bit of every array and scalar. *)
+let same_bits (a : Exec.outcome) (b : Exec.outcome) =
+  let fbits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  List.equal
+    (fun (n1, d1) (n2, d2) ->
+      String.equal n1 n2
+      && Array.length d1 = Array.length d2
+      && Array.for_all2 fbits d1 d2)
+    a.Exec.arrays b.Exec.arrays
+  && List.equal
+       (fun (n1, v1) (n2, v2) ->
+         String.equal n1 n2
+         &&
+         match (v1, v2) with
+         | Eval.Vreal x, Eval.Vreal y -> fbits x y
+         | _ -> v1 = v2)
+       a.Exec.scalars b.Exec.scalars
+
+let lane_policies = [ Policy.Static_block; Policy.Gss; Policy.Self_sched 3 ]
+
+(* The lane path against the scalar interpreter (a profiler attached
+   keeps every fork scalar) and the reference interpreter, at -O0 and
+   -O2 on 1-3 domains: arrays and scalars bit for bit, the
+   interpreter's scalars on one domain, where the last iteration is
+   the sequentially last one. [lanes] says whether some fork must take
+   the lane path. Returns a failure message. *)
+let lane_mismatch ?(lanes = false) ?(domains = [ 1; 2; 3 ])
+    ?(policies = lane_policies) prog =
+  let st = Eval.run prog in
+  let reference =
+    let arrays, scalars = Eval.dump st in
+    { Exec.arrays; scalars }
+  in
+  let fail = ref None in
+  List.iter
+    (fun lvl ->
+      let t = Compile.compile ~opt_level:lvl prog in
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun d ->
+              let where =
+                Printf.sprintf "-O%d, %d domains, %s" lvl d (Policy.name policy)
+              in
+              let scalar =
+                Exec.run_compiled ~domains:d ~policy
+                  ~profile:(Runtime.Profile.create ()) t
+              in
+              let before = Registry.value lane_forks in
+              let lane = Exec.run_compiled ~domains:d ~policy t in
+              let took = Registry.value lane_forks > before in
+              let why =
+                if lanes && not took then Some "no fork took the lane path"
+                else if not (same_bits lane scalar) then
+                  Some "lane path differs from the scalar interpreter"
+                else if
+                  not
+                    (Exec.agrees_with_interpreter ~compare_scalars:(d = 1) lane
+                       st)
+                then Some "differs from the reference interpreter"
+                else if d = 1 && not (same_bits lane reference) then
+                  Some "not bit-identical to the reference interpreter"
+                else None
+              in
+              match (!fail, why) with
+              | None, Some w -> fail := Some (Printf.sprintf "%s (%s)" w where)
+              | _ -> ())
+            domains)
+        policies)
+    [ 0; 2 ];
+  !fail
+
+let check_lanes ?lanes ?domains ?policies ~what prog =
+  match lane_mismatch ?lanes ?domains ?policies prog with
+  | Some m -> Alcotest.failf "%s: %s" what m
+  | None -> ()
+
+(* The reason {!Bytecode.lane_plan} gives for each plan of [prog] at
+   -O2, in plan order. *)
+let lane_reasons ?sanitize prog =
+  List.map
+    (fun (pl : Compile.plan) ->
+      let jslot = pl.Compile.index_slots.(pl.Compile.depth - 1) in
+      match Bytecode.lanes ~jslot pl.Compile.tape with
+      | Ok _ -> "ok"
+      | Error why -> why)
+    (Compile.plans (Compile.compile ?sanitize ~opt_level:2 prog))
+
+(* A stored array pinned to its iteration by one subscript, its other
+   subscript a serial loop's counter (the search's fused matmul
+   initialisation); and one whose only strip-index subscript also reads
+   a serial counter, so iterations overlap. *)
+let pinned_prog =
+  "program\n\
+  \  real A[300, 5]\n\
+  \  real B[300, 4]\n\
+   begin\n\
+  \  doall i = 1, 300\n\
+  \    doall k = 1, 5\n\
+  \      A[i, k] = i + 2 * k\n\
+  \    end\n\
+  \    doall j = 1, 4\n\
+  \      B[i, j] = A[i, j + 1] - j\n\
+  \    end\n\
+  \  end\n\
+   end\n"
+
+let overlapping_prog =
+  "program\n\
+  \  real V[303]\n\
+   begin\n\
+  \  doall i = 1, 300\n\
+  \    do k = 1, 3\n\
+  \      V[i + k] = V[i + k] + i * k\n\
+  \    end\n\
+  \  end\n\
+   end\n"
+
+let test_lane_reasons () =
+  Alcotest.(check (list string))
+    "pinned rows" [ "ok" ]
+    (lane_reasons (parse "pinned" pinned_prog));
+  Alcotest.(check (list string))
+    "overlapping rows"
+    [ "stored array not at one offset inv + c*j" ]
+    (lane_reasons (parse "overlapping" overlapping_prog));
+  List.iter
+    (fun (what, decls, body, why) ->
+      Alcotest.(check (list string))
+        what [ "ok"; "ok"; why ]
+        (lane_reasons (parse what (jam_nest ~decls ~nj:7 body))))
+    jam_negatives;
+  List.iter
+    (fun (what, body) ->
+      Alcotest.(check (list string))
+        what [ "ok"; "ok"; "ok" ]
+        (lane_reasons (parse what (jam_nest ~nk:4 ~nj:7 body))))
+    jam_positives;
+  Alcotest.(check (list string))
+    "sanitized tape" [ "sanitized tape" ]
+    (lane_reasons ~sanitize:true sanitizable)
+
+(* Strip lengths 1 .. lane_width + 1, one strip per row on one domain,
+   then extents that cross a lane pass under chunked schedules. *)
+let test_lane_strip_lengths () =
+  let w = Bytecode.lane_width in
+  for nj = 1 to w + 1 do
+    check_lanes ~lanes:(nj > 1) ~domains:[ 1 ]
+      ~policies:[ Policy.Static_block ]
+      ~what:(Printf.sprintf "nj=%d" nj)
+      (parse "lanes" (jam_nest ~nj (jam_matmul ~nk:2)))
+  done;
+  List.iter
+    (fun nj ->
+      check_lanes ~lanes:true
+        ~what:(Printf.sprintf "nj=%d" nj)
+        (parse "lanes" (jam_nest ~nj (jam_matmul ~nk:3))))
+    [ w - 1; w + 3; (2 * w) + 5 ];
+  check_lanes ~lanes:true ~what:"zero-trip k loop"
+    (parse "lanes" (jam_nest ~nk:0 ~nj:6 (jam_matmul ~nk:0)))
+
+(* The shapes the native tier jams, the ones it must not, the kernel
+   corpus and the example programs. *)
+let test_lane_corpus () =
+  let dir = "../examples/programs" in
+  List.iter
+    (fun (what, body) ->
+      check_lanes ~lanes:true ~what (parse what (jam_nest ~nk:4 ~nj:300 body)))
+    jam_positives;
+  List.iter
+    (fun (what, decls, body, _) ->
+      check_lanes ~what (parse what (jam_nest ~decls ~nj:7 body)))
+    jam_negatives;
+  List.iter
+    (fun name ->
+      match Kernels.by_name name with
+      | Some prog -> check_lanes ~what:name (prog ())
+      | None -> ())
+    Kernels.all_names;
+  check_lanes ~lanes:true ~what:"relax" (Kernels.relax ~n:600 ~steps:3);
+  check_lanes ~lanes:true ~what:"pinned rows" (parse "pinned" pinned_prog);
+  check_lanes ~domains:[ 1 ] ~what:"overlapping rows"
+    (parse "overlapping" overlapping_prog);
+  Array.iter
+    (fun f ->
+      if Filename.check_suffix f ".loop" then
+        let text =
+          In_channel.with_open_bin (Filename.concat dir f)
+            In_channel.input_all
+        in
+        check_lanes ~what:f (parse f text))
+    (Sys.readdir dir)
+
+(* Gathers: a load through a varying register other than the strip
+   index runs lane by lane; the same shape with an unprovable subscript
+   fails the fork's proof and runs scalar. *)
+let gather_prog ~sub =
+  Printf.sprintf
+    "program\n\
+    \  real A[40]\n\
+    \  real B[300]\n\
+     begin\n\
+    \  doall i = 1, 40\n\
+    \    A[i] = i * 0.5\n\
+    \  end\n\
+    \  doall i = 1, 300\n\
+    \    B[i] = A[%s] + A[min(i, 7)] * i\n\
+    \  end\n\
+     end\n"
+    sub
+
+let test_lane_fallbacks () =
+  check_lanes ~lanes:true ~what:"gather"
+    (parse "gather" (gather_prog ~sub:"min(i, 40)"));
+  let unproved = parse "unproved" (gather_prog ~sub:"(i - 1) / 8 + 1") in
+  check_lanes ~what:"unproved gather" unproved;
+  let t = Compile.compile unproved in
+  let before = Registry.value lane_forks in
+  ignore (Exec.run_compiled ~domains:2 ~policy:Policy.Gss t : Exec.outcome);
+  Alcotest.(check int) "an unproved fork runs scalar" 1
+    (Registry.value lane_forks - before);
+  (* profiled and sanitized runs stay scalar: the same dispatch counts
+     and shadow reports as without lanes *)
+  let mm = Kernels.matmul ~ra:5 ~ca:4 ~cb:40 in
+  let profiled () =
+    let pc = Runtime.Profile.create () in
+    ignore
+      (Exec.run_compiled ~domains:2 ~policy:Policy.Gss ~profile:pc
+         (Compile.compile mm)
+        : Exec.outcome);
+    let sm = Runtime.Profile.summarize pc in
+    (sm.Runtime.Profile.sm_dispatches, sm.Runtime.Profile.sm_iters)
+  in
+  let before = Registry.value lane_forks in
+  let d1 = profiled () in
+  Alcotest.(check int) "profiled forks run scalar" before
+    (Registry.value lane_forks);
+  Alcotest.(check (pair int int)) "profiled dispatches repeat" d1 (profiled ());
+  let racy = parse "racy" (jam_nest ~nj:20 "      T[i] = j * 1.0\n") in
+  let observe () =
+    let _, sh = Exec.run_sanitized ~domains:1 racy in
+    (Sanitize.results sh, Sanitize.summary_to_string sh)
+  in
+  let before = Registry.value lane_forks in
+  let r = observe () in
+  Alcotest.(check int) "sanitized forks run scalar" before
+    (Registry.value lane_forks);
+  Alcotest.(check bool) "racy program is flagged" true (snd (fst r) > 0);
+  Alcotest.(check bool) "shadow reports repeat" true (r = observe ())
+
+(* Race-free DOALL nests, and nests around serial accumulations and
+   branchy variable-step loops (streams, promoted elements, uniform
+   branches), on 1-3 domains: every program of these generators takes
+   the lane path somewhere. *)
+let lane_prop ~count ~name arb =
+  QCheck.Test.make ~count ~name arb (fun prog ->
+      match lane_mismatch prog with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
+let prop_lanes_agree =
+  lane_prop ~count:30
+    ~name:"lane path = scalar bytecode = interpreter (random DOALL nests)"
+    Test_runtime.arbitrary_doall_nest
+
+let prop_lanes_serial_loops =
+  lane_prop ~count:40
+    ~name:"lane path over serial loops = scalar = interpreter (random)"
+    (QCheck.make ~print:Pretty.program_to_string
+       (QCheck.Gen.oneof [ serial_accum_gen; branchy_varstep_gen ]))
+
 let suite =
   [
     Alcotest.test_case "strip bounds pinned" `Quick test_strip_bounds;
@@ -654,6 +1040,16 @@ let suite =
       `Quick test_unrolled_strips_identical;
     Alcotest.test_case "sanitizer identical across opt levels" `Quick
       test_sanitizer_identical_across_opt;
+    Alcotest.test_case "lane rules: first failing rule per shape" `Quick
+      test_lane_reasons;
+    Alcotest.test_case "lane path: strips 1 .. lane_width + 1 and across"
+      `Slow test_lane_strip_lengths;
+    Alcotest.test_case "lane path: jam shapes, kernels, examples" `Quick
+      test_lane_corpus;
+    Alcotest.test_case "lane path: gathers and scalar fallbacks" `Quick
+      test_lane_fallbacks;
+    Gen.to_alcotest prop_lanes_agree;
+    Gen.to_alcotest prop_lanes_serial_loops;
     Gen.to_alcotest prop_doall_nests_agree;
     Gen.to_alcotest prop_promotion_agrees;
     Gen.to_alcotest prop_branchy_varstep_agrees;

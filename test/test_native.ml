@@ -576,104 +576,8 @@ let test_cond_stencil_five_way () =
 
 (* ---------- unroll-and-jam ---------- *)
 
-(* A matmul-shaped [doall i / doall j / do k] nest around [body], with
-   [nj] columns: every strip has at most [nj] iterations, so extents 1-9
-   give strips shorter than one group of four and every remainder. [t]
-   is written in the body and read after the nest, so the written-back
-   registers must be the sequentially last iteration's. *)
-let jam_nest ?(decls = "") ?(nk = 3) ~nj body =
-  let kd = max 1 nk in
-  Printf.sprintf
-    "program\n\
-    \  real A[3, %d]\n\
-    \  real B[%d, %d]\n\
-    \  real C[3, %d]\n\
-    \  real T[3]\n\
-    \  real E[2]\n\
-    \  real t = 0.0\n\
-     %sbegin\n\
-    \  doall i = 1, 3\n\
-    \    doall k = 1, %d\n\
-    \      A[i, k] = i + 2 * k + 0.5\n\
-    \    end\n\
-    \  end\n\
-    \  doall k = 1, %d\n\
-    \    doall j = 1, %d\n\
-    \      B[k, j] = k - j * 0.75\n\
-    \    end\n\
-    \  end\n\
-    \  doall i = 1, 3\n\
-    \    doall j = 1, %d\n\
-     %s\
-    \    end\n\
-    \  end\n\
-    \  E[1] = t\n\
-     end\n"
-    kd kd nj nj decls kd kd nj nj body
-
-let jam_matmul ~nk =
-  Printf.sprintf
-    "      t = j * 0.25 + i\n\
-    \      C[i, j] = t\n\
-    \      do k = 1, %d\n\
-    \        C[i, j] = C[i, j] + A[i, k] * B[k, j] * t\n\
-    \      end\n"
-    nk
-
-(* jammed shapes with more control: a bound and a branch on the outer
-   index, and a serial loop nested in another *)
-let jam_positives =
-  [
-    ( "outer-index bound and branch",
-      "      C[i, j] = 0.0\n\
-      \      if i > 1 then\n\
-      \        do k = 1, i + 1, 2\n\
-      \          C[i, j] = C[i, j] + A[i, k] * B[k, j]\n\
-      \        end\n\
-      \      end\n" );
-    ( "nested serial loops",
-      "      C[i, j] = 0.0\n\
-      \      do k = 1, 3\n\
-      \        do l = 1, 2\n\
-      \          C[i, j] = C[i, j] * 0.5 + A[i, k] * B[k, j] + l\n\
-      \        end\n\
-      \      end\n" );
-  ]
-
-(* shapes the jam must leave alone: a strip-carried scalar, a divisor
-   that is not a literal, a store every copy would make to one element,
-   and a data-dependent branch *)
-let jam_negatives =
-  [
-    ( "strip-carried scalar",
-      "",
-      "      C[i, j] = 0.0\n\
-      \      do k = 1, 3\n\
-      \        C[i, j] = C[i, j] + A[i, k] * B[k, j]\n\
-      \      end\n\
-      \      t = t + C[i, j]\n" );
-    ( "non-literal divisor",
-      "  int d = 2\n",
-      "      C[i, j] = 0.0\n\
-      \      do k = 1, 3\n\
-      \        C[i, j] = C[i, j] + A[i, k] * ((j + k) / d)\n\
-      \      end\n" );
-    ( "store at a strip-invariant element",
-      "",
-      "      C[i, j] = 0.0\n\
-      \      do k = 1, 3\n\
-      \        C[i, j] = C[i, j] + A[i, k] * B[k, j]\n\
-      \      end\n\
-      \      T[i] = A[i, 1] * 2.0\n" );
-    ( "data-dependent if",
-      "",
-      "      C[i, j] = 0.0\n\
-      \      do k = 1, 3\n\
-      \        if B[k, j] > 0.0 then\n\
-      \          C[i, j] = C[i, j] + A[i, k]\n\
-      \        end\n\
-      \      end\n" );
-  ]
+let jam_nest = Test_bytecode.jam_nest
+let jam_matmul = Test_bytecode.jam_matmul
 
 let jams src idx = contains (runner_src src idx) "for _g = 1 to len / 4 do"
 
@@ -708,11 +612,11 @@ let test_jam_five_way () =
   List.iter
     (fun (what, body) ->
       check_jam ~jam:true ~what (parse what (jam_nest ~nk:4 ~nj:7 body)))
-    jam_positives;
+    Test_bytecode.jam_positives;
   List.iter
-    (fun (what, decls, body) ->
+    (fun (what, decls, body, _) ->
       check_jam ~jam:false ~what (parse what (jam_nest ~decls ~nj:7 body)))
-    jam_negatives;
+    Test_bytecode.jam_negatives;
   let tri = Kernels.tri_gather ~n:50 in
   let src = fst (Natgen.source (Compile.compile ~opt_level:2 tri)) in
   Alcotest.(check bool) "tri_gather: not jammed" false
