@@ -730,6 +730,14 @@ let exec_engine_of = function
   | Native -> Some L.Runtime.Exec.Native
   | Interp -> None
 
+(* The tape optimizer has two levels: 0 runs the raw lowered tape, 2 the
+   full pipeline. *)
+let require_opt_level n =
+  if n <> 0 && n <> 2 then begin
+    Printf.eprintf "error: --opt-level must be 0 or 2 (got %d)\n" n;
+    exit 1
+  end
+
 let run_cmd =
   let parallel_flag =
     Arg.(
@@ -830,10 +838,9 @@ let run_cmd =
       & info [ "opt-level" ] ~docv:"N"
           ~doc:
             "Bytecode tape optimizer level: $(b,0) runs the raw lowered \
-             tape, $(b,1) adds induction-variable offset streaming, \
-             $(b,2) (default) adds CSE, load fusion and x4 strip \
-             unrolling. Results, traces and metrics are identical at \
-             every level.")
+             tape, $(b,2) (default) the full pipeline (value numbering, \
+             invariant motion, offset streaming, load fusion). Results, \
+             traces and metrics are identical at both levels.")
   in
   let no_plan_cache_flag =
     Arg.(
@@ -854,8 +861,8 @@ let run_cmd =
              optimizer pipeline, in the stable textual format the golden \
              tests pin. With no argument (or $(b,all)) every stage is \
              printed; naming one stage of $(b,lower), $(b,gvn), \
-             $(b,licm), $(b,stream), $(b,fuse), $(b,unroll) prints the \
-             tape before and after that stage. Implies \
+             $(b,licm), $(b,stream), $(b,fuse) prints the tape before \
+             and after that stage. Implies \
              $(b,--no-plan-cache) for this run, since a cache hit skips \
              the pipeline.")
   in
@@ -920,11 +927,7 @@ let run_cmd =
   let run parallel procs policy coalesce compare time trace_file metrics
       sanitize engine opt_level no_plan_cache dump_tape validate_tape
       stats_file search explain fp_reassoc p =
-    if opt_level < 0 || opt_level > 2 then begin
-      Printf.eprintf "error: --opt-level must be 0, 1 or 2 (got %d)\n"
-        opt_level;
-      exit 1
-    end;
+    require_opt_level opt_level;
     (match dump_tape with
     | Some pass
       when pass <> "all" && not (List.mem pass L.Runtime.Tapeopt.pass_names) ->
@@ -1325,7 +1328,7 @@ let run_cmd =
           self-scheduling via atomic fetch-and-add, GSS, factoring, \
           trapezoid). $(b,--engine) $(i,interp|bytecode|native) \
           picks the execution tier (default $(b,bytecode): flat register \
-          tape, tuned by $(b,--opt-level) $(i,0|1|2) and reused across \
+          tape, tuned by $(b,--opt-level) $(i,0|2) and reused across \
           invocations via a persistent plan cache unless \
           $(b,--no-plan-cache) is given; $(b,native) Dynlink-compiles \
           the same tapes to machine code, caching $(i,.cmxs) artifacts \
@@ -1701,7 +1704,7 @@ let profile_cmd =
     Arg.(
       value & opt int 2
       & info [ "opt-level" ] ~docv:"N"
-          ~doc:"Bytecode tape optimizer level (0|1|2), as in $(b,run).")
+          ~doc:"Bytecode tape optimizer level (0|2), as in $(b,run).")
   in
   let top_arg =
     Arg.(
@@ -1764,11 +1767,7 @@ let profile_cmd =
            bytecode\n"
           (run_engine_name other);
         exit 1);
-    if opt_level < 0 || opt_level > 2 then begin
-      Printf.eprintf "error: --opt-level must be 0, 1 or 2 (got %d)\n"
-        opt_level;
-      exit 1
-    end;
+    require_opt_level opt_level;
     report_validation p;
     let p =
       if not coalesce then p
@@ -1867,9 +1866,8 @@ let profile_cmd =
    different invariant [Tapecheck] guards: a negative register, a jump
    out of its section, an access offset that no longer matches its
    subscripts, a provenance tag outside the tag table, a stream-init
-   aimed at a nonexistent scratch slot, a [Jadv] separator off its
-   unrolled-copy boundary. *)
-let mutate_kinds = [ "neg-reg"; "bad-jump"; "offset"; "prov"; "slot"; "jadv" ]
+   aimed at a nonexistent scratch slot. *)
+let mutate_kinds = [ "neg-reg"; "bad-jump"; "offset"; "prov"; "slot" ]
 
 let apply_mutation kind (t : L.Runtime.Bytecode.tape) =
   let module B = L.Runtime.Bytecode in
@@ -1929,7 +1927,7 @@ let apply_mutation kind (t : L.Runtime.Bytecode.tape) =
     | "slot" ->
         let bogus = Array.length t.B.tp_accs + t.B.tp_nstreams + 7 in
         let rec seek = function
-          | [] -> fail "tape has no streamed offsets (needs --opt-level >= 1)"
+          | [] -> fail "tape has no streamed offsets (needs --opt-level 2)"
           | arr :: rest -> (
               match first arr (function B.Sinit _ -> true | _ -> false) with
               | Some i ->
@@ -1940,17 +1938,6 @@ let apply_mutation kind (t : L.Runtime.Bytecode.tape) =
               | None -> seek rest)
         in
         seek [ t.B.tp_pre; ops ]
-    | "jadv" -> (
-        match t.B.tp_unrolled with
-        | None -> fail "tape has no unrolled body (needs --opt-level 2)"
-        | Some u -> (
-            match first u (function B.Jadv -> true | _ -> false) with
-            | None -> fail "unrolled body has no Jadv separator"
-            | Some i ->
-                let j = if i + 1 < Array.length u then i + 1 else i - 1 in
-                let tmp = u.(i) in
-                u.(i) <- u.(j);
-                u.(j) <- tmp))
     | k ->
         fail
           (Printf.sprintf "unknown kind %S (one of %s)" k
@@ -2006,7 +1993,7 @@ let check_cmd =
       value & opt int 2
       & info [ "opt-level" ] ~docv:"N"
           ~doc:
-            "With $(b,--tape): optimizer level to validate (0, 1 or 2, \
+            "With $(b,--tape): optimizer level to validate (0 or 2, \
              default 2).")
   in
   let sanitize_arg =
@@ -2055,11 +2042,7 @@ let check_cmd =
           Printf.eprintf "error: missing FILE argument (or use --list)\n";
           exit 2
     in
-    if opt_level < 0 || opt_level > 2 then begin
-      Printf.eprintf "error: --opt-level must be 0, 1 or 2 (got %d)\n"
-        opt_level;
-      exit 1
-    end;
+    require_opt_level opt_level;
     (match mutate with
     | Some k when not (List.mem k mutate_kinds) ->
         Printf.eprintf "error: --mutate: unknown kind %S (one of %s)\n" k

@@ -190,7 +190,6 @@ type instr =
       (** stream scratch slot <- full affine offset, evaluated at strip
           entry (prologue) or serial-loop entry (body). Emitted by the
           tape optimizer only. *)
-  | Jadv  (** strip index slot += jstep (between unrolled copies) *)
   | Fmac2 of int * int * int * int
       (** d <- a +. load id1 *. load id2 (fused, optimizer only) *)
   | Fmsb2 of int * int * int * int  (** d <- a -. load id1 *. load id2 *)
@@ -253,7 +252,7 @@ and vkind =
    loops extend the root path with "/index" per nesting level. The
    optimizer passes thread these side tables through every rewrite, so
    profiler reports can name the originating loop even on a
-   gvn/licm/stream/fuse/unroll'd tape. *)
+   gvn/licm/stream/fuse'd tape. *)
 type srcloc = {
   sl_loop : string;
       (** loop path: plan indexes joined with ".", then "/index" per
@@ -264,15 +263,11 @@ type srcloc = {
 type tape = {
   tp_pre : instr array;  (** strip prologue: float consts and stream inits *)
   tp_ops : instr array;  (** single-iteration body *)
-  tp_unrolled : instr array option;
-      (** optimizer-built x4 unrolled body ([Jadv] between copies); never
-          present on sanitized tapes *)
   tp_accs : access array;
   tp_nstreams : int;  (** scratch slots past the per-access invariant ones *)
   tp_sanitize : bool;
   tp_src : int array;  (** per-[tp_ops] instruction tag (index into [tp_tags]) *)
   tp_pre_src : int array;  (** per-[tp_pre] instruction tag *)
-  tp_unrolled_src : int array option;  (** per-[tp_unrolled] instruction tag *)
   tp_tags : srcloc array;  (** tag table; entry 0 is the plan root *)
 }
 
@@ -944,13 +939,11 @@ let lower ~lookup ~array_ref ~fresh_int ~fresh_real ~assigned ~plan_names
   {
     tp_pre = pre;
     tp_ops = Array.sub st.code 0 st.len;
-    tp_unrolled = None;
     tp_accs = Array.map finish (Array.of_list (List.rev st.raccs));
     tp_nstreams = 0;
     tp_sanitize = sanitize;
     tp_src = Array.sub st.srcs 0 st.len;
     tp_pre_src = Array.make (Array.length pre) 0;
-    tp_unrolled_src = None;
     tp_tags = Array.of_list (List.rev st.tag_list);
   }
 
@@ -1005,7 +998,6 @@ let make_scratch tape =
 type profile = {
   pf_pre : int array;  (** per-[tp_pre] position dispatch count *)
   pf_ops : int array;  (** per-[tp_ops] position dispatch count *)
-  pf_unrolled : int array;  (** per-[tp_unrolled] position dispatch count *)
   pf_strips : int;
   pf_iters : int;
   pf_ns : int;  (** wall ns spent inside profiled chunk execution *)
@@ -1082,190 +1074,199 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
     | None -> ());
     Array.unsafe_get (Array.unsafe_get arrays ac.ac_slot) off
   in
-  let exec_ops ops iter =
+  (* Runs [len] strip iterations of [ops], the first numbered [iter0]
+     for the sanitizer. When [pc] falls off the body, the strip
+     back-edge advances the strip index by [jstep] and the iteration
+     number by one and restarts at 0; the index is left at the last
+     iteration's value. *)
+  let exec_ops ops iter0 len =
     let stop = Array.length ops in
-    let pc = ref 0 in
-    while !pc < stop do
-      match Array.unsafe_get ops !pc with
-      | Iconst (d, v) ->
-          Array.unsafe_set ints d v;
-          incr pc
-      | Iaff (d, a) ->
-          Array.unsafe_set ints d (aff_eval ints a);
-          incr pc
-      | Imul (d, a, b) ->
-          Array.unsafe_set ints d
-            (Array.unsafe_get ints a * Array.unsafe_get ints b);
-          incr pc
-      | Idiv (d, a, b) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then error "integer division by zero";
-          Array.unsafe_set ints d (Array.unsafe_get ints a / y);
-          incr pc
-      | Imod (d, a, b) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then error "mod by zero";
-          Array.unsafe_set ints d (Array.unsafe_get ints a mod y);
-          incr pc
-      | Icdiv (d, a, b) ->
-          let y = Array.unsafe_get ints b in
-          if y <= 0 then error "ceildiv: non-positive divisor %d" y;
-          Array.unsafe_set ints d
-            (Loopcoal_util.Intmath.cdiv (Array.unsafe_get ints a) y);
-          incr pc
-      | Imin (d, a, b) ->
-          let x = Array.unsafe_get ints a and y = Array.unsafe_get ints b in
-          Array.unsafe_set ints d (if x <= y then x else y);
-          incr pc
-      | Imax (d, a, b) ->
-          let x = Array.unsafe_get ints a and y = Array.unsafe_get ints b in
-          Array.unsafe_set ints d (if x >= y then x else y);
-          incr pc
-      | Istep (r, name) ->
-          if Array.unsafe_get ints r <= 0 then
-            error "loop %s: step must be positive" name;
-          incr pc
-      | Fconst (d, x) ->
-          Array.unsafe_set reals d x;
-          incr pc
-      | Fmov (d, s) ->
-          Array.unsafe_set reals d (Array.unsafe_get reals s);
-          incr pc
-      | Fadd (d, a, b) ->
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a +. Array.unsafe_get reals b);
-          incr pc
-      | Fsub (d, a, b) ->
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a -. Array.unsafe_get reals b);
-          incr pc
-      | Fmul (d, a, b) ->
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a *. Array.unsafe_get reals b);
-          incr pc
-      | Fdiv (d, a, b) ->
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a /. Array.unsafe_get reals b);
-          incr pc
-      | Fmin (d, a, b) ->
-          let x = Array.unsafe_get reals a and y = Array.unsafe_get reals b in
-          Array.unsafe_set reals d (if x <= y then x else y);
-          incr pc
-      | Fmax (d, a, b) ->
-          let x = Array.unsafe_get reals a and y = Array.unsafe_get reals b in
-          Array.unsafe_set reals d (if x >= y then x else y);
-          incr pc
-      | Fneg (d, s) ->
-          Array.unsafe_set reals d (-.Array.unsafe_get reals s);
-          incr pc
-      | Fofi (d, s) ->
-          Array.unsafe_set reals d (float_of_int (Array.unsafe_get ints s));
-          incr pc
-      | Fmac (d, a, x, y) ->
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a
-            +. (Array.unsafe_get reals x *. Array.unsafe_get reals y));
-          incr pc
-      | Fmsb (d, a, x, y) ->
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a
-            -. (Array.unsafe_get reals x *. Array.unsafe_get reals y));
-          incr pc
-      | Fload (d, id) ->
-          let ac = Array.unsafe_get accs id in
-          let off = off_of id ac in
-          (match shadow with
-          | Some sh -> Sanitize.on_read sh ~slot:ac.ac_slot ~off ~iter
-          | None -> ());
-          Array.unsafe_set reals d
-            (Array.unsafe_get (Array.unsafe_get arrays ac.ac_slot) off);
-          incr pc
-      | Fstore (s, id) ->
-          let ac = Array.unsafe_get accs id in
-          let off = off_of id ac in
-          (match shadow with
-          | Some sh -> Sanitize.on_write sh ~slot:ac.ac_slot ~off ~iter
-          | None -> ());
-          Array.unsafe_set
-            (Array.unsafe_get arrays ac.ac_slot)
-            off (Array.unsafe_get reals s);
-          incr pc
-      | Sinit (s, a) ->
-          Array.unsafe_set inv s (aff_eval ints a);
-          incr pc
-      | Jadv ->
-          Array.unsafe_set ints jslot (Array.unsafe_get ints jslot + jstep);
-          incr pc
-      | Fmac2 (d, a, i1, i2) ->
-          let l1 = load_elem i1 iter in
-          let l2 = load_elem i2 iter in
-          Array.unsafe_set reals d (Array.unsafe_get reals a +. (l1 *. l2));
-          incr pc
-      | Fmsb2 (d, a, i1, i2) ->
-          let l1 = load_elem i1 iter in
-          let l2 = load_elem i2 iter in
-          Array.unsafe_set reals d (Array.unsafe_get reals a -. (l1 *. l2));
-          incr pc
-      | Fldmac (d, a, x, id) ->
-          let l = load_elem id iter in
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a +. (Array.unsafe_get reals x *. l));
-          incr pc
-      | Fldmsb (d, a, x, id) ->
-          let l = load_elem id iter in
-          Array.unsafe_set reals d
-            (Array.unsafe_get reals a -. (Array.unsafe_get reals x *. l));
-          incr pc
-      | Fldadd (d, x, id) ->
-          let l = load_elem id iter in
-          Array.unsafe_set reals d (Array.unsafe_get reals x +. l);
-          incr pc
-      | Fldsub (d, x, id) ->
-          let l = load_elem id iter in
-          Array.unsafe_set reals d (Array.unsafe_get reals x -. l);
-          incr pc
-      | Fldmul (d, x, id) ->
-          let l = load_elem id iter in
-          Array.unsafe_set reals d (Array.unsafe_get reals x *. l);
-          incr pc
-      | Fld2add (d, i1, i2) ->
-          let l1 = load_elem i1 iter in
-          let l2 = load_elem i2 iter in
-          Array.unsafe_set reals d (l1 +. l2);
-          incr pc
-      | Fldst (i1, i2) ->
-          let v = load_elem i1 iter in
-          let ac = Array.unsafe_get accs i2 in
-          let off = off_of i2 ac in
-          (match shadow with
-          | Some sh -> Sanitize.on_write sh ~slot:ac.ac_slot ~off ~iter
-          | None -> ());
-          Array.unsafe_set (Array.unsafe_get arrays ac.ac_slot) off v;
-          incr pc
-      | Jmp t -> pc := t
-      | Jii (op, a, b, t) ->
-          if icmp op (Array.unsafe_get ints a) (Array.unsafe_get ints b) then
-            pc := t
-          else incr pc
-      | Jff (op, a, b, t) ->
-          if fcmp op (Array.unsafe_get reals a) (Array.unsafe_get reals b) then
-            pc := t
-          else incr pc
-      | Jffn (op, a, b, t) ->
-          if fcmp op (Array.unsafe_get reals a) (Array.unsafe_get reals b) then
+    let pc = ref 0 and iter = ref iter0 in
+    let last = iter0 + len - 1 in
+    while !iter <= last do
+      while !pc < stop do
+        match Array.unsafe_get ops !pc with
+        | Iconst (d, v) ->
+            Array.unsafe_set ints d v;
             incr pc
-          else pc := t
-      | Iloop (r, a, bnd, top) ->
-          let v = aff_eval ints a in
-          Array.unsafe_set ints r v;
-          if v <= Array.unsafe_get ints bnd then pc := top else incr pc
-      | Iloopc (r, c, bnd, top) ->
-          let v = Array.unsafe_get ints r + c in
-          Array.unsafe_set ints r v;
-          if v <= Array.unsafe_get ints bnd then pc := top else incr pc
-      | Icount k ->
-          Array.unsafe_set inv k (Array.unsafe_get inv k + 1);
-          incr pc
+        | Iaff (d, a) ->
+            Array.unsafe_set ints d (aff_eval ints a);
+            incr pc
+        | Imul (d, a, b) ->
+            Array.unsafe_set ints d
+              (Array.unsafe_get ints a * Array.unsafe_get ints b);
+            incr pc
+        | Idiv (d, a, b) ->
+            let y = Array.unsafe_get ints b in
+            if y = 0 then error "integer division by zero";
+            Array.unsafe_set ints d (Array.unsafe_get ints a / y);
+            incr pc
+        | Imod (d, a, b) ->
+            let y = Array.unsafe_get ints b in
+            if y = 0 then error "mod by zero";
+            Array.unsafe_set ints d (Array.unsafe_get ints a mod y);
+            incr pc
+        | Icdiv (d, a, b) ->
+            let y = Array.unsafe_get ints b in
+            if y <= 0 then error "ceildiv: non-positive divisor %d" y;
+            Array.unsafe_set ints d
+              (Loopcoal_util.Intmath.cdiv (Array.unsafe_get ints a) y);
+            incr pc
+        | Imin (d, a, b) ->
+            let x = Array.unsafe_get ints a and y = Array.unsafe_get ints b in
+            Array.unsafe_set ints d (if x <= y then x else y);
+            incr pc
+        | Imax (d, a, b) ->
+            let x = Array.unsafe_get ints a and y = Array.unsafe_get ints b in
+            Array.unsafe_set ints d (if x >= y then x else y);
+            incr pc
+        | Istep (r, name) ->
+            if Array.unsafe_get ints r <= 0 then
+              error "loop %s: step must be positive" name;
+            incr pc
+        | Fconst (d, x) ->
+            Array.unsafe_set reals d x;
+            incr pc
+        | Fmov (d, s) ->
+            Array.unsafe_set reals d (Array.unsafe_get reals s);
+            incr pc
+        | Fadd (d, a, b) ->
+            Array.unsafe_set reals d
+              (Array.unsafe_get reals a +. Array.unsafe_get reals b);
+            incr pc
+        | Fsub (d, a, b) ->
+            Array.unsafe_set reals d
+              (Array.unsafe_get reals a -. Array.unsafe_get reals b);
+            incr pc
+        | Fmul (d, a, b) ->
+            Array.unsafe_set reals d
+              (Array.unsafe_get reals a *. Array.unsafe_get reals b);
+            incr pc
+        | Fdiv (d, a, b) ->
+            Array.unsafe_set reals d
+              (Array.unsafe_get reals a /. Array.unsafe_get reals b);
+            incr pc
+        | Fmin (d, a, b) ->
+            let x = Array.unsafe_get reals a and y = Array.unsafe_get reals b in
+            Array.unsafe_set reals d (if x <= y then x else y);
+            incr pc
+        | Fmax (d, a, b) ->
+            let x = Array.unsafe_get reals a and y = Array.unsafe_get reals b in
+            Array.unsafe_set reals d (if x >= y then x else y);
+            incr pc
+        | Fneg (d, s) ->
+            Array.unsafe_set reals d (-.Array.unsafe_get reals s);
+            incr pc
+        | Fofi (d, s) ->
+            Array.unsafe_set reals d (float_of_int (Array.unsafe_get ints s));
+            incr pc
+        | Fmac (d, a, x, y) ->
+            Array.unsafe_set reals d
+              (Array.unsafe_get reals a
+              +. (Array.unsafe_get reals x *. Array.unsafe_get reals y));
+            incr pc
+        | Fmsb (d, a, x, y) ->
+            Array.unsafe_set reals d
+              (Array.unsafe_get reals a
+              -. (Array.unsafe_get reals x *. Array.unsafe_get reals y));
+            incr pc
+        | Fload (d, id) ->
+            let ac = Array.unsafe_get accs id in
+            let off = off_of id ac in
+            (match shadow with
+            | Some sh -> Sanitize.on_read sh ~slot:ac.ac_slot ~off ~iter:!iter
+            | None -> ());
+            Array.unsafe_set reals d
+              (Array.unsafe_get (Array.unsafe_get arrays ac.ac_slot) off);
+            incr pc
+        | Fstore (s, id) ->
+            let ac = Array.unsafe_get accs id in
+            let off = off_of id ac in
+            (match shadow with
+            | Some sh -> Sanitize.on_write sh ~slot:ac.ac_slot ~off ~iter:!iter
+            | None -> ());
+            Array.unsafe_set
+              (Array.unsafe_get arrays ac.ac_slot)
+              off (Array.unsafe_get reals s);
+            incr pc
+        | Sinit (s, a) ->
+            Array.unsafe_set inv s (aff_eval ints a);
+            incr pc
+            | Fmac2 (d, a, i1, i2) ->
+            let l1 = load_elem i1 !iter in
+            let l2 = load_elem i2 !iter in
+            Array.unsafe_set reals d (Array.unsafe_get reals a +. (l1 *. l2));
+            incr pc
+        | Fmsb2 (d, a, i1, i2) ->
+            let l1 = load_elem i1 !iter in
+            let l2 = load_elem i2 !iter in
+            Array.unsafe_set reals d (Array.unsafe_get reals a -. (l1 *. l2));
+            incr pc
+        | Fldmac (d, a, x, id) ->
+            let l = load_elem id !iter in
+            Array.unsafe_set reals d
+              (Array.unsafe_get reals a +. (Array.unsafe_get reals x *. l));
+            incr pc
+        | Fldmsb (d, a, x, id) ->
+            let l = load_elem id !iter in
+            Array.unsafe_set reals d
+              (Array.unsafe_get reals a -. (Array.unsafe_get reals x *. l));
+            incr pc
+        | Fldadd (d, x, id) ->
+            let l = load_elem id !iter in
+            Array.unsafe_set reals d (Array.unsafe_get reals x +. l);
+            incr pc
+        | Fldsub (d, x, id) ->
+            let l = load_elem id !iter in
+            Array.unsafe_set reals d (Array.unsafe_get reals x -. l);
+            incr pc
+        | Fldmul (d, x, id) ->
+            let l = load_elem id !iter in
+            Array.unsafe_set reals d (Array.unsafe_get reals x *. l);
+            incr pc
+        | Fld2add (d, i1, i2) ->
+            let l1 = load_elem i1 !iter in
+            let l2 = load_elem i2 !iter in
+            Array.unsafe_set reals d (l1 +. l2);
+            incr pc
+        | Fldst (i1, i2) ->
+            let v = load_elem i1 !iter in
+            let ac = Array.unsafe_get accs i2 in
+            let off = off_of i2 ac in
+            (match shadow with
+            | Some sh -> Sanitize.on_write sh ~slot:ac.ac_slot ~off ~iter:!iter
+            | None -> ());
+            Array.unsafe_set (Array.unsafe_get arrays ac.ac_slot) off v;
+            incr pc
+        | Jmp t -> pc := t
+        | Jii (op, a, b, t) ->
+            if icmp op (Array.unsafe_get ints a) (Array.unsafe_get ints b) then
+              pc := t
+            else incr pc
+        | Jff (op, a, b, t) ->
+            if fcmp op (Array.unsafe_get reals a) (Array.unsafe_get reals b) then
+              pc := t
+            else incr pc
+        | Jffn (op, a, b, t) ->
+            if fcmp op (Array.unsafe_get reals a) (Array.unsafe_get reals b) then
+              incr pc
+            else pc := t
+        | Iloop (r, a, bnd, top) ->
+            let v = aff_eval ints a in
+            Array.unsafe_set ints r v;
+            if v <= Array.unsafe_get ints bnd then pc := top else incr pc
+        | Iloopc (r, c, bnd, top) ->
+            let v = Array.unsafe_get ints r + c in
+            Array.unsafe_set ints r v;
+            if v <= Array.unsafe_get ints bnd then pc := top else incr pc
+        | Icount k ->
+            Array.unsafe_set inv k (Array.unsafe_get inv k + 1);
+            incr pc
+      done;
+      if !iter < last then
+        Array.unsafe_set ints jslot (Array.unsafe_get ints jslot + jstep);
+      incr iter;
+      pc := 0
     done
   in
   (* Strip prologue: float constants, strip-invariant ops hoisted by the
@@ -1277,41 +1278,12 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
     (function
       | Fconst (d, x) -> Array.unsafe_set reals d x
       | Sinit (s, a) -> Array.unsafe_set inv s (aff_eval ints a)
-      | op -> exec_ops [| op |] iter0)
+      | op -> exec_ops [| op |] iter0 1)
     tape.tp_pre;
   for a = 0 to Array.length accs - 1 do
     Array.unsafe_set inv a (aff_eval ints (Array.unsafe_get accs a).ac_inv)
   done;
-  let j = ref j0 in
-  let unrolled =
-    match (tape.tp_unrolled, shadow) with
-    | (Some _ as u), None -> u
-    | _ -> None
-  in
-  (match unrolled with
-  | Some u ->
-      (* Unrolled main loop: one dispatch pass covers four iterations
-         ([Jadv] advances the strip index between copies); the remainder
-         runs the single-iteration body. The per-copy [iter] passed to
-         the shadow hooks is irrelevant here: unrolled bodies only run
-         unsanitized. *)
-      let groups = len / 4 in
-      for g = 0 to groups - 1 do
-        Array.unsafe_set ints jslot !j;
-        exec_ops u (iter0 + (g * 4));
-        j := !j + (4 * jstep)
-      done;
-      for k = groups * 4 to len - 1 do
-        Array.unsafe_set ints jslot !j;
-        exec_ops tape.tp_ops (iter0 + k);
-        j := !j + jstep
-      done
-  | None ->
-      for k = 0 to len - 1 do
-        Array.unsafe_set ints jslot !j;
-        exec_ops tape.tp_ops (iter0 + k);
-        j := !j + jstep
-      done)
+  exec_ops tape.tp_ops iter0 len
 
 (* ---------- strip geometry ---------- *)
 
@@ -1459,7 +1431,7 @@ module IntSet = Set.Make (Int)
 module IntMap = Map.Make (Int)
 
 let reads = function
-  | Iconst _ | Fconst _ | Jadv | Jmp _ | Icount _ -> ([], [], [])
+  | Iconst _ | Fconst _ | Jmp _ | Icount _ -> ([], [], [])
   | Iaff (_, a) | Sinit (_, a) -> (Array.to_list a.regs, [], [])
   | Imul (_, a, b)
   | Idiv (_, a, b)
@@ -2269,7 +2241,7 @@ let lane_step lr ~lanes n (i : instr) =
       fmem lr 0 n i2;
       k_fcopy n fv.(0) fv.(1)
   | Sinit (s, a) -> Array.unsafe_set lr.lr_inv s (aff_eval lr.lr_ints a)
-  | Istep _ | Jadv | Icount _ | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _
+  | Istep _ | Icount _ | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _
   | Iloopc _ ->
       assert false
 
@@ -2397,7 +2369,6 @@ let pp_instr (op : instr) =
   | Fload (d, id) -> f "r%d <- load[%d]" d id
   | Fstore (s, id) -> f "store[%d] <- r%d" id s
   | Sinit (s, a) -> f "s%d <- %s" s (pp_aff a)
-  | Jadv -> "jadv"
   | Fmac2 (d, a, i1, i2) -> f "r%d <- r%d + load[%d] * load[%d]" d a i1 i2
   | Fmsb2 (d, a, i1, i2) -> f "r%d <- r%d - load[%d] * load[%d]" d a i1 i2
   | Fldmac (d, a, x, id) -> f "r%d <- r%d + r%d * load[%d]" d a x id
@@ -2444,7 +2415,6 @@ let instr_mnemonic = function
   | Fload _ -> "fload"
   | Fstore _ -> "fstore"
   | Sinit _ -> "sinit"
-  | Jadv -> "jadv"
   | Fmac2 _ -> "fmac2"
   | Fmsb2 _ -> "fmsb2"
   | Fldmac _ -> "fldmac"
@@ -2483,7 +2453,6 @@ let pp_tape (t : tape) =
   in
   section "pre" t.tp_pre;
   section "ops" t.tp_ops;
-  (match t.tp_unrolled with Some u -> section "unrolled" u | None -> ());
   if Array.length t.tp_accs > 0 then begin
     Buffer.add_string b "accs:\n";
     Array.iteri
@@ -2516,5 +2485,4 @@ let pp_provenance (t : tape) =
   in
   section "pre" t.tp_pre_src;
   section "ops" t.tp_src;
-  (match t.tp_unrolled_src with Some u -> section "unrolled" u | None -> ());
   Buffer.contents b

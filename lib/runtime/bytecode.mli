@@ -11,7 +11,10 @@
       maximal runs over the innermost coalesced digit and executes each
       run as one strip: the inner index advances by a constant
       increment, with no odometer carry and no div/mod, and the
-      sanitizer iteration id is one base plus the in-strip offset;
+      sanitizer iteration id is one base plus the in-strip offset. The
+      scalar runner keeps one body per tape and runs the whole strip in
+      one dispatch loop whose back-edge is the strip advance; eligible
+      strips run lane-at-a-time instead (see {!lane_plan});
     - {b invariant hoisting}: every access's flat offset is split into a
       strip-invariant affine part (outer indexes, unmodified scalars),
       evaluated once per strip into a scratch register, and a variant
@@ -119,7 +122,6 @@ type instr =
   | Sinit of int * aff
       (** stream scratch slot <- full affine offset at strip or
           serial-loop entry (optimizer only) *)
-  | Jadv  (** strip index slot += jstep (between unrolled copies) *)
   | Fmac2 of int * int * int * int
       (** d <- a +. load id1 *. load id2 (fused, optimizer only) *)
   | Fmsb2 of int * int * int * int  (** d <- a -. load id1 *. load id2 *)
@@ -191,10 +193,6 @@ type tape = {
           ops and stream inits; executed once per strip, never contains
           array accesses *)
   tp_ops : instr array;  (** single-iteration body *)
-  tp_unrolled : instr array option;
-      (** optimizer-built x4 unrolled body ([Jadv] between copies); only
-          executed unsanitized — the remainder and sanitized runs use
-          [tp_ops] *)
   tp_accs : access array;
   tp_nstreams : int;  (** scratch slots past the per-access invariant ones *)
   tp_sanitize : bool;
@@ -202,8 +200,6 @@ type tape = {
       (** per-[tp_ops] provenance tag (index into [tp_tags]); same
           length as [tp_ops] *)
   tp_pre_src : int array;  (** per-[tp_pre] provenance tag *)
-  tp_unrolled_src : int array option;
-      (** per-[tp_unrolled] provenance tag; present iff [tp_unrolled] is *)
   tp_tags : srcloc array;  (** tag table; entry 0 is the plan root *)
 }
 
@@ -316,9 +312,12 @@ val exec_strip :
   unit
 (** Execute [len] consecutive iterations: the strip index register
     [jslot] takes [j0], [j0+jstep], ... and the [k]-th iteration runs
-    the tape with sanitizer iteration id [iter0 + k]. Outer index
-    registers must already be set. [inv] is a {!make_scratch} array;
-    invariant offset parts are (re)hoisted into it on entry. *)
+    the tape with sanitizer iteration id [iter0 + k]. One dispatch loop
+    runs the whole strip: falling off the end of [tp_ops] is the strip
+    back-edge (advance the index, restart at 0), so no iteration pays a
+    call. On return [jslot] holds the last iteration's index. Outer
+    index registers must already be set. [inv] is a {!make_scratch}
+    array; invariant offset parts are (re)hoisted into it on entry. *)
 
 (** {1 Lane execution}
 
@@ -422,9 +421,6 @@ val strip_bounds : inner:int -> t0:int -> len:int -> (int * int) list
 type profile = {
   pf_pre : int array;  (** per-[tp_pre] position dispatch count *)
   pf_ops : int array;  (** per-[tp_ops] position dispatch count *)
-  pf_unrolled : int array;
-      (** per-[tp_unrolled] position dispatch count ([[||]] when the
-          tape has no unrolled body) *)
   pf_strips : int;  (** strips executed *)
   pf_iters : int;  (** coalesced iterations executed *)
   pf_ns : int;  (** wall ns inside profiled chunk execution *)

@@ -612,10 +612,7 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
         let t =
           Registry.time h_opt_ns (fun () ->
               Tapeopt.optimize ?dump ~level:ctx.opt_level
-                ~jslot:index_slots.(depth - 1) ~int_base ~real_base
-                ~fresh_int:(fun () -> fresh_int ctx)
-                ~fresh_real:(fun () -> fresh_real ctx)
-                t)
+                ~jslot:index_slots.(depth - 1) ~int_base ~real_base t)
         in
         ctx.tape_log <-
           (t, ctx.n_ints - int_base, ctx.n_reals - real_base) :: ctx.tape_log;

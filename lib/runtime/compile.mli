@@ -160,10 +160,10 @@ val compile :
     environment's [shadow] field.
 
     [opt_level] (default 2) selects the {!Tapeopt} pipeline applied to
-    each lowered tape: 0 = raw lowering output, 1 = offset streaming
-    only, 2 = the full SSA pipeline (dominator-tree GVN, cross-block
-    LICM, streaming, fusion, x4 unrolling). Sanitized tapes are never
-    optimized regardless of level.
+    each lowered tape: 0 = raw lowering output, 2 = the full SSA
+    pipeline (dominator-tree GVN, cross-block LICM, streaming, fusion).
+    Each tape keeps one single-iteration body either way. Sanitized
+    tapes are never optimized regardless of level.
 
     With [cache], lowered+optimized tapes are reused across compiles of
     the same program (keyed over the AST, [sanitize], [opt_level] and

@@ -60,28 +60,36 @@ let trip plan lo hi step =
     let d = hi - lo in
     if d < 0 || d / step = max_int then overflow plan else (d / step) + 1
 
-(* Evaluate the plan's bounds under [env] into [sp]. *)
+(* Evaluate the plan's bounds under [env] into [sp], in the
+   interpreter's order: lo, hi and step (checked) of the outer level,
+   then each inner level's lo and hi, stopping at the first empty level
+   — the interpreter never evaluates the bounds of a loop nested in one
+   that runs no iteration. Levels past it keep stale bounds, which
+   nothing reads when [total = 0]. *)
 let fill_space (plan : plan) sp env =
   let depth = plan.depth in
-  for k = 0 to depth - 1 do
-    sp.los.(k) <- plan.lo_x.(k) env
+  let total = ref 1 and k = ref 0 in
+  while !k < depth && !total > 0 do
+    let lo = plan.lo_x.(!k) env in
+    let hi = plan.hi_x.(!k) env in
+    let step =
+      if !k > 0 then 1
+      else begin
+        let s = plan.step_x env in
+        if s <= 0 then
+          error "loop %s: step must be positive" plan.index_names.(0);
+        sp.step0 <- s;
+        s
+      end
+    in
+    sp.los.(!k) <- lo;
+    sp.his.(!k) <- hi;
+    sp.sizes.(!k) <- trip plan lo hi step;
+    (total :=
+       try Loopcoal_util.Intmath.checked_mul !total sp.sizes.(!k)
+       with Invalid_argument _ -> overflow plan);
+    incr k
   done;
-  for k = 0 to depth - 1 do
-    sp.his.(k) <- plan.hi_x.(k) env
-  done;
-  let step0 = plan.step_x env in
-  if step0 <= 0 then
-    error "loop %s: step must be positive" plan.index_names.(0);
-  for k = 0 to depth - 1 do
-    sp.sizes.(k) <- trip plan sp.los.(k) sp.his.(k) (if k = 0 then step0 else 1)
-  done;
-  let total = ref 1 in
-  (try
-     for k = 0 to depth - 1 do
-       total := Loopcoal_util.Intmath.checked_mul !total sp.sizes.(k)
-     done
-   with Invalid_argument _ -> overflow plan);
-  sp.step0 <- step0;
   sp.total <- !total
 
 let new_space depth =

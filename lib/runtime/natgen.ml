@@ -44,8 +44,6 @@
    - registers are read from [ints]/[reals] once at runner entry and the
      written ones are stored back on normal exit (nothing reads the
      register files mid-strip, and a raised error aborts the run);
-   - the x4-unrolled body is ignored — unrolling only amortizes
-     interpreter dispatch, which native code does not pay;
    - an eligible body is unrolled and jammed: a main loop runs groups
      of four strip iterations ([j], [j + jstep], [j + 2 jstep],
      [j + 3 jstep]) through one block dispatcher, and the [len mod 4]
@@ -68,8 +66,8 @@
      array confined to one element per iteration, and nothing that can
      raise, so errors and their order stay the bytecode tier's.
      [jam_plan] adds the emitter's own filters: a self-loop block (a
-     serial inner loop; straight-line bodies gain nothing, as with
-     unrolling), every strip stream grouped (see [strip_groups]) and
+     serial inner loop; straight-line bodies gain nothing from
+     jamming), every strip stream grouped (see [strip_groups]) and
      every stored array at one flat offset [inv + c * jslot], c <> 0
      (the analysis also accepts an array pinned by one subscript).
 
@@ -262,19 +260,14 @@ let jam_plan ~jslot ~lits ~strip_of (tp : Bytecode.tape) =
           }
 
 (* Pretty-print one plan's tape as a [Natapi.runner]; [None] when the
-   tape is sanitized or uses an instruction the generator declines
-   ([Jadv] outside the unrolled body, control flow in the prologue —
-   neither is produced by the current lowering). *)
+   tape is sanitized or its prologue holds control flow (the current
+   lowering never produces one). *)
 let plan_runner_src ~idx (p : Compile.plan) : string option =
   match p.Compile.tape with
   | tp when tp.Bytecode.tp_sanitize -> None
   | tp -> (
       let open Bytecode in
-      let pre_ok =
-        Array.for_all (fun i -> (not (is_control i)) && i <> Jadv) tp.tp_pre
-      in
-      let ops_ok = Array.for_all (fun i -> i <> Jadv) tp.tp_ops in
-      if not (pre_ok && ops_ok) then None
+      if Array.exists is_control tp.tp_pre then None
       else
         let depth = p.Compile.depth in
         let jslot = p.Compile.index_slots.(depth - 1) in
@@ -547,7 +540,7 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
           | Fldst (i1, i2) ->
               let v = emit_load i1 in
               emit_store i2 v
-          | Jadv | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _ | Iloopc _ ->
+          | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _ | Iloopc _ ->
               assert false
           | Icount _ ->
               (* plan tapes never carry the profiler's counters *)

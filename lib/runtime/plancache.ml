@@ -20,14 +20,16 @@ open Loopcoal_ir
 
 (* Bump when [Bytecode.instr]/[tape] or the entry layout changes.
    3: SSA optimizer pipeline — [Vsv] vkind, general strip preamble.
-   4: provenance side tables — [tp_src]/[tp_pre_src]/[tp_unrolled_src]/
+   4: provenance side tables — per-section instruction tags and
       [tp_tags] carry instr -> source-loop attribution.
    5: transformation-search era — winning recipes ride next to plans as
       [<key>.recipe] side files and cached programs may be
       recipe-transformed, so pre-search entries must not be replayed.
    6: [Icount] (the profiler's block counter) joins [Bytecode.instr].
-   7: every plan has a tape — entries hold [tape], not [tape option]. *)
-let format_version = 7
+   7: every plan has a tape — entries hold [tape], not [tape option].
+   8: one body per tape — the x4 unrolled body, its provenance table
+      and its strip-advance instruction are deleted. *)
+let format_version = 8
 
 (* A disk entry that fails to load — unreadable, corrupt, or written by
    a different format/build — is treated as a miss; count those

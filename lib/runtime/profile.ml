@@ -2,10 +2,10 @@
 
    Collection instruments the tape, so profiled runs go through the one
    tape interpreter. Once per (collector, tape), [instrument] copies the
-   tape with an [Icount] at every basic-block leader of the body and of
-   the unrolled body; the counters live in extra scratch slots past the
-   tape's stream slots, and the access table is shared, so the fork's
-   range proof on the original tape holds for the copy. The executor
+   tape with an [Icount] at every basic-block leader of the body; the
+   counters live in extra scratch slots past the tape's stream slots,
+   and the access table is shared, so the fork's range proof on the
+   original tape holds for the copy. The executor
    runs the copy through the ordinary [Bytecode.exec_strip], one
    {!binding} (private scratch, strip/iteration/time totals) per worker,
    fork and tape; registration takes the collector's mutex once, then
@@ -28,7 +28,6 @@ type inst = {
   i_src : tape;  (** the tape as compiled *)
   i_tape : tape;  (** the counting copy *)
   i_ops : int array;  (** per [tp_ops] position: its block's counter slot *)
-  i_unrolled : int array;  (** per [tp_unrolled] position *)
 }
 
 type binding = {
@@ -59,7 +58,7 @@ let instrument_ops ops src ~next =
   let block_of = cfg.cf_block_of in
   let n = Array.length ops in
   let ncounters = block_of.(n) in
-  let out = Array.make (n + ncounters) Jadv in
+  let out = Array.make (n + ncounters) (Icount next) in
   let osrc = Array.make (n + ncounters) 0 in
   Array.iteri
     (fun i op ->
@@ -76,26 +75,11 @@ let instrument_ops ops src ~next =
 let instrument (t : tape) =
   let base = Array.length t.tp_accs + t.tp_nstreams in
   let ops, src, i_ops, nops = instrument_ops t.tp_ops t.tp_src ~next:base in
-  let unrolled, i_unrolled, nunrolled =
-    match (t.tp_unrolled, t.tp_unrolled_src) with
-    | Some u, Some usrc ->
-        let u, usrc, slots, nu = instrument_ops u usrc ~next:(base + nops) in
-        (Some (u, usrc), slots, nu)
-    | _ -> (None, [||], 0)
-  in
   {
     i_src = t;
     i_tape =
-      {
-        t with
-        tp_ops = ops;
-        tp_src = src;
-        tp_unrolled = Option.map fst unrolled;
-        tp_unrolled_src = Option.map snd unrolled;
-        tp_nstreams = t.tp_nstreams + nops + nunrolled;
-      };
+      { t with tp_ops = ops; tp_src = src; tp_nstreams = t.tp_nstreams + nops };
     i_ops;
-    i_unrolled;
   }
 
 let bind c tape =
@@ -144,7 +128,6 @@ let tapes c =
         {
           pf_pre = Array.make (Array.length inst.i_src.tp_pre) strips;
           pf_ops = Array.map count inst.i_ops;
-          pf_unrolled = Array.map count inst.i_unrolled;
           pf_strips = strips;
           pf_iters = sum (fun b -> b.b_iters);
           pf_ns = sum (fun b -> b.b_ns);
@@ -175,11 +158,7 @@ let fold_sections (t : tape) (pf : profile) ~f =
       counts
   in
   sec t.tp_ops t.tp_src pf.pf_ops;
-  sec t.tp_pre t.tp_pre_src pf.pf_pre;
-  match (t.tp_unrolled, t.tp_unrolled_src) with
-  | Some u, Some s when Array.length pf.pf_unrolled > 0 ->
-      sec u s pf.pf_unrolled
-  | _ -> ()
+  sec t.tp_pre t.tp_pre_src pf.pf_pre
 
 let summarize c =
   let by_loop : (string * string, int ref) Hashtbl.t = Hashtbl.create 32 in
@@ -193,8 +172,7 @@ let summarize c =
   let dispatches = ref 0 and iters = ref 0 and strips = ref 0 and ns = ref 0 in
   List.iter
     (fun ((t : tape), (pf : profile)) ->
-      dispatches :=
-        !dispatches + sum pf.pf_pre + sum pf.pf_ops + sum pf.pf_unrolled;
+      dispatches := !dispatches + sum pf.pf_pre + sum pf.pf_ops;
       iters := !iters + pf.pf_iters;
       strips := !strips + pf.pf_strips;
       ns := !ns + pf.pf_ns;
@@ -229,7 +207,7 @@ let summarize c =
 
 (* Fraction of dispatches carrying a non-root tag, i.e. attributed to a
    concrete source statement or serial loop rather than to strip-level
-   glue (stream inits, unroll separators). The acceptance bar for the
+   glue (strip-prologue stream inits). The acceptance bar for the
    provenance plumbing: >= 0.9 on real kernels at every opt level. *)
 let attributed_fraction sm =
   if sm.sm_dispatches = 0 then 1.0

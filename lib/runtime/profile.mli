@@ -2,9 +2,9 @@
 
     Profiling instruments the tape rather than the interpreter: once per
     (collector, tape) the profiler copies the tape with an [Icount] at
-    every basic-block leader of its body and unrolled body, counting
-    into extra scratch slots, and the executor runs the copy through the
-    ordinary {!Bytecode.exec_strip}. Each worker owns one {!binding} per
+    every basic-block leader of its body, counting into extra scratch
+    slots, and the executor runs the copy through the ordinary
+    {!Bytecode.exec_strip}. Each worker owns one {!binding} per
     fork and tape and counts without synchronization; {!tapes} rebuilds
     per-position dispatch counts from the block counters, and
     {!summarize} joins them with each tape's provenance side tables into
@@ -24,8 +24,8 @@ val bind : collector -> Bytecode.tape -> binding
 
 val instrumented : binding -> Bytecode.tape
 (** The counting copy of the bound tape: same prologue, accesses and
-    provenance, [Icount]s at the block leaders of the body and unrolled
-    body. Run it with the bound tape's {!Bytecode.prep}. *)
+    provenance, [Icount]s at the block leaders of the body. Run it with
+    the bound tape's {!Bytecode.prep}. *)
 
 val scratch : binding -> int array
 (** The binding's {!Bytecode.make_scratch} array for {!instrumented};

@@ -11,14 +11,13 @@
 
    - LC010  def-before-use on both register files: a sequential scan of
      the prologue, then a forward must-analysis (intersection at joins)
-     over [Bytecode.build_cfg] of the body and of the unrolled body.
+     over [Bytecode.build_cfg] of the body.
      Registers below the plan's base are environment state and start
      defined; everything above must be written on every path first.
    - LC011  malformed instructions: register-file and access-id bounds,
      jump shape (forward-only except [Iloop]/[Iloopc] back edges,
      targets inside the section), prologue restrictions (no control
-     flow, no array accesses, no [Jadv]), [Jadv] separator placement in
-     the x4 unrolled body, [Sinit] targets inside the stream-slot
+     flow, no array accesses), [Sinit] targets inside the stream-slot
      range, and stream slots shared only between accesses streaming the
      same offset.
    - LC012  offset discipline: the split offset [ac_inv + ac_var] must
@@ -32,8 +31,7 @@
    - LC013  provenance: every instruction of every section carries a
      tag indexing the tape's tag table.
    - LC014  footprint: per-array read/write sets keyed by (array slot,
-     subscript form) must match the unoptimized tape's, and each
-     unrolled copy's per-access effects must match the plain body's. *)
+     subscript form) must match the unoptimized tape's. *)
 
 open Bytecode
 module Diag = Loopcoal_verify.Diag
@@ -86,9 +84,9 @@ let iter_int_reads f = function
       f r;
       f bnd
   | Iconst _ | Fconst _ | Fmov _ | Fadd _ | Fsub _ | Fmul _ | Fdiv _ | Fmin _
-  | Fmax _ | Fneg _ | Fmac _ | Fmsb _ | Fload _ | Fstore _ | Jadv | Fmac2 _
-  | Fmsb2 _ | Fldmac _ | Fldmsb _ | Fldadd _ | Fldsub _ | Fldmul _ | Fld2add _
-  | Fldst _ | Jmp _ | Jff _ | Jffn _ | Icount _ ->
+  | Fmax _ | Fneg _ | Fmac _ | Fmsb _ | Fload _ | Fstore _ | Fmac2 _ | Fmsb2 _
+  | Fldmac _ | Fldmsb _ | Fldadd _ | Fldsub _ | Fldmul _ | Fld2add _ | Fldst _
+  | Jmp _ | Jff _ | Jffn _ | Icount _ ->
       ()
 
 let int_write = function
@@ -127,8 +125,8 @@ let iter_float_reads f = function
       f x
   | Fldadd (_, x, _) | Fldsub (_, x, _) | Fldmul (_, x, _) -> f x
   | Iconst _ | Iaff _ | Imul _ | Idiv _ | Imod _ | Icdiv _ | Imin _ | Imax _
-  | Istep _ | Fconst _ | Fofi _ | Fload _ | Sinit _ | Jadv | Jmp _ | Jii _
-  | Iloop _ | Iloopc _ | Fld2add _ | Fldst _ | Icount _ ->
+  | Istep _ | Fconst _ | Fofi _ | Fload _ | Sinit _ | Jmp _ | Jii _ | Iloop _
+  | Iloopc _ | Fld2add _ | Fldst _ | Icount _ ->
       ()
 
 let float_write = function
@@ -192,18 +190,9 @@ let check_provenance ctx t =
         src
   in
   section "pre" t.tp_pre t.tp_pre_src;
-  section "ops" t.tp_ops t.tp_src;
-  match (t.tp_unrolled, t.tp_unrolled_src) with
-  | Some u, Some s -> section "unrolled" u s
-  | None, None -> ()
-  | Some _, None ->
-      report ctx "LC013" ~subject:"unrolled"
-        "unrolled body carries no provenance table"
-  | None, Some _ ->
-      report ctx "LC013" ~subject:"unrolled"
-        "provenance table present for an absent unrolled body"
+  section "ops" t.tp_ops t.tp_src
 
-(* ---------- structure: bounds, jumps, prologue, Jadv (LC011) ---------- *)
+(* ---------- structure: bounds, jumps, prologue (LC011) ---------- *)
 
 type fullctx = {
   fc_int_base : int;
@@ -212,14 +201,6 @@ type fullctx = {
   fc_n_reals : int;
   fc_plan_slots : int array;
 }
-
-(* The unrolled body is four renamed copies of the body separated by
-   [Jadv]; copy [c] of an [m]-instruction body occupies
-   [c*(m+1) .. c*(m+1)+m-1]. *)
-let unroll_copies = 4
-
-let separator_positions m =
-  List.init (unroll_copies - 1) (fun c -> ((c + 1) * (m + 1)) - 1)
 
 (* Returns false when a register or access id is out of range somewhere:
    the dataflow and interval passes index arrays by those values and are
@@ -238,7 +219,7 @@ let check_structure ctx ?full t =
   let stream s = Hashtbl.replace stream_slots s () in
   List.iter
     (Array.iter (function Sinit (s, _) -> stream s | _ -> ()))
-    (t.tp_pre :: t.tp_ops :: Option.to_list t.tp_unrolled);
+    [ t.tp_pre; t.tp_ops ];
   Array.iter
     (fun ac ->
       match ac.ac_vk with
@@ -296,7 +277,7 @@ let check_structure ctx ?full t =
           bad subject "Icount bumps stream slot %d" k
     | _ -> ()
   in
-  (* Prologue: straight-line, access-free, no strip-index advance. *)
+  (* Prologue: straight-line and access-free. *)
   Array.iteri
     (fun i op ->
       check_instr "pre" i op;
@@ -304,16 +285,14 @@ let check_structure ctx ?full t =
       if is_ctl op then
         bad subject "control-flow instruction in the strip prologue";
       if access_effects op <> [] then
-        bad subject "array access in the strip prologue";
-      if op = Jadv then bad subject "Jadv in the strip prologue")
+        bad subject "array access in the strip prologue")
     t.tp_pre;
-  (* Body: forward jumps only, except loop back edges; no Jadv. *)
+  (* Body: forward jumps only, except loop back edges. *)
   let n = Array.length t.tp_ops in
   Array.iteri
     (fun i op ->
       check_instr "ops" i op;
       let subject = Printf.sprintf "ops[%d]" i in
-      if op = Jadv then bad subject "Jadv outside the unrolled body";
       List.iter
         (fun tgt ->
           match op with
@@ -327,52 +306,6 @@ let check_structure ctx ?full t =
                   (i + 1) n)
         (instr_targets op))
     t.tp_ops;
-  (* Unrolled body: exactly [unroll_copies] copies split by [Jadv], with
-     control flow confined to its own copy. *)
-  (match t.tp_unrolled with
-  | None -> ()
-  | Some u ->
-      let m = n in
-      let expect = (unroll_copies * (m + 1)) - 1 in
-      if m = 0 || Array.length u <> expect then
-        bad "unrolled"
-          "unrolled body has %d instructions, want %d (%d copies of the \
-           %d-instruction body)"
-          (Array.length u) expect unroll_copies m
-      else begin
-        let seps = separator_positions m in
-        Array.iteri
-          (fun i op ->
-            check_instr "unrolled" i op;
-            let subject = Printf.sprintf "unrolled[%d]" i in
-            let is_sep = List.mem i seps in
-            if op = Jadv && not is_sep then
-              bad subject "Jadv off the copy boundaries %s"
-                (String.concat ","
-                   (List.map string_of_int seps));
-            if op <> Jadv && is_sep then
-              bad subject "copy boundary holds %s, want Jadv"
-                (instr_mnemonic op);
-            if not is_sep then begin
-              let copy = i / (m + 1) in
-              let s = copy * (m + 1) in
-              List.iter
-                (fun tgt ->
-                  match op with
-                  | Iloop _ | Iloopc _ ->
-                      if tgt < s || tgt > i then
-                        bad subject
-                          "back edge target %d leaves unrolled copy %d..%d"
-                          tgt s i
-                  | _ ->
-                      if tgt <= i || tgt > s + m then
-                        bad subject
-                          "jump target %d leaves unrolled copy %d..%d" tgt
-                          (i + 1) (s + m))
-                (instr_targets op)
-            end)
-          u
-      end);
   !ok
 
 (* ---------- offset and stream discipline (LC011 / LC012) ---------- *)
@@ -695,8 +628,7 @@ let check_defuse ctx fc t =
       done
     end
   in
-  section "ops" t.tp_ops;
-  match t.tp_unrolled with Some u -> section "unrolled" u | None -> ()
+  section "ops" t.tp_ops
 
 (* ---------- interval abstract interpretation (LC012) ---------- *)
 
@@ -901,24 +833,6 @@ let footprint_diff ctx ~subj_of ~have ~want ~msg =
           name)
     want
 
-let check_unrolled_footprint ctx t =
-  match t.tp_unrolled with
-  | None -> ()
-  | Some u ->
-      let m = Array.length t.tp_ops in
-      if m > 0 && Array.length u = (unroll_copies * (m + 1)) - 1 then begin
-        let body = footprint t.tp_accs t.tp_ops in
-        for c = 0 to unroll_copies - 1 do
-          let s = c * (m + 1) in
-          let copy = footprint t.tp_accs (Array.sub u s m) in
-          let subj_of name = Printf.sprintf "%s (unrolled copy %d)" name c in
-          footprint_diff ctx ~subj_of ~have:copy ~want:body
-            ~msg:"unrolled copy drops";
-          footprint_diff ctx ~subj_of ~have:body ~want:copy
-            ~msg:"unrolled copy invents"
-        done
-      end
-
 let check_baseline ctx baseline t =
   let nb = Array.length baseline.tp_accs
   and nt = Array.length t.tp_accs in
@@ -954,7 +868,6 @@ let run ?baseline ?pass ?full ~region t =
           check_defuse ctx fc t;
           check_intervals ctx fc t
       | _ -> ());
-      check_unrolled_footprint ctx t;
       (match baseline with
       | Some b -> check_baseline ctx b t
       | None -> ());

@@ -12,9 +12,8 @@
       register-file and access-id bounds per opcode, jump shape
       (forward-only except [Iloop]/[Iloopc] back edges, targets inside
       the section), the [Sinit] stream-slot and [Vs]/[Vsj]/[Vsv]
-      bump-slot protocol, [Jadv] separator placement in the unrolled
-      body, and provenance completeness (every instruction carries a
-      valid source tag);
+      bump-slot protocol, and provenance completeness (every
+      instruction carries a valid source tag);
     - {b interval abstract interpretation}: each access's per-subscript
       symbolic range ([ac_rngs], the skeleton the once-per-fork range
       check evaluates before granting the unsafe path) is re-derived
@@ -24,9 +23,9 @@
       not cover the access;
     - {b footprint equivalence}: the per-array read/write sets of the
       optimized tape (keyed by array slot and subscript form, so
-      streaming/unrolling register renames don't matter) must match the
-      unoptimized tape's, catching a pass that drops or invents a
-      memory effect; each unrolled copy must also match the plain body.
+      streaming and value-numbering rewrites don't matter) must match
+      the unoptimized tape's, catching a pass that drops or invents a
+      memory effect.
 
     Findings are reported through {!Loopcoal_verify.Diag} as the stable
     codes LC010 (undefined register read), LC011 (malformed
@@ -61,7 +60,7 @@ val check :
 val check_entry : region:int -> Bytecode.tape -> Loopcoal_verify.Diag.t list
 (** Structural subset of {!check} for tapes deserialized from the plan
     cache's disk layer, where no compile context exists: access-id and
-    jump-shape bounds, [Jadv]/prologue/[Sinit] protocol, offset-form
-    consistency, provenance completeness, and unrolled-body footprint.
+    jump-shape bounds, prologue/[Sinit] protocol, offset-form
+    consistency and provenance completeness.
     Register-file bounds, def-before-use and the interval comparison
     need the host register context and are skipped. *)

@@ -11,22 +11,22 @@
    so lowering back out of SSA is the identity and "copy coalescing"
    into the existing register files is free).
 
-   Pipeline (levels):
-     1+  offset streaming — a group of accesses with one identical
-         affine offset, executing exactly once per back-edge of some
-         region (proved by a path-count dataflow over the CFG with back
-         edges removed — branchy bodies qualify), trades its
-         per-iteration multiply-add chain for one scratch slot
-         initialized at region entry ([Sinit]) and self-bumped after
-         each use ([Vs]/[Vsj], or [Vsv] with a second slot holding a
-         run-time bump for variable-step loops);
-     2+  dominator-tree global value numbering over the pure int ops
-         (subsumes block-local CSE: values stay valid across branches
-         and joins, invalidated by SSA versioning), dead-write
-         elimination, cross-block loop-invariant code motion (pure ops
-         and fault-safe invariant loads move to serial-loop preheaders;
-         strip-invariant pure ops move into the per-strip preamble),
-         superinstruction fusion, and x4 unrolling of the strip body.
+   Pipeline (level 2; level 0 is the lowering output untouched):
+   dominator-tree global value numbering over the pure int ops
+   (subsumes block-local CSE: values stay valid across branches and
+   joins, invalidated by SSA versioning) and dead-write elimination;
+   cross-block loop-invariant code motion (pure ops and fault-safe
+   invariant loads move to serial-loop preheaders; strip-invariant pure
+   ops move into the per-strip preamble); offset streaming — a group of
+   accesses with one identical affine offset, executing exactly once
+   per back-edge of some region (proved by a path-count dataflow over
+   the CFG with back edges removed — branchy bodies qualify), trades
+   its per-iteration multiply-add chain for one scratch slot
+   initialized at region entry ([Sinit]) and self-bumped after each use
+   ([Vs]/[Vsj], or [Vsv] with a second slot holding a run-time bump for
+   variable-step loops); and superinstruction fusion. The strip body
+   stays one iteration long: the executor's strip back-edge, not a
+   replicated body, amortizes the per-iteration dispatch entry.
 
    Everything here preserves the tape's sequential results exactly:
    float operand order is never changed (results stay bit-identical)
@@ -72,7 +72,7 @@ let iter_int_reads f = function
   | Iloopc (r, _, bnd, _) ->
       f r;
       f bnd
-  | Iconst _ | Jadv | Fconst _ | Fmov _ | Fadd _ | Fsub _ | Fmul _ | Fdiv _
+  | Iconst _ | Fconst _ | Fmov _ | Fadd _ | Fsub _ | Fmul _ | Fdiv _
   | Fmin _ | Fmax _ | Fneg _ | Fmac _ | Fmsb _ | Fload _ | Fstore _ | Jmp _
   | Jff _ | Jffn _ | Fmac2 _ | Fmsb2 _ | Fldmac _ | Fldmsb _ | Fldadd _ | Fldsub _
   | Fldmul _ | Fld2add _ | Fldst _ | Icount _ ->
@@ -99,8 +99,8 @@ let iter_float_reads f = function
       f x
   | Fldadd (_, x, _) | Fldsub (_, x, _) | Fldmul (_, x, _) -> f x
   | Iconst _ | Iaff _ | Imul _ | Idiv _ | Imod _ | Icdiv _ | Imin _ | Imax _
-  | Istep _ | Fconst _ | Fofi _ | Fload _ | Sinit _ | Jadv | Jmp _ | Jii _
-  | Iloop _ | Iloopc _ | Fld2add _ | Fldst _ | Icount _ ->
+  | Istep _ | Fconst _ | Fofi _ | Fload _ | Sinit _ | Jmp _ | Jii _ | Iloop _
+  | Iloopc _ | Fld2add _ | Fldst _ | Icount _ ->
       ()
 
 let rec iter_rng_regs f = function
@@ -139,7 +139,7 @@ let insert_at_map ops src inserts =
     added := !added + List.length by_pos.(i);
     newpos.(i) <- i + !added
   done;
-  let out = Array.make (n + !added) Jadv in
+  let out = Array.make (n + !added) (Jmp 0) in
   let osrc = Array.make (n + !added) 0 in
   let k = ref 0 in
   let put i tag =
@@ -169,7 +169,7 @@ let delete_at ops src dead =
     if not dead.(i) then incr k
   done;
   newpos.(n) <- !k;
-  let out = Array.make !k Jadv in
+  let out = Array.make !k (Jmp 0) in
   let osrc = Array.make !k 0 in
   let k = ref 0 in
   for i = 0 to n - 1 do
@@ -1137,136 +1137,11 @@ let invert_branches (t : tape) =
   end
   else t
 
-(* ---------- x4 strip unrolling ---------- *)
-
-(* Four renamed copies of the body with [Jadv] between them; the
-   executor runs whole groups through this array and the remainder (and
-   any sanitized run) through the plain body. Only registers private to
-   one iteration are renamed: lowering temporaries (>= the bases) whose
-   first textual occurrence is a write and that no access record
-   references. Lowering emits definitions before uses on every path, so
-   textual order is sound here. Shared registers (reduction scalars,
-   promoted elements' access ids, serial inductions used in subscripts)
-   stay shared — the copies execute strictly in sequence, so that is
-   exactly the single-iteration semantics repeated. *)
-let unroll ~int_base ~real_base ~fresh_int ~fresh_real (t : tape) =
-  let ops = t.tp_ops in
-  let n = Array.length ops in
-  if n = 0 then t
-  else begin
-    let acc_regs = Hashtbl.create 32 in
-    Array.iter
-      (fun ac ->
-        let m r = Hashtbl.replace acc_regs r () in
-        Array.iter (fun a -> Array.iter m a.regs) ac.ac_subs;
-        Array.iter m ac.ac_var.regs;
-        Array.iter m ac.ac_inv.regs)
-      t.tp_accs;
-    let iseen = Hashtbl.create 32 and rseen = Hashtbl.create 32 in
-    let first seen r w = if not (Hashtbl.mem seen r) then Hashtbl.replace seen r w in
-    Array.iter
-      (fun op ->
-        iter_int_reads (fun r -> first iseen r false) op;
-        iter_float_reads (fun r -> first rseen r false) op;
-        (match int_dst op with Some d -> first iseen d true | None -> ());
-        match float_dst op with Some d -> first rseen d true | None -> ())
-      ops;
-    let iren = Hashtbl.create 16 and rren = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun r write_first ->
-        if write_first && r >= int_base && not (Hashtbl.mem acc_regs r) then
-          Hashtbl.replace iren r ())
-      iseen;
-    Hashtbl.iter
-      (fun r write_first ->
-        if write_first && r >= real_base then Hashtbl.replace rren r ())
-      rseen;
-    let subst_aff imap (a : aff) =
-      {
-        a with
-        regs =
-          Array.map
-            (fun r -> Option.value ~default:r (Hashtbl.find_opt imap r))
-            a.regs;
-      }
-    in
-    let subst imap rmap off op =
-      let gi r = Option.value ~default:r (Hashtbl.find_opt imap r) in
-      let gf r = Option.value ~default:r (Hashtbl.find_opt rmap r) in
-      match op with
-      | Iconst (d, v) -> Iconst (gi d, v)
-      | Iaff (d, a) -> Iaff (gi d, subst_aff imap a)
-      | Imul (d, a, b) -> Imul (gi d, gi a, gi b)
-      | Idiv (d, a, b) -> Idiv (gi d, gi a, gi b)
-      | Imod (d, a, b) -> Imod (gi d, gi a, gi b)
-      | Icdiv (d, a, b) -> Icdiv (gi d, gi a, gi b)
-      | Imin (d, a, b) -> Imin (gi d, gi a, gi b)
-      | Imax (d, a, b) -> Imax (gi d, gi a, gi b)
-      | Istep (r, nm) -> Istep (gi r, nm)
-      | Fconst (d, x) -> Fconst (gf d, x)
-      | Fmov (d, s) -> Fmov (gf d, gf s)
-      | Fadd (d, a, b) -> Fadd (gf d, gf a, gf b)
-      | Fsub (d, a, b) -> Fsub (gf d, gf a, gf b)
-      | Fmul (d, a, b) -> Fmul (gf d, gf a, gf b)
-      | Fdiv (d, a, b) -> Fdiv (gf d, gf a, gf b)
-      | Fmin (d, a, b) -> Fmin (gf d, gf a, gf b)
-      | Fmax (d, a, b) -> Fmax (gf d, gf a, gf b)
-      | Fneg (d, s) -> Fneg (gf d, gf s)
-      | Fofi (d, s) -> Fofi (gf d, gi s)
-      | Fmac (d, a, x, y) -> Fmac (gf d, gf a, gf x, gf y)
-      | Fmsb (d, a, x, y) -> Fmsb (gf d, gf a, gf x, gf y)
-      | Fload (d, id) -> Fload (gf d, id)
-      | Fstore (s, id) -> Fstore (gf s, id)
-      | Sinit (s, a) -> Sinit (s, subst_aff imap a)
-      | Jadv -> Jadv
-      | Fmac2 (d, a, i1, i2) -> Fmac2 (gf d, gf a, i1, i2)
-      | Fmsb2 (d, a, i1, i2) -> Fmsb2 (gf d, gf a, i1, i2)
-      | Fldmac (d, a, x, id) -> Fldmac (gf d, gf a, gf x, id)
-      | Fldmsb (d, a, x, id) -> Fldmsb (gf d, gf a, gf x, id)
-      | Fldadd (d, x, id) -> Fldadd (gf d, gf x, id)
-      | Fldsub (d, x, id) -> Fldsub (gf d, gf x, id)
-      | Fldmul (d, x, id) -> Fldmul (gf d, gf x, id)
-      | Fld2add (d, i1, i2) -> Fld2add (gf d, i1, i2)
-      | Fldst (i1, i2) -> Fldst (i1, i2)
-      | Jmp t -> Jmp (t + off)
-      | Jii (op, a, b, t) -> Jii (op, gi a, gi b, t + off)
-      | Jff (op, a, b, t) -> Jff (op, gf a, gf b, t + off)
-      | Jffn (op, a, b, t) -> Jffn (op, gf a, gf b, t + off)
-      | Iloop (r, a, bnd, top) -> Iloop (gi r, subst_aff imap a, gi bnd, top + off)
-      | Iloopc (r, c, bnd, top) -> Iloopc (gi r, c, gi bnd, top + off)
-      | Icount k -> Icount k
-    in
-    let u = Array.make ((4 * n) + 3) Jadv in
-    (* Separator [Jadv]s belong to the plan root (tag 0); the copies
-       replicate the body's tags. *)
-    let usrc = Array.make ((4 * n) + 3) 0 in
-    let empty_i = Hashtbl.create 1 and empty_r = Hashtbl.create 1 in
-    for m = 0 to 3 do
-      let imap, rmap =
-        if m = 0 then (empty_i, empty_r)
-        else begin
-          let im = Hashtbl.create 16 and rm = Hashtbl.create 16 in
-          Hashtbl.iter (fun r () -> Hashtbl.replace im r (fresh_int ())) iren;
-          Hashtbl.iter (fun r () -> Hashtbl.replace rm r (fresh_real ())) rren;
-          (im, rm)
-        end
-      in
-      let off = m * (n + 1) in
-      for i = 0 to n - 1 do
-        (* A jump target t = n (fall off the copy's end) lands exactly on
-           the separating [Jadv] — or past the last copy's end. *)
-        u.(off + i) <- subst imap rmap off ops.(i);
-        usrc.(off + i) <- t.tp_src.(i)
-      done
-    done;
-    { t with tp_unrolled = Some u; tp_unrolled_src = Some usrc }
-  end
-
 (* ---------- driver ---------- *)
 
 module Registry = Loopcoal_obs.Registry
 
-let pass_names = [ "lower"; "gvn"; "licm"; "stream"; "fuse"; "unroll" ]
+let pass_names = [ "lower"; "gvn"; "licm"; "stream"; "fuse" ]
 
 (* Per-pass wall-time histograms and instruction-delta counters, keyed
    by pass name. Handles are created once at module init; the hot path
@@ -1280,9 +1155,7 @@ let pass_metrics =
           Registry.counter (Printf.sprintf "tapeopt.%s.instrs_out" name) ) ))
     (List.filter (fun n -> n <> "lower") pass_names)
 
-let tape_len (t : tape) =
-  Array.length t.tp_pre + Array.length t.tp_ops
-  + match t.tp_unrolled with Some u -> Array.length u | None -> 0
+let tape_len (t : tape) = Array.length t.tp_pre + Array.length t.tp_ops
 
 (* Every pass must keep the provenance side tables aligned with the
    instruction arrays it rewrites; a skew here would silently
@@ -1295,16 +1168,9 @@ let check_provenance name (t : tape) =
            name what a b)
   in
   chk "ops" (Array.length t.tp_src) (Array.length t.tp_ops);
-  chk "pre" (Array.length t.tp_pre_src) (Array.length t.tp_pre);
-  match (t.tp_unrolled, t.tp_unrolled_src) with
-  | None, None -> ()
-  | Some u, Some s -> chk "unrolled" (Array.length s) (Array.length u)
-  | Some _, None | None, Some _ ->
-      invalid_arg
-        (Printf.sprintf "Tapeopt.%s: unrolled provenance missing" name)
+  chk "pre" (Array.length t.tp_pre_src) (Array.length t.tp_pre)
 
-let optimize ?dump ~level ~jslot ~int_base ~real_base ~fresh_int ~fresh_real
-    tape =
+let optimize ?dump ~level ~jslot ~int_base ~real_base tape =
   let emit name t =
     check_provenance name t;
     (match dump with Some f -> f ~pass:name t | None -> ());
@@ -1319,7 +1185,6 @@ let optimize ?dump ~level ~jslot ~int_base ~real_base ~fresh_int ~fresh_real
   in
   let tape = emit "lower" tape in
   if level <= 0 || sanitized tape then tape
-  else if level <= 1 then stage "stream" (stream ~jslot) tape
   else begin
     let t =
       stage "gvn"
@@ -1328,12 +1193,9 @@ let optimize ?dump ~level ~jslot ~int_base ~real_base ~fresh_int ~fresh_real
     in
     let t = stage "licm" (licm ~int_base ~real_base ~jslot) t in
     let t = stage "stream" (stream ~jslot) t in
-    let t =
-      stage "fuse"
-        (fun t -> fuse ~real_base (sink_loads ~real_base (invert_branches t)))
-        t
-    in
-    stage "unroll" (unroll ~int_base ~real_base ~fresh_int ~fresh_real) t
+    stage "fuse"
+      (fun t -> fuse ~real_base (sink_loads ~real_base (invert_branches t)))
+      t
   end
 
 let describe (t : tape) =
@@ -1345,5 +1207,4 @@ let describe (t : tape) =
           incr fused
       | _ -> ())
     t.tp_ops;
-  Printf.sprintf "streams=%d fused=%d%s" t.tp_nstreams !fused
-    (match t.tp_unrolled with Some _ -> " unrolled=4" | None -> "")
+  Printf.sprintf "streams=%d fused=%d" t.tp_nstreams !fused

@@ -12,20 +12,21 @@
     checked-path fault messages and shadow-hook order are unchanged, so
     results are bit-identical to the unoptimized tape.
 
-    Pipeline, in pass order (see {!pass_names}):
+    Pipeline, in pass order (see {!pass_names}); every pass runs at
+    level 2:
 
-    - {b gvn} (level >= 2): dominator-tree global value numbering over
+    - {b gvn}: dominator-tree global value numbering over
       the pure int instructions — a value computed before a branch stays
       available in both arms and after the join; registers redefined on
       non-dominating paths are invalidated by SSA versioning — followed
       by deletion of int writes nothing reads (program scalars are
       always kept).
-    - {b licm} (level >= 2): cross-block loop-invariant code motion.
+    - {b licm}: cross-block loop-invariant code motion.
       Pure ops and fault-order-safe invariant loads move to serial-loop
       preheaders (the back edge is remapped past them; the rotated
       loop's entry guard keeps zero-trip loops exact); strip-invariant
       pure ops move into the per-strip preamble.
-    - {b stream} (level >= 1): offset streaming. A group of same-shape
+    - {b stream}: offset streaming. A group of same-shape
       accesses executing exactly once per back-edge of a region — proved
       by a path-count dataflow over the CFG, so exclusive branch arms
       qualify — keeps its full affine offset in one scratch slot,
@@ -33,12 +34,11 @@
       each use: by a constant ([Vs]), by [coef * jstep] ([Vsj]), or by a
       second slot holding a run-time bump for variable-step serial loops
       ([Vsv]). Checked accesses still recompute from subscripts.
-    - {b fuse} (level >= 2): adjacent load/consumer pairs collapse into
+    - {b fuse}: adjacent load/consumer pairs collapse into
       superinstructions (one dispatch).
-    - {b unroll} (level >= 2): the strip body is unrolled four times
-      with per-iteration temporaries renamed; the executor runs the
-      remainder iterations — and every sanitized run — on the plain
-      single-iteration body.
+
+    The body stays one iteration long; {!Bytecode.exec_strip} runs a
+    whole strip through it in one dispatch loop.
 
     Sanitized tapes are returned untouched at every level: the
     sanitizer's per-iteration shadow protocol stays on the one proven
@@ -55,20 +55,18 @@ val optimize :
   jslot:int ->
   int_base:int ->
   real_base:int ->
-  fresh_int:(unit -> int) ->
-  fresh_real:(unit -> int) ->
   Bytecode.tape ->
   Bytecode.tape
 (** [optimize ~level ...] returns the tape rewritten for [level] (0 =
-    untouched, 1 = streaming only, >= 2 = full pipeline). [jslot] is the
-    strip index register; [int_base]/[real_base] are the first registers
+    untouched, 2 = the full pipeline; the CLI accepts only these two,
+    and any positive level runs the full pipeline). [jslot] is the strip
+    index register; [int_base]/[real_base] are the first registers
     lowering was allowed to allocate (anything below is an observable
-    program slot and is never renamed or deleted); [fresh_int]/
-    [fresh_real] allocate renamed registers from the same counters the
-    lowering used. [dump], when given, is called once per pipeline stage
+    program slot and is never deleted; the passes allocate no
+    registers). [dump], when given, is called once per pipeline stage
     (including the initial ["lower"]) with the tape as that stage left
     it — stages a level does not run are not reported. *)
 
 val describe : Bytecode.tape -> string
-(** One-line pass summary ("streams=2 fused=1 unrolled=4"), for
+(** One-line pass summary ("streams=2 fused=1"), for
     diagnostics and tests. *)

@@ -482,13 +482,13 @@ let prop_branchy_varstep_agrees =
     ~count:12
     ~name:"bytecode -O0 = -O2 = interpreter (branchy variable-step nests)"
 
-(* ---------- unrolled strips: remainder handling, traces, metrics ---------- *)
+(* ---------- scalar strips: the strip back-edge ---------- *)
 
 (* A 2-level DOALL whose inner digit has exactly [trips] iterations, so
-   every strip the bytecode tier executes has length [trips]: with the
-   x4-unrolled body that exercises 0 full groups + remainders 1 and 3,
-   exactly one group (no remainder), and full groups + remainder. The
-   serial k-loop gives the optimizer streamed offsets and promotion. *)
+   every strip a whole-row schedule executes has length [trips] and the
+   scalar runner takes its strip back-edge [trips - 1] times per strip.
+   The serial k-loop gives the optimizer streamed offsets and
+   promotion. *)
 let trip_prog ~trips =
   let wij = Ast.Load ("W", [ Ast.Var "i"; Ast.Var "j" ]) in
   let store =
@@ -505,7 +505,7 @@ let trip_prog ~trips =
     For { index; lo = Int 1; hi = Int hi; step = Int 1; par = Parallel; body }
   in
   {
-    Ast.arrays = [ { Ast.arr_name = "W"; dims = [ 7; 8 ] } ];
+    Ast.arrays = [ { Ast.arr_name = "W"; dims = [ 7; max 8 trips ] } ];
     scalars = [];
     body = [ doall "i" 6 [ doall "j" trips [ kloop ] ] ];
   }
@@ -513,8 +513,7 @@ let trip_prog ~trips =
 (* Branchy variant with the same strip geometry: the store is picked by
    a data-dependent branch (exclusive arms writing the same element, so
    the optimizer shares one stream slot across them) and the k loop's
-   step is the outer index (a run-time offset bump). The x4-unrolled
-   copies' remainder handling must match -O0 on this shape too. *)
+   step is the outer index (a run-time offset bump). *)
 let trip_prog_branchy ~trips =
   let wij = Ast.Load ("W", [ Ast.Var "i"; Ast.Var "j" ]) in
   let store e = Ast.Assign (Elem ("W", [ Var "i"; Var "j" ]), e) in
@@ -533,78 +532,242 @@ let trip_prog_branchy ~trips =
     For { index; lo = Int 1; hi = Int hi; step = Int 1; par = Parallel; body }
   in
   {
-    Ast.arrays = [ { Ast.arr_name = "W"; dims = [ 7; 8 ] } ];
+    Ast.arrays = [ { Ast.arr_name = "W"; dims = [ 7; max 8 trips ] } ];
     scalars = [];
     body = [ doall "i" 6 [ doall "j" trips [ kloop ] ] ];
   }
 
-(* Everything observable must be identical between -O0 and -O2: results,
-   the traced chunk decomposition, and the scheduler metrics derived
-   from it. Timestamps are the only fields allowed to differ. *)
-let test_unrolled_strips_identical () =
+(* A carried float sum next to a strip stream: every iteration reads
+   and writes [s], so lanes reject the body and every strip runs on the
+   scalar runner. The addends are quarters, so every partial sum is
+   exact and the domain-order reduction merge equals [Eval]'s
+   sequential sum bit for bit at any domain count. *)
+let trip_prog_sum ~trips =
+  let wij = Ast.Load ("W", [ Ast.Var "i"; Ast.Var "j" ]) in
+  let quarter =
+    Ast.Bin
+      ( Mul,
+        Real 0.25,
+        Bin (Mod, Bin (Add, Var "i", Bin (Mul, Int 2, Var "j")), Int 7) )
+  in
+  let doall index hi body : Ast.stmt =
+    For { index; lo = Int 1; hi = Int hi; step = Int 1; par = Parallel; body }
+  in
+  {
+    Ast.arrays = [ { Ast.arr_name = "W"; dims = [ 6; max 8 trips ] } ];
+    scalars = [ { Ast.sc_name = "s"; sc_kind = Ast.Kreal; sc_init = 0.0 } ];
+    body =
+      [
+        doall "i" 6
+          [
+            doall "j" trips
+              [
+                Ast.Assign (Elem ("W", [ Var "i"; Var "j" ]), quarter);
+                Ast.Assign (Scalar "s", Bin (Add, Var "s", wij));
+              ];
+          ];
+      ];
+  }
+
+(* [X[1]] read and written by every iteration: under one domain the
+   sanitizer flags each iteration [t > 1] against [t - 1], a read and
+   then a write, so the report list pins every iteration number the
+   scalar runner hands the shadow hooks. *)
+let trip_prog_racy ~trips =
+  let doall index hi body : Ast.stmt =
+    For { index; lo = Int 1; hi = Int hi; step = Int 1; par = Parallel; body }
+  in
+  let x1 = Ast.Load ("X", [ Ast.Int 1 ]) in
+  {
+    Ast.arrays =
+      [
+        { Ast.arr_name = "X"; dims = [ 1 ] };
+        { Ast.arr_name = "W"; dims = [ 6; max 8 trips ] };
+      ];
+    scalars = [];
+    body =
+      [
+        doall "i" 6
+          [
+            doall "j" trips
+              [
+                Ast.Assign
+                  ( Elem ("X", [ Int 1 ]),
+                    Bin (Add, x1, Ast.Load ("W", [ Var "i"; Var "j" ])) );
+              ];
+          ];
+      ];
+  }
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Arrays and scalars bit for bit against [Eval]'s final store. *)
+let same_bits_as_eval (o : Exec.outcome) st =
+  let arrays, scalars = Eval.dump st in
+  List.equal
+    (fun (n1, d1) (n2, d2) -> String.equal n1 n2 && bits_equal d1 d2)
+    arrays o.Exec.arrays
+  && List.equal
+       (fun (n1, v1) (n2, v2) ->
+         String.equal n1 n2
+         &&
+         match (v1, v2) with
+         | Eval.Vreal x, Eval.Vreal y -> bits_equal [| x |] [| y |]
+         | v1, v2 -> v1 = v2)
+       scalars o.Exec.scalars
+
+let with_domains domains f =
+  if domains = 1 then f None
+  else Runtime.Pool.with_pool domains (fun p -> f (Some p))
+
+(* Everything observable must be identical between -O0 and -O2 and
+   agree with [Eval] bit for bit: arrays and scalars, the traced chunk
+   decomposition and the scheduler metrics derived from it (timestamps
+   are the only fields allowed to differ), and the sanitizer's
+   iteration numbers. Strips run whole rows (static block) and cut
+   short by chunk:3 and GSS at 1-3 domains, at every strip length 1-9
+   and 255-259. *)
+let strip_trips = List.init 9 (fun k -> k + 1) @ [ 255; 256; 257; 258; 259 ]
+
+let strip_schedules =
+  List.map (fun d -> (Policy.Static_block, d)) [ 1; 2 ]
+  @ List.concat_map
+      (fun d -> [ (Policy.Self_sched 3, d); (Policy.Gss, d) ])
+      [ 1; 2; 3 ]
+
+let test_strip_backedge_identical () =
   List.iter
     (fun (what, build) ->
+      List.iter
+        (fun trips ->
+          let prog : Ast.program = build ~trips in
+          let st = Eval.run prog in
+          let c0 = Compile.compile ~opt_level:0 prog in
+          let c2 = Compile.compile ~opt_level:2 prog in
+          List.iter
+            (fun (policy, domains) ->
+              let where =
+                Printf.sprintf "%s trips=%d %s domains=%d" what trips
+                  (Policy.name policy) domains
+              in
+              let run c =
+                with_domains domains (fun pool ->
+                    let tracer = Trace.create ~p:domains () in
+                    let outcome =
+                      Exec.run_compiled ?pool ~domains ~policy
+                        ~engine:Exec.Bytecode ~trace:tracer c
+                    in
+                    (outcome, Trace.snapshot tracer))
+              in
+              let o0, t0 = run c0 in
+              let o2, t2 = run c2 in
+              if not (same_bits_as_eval o0 st) then
+                Alcotest.failf "%s: -O0 differs from Eval" where;
+              if not (same_bits_as_eval o2 st) then
+                Alcotest.failf "%s: -O2 differs from Eval" where;
+              (* Chunks are sorted by timestamp in the snapshot; re-sort
+                 by coalesced position so only schedule-invariant fields
+                 are compared. Dynamic schedules may hand a chunk to any
+                 worker, so workers are compared only under static
+                 block. *)
+              let static = policy = Policy.Static_block in
+              let shape (tr : Trace.t) =
+                ( Array.to_list tr.Trace.chunks
+                  |> List.map (fun (c : Trace.chunk) ->
+                         ( c.Trace.epoch,
+                           (if static then c.Trace.worker else 0),
+                           c.Trace.start,
+                           c.Trace.len ))
+                  |> List.sort compare,
+                  Array.to_list tr.Trace.forks
+                  |> List.map (fun (f : Trace.fork) ->
+                         ( f.Trace.f_epoch,
+                           Policy.name f.Trace.f_policy,
+                           f.Trace.f_n,
+                           f.Trace.f_p )) )
+              in
+              if shape t0 <> shape t2 then
+                Alcotest.failf "%s: trace shape differs" where;
+              let counts (tr : Trace.t) =
+                let m = Metrics.of_trace tr in
+                ( m.Metrics.total_chunks,
+                  m.Metrics.total_iters,
+                  List.map
+                    (fun (f : Metrics.fork_metrics) ->
+                      ( f.Metrics.n,
+                        f.Metrics.p,
+                        f.Metrics.chunks_dispatched,
+                        f.Metrics.iterations ))
+                    m.Metrics.forks )
+              in
+              if static && counts t0 <> counts t2 then
+                Alcotest.failf "%s: metrics differ" where;
+              (* Race-free: the sanitized tape reports nothing and still
+                 matches [Eval]. *)
+              let o, sh =
+                with_domains domains (fun pool ->
+                    Exec.run_sanitized ?pool ~domains ~policy
+                      ~engine:Exec.Bytecode prog)
+              in
+              if not (same_bits_as_eval o st) then
+                Alcotest.failf "%s: sanitized run differs from Eval" where;
+              if snd (Sanitize.results sh) <> 0 then
+                Alcotest.failf "%s: sanitizer flags a race-free program" where)
+            strip_schedules)
+        strip_trips)
+    [
+      ("plain", trip_prog);
+      ("branchy variable-step", trip_prog_branchy);
+      ("carried sum", trip_prog_sum);
+    ];
+  (* Racy: one domain visits iterations 1..n in order, whatever the
+     chunking, so the reports are exactly (t-1, t) read then write. *)
   List.iter
     (fun trips ->
-      let prog : Ast.program = build ~trips in
-      let st = Eval.run prog in
+      let n = 6 * trips in
+      let want =
+        List.concat_map
+          (fun t ->
+            [ (Sanitize.Rw, t - 1, t); (Sanitize.Ww, t - 1, t) ])
+          (List.init (n - 1) (fun k -> k + 2))
+      in
       List.iter
-        (fun domains ->
-          let run lvl =
-            let compiled = Compile.compile ~opt_level:lvl prog in
-            let tracer = Trace.create ~p:domains () in
-            let outcome =
-              Exec.run_compiled ~domains ~policy:Policy.Static_block
-                ~engine:Exec.Bytecode ~trace:tracer compiled
-            in
-            (outcome, Trace.snapshot tracer)
+        (fun policy ->
+          let _, sh =
+            Exec.run_sanitized ~domains:1 ~policy ~engine:Exec.Bytecode
+              ~limit:(4 * n) (trip_prog_racy ~trips)
           in
-          let o0, t0 = run 0 in
-          let o2, t2 = run 2 in
-          if not (Exec.agrees_with_interpreter o0 st) then
-            Alcotest.failf
-              "%s trips=%d domains=%d: -O0 differs from interpreter" what trips
-              domains;
-          if o0.Exec.arrays <> o2.Exec.arrays
-             || o0.Exec.scalars <> o2.Exec.scalars then
-            Alcotest.failf "%s trips=%d domains=%d: -O2 result differs from -O0"
-              what trips domains;
-          (* Chunks are sorted by timestamp in the snapshot; re-sort by
-             coalesced position so only schedule-invariant fields are
-             compared. *)
-          let shape (tr : Trace.t) =
-            ( Array.to_list tr.Trace.chunks
-              |> List.map (fun (c : Trace.chunk) ->
-                     (c.Trace.epoch, c.Trace.worker, c.Trace.start, c.Trace.len))
-              |> List.sort compare,
-              Array.to_list tr.Trace.forks
-              |> List.map (fun (f : Trace.fork) ->
-                     ( f.Trace.f_epoch,
-                       Policy.name f.Trace.f_policy,
-                       f.Trace.f_n,
-                       f.Trace.f_p )) )
-          in
-          if shape t0 <> shape t2 then
-            Alcotest.failf "%s trips=%d domains=%d: trace shape differs" what
-              trips domains;
-          let counts (tr : Trace.t) =
-            let m = Metrics.of_trace tr in
-            ( m.Metrics.total_chunks,
-              m.Metrics.total_iters,
-              List.map
-                (fun (f : Metrics.fork_metrics) ->
-                  ( f.Metrics.n,
-                    f.Metrics.p,
-                    f.Metrics.chunks_dispatched,
-                    f.Metrics.iterations ))
-                m.Metrics.forks )
-          in
-          if counts t0 <> counts t2 then
-            Alcotest.failf "%s trips=%d domains=%d: metrics differ" what trips
-              domains)
-        [ 1; 2 ])
-    [ 1; 3; 4; 5; 7 ])
-    [ ("plain", trip_prog); ("branchy variable-step", trip_prog_branchy) ]
+          let reports, total = Sanitize.results sh in
+          Alcotest.(check int)
+            (Printf.sprintf "racy trips=%d %s: report count" trips
+               (Policy.name policy))
+            (List.length want) total;
+          if
+            List.map
+              (fun (r : Sanitize.report) ->
+                Sanitize.(r.rep_kind, r.rep_iter_a, r.rep_iter_b))
+              reports
+            <> want
+          then
+            Alcotest.failf "racy trips=%d %s: iteration numbers differ" trips
+              (Policy.name policy))
+        [ Policy.Static_block; Policy.Self_sched 3; Policy.Gss ])
+    strip_trips;
+  (* The carried sum really runs scalar: lanes reject its body. *)
+  Alcotest.(check (list string))
+    "carried sum is not lane-eligible"
+    [ "register carried across iterations" ]
+    (List.map
+       (fun (pl : Compile.plan) ->
+         let jslot = pl.Compile.index_slots.(pl.Compile.depth - 1) in
+         match Bytecode.lanes ~jslot pl.Compile.tape with
+         | Ok _ -> "ok"
+         | Error why -> why)
+       (Compile.plans (Compile.compile ~opt_level:2 (trip_prog_sum ~trips:9))))
 
 (* The sanitizer must see the exact same accesses at every level — the
    optimizer leaves instrumented tapes untouched, so reports and summary
@@ -1036,8 +1199,9 @@ let suite =
       test_sanitized_tape_stays_checked;
     Alcotest.test_case "sanitizer on bytecode engine" `Quick
       test_sanitizer_on_bytecode;
-    Alcotest.test_case "unrolled strips: -O2 = -O0 (results, traces, metrics)"
-      `Quick test_unrolled_strips_identical;
+    Alcotest.test_case
+      "strip back-edge: -O2 = -O0 = Eval (results, traces, metrics, sanitizer)"
+      `Quick test_strip_backedge_identical;
     Alcotest.test_case "sanitizer identical across opt levels" `Quick
       test_sanitizer_identical_across_opt;
     Alcotest.test_case "lane rules: first failing rule per shape" `Quick

@@ -591,7 +591,7 @@ let check_jam ~what ~jam prog =
             Alcotest.failf "%s -O%d: runner r%d %s" what lvl idx
               (if jam && idx = 2 then "is not jammed" else "is jammed"))
         [ 0; 1; 2 ])
-    [ 0; 1; 2 ];
+    [ 0; 2 ];
   if Lazy.force toolchain = Ok () then
     check_five_way ~domain_counts:[ 1; 2; 3 ]
       ~policies:[ Policy.Static_block; Policy.Gss; Policy.Self_sched 3 ]

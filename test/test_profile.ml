@@ -7,7 +7,7 @@
    - a matmul profile attributes >= 90% of dispatches to concrete source
      statements/loops (not strip-level glue) at every opt level — the
      acceptance bar for the provenance plumbing surviving gvn, licm,
-     streaming, fusion and unrolling;
+     streaming and fusion;
    - running with the profiler on changes no result bit and no trace
      structure, on any engine, opt level, policy or domain count. *)
 
@@ -17,7 +17,7 @@ module Compile = Runtime.Compile
 module Bytecode = Runtime.Bytecode
 module Profile = Runtime.Profile
 
-let opt_levels = [ 0; 1; 2 ]
+let opt_levels = [ 0; 2 ]
 
 (* ---------- provenance invariants ---------- *)
 
@@ -39,12 +39,7 @@ let check_tape_provenance what (t : Bytecode.tape) =
     (what ^ ": tag 0 is the plan root") "strip"
     t.Bytecode.tp_tags.(0).Bytecode.sl_stmt;
   section "ops" t.Bytecode.tp_ops t.Bytecode.tp_src;
-  section "pre" t.Bytecode.tp_pre t.Bytecode.tp_pre_src;
-  match (t.Bytecode.tp_unrolled, t.Bytecode.tp_unrolled_src) with
-  | None, None -> ()
-  | Some u, Some s -> section "unrolled" u s
-  | Some _, None -> Alcotest.failf "%s: unrolled body without provenance" what
-  | None, Some _ -> Alcotest.failf "%s: unrolled provenance without body" what
+  section "pre" t.Bytecode.tp_pre t.Bytecode.tp_pre_src
 
 let test_provenance_invariants () =
   List.iter
@@ -111,11 +106,9 @@ let test_matmul_attribution () =
 
 (* Body dispatch counts are schedule-invariant: the same iterations
    execute the same body instructions regardless of domains and policy.
-   Strip-prologue dispatches and root-tagged glue (unroll separators)
-   scale with strip count, which chunk boundaries legitimately change —
-   so the invariant covers the ops/unrolled sections per non-root tag.
-   An unrolled copy carries the same tags as the body it replicates, so
-   the unrolled-vs-remainder mix cancels out per tag. *)
+   Strip-prologue dispatches (root-tagged glue) scale with strip count,
+   which chunk boundaries legitimately change — so the invariant covers
+   the body per non-root tag. *)
 let body_rows entries =
   List.concat_map
     (fun ((t : Bytecode.tape), (pf : Bytecode.profile)) ->
@@ -132,10 +125,6 @@ let body_rows entries =
           counts
       in
       add t.Bytecode.tp_src pf.Bytecode.pf_ops;
-      (match t.Bytecode.tp_unrolled_src with
-      | Some s when Array.length pf.Bytecode.pf_unrolled > 0 ->
-          add s pf.Bytecode.pf_unrolled
-      | _ -> ());
       Hashtbl.fold (fun k v l -> (k, v) :: l) acc [])
     entries
   |> List.sort compare
@@ -322,21 +311,14 @@ let test_counting_copy_shape () =
               ops'
           in
           section "ops" t.tp_ops t.tp_src c.tp_ops c.tp_src;
-          (match (t.tp_unrolled, t.tp_unrolled_src, c.tp_unrolled,
-                  c.tp_unrolled_src) with
-          | None, None, None, None -> ()
-          | Some u, Some us, Some u', Some us' -> section "unrolled" u us u' us'
-          | _ -> Alcotest.failf "-O%d: unrolled body not mirrored" opt_level);
           Alcotest.(check bool) "prologue, accesses and tags shared" true
             (c.tp_pre == t.tp_pre && c.tp_accs == t.tp_accs
             && c.tp_tags == t.tp_tags);
           let base = Array.length t.tp_accs + t.tp_nstreams in
           let slots =
-            List.concat_map
-              (Array.fold_left
-                 (fun acc -> function Bytecode.Icount k -> k :: acc | _ -> acc)
-                 [])
-              (c.tp_ops :: Option.to_list c.tp_unrolled)
+            Array.fold_left
+              (fun acc -> function Bytecode.Icount k -> k :: acc | _ -> acc)
+              [] c.tp_ops
             |> List.sort compare
           in
           Alcotest.(check (list int))
@@ -346,17 +328,14 @@ let test_counting_copy_shape () =
         (kernel_tapes opt_level))
     opt_levels
 
-(* Without its unrolled body (whose layout check assumes four equal
-   copies, while one counter may cover all four), a counting copy passes
-   the structural validator: counters sit on fresh scratch slots and
-   every jump keeps its shape. *)
+(* A counting copy passes the structural validator: counters sit on
+   fresh scratch slots and every jump keeps its shape. *)
 let test_counting_copy_validates () =
   List.iter
     (fun opt_level ->
       List.iter
         (fun (t : Bytecode.tape) ->
           let c = counting_copy t in
-          let c = { c with tp_unrolled = None; tp_unrolled_src = None } in
           match Runtime.Tapecheck.check_entry ~region:0 c with
           | [] -> ()
           | ds ->
@@ -390,8 +369,7 @@ let test_plan_tapes_untouched () =
       Alcotest.(check bool) "no counters" false
         (Array.exists
            (function Bytecode.Icount _ -> true | _ -> false)
-           (Array.concat
-              (t.tp_pre :: t.tp_ops :: Option.to_list t.tp_unrolled))))
+           (Array.append t.tp_pre t.tp_ops)))
     before (Compile.plans c)
 
 (* ---------- pinned counts ---------- *)
@@ -404,12 +382,12 @@ let test_plan_tapes_untouched () =
    these numbers exactly. *)
 let pinned_totals =
   [
-    ("matmul", (1958, 146, 22), (1438, 146, 22));
-    ("stencil", (1012, 164, 18), (858, 164, 18));
-    ("cond_stencil", (186, 22, 2), (162, 22, 2));
-    ("tri_gather", (229, 20, 2), (201, 20, 2));
-    ("transpose", (500, 200, 20), (550, 200, 20));
-    ("relax", (1381, 312, 13), (1319, 312, 13));
+    ("matmul", (1958, 146, 22), (1372, 146, 22));
+    ("stencil", (1012, 164, 18), (750, 164, 18));
+    ("cond_stencil", (186, 22, 2), (147, 22, 2));
+    ("tri_gather", (229, 20, 2), (189, 20, 2));
+    ("transpose", (500, 200, 20), (430, 200, 20));
+    ("relax", (1381, 312, 13), (1085, 312, 13));
   ]
 
 let cli_profile name opt_level =
@@ -457,9 +435,9 @@ let test_pinned_matmul_rows () =
       ("i.k", "A[] =", 144);
       ("k.j", "B[] =", 126);
       ("i.j", "C[] =", 56);
-      ("i.j", "strip", 40);
-      ("i.k", "strip", 32);
-      ("k.j", "strip", 24);
+      ("i.j", "strip", 16);
+      ("i.k", "strip", 8);
+      ("k.j", "strip", 6);
     ]
     (List.map
        (fun r ->
@@ -469,8 +447,7 @@ let test_pinned_matmul_rows () =
     "matmul -O2 hot opcodes"
     [
       ("fmac2", 336); ("iloopc", 336); ("fstore", 202); ("iaff", 154);
-      ("sinit", 134); ("fofi", 90); ("jadv", 66); ("fload", 56); ("jii", 56);
-      ("fconst", 8);
+      ("sinit", 134); ("fofi", 90); ("fload", 56); ("jii", 56); ("fconst", 8);
     ]
     sm.Profile.sm_opcodes
 

@@ -134,28 +134,48 @@ let test_coalesced_program () =
 
 (* ---------- error parity with the interpreter ---------- *)
 
-let interp_errors prog =
+let interp_outcome prog =
   match Eval.run prog with
-  | _ -> false
-  | exception Eval.Runtime_error _ -> true
+  | _ -> Ok ()
+  | exception Eval.Runtime_error m -> Error m
 
-let compiled_errors prog =
-  match Exec.run ~domains:1 prog with
-  | _ -> false
-  | exception Compile.Error _ -> true
+let compiled_outcome engine prog =
+  match Exec.run ~domains:1 ~engine prog with
+  | _ -> Ok ()
+  | exception Compile.Error m -> Error m
 
+(* A plan's bounds, level by level: [doall i = 1, hi, step] around
+   [doall j = 1, 10 / k] with [k = 0]. *)
+let bounds_prog ~hi ~step =
+  B.program
+    ~arrays:[ B.array "A" [ 5; 10 ] ]
+    ~scalars:[ B.int_scalar "k"; B.int_scalar "z" ]
+    [
+      B.doall ~step "i" (B.int 1) hi
+        [
+          B.doall "j" (B.int 1)
+            B.(int 10 / var "k")
+            [ B.store "A" [ B.var "i"; B.var "j" ] (B.real 1.0) ];
+        ];
+    ]
+
+(* Each case faults, or not, with the interpreter's message on every
+   engine. *)
 let test_error_parity () =
   let cases =
     [
       ( "div by zero",
+        true,
         B.program
           ~scalars:[ B.int_scalar "s" ]
           [ B.assign "s" B.(int 1 / int 0) ] );
       ( "store out of bounds",
+        true,
         B.program
           ~arrays:[ B.array "A" [ 4 ] ]
           [ B.store "A" [ B.int 5 ] (B.real 1.0) ] );
       ( "load out of bounds in loop",
+        true,
         B.program
           ~arrays:[ B.array "A" [ 4 ] ]
           [
@@ -163,20 +183,36 @@ let test_error_parity () =
               [ B.store "A" [ B.var "i" ] (B.real 0.5) ];
           ] );
       ( "non-positive step",
+        true,
         B.program
           [ B.for_ ~step:(B.int 0) "i" (B.int 1) (B.int 3) [] ] );
       ( "mod by zero",
+        true,
         B.program
           ~scalars:[ B.int_scalar "s" ]
           [ B.assign "s" B.(int 7 % int 0) ] );
+      (* The inner bound is never evaluated under an empty outer level. *)
+      ( "inner bound under an empty outer level",
+        false,
+        bounds_prog ~hi:(B.int 0) ~step:(B.int 1) );
+      (* The outer step is checked before any inner bound. *)
+      ( "outer step before inner bound",
+        true,
+        bounds_prog ~hi:(B.int 5) ~step:(B.var "z") );
     ]
   in
   List.iter
-    (fun (what, prog) ->
-      Alcotest.(check bool) (what ^ ": interpreter errors") true
-        (interp_errors prog);
-      Alcotest.(check bool) (what ^ ": compiled errors") true
-        (compiled_errors prog))
+    (fun (what, faults, prog) ->
+      let want = interp_outcome prog in
+      Alcotest.(check bool) (what ^ ": interpreter faults") faults
+        (Result.is_error want);
+      List.iter
+        (fun (ename, engine) ->
+          Alcotest.(check (result unit string))
+            (Printf.sprintf "%s: %s = interpreter" what ename)
+            want
+            (compiled_outcome engine prog))
+        [ ("bytecode", Exec.Bytecode); ("native", Exec.Native) ])
     cases;
   (* Parallel faults must propagate through the join, too. *)
   let oob =

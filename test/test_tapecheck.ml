@@ -71,7 +71,7 @@ let serial_prog =
     ]
 
 (* Two accesses varying along the strip index with distinct offsets:
-   at -O1/-O2 the optimizer streams them into two scratch slots. *)
+   at -O2 the optimizer streams them into two scratch slots. *)
 let stream_prog =
   B.program
     ~arrays:[ B.array "W" [ 6; 6 ]; B.array "V" [ 6 ] ]
@@ -167,26 +167,6 @@ let test_missing_provenance () =
   check_code "provenance tag out of table" "LC013"
     (findings ~mutate:("lower", break_provenance) stream_prog)
 
-(* Displace a [Jadv] separator off its unrolled-copy boundary. *)
-let misplace_jadv (t : Bytecode.tape) =
-  match t.Bytecode.tp_unrolled with
-  | None -> Alcotest.fail "fixture did not unroll"
-  | Some u -> (
-      match
-        Array.find_map
-          (fun i -> match u.(i) with Bytecode.Jadv -> Some i | _ -> None)
-          (Array.init (Array.length u) Fun.id)
-      with
-      | None -> Alcotest.fail "unrolled body has no separator"
-      | Some i ->
-          let tmp = u.(i) in
-          u.(i) <- u.(i + 1);
-          u.(i + 1) <- tmp)
-
-let test_misplaced_jadv () =
-  check_code "displaced separator" "LC011"
-    (findings ~opt_level:2 ~mutate:("unroll", misplace_jadv) stream_prog)
-
 (* Make two streamed offsets share one scratch slot: the second group's
    self-bumps would corrupt the first's offsets at run time. *)
 let reuse_stream_slot (t : Bytecode.tape) =
@@ -213,7 +193,7 @@ let reuse_stream_slot (t : Bytecode.tape) =
 
 let test_stream_slot_reuse () =
   check_code "stream slot shared across groups" "LC011"
-    (findings ~opt_level:2 ~mutate:("unroll", reuse_stream_slot) stream_prog)
+    (findings ~opt_level:2 ~mutate:("fuse", reuse_stream_slot) stream_prog)
 
 (* Retarget a store at another array's access: the optimized tape's
    write footprint no longer matches the unoptimized tape's. *)
@@ -246,7 +226,7 @@ let retarget_store (t : Bytecode.tape) =
 
 let test_footprint_divergence () =
   check_code "store retargeted across arrays" "LC014"
-    (findings ~opt_level:2 ~mutate:("unroll", retarget_store) stream_prog)
+    (findings ~opt_level:2 ~mutate:("fuse", retarget_store) stream_prog)
 
 (* ---------- no false positives: the clean corpus ---------- *)
 
@@ -261,7 +241,7 @@ let assert_clean what prog =
               (if sanitize then " sanitized" else "")
               (show ds))
         [ false; true ])
-    [ 0; 1; 2 ]
+    [ 0; 2 ]
 
 let test_examples_clean () =
   let dir = "../examples/programs" in
@@ -291,7 +271,7 @@ let prop_clean gen ~name =
              List.for_all
                (fun sanitize -> findings ~sanitize ~opt_level prog = [])
                [ false; true ])
-           [ 0; 1; 2 ]))
+           [ 0; 2 ]))
 
 (* ---------- metrics ---------- *)
 
@@ -363,7 +343,7 @@ let test_disk_hit_validated () =
    the scratch array, at an access's hoisted offset or at a stream slot
    would write out of bounds or corrupt an unchecked access's offset. *)
 let test_icount_slot () =
-  let c = Compile.compile ~opt_level:1 stream_prog in
+  let c = Compile.compile ~opt_level:2 stream_prog in
   let t =
     match Compile.plans c with
     | p :: _ -> p.Compile.tape
@@ -416,8 +396,6 @@ let suite =
       test_offset_outside_range;
     Alcotest.test_case "missing provenance tag -> LC013" `Quick
       test_missing_provenance;
-    Alcotest.test_case "misplaced Jadv separator -> LC011" `Quick
-      test_misplaced_jadv;
     Alcotest.test_case "stream-slot reuse -> LC011" `Quick
       test_stream_slot_reuse;
     Alcotest.test_case "footprint divergence -> LC014" `Quick
