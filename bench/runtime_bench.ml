@@ -528,9 +528,9 @@ let bench_kernels =
     ("stencil", fun () -> Kernels.stencil ~n:180);
     ("transpose", fun () -> Kernels.transpose ~n:200);
     ("gauss_jordan", fun () -> Kernels.gauss_jordan ~n:48 ~m:6);
-    (* The SSA-pipeline shapes: a branchy body (shared stream slots
-       across exclusive if/else arms) and a variable-step serial loop
-       (run-time offset bumps plus a hoisted invariant load). *)
+    (* The SSA-pipeline shapes: a branchy body (exclusive if/else
+       arms) and a variable-step serial loop (a hoisted invariant
+       load). *)
     ("cond_stencil", fun () -> Kernels.cond_stencil ~n:24000);
     ("tri_gather", fun () -> Kernels.tri_gather ~n:2500);
     (* The transformation-search shapes: a time-stepped sweep whose
@@ -748,7 +748,7 @@ let run ?(oversubscribe = false) ?(gate = false) () =
      native (the -O2 tape Dynlink-compiled to machine code; rows present \
      only when the host has ocamlopt); \
      opt_level on bytecode rows is the Tapeopt level (0 = raw lowering, 2 = \
-     streaming + CSE + fusion; parallel rows run -O2); \
+     GVN + LICM + fusion; parallel rows run -O2); \
      speedups are wall-clock; speedup_vs_1dom is against the same engine and \
      opt_level at 1 domain; predicted is the event simulator's coalesced \
      speedup at the same p; chunks/imbalance/sync_ops_per_iter are traced \

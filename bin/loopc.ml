@@ -839,7 +839,7 @@ let run_cmd =
           ~doc:
             "Bytecode tape optimizer level: $(b,0) runs the raw lowered \
              tape, $(b,2) (default) the full pipeline (value numbering, \
-             invariant motion, offset streaming, load fusion). Results, \
+             invariant motion, load fusion). Results, \
              traces and metrics are identical at both levels.")
   in
   let no_plan_cache_flag =
@@ -861,7 +861,7 @@ let run_cmd =
              optimizer pipeline, in the stable textual format the golden \
              tests pin. With no argument (or $(b,all)) every stage is \
              printed; naming one stage of $(b,lower), $(b,gvn), \
-             $(b,licm), $(b,stream), $(b,fuse) prints the tape before \
+             $(b,licm), $(b,fuse) prints the tape before \
              and after that stage. Implies \
              $(b,--no-plan-cache) for this run, since a cache hit skips \
              the pipeline.")
@@ -1865,9 +1865,8 @@ let profile_cmd =
    (CI runs one of these and asserts a nonzero exit). Each kind breaks a
    different invariant [Tapecheck] guards: a negative register, a jump
    out of its section, an access offset that no longer matches its
-   subscripts, a provenance tag outside the tag table, a stream-init
-   aimed at a nonexistent scratch slot. *)
-let mutate_kinds = [ "neg-reg"; "bad-jump"; "offset"; "prov"; "slot" ]
+   subscripts, a provenance tag outside the tag table. *)
+let mutate_kinds = [ "neg-reg"; "bad-jump"; "offset"; "prov" ]
 
 let apply_mutation kind (t : L.Runtime.Bytecode.tape) =
   let module B = L.Runtime.Bytecode in
@@ -1924,20 +1923,6 @@ let apply_mutation kind (t : L.Runtime.Bytecode.tape) =
     | "prov" ->
         if Array.length t.B.tp_src = 0 then fail "tape body is empty"
         else t.B.tp_src.(0) <- 99_999
-    | "slot" ->
-        let bogus = Array.length t.B.tp_accs + t.B.tp_nstreams + 7 in
-        let rec seek = function
-          | [] -> fail "tape has no streamed offsets (needs --opt-level 2)"
-          | arr :: rest -> (
-              match first arr (function B.Sinit _ -> true | _ -> false) with
-              | Some i ->
-                  arr.(i) <-
-                    (match arr.(i) with
-                    | B.Sinit (_, a) -> B.Sinit (bogus, a)
-                    | op -> op)
-              | None -> seek rest)
-        in
-        seek [ t.B.tp_pre; ops ]
     | k ->
         fail
           (Printf.sprintf "unknown kind %S (one of %s)" k
@@ -1975,7 +1960,7 @@ let check_cmd =
              $(b,Tapecheck) translation validator: compile the program \
              to the bytecode tier and statically check every plan's tape \
              after each optimizer pass — register def-before-use, \
-             instruction well-formedness, stream-slot protocol, offset \
+             instruction well-formedness, offset \
              ranges against the once-per-fork bounds check, and \
              footprint equivalence with the unoptimized tape. Findings \
              use stable LC010-LC014 codes.")

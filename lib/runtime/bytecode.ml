@@ -186,10 +186,6 @@ type instr =
   | Fmsb of int * int * int * int  (** d <- a -. x *. y (fused peephole) *)
   | Fload of int * int  (** dst real reg <- element via access id *)
   | Fstore of int * int  (** element via access id <- src real reg *)
-  | Sinit of int * aff
-      (** stream scratch slot <- full affine offset, evaluated at strip
-          entry (prologue) or serial-loop entry (body). Emitted by the
-          tape optimizer only. *)
   | Fmac2 of int * int * int * int
       (** d <- a +. load id1 *. load id2 (fused, optimizer only) *)
   | Fmsb2 of int * int * int * int  (** d <- a -. load id1 *. load id2 *)
@@ -235,16 +231,6 @@ and vkind =
   | V1 of int * int  (** coef, reg *)
   | V2 of int * int * int * int  (** coef1, reg1, coef2, reg2 *)
   | Vn
-  | Vs of int * int
-      (** streamed: scratch slot holding the full offset, self-bumped by
-          a constant after each use (serial-loop stream) *)
-  | Vsj of int * int
-      (** streamed over the strip index: scratch slot, bumped by
-          [coef * jstep] after each use (strip stream) *)
-  | Vsv of int * int
-      (** streamed with a run-time bump: offset scratch slot, bump
-          scratch slot — both initialized by [Sinit]s at region entry
-          (variable-step serial loops) *)
 
 (* Provenance: every tape instruction carries the source loop nest and
    statement it was lowered from, as an index into a per-tape tag table.
@@ -252,7 +238,7 @@ and vkind =
    loops extend the root path with "/index" per nesting level. The
    optimizer passes thread these side tables through every rewrite, so
    profiler reports can name the originating loop even on a
-   gvn/licm/stream/fuse'd tape. *)
+   gvn/licm/fuse'd tape. *)
 type srcloc = {
   sl_loop : string;
       (** loop path: plan indexes joined with ".", then "/index" per
@@ -261,10 +247,10 @@ type srcloc = {
 }
 
 type tape = {
-  tp_pre : instr array;  (** strip prologue: float consts and stream inits *)
+  tp_pre : instr array;  (** strip prologue: float consts, hoisted ops *)
   tp_ops : instr array;  (** single-iteration body *)
   tp_accs : access array;
-  tp_nstreams : int;  (** scratch slots past the per-access invariant ones *)
+  tp_ncounters : int;  (** profiler block counters past the per-access slots *)
   tp_sanitize : bool;
   tp_src : int array;  (** per-[tp_ops] instruction tag (index into [tp_tags]) *)
   tp_pre_src : int array;  (** per-[tp_pre] instruction tag *)
@@ -940,7 +926,7 @@ let lower ~lookup ~array_ref ~fresh_int ~fresh_real ~assigned ~plan_names
     tp_pre = pre;
     tp_ops = Array.sub st.code 0 st.len;
     tp_accs = Array.map finish (Array.of_list (List.rev st.raccs));
-    tp_nstreams = 0;
+    tp_ncounters = 0;
     tp_sanitize = sanitize;
     tp_src = Array.sub st.srcs 0 st.len;
     tp_pre_src = Array.make (Array.length pre) 0;
@@ -988,7 +974,7 @@ let proof_inputs tape =
   |> List.sort_uniq Int.compare |> Array.of_list
 
 let make_scratch tape =
-  Array.make (max 1 (Array.length tape.tp_accs + tape.tp_nstreams)) 0
+  Array.make (max 1 (Array.length tape.tp_accs + tape.tp_ncounters)) 0
 
 (* ---------- profiling ---------- *)
 
@@ -1039,9 +1025,8 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
   let accs = tape.tp_accs in
   let unsafe = prep.pr_unsafe in
   Array.unsafe_set ints jslot j0;
-  (* Offset of one access execution. Streamed kinds self-bump their
-     scratch slot; checked accesses recompute from the subscripts (and
-     leave any stream slot untouched — it is never read again). *)
+  (* Offset of one access execution: the hoisted invariant part plus
+     the variant part on the unsafe path, the subscripts otherwise. *)
   let off_of id (ac : access) =
     if Array.unsafe_get unsafe id then
       match ac.ac_vk with
@@ -1052,18 +1037,6 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
           + (c1 * Array.unsafe_get ints r1)
           + (c2 * Array.unsafe_get ints r2)
       | Vn -> Array.unsafe_get inv id + aff_eval ints ac.ac_var
-      | Vs (s, b) ->
-          let v = Array.unsafe_get inv s in
-          Array.unsafe_set inv s (v + b);
-          v
-      | Vsj (s, c) ->
-          let v = Array.unsafe_get inv s in
-          Array.unsafe_set inv s (v + (c * jstep));
-          v
-      | Vsv (s, bs) ->
-          let v = Array.unsafe_get inv s in
-          Array.unsafe_set inv s (v + Array.unsafe_get inv bs);
-          v
     else checked_offset ints ac
   in
   let[@inline] load_elem id iter =
@@ -1189,10 +1162,7 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
               (Array.unsafe_get arrays ac.ac_slot)
               off (Array.unsafe_get reals s);
             incr pc
-        | Sinit (s, a) ->
-            Array.unsafe_set inv s (aff_eval ints a);
-            incr pc
-            | Fmac2 (d, a, i1, i2) ->
+        | Fmac2 (d, a, i1, i2) ->
             let l1 = load_elem i1 !iter in
             let l2 = load_elem i2 !iter in
             Array.unsafe_set reals d (Array.unsafe_get reals a +. (l1 *. l2));
@@ -1269,15 +1239,14 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
       pc := 0
     done
   in
-  (* Strip prologue: float constants, strip-invariant ops hoisted by the
-     optimizer and stream-offset initializers run through the general
-     dispatch (no access instructions land here), then the per-access
-     invariant offsets are hoisted. Both read the strip index, which was
-     set to the strip's first iteration above. *)
+  (* Strip prologue: float constants and strip-invariant ops hoisted by
+     the optimizer run through the general dispatch (no access
+     instructions land here), then the per-access invariant offsets are
+     hoisted. Both read the strip index, which was set to the strip's
+     first iteration above. *)
   Array.iter
     (function
       | Fconst (d, x) -> Array.unsafe_set reals d x
-      | Sinit (s, a) -> Array.unsafe_set inv s (aff_eval ints a)
       | op -> exec_ops [| op |] iter0 1)
     tape.tp_pre;
   for a = 0 to Array.length accs - 1 do
@@ -1415,24 +1384,21 @@ let build_cfg (ops : instr array) : cfg =
      start, step and bound is uniform — computed only from literals,
      prologue registers, registers the body never writes and other
      uniform registers — and there is no float compare;
-   - stream offsets: a stream initialized in the body reads no varying
-     register besides the strip index, with one coefficient per slot;
    - nothing carried: every register the body reads is defined earlier
      on every path through the same iteration, or never written in it;
    - one element per iteration: every stored array is accessed, in all
      of its loads and stores, at one offset [inv + c * j], c <> 0, or
      with one subscript [c * j + inv] and no other varying one, so
      iterations touch distinct elements and none reads another's;
-   - nothing can raise: no [Istep], no variable-step stream, and every
-     divisor a valid literal, so errors and their order cannot depend
-     on the interleaving. *)
+   - nothing can raise: no [Istep], and every divisor a valid literal,
+     so errors and their order cannot depend on the interleaving. *)
 
 module IntSet = Set.Make (Int)
 module IntMap = Map.Make (Int)
 
 let reads = function
   | Iconst _ | Fconst _ | Jmp _ | Icount _ -> ([], [], [])
-  | Iaff (_, a) | Sinit (_, a) -> (Array.to_list a.regs, [], [])
+  | Iaff (_, a) -> (Array.to_list a.regs, [], [])
   | Imul (_, a, b)
   | Idiv (_, a, b)
   | Imod (_, a, b)
@@ -1469,7 +1435,7 @@ let acc_regs (ac : access) =
   | V1 (_, r) -> [ r ]
   | V2 (_, r1, _, r2) -> [ r1; r2 ]
   | Vn -> Array.to_list ac.ac_var.regs
-  | V0 | Vs _ | Vsj _ | Vsv _ -> []
+  | V0 -> []
 
 let const_regs ~jslot (tp : tape) =
   let writes = Hashtbl.create 16 in
@@ -1499,7 +1465,6 @@ let aff_coef (a : aff) r =
 type lane_plan = {
   lp_vary_i : IntSet.t;
   lp_vary_f : IntSet.t;
-  lp_stride : int IntMap.t;
   lp_flat_stores : bool;
   lp_uniform : bool array;
 }
@@ -1515,16 +1480,10 @@ let lane_plan ~jslot ~lits (tp : tape) =
       IntSet.empty ops
   in
   let written_i = set_of int_dst and written_f = set_of float_dst in
-  (* registers and stream slots that vary with the strip index *)
+  (* registers that vary with the strip index *)
   let vi = ref (IntSet.singleton jslot) and vf = ref IntSet.empty in
-  let vs = ref IntSet.empty in
   let acc_varies id =
-    let ac = acc id in
-    match ac.ac_vk with
-    | V0 -> false
-    | V1 _ | V2 _ | Vn -> List.exists (fun r -> IntSet.mem r !vi) (acc_regs ac)
-    | Vsj _ -> true
-    | Vs (s, _) | Vsv (s, _) -> IntSet.mem s !vs
+    List.exists (fun r -> IntSet.mem r !vi) (acc_regs (acc id))
   in
   let changed = ref true in
   let add set x =
@@ -1543,7 +1502,6 @@ let lane_plan ~jslot ~lits (tp : tape) =
           || List.exists (fun r -> IntSet.mem r !vf) fr
           || List.exists acc_varies ids
         then begin
-          (match i with Sinit (s, _) -> add vs s | _ -> ());
           Option.iter (add vi) (int_dst i);
           Option.iter (add vf) (float_dst i)
         end)
@@ -1562,51 +1520,24 @@ let lane_plan ~jslot ~lits (tp : tape) =
         | _ -> false)
       ops
   in
-  (* strip coefficients of the body's [Sinit]s: they must agree per slot
-     and read no varying register besides the strip index *)
-  let stride = ref IntMap.empty and stream_ok = ref true in
-  Array.iter
-    (fun i ->
-      match i with
-      | Sinit (s, a) ->
-          let c = aff_coef a jslot in
-          if not (Array.for_all (fun r -> r = jslot || uniform r) a.regs) then
-            stream_ok := false;
-          (match IntMap.find_opt s !stride with
-          | Some c' when c' <> c -> stream_ok := false
-          | _ -> ());
-          stride := IntMap.add s c !stride
-      | _ -> ())
-    ops;
   (* nothing carried: a read of anything the body writes must follow a
-     write on every path through the iteration (keys: int 3r, float
-     3r+1, stream slot 3s+2) *)
+     write on every path through the iteration (keys: int 2r, float
+     2r+1) *)
   let carried () =
     let needs i =
       let ir, fr, ids = reads i in
+      let ir = ir @ List.concat_map (fun id -> acc_regs (acc id)) ids in
       List.filter_map
-        (fun r -> if IntSet.mem r written_i then Some (3 * r) else None)
+        (fun r -> if IntSet.mem r written_i then Some (2 * r) else None)
         ir
       @ List.filter_map
-          (fun r -> if IntSet.mem r written_f then Some ((3 * r) + 1) else None)
+          (fun r -> if IntSet.mem r written_f then Some ((2 * r) + 1) else None)
           fr
-      @ List.concat_map
-          (fun id ->
-            let ac = acc id in
-            List.filter_map
-              (fun r -> if IntSet.mem r written_i then Some (3 * r) else None)
-              (acc_regs ac)
-            @
-            match ac.ac_vk with
-            | Vs (s, _) -> [ (3 * s) + 2 ]
-            | V0 | V1 _ | V2 _ | Vn | Vsj _ | Vsv _ -> [])
-          ids
     in
     let defs d i =
-      let add k r = IntSet.add ((3 * r) + k) in
+      let add k r = IntSet.add ((2 * r) + k) in
       let d = Option.fold ~none:d ~some:(fun r -> add 0 r d) (int_dst i) in
-      let d = Option.fold ~none:d ~some:(fun r -> add 1 r d) (float_dst i) in
-      match i with Sinit (s, _) -> add 2 s d | _ -> d
+      Option.fold ~none:d ~some:(fun r -> add 1 r d) (float_dst i)
     in
     let outs = Array.make exit None in
     let block_in bid =
@@ -1719,19 +1650,12 @@ let lane_plan ~jslot ~lits (tp : tape) =
   let shared_store () =
     not (List.for_all (fun id -> flat id || pinned id) body_accs)
   in
-  (* a [Vsv] stream belongs to a variable-step loop, whose [Istep] stays
-     in the body *)
   let may_raise () =
     let valid_lit b p =
       match IntMap.find_opt b lits with Some v -> p v | None -> false
     in
     Array.exists
       (fun i ->
-        let _, _, ids = reads i in
-        List.exists
-          (fun id -> match (acc id).ac_vk with Vsv _ -> true | _ -> false)
-          ids
-        ||
         match i with
         | Istep _ -> true
         | Idiv (_, _, b) | Imod (_, _, b) -> not (valid_lit b (fun v -> v <> 0))
@@ -1747,7 +1671,6 @@ let lane_plan ~jslot ~lits (tp : tape) =
       ("sanitized tape", fun () -> tp.tp_sanitize);
       ("float compare", float_compare);
       ("varying control", varying_control);
-      ("varying stream offset", fun () -> not !stream_ok);
       ("register carried across iterations", carried);
       ("stored array not at one offset inv + c*j", shared_store);
       ("may raise", may_raise);
@@ -1760,7 +1683,6 @@ let lane_plan ~jslot ~lits (tp : tape) =
         {
           lp_vary_i = !vi;
           lp_vary_f = !vf;
-          lp_stride = IntMap.filter (fun _ c -> c <> 0) !stride;
           lp_flat_stores = List.for_all flat body_accs;
           lp_uniform =
             Array.init (Array.length tp.tp_accs) (fun id ->
@@ -1770,18 +1692,16 @@ let lane_plan ~jslot ~lits (tp : tape) =
 (* ---------- lane execution ----------
 
    An eligible strip runs in pieces of up to [lane_width] iterations.
-   Control, uniform registers and stream slots stay scalar, in the
-   register files and scratch, and run once per piece; a varying
-   register lives in a lane array, one slot per iteration of the piece,
-   and an instruction writing one (or storing) runs as one loop over
-   the piece. Every operand is a strided view [arr.(base + l * step)]:
+   Control and uniform registers stay scalar, in the register files,
+   and run once per piece; a varying register lives in a lane array,
+   one slot per iteration of the piece, and an instruction writing one
+   (or storing) runs as one loop over the piece. Every operand is a strided view [arr.(base + l * step)]:
    a lane array (step 1), a scalar register (step 0) or an array access
    whose offset at iteration [l] of the piece is its offset at the
-   piece's first iteration plus [l * c * jstep] — streams are bumped
-   once per piece. An access whose offset reads a varying register
-   other than the strip index is gathered lane by lane. The strip index
-   register holds the piece's first iteration, so offsets and stream
-   initializers evaluate there. After the strip the last iteration's
+   piece's first iteration plus [l * c * jstep]. An access whose offset
+   reads a varying register other than the strip index is gathered lane
+   by lane. The strip index register holds the piece's first iteration,
+   so offsets evaluate there. After the strip the last iteration's
    varying registers go back to the register files. *)
 
 let lane_width = 256
@@ -1790,8 +1710,6 @@ type lane_acc =
   | La_fix  (** [V0]: the hoisted invariant offset *)
   | La_aff of int  (** invariant + variant part; strip coefficient *)
   | La_gather  (** reads a varying register besides the strip index *)
-  | La_stream of int * int * int  (** [Vs]: slot, bump, strip coefficient *)
-  | La_strip of int * int  (** [Vsj]: slot, strip coefficient *)
 
 type lanes = {
   ln_vary : bool array;  (** per [tp_ops] position: runs across lanes *)
@@ -1834,14 +1752,6 @@ let lanes ~jslot (tp : tape) =
                 ac.ac_var.regs
             then La_aff (aff_coef ac.ac_var jslot)
             else La_gather
-        | Vs (s, b) ->
-            let c = Option.value ~default:0 (IntMap.find_opt s lp.lp_stride) in
-            La_stream (s, b, c)
-        | Vsj (s, c) -> La_strip (s, c)
-        | Vsv _ ->
-            (* only in an access no instruction reads: [lane_plan]
-               rejects the variable-step loops these stream *)
-            La_gather
       in
       Result.Ok
         {
@@ -2068,14 +1978,6 @@ let fmem lr k n id =
   | La_aff c ->
       let o = Array.unsafe_get inv id + aff_eval lr.lr_ints ac.ac_var in
       set_view v a o (c * js)
-  | La_stream (s, b, c) ->
-      let o = Array.unsafe_get inv s in
-      Array.unsafe_set inv s (o + b);
-      set_view v a o (c * js)
-  | La_strip (s, c) ->
-      let o = Array.unsafe_get inv s in
-      Array.unsafe_set inv s (o + (n * c * js));
-      set_view v a o (c * js)
   | La_gather ->
       let off = lr.lr_ls.ls_off and li = lr.lr_ls.ls_i and var = ac.ac_var in
       Array.fill off 0 n (Array.unsafe_get inv id);
@@ -2240,7 +2142,6 @@ let lane_step lr ~lanes n (i : instr) =
       fmem lr 1 n i1;
       fmem lr 0 n i2;
       k_fcopy n fv.(0) fv.(1)
-  | Sinit (s, a) -> Array.unsafe_set lr.lr_inv s (aff_eval lr.lr_ints a)
   | Istep _ | Icount _ | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _
   | Iloopc _ ->
       assert false
@@ -2368,7 +2269,6 @@ let pp_instr (op : instr) =
   | Fmsb (d, a, x, y) -> f "r%d <- r%d - r%d * r%d" d a x y
   | Fload (d, id) -> f "r%d <- load[%d]" d id
   | Fstore (s, id) -> f "store[%d] <- r%d" id s
-  | Sinit (s, a) -> f "s%d <- %s" s (pp_aff a)
   | Fmac2 (d, a, i1, i2) -> f "r%d <- r%d + load[%d] * load[%d]" d a i1 i2
   | Fmsb2 (d, a, i1, i2) -> f "r%d <- r%d - load[%d] * load[%d]" d a i1 i2
   | Fldmac (d, a, x, id) -> f "r%d <- r%d + r%d * load[%d]" d a x id
@@ -2414,7 +2314,6 @@ let instr_mnemonic = function
   | Fmsb _ -> "fmsb"
   | Fload _ -> "fload"
   | Fstore _ -> "fstore"
-  | Sinit _ -> "sinit"
   | Fmac2 _ -> "fmac2"
   | Fmsb2 _ -> "fmsb2"
   | Fldmac _ -> "fldmac"
@@ -2437,9 +2336,6 @@ let pp_vkind = function
   | V1 (c, r) -> Printf.sprintf "inv + %d*i%d" c r
   | V2 (c1, r1, c2, r2) -> Printf.sprintf "inv + %d*i%d + %d*i%d" c1 r1 c2 r2
   | Vn -> "inv + var"
-  | Vs (s, b) -> Printf.sprintf "stream s%d bump %d" s b
-  | Vsj (s, c) -> Printf.sprintf "stream s%d bump %d*jstep" s c
-  | Vsv (s, bs) -> Printf.sprintf "stream s%d bump s%d" s bs
 
 let pp_tape (t : tape) =
   let b = Buffer.create 256 in
@@ -2463,7 +2359,7 @@ let pp_tape (t : tape) =
       t.tp_accs
   end;
   Buffer.add_string b
-    (Printf.sprintf "streams=%d sanitize=%b\n" t.tp_nstreams t.tp_sanitize);
+    (Printf.sprintf "sanitize=%b\n" t.tp_sanitize);
   Buffer.contents b
 
 (* Provenance dump, separate from [pp_tape] so the latter's golden

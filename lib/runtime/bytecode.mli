@@ -119,9 +119,6 @@ type instr =
   | Fmsb of int * int * int * int  (** d <- a -. x *. y (fused peephole) *)
   | Fload of int * int  (** dst real reg <- element via access id *)
   | Fstore of int * int  (** element via access id <- src real reg *)
-  | Sinit of int * aff
-      (** stream scratch slot <- full affine offset at strip or
-          serial-loop entry (optimizer only) *)
   | Fmac2 of int * int * int * int
       (** d <- a +. load id1 *. load id2 (fused, optimizer only) *)
   | Fmsb2 of int * int * int * int  (** d <- a -. load id1 *. load id2 *)
@@ -160,20 +157,13 @@ type access = {
   ac_vk : vkind;  (** variant part specialized for the unsafe path *)
 }
 
-(** Variant offset shapes on the unsafe path. [Vs]/[Vsj] are streamed
-    offsets installed by the optimizer: the scratch slot holds the full
-    offset and is self-bumped after each use (by a constant, resp. by
-    [coef * jstep]); a [Sinit] re-evaluates the slot at region entry. *)
+(** Variant offset shapes on the unsafe path: the offset of an
+    unchecked access is its hoisted [ac_inv] plus this part. *)
 and vkind =
   | V0
   | V1 of int * int  (** coef, reg *)
   | V2 of int * int * int * int  (** coef1, reg1, coef2, reg2 *)
   | Vn
-  | Vs of int * int  (** scratch slot, constant bump *)
-  | Vsj of int * int  (** scratch slot, coef (bump = coef * jstep) *)
-  | Vsv of int * int
-      (** offset scratch slot, bump scratch slot (variable-step loops;
-          both slots initialized by [Sinit]s at region entry) *)
 
 type srcloc = {
   sl_loop : string;
@@ -189,12 +179,14 @@ type srcloc = {
 
 type tape = {
   tp_pre : instr array;
-      (** strip prologue: float consts, optimizer-hoisted strip-invariant
-          ops and stream inits; executed once per strip, never contains
+      (** strip prologue: float consts and optimizer-hoisted
+          strip-invariant ops; executed once per strip, never contains
           array accesses *)
   tp_ops : instr array;  (** single-iteration body *)
   tp_accs : access array;
-  tp_nstreams : int;  (** scratch slots past the per-access invariant ones *)
+  tp_ncounters : int;
+      (** scratch slots past the per-access invariant ones: {!Profile}'s
+          block counters on an instrumented tape, else 0 *)
   tp_sanitize : bool;
   tp_src : int array;
       (** per-[tp_ops] provenance tag (index into [tp_tags]); same
@@ -292,9 +284,8 @@ val proof_inputs : tape -> int array
     [lo]/[hi] are equal. *)
 
 val make_scratch : tape -> int array
-(** Per-domain scratch: hoisted invariant offsets, then stream slots
-    (on an instrumented tape these include the block counters); never
-    shared. *)
+(** Per-domain scratch: hoisted invariant offsets, then (on an
+    instrumented tape) the block counters; never shared. *)
 
 val exec_strip :
   tape ->
@@ -347,9 +338,6 @@ val const_regs : jslot:int -> tape -> int IntMap.t
 type lane_plan = {
   lp_vary_i : IntSet.t;  (** int registers that vary with the strip index *)
   lp_vary_f : IntSet.t;  (** float registers that vary with it *)
-  lp_stride : int IntMap.t;
-      (** stream slots initialized in the body with a [c * jslot] term:
-          slot -> c *)
   lp_flat_stores : bool;
       (** every stored array at one flat offset [inv + c * jslot]; else
           some is only pinned to its iteration by one subscript *)
@@ -365,7 +353,7 @@ val lane_plan :
     unroll-and-jam. [lits] are the registers known to hold literals
     (for divisors). [Error] names the first rule that fails, in order:
     ["sanitized tape"], ["float compare"], ["varying control"],
-    ["varying stream offset"], ["register carried across iterations"],
+    ["register carried across iterations"],
     ["stored array not at one offset inv + c*j"], ["may raise"]. *)
 
 val lane_width : int

@@ -12,8 +12,8 @@
    runners to the compiled program's plans.
 
    Code shape: each runner is one function with no inner closures.
-   Every int register, float register and stream slot the tape touches
-   is a non-escaping local [ref], so ocamlopt keeps it in a machine
+   Every int register and float register the tape touches is a
+   non-escaping local [ref], so ocamlopt keeps it in a machine
    register and unboxes the floats. A body that is one block with no
    control terminator is emitted straight-line; otherwise the tape's
    basic blocks are the arms of one [match] over a local block number
@@ -21,17 +21,14 @@
    its own leader (every serial inner loop the lowering emits) is an
    inner do-while loop.
 
-   Address arithmetic is kept to one induction variable per stride.
-   Strip streams ([Vsj], initialized once in the prologue) with the same
-   coefficient and the same register terms share one offset: each
-   access reads [!slL + d] for the constant distance [d] between the
-   initial offsets, and the leader is bumped once per iteration (see
-   [strip_groups]) — the offsets themselves are unchanged. An int
-   register whose only writer is a prologue constant ([Iconst], or a
-   term-free [Iaff], the lowering's form of a literal loop bound) is
-   read as a literal, so a constant divisor compiles to multiply-shift
-   without a zero test and loop bounds compare against an immediate; a
-   literal invalid divisor still raises the tape's message.
+   Every access reads its offset in the tape's affine form: the
+   invariant part hoisted once per strip ([ivN]) plus the variant part
+   over the current registers. An int register whose only writer is a
+   prologue constant ([Iconst], or a term-free [Iaff], the lowering's
+   form of a literal loop bound) is read as a literal, so a constant
+   divisor compiles to multiply-shift without a zero test and loop
+   bounds compare against an immediate; a literal invalid divisor still
+   raises the tape's message.
 
    Semantics contract: the generated code replays [exec_strip]'s exact
    unsafe-path evaluation order — prologue, per-access invariant
@@ -53,12 +50,11 @@
      emitted once; any other is emitted once per copy, copy 0 first, in
      place, with its varying int and float registers renamed per copy
      (copy 3 keeps the plain names, so the written-back registers are
-     the sequentially last iteration's). A stream whose offset has a
-     [c * jslot] term stays one ref: copy [u] reads copy 0's offset
-     plus [u * sdS], [sdS = c * jstep] bound at runner entry. A load at
-     a uniform offset is shared by the four copies; in matmul's [k]
-     loop that gives four independent accumulator chains over one
-     [A[i,k]] load and one row of [B]. Whether the interleaving equals
+     the sequentially last iteration's), the strip index among them, so
+     each copy's offsets read its own iteration. A load at a uniform
+     offset is shared by the four copies; in matmul's [k] loop that
+     gives four independent accumulator chains over one [A[i,k]] load
+     and one row of [B]. Whether the interleaving equals
      running the four iterations in order, whatever the [doall]
      annotation claims, is {!Bytecode.lane_plan}'s analysis, shared
      with the bytecode tier's lane path: uniform control and no float
@@ -67,9 +63,9 @@
      raise, so errors and their order stay the bytecode tier's.
      [jam_plan] adds the emitter's own filters: a self-loop block (a
      serial inner loop; straight-line bodies gain nothing from
-     jamming), every strip stream grouped (see [strip_groups]) and
-     every stored array at one flat offset [inv + c * jslot], c <> 0
-     (the analysis also accepts an array pinned by one subscript).
+     jamming) and every stored array at one flat offset
+     [inv + c * jslot], c <> 0 (the analysis also accepts an array
+     pinned by one subscript).
 
    The generator only ever emits the *unsafe* access path, so the
    executor uses a plan's native runner for a fork only when
@@ -132,79 +128,16 @@ let is_control (i : Bytecode.instr) =
 module IntSet = Bytecode.IntSet
 module IntMap = Bytecode.IntMap
 
-(* Shared strip offsets. A strip stream ([Vsj]) whose only [Sinit] is in
-   the prologue advances by [coef * jstep] once per iteration. Streams
-   with the same coefficient whose initial offsets have the same
-   register terms, with none of those registers written between their
-   [Sinit]s, stay a constant distance apart for the whole strip: they
-   share the first one's slot (the leader), read as [!slL + d], and the
-   leader is bumped once at the end of each iteration. Returns slot ->
-   (leader, d) for every such stream, and the leaders with their
-   coefficients in prologue order. *)
-let strip_groups (tp : Bytecode.tape) =
-  let open Bytecode in
-  let coef = Hashtbl.create 8 in
-  Array.iter
-    (fun ac ->
-      match ac.ac_vk with Vsj (s, c) -> Hashtbl.replace coef s c | _ -> ())
-    tp.tp_accs;
-  let inits ops =
-    Array.fold_left
-      (fun acc i -> match i with Sinit (s, _) -> s :: acc | _ -> acc)
-      [] ops
-  in
-  let pre = inits tp.tp_pre and body = inits tp.tp_ops in
-  let once s =
-    Hashtbl.mem coef s
-    && List.length (List.filter (( = ) s) pre) = 1
-    && not (List.mem s body)
-  in
-  let member = Hashtbl.create 8 in
-  let leaders = ref [] in
-  (* open groups: (coef, coefs, regs) -> (leader slot, leader base) *)
-  let open_ = ref [] in
-  Array.iter
-    (fun i ->
-      (match i with
-      | Sinit (s, a) when once s -> (
-          let c = Hashtbl.find coef s in
-          let k = (c, a.coefs, a.regs) in
-          match List.assoc_opt k !open_ with
-          | Some (l, base) -> Hashtbl.replace member s (l, a.base - base)
-          | None ->
-              open_ := (k, (s, a.base)) :: !open_;
-              leaders := (s, c) :: !leaders;
-              Hashtbl.replace member s (s, 0))
-      | _ -> ());
-      match int_dst i with
-      | Some r ->
-          open_ :=
-            List.filter (fun ((_, _, regs), _) -> not (Array.mem r regs)) !open_
-      | None -> ())
-    tp.tp_pre;
-  (member, List.rev !leaders)
-
 (* ---------- unroll-and-jam analysis ---------- *)
-
-(* A jammed body: int and float registers that vary with the strip
-   index (renamed per copy), the strip coefficient [c] of every stream
-   slot whose offset has a [c * jslot] term (copy [u] reads it
-   [u * c * jstep] past copy 0), and, per access, whether every copy
-   reads the same element. *)
-type jam = {
-  vary_i : IntSet.t;
-  vary_f : IntSet.t;
-  stride : int IntMap.t;
-  uniform : bool array;
-}
 
 (* Whether to jam: {!Bytecode.lane_plan} decides whether running four
    consecutive strip iterations instruction by instruction, in place,
    equals running them in order; on top of it the emitter wants a
-   self-loop block (a serial inner loop), every strip stream it reads
-   grouped (see [strip_groups]) and every stored array at one flat
-   offset. [lits] are the registers read as literals. *)
-let jam_plan ~jslot ~lits ~strip_of (tp : Bytecode.tape) =
+   self-loop block (a serial inner loop) and every stored array at one
+   flat offset. [lits] are the registers read as literals. The plan's
+   varying registers are renamed per copy; [lp_uniform] marks the
+   accesses whose load the four copies share. *)
+let jam_plan ~jslot ~lits (tp : Bytecode.tape) =
   match Bytecode.lane_plan ~jslot ~lits tp with
   | Error _ -> None
   | Ok lp ->
@@ -220,44 +153,9 @@ let jam_plan ~jslot ~lits ~strip_of (tp : Bytecode.tape) =
         | Iloop (_, _, _, top) | Iloopc (_, _, _, top) -> top = bb.bb_start
         | _ -> false
       in
-      let grouped id =
-        match tp.tp_accs.(id).ac_vk with
-        | Vsj (s, _) -> Hashtbl.mem strip_of s
-        | _ -> true
-      in
-      let streams_grouped =
-        Array.for_all
-          (fun i ->
-            let _, _, ids = reads i in
-            List.for_all grouped ids)
-          ops
-      in
-      if
-        not
-          (lp.lp_flat_stores
-          && List.exists self_loop (List.init exit Fun.id)
-          && streams_grouped)
-      then None
-      else
-        (* grouped strip streams stride by their leader *)
-        let stride =
-          Array.fold_left
-            (fun m (ac : access) ->
-              match ac.ac_vk with
-              | Vsj (s, c) -> (
-                  match Hashtbl.find_opt strip_of s with
-                  | Some (l, _) -> IntMap.add l c m
-                  | None -> m)
-              | _ -> m)
-            lp.lp_stride tp.tp_accs
-        in
-        Some
-          {
-            vary_i = lp.lp_vary_i;
-            vary_f = lp.lp_vary_f;
-            stride;
-            uniform = lp.lp_uniform;
-          }
+      if lp.lp_flat_stores && List.exists self_loop (List.init exit Fun.id)
+      then Some lp
+      else None
 
 (* Pretty-print one plan's tape as a [Natapi.runner]; [None] when the
    tape is sanitized or its prologue holds control flow (the current
@@ -288,7 +186,6 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
            the header binding them is prepended at the end ---- *)
         let iused = ref IntSet.empty and iwritten = ref IntSet.empty in
         let fused = ref IntSet.empty and fwritten = ref IntSet.empty in
-        let sused = ref IntSet.empty in
         let note set r = set := IntSet.add r !set in
         (* constant registers currently read as literals *)
         let consts = Bytecode.const_regs ~jslot tp in
@@ -298,13 +195,13 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
            plain names, so the written-back values are the sequentially
            last iteration's *)
         let jam = ref None and cur = ref (-1) in
-        let copy_refs = ref [] and strides = ref IntSet.empty in
+        let copy_refs = ref [] in
         let copy_name pfx r =
           match !jam with
-          | Some jm
+          | Some (jm : lane_plan)
             when !cur >= 0 && !cur < 3
-                 && IntSet.mem r (if pfx = "ir" then jm.vary_i else jm.vary_f)
-            ->
+                 && IntSet.mem r
+                      (if pfx = "ir" then jm.lp_vary_i else jm.lp_vary_f) ->
               let n = Printf.sprintf "%s%dc%d" pfx r !cur in
               if not (List.mem n !copy_refs) then copy_refs := n :: !copy_refs;
               Some n
@@ -319,10 +216,6 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
               | None ->
                   note iused r;
                   Printf.sprintf "!ir%d" r)
-        in
-        let sl s =
-          note sused s;
-          Printf.sprintf "sl%d" s
         in
         let fr r =
           match copy_name "fr" r with
@@ -347,30 +240,16 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
               note fwritten d;
               out "    fr%d := %s;" d e
         in
-        (* [u] strides of stream slot [s] ([sdS = c * jstep], bound at
-           runner entry) *)
-        let stride u s =
-          strides := IntSet.add s !strides;
-          if u = 1 then Printf.sprintf "sd%d" s
-          else Printf.sprintf "(%d * sd%d)" u s
-        in
         let aff = aff_str ir in
-        let strip_of, strip_leaders = strip_groups tp in
         (* ---- emission helpers over the access table ---- *)
-        (* Within one jammed instruction, copy 0's offsets and loaded
-           values by operand position: a later copy reads a shared
-           stream at copy 0's offset plus its strides, and takes a load
-           at a strip-uniform offset from copy 0. *)
+        (* Within one jammed instruction, copy 0's loaded values by
+           operand position: a later copy takes a load at a strip-uniform
+           offset from copy 0. *)
         let opnd = ref 0 in
-        let off0 = Hashtbl.create 4 and val0 = Hashtbl.create 4 in
-        let emit_off k id =
+        let val0 = Hashtbl.create 4 in
+        let emit_off id =
           let ac = tp.tp_accs.(id) in
           let o = fresh "o" in
-          let bumped s bump =
-            out "    let %s = !%s in" o (sl s);
-            out "    %s := !%s + %s;" (sl s) (sl s) bump
-          in
-          let u = !cur in
           (match ac.ac_vk with
           | V0 -> out "    let %s = iv%d in" o id
           | V1 (c, r) ->
@@ -378,21 +257,7 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
           | V2 (c1, r1, c2, r2) ->
               out "    let %s = iv%d + (%s * %s) + (%s * %s) in" o id (ilit c1)
                 (ir r1) (ilit c2) (ir r2)
-          | Vn -> out "    let %s = iv%d + %s in" o id (aff ac.ac_var)
-          | Vs (s, _) when u > 0 ->
-              out "    let %s = %s + %s in" o (Hashtbl.find off0 k) (stride u s)
-          | Vs (s, bump) -> bumped s (ilit bump)
-          | Vsj (s, _) when Hashtbl.mem strip_of s ->
-              let l, d = Hashtbl.find strip_of s in
-              let parts =
-                ("!" ^ sl l)
-                :: ((if d = 0 then [] else [ ilit d ])
-                   @ if u > 0 then [ stride u l ] else [])
-              in
-              out "    let %s = %s in" o (String.concat " + " parts)
-          | Vsj (s, c) -> bumped s (Printf.sprintf "(%s * jstep)" (ilit c))
-          | Vsv (s, bs) -> bumped s ("!" ^ sl bs));
-          if u = 0 then Hashtbl.replace off0 k o;
+          | Vn -> out "    let %s = iv%d + %s in" o id (aff ac.ac_var));
           o
         in
         let emit_load id =
@@ -401,20 +266,18 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
           match Hashtbl.find_opt val0 k with
           | Some v when !cur > 0 -> v
           | _ ->
-              let o = emit_off k id in
+              let o = emit_off id in
               let v = fresh "v" in
               out "    let %s = Array.unsafe_get a%d %s in" v
                 tp.tp_accs.(id).ac_slot o;
               (match !jam with
-              | Some jm when !cur = 0 && jm.uniform.(id) ->
+              | Some jm when !cur = 0 && jm.lp_uniform.(id) ->
                   Hashtbl.replace val0 k v
               | _ -> ());
               v
         in
         let emit_store id src =
-          let k = !opnd in
-          incr opnd;
-          let o = emit_off k id in
+          let o = emit_off id in
           out "    Array.unsafe_set a%d %s %s;" tp.tp_accs.(id).ac_slot o src
         in
         (* The divisor of [/], [mod] or ceildiv, behind the tape's fault
@@ -504,12 +367,6 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
               fset d (Printf.sprintf "%s -. (%s *. %s)" (fr a) (fr x) (fr y))
           | Fload (d, id) -> fset d (emit_load id)
           | Fstore (s, id) -> emit_store id (fr s)
-          | Sinit (s, a) -> (
-              match Hashtbl.find_opt strip_of s with
-              | Some (l, _) when l <> s ->
-                  (* a shared strip offset: its leader's slot stands in *)
-                  ()
-              | _ -> out "    %s := %s;" (sl s) (aff a))
           | Fmac2 (d, a, i1, i2) ->
               let v1 = emit_load i1 in
               let v2 = emit_load i2 in
@@ -551,11 +408,7 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
         iset jslot "j0";
         Array.iter emit_instr tp.tp_pre;
         Array.iteri
-          (fun id (ac : access) ->
-            match ac.ac_vk with
-            | V0 | V1 _ | V2 _ | Vn ->
-                out "  let iv%d = %s in" id (aff ac.ac_inv)
-            | Vs _ | Vsj _ | Vsv _ -> (* the stream slot holds it *) ())
+          (fun id (ac : access) -> out "  let iv%d = %s in" id (aff ac.ac_inv))
           tp.tp_accs;
         (* ---- per-iteration body: straight-line code for a single
            block without a control terminator, otherwise one [match] arm
@@ -631,22 +484,21 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
            dispatcher; a strip-uniform instruction is emitted once, any
            other once per copy, copy 0 first; the remainder runs the
            single-iteration loop below ---- *)
-        jam := jam_plan ~jslot ~lits:!lits ~strip_of tp;
+        jam := jam_plan ~jslot ~lits:!lits tp;
         (match !jam with
         | None -> ()
         | Some jm ->
             let ops_of i =
-              Hashtbl.reset off0;
               Hashtbl.reset val0;
               let varies =
                 match i with
                 | Fstore _ | Fldst _ -> true
                 | _ ->
                     Option.fold ~none:false
-                      ~some:(fun d -> IntSet.mem d jm.vary_i)
+                      ~some:(fun d -> IntSet.mem d jm.lp_vary_i)
                       (int_dst i)
                     || Option.fold ~none:false
-                         ~some:(fun d -> IntSet.mem d jm.vary_f)
+                         ~some:(fun d -> IntSet.mem d jm.lp_vary_f)
                          (float_dst i)
               in
               for u = 0 to if varies then 3 else 0 do
@@ -667,20 +519,12 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
             done;
             cur := -1;
             iteration ops_of;
-            List.iter
-              (fun (l, _) ->
-                out "    %s := !%s + (4 * %s);" (sl l) (sl l) (stride 1 l))
-              strip_leaders;
             out "    j := !j + (4 * jstep)";
             out "  done;";
             out "  let len = len mod 4 in");
         out "  for _k = 0 to len - 1 do";
         iset jslot "!j";
         iteration emit_instr;
-        List.iter
-          (fun (l, c) ->
-            out "    %s := !%s + (%s * jstep);" (sl l) (sl l) (ilit c))
-          strip_leaders;
         out "    j := !j + jstep";
         out "  done;";
         IntSet.iter (fun r -> out "  Array.unsafe_set ints %d !ir%d;" r r)
@@ -711,19 +555,10 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
         IntSet.iter
           (fun r -> hdr "  let fr%d = ref (Array.unsafe_get reals %d) in" r r)
           !fused;
-        IntSet.iter (fun s -> hdr "  let sl%d = ref 0 in" s) !sused;
-        (match !jam with
-        | None -> ()
-        | Some jm ->
-            IntSet.iter
-              (fun s ->
-                hdr "  let sd%d = %s * jstep in" s
-                  (ilit (IntMap.find s jm.stride)))
-              !strides;
-            List.iter
-              (fun n ->
-                hdr "  let %s = ref %s in" n (if n.[0] = 'i' then "0" else "0."))
-              (List.sort compare !copy_refs));
+        List.iter
+          (fun n ->
+            hdr "  let %s = ref %s in" n (if n.[0] = 'i' then "0" else "0."))
+          (List.sort compare !copy_refs);
         Buffer.add_buffer h b;
         Some (Buffer.contents h))
 

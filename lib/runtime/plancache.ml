@@ -19,7 +19,8 @@
 open Loopcoal_ir
 
 (* Bump when [Bytecode.instr]/[tape] or the entry layout changes.
-   3: SSA optimizer pipeline — [Vsv] vkind, general strip preamble.
+   3: SSA optimizer pipeline — run-time-bump offset kind, general strip
+      preamble.
    4: provenance side tables — per-section instruction tags and
       [tp_tags] carry instr -> source-loop attribution.
    5: transformation-search era — winning recipes ride next to plans as
@@ -28,8 +29,10 @@ open Loopcoal_ir
    6: [Icount] (the profiler's block counter) joins [Bytecode.instr].
    7: every plan has a tape — entries hold [tape], not [tape option].
    8: one body per tape — the x4 unrolled body, its provenance table
-      and its strip-advance instruction are deleted. *)
-let format_version = 8
+      and its strip-advance instruction are deleted.
+   9: offset streaming deleted — no stream-init instruction, no [Vs]
+      offset kinds. *)
+let format_version = 9
 
 (* A disk entry that fails to load — unreadable, corrupt, or written by
    a different format/build — is treated as a miss; count those

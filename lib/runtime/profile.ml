@@ -3,8 +3,8 @@
    Collection instruments the tape, so profiled runs go through the one
    tape interpreter. Once per (collector, tape), [instrument] copies the
    tape with an [Icount] at every basic-block leader of the body; the
-   counters live in extra scratch slots past the tape's stream slots,
-   and the access table is shared, so the fork's range proof on the
+   counters live in extra scratch slots past the per-access ones, and
+   the access table is shared, so the fork's range proof on the
    original tape holds for the copy. The executor
    runs the copy through the ordinary [Bytecode.exec_strip], one
    {!binding} (private scratch, strip/iteration/time totals) per worker,
@@ -73,12 +73,17 @@ let instrument_ops ops src ~next =
   (out, osrc, Array.init n (fun i -> next + block_of.(i)), ncounters)
 
 let instrument (t : tape) =
-  let base = Array.length t.tp_accs + t.tp_nstreams in
+  let base = Array.length t.tp_accs + t.tp_ncounters in
   let ops, src, i_ops, nops = instrument_ops t.tp_ops t.tp_src ~next:base in
   {
     i_src = t;
     i_tape =
-      { t with tp_ops = ops; tp_src = src; tp_nstreams = t.tp_nstreams + nops };
+      {
+        t with
+        tp_ops = ops;
+        tp_src = src;
+        tp_ncounters = t.tp_ncounters + nops;
+      };
     i_ops;
   }
 
@@ -207,7 +212,7 @@ let summarize c =
 
 (* Fraction of dispatches carrying a non-root tag, i.e. attributed to a
    concrete source statement or serial loop rather than to strip-level
-   glue (strip-prologue stream inits). The acceptance bar for the
+   glue (strip-prologue ops). The acceptance bar for the
    provenance plumbing: >= 0.9 on real kernels at every opt level. *)
 let attributed_fraction sm =
   if sm.sm_dispatches = 0 then 1.0

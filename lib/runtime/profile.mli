@@ -29,7 +29,7 @@ val instrumented : binding -> Bytecode.tape
 
 val scratch : binding -> int array
 (** The binding's {!Bytecode.make_scratch} array for {!instrumented};
-    its slots past the stream slots are the block counters. *)
+    its slots past the per-access ones are the block counters. *)
 
 val count_strip : binding -> len:int -> unit
 (** Account one executed strip of [len] iterations. *)

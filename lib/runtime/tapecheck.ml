@@ -17,14 +17,12 @@
    - LC011  malformed instructions: register-file and access-id bounds,
      jump shape (forward-only except [Iloop]/[Iloopc] back edges,
      targets inside the section), prologue restrictions (no control
-     flow, no array accesses), [Sinit] targets inside the stream-slot
-     range, and stream slots shared only between accesses streaming the
-     same offset.
+     flow, no array accesses), and block counters inside the counter
+     range.
    - LC012  offset discipline: the split offset [ac_inv + ac_var] must
      equal the subscript form [sum (sub_k - 1) * stride_k]; the variant
-     kind must agree with [ac_var]'s terms and, for streamed kinds,
-     with a matching [Sinit] and the loop that bumps the slot; and the
-     stored per-subscript range skeleton (what the once-per-fork check
+     kind must agree with [ac_var]'s terms; and the stored
+     per-subscript range skeleton (what the once-per-fork check
      evaluates before granting the unsafe path) must cover the range
      the subscript can actually take, re-derived from the instruction
      stream and compared on sample fork boxes.
@@ -66,7 +64,7 @@ let is_ctl = function
   | _ -> false
 
 let iter_int_reads f = function
-  | Iaff (_, a) | Sinit (_, a) -> Array.iter f a.regs
+  | Iaff (_, a) -> Array.iter f a.regs
   | Imul (_, a, b)
   | Idiv (_, a, b)
   | Imod (_, a, b)
@@ -125,7 +123,7 @@ let iter_float_reads f = function
       f x
   | Fldadd (_, x, _) | Fldsub (_, x, _) | Fldmul (_, x, _) -> f x
   | Iconst _ | Iaff _ | Imul _ | Idiv _ | Imod _ | Icdiv _ | Imin _ | Imax _
-  | Istep _ | Fconst _ | Fofi _ | Fload _ | Sinit _ | Jmp _ | Jii _ | Iloop _
+  | Istep _ | Fconst _ | Fofi _ | Fload _ | Jmp _ | Jii _ | Iloop _
   | Iloopc _ | Fld2add _ | Fldst _ | Icount _ ->
       ()
 
@@ -208,27 +206,11 @@ type fullctx = {
 let check_structure ctx ?full t =
   let ok = ref true in
   let naccs = Array.length t.tp_accs in
-  let nslots = naccs + t.tp_nstreams in
+  let nslots = naccs + t.tp_ncounters in
   let bad subject fmt =
     ok := false;
     report ctx "LC011" ~subject fmt
   in
-  (* Slots holding stream offsets or bumps: a counter there would
-     corrupt an unchecked access's offset. *)
-  let stream_slots = Hashtbl.create 8 in
-  let stream s = Hashtbl.replace stream_slots s () in
-  List.iter
-    (Array.iter (function Sinit (s, _) -> stream s | _ -> ()))
-    [ t.tp_pre; t.tp_ops ];
-  Array.iter
-    (fun ac ->
-      match ac.ac_vk with
-      | Vs (s, _) | Vsj (s, _) -> stream s
-      | Vsv (s, bs) ->
-          stream s;
-          stream bs
-      | V0 | V1 _ | V2 _ | Vn -> ())
-    t.tp_accs;
   let check_instr name i op =
     let subject = Printf.sprintf "%s[%d]" name i in
     (match full with
@@ -263,18 +245,11 @@ let check_structure ctx ?full t =
             naccs)
       (access_effects op);
     match op with
-    | Sinit (s, _) ->
-        if s < naccs || s >= nslots then
-          bad subject
-            "Sinit targets scratch slot %d outside the stream range %d..%d" s
-            naccs (nslots - 1)
     | Icount k ->
         if k < naccs || k >= nslots then
           bad subject
-            "Icount targets scratch slot %d outside the stream range %d..%d"
+            "Icount targets scratch slot %d outside the counter range %d..%d"
             k naccs (nslots - 1)
-        else if Hashtbl.mem stream_slots k then
-          bad subject "Icount bumps stream slot %d" k
     | _ -> ()
   in
   (* Prologue: straight-line and access-free. *)
@@ -308,7 +283,7 @@ let check_structure ctx ?full t =
     t.tp_ops;
   !ok
 
-(* ---------- offset and stream discipline (LC011 / LC012) ---------- *)
+(* ---------- offset discipline (LC012) ---------- *)
 
 let aff_str (a : aff) =
   Printf.sprintf "%d%s" a.base
@@ -317,32 +292,7 @@ let aff_str (a : aff) =
           (fun (c, r) -> Printf.sprintf "%+d*r%d" c r)
           (aff_terms a)))
 
-(* Find every [Sinit] initializing slot [s], across prologue and body. *)
-let sinits_of t s =
-  let found = ref [] in
-  let scan ops =
-    Array.iter
-      (function
-        | Sinit (s', a) when s' = s -> found := a :: !found
-        | _ -> ())
-      ops
-  in
-  scan t.tp_pre;
-  scan t.tp_ops;
-  !found
-
-let check_accesses ctx ?full t =
-  let naccs = Array.length t.tp_accs in
-  let nslots = naccs + t.tp_nstreams in
-  let jslot =
-    match full with
-    | Some fc when Array.length fc.fc_plan_slots > 0 ->
-        Some fc.fc_plan_slots.(Array.length fc.fc_plan_slots - 1)
-    | _ -> None
-  in
-  (* slot -> (access id, full offset) of the first streaming user *)
-  let slot_users = Hashtbl.create 8 in
-  let bump_slots = Hashtbl.create 8 in
+let check_accesses ctx t =
   Array.iteri
     (fun id ac ->
       let subject = ac.ac_name in
@@ -375,33 +325,6 @@ let check_accesses ctx ?full t =
             "access %d: variant offset part has non-zero base %d" id
             ac.ac_var.base;
         let terms = aff_terms ac.ac_var in
-        let full_off = aff_add ac.ac_inv ac.ac_var in
-        let stream_slot kind s =
-          if s < naccs || s >= nslots then
-            report ctx "LC011" ~subject
-              "access %d: %s slot %d outside the stream range %d..%d" id kind
-              s naccs (nslots - 1)
-        in
-        let require_sinit s =
-          let inits = sinits_of t s in
-          if inits = [] then
-            report ctx "LC011" ~subject
-              "access %d: streamed slot %d has no Sinit" id s
-          else if not (List.exists (fun a -> a = full_off) inits) then
-            report ctx "LC011" ~subject
-              "access %d: no Sinit of slot %d matches the full offset %s" id s
-              (aff_str full_off)
-        in
-        let claim_slot s =
-          match Hashtbl.find_opt slot_users s with
-          | None -> Hashtbl.add slot_users s (id, full_off)
-          | Some (id0, off0) ->
-              if off0 <> full_off then
-                report ctx "LC011" ~subject
-                  "access %d: stream slot %d already carries access %d's \
-                   offset %s"
-                  id s id0 (aff_str off0)
-        in
         match ac.ac_vk with
         | V0 ->
             if terms <> [] then
@@ -419,87 +342,8 @@ let check_accesses ctx ?full t =
                 "access %d: kind V2 disagrees with variant part %s" id
                 (aff_str ac.ac_var)
         | Vn -> ()
-        | Vs (s, b) ->
-            stream_slot "stream" s;
-            claim_slot s;
-            require_sinit s;
-            let matches =
-              Array.exists
-                (function
-                  | Iloopc (lr, c, _, _) ->
-                      List.exists (fun (lc, r) -> r = lr && lc * c = b) terms
-                  | _ -> false)
-                t.tp_ops
-            in
-            if not matches then
-              report ctx "LC012" ~subject
-                "access %d: stream bump %d matches no constant-step loop of \
-                 the variant part %s"
-                id b (aff_str ac.ac_var)
-        | Vsj (s, c) ->
-            stream_slot "stream" s;
-            claim_slot s;
-            require_sinit s;
-            (match jslot with
-            | Some j ->
-                if terms <> [ (c, j) ] then
-                  report ctx "LC012" ~subject
-                    "access %d: kind Vsj(%d) wants variant part %+d*r%d, got \
-                     %s"
-                    id c c j (aff_str ac.ac_var)
-            | None ->
-                if List.length terms <> 1 || List.map fst terms <> [ c ] then
-                  report ctx "LC012" ~subject
-                    "access %d: kind Vsj(%d) disagrees with variant part %s"
-                    id c (aff_str ac.ac_var))
-        | Vsv (s, bs) ->
-            stream_slot "stream" s;
-            stream_slot "bump" bs;
-            if s = bs then
-              report ctx "LC011" ~subject
-                "access %d: offset and bump share scratch slot %d" id s;
-            Hashtbl.replace bump_slots bs id;
-            claim_slot s;
-            require_sinit s;
-            let bump_affs = sinits_of t bs in
-            if bump_affs = [] then
-              report ctx "LC011" ~subject
-                "access %d: bump slot %d has no Sinit" id bs
-            else begin
-              let matches =
-                Array.exists
-                  (function
-                    | Iloop (lr, incr, _, _) ->
-                        List.exists
-                          (fun (lc, r) ->
-                            r = lr
-                            && List.exists
-                                 (fun a ->
-                                   a
-                                   = aff_scale lc (aff_sub incr (aff_reg lr)))
-                                 bump_affs)
-                          terms
-                    | _ -> false)
-                  t.tp_ops
-              in
-              if not matches then
-                report ctx "LC012" ~subject
-                  "access %d: bump slot %d matches no variable-step loop of \
-                   the variant part %s"
-                  id bs (aff_str ac.ac_var)
-            end
       end)
-    t.tp_accs;
-  (* A slot cannot be both an offset stream and a run-time bump. *)
-  Hashtbl.iter
-    (fun s id ->
-      match Hashtbl.find_opt slot_users s with
-      | Some (id0, _) ->
-          report ctx "LC011" ~subject:t.tp_accs.(id).ac_name
-            "bump slot %d of access %d is also access %d's offset stream" s id
-            id0
-      | None -> ())
-    bump_slots
+    t.tp_accs
 
 (* ---------- def-before-use (LC010) ---------- *)
 
@@ -862,7 +706,7 @@ let run ?baseline ?pass ?full ~region t =
       let ctx = { pass; region; ds = [] } in
       check_provenance ctx t;
       let bounds_ok = check_structure ctx ?full t in
-      check_accesses ctx ?full t;
+      check_accesses ctx t;
       (match full with
       | Some fc when bounds_ok ->
           check_defuse ctx fc t;

@@ -11,9 +11,9 @@
       register files (a must-analysis over {!Bytecode.build_cfg}),
       register-file and access-id bounds per opcode, jump shape
       (forward-only except [Iloop]/[Iloopc] back edges, targets inside
-      the section), the [Sinit] stream-slot and [Vs]/[Vsj]/[Vsv]
-      bump-slot protocol, and provenance completeness (every
-      instruction carries a valid source tag);
+      the section), block counters inside the counter range, the
+      variant offset kind against the split offset, and provenance
+      completeness (every instruction carries a valid source tag);
     - {b interval abstract interpretation}: each access's per-subscript
       symbolic range ([ac_rngs], the skeleton the once-per-fork range
       check evaluates before granting the unsafe path) is re-derived
@@ -23,7 +23,7 @@
       not cover the access;
     - {b footprint equivalence}: the per-array read/write sets of the
       optimized tape (keyed by array slot and subscript form, so
-      streaming and value-numbering rewrites don't matter) must match
+      value-numbering rewrites don't matter) must match
       the unoptimized tape's, catching a pass that drops or invents a
       memory effect.
 
@@ -60,7 +60,7 @@ val check :
 val check_entry : region:int -> Bytecode.tape -> Loopcoal_verify.Diag.t list
 (** Structural subset of {!check} for tapes deserialized from the plan
     cache's disk layer, where no compile context exists: access-id and
-    jump-shape bounds, prologue/[Sinit] protocol, offset-form
+    jump-shape bounds, prologue and counter-slot rules, offset-form
     consistency and provenance completeness.
     Register-file bounds, def-before-use and the interval comparison
     need the host register context and are skipped. *)

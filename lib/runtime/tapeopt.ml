@@ -17,15 +17,10 @@
    joins, invalidated by SSA versioning) and dead-write elimination;
    cross-block loop-invariant code motion (pure ops and fault-safe
    invariant loads move to serial-loop preheaders; strip-invariant pure
-   ops move into the per-strip preamble); offset streaming — a group of
-   accesses with one identical affine offset, executing exactly once
-   per back-edge of some region (proved by a path-count dataflow over
-   the CFG with back edges removed — branchy bodies qualify), trades
-   its per-iteration multiply-add chain for one scratch slot
-   initialized at region entry ([Sinit]) and self-bumped after each use
-   ([Vs]/[Vsj], or [Vsv] with a second slot holding a run-time bump for
-   variable-step loops); and superinstruction fusion. The strip body
-   stays one iteration long: the executor's strip back-edge, not a
+   ops move into the per-strip preamble); and superinstruction fusion.
+   Array offsets keep their affine access form: an unchecked access
+   reads its hoisted invariant part plus its variant part. The strip
+   body stays one iteration long: the executor's strip back-edge, not a
    replicated body, amortizes the per-iteration dispatch entry.
 
    Everything here preserves the tape's sequential results exactly:
@@ -55,7 +50,7 @@ let pure_float = function
   | _ -> false
 
 let iter_int_reads f = function
-  | Iaff (_, a) | Sinit (_, a) -> Array.iter f a.regs
+  | Iaff (_, a) -> Array.iter f a.regs
   | Imul (_, a, b)
   | Idiv (_, a, b)
   | Imod (_, a, b)
@@ -99,7 +94,7 @@ let iter_float_reads f = function
       f x
   | Fldadd (_, x, _) | Fldsub (_, x, _) | Fldmul (_, x, _) -> f x
   | Iconst _ | Iaff _ | Imul _ | Idiv _ | Imod _ | Icdiv _ | Imin _ | Imax _
-  | Istep _ | Fconst _ | Fofi _ | Fload _ | Sinit _ | Jmp _ | Jii _ | Iloop _
+  | Istep _ | Fconst _ | Fofi _ | Fload _ | Jmp _ | Jii _ | Iloop _
   | Iloopc _ | Fld2add _ | Fldst _ | Icount _ ->
       ()
 
@@ -122,8 +117,8 @@ let target_flags ops =
 (* Insert instructions before given positions. Every explicit jump
    target is remapped to the new index of the instruction it pointed at,
    so a jump to position [p] skips instructions inserted before [p] —
-   exactly what a serial-loop back edge wants of an entry [Sinit] or a
-   hoisted preheader op. The provenance array [src] is co-rewritten:
+   exactly what a serial-loop back edge wants of a hoisted preheader
+   op. The provenance array [src] is co-rewritten:
    each insert carries its own tag, surviving instructions keep theirs.
    Returns the rewritten arrays and the position map (old index -> new
    index of that same instruction). *)
@@ -153,10 +148,6 @@ let insert_at_map ops src inserts =
   done;
   List.iter (fun (op, tag) -> put op tag) by_pos.(n);
   (out, osrc, newpos)
-
-let insert_at ops src inserts =
-  let out, osrc, _ = insert_at_map ops src inserts in
-  (out, osrc)
 
 (* Delete flagged instructions. A jump whose target died lands on the
    next surviving instruction. *)
@@ -385,10 +376,9 @@ let gvn ops =
 
 (* ---------- dead-write elimination (ints) ---------- *)
 
-(* Drop pure int writes nothing reads: not another instruction (or a
-   stream initializer), not an access subscript/offset, not a symbolic
-   range. Registers below [int_base] are observable program scalars and
-   are always kept. *)
+(* Drop pure int writes nothing reads: not another instruction, not an
+   access subscript/offset, not a symbolic range. Registers below
+   [int_base] are observable program scalars and are always kept. *)
 let dce ~int_base (t : tape) =
   let rec go (ops, src) rounds =
     if rounds = 0 then (ops, src)
@@ -451,26 +441,15 @@ let dce ~int_base (t : tape) =
    guard sits before them — a zero-trip loop executes nothing, exactly
    as before. *)
 
-type loopinfo = {
-  l_top : int;
-  l_back : int;
-  l_reg : int;
-  l_bump : [ `Const of int | `Aff of aff ];
-      (** per-iteration induction increment: constant, or an affine form
-          over registers written outside the loop (variable step) *)
-}
+type loopinfo = { l_top : int; l_back : int }
 
 let collect_loops ops =
   let loops = ref [] in
   Array.iteri
     (fun i op ->
       match op with
-      | Iloopc (r, c, _, top) ->
-          loops := { l_top = top; l_back = i; l_reg = r; l_bump = `Const c } :: !loops
-      | Iloop (r, incr, _, top) ->
-          loops :=
-            { l_top = top; l_back = i; l_reg = r; l_bump = `Aff (aff_sub incr (aff_reg r)) }
-            :: !loops
+      | Iloopc (_, _, _, top) | Iloop (_, _, _, top) ->
+          loops := { l_top = top; l_back = i } :: !loops
       | _ -> ())
     ops;
   !loops
@@ -618,7 +597,7 @@ let licm_serial ~int_base ~real_base (t : tape) =
 (* Strip-level motion: pure ops whose operands have no def anywhere in
    the body and are not the strip index move to the per-strip preamble
    ([tp_pre] runs once per strip, after the strip index is set). Loads
-   stay in the body — streaming covers their cost. *)
+   stay in the body ([tp_pre] stays access-free). *)
 let licm_strip ~int_base ~real_base ~jslot (t : tape) =
   let ops = t.tp_ops in
   let ints_c, flts_c = count_writes ops t.tp_pre in
@@ -676,223 +655,6 @@ let licm_strip ~int_base ~real_base ~jslot (t : tape) =
 let licm ~int_base ~real_base ~jslot (t : tape) =
   licm_strip ~int_base ~real_base ~jslot (licm_serial ~int_base ~real_base t)
 
-(* ---------- offset streaming ---------- *)
-
-(* A group of accesses sharing one offset function streams through one
-   scratch slot when exactly one member executes per back-edge of the
-   region — proved by a path-count dataflow over the CFG with back edges
-   removed (block order is a topological order of that DAG). Masks carry
-   the set of possible counts {0, 1, >=2} as bits. *)
-let mshift mask k =
-  if k = 0 then mask
-  else begin
-    let out = ref 0 in
-    for b = 0 to 2 do
-      if mask land (1 lsl b) <> 0 then out := !out lor (1 lsl min 2 (b + k))
-    done;
-    !out
-  end
-
-(* Exactly once on every path from tape entry to tape exit. *)
-let once_strip (cfg : cfg) counts =
-  let nb = Array.length cfg.cf_blocks in
-  let inm = Array.make nb 0 in
-  inm.(0) <- 1;
-  for b = 0 to nb - 1 do
-    if inm.(b) <> 0 then begin
-      let out = mshift inm.(b) counts.(b) in
-      List.iter
-        (fun s -> if s > b then inm.(s) <- inm.(s) lor out)
-        cfg.cf_blocks.(b).bb_succs
-    end
-  done;
-  inm.(nb - 1) = 2
-
-(* Exactly once on every path from the region entry block through the
-   back-edge block, with no edges entering or leaving the region body
-   elsewhere. *)
-let once_region (cfg : cfg) counts ~entry ~stop_b =
-  let ok = ref true in
-  for b = entry + 1 to stop_b do
-    List.iter
-      (fun p -> if p < entry || p > stop_b then ok := false)
-      cfg.cf_blocks.(b).bb_preds
-  done;
-  let inm = Array.make (Array.length cfg.cf_blocks) 0 in
-  inm.(entry) <- 1;
-  for b = entry to stop_b - 1 do
-    if inm.(b) <> 0 then begin
-      let out = mshift inm.(b) counts.(b) in
-      List.iter
-        (fun s ->
-          if s > b && s <= stop_b then inm.(s) <- inm.(s) lor out
-          else if s > stop_b then ok := false)
-        cfg.cf_blocks.(b).bb_succs
-    end
-  done;
-  !ok && mshift inm.(stop_b) counts.(stop_b) = 2
-
-let stream ~jslot (t : tape) =
-  let ops = t.tp_ops in
-  let naccs = Array.length t.tp_accs in
-  if naccs = 0 then t
-  else begin
-    let cfg = build_cfg ops in
-    let pos = acc_id_positions ops naccs in
-    let loops = collect_loops ops in
-    let innermost p =
-      List.fold_left
-        (fun best l ->
-          if l.l_top <= p && p < l.l_back then
-            match best with
-            | Some b when b.l_top >= l.l_top -> best
-            | _ -> Some l
-          else best)
-        None loops
-    in
-    let written_in lo hi_excl r =
-      let w = ref false in
-      for i = lo to hi_excl - 1 do
-        match int_dst ops.(i) with Some d when d = r -> w := true | _ -> ()
-      done;
-      !w
-    in
-    let shape id =
-      let ac = t.tp_accs.(id) in
-      (ac.ac_slot, ac.ac_subs, ac.ac_rngs, ac.ac_inv, ac.ac_var)
-    in
-    let nstreams = ref t.tp_nstreams in
-    let pre_adds = ref [] and ops_adds = ref [] in
-    let accs = Array.copy t.tp_accs in
-    (* Try one candidate member set (same shape) against one shared
-       slot; returns true when slots were assigned. The whole shape
-       group is tried first — exclusive branch arms stream together —
-       then each member alone (a same-shape load/store pair fails the
-       group's exactly-once count but each side streams fine by
-       itself). An access id appearing twice (promoted element) fails
-       both ways and stays unstreamed. *)
-    let try_members members =
-      let ps = List.concat_map (fun j -> pos.(j)) members in
-      let ac = t.tp_accs.(List.hd members) in
-      let full = aff_add ac.ac_inv ac.ac_var in
-      let counts = Array.make (Array.length cfg.cf_blocks) 0 in
-      List.iter
-        (fun p ->
-          let b = cfg.cf_block_of.(p) in
-          counts.(b) <- counts.(b) + 1)
-        ps;
-      let regions = List.map innermost ps in
-      match regions with
-      | [] -> false
-      | None :: rest when List.for_all (( = ) None) rest -> (
-          (* Strip-level stream: variant part is the strip index alone
-             and the group executes exactly once per iteration. *)
-          match ac.ac_vk with
-          | V1 (c, r) when r = jslot && once_strip cfg counts ->
-              let s = naccs + !nstreams in
-              incr nstreams;
-              pre_adds := Sinit (s, full) :: !pre_adds;
-              List.iter
-                (fun j -> accs.(j) <- { accs.(j) with ac_vk = Vsj (s, c) })
-                members;
-              true
-          | _ -> false)
-      | Some l :: rest
-        when List.for_all
-               (function
-                 | Some l' -> l'.l_top = l.l_top && l'.l_back = l.l_back
-                 | None -> false)
-               rest ->
-          (* Serial-loop stream: all members sit directly in one loop
-             region (not in a nested loop). The variant part must have
-             a term on the loop induction and every other register
-             must be loop-invariant. *)
-          let lcoef = ref 0 and others_ok = ref true in
-          Array.iteri
-            (fun m r ->
-              if r = l.l_reg then lcoef := ac.ac_var.coefs.(m)
-              else if written_in l.l_top l.l_back r then others_ok := false)
-            ac.ac_var.regs;
-          let entry = cfg.cf_block_of.(l.l_top)
-          and stop_b = cfg.cf_block_of.(l.l_back) in
-          if
-            !lcoef <> 0 && !others_ok
-            && once_region cfg counts ~entry ~stop_b
-          then begin
-            match l.l_bump with
-            | `Const c ->
-                let s = naccs + !nstreams in
-                incr nstreams;
-                (* Entry [Sinit]s run once per loop entry: tag them with
-                   the loop they stream (the back edge's tag). *)
-                ops_adds :=
-                  (l.l_top, Sinit (s, full), t.tp_src.(l.l_back)) :: !ops_adds;
-                List.iter
-                  (fun j ->
-                    accs.(j) <- { accs.(j) with ac_vk = Vs (s, !lcoef * c) })
-                  members;
-                true
-            | `Aff step ->
-                let bump = aff_scale !lcoef step in
-                if
-                  Array.for_all
-                    (fun r -> not (written_in l.l_top (l.l_back + 1) r))
-                    bump.regs
-                then begin
-                  let s = naccs + !nstreams in
-                  let bs = s + 1 in
-                  nstreams := !nstreams + 2;
-                  let tag = t.tp_src.(l.l_back) in
-                  ops_adds :=
-                    (l.l_top, Sinit (bs, bump), tag)
-                    :: (l.l_top, Sinit (s, full), tag)
-                    :: !ops_adds;
-                  List.iter
-                    (fun j -> accs.(j) <- { accs.(j) with ac_vk = Vsv (s, bs) })
-                    members;
-                  true
-                end
-                else false
-          end
-          else false
-      | _ -> false
-    in
-    let grouped = Array.make naccs false in
-    for id = 0 to naccs - 1 do
-      if (not grouped.(id)) && pos.(id) <> [] then begin
-        let members = ref [] in
-        for j = naccs - 1 downto id do
-          if (not grouped.(j)) && pos.(j) <> [] && shape j = shape id then begin
-            grouped.(j) <- true;
-            members := j :: !members
-          end
-        done;
-        let members = !members in
-        if not (try_members members) then
-          match members with
-          | _ :: _ :: _ ->
-              List.iter (fun j -> ignore (try_members [ j ])) members
-          | _ -> ()
-      end
-    done;
-    if !nstreams = t.tp_nstreams then t
-    else begin
-      let pre_adds = List.rev !pre_adds in
-      let ops', src' = insert_at ops t.tp_src (List.rev !ops_adds) in
-      {
-        t with
-        tp_pre = Array.append t.tp_pre (Array.of_list pre_adds);
-        tp_pre_src =
-          Array.append t.tp_pre_src
-            (Array.make (List.length pre_adds) 0);
-        tp_ops = ops';
-        tp_src = src';
-        tp_accs = accs;
-        tp_nstreams = !nstreams;
-      }
-    end
-  end
-
 (* ---------- load sinking ---------- *)
 
 (* Move single-use [Fload]s down to sit immediately above their unique
@@ -907,12 +669,9 @@ let stream ~jslot (t : tape) =
    instruction, and no jump target anywhere in [old pos, new pos] —
    moving across a target would let control skip the load), no op in
    the gap stores into the load's array slot, writes its destination
-   register, writes an int register its checked-path subscripts or
-   variant offset read, or re-initializes its stream scratch slot.
-   Streamed offsets self-bump per use of their own access, so crossing
-   other accesses leaves every offset sequence unchanged. Crossing
-   another faulting op only changes which of two errors reports first
-   (see the module header). *)
+   register, or writes an int register its checked-path subscripts or
+   variant offset read. Crossing another faulting op only changes which
+   of two errors reports first (see the module header). *)
 let sink_loads ~real_base (t : tape) =
   let acc_regs id =
     let acc = t.tp_accs.(id) in
@@ -922,12 +681,6 @@ let sink_loads ~real_base (t : tape) =
     Array.iter add acc.ac_var.regs;
     Array.iter add acc.ac_inv.regs;
     !rs
-  in
-  let acc_streams id =
-    match t.tp_accs.(id).ac_vk with
-    | Vs (s, _) | Vsj (s, _) -> [ s ]
-    | Vsv (s, b) -> [ s; b ]
-    | V0 | V1 _ | V2 _ | Vn -> []
   in
   let rec pass (ops, src) budget =
     if budget = 0 then (ops, src)
@@ -950,7 +703,7 @@ let sink_loads ~real_base (t : tape) =
         | Fload (d, id) when d >= real_base -> (
             match Hashtbl.find_opt reads d with
             | Some [ j ] when j > !i + 1 ->
-                let regs = acc_regs id and streams = acc_streams id in
+                let regs = acc_regs id in
                 let slot = t.tp_accs.(id).ac_slot in
                 let ok = ref true in
                 for k = !i to j do
@@ -962,7 +715,6 @@ let sink_loads ~real_base (t : tape) =
                   (match op with
                   | Fstore (_, id2) | Fldst (_, id2) ->
                       if t.tp_accs.(id2).ac_slot = slot then ok := false
-                  | Sinit (s, _) -> if List.mem s streams then ok := false
                   | _ -> ());
                   (match int_dst op with
                   | Some r when List.mem r regs -> ok := false
@@ -1004,9 +756,8 @@ let sink_loads ~real_base (t : tape) =
    the consumed instructions are not jump targets (the group head may
    be), and float operand order is preserved exactly — so results,
    checked-path fault order and shadow-hook order are bit-identical.
-   Two adjacent loads never share a stream slot (a shared slot requires
-   exclusive branch arms), so swapping the ids of a reversed pair only
-   swaps independent offset computations. *)
+   Offsets are pure functions of registers, so swapping the ids of a
+   reversed pair only swaps independent offset computations. *)
 let fuse ~real_base (t : tape) =
   let rec pass (ops, src) budget =
     if budget = 0 then (ops, src)
@@ -1141,7 +892,7 @@ let invert_branches (t : tape) =
 
 module Registry = Loopcoal_obs.Registry
 
-let pass_names = [ "lower"; "gvn"; "licm"; "stream"; "fuse" ]
+let pass_names = [ "lower"; "gvn"; "licm"; "fuse" ]
 
 (* Per-pass wall-time histograms and instruction-delta counters, keyed
    by pass name. Handles are created once at module init; the hot path
@@ -1192,7 +943,6 @@ let optimize ?dump ~level ~jslot ~int_base ~real_base tape =
         tape
     in
     let t = stage "licm" (licm ~int_base ~real_base ~jslot) t in
-    let t = stage "stream" (stream ~jslot) t in
     stage "fuse"
       (fun t -> fuse ~real_base (sink_loads ~real_base (invert_branches t)))
       t
@@ -1207,4 +957,4 @@ let describe (t : tape) =
           incr fused
       | _ -> ())
     t.tp_ops;
-  Printf.sprintf "streams=%d fused=%d" t.tp_nstreams !fused
+  Printf.sprintf "fused=%d" !fused

@@ -26,19 +26,13 @@
       preheaders (the back edge is remapped past them; the rotated
       loop's entry guard keeps zero-trip loops exact); strip-invariant
       pure ops move into the per-strip preamble.
-    - {b stream}: offset streaming. A group of same-shape
-      accesses executing exactly once per back-edge of a region — proved
-      by a path-count dataflow over the CFG, so exclusive branch arms
-      qualify — keeps its full affine offset in one scratch slot,
-      initialized by a [Sinit] at region entry and self-bumped after
-      each use: by a constant ([Vs]), by [coef * jstep] ([Vsj]), or by a
-      second slot holding a run-time bump for variable-step serial loops
-      ([Vsv]). Checked accesses still recompute from subscripts.
     - {b fuse}: adjacent load/consumer pairs collapse into
       superinstructions (one dispatch).
 
-    The body stays one iteration long; {!Bytecode.exec_strip} runs a
-    whole strip through it in one dispatch loop.
+    Array offsets keep their affine access form (hoisted invariant part
+    plus variant part). The body stays one iteration long;
+    {!Bytecode.exec_strip} runs a whole strip through it in one dispatch
+    loop.
 
     Sanitized tapes are returned untouched at every level: the
     sanitizer's per-iteration shadow protocol stays on the one proven
@@ -68,5 +62,5 @@ val optimize :
     it — stages a level does not run are not reported. *)
 
 val describe : Bytecode.tape -> string
-(** One-line pass summary ("streams=2 fused=1"), for
+(** One-line pass summary ("fused=1"), for
     diagnostics and tests. *)

@@ -46,7 +46,7 @@ let catalog =
     ( "LC011",
       Error,
       "malformed tape instruction: register-file or access-id bounds, jump \
-       shape, or stream-slot protocol violated" );
+       shape, or counter-slot range violated" );
     ( "LC012",
       Error,
       "access offset form inconsistent or not covered by the once-per-fork \

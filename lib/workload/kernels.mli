@@ -80,8 +80,8 @@ val histogram_reference : n:int -> buckets:int -> float array
 (** {1 Conditional stencil} — a three-point gather whose write picks its
     scale behind a data-dependent branch: [B(i) = t * 0.25] or
     [t * 0.5] depending on [C(i)]. A DOALL with a branchy body — the
-    shape the SSA optimizer streams through shared slots across
-    exclusive arms (pre-SSA it fell back to the unoptimized tape). *)
+    shape the SSA optimizer value-numbers and fuses across exclusive
+    arms (pre-SSA it fell back to the unoptimized tape). *)
 
 val cond_stencil : n:int -> Ast.program
 val cond_stencil_reference : n:int -> float array
@@ -90,7 +90,7 @@ val cond_stencil_reference : n:int -> float array
 (** {1 Triangular gather} — [S(i) = sum over j = i, 2i, 3i, .. n of
     A(i)*A(j)]: a DOALL over a variable-step (step [i]) serial loop with
     a loop-invariant load. Exercises cross-block LICM (hoisting [A(i)])
-    and run-time-bump offset streaming ([Vsv]) together. *)
+    above a loop whose step is only known at run time. *)
 
 val tri_gather : n:int -> Ast.program
 val tri_gather_reference : n:int -> float array

@@ -414,10 +414,10 @@ let prop_promotion_agrees =
     ~name:"bytecode -O0 = -O2 = interpreter (serial accumulation nests)"
 
 (* Branchy bodies over variable-step serial loops — the fragment the SSA
-   pipeline streams with shared store slots (exclusive if/else arms
-   writing the same element) and run-time offset bumps (serial step
-   depending on the outer index). The accumulator scalar is privatized
-   per iteration by writing it before the k loop. *)
+   pipeline value-numbers across exclusive if/else arms writing the
+   same element, under a serial step depending on the outer index. The
+   accumulator scalar is privatized per iteration by writing it before
+   the k loop. *)
 let branchy_varstep_gen : Ast.program QCheck.Gen.t =
   let open QCheck.Gen in
   let* ni = int_range 1 5 in
@@ -487,8 +487,7 @@ let prop_branchy_varstep_agrees =
 (* A 2-level DOALL whose inner digit has exactly [trips] iterations, so
    every strip a whole-row schedule executes has length [trips] and the
    scalar runner takes its strip back-edge [trips - 1] times per strip.
-   The serial k-loop gives the optimizer streamed offsets and
-   promotion. *)
+   The serial k-loop gives the optimizer hoisting and promotion. *)
 let trip_prog ~trips =
   let wij = Ast.Load ("W", [ Ast.Var "i"; Ast.Var "j" ]) in
   let store =
@@ -511,9 +510,9 @@ let trip_prog ~trips =
   }
 
 (* Branchy variant with the same strip geometry: the store is picked by
-   a data-dependent branch (exclusive arms writing the same element, so
-   the optimizer shares one stream slot across them) and the k loop's
-   step is the outer index (a run-time offset bump). *)
+   a data-dependent branch (exclusive arms writing the same element)
+   and the k loop's step is the outer index (known only at run
+   time). *)
 let trip_prog_branchy ~trips =
   let wij = Ast.Load ("W", [ Ast.Var "i"; Ast.Var "j" ]) in
   let store e = Ast.Assign (Elem ("W", [ Var "i"; Var "j" ]), e) in
@@ -537,9 +536,9 @@ let trip_prog_branchy ~trips =
     body = [ doall "i" 6 [ doall "j" trips [ kloop ] ] ];
   }
 
-(* A carried float sum next to a strip stream: every iteration reads
-   and writes [s], so lanes reject the body and every strip runs on the
-   scalar runner. The addends are quarters, so every partial sum is
+(* A carried float sum next to a strip-indexed access: every iteration
+   reads and writes [s], so lanes reject the body and every strip runs
+   on the scalar runner. The addends are quarters, so every partial sum is
    exact and the domain-order reduction merge equals [Eval]'s
    sequential sum bit for bit at any domain count. *)
 let trip_prog_sum ~trips =
@@ -1168,9 +1167,9 @@ let test_lane_fallbacks () =
   Alcotest.(check bool) "shadow reports repeat" true (r = observe ())
 
 (* Race-free DOALL nests, and nests around serial accumulations and
-   branchy variable-step loops (streams, promoted elements, uniform
-   branches), on 1-3 domains: every program of these generators takes
-   the lane path somewhere. *)
+   branchy variable-step loops (promoted elements, uniform branches),
+   on 1-3 domains: every program of these generators takes the lane
+   path somewhere. *)
 let lane_prop ~count ~name arb =
   QCheck.Test.make ~count ~name arb (fun prog ->
       match lane_mismatch prog with

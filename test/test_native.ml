@@ -139,11 +139,11 @@ let test_examples_five_way () =
             ~what:(Filename.basename file) p)
     files
 
-(* ---------- QCheck: the promotion and streaming fragments ---------- *)
+(* ---------- QCheck: the promotion and serial-loop fragments ---------- *)
 
-(* The register-promotion and offset-streaming fragments are where the
+(* The register-promotion and serial-loop fragments are where the
    generated code diverges most from a naive transliteration (float
-   refs, stream-slot self-bumps) — rerun [Test_bytecode]'s generators
+   refs, inner do-while loops) — rerun [Test_bytecode]'s generators
    with the native engine in the mix. Counts stay small: every distinct
    program is one out-of-process ocamlopt run. *)
 let native_differential gen ~name =
@@ -497,8 +497,7 @@ let test_codegen_shape () =
     "sanitized plans are never native-eligible" false
     (List.exists Fun.id elig_s)
 
-(* Strip streams with one coefficient and the same register terms share
-   one offset, bumped once per iteration; registers only ever set to a
+(* Offsets keep the affine access form, and registers only ever set to a
    literal are read as that literal, so a nonzero constant divisor needs
    no zero test. *)
 let test_codegen_tight_strips () =
@@ -506,31 +505,23 @@ let test_codegen_tight_strips () =
     let prog = (Option.get (Kernels.by_name name)) () in
     fst (Natgen.source (Compile.compile ~opt_level:2 prog))
   in
-  let bump line = contains line "* jstep);" in
   let stencil = runner_src (src_of "stencil") 1 in
-  Alcotest.(check int) "5-point stencil: one offset bump" 1
-    (count_lines bump stencil);
-  Alcotest.(check bool) "5-point stencil: neighbours at a displacement" true
-    (contains stencil " + (-10) in");
+  Alcotest.(check bool) "5-point stencil: no per-iteration offset bump" false
+    (contains stencil "* jstep);");
   let relax = src_of "relax" in
   Alcotest.(check bool) "relax: literal mod" true (contains relax "mod 5)");
   Alcotest.(check bool) "relax: no zero test on a nonzero literal" false
     (contains relax "by zero");
-  Alcotest.(check int) "relax update: one offset bump" 1
-    (count_lines bump (runner_src relax 1));
   (* a body without control flow has no block dispatch *)
   Alcotest.(check bool) "relax update: straight-line body" false
     (contains (runner_src relax 1) "match !bk");
-  (* exclusive arms read the one shared offset *)
   let cond = runner_src (src_of "cond_stencil") 1 in
-  Alcotest.(check int)
-    "cond_stencil: one offset bump" 1 (count_lines bump cond);
   Alcotest.(check bool) "cond_stencil: still dispatches blocks" true
     (contains cond "match !bk")
 
-(* Strip streams with different coefficients ([B[2*i]] next to
-   [A[i-1]], [A[i+1]]) and constant displacements, in a 1-D and a
-   coalesced 2-D body: shared offsets must not change a single bit. *)
+(* Strip-index coefficients that differ between accesses ([B[2*i]]
+   next to [A[i-1]], [A[i+1]]) and constant displacements, in a 1-D and
+   a coalesced 2-D body: every tier must agree bit for bit. *)
 let mixed_streams_prog =
   {|program
   real A[402]
@@ -564,9 +555,6 @@ end
 let test_mixed_streams_five_way () =
   require_toolchain ();
   let prog = parse "mixed streams" mixed_streams_prog in
-  let src = fst (Natgen.source (Compile.compile ~opt_level:2 prog)) in
-  Alcotest.(check bool) "a coefficient-2 stream" true
-    (contains src "(2 * jstep);");
   check_five_way ~domain_counts:[ 1; 2 ] ~what:"mixed streams" prog
 
 let test_cond_stencil_five_way () =

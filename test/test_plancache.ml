@@ -184,6 +184,13 @@ let test_stale_format_is_a_miss () =
         fun oc c1 ->
           output_value oc
             (6, { v6_plans = List.map (fun t -> (Some t, 0, 0)) (tapes c1) }) );
+      ( "version 8, streamed offsets",
+        fun oc c1 ->
+          output_value oc
+            ( 8,
+              {
+                Plancache.e_plans = List.map (fun t -> (t, 0, 0)) (tapes c1);
+              } ) );
     ]
 
 (* ---------- winning-recipe side files ---------- *)

@@ -70,8 +70,7 @@ let serial_prog =
         ];
     ]
 
-(* Two accesses varying along the strip index with distinct offsets:
-   at -O2 the optimizer streams them into two scratch slots. *)
+(* Two accesses varying along the strip index with distinct offsets. *)
 let stream_prog =
   B.program
     ~arrays:[ B.array "W" [ 6; 6 ]; B.array "V" [ 6 ] ]
@@ -166,34 +165,6 @@ let break_provenance (t : Bytecode.tape) =
 let test_missing_provenance () =
   check_code "provenance tag out of table" "LC013"
     (findings ~mutate:("lower", break_provenance) stream_prog)
-
-(* Make two streamed offsets share one scratch slot: the second group's
-   self-bumps would corrupt the first's offsets at run time. *)
-let reuse_stream_slot (t : Bytecode.tape) =
-  let sinits = ref [] in
-  let scan arr =
-    Array.iteri
-      (fun i op ->
-        match op with
-        | Bytecode.Sinit (s, _) -> sinits := (arr, i, s) :: !sinits
-        | _ -> ())
-      arr
-  in
-  scan t.Bytecode.tp_pre;
-  scan t.Bytecode.tp_ops;
-  match List.rev !sinits with
-  | (_, _, s0) :: rest -> (
-      match List.find_opt (fun (_, _, s) -> s <> s0) rest with
-      | None -> Alcotest.fail "fixture has fewer than two stream slots"
-      | Some (arr, i, _) -> (
-          match arr.(i) with
-          | Bytecode.Sinit (_, a) -> arr.(i) <- Bytecode.Sinit (s0, a)
-          | _ -> assert false))
-  | [] -> Alcotest.fail "fixture has no stream inits"
-
-let test_stream_slot_reuse () =
-  check_code "stream slot shared across groups" "LC011"
-    (findings ~opt_level:2 ~mutate:("fuse", reuse_stream_slot) stream_prog)
 
 (* Retarget a store at another array's access: the optimized tape's
    write footprint no longer matches the unoptimized tape's. *)
@@ -340,8 +311,8 @@ let test_disk_hit_validated () =
         (Counters.plan_cache_stats ()))
 
 (* A profiler counter must bump a fresh scratch slot: one aimed past
-   the scratch array, at an access's hoisted offset or at a stream slot
-   would write out of bounds or corrupt an unchecked access's offset. *)
+   the scratch array or at an access's hoisted offset would write out
+   of bounds or corrupt an unchecked access's offset. *)
 let test_icount_slot () =
   let c = Compile.compile ~opt_level:2 stream_prog in
   let t =
@@ -355,17 +326,8 @@ let test_icount_slot () =
   in
   Alcotest.(check int) "counting copy validates" 0
     (List.length (Runtime.Tapecheck.check_entry ~region:0 copy));
-  let stream_slot =
-    match
-      Array.find_map
-        (function Bytecode.Sinit (s, _) -> Some s | _ -> None)
-        (Array.append t.Bytecode.tp_pre t.Bytecode.tp_ops)
-    with
-    | Some s -> s
-    | None -> Alcotest.fail "fixture has no stream"
-  in
   let nslots =
-    Array.length copy.Bytecode.tp_accs + copy.Bytecode.tp_nstreams
+    Array.length copy.Bytecode.tp_accs + copy.Bytecode.tp_ncounters
   in
   List.iter
     (fun (what, slot) ->
@@ -383,7 +345,6 @@ let test_icount_slot () =
     [
       ("counter past the scratch array", nslots);
       ("counter on an access offset", 0);
-      ("counter on a stream slot", stream_slot);
     ]
 
 let suite =
@@ -396,8 +357,6 @@ let suite =
       test_offset_outside_range;
     Alcotest.test_case "missing provenance tag -> LC013" `Quick
       test_missing_provenance;
-    Alcotest.test_case "stream-slot reuse -> LC011" `Quick
-      test_stream_slot_reuse;
     Alcotest.test_case "footprint divergence -> LC014" `Quick
       test_footprint_divergence;
     Alcotest.test_case "counter off its scratch range -> LC011" `Quick

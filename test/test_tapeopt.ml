@@ -68,7 +68,7 @@ let gvn_lower_golden =
    accs:\n\
   \   0: V  inv = -1  var = 0 + 1*i3  off = inv + 1*i3\n\
   \   1: V  inv = -1  var = 0 + 1*i6  off = inv + 1*i6\n\
-   streams=0 sanitize=false\n"
+   sanitize=false\n"
 
 let gvn_golden =
   "pre:\n\
@@ -84,7 +84,7 @@ let gvn_golden =
    accs:\n\
   \   0: V  inv = -1  var = 0 + 1*i3  off = inv + 1*i3\n\
   \   1: V  inv = -1  var = 0 + 1*i6  off = inv + 1*i6\n\
-   streams=0 sanitize=false\n"
+   sanitize=false\n"
 
 let test_gvn_golden () =
   check_golden "gvn kernel, lower" gvn_lower_golden
@@ -135,7 +135,7 @@ let licm_golden =
   \   0: W  inv = -9  var = 0 + 8*i0 + 1*i1  off = inv + 8*i0 + 1*i1\n\
   \   1: A  inv = -1  var = 0 + 1*i6  off = inv + 1*i6\n\
   \   2: W  inv = -9  var = 0 + 8*i0 + 1*i1  off = inv + 8*i0 + 1*i1\n\
-   streams=0 sanitize=false\n"
+   sanitize=false\n"
 
 let test_licm_golden () =
   check_golden "licm kernel, licm" licm_golden
