@@ -1695,10 +1695,12 @@ let lane_plan ~jslot ~lits (tp : tape) =
    Control and uniform registers stay scalar, in the register files,
    and run once per piece; a varying register lives in a lane array,
    one slot per iteration of the piece, and an instruction writing one
-   (or storing) runs as one loop over the piece. Every operand is a strided view [arr.(base + l * step)]:
-   a lane array (step 1), a scalar register (step 0) or an array access
-   whose offset at iteration [l] of the piece is its offset at the
-   piece's first iteration plus [l * c * jstep]. An access whose offset
+   (or storing) runs as one loop over the piece. Every operand is a
+   strided view over an array: a lane array (step 1), a scalar register
+   (step 0) or an array access whose offset is evaluated at the piece's
+   first iteration and steps by [c * jstep], [c] its strip-index
+   coefficient. A kernel keeps one running offset per operand and adds
+   its step per element. An access whose offset
    reads a varying register other than the strip index is gathered lane
    by lane. The strip index register holds the piece's first iteration,
    so offsets evaluate there. After the strip the last iteration's
@@ -1718,6 +1720,7 @@ type lanes = {
   ln_iregs : int array;  (** varying int registers, in lane order *)
   ln_fregs : int array;  (** varying float registers, in lane order *)
   ln_acc : lane_acc array;
+  ln_sums : bool;  (** a gather or an [Iaff] over two lane registers *)
 }
 
 let lanes ~jslot (tp : tape) =
@@ -1753,6 +1756,15 @@ let lanes ~jslot (tp : tape) =
             then La_aff (aff_coef ac.ac_var jslot)
             else La_gather
       in
+      let acc = Array.map lacc tp.tp_accs in
+      let multi = function
+        | Iaff (_, a) ->
+            Array.fold_left
+              (fun k r -> if IntSet.mem r lp.lp_vary_i then k + 1 else k)
+              0 a.regs
+            > 1
+        | _ -> false
+      in
       Result.Ok
         {
           ln_vary = Array.map varies tp.tp_ops;
@@ -1760,10 +1772,11 @@ let lanes ~jslot (tp : tape) =
           ln_flane = map fregs;
           ln_iregs = iregs;
           ln_fregs = fregs;
-          ln_acc = Array.map lacc tp.tp_accs;
+          ln_acc = acc;
+          ln_sums = Array.mem La_gather acc || Array.exists multi tp.tp_ops;
         }
 
-(* A strided view [arr.(base + l * step)]. *)
+(* A strided view: element [l] sits [l] steps past [base]. *)
 type 'a view = {
   mutable arr : 'a array;
   mutable base : int;
@@ -1772,126 +1785,192 @@ type 'a view = {
 
 (* Lane kernels: [n] iterations over views; element [l] of every
    operand is read before element [l] of the destination is written, so
-   a destination may alias an operand. No kernel allocates. *)
+   a destination may alias an operand. Each operand walks a running
+   offset, advanced by its step per element: no kernel multiplies per
+   element, and none allocates. *)
 
 let k_fcopy n (d : float view) (a : float view) =
-  let da = d.arr and db = d.base and ds = d.step in
-  let aa = a.arr and ab = a.base and as_ = a.step in
-  for l = 0 to n - 1 do
-    Array.unsafe_set da (db + (l * ds)) (Array.unsafe_get aa (ab + (l * as_)))
+  let da = d.arr and ds = d.step and aa = a.arr and as_ = a.step in
+  let od = ref d.base and oa = ref a.base in
+  for _ = 1 to n do
+    Array.unsafe_set da !od (Array.unsafe_get aa !oa);
+    od := !od + ds;
+    oa := !oa + as_
   done
 
 let k_ffill n (d : float view) x =
-  let da = d.arr and db = d.base and ds = d.step in
-  for l = 0 to n - 1 do
-    Array.unsafe_set da (db + (l * ds)) x
+  let da = d.arr and ds = d.step in
+  let od = ref d.base in
+  for _ = 1 to n do
+    Array.unsafe_set da !od x;
+    od := !od + ds
   done
 
 let k_fneg n (d : float view) (a : float view) =
-  let da = d.arr and db = d.base and ds = d.step in
-  let aa = a.arr and ab = a.base and as_ = a.step in
-  for l = 0 to n - 1 do
-    Array.unsafe_set da (db + (l * ds)) (-.Array.unsafe_get aa (ab + (l * as_)))
+  let da = d.arr and ds = d.step and aa = a.arr and as_ = a.step in
+  let od = ref d.base and oa = ref a.base in
+  for _ = 1 to n do
+    Array.unsafe_set da !od (-.Array.unsafe_get aa !oa);
+    od := !od + ds;
+    oa := !oa + as_
   done
 
 let k_fofi n (d : float view) (a : int view) =
-  let da = d.arr and db = d.base and ds = d.step in
-  let aa = a.arr and ab = a.base and as_ = a.step in
-  for l = 0 to n - 1 do
-    Array.unsafe_set da (db + (l * ds))
-      (float_of_int (Array.unsafe_get aa (ab + (l * as_))))
+  let da = d.arr and ds = d.step and aa = a.arr and as_ = a.step in
+  let od = ref d.base and oa = ref a.base in
+  for _ = 1 to n do
+    Array.unsafe_set da !od (float_of_int (Array.unsafe_get aa !oa));
+    od := !od + ds;
+    oa := !oa + as_
   done
 
 type fop = Kadd | Ksub | Kmul | Kdiv | Kmin | Kmax
 
 let k_fbin op n (d : float view) (a : float view) (b : float view) =
-  let da = d.arr and db = d.base and ds = d.step in
-  let aa = a.arr and ab = a.base and as_ = a.step in
-  let ba = b.arr and bb = b.base and bs = b.step in
+  let da = d.arr and ds = d.step and aa = a.arr and as_ = a.step in
+  let ba = b.arr and bs = b.step in
+  let od = ref d.base and oa = ref a.base and ob = ref b.base in
   match op with
   | Kadd ->
-      for l = 0 to n - 1 do
-        Array.unsafe_set da (db + (l * ds))
-          (Array.unsafe_get aa (ab + (l * as_))
-          +. Array.unsafe_get ba (bb + (l * bs)))
+      for _ = 1 to n do
+        Array.unsafe_set da !od
+          (Array.unsafe_get aa !oa +. Array.unsafe_get ba !ob);
+        od := !od + ds;
+        oa := !oa + as_;
+        ob := !ob + bs
       done
   | Ksub ->
-      for l = 0 to n - 1 do
-        Array.unsafe_set da (db + (l * ds))
-          (Array.unsafe_get aa (ab + (l * as_))
-          -. Array.unsafe_get ba (bb + (l * bs)))
+      for _ = 1 to n do
+        Array.unsafe_set da !od
+          (Array.unsafe_get aa !oa -. Array.unsafe_get ba !ob);
+        od := !od + ds;
+        oa := !oa + as_;
+        ob := !ob + bs
       done
   | Kmul ->
-      for l = 0 to n - 1 do
-        Array.unsafe_set da (db + (l * ds))
-          (Array.unsafe_get aa (ab + (l * as_))
-          *. Array.unsafe_get ba (bb + (l * bs)))
+      for _ = 1 to n do
+        Array.unsafe_set da !od
+          (Array.unsafe_get aa !oa *. Array.unsafe_get ba !ob);
+        od := !od + ds;
+        oa := !oa + as_;
+        ob := !ob + bs
       done
   | Kdiv ->
-      for l = 0 to n - 1 do
-        Array.unsafe_set da (db + (l * ds))
-          (Array.unsafe_get aa (ab + (l * as_))
-          /. Array.unsafe_get ba (bb + (l * bs)))
+      for _ = 1 to n do
+        Array.unsafe_set da !od
+          (Array.unsafe_get aa !oa /. Array.unsafe_get ba !ob);
+        od := !od + ds;
+        oa := !oa + as_;
+        ob := !ob + bs
       done
   | Kmin ->
-      for l = 0 to n - 1 do
-        let x = Array.unsafe_get aa (ab + (l * as_))
-        and y = Array.unsafe_get ba (bb + (l * bs)) in
-        Array.unsafe_set da (db + (l * ds)) (if x <= y then x else y)
+      for _ = 1 to n do
+        let x = Array.unsafe_get aa !oa and y = Array.unsafe_get ba !ob in
+        Array.unsafe_set da !od (if x <= y then x else y);
+        od := !od + ds;
+        oa := !oa + as_;
+        ob := !ob + bs
       done
   | Kmax ->
-      for l = 0 to n - 1 do
-        let x = Array.unsafe_get aa (ab + (l * as_))
-        and y = Array.unsafe_get ba (bb + (l * bs)) in
-        Array.unsafe_set da (db + (l * ds)) (if x >= y then x else y)
+      for _ = 1 to n do
+        let x = Array.unsafe_get aa !oa and y = Array.unsafe_get ba !ob in
+        Array.unsafe_set da !od (if x >= y then x else y);
+        od := !od + ds;
+        oa := !oa + as_;
+        ob := !ob + bs
       done
 
 (* d <- a +. x *. y, or a -. x *. y *)
 let k_fmac ~add n (d : float view) (a : float view) (x : float view)
     (y : float view) =
-  let da = d.arr and db = d.base and ds = d.step in
-  let aa = a.arr and ab = a.base and as_ = a.step in
-  let xa = x.arr and xb = x.base and xs = x.step in
-  let ya = y.arr and yb = y.base and ys = y.step in
+  let da = d.arr and ds = d.step and aa = a.arr and as_ = a.step in
+  let xa = x.arr and xs = x.step and ya = y.arr and ys = y.step in
+  let od = ref d.base and oa = ref a.base in
+  let ox = ref x.base and oy = ref y.base in
   if add then
-    for l = 0 to n - 1 do
-      Array.unsafe_set da (db + (l * ds))
-        (Array.unsafe_get aa (ab + (l * as_))
-        +. (Array.unsafe_get xa (xb + (l * xs))
-           *. Array.unsafe_get ya (yb + (l * ys))))
+    for _ = 1 to n do
+      Array.unsafe_set da !od
+        (Array.unsafe_get aa !oa
+        +. (Array.unsafe_get xa !ox *. Array.unsafe_get ya !oy));
+      od := !od + ds;
+      oa := !oa + as_;
+      ox := !ox + xs;
+      oy := !oy + ys
     done
   else
-    for l = 0 to n - 1 do
-      Array.unsafe_set da (db + (l * ds))
-        (Array.unsafe_get aa (ab + (l * as_))
-        -. (Array.unsafe_get xa (xb + (l * xs))
-           *. Array.unsafe_get ya (yb + (l * ys))))
+    for _ = 1 to n do
+      Array.unsafe_set da !od
+        (Array.unsafe_get aa !oa
+        -. (Array.unsafe_get xa !ox *. Array.unsafe_get ya !oy));
+      od := !od + ds;
+      oa := !oa + as_;
+      ox := !ox + xs;
+      oy := !oy + ys
     done
 
-(* divisors are valid literals ([lane_plan]) *)
+(* Divisors are valid literals ([lane_plan]). One loop per operation:
+   a closure over the running offsets would box them. *)
 let k_ibin (i : instr) n (d : int view) (a : int view) (b : int view) =
-  let da = d.arr and db = d.base and ds = d.step in
-  let aa = a.arr and ab = a.base and as_ = a.step in
-  let ba = b.arr and bb = b.base and bs = b.step in
-  for l = 0 to n - 1 do
-    let x = Array.unsafe_get aa (ab + (l * as_))
-    and y = Array.unsafe_get ba (bb + (l * bs)) in
-    Array.unsafe_set da (db + (l * ds))
-      (match i with
-      | Imul _ -> x * y
-      | Idiv _ -> x / y
-      | Imod _ -> x mod y
-      | Icdiv _ -> Loopcoal_util.Intmath.cdiv x y
-      | Imin _ -> if x <= y then x else y
-      | _ -> if x >= y then x else y)
-  done
+  let da = d.arr and ds = d.step and aa = a.arr and as_ = a.step in
+  let ba = b.arr and bs = b.step in
+  let od = ref d.base and oa = ref a.base and ob = ref b.base in
+  match i with
+  | Imul _ ->
+      for _ = 1 to n do
+        Array.unsafe_set da !od
+          (Array.unsafe_get aa !oa * Array.unsafe_get ba !ob);
+        od := !od + ds;
+        oa := !oa + as_;
+        ob := !ob + bs
+      done
+  | Idiv _ ->
+      for _ = 1 to n do
+        Array.unsafe_set da !od
+          (Array.unsafe_get aa !oa / Array.unsafe_get ba !ob);
+        od := !od + ds;
+        oa := !oa + as_;
+        ob := !ob + bs
+      done
+  | Imod _ ->
+      for _ = 1 to n do
+        Array.unsafe_set da !od
+          (Array.unsafe_get aa !oa mod Array.unsafe_get ba !ob);
+        od := !od + ds;
+        oa := !oa + as_;
+        ob := !ob + bs
+      done
+  | Icdiv _ ->
+      for _ = 1 to n do
+        Array.unsafe_set da !od
+          (Loopcoal_util.Intmath.cdiv (Array.unsafe_get aa !oa)
+             (Array.unsafe_get ba !ob));
+        od := !od + ds;
+        oa := !oa + as_;
+        ob := !ob + bs
+      done
+  | Imin _ ->
+      for _ = 1 to n do
+        let x = Array.unsafe_get aa !oa and y = Array.unsafe_get ba !ob in
+        Array.unsafe_set da !od (if x <= y then x else y);
+        od := !od + ds;
+        oa := !oa + as_;
+        ob := !ob + bs
+      done
+  | _ ->
+      for _ = 1 to n do
+        let x = Array.unsafe_get aa !oa and y = Array.unsafe_get ba !ob in
+        Array.unsafe_set da !od (if x >= y then x else y);
+        od := !od + ds;
+        oa := !oa + as_;
+        ob := !ob + bs
+      done
 
 (* One domain's lane arrays: they hold no register file or array, so a
    fork state keeps them across runs. *)
 type lane_state = {
   ls_i : int array;  (** int lane arrays *)
   ls_f : float array;  (** float lane arrays *)
-  ls_off : int array;  (** gathered offsets *)
+  ls_off : int array;  (** gathered offsets, multi-register sums *)
   ls_g : float array;  (** gathered loads, one lane array per operand *)
   ls_dirty : bool array;  (** varying registers written, ints then floats *)
 }
@@ -1902,7 +1981,7 @@ let make_lane_state ln =
   {
     ls_i = Array.make (nvi * lane_width) 0;
     ls_f = Array.make (nvf * lane_width) 0.0;
-    ls_off = (if gathers then Array.make lane_width 0 else [||]);
+    ls_off = (if ln.ln_sums then Array.make lane_width 0 else [||]);
     ls_g = (if gathers then Array.make (4 * lane_width) 0.0 else [||]);
     ls_dirty = Array.make (nvi + nvf) false;
   }
@@ -1967,6 +2046,33 @@ let fdst lr ~lanes r =
   end
   else set_view lr.lr_fv.(0) lr.lr_reals r 0
 
+(* The part of [a] over scalar registers, plus [k]. *)
+let aff_scalar lr ~lanes k (a : aff) =
+  let ints = lr.lr_ints and k = ref k in
+  for m = 0 to Array.length a.regs - 1 do
+    let r = a.regs.(m) in
+    if ibase lr ~lanes r < 0 then
+      k := !k + (a.coefs.(m) * Array.unsafe_get ints r)
+  done;
+  !k
+
+(* [ls_off.(l)] <- [k] plus the terms of [a] over lane registers at
+   lane [l], for [l < n]: one pass per lane register, each lane base
+   looked up once. *)
+let lane_sum lr n k (a : aff) =
+  let off = lr.lr_ls.ls_off and li = lr.lr_ls.ls_i in
+  Array.fill off 0 n k;
+  for m = 0 to Array.length a.regs - 1 do
+    let b = ibase lr ~lanes:true a.regs.(m) in
+    if b >= 0 then begin
+      let c = a.coefs.(m) in
+      for l = 0 to n - 1 do
+        Array.unsafe_set off l
+          (Array.unsafe_get off l + (c * Array.unsafe_get li (b + l)))
+      done
+    end
+  done
+
 (* View [k] over access [id] for a use by [n] iterations. *)
 let fmem lr k n id =
   let ac = Array.unsafe_get lr.lr_tape.tp_accs id in
@@ -1979,22 +2085,10 @@ let fmem lr k n id =
       let o = Array.unsafe_get inv id + aff_eval lr.lr_ints ac.ac_var in
       set_view v a o (c * js)
   | La_gather ->
-      let off = lr.lr_ls.ls_off and li = lr.lr_ls.ls_i and var = ac.ac_var in
-      Array.fill off 0 n (Array.unsafe_get inv id);
-      for m = 0 to Array.length var.regs - 1 do
-        let c = var.coefs.(m) and r = var.regs.(m) in
-        let b = ibase lr ~lanes:true r in
-        if b >= 0 then
-          for l = 0 to n - 1 do
-            Array.unsafe_set off l
-              (Array.unsafe_get off l + (c * Array.unsafe_get li (b + l)))
-          done
-        else
-          let x = c * Array.unsafe_get lr.lr_ints r in
-          for l = 0 to n - 1 do
-            Array.unsafe_set off l (Array.unsafe_get off l + x)
-          done
-      done;
+      let off = lr.lr_ls.ls_off in
+      lane_sum lr n
+        (aff_scalar lr ~lanes:true (Array.unsafe_get inv id) ac.ac_var)
+        ac.ac_var;
       let g = lr.lr_ls.ls_g and gb = k * lane_width in
       for l = 0 to n - 1 do
         Array.unsafe_set g (gb + l)
@@ -2005,40 +2099,42 @@ let fmem lr k n id =
 (* dst <- base + sum coef * reg: the terms over scalar registers sum
    once *)
 let lane_aff lr ~lanes n d (a : aff) =
-  let ints = lr.lr_ints and li = lr.lr_ls.ls_i in
-  let k = ref a.base and nlane = ref 0 and lc = ref 0 and lb = ref 0 in
+  let li = lr.lr_ls.ls_i in
+  let nlane = ref 0 and lc = ref 0 and lb = ref 0 in
   for m = 0 to Array.length a.regs - 1 do
-    let r = a.regs.(m) and c = a.coefs.(m) in
-    let b = ibase lr ~lanes r in
+    let b = ibase lr ~lanes a.regs.(m) in
     if b >= 0 then begin
       incr nlane;
-      lc := c;
+      lc := a.coefs.(m);
       lb := b
     end
-    else k := !k + (c * Array.unsafe_get ints r)
   done;
+  let k = aff_scalar lr ~lanes a.base a in
+  (* a destination may be one of the registers: sum before writing *)
+  if !nlane > 1 then lane_sum lr n k a;
   idst lr ~lanes d;
   let v = lr.lr_iv.(0) in
-  let da = v.arr and db = v.base and ds = v.step in
-  let k = !k and c = !lc and b = !lb in
+  let da = v.arr and ds = v.step and od = ref v.base in
   if !nlane = 0 then
-    for l = 0 to n - 1 do
-      Array.unsafe_set da (db + (l * ds)) k
+    for _ = 1 to n do
+      Array.unsafe_set da !od k;
+      od := !od + ds
     done
-  else if !nlane = 1 then
-    for l = 0 to n - 1 do
-      Array.unsafe_set da (db + (l * ds))
-        (k + (c * Array.unsafe_get li (b + l)))
+  else if !nlane = 1 then begin
+    let c = !lc and ol = ref !lb in
+    for _ = 1 to n do
+      Array.unsafe_set da !od (k + (c * Array.unsafe_get li !ol));
+      od := !od + ds;
+      incr ol
     done
-  else
+  end
+  else begin
+    let off = lr.lr_ls.ls_off in
     for l = 0 to n - 1 do
-      let x = ref k in
-      for m = 0 to Array.length a.regs - 1 do
-        let b = ibase lr ~lanes a.regs.(m) in
-        if b >= 0 then x := !x + (a.coefs.(m) * Array.unsafe_get li (b + l))
-      done;
-      Array.unsafe_set da (db + (l * ds)) !x
+      Array.unsafe_set da !od (Array.unsafe_get off l);
+      od := !od + ds
     done
+  end
 
 (* One straight-line instruction over [n] iterations. *)
 let lane_step lr ~lanes n (i : instr) =
@@ -2047,8 +2143,10 @@ let lane_step lr ~lanes n (i : instr) =
   | Iconst (d, x) ->
       idst lr ~lanes d;
       let v = iv.(0) in
-      for l = 0 to n - 1 do
-        Array.unsafe_set v.arr (v.base + (l * v.step)) x
+      let da = v.arr and ds = v.step and od = ref v.base in
+      for _ = 1 to n do
+        Array.unsafe_set da !od x;
+        od := !od + ds
       done
   | Iaff (d, a) -> lane_aff lr ~lanes n d a
   | Imul (d, a, b)
@@ -2169,8 +2267,10 @@ let lane_strip lr ~jslot j0 jstep len =
     n := if len - !p < lane_width then len - !p else lane_width;
     let j = j0 + (!p * jstep) in
     Array.unsafe_set ints jslot j;
-    for l = 0 to !n - 1 do
-      Array.unsafe_set li (jb + l) (j + (l * jstep))
+    let jl = ref j in
+    for l = jb to jb + !n - 1 do
+      Array.unsafe_set li l !jl;
+      jl := !jl + jstep
     done;
     let pc = ref 0 in
     while !pc < stop do

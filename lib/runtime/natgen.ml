@@ -80,7 +80,8 @@
    compiler cost. A cold build is one compiler process: the build runs
    directly, and only a failed build probes the compiler ([-version]) to
    choose between trying the next candidate and reporting the build's
-   error. *)
+   error. A build that outlives [build_timeout_s] is killed and reported
+   without a probe. *)
 
 module Registry = Loopcoal_obs.Registry
 
@@ -628,10 +629,15 @@ let compiler () =
   | Some c -> Ok c
   | None -> Error (no_compiler ())
 
+(* How a build did not produce an artifact: the compiler failed (its
+   first log line), or it was killed after this many seconds. *)
+type build_error = Failed of string | Timed_out of float
+
 (* Run [build oc] with the first compiler not known to be broken, with
    no probe first: a cold build is one compiler process. Only a failed
    build probes, to tell a broken compiler (try the next one) from a
-   failing build (report its first log line). *)
+   failing build (report its first log line); a timed-out build is not
+   probed, since the probe could hang as well. *)
 let with_compiler build =
   let rec go = function
     | [] -> Error (no_compiler ())
@@ -640,7 +646,9 @@ let with_compiler build =
         | Ok () ->
             Hashtbl.replace probe_tbl oc true;
             Ok ()
-        | Error log ->
+        | Error (Timed_out s) ->
+            Error (Printf.sprintf "native build timed out after %g s" s)
+        | Error (Failed log) ->
             if cmd_ok oc then Error ("native build failed: " ^ log)
             else go rest)
   in
@@ -729,7 +737,49 @@ let rec mkdirs d =
     try Sys.mkdir d 0o755 with Sys_error _ -> ()
   end
 
-let build_cmxs ~oc ~incdirs ~src ~out =
+(* Seconds a plugin build may run before it is killed and the plans
+   fall back to bytecode. Builds take well under a second today. *)
+let build_timeout_s = 120.0
+
+let rec restart f =
+  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart f
+
+(* [/bin/sh -c "exec cmd"] with a pipe as its standard output, waited
+   for at most [timeout] seconds: [Some status] when it exits (127 when
+   it cannot start), [None] when it was killed at the deadline. The
+   pipe reads end of file once the compiler and every process it
+   started have exited, so [select] wakes at once, with no polling
+   interval. *)
+let run_bounded ~timeout cmd =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  match
+    Unix.create_process "/bin/sh"
+      [| "/bin/sh"; "-c"; "exec " ^ cmd |]
+      Unix.stdin wr Unix.stderr
+  with
+  | exception Unix.Unix_error _ ->
+      Unix.close rd;
+      Unix.close wr;
+      Some (Unix.WEXITED 127)
+  | pid ->
+      Unix.close wr;
+      let deadline = Unix.gettimeofday () +. timeout in
+      let buf = Bytes.create 4096 in
+      let rec wait () =
+        let left = deadline -. Unix.gettimeofday () in
+        left > 0.0
+        &&
+        match restart (fun () -> Unix.select [ rd ] [] [] left) with
+        | [], _, _ -> wait ()
+        | _ -> restart (fun () -> Unix.read rd buf 0 4096) = 0 || wait ()
+      in
+      let exited = Fun.protect ~finally:(fun () -> Unix.close rd) wait in
+      if not exited then (
+        try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      let _, status = restart (fun () -> Unix.waitpid [] pid) in
+      if exited then Some status else None
+
+let build_cmxs ?(timeout = build_timeout_s) ~oc ~incdirs ~src ~out () =
   let log = src ^ ".log" in
   let incs =
     String.concat " " (List.map (fun d -> "-I " ^ Filename.quote d) incdirs)
@@ -738,12 +788,15 @@ let build_cmxs ~oc ~incdirs ~src ~out =
     Printf.sprintf "%s -shared -w -a %s -o %s %s 2>%s" oc incs
       (Filename.quote out) (Filename.quote src) (Filename.quote log)
   in
-  if Sys.command cmd = 0 && Sys.file_exists out then Ok ()
-  else
-    Error
-      (match read_first_line log with
-      | Some l -> l
-      | None -> "compiler exited nonzero")
+  match run_bounded ~timeout cmd with
+  | None -> Error (Timed_out timeout)
+  | Some (Unix.WEXITED 0) when Sys.file_exists out -> Ok ()
+  | Some _ ->
+      Error
+        (Failed
+           (match read_first_line log with
+           | Some l -> l
+           | None -> "compiler exited nonzero"))
 
 let load_runners path nplans =
   Registry.time h_load_ns (fun () ->
@@ -766,7 +819,8 @@ let attach t rs =
     (Compile.plans t);
   Compile.set_native_state t `Ready
 
-let prepare ?key ?dir ?(persist = true) (t : Compile.t) : status =
+let prepare ?key ?dir ?(persist = true) ?build_timeout (t : Compile.t) :
+    status =
   match Compile.native_state t with
   | `Ready -> Ready { artifact_hit = true }
   | `Unavailable m -> Unavailable m
@@ -821,7 +875,8 @@ let prepare ?key ?dir ?(persist = true) (t : Compile.t) : status =
                     match
                       with_compiler (fun oc ->
                           Registry.time h_build_ns (fun () ->
-                              build_cmxs ~oc ~incdirs ~src:ml ~out))
+                              build_cmxs ?timeout:build_timeout ~oc ~incdirs
+                                ~src:ml ~out ()))
                     with
                     | Error m -> fail m
                     | Ok () -> (

@@ -40,7 +40,13 @@ val source : Compile.t -> string * bool list
 (** The plugin source that {!prepare} would compile, plus per-plan
     eligibility (in plan order) — exposed for tests and debugging. *)
 
-val prepare : ?key:string -> ?dir:string -> ?persist:bool -> Compile.t -> status
+val prepare :
+  ?key:string ->
+  ?dir:string ->
+  ?persist:bool ->
+  ?build_timeout:float ->
+  Compile.t ->
+  status
 (** Generate, build (or reuse a cached artifact), load and attach
     runners for every eligible plan of [t]. Idempotent per [t]: the
     outcome is memoized in {!Compile.native_state}. [key] is the
@@ -48,4 +54,6 @@ val prepare : ?key:string -> ?dir:string -> ?persist:bool -> Compile.t -> status
     entirely; [dir] overrides {!Plancache.default_dir} as the artifact
     directory; [persist:false] (for [--no-plan-cache]) neither reads nor
     writes disk artifacts — every prepare builds in a scratch directory
-    (the in-process digest table still applies). *)
+    (the in-process digest table still applies). A compiler that runs
+    longer than [build_timeout] seconds (default 120) is killed and the
+    outcome is [Unavailable "native build timed out after N s"]. *)

@@ -305,10 +305,10 @@ type ckey =
    after the join, while any register redefined on a non-dominating path
    is invalidated by the phi version at the merge. A duplicate becomes a
    register move; the dead-write pass below then drops writes nothing
-   reads. *)
+   reads. Returns the tape and the number of duplicates replaced. *)
 let gvn ops =
   let n = Array.length ops in
-  if n = 0 then ops
+  if n = 0 then (ops, 0)
   else begin
     let cfg = build_cfg ops in
     let dom = build_dom cfg ops in
@@ -317,7 +317,7 @@ let gvn ops =
     let top r = match stacks.(r) with v :: _ -> v | [] -> 0 in
     let next = ref 1 in
     let table : (ckey, int * int) Hashtbl.t = Hashtbl.create 64 in
-    let out = Array.copy ops in
+    let out = Array.copy ops and replaced = ref 0 in
     let rec walk b =
       let pushed = ref [] and added = ref [] in
       let push_ver r v =
@@ -356,6 +356,7 @@ let gvn ops =
             match Hashtbl.find_opt table k with
             | Some (x, vx) when top x = vx && x <> d ->
                 out.(i) <- Iaff (d, aff_reg x);
+                incr replaced;
                 (* [d] now aliases [x]: give it [x]'s value number so
                    expressions over [d] keep hitting downstream. *)
                 push_ver d vx
@@ -371,7 +372,7 @@ let gvn ops =
       List.iter (fun r -> stacks.(r) <- List.tl stacks.(r)) !pushed
     in
     walk 0;
-    out
+    (out, !replaced)
   end
 
 (* ---------- dead-write elimination (ints) ---------- *)
@@ -572,7 +573,7 @@ let apply_hoist ops src l_top moves =
   List.iter (fun (p, _) -> dead.(newpos.(p)) <- true) moves;
   delete_at out osrc dead
 
-let licm_serial ~int_base ~real_base (t : tape) =
+let licm_serial ~int_base ~real_base hoisted (t : tape) =
   let rec round (ops, src) budget =
     if budget = 0 then (ops, src)
     else begin
@@ -586,7 +587,9 @@ let licm_serial ~int_base ~real_base (t : tape) =
         | l :: rest -> (
             match region_hoists ~int_base ~real_base t ops l with
             | [] -> try_loops rest
-            | moves -> round (apply_hoist ops src l.l_top moves) (budget - 1))
+            | moves ->
+                hoisted := !hoisted + List.length moves;
+                round (apply_hoist ops src l.l_top moves) (budget - 1))
       in
       try_loops loops
     end
@@ -598,7 +601,7 @@ let licm_serial ~int_base ~real_base (t : tape) =
    the body and are not the strip index move to the per-strip preamble
    ([tp_pre] runs once per strip, after the strip index is set). Loads
    stay in the body ([tp_pre] stays access-free). *)
-let licm_strip ~int_base ~real_base ~jslot (t : tape) =
+let licm_strip ~int_base ~real_base ~jslot hoisted (t : tape) =
   let ops = t.tp_ops in
   let ints_c, flts_c = count_writes ops t.tp_pre in
   let count tbl r = Option.value ~default:0 (Hashtbl.find_opt tbl r) in
@@ -638,6 +641,7 @@ let licm_strip ~int_base ~real_base ~jslot (t : tape) =
   match List.rev !moves with
   | [] -> t
   | moves ->
+      hoisted := !hoisted + List.length moves;
       let dead = Array.make (Array.length ops) false in
       List.iter (fun (p, _) -> dead.(p) <- true) moves;
       let ops', src' = delete_at ops t.tp_src dead in
@@ -652,8 +656,14 @@ let licm_strip ~int_base ~real_base ~jslot (t : tape) =
         tp_src = src';
       }
 
+(* Returns the tape and the number of instructions hoisted. *)
 let licm ~int_base ~real_base ~jslot (t : tape) =
-  licm_strip ~int_base ~real_base ~jslot (licm_serial ~int_base ~real_base t)
+  let hoisted = ref 0 in
+  let t =
+    licm_strip ~int_base ~real_base ~jslot hoisted
+      (licm_serial ~int_base ~real_base hoisted t)
+  in
+  (t, !hoisted)
 
 (* ---------- load sinking ---------- *)
 
@@ -757,8 +767,10 @@ let sink_loads ~real_base (t : tape) =
    be), and float operand order is preserved exactly — so results,
    checked-path fault order and shadow-hook order are bit-identical.
    Offsets are pure functions of registers, so swapping the ids of a
-   reversed pair only swaps independent offset computations. *)
+   reversed pair only swaps independent offset computations. Returns the
+   tape and the number of loads fused into a consumer (one per pair). *)
 let fuse ~real_base (t : tape) =
+  let fused = ref 0 in
   let rec pass (ops, src) budget =
     if budget = 0 then (ops, src)
     else begin
@@ -832,11 +844,13 @@ let fuse ~real_base (t : tape) =
             work.(!i) <- f;
             dead.(!i + 1) <- true;
             dead.(!i + 2) <- true;
+            fused := !fused + 2;
             changed := true;
             i := !i + 3
         | None, Some f ->
             work.(!i) <- f;
             dead.(!i + 1) <- true;
+            incr fused;
             changed := true;
             i := !i + 2
         | None, None -> incr i
@@ -846,7 +860,7 @@ let fuse ~real_base (t : tape) =
     end
   in
   let ops, src = pass (t.tp_ops, t.tp_src) 8 in
-  { t with tp_ops = ops; tp_src = src }
+  ({ t with tp_ops = ops; tp_src = src }, !fused)
 
 (* Branch inversion: a conditional that skips exactly one unconditional
    jump (the lowering shape for an if/else: [jcc -> then; jmp else])
@@ -894,16 +908,21 @@ module Registry = Loopcoal_obs.Registry
 
 let pass_names = [ "lower"; "gvn"; "licm"; "fuse" ]
 
-(* Per-pass wall-time histograms and instruction-delta counters, keyed
-   by pass name. Handles are created once at module init; the hot path
-   only touches their atomics. *)
+(* Per-pass wall-time histograms, instruction-delta counters and fired
+   counters (rewrites the pass made), keyed by pass name. Handles are
+   created once at module init; the hot path only touches their
+   atomics. *)
 let pass_metrics =
   List.map
     (fun name ->
+      let c what =
+        Registry.counter (Printf.sprintf "tapeopt.%s.%s" name what)
+      in
       ( name,
         ( Registry.histogram (Printf.sprintf "tapeopt.%s.ns" name),
-          Registry.counter (Printf.sprintf "tapeopt.%s.instrs_in" name),
-          Registry.counter (Printf.sprintf "tapeopt.%s.instrs_out" name) ) ))
+          c "instrs_in",
+          c "instrs_out",
+          c "fired" ) ))
     (List.filter (fun n -> n <> "lower") pass_names)
 
 let tape_len (t : tape) = Array.length t.tp_pre + Array.length t.tp_ops
@@ -928,10 +947,11 @@ let optimize ?dump ~level ~jslot ~int_base ~real_base tape =
     t
   in
   let stage name f t =
-    let h, c_in, c_out = List.assoc name pass_metrics in
+    let h, c_in, c_out, c_fired = List.assoc name pass_metrics in
     Registry.add c_in (tape_len t);
-    let t' = Registry.time h (fun () -> f t) in
+    let t', fired = Registry.time h (fun () -> f t) in
     Registry.add c_out (tape_len t');
+    Registry.add c_fired fired;
     emit name t'
   in
   let tape = emit "lower" tape in
@@ -939,7 +959,9 @@ let optimize ?dump ~level ~jslot ~int_base ~real_base tape =
   else begin
     let t =
       stage "gvn"
-        (fun t -> dce ~int_base { t with tp_ops = gvn t.tp_ops })
+        (fun t ->
+          let ops, replaced = gvn t.tp_ops in
+          (dce ~int_base { t with tp_ops = ops }, replaced))
         tape
     in
     let t = stage "licm" (licm ~int_base ~real_base ~jslot) t in

@@ -1166,6 +1166,78 @@ let test_lane_fallbacks () =
   Alcotest.(check bool) "racy program is flagged" true (snd (fst r) > 0);
   Alcotest.(check bool) "shadow reports repeat" true (r = observe ())
 
+(* Lane operands of every step class over [n]-long strips: a negative
+   step ([B[i, n + 1 - j]]), a zero step ([A[i, 1]]), unit steps, a
+   large step ([T[j, i]]), a strided destination ([C[j, i]]), with
+   [~gather] a gather ([A[i, min(j, 7)]]), a multi-register [Iaff]
+   ([j + 2 * (j % 3)]), an int min/mod/ceildiv chain and a strip of
+   step 3. examples/programs/strided_lanes.loop is this program at
+   n = 257 without the gather: a gather's subscript is not affine, and
+   the strict race check over the examples rejects the warning. *)
+let strided_lanes_prog ?(gather = false) n =
+  Printf.sprintf
+    "program\n\
+    \  real A[4, %d]\n\
+    \  real T[%d, 6]\n\
+    \  real B[4, %d]\n\
+    \  real C[%d, 4]\n\
+    \  real D[4, %d]\n\
+    \  real E[4, %d]\n\
+     begin\n\
+    \  doall i = 1, 4\n\
+    \    doall j = 1, %d\n\
+    \      A[i, j] = i * 0.25 - j * 0.125\n\
+    \    end\n\
+    \  end\n\
+    \  doall j = 1, %d\n\
+    \    doall i = 1, 6\n\
+    \      T[j, i] = j * 0.0625 + i\n\
+    \    end\n\
+    \  end\n\
+    \  doall i = 1, 4\n\
+    \    doall j = 1, %d\n\
+    \      B[i, j] = T[j, i] * 0.5 + A[i, 1] - j\n\
+    \    end\n\
+    \  end\n\
+    \  doall i = 1, 4\n\
+    \    doall j = 1, %d\n\
+    \      C[j, i] = B[i, %d + 1 - j] - A[i, j]\n\
+    \      D[i, j] = %s(j + 2 * (j %% 3)) * 0.5 + ceildiv(min(j, %d - 3) %% 7 + 1, 2)\n\
+    \    end\n\
+    \  end\n\
+    \  doall i = 1, 4\n\
+    \    doall j = 1, %d, 3\n\
+    \      E[i, j] = -(A[i, j] * B[i, j])\n\
+    \    end\n\
+    \  end\n\
+     end\n"
+    n n n n n n n n n n n
+    (if gather then "A[i, min(j, 7)] + " else "")
+    n n
+
+(* Extents below, at and across [lane_width]: every plan takes the lane
+   path, bit-identical to scalar bytecode and Eval on 1-3 domains under
+   static, GSS and chunk:3. *)
+let test_lane_strides () =
+  let w = Bytecode.lane_width in
+  let example =
+    In_channel.with_open_bin "../examples/programs/strided_lanes.loop"
+      In_channel.input_all
+  in
+  Alcotest.(check string) "the example is the program at n = 257"
+    (strided_lanes_prog 257) example;
+  List.iter
+    (fun n ->
+      List.iter
+        (fun gather ->
+          let what = Printf.sprintf "strided lanes, n=%d, gather=%b" n gather in
+          let prog = parse what (strided_lanes_prog ~gather n) in
+          Alcotest.(check (list string))
+            what [ "ok"; "ok"; "ok"; "ok"; "ok" ] (lane_reasons prog);
+          check_lanes ~lanes:true ~what prog)
+        [ true; false ])
+    [ w - 1; w; w + 1; (2 * w) + 5 ]
+
 (* Race-free DOALL nests, and nests around serial accumulations and
    branchy variable-step loops (promoted elements, uniform branches),
    on 1-3 domains: every program of these generators takes the lane
@@ -1216,4 +1288,6 @@ let suite =
     Gen.to_alcotest prop_doall_nests_agree;
     Gen.to_alcotest prop_promotion_agrees;
     Gen.to_alcotest prop_branchy_varstep_agrees;
+    Alcotest.test_case "lane path: operand step classes across lane_width"
+      `Quick test_lane_strides;
   ]

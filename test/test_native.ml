@@ -294,8 +294,9 @@ let test_toolchain_missing_fallback () =
    it; only a failed build probes, to pick its diagnostic. The compiler
    is pinned to a wrapper script that logs every call and forwards to
    [ocamlfind ocamlopt] (or, with [~build_fails], answers [-version] but
-   refuses to build). *)
-let with_logging_compiler ?(build_fails = false) f =
+   refuses to build; with [~sleeps], answers [-version] but turns a
+   build into a 30 s sleep whose pid it writes to [<script>.pid]). *)
+let with_logging_compiler ?(build_fails = false) ?(sleeps = false) f =
   if Sys.command "ocamlfind ocamlopt -version >/dev/null 2>&1" <> 0 then
     Alcotest.skip ();
   let script = Filename.temp_file ~temp_dir:scratch_cache "ocamlopt" ".sh" in
@@ -306,6 +307,11 @@ let with_logging_compiler ?(build_fails = false) f =
         Printf.fprintf oc
           "case \"$1\" in -version) exec ocamlfind ocamlopt -version ;; \
            esac\necho 'wrapper: build refused' >&2\nexit 2\n"
+      else if sleeps then
+        Printf.fprintf oc
+          "case \"$1\" in -version) exec ocamlfind ocamlopt -version ;; \
+           esac\necho $$ > %s\nexec sleep 30\n"
+          (Filename.quote (script ^ ".pid"))
       else Printf.fprintf oc "exec ocamlfind ocamlopt \"$@\"\n");
   Unix.chmod script 0o755;
   let calls () =
@@ -382,6 +388,45 @@ let test_failing_build_diagnosed () =
           Alcotest.failf "expected build + probe, got %d calls"
             (List.length cs));
       let o = Exec.run_compiled ~domains:2 ~engine:Exec.Native compiled in
+      if not (Exec.agrees_with_interpreter o (Eval.run prog)) then
+        Alcotest.fail "bytecode fallback differs from interpreter")
+
+(* A compiler that never finishes: the build is killed at its bound
+   (the internal [~build_timeout]; the CLI keeps the 120 s default), the
+   reason names the timeout, the compiler is not probed, and every fork
+   runs on bytecode, counted under [native.fallbacks]. *)
+let test_build_timeout () =
+  require_toolchain ();
+  with_logging_compiler ~sleeps:true (fun calls ->
+      let pidfile = Sys.getenv "LOOPC_NATIVE_OCAMLOPT" ^ ".pid" in
+      let prog = fresh_prog 0.9375 in
+      let compiled = Compile.compile prog in
+      let t0 = Unix.gettimeofday () in
+      (match Natgen.prepare ~persist:false ~build_timeout:0.5 compiled with
+      | Natgen.Unavailable m ->
+          Alcotest.(check string)
+            "reason names the timeout" "native build timed out after 0.5 s" m
+      | Natgen.Ready _ -> Alcotest.fail "a timed-out build must not be Ready");
+      let waited = Unix.gettimeofday () -. t0 in
+      if waited > 10.0 then
+        Alcotest.failf "prepare returned after %.1f s, not at the bound" waited;
+      (match calls () with
+      | [ build ] ->
+          Alcotest.(check bool) "no probe" false (contains build "-version")
+      | cs ->
+          Alcotest.failf "expected one build call, got %d" (List.length cs));
+      (* the compiler was killed and reaped, not left sleeping *)
+      (match In_channel.with_open_text pidfile In_channel.input_line with
+      | Some pid -> (
+          match Unix.kill (int_of_string pid) 0 with
+          | () -> Alcotest.failf "compiler %s still running" pid
+          | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ())
+      | None | (exception Sys_error _) -> ());
+      let fallbacks = Registry.counter "native.fallbacks" in
+      let before = Registry.value fallbacks in
+      let o = Exec.run_compiled ~domains:2 ~engine:Exec.Native compiled in
+      if Registry.value fallbacks <= before then
+        Alcotest.fail "timed-out build: no fork counted under native.fallbacks";
       if not (Exec.agrees_with_interpreter o (Eval.run prog)) then
         Alcotest.fail "bytecode fallback differs from interpreter")
 
@@ -958,4 +1003,6 @@ let suite =
         `Quick test_overflow_trip_count;
       Alcotest.test_case "ceildiv at the int range edges, every engine"
         `Quick test_cdiv_int_range;
+      Alcotest.test_case "build timeout: killed, diagnosed, bytecode" `Quick
+        test_build_timeout;
     ]

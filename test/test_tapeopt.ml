@@ -217,6 +217,31 @@ let test_golden_kernels_agree () =
         [ 0; 2 ])
     [ ("gvn kernel", gvn_prog); ("licm kernel", licm_prog) ]
 
+(* ---------- fired counters ---------- *)
+
+(* [tapeopt.<pass>.fired] counts a pass's rewrites, so a pass that
+   leaves the tape length unchanged (licm) still shows its work. gvn_prog
+   repeats [i * i], [40] and their [min]: three duplicates replaced.
+   tri_gather hoists its loop-invariant row offset out of the serial
+   [k] loop. Every delta is taken around one cold -O2 compile. *)
+let test_fired_counters () =
+  let fired pass prog =
+    let c = Registry.counter (Printf.sprintf "tapeopt.%s.fired" pass) in
+    let v0 = Registry.value c in
+    ignore (Compile.compile ~opt_level:2 prog);
+    Registry.value c - v0
+  in
+  Alcotest.(check int) "gvn replaces the repeated chain" 3
+    (fired "gvn" gvn_prog);
+  let tri = Kernels.tri_gather ~n:10 in
+  let licm = fired "licm" tri in
+  if licm < 1 then Alcotest.failf "licm fired %d times on tri_gather" licm;
+  Alcotest.(check int) "-O0 runs no pass" 0
+    (let c = Registry.counter "tapeopt.gvn.fired" in
+     let v0 = Registry.value c in
+     ignore (Compile.compile ~opt_level:0 gvn_prog);
+     Registry.value c - v0)
+
 let suite =
   [
     Alcotest.test_case "gvn golden dump" `Quick test_gvn_golden;
@@ -227,4 +252,6 @@ let suite =
       test_licm_alias;
     Alcotest.test_case "golden kernels agree with interpreter" `Quick
       test_golden_kernels_agree;
+    Alcotest.test_case "fired counters: gvn replaces, licm hoists" `Quick
+      test_fired_counters;
   ]
