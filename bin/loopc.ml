@@ -860,8 +860,8 @@ let run_cmd =
             "Print each plan's bytecode tape as it moves through the \
              optimizer pipeline, in the stable textual format the golden \
              tests pin. With no argument (or $(b,all)) every stage is \
-             printed; naming one stage of $(b,lower), $(b,gvn), \
-             $(b,licm), $(b,fuse) prints the tape before \
+             printed; naming one stage of $(b,lower), $(b,licm), \
+             $(b,fuse) prints the tape before \
              and after that stage. Implies \
              $(b,--no-plan-cache) for this run, since a cache hit skips \
              the pipeline.")
@@ -1095,7 +1095,7 @@ let run_cmd =
                 | `Model b -> string_of_int b ))
     in
     (* [prev] remembers each plan's previous stage so a named pass can
-       show the tape it rewrote ("before gvn") next to its output. *)
+       show the tape it rewrote ("before licm") next to its output. *)
     let prev : (int, string * string) Hashtbl.t = Hashtbl.create 4 in
     let tape_dump =
       Option.map

@@ -17,7 +17,7 @@
      for nanosecond timings spanning six orders of magnitude.
 
    Naming scheme: dot-separated [component.event[_unit]], e.g.
-   [plan_cache.hit], [tapeopt.gvn.ns]. The registry renders and dumps
+   [plan_cache.hit], [tapeopt.licm.ns]. The registry renders and dumps
    metrics sorted by name, so output order is stable regardless of
    module initialization order. *)
 

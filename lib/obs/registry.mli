@@ -7,7 +7,7 @@
     any domain may record concurrently.
 
     Names are dot-separated [component.event[_unit]] (e.g.
-    [plan_cache.hit], [tapeopt.gvn.ns]); rendering and JSON dumps are
+    [plan_cache.hit], [tapeopt.licm.ns]); rendering and JSON dumps are
     sorted by name. Requesting an existing name with a different metric
     kind raises [Invalid_argument]. *)
 

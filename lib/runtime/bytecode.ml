@@ -87,6 +87,14 @@ type rng =
   | Rmax of rng * rng
   | Rspan of rng * rng
 
+(* No [Rux] leaf: the skeleton can evaluate. *)
+let rec rng_known = function
+  | Rux -> false
+  | Rconst _ | Rplan _ | Rreg _ -> true
+  | Raff (_, ts) -> Array.for_all (fun (_, t) -> rng_known t) ts
+  | Rmul (a, b) | Rmin (a, b) | Rmax (a, b) | Rspan (a, b) ->
+      rng_known a && rng_known b
+
 let r_addc c r =
   if c = 0 then r
   else
@@ -238,7 +246,7 @@ and vkind =
    loops extend the root path with "/index" per nesting level. The
    optimizer passes thread these side tables through every rewrite, so
    profiler reports can name the originating loop even on a
-   gvn/licm/fuse'd tape. *)
+   licm/fuse'd tape. *)
 type srcloc = {
   sl_loop : string;
       (** loop path: plan indexes joined with ".", then "/index" per
@@ -335,6 +343,11 @@ type st = {
   fresh_i : unit -> int;
   fresh_r : unit -> int;
   assigned : string list;
+  once : string list;
+      (** scalars the body assigns exactly once, by a top-level statement *)
+  mutable known : (string * rng) list;
+      (** [once] scalars already assigned, with their right-hand side's
+          range: every later read in the iteration sees that value *)
   plan_names : string array;
   plan_slots : int array;
   sanitize : bool;
@@ -597,9 +610,12 @@ let rec lower_expr st (e : Ast.expr) : xval =
               match st.lookup v with
               | Some (Bint s | Bindex s) ->
                   let vr =
-                    if List.mem v st.assigned || Hashtbl.mem st.written s then
-                      Rux
-                    else Rreg s
+                    match List.assoc_opt v st.known with
+                    | Some r -> r
+                    | None ->
+                        if List.mem v st.assigned || Hashtbl.mem st.written s
+                        then Rux
+                        else Rreg s
                   in
                   Xi { va = aff_reg s; vr }
               | Some (Breal s) -> Xr s
@@ -731,7 +747,10 @@ let rec lower_stmt st (s : Ast.stmt) =
           error "cannot assign to loop index %s" v
       | target -> (
           match (target, lower_expr st e) with
-          | Some (Bint slot), Xi iv -> emit st (Iaff (slot, iv.va))
+          | Some (Bint slot), Xi iv ->
+              emit st (Iaff (slot, iv.va));
+              if List.mem v st.once && rng_known iv.vr then
+                st.known <- (v, iv.vr) :: st.known
           | Some (Bint _), Xr _ -> error "assigning real to int scalar %s" v
           | Some (Breal slot), x -> emit_mov st slot (to_real st x)
           | _ -> error "unbound scalar %s" v))
@@ -851,6 +870,16 @@ and lower_block st (b : Ast.block) = List.iter (lower_stmt st) b
 let lower ~lookup ~array_ref ~fresh_int ~fresh_real ~assigned ~plan_names
     ~plan_slots ~sanitize (body : Ast.block) : tape =
   let root = String.concat "." (Array.to_list plan_names) in
+  let writes = block_writes body in
+  let once =
+    List.filter_map
+      (function
+        | Ast.Assign (Scalar v, _)
+          when List.length (List.filter (String.equal v) writes) = 1 ->
+            Some v
+        | _ -> None)
+      body
+  in
   let st =
     {
       lookup;
@@ -858,6 +887,8 @@ let lower ~lookup ~array_ref ~fresh_int ~fresh_real ~assigned ~plan_names
       fresh_i = fresh_int;
       fresh_r = fresh_real;
       assigned;
+      once;
+      known = [];
       plan_names;
       plan_slots;
       sanitize;

@@ -209,8 +209,12 @@ val lower :
 (** Lower a coalesced plan body. [plan_names]/[plan_slots] are the
     flattened nest's indexes, outer first; the last slot is the strip
     index. [lookup] resolves free names exactly as the staging compiler
-    scoped them; [assigned] lists scalars the body assigns (their values
-    cannot participate in range analysis). [fresh_int]/[fresh_real]
+    scoped them; [assigned] lists scalars the body assigns. Their
+    reads get no range, except reads of an int scalar the body assigns
+    exactly once, by a top-level statement (not under an [if] or a
+    serial loop), from a right-hand side with a known range (no [/],
+    [%] or [ceildiv] in it): a read lowered after that assignment takes
+    that range. [fresh_int]/[fresh_real]
     allocate temporary registers from the host register files. Raises
     {!exception:Error} on a statically ill-typed body: the first fault in
     evaluation order (an expression's right operand before its left, a
@@ -227,8 +231,8 @@ val n_accesses : tape -> int
     except for the [Iloop]/[Iloopc] back edges, so block order is a
     topological order of the graph with back edges removed. The last
     block is a synthetic empty exit block at position [n]; jumps to [n]
-    (fall off the tape) resolve to it. The optimizer's SSA pipeline is
-    built on this. *)
+    (fall off the tape) resolve to it. Natgen, the profiler and
+    {!Tapecheck} walk this graph. *)
 
 type bblock = {
   bb_start : int;  (** first instruction index *)

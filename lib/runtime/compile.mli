@@ -160,8 +160,8 @@ val compile :
     environment's [shadow] field.
 
     [opt_level] (default 2) selects the {!Tapeopt} pipeline applied to
-    each lowered tape: 0 = raw lowering output, 2 = the full SSA
-    pipeline (dominator-tree GVN, cross-block LICM, fusion).
+    each lowered tape: 0 = raw lowering output, 2 = the full
+    pipeline (cross-block LICM, fusion).
     Each tape keeps one single-iteration body either way. Sanitized
     tapes are never optimized regardless of level.
 

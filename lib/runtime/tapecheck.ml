@@ -621,10 +621,11 @@ let check_intervals ctx fc t =
                           match rng_eval ~ints ~lo ~hi derived.(id).(k) with
                           | None ->
                               (* The instruction stream does not pin the
-                                 subscript down (e.g. a value-numbered
-                                 bound snapshot aliases the index back
-                                 into its own span): nothing to falsify
-                                 against, so no claim either way. *)
+                                 subscript down (e.g. a register with
+                                 several defs that are not one serial
+                                 loop's init and back edge): nothing to
+                                 falsify against, so no claim either
+                                 way. *)
                               ()
                           | Some (dl, dh) ->
                               (* [Raff] hulls are normalized; mirror
@@ -648,8 +649,8 @@ let check_intervals ctx fc t =
 (* ---------- footprints (LC014) ---------- *)
 
 (* Key accesses by array slot and subscript form rather than by access
-   id: GVN may legitimately drop one of two identical loads, and
-   register renames never touch the subscript tables. *)
+   id: an optimizer may legitimately drop one of two identical loads,
+   and register renames never touch the subscript tables. *)
 let acc_key accs id =
   let ac = accs.(id) in
   Printf.sprintf "%d:%s" ac.ac_slot

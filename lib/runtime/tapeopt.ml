@@ -1,27 +1,16 @@
-(* Tape optimizer: an SSA-based pass pipeline over the flat register
-   tape.
+(* Tape optimizer: a fixed pass pipeline over the flat register tape.
 
-   The tape is lowered once ({!Bytecode.lower}), then rewritten by a
-   fixed pipeline. Every analysis pass is built on the same scaffolding:
-   the CFG ({!Bytecode.build_cfg}: basic blocks split at jump targets
-   and after control instructions), an iterative dominator computation,
-   dominance frontiers, and minimal SSA over the int registers (phi
-   placement at iterated frontiers of the def sites; phis live in side
-   tables only and are never materialized — registers are not renumbered,
-   so lowering back out of SSA is the identity and "copy coalescing"
-   into the existing register files is free).
-
-   Pipeline (level 2; level 0 is the lowering output untouched):
-   dominator-tree global value numbering over the pure int ops
-   (subsumes block-local CSE: values stay valid across branches and
-   joins, invalidated by SSA versioning) and dead-write elimination;
-   cross-block loop-invariant code motion (pure ops and fault-safe
-   invariant loads move to serial-loop preheaders; strip-invariant pure
-   ops move into the per-strip preamble); and superinstruction fusion.
-   Array offsets keep their affine access form: an unchecked access
-   reads its hoisted invariant part plus its variant part. The strip
-   body stays one iteration long: the executor's strip back-edge, not a
-   replicated body, amortizes the per-iteration dispatch entry.
+   The tape is lowered once ({!Bytecode.lower}), then rewritten at
+   level 2 (level 0 is the lowering output untouched) by cross-block
+   loop-invariant code motion (pure ops and fault-safe invariant loads
+   move to serial-loop preheaders found from the [Iloop]/[Iloopc] back
+   edges; strip-invariant pure ops move into the per-strip preamble)
+   and superinstruction fusion over adjacent instructions. No pass
+   needs a CFG, dominators or SSA. Array offsets keep their affine
+   access form: an unchecked access reads its hoisted invariant part
+   plus its variant part. The strip body stays one iteration long: the
+   executor's strip back-edge, not a replicated body, amortizes the
+   per-iteration dispatch entry.
 
    Everything here preserves the tape's sequential results exactly:
    float operand order is never changed (results stay bit-identical)
@@ -98,14 +87,6 @@ let iter_float_reads f = function
   | Iloopc _ | Fld2add _ | Fldst _ | Icount _ ->
       ()
 
-let rec iter_rng_regs f = function
-  | Rux | Rconst _ | Rplan _ -> ()
-  | Rreg r -> f r
-  | Raff (_, ts) -> Array.iter (fun (_, t) -> iter_rng_regs f t) ts
-  | Rmul (a, b) | Rmin (a, b) | Rmax (a, b) | Rspan (a, b) ->
-      iter_rng_regs f a;
-      iter_rng_regs f b
-
 (* ---------- jump-target bookkeeping ---------- *)
 
 let target_flags ops =
@@ -171,246 +152,6 @@ let delete_at ops src dead =
     end
   done;
   (out, osrc)
-
-(* ---------- dominators, frontiers, minimal SSA ---------- *)
-
-(* Block indexes are a reverse postorder of the CFG with back edges
-   removed (lowering emits forward jumps only, plus the [Iloop]/[Iloopc]
-   back edges), so the standard iterative dominator algorithm processes
-   blocks in index order. *)
-type dom = {
-  d_idom : int array;  (** immediate dominator per block; -1 = unreachable *)
-  d_children : int list array;  (** dominator-tree children *)
-  d_phis : int list array;
-      (** per block: int registers that carry a phi at block entry —
-          minimal SSA via iterated dominance frontiers of the def sites.
-          Phis are analysis-only: versions in the renaming walk, never
-          instructions. *)
-}
-
-let max_int_reg ops =
-  let m = ref (-1) in
-  Array.iter
-    (fun op ->
-      iter_int_reads (fun r -> if r > !m then m := r) op;
-      match int_dst op with Some d when d > !m -> m := d | _ -> ())
-    ops;
-  !m + 1
-
-let build_dom (cfg : cfg) ops =
-  let nb = Array.length cfg.cf_blocks in
-  let idom = Array.make nb (-1) in
-  idom.(0) <- 0;
-  let rec intersect a b =
-    if a = b then a
-    else if a > b then intersect idom.(a) b
-    else intersect a idom.(b)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = 1 to nb - 1 do
-      let preds =
-        List.filter (fun p -> idom.(p) >= 0) cfg.cf_blocks.(b).bb_preds
-      in
-      match preds with
-      | [] -> ()
-      | p :: rest ->
-          let ni = List.fold_left intersect p rest in
-          if idom.(b) <> ni then begin
-            idom.(b) <- ni;
-            changed := true
-          end
-    done
-  done;
-  (* Dominance frontiers (reachable blocks only). *)
-  let df = Array.make nb [] in
-  for b = 0 to nb - 1 do
-    if idom.(b) >= 0 then begin
-      let preds =
-        List.filter (fun p -> idom.(p) >= 0) cfg.cf_blocks.(b).bb_preds
-      in
-      match preds with
-      | _ :: _ :: _ ->
-          List.iter
-            (fun p ->
-              let r = ref p in
-              while !r <> idom.(b) do
-                if not (List.mem b df.(!r)) then df.(!r) <- b :: df.(!r);
-                r := idom.(!r)
-              done)
-            preds
-      | _ -> ()
-    end
-  done;
-  (* Phi placement: iterated dominance frontiers of each register's def
-     blocks. *)
-  let nregs = max_int_reg ops in
-  let defblocks = Array.make (max 1 nregs) [] in
-  Array.iteri
-    (fun i op ->
-      match int_dst op with
-      | Some d ->
-          let b = cfg.cf_block_of.(i) in
-          if idom.(b) >= 0 && not (List.mem b defblocks.(d)) then
-            defblocks.(d) <- b :: defblocks.(d)
-      | None -> ())
-    ops;
-  let phis = Array.make nb [] in
-  for r = 0 to nregs - 1 do
-    if defblocks.(r) <> [] then begin
-      let work = Queue.create () in
-      let onwork = Array.make nb false in
-      let placed = Array.make nb false in
-      List.iter
-        (fun b ->
-          onwork.(b) <- true;
-          Queue.add b work)
-        defblocks.(r);
-      while not (Queue.is_empty work) do
-        let b = Queue.pop work in
-        List.iter
-          (fun d ->
-            if not placed.(d) then begin
-              placed.(d) <- true;
-              phis.(d) <- r :: phis.(d);
-              if not onwork.(d) then begin
-                onwork.(d) <- true;
-                Queue.add d work
-              end
-            end)
-          df.(b)
-      done
-    end
-  done;
-  let children = Array.make nb [] in
-  for b = nb - 1 downto 1 do
-    if idom.(b) >= 0 then children.(idom.(b)) <- b :: children.(idom.(b))
-  done;
-  { d_idom = idom; d_children = children; d_phis = phis }
-
-(* ---------- dominator-tree global value numbering (ints) ---------- *)
-
-type ckey =
-  | Kconst of int
-  | Kaff of int * (int * int) array  (** base, (coef, value number) *)
-  | Kmul of int * int
-  | Kmin of int * int
-  | Kmax of int * int
-
-(* Value numbering over the pure int ops (faulting ops — div/mod/cdiv/
-   step — are neither candidates nor keys), keyed on SSA versions: the
-   renaming walk runs down the dominator tree with a scoped value table,
-   so a value computed before a branch stays available in both arms and
-   after the join, while any register redefined on a non-dominating path
-   is invalidated by the phi version at the merge. A duplicate becomes a
-   register move; the dead-write pass below then drops writes nothing
-   reads. Returns the tape and the number of duplicates replaced. *)
-let gvn ops =
-  let n = Array.length ops in
-  if n = 0 then (ops, 0)
-  else begin
-    let cfg = build_cfg ops in
-    let dom = build_dom cfg ops in
-    let nregs = max_int_reg ops in
-    let stacks = Array.make (max 1 nregs) [] in
-    let top r = match stacks.(r) with v :: _ -> v | [] -> 0 in
-    let next = ref 1 in
-    let table : (ckey, int * int) Hashtbl.t = Hashtbl.create 64 in
-    let out = Array.copy ops and replaced = ref 0 in
-    let rec walk b =
-      let pushed = ref [] and added = ref [] in
-      let push_ver r v =
-        stacks.(r) <- v :: stacks.(r);
-        pushed := r :: !pushed
-      in
-      let push r =
-        push_ver r !next;
-        incr next
-      in
-      List.iter push dom.d_phis.(b);
-      let blk = cfg.cf_blocks.(b) in
-      for i = blk.bb_start to blk.bb_stop - 1 do
-        let op = ops.(i) in
-        (* A register's value number: its top SSA version (globally
-           unique — the counter never repeats), or a negative per-register
-           encoding for live-ins that share version 0. *)
-        let vn r =
-          let v = top r in
-          if v = 0 then -(r + 1) else v
-        in
-        let key =
-          match op with
-          | Iconst (_, v) -> Some (Kconst v)
-          | Iaff (_, a) ->
-              Some
-                (Kaff
-                   (a.base, Array.mapi (fun m r -> (a.coefs.(m), vn r)) a.regs))
-          | Imul (_, a, b) -> Some (Kmul (vn a, vn b))
-          | Imin (_, a, b) -> Some (Kmin (vn a, vn b))
-          | Imax (_, a, b) -> Some (Kmax (vn a, vn b))
-          | _ -> None
-        in
-        match (key, int_dst op) with
-        | Some k, Some d -> (
-            match Hashtbl.find_opt table k with
-            | Some (x, vx) when top x = vx && x <> d ->
-                out.(i) <- Iaff (d, aff_reg x);
-                incr replaced;
-                (* [d] now aliases [x]: give it [x]'s value number so
-                   expressions over [d] keep hitting downstream. *)
-                push_ver d vx
-            | _ ->
-                push d;
-                Hashtbl.add table k (d, top d);
-                added := k :: !added)
-        | None, Some d -> push d
-        | _, None -> ()
-      done;
-      List.iter walk dom.d_children.(b);
-      List.iter (fun k -> Hashtbl.remove table k) !added;
-      List.iter (fun r -> stacks.(r) <- List.tl stacks.(r)) !pushed
-    in
-    walk 0;
-    (out, !replaced)
-  end
-
-(* ---------- dead-write elimination (ints) ---------- *)
-
-(* Drop pure int writes nothing reads: not another instruction, not an
-   access subscript/offset, not a symbolic range. Registers below
-   [int_base] are observable program scalars and are always kept. *)
-let dce ~int_base (t : tape) =
-  let rec go (ops, src) rounds =
-    if rounds = 0 then (ops, src)
-    else begin
-      let read = Hashtbl.create 64 in
-      let mark r = Hashtbl.replace read r () in
-      Array.iter (iter_int_reads mark) ops;
-      Array.iter (iter_int_reads mark) t.tp_pre;
-      Array.iter
-        (fun ac ->
-          Array.iter (fun a -> Array.iter mark a.regs) ac.ac_subs;
-          Array.iter mark ac.ac_var.regs;
-          Array.iter mark ac.ac_inv.regs;
-          Array.iter (iter_rng_regs mark) ac.ac_rngs)
-        t.tp_accs;
-      let dead =
-        Array.map
-          (fun op ->
-            match op with
-            | Iconst (d, _) | Iaff (d, _) | Imul (d, _, _) | Imin (d, _, _)
-            | Imax (d, _, _) ->
-                d >= int_base && not (Hashtbl.mem read d)
-            | _ -> false)
-          ops
-      in
-      if Array.exists Fun.id dead then go (delete_at ops src dead) (rounds - 1)
-      else (ops, src)
-    end
-  in
-  let ops, src = go (t.tp_ops, t.tp_src) 4 in
-  { t with tp_ops = ops; tp_src = src }
 
 (* ---------- cross-block loop-invariant code motion ---------- *)
 
@@ -906,7 +647,7 @@ let invert_branches (t : tape) =
 
 module Registry = Loopcoal_obs.Registry
 
-let pass_names = [ "lower"; "gvn"; "licm"; "fuse" ]
+let pass_names = [ "lower"; "licm"; "fuse" ]
 
 (* Per-pass wall-time histograms, instruction-delta counters and fired
    counters (rewrites the pass made), keyed by pass name. Handles are
@@ -957,14 +698,7 @@ let optimize ?dump ~level ~jslot ~int_base ~real_base tape =
   let tape = emit "lower" tape in
   if level <= 0 || sanitized tape then tape
   else begin
-    let t =
-      stage "gvn"
-        (fun t ->
-          let ops, replaced = gvn t.tp_ops in
-          (dce ~int_base { t with tp_ops = ops }, replaced))
-        tape
-    in
-    let t = stage "licm" (licm ~int_base ~real_base ~jslot) t in
+    let t = stage "licm" (licm ~int_base ~real_base ~jslot) tape in
     stage "fuse"
       (fun t -> fuse ~real_base (sink_loads ~real_base (invert_branches t)))
       t

@@ -1,26 +1,17 @@
 (** Optimizer pipeline over the flat register tape.
 
     Runs after {!Bytecode.lower}, while the host compiler's register
-    counters are still live (new registers allocated here extend the
-    plan's register files before environments are sized). The passes are
-    built on shared SSA scaffolding — the CFG ({!Bytecode.build_cfg}),
-    iterative dominators, dominance frontiers, and minimal SSA over the
-    int registers with phi placement at iterated frontiers (phis live in
-    side tables only; registers are never renumbered, so lowering back
-    out of SSA is the identity) — and all preserve the tape's sequential
-    semantics {e exactly}: float operand order, access execution order,
+    counters are still live. The passes work on the tape directly:
+    serial loops are found from their [Iloop]/[Iloopc] back edges and
+    fusion works on adjacent instructions, so no pass builds a CFG,
+    dominators or SSA. All preserve the tape's sequential semantics
+    {e exactly}: float operand order, access execution order,
     checked-path fault messages and shadow-hook order are unchanged, so
     results are bit-identical to the unoptimized tape.
 
     Pipeline, in pass order (see {!pass_names}); every pass runs at
     level 2:
 
-    - {b gvn}: dominator-tree global value numbering over
-      the pure int instructions — a value computed before a branch stays
-      available in both arms and after the join; registers redefined on
-      non-dominating paths are invalidated by SSA versioning — followed
-      by deletion of int writes nothing reads (program scalars are
-      always kept).
     - {b licm}: cross-block loop-invariant code motion.
       Pure ops and fault-order-safe invariant loads move to serial-loop
       preheaders (the back edge is remapped past them; the rotated

@@ -80,8 +80,7 @@ val histogram_reference : n:int -> buckets:int -> float array
 (** {1 Conditional stencil} — a three-point gather whose write picks its
     scale behind a data-dependent branch: [B(i) = t * 0.25] or
     [t * 0.5] depending on [C(i)]. A DOALL with a branchy body — the
-    shape the SSA optimizer value-numbers and fuses across exclusive
-    arms (pre-SSA it fell back to the unoptimized tape). *)
+    shape the optimizer fuses inside each exclusive arm. *)
 
 val cond_stencil : n:int -> Ast.program
 val cond_stencil_reference : n:int -> float array

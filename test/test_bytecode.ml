@@ -1238,6 +1238,86 @@ let test_lane_strides () =
         [ true; false ])
     [ w - 1; w; w + 1; (2 * w) + 5 ]
 
+(* ---------- range proof through a scalar assigned once ---------- *)
+
+(* An int scalar the body assigns exactly once, by a top-level
+   statement, takes its right-hand side's range at every read lowered
+   after the assignment: [B[k]] with [k = 21 - j] is proved, so both
+   forks run on lanes. examples/programs/scalar_gather.loop is this
+   program with the default body. *)
+let scalar_gather_prog ?(body = "    k = 21 - j\n    A[j] = B[k]\n") () =
+  Printf.sprintf
+    "program\n\
+    \  real A[20]\n\
+    \  real B[20]\n\
+    \  int k = 1\n\
+     begin\n\
+    \  doall j = 1, 20\n\
+    \    B[j] = j * 0.5\n\
+    \  end\n\
+    \  doall j = 1, 20\n\
+     %s\
+    \  end\n\
+     end\n"
+    body
+
+(* Forks of [prog] that take the lane path on one domain under GSS. *)
+let lane_fork_count prog =
+  let t = Compile.compile prog in
+  let before = Registry.value lane_forks in
+  ignore (Exec.run_compiled ~domains:1 ~policy:Policy.Gss t : Exec.outcome);
+  Registry.value lane_forks - before
+
+let test_scalar_range () =
+  let example =
+    In_channel.with_open_bin "../examples/programs/scalar_gather.loop"
+      In_channel.input_all
+  in
+  Alcotest.(check string) "the example is the program" (scalar_gather_prog ())
+    example;
+  let proved = parse "scalar gather" example in
+  check_lanes ~lanes:true ~what:"scalar gather" proved;
+  Alcotest.(check int) "both forks run on lanes" 2 (lane_fork_count proved);
+  (* [k] reaches 21: the proof fails and every engine faults with the
+     interpreter's bounds message. *)
+  let oob =
+    parse "oob" (scalar_gather_prog ~body:"    k = 22 - j\n    A[j] = B[k]\n" ())
+  in
+  let want =
+    match Eval.run oob with
+    | _ -> Alcotest.fail "oob: interpreter ran without an error"
+    | exception Eval.Runtime_error m -> m
+  in
+  Alcotest.(check string) "interpreter error"
+    "array B: subscript 21 out of bounds 1..20" want;
+  List.iter
+    (fun (ename, engine) ->
+      List.iter
+        (fun opt_level ->
+          let what = Printf.sprintf "oob: %s -O%d" ename opt_level in
+          match Exec.run ~domains:1 ~engine ~opt_level oob with
+          | _ -> Alcotest.failf "%s ran without an error" what
+          | exception Compile.Error m -> Alcotest.(check string) what want m)
+        [ 0; 2 ])
+    [ ("bytecode", Exec.Bytecode); ("native", Exec.Native) ];
+  (* Unproved: a read before the assignment (it sees the previous
+     iteration's [k], a value in 1..20 that [* 0.0] cancels), two
+     assignments, and an assignment under an [if]. The second fork runs
+     scalar and still agrees with Eval. *)
+  List.iter
+    (fun (what, body) ->
+      let prog = parse what (scalar_gather_prog ~body ()) in
+      check_lanes ~what prog;
+      Alcotest.(check int) (what ^ ": one fork on lanes") 1
+        (lane_fork_count prog))
+    [
+      ("read before assignment", "    A[j] = B[k] * 0.0 + j\n    k = 21 - j\n");
+      ( "assigned twice",
+        "    k = 21 - j\n    A[j] = B[k]\n    k = j\n    A[j] = A[j] + B[k]\n" );
+      ( "assigned under if",
+        "    if j > 0 then\n      k = 21 - j\n    end\n    A[j] = B[k]\n" );
+    ]
+
 (* Race-free DOALL nests, and nests around serial accumulations and
    branchy variable-step loops (promoted elements, uniform branches),
    on 1-3 domains: every program of these generators takes the lane
@@ -1290,4 +1370,6 @@ let suite =
     Gen.to_alcotest prop_branchy_varstep_agrees;
     Alcotest.test_case "lane path: operand step classes across lane_width"
       `Quick test_lane_strides;
+    Alcotest.test_case "range proof through a scalar assigned once" `Quick
+      test_scalar_range;
   ]

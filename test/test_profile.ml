@@ -6,8 +6,8 @@
      tag in range and tag 0 the plan root;
    - a matmul profile attributes >= 90% of dispatches to concrete source
      statements/loops (not strip-level glue) at every opt level — the
-     acceptance bar for the provenance plumbing surviving gvn, licm,
-     and fusion;
+     acceptance bar for the provenance plumbing surviving licm and
+     fusion;
    - running with the profiler on changes no result bit and no trace
      structure, on any engine, opt level, policy or domain count. *)
 

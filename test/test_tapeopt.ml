@@ -1,4 +1,4 @@
-(* Golden tests for the SSA optimizer pipeline, written against the
+(* Golden tests for the tape optimizer pipeline, written against the
    stable textual tape format ([Bytecode.pp_tape], the same text
    [loopc run --dump-tape] prints).
 
@@ -13,6 +13,7 @@ module Compile = Runtime.Compile
 module Exec = Runtime.Exec
 module Tapeopt = Runtime.Tapeopt
 module Bytecode = Runtime.Bytecode
+module Recipe = Loopcoal_transform.Recipe
 module B = Builder
 
 (* Capture every (plan, pass, text) triple a compile reports. *)
@@ -33,64 +34,6 @@ let check_golden what expected got =
   if got <> expected then
     Alcotest.failf "%s: dump differs from golden\n--- expected ---\n%s\n--- got ---\n%s"
       what expected got
-
-(* ---------- GVN: repeated subscript chains collapse ---------- *)
-
-(* The clamped square subscript [min(i*i, 40)] is computed twice — once
-   for the load, once for the store of the same element. Dominator-tree
-   GVN must rewrite the whole second chain to one move of the first
-   result ([i6 <- 0 + 1*i3]) and DCE must drop the dead intermediates. *)
-let gvn_prog =
-  B.program
-    ~arrays:[ B.array "V" [ 40 ] ]
-    [
-      B.doall "i" (B.int 1) (B.int 6)
-        [
-          B.store "V"
-            [ B.imin B.(var "i" * var "i") (B.int 40) ]
-            B.(load "V" [ B.imin B.(var "i" * var "i") (B.int 40) ] + real 1.0);
-        ];
-    ]
-
-let gvn_lower_golden =
-  "pre:\n\
-  \   0: r0 <- 0x1p+0\n\
-   ops:\n\
-  \   0: i1 <- i0 * i0\n\
-  \   1: i2 <- 40\n\
-  \   2: i3 <- min i1 i2\n\
-  \   3: i4 <- i0 * i0\n\
-  \   4: i5 <- 40\n\
-  \   5: i6 <- min i4 i5\n\
-  \   6: r1 <- load[1]\n\
-  \   7: r2 <- r1 + r0\n\
-  \   8: store[0] <- r2\n\
-   accs:\n\
-  \   0: V  inv = -1  var = 0 + 1*i3  off = inv + 1*i3\n\
-  \   1: V  inv = -1  var = 0 + 1*i6  off = inv + 1*i6\n\
-   sanitize=false\n"
-
-let gvn_golden =
-  "pre:\n\
-  \   0: r0 <- 0x1p+0\n\
-   ops:\n\
-  \   0: i1 <- i0 * i0\n\
-  \   1: i2 <- 40\n\
-  \   2: i3 <- min i1 i2\n\
-  \   3: i6 <- 0 + 1*i3\n\
-  \   4: r1 <- load[1]\n\
-  \   5: r2 <- r1 + r0\n\
-  \   6: store[0] <- r2\n\
-   accs:\n\
-  \   0: V  inv = -1  var = 0 + 1*i3  off = inv + 1*i3\n\
-  \   1: V  inv = -1  var = 0 + 1*i6  off = inv + 1*i6\n\
-   sanitize=false\n"
-
-let test_gvn_golden () =
-  check_golden "gvn kernel, lower" gvn_lower_golden
-    (pass_of gvn_prog ~plan:0 ~pass:"lower");
-  check_golden "gvn kernel, gvn" gvn_golden
-    (pass_of gvn_prog ~plan:0 ~pass:"gvn")
 
 (* ---------- LICM: invariant load hoisted out of a serial loop ---------- *)
 
@@ -141,31 +84,6 @@ let test_licm_golden () =
   check_golden "licm kernel, licm" licm_golden
     (pass_of licm_prog ~plan:0 ~pass:"licm")
 
-(* ---------- dump plumbing ---------- *)
-
-(* Every plan reports the pipeline stages in order, and the dumped
-   stages are exactly [Tapeopt.pass_names] at -O2. *)
-let test_pass_sequence () =
-  List.iter
-    (fun prog ->
-      let seq =
-        List.filter_map
-          (fun (p, n, _) -> if p = 0 then Some n else None)
-          (dumps prog)
-      in
-      Alcotest.(check (list string)) "stages in pipeline order"
-        Tapeopt.pass_names seq)
-    [ gvn_prog; licm_prog ];
-  (* At -O0 only the raw lowering is reported. *)
-  let acc = ref [] in
-  ignore
-    (Compile.compile ~opt_level:0
-       ~tape_dump:(fun ~plan:_ ~pass t ->
-         acc := (pass, Bytecode.pp_tape t) :: !acc)
-       gvn_prog);
-  Alcotest.(check (list string)) "-O0 dumps lowering only" [ "lower" ]
-    (List.map fst !acc)
-
 (* ---------- LICM aliasing: loads never hoist over same-array stores ---------- *)
 
 (* The load A[i] has region-invariant subscripts, but the loop also
@@ -201,7 +119,34 @@ let test_licm_alias () =
           lvl)
     [ 0; 2 ]
 
-(* The pinned rewrites are semantics-preserving: both kernels agree with
+(* ---------- dump plumbing ---------- *)
+
+(* Every plan reports the pipeline stages in order, and the dumped
+   stages are exactly [Tapeopt.pass_names] at -O2: on a plan with a
+   serial loop (licm_prog) and on a straight-line one (licm_alias_prog's
+   first plan). *)
+let test_pass_sequence () =
+  List.iter
+    (fun prog ->
+      let seq =
+        List.filter_map
+          (fun (p, n, _) -> if p = 0 then Some n else None)
+          (dumps prog)
+      in
+      Alcotest.(check (list string)) "stages in pipeline order"
+        Tapeopt.pass_names seq)
+    [ licm_prog; licm_alias_prog ];
+  (* At -O0 only the raw lowering is reported. *)
+  let acc = ref [] in
+  ignore
+    (Compile.compile ~opt_level:0
+       ~tape_dump:(fun ~plan:_ ~pass t ->
+         acc := (pass, Bytecode.pp_tape t) :: !acc)
+       licm_prog);
+  Alcotest.(check (list string)) "-O0 dumps lowering only" [ "lower" ]
+    (List.map fst !acc)
+
+(* The pinned rewrite is semantics-preserving: the kernel agrees with
    the interpreter at every opt level. *)
 let test_golden_kernels_agree () =
   List.iter
@@ -215,15 +160,78 @@ let test_golden_kernels_agree () =
           if not (Exec.agrees_with_interpreter outcome st) then
             Alcotest.failf "%s: -O%d differs from interpreter" what lvl)
         [ 0; 2 ])
-    [ ("gvn kernel", gvn_prog); ("licm kernel", licm_prog) ]
+    [ ("licm kernel", licm_prog) ]
+
+(* ---------- searched candidates: -O0 = -O2 = Eval ---------- *)
+
+(* The transformation search's candidates give the optimizer shapes no
+   hand-written kernel has (tiled and chunked nests, divmod and ceiling
+   index recovery, guards around recovered indexes). Every non-identity
+   candidate of every kernel and of both explicit-recovery examples
+   must give the same bits at -O0 and -O2 on bytecode, at 1 and 2
+   domains under GSS, and agree with [Eval] of the candidate bit for
+   bit: arrays always, scalars on one domain (the interpreter's final
+   scalars are the sequentially last iteration's). *)
+let search_corpus () =
+  let example f =
+    let path = Filename.concat "../examples/programs" f in
+    match
+      Driver.load_string (In_channel.with_open_bin path In_channel.input_all)
+    with
+    | Ok p -> (f, p)
+    | Error m -> Alcotest.failf "%s: %s" f m
+  in
+  List.filter_map
+    (fun n -> Option.map (fun mk -> (n, mk ())) (Kernels.by_name n))
+    Kernels.all_names
+  @ List.map example [ "coalesced_divmod.loop"; "coalesced_ceiling.loop" ]
+
+let test_searched_candidates_agree () =
+  let checked = ref 0 in
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun r ->
+          if not (Recipe.is_identity r) then
+            match Recipe.apply r prog with
+            | Error _ -> ()
+            | Ok p ->
+                incr checked;
+                let what = Printf.sprintf "%s [%s]" name (Recipe.to_string r) in
+                let st = Eval.run p in
+                let c0 = Compile.compile ~opt_level:0 p
+                and c2 = Compile.compile ~opt_level:2 p in
+                List.iter
+                  (fun domains ->
+                    let run c =
+                      Exec.run_compiled ~domains ~policy:Policy.Gss
+                        ~engine:Exec.Bytecode c
+                    in
+                    let o0 = run c0 and o2 = run c2 in
+                    let fail why =
+                      Alcotest.failf "%s, %d domain(s): %s" what domains why
+                    in
+                    if not (Test_bytecode.same_bits o0 o2) then
+                      fail "-O0 and -O2 differ";
+                    let eval_arrays =
+                      { o2 with Exec.arrays = fst (Eval.dump st) }
+                    in
+                    if not (Test_bytecode.same_bits eval_arrays o2) then
+                      fail "arrays differ from Eval";
+                    if domains = 1 && not (Test_bytecode.same_bits_as_eval o2 st)
+                    then fail "scalars differ from Eval")
+                  [ 1; 2 ])
+        (Loopcoal_transform.Search.enumerate ~procs:2 ~budget:64 prog))
+    (search_corpus ());
+  if !checked < 100 then
+    Alcotest.failf "only %d searched candidates applied" !checked
 
 (* ---------- fired counters ---------- *)
 
 (* [tapeopt.<pass>.fired] counts a pass's rewrites, so a pass that
-   leaves the tape length unchanged (licm) still shows its work. gvn_prog
-   repeats [i * i], [40] and their [min]: three duplicates replaced.
+   leaves the tape length unchanged (licm) still shows its work.
    tri_gather hoists its loop-invariant row offset out of the serial
-   [k] loop. Every delta is taken around one cold -O2 compile. *)
+   [k] loop. Every delta is taken around one cold compile. *)
 let test_fired_counters () =
   let fired pass prog =
     let c = Registry.counter (Printf.sprintf "tapeopt.%s.fired" pass) in
@@ -231,20 +239,17 @@ let test_fired_counters () =
     ignore (Compile.compile ~opt_level:2 prog);
     Registry.value c - v0
   in
-  Alcotest.(check int) "gvn replaces the repeated chain" 3
-    (fired "gvn" gvn_prog);
   let tri = Kernels.tri_gather ~n:10 in
   let licm = fired "licm" tri in
   if licm < 1 then Alcotest.failf "licm fired %d times on tri_gather" licm;
   Alcotest.(check int) "-O0 runs no pass" 0
-    (let c = Registry.counter "tapeopt.gvn.fired" in
+    (let c = Registry.counter "tapeopt.licm.fired" in
      let v0 = Registry.value c in
-     ignore (Compile.compile ~opt_level:0 gvn_prog);
+     ignore (Compile.compile ~opt_level:0 tri);
      Registry.value c - v0)
 
 let suite =
   [
-    Alcotest.test_case "gvn golden dump" `Quick test_gvn_golden;
     Alcotest.test_case "licm golden dump" `Quick test_licm_golden;
     Alcotest.test_case "dump reports the pass pipeline" `Quick
       test_pass_sequence;
@@ -252,6 +257,8 @@ let suite =
       test_licm_alias;
     Alcotest.test_case "golden kernels agree with interpreter" `Quick
       test_golden_kernels_agree;
-    Alcotest.test_case "fired counters: gvn replaces, licm hoists" `Quick
+    Alcotest.test_case "fired counters: licm hoists" `Quick
       test_fired_counters;
+    Alcotest.test_case "searched candidates: -O0 = -O2 = Eval" `Quick
+      test_searched_candidates_agree;
   ]
