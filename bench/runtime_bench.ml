@@ -748,7 +748,7 @@ let run ?(oversubscribe = false) ?(gate = false) () =
      native (the -O2 tape Dynlink-compiled to machine code; rows present \
      only when the host has ocamlopt); \
      opt_level on bytecode rows is the Tapeopt level (0 = raw lowering, 2 = \
-     GVN + LICM + fusion; parallel rows run -O2); \
+     licm + fuse; parallel rows run -O2); \
      speedups are wall-clock; speedup_vs_1dom is against the same engine and \
      opt_level at 1 domain; predicted is the event simulator's coalesced \
      speedup at the same p; chunks/imbalance/sync_ops_per_iter are traced \

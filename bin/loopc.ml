@@ -838,8 +838,8 @@ let run_cmd =
       & info [ "opt-level" ] ~docv:"N"
           ~doc:
             "Bytecode tape optimizer level: $(b,0) runs the raw lowered \
-             tape, $(b,2) (default) the full pipeline (value numbering, \
-             invariant motion, load fusion). Results, \
+             tape, $(b,2) (default) the full pipeline (licm: loop-invariant \
+             code motion; fuse: load fusion). Results, \
              traces and metrics are identical at both levels.")
   in
   let no_plan_cache_flag =

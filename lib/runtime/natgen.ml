@@ -63,9 +63,11 @@
      raise, so errors and their order stay the bytecode tier's.
      [jam_plan] adds the emitter's own filters: a self-loop block (a
      serial inner loop; straight-line bodies gain nothing from
-     jamming) and every stored array at one flat offset
+     jamming), every stored array at one flat offset
      [inv + c * jslot], c <> 0 (the analysis also accepts an array
-     pinned by one subscript).
+     pinned by one subscript), and no fold register (the analysis
+     also accepts a float chain [r <- r op e], which the lane path
+     folds in order; strip reductions stay single here).
 
    The generator only ever emits the *unsafe* access path, so the
    executor uses a plan's native runner for a fork only when
@@ -134,10 +136,11 @@ module IntMap = Bytecode.IntMap
 (* Whether to jam: {!Bytecode.lane_plan} decides whether running four
    consecutive strip iterations instruction by instruction, in place,
    equals running them in order; on top of it the emitter wants a
-   self-loop block (a serial inner loop) and every stored array at one
-   flat offset. [lits] are the registers read as literals. The plan's
-   varying registers are renamed per copy; [lp_uniform] marks the
-   accesses whose load the four copies share. *)
+   self-loop block (a serial inner loop), every stored array at one
+   flat offset and no fold register (a strip reduction stays single:
+   the copies would fold out of order). [lits] are the registers read
+   as literals. The plan's varying registers are renamed per copy;
+   [lp_uniform] marks the accesses whose load the four copies share. *)
 let jam_plan ~jslot ~lits (tp : Bytecode.tape) =
   match Bytecode.lane_plan ~jslot ~lits tp with
   | Error _ -> None
@@ -154,7 +157,10 @@ let jam_plan ~jslot ~lits (tp : Bytecode.tape) =
         | Iloop (_, _, _, top) | Iloopc (_, _, _, top) -> top = bb.bb_start
         | _ -> false
       in
-      if lp.lp_flat_stores && List.exists self_loop (List.init exit Fun.id)
+      if
+        lp.lp_flat_stores
+        && IntSet.is_empty lp.lp_folds
+        && List.exists self_loop (List.init exit Fun.id)
       then Some lp
       else None
 

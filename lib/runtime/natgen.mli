@@ -40,6 +40,17 @@ val source : Compile.t -> string * bool list
 (** The plugin source that {!prepare} would compile, plus per-plan
     eligibility (in plan order) — exposed for tests and debugging. *)
 
+val jam_plan :
+  jslot:int ->
+  lits:int Bytecode.IntMap.t ->
+  Bytecode.tape ->
+  Bytecode.lane_plan option
+(** Whether a plan's runner is unrolled and jammed by four:
+    {!Bytecode.lane_plan}'s legality plus the emitter's filters (a
+    serial inner loop, every stored array at one flat offset, no fold
+    register). [lits] are the registers read as literals. Exposed for
+    tests. *)
+
 val prepare :
   ?key:string ->
   ?dir:string ->

@@ -14,6 +14,7 @@ module Exec = Runtime.Exec
 module Compile = Runtime.Compile
 module Natgen = Runtime.Natgen
 module Pool = Runtime.Pool
+module Bytecode = Runtime.Bytecode
 
 (* Keep native [.cmxs] artifacts (and any plan-cache traffic from the
    CLI subprocess below) out of the user's real cache directory. The
@@ -659,6 +660,59 @@ let test_jam_five_way () =
       ~policies:[ Policy.Static_block; Policy.Gss; Policy.Self_sched 3 ]
       ~what:"tri_gather" tri
 
+(* Fold plans: the lane path folds their carried float chain in order,
+   the native tier leaves them single ([jam_plan] is [None] for every
+   plan with a fold register, a strip sum after a serial loop included,
+   which would jam otherwise), and all five engines agree on the fold
+   example at 1-3 domains under static, guided and fixed-chunk
+   schedules. *)
+let test_fold_plans () =
+  let example =
+    parse "fold_lanes"
+      (In_channel.with_open_bin "../examples/programs/fold_lanes.loop"
+         In_channel.input_all)
+  in
+  let progs =
+    example
+    :: List.map
+         (fun (what, body) -> parse what (jam_nest ~nk:4 ~nj:7 body))
+         Test_bytecode.jam_folds
+    @ List.map
+        (fun nj ->
+          parse "folds"
+            (Test_bytecode.fold_prog ~exact:true ~nj Test_bytecode.fold_shapes))
+        [ 1; 5; 257 ]
+  in
+  let folds = ref 0 in
+  List.iter
+    (fun prog ->
+      List.iter
+        (fun lvl ->
+          List.iter
+            (fun (pl : Compile.plan) ->
+              let jslot = pl.Compile.index_slots.(pl.Compile.depth - 1) in
+              let tp = pl.Compile.tape in
+              let lits = Bytecode.const_regs ~jslot tp in
+              match Bytecode.lane_plan ~jslot ~lits tp with
+              | Ok lp when not (Bytecode.IntSet.is_empty lp.Bytecode.lp_folds)
+                ->
+                  incr folds;
+                  if Option.is_some (Natgen.jam_plan ~jslot ~lits tp) then
+                    Alcotest.failf "-O%d: a fold plan is jammed" lvl
+              | _ -> ())
+            (Compile.plans (Compile.compile ~opt_level:lvl prog)))
+        [ 0; 2 ])
+    progs;
+  Alcotest.(check bool) "fold plans seen" true (!folds >= 2 * 30);
+  List.iter
+    (fun (what, body) ->
+      check_jam ~jam:false ~what (parse what (jam_nest ~nk:4 ~nj:7 body)))
+    Test_bytecode.jam_folds;
+  if Lazy.force toolchain = Ok () then
+    check_five_way ~domain_counts:[ 1; 2; 3 ]
+      ~policies:[ Policy.Static_block; Policy.Gss; Policy.Self_sched 3 ]
+      ~what:"fold_lanes.loop" example
+
 (* A literal zero (or, for ceildiv, non-positive) divisor is decided at
    generation time, but must still raise the tape's exact message — not
    [Division_by_zero] — on every engine. *)
@@ -993,6 +1047,8 @@ let suite =
       test_cond_stencil_five_way;
     Alcotest.test_case "unroll-and-jam: strips 1-9, negatives (five-way)"
       `Slow test_jam_five_way;
+    Alcotest.test_case "fold plans: not jammed, five-way on fold_lanes"
+      `Slow test_fold_plans;
   ]
   @ [
       Gen.to_alcotest prop_serial_accum;
