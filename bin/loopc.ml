@@ -1569,19 +1569,37 @@ let calibrate_cmd =
              done;
              (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters))
     in
-    (* A no-op pool run is one wake plus one join; the probe can only
-       see their sum, so split it with the default model's ratio. *)
+    (* A rendezvous pool run — each share waits until every share has
+       started — is one hand-off to every worker plus one join: the
+       caller cannot run a worker's share itself, as it would a no-op
+       one. The shares of a pool larger than the core count sleep while
+       they wait, so that the domains still to start get a core. The
+       probe can only see the sum, so split it with the default model's
+       ratio. *)
     let fork_join_ns =
       L.Runtime.Pool.with_pool p (fun pool ->
+          let wait =
+            if p > Domain.recommended_domain_count () then fun () ->
+              Unix.sleepf 1e-6
+            else Domain.cpu_relax
+          in
+          let rendezvous () =
+            let arrived = Atomic.make 0 in
+            L.Runtime.Pool.run pool (fun _ ->
+                Atomic.incr arrived;
+                while Atomic.get arrived < p do
+                  wait ()
+                done)
+          in
           for _ = 1 to 32 do
-            L.Runtime.Pool.run pool (fun _ -> ())
+            rendezvous ()
           done;
           let iters = 500 in
           median
             (List.init rounds (fun _ ->
                  let t0 = Unix.gettimeofday () in
                  for _ = 1 to iters do
-                   L.Runtime.Pool.run pool (fun _ -> ())
+                   rendezvous ()
                  done;
                  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters)))
     in
@@ -1662,12 +1680,12 @@ let calibrate_cmd =
     (Cmd.info "calibrate"
        ~doc:
          "Micro-time this machine's scheduling primitives — dispatch \
-          (atomic fetch&add), fork/join (no-op pool run) — and per-op \
-          tape and host costs (staged probe kernels divided by the \
-          search scorer's weighted op counts), then write the \
-          calibration JSON that [loopc tune] and [loopc run --search] \
-          score candidates with. $(b,LOOPC_MACHINE) overrides the \
-          default location.")
+          (atomic fetch&add), fork/join (a pool run whose shares wait \
+          for one another) — and per-op tape and host costs (staged \
+          probe kernels divided by the search scorer's weighted op \
+          counts), then write the calibration JSON that [loopc tune] \
+          and [loopc run --search] score candidates with. \
+          $(b,LOOPC_MACHINE) overrides the default location.")
     Term.(const run $ procs_arg $ rounds_arg $ output_arg)
 
 (* ---------- profile ---------- *)

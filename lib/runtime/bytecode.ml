@@ -1426,13 +1426,14 @@ let build_cfg (ops : instr array) : cfg =
      so errors and their order cannot depend on the interleaving.
 
    A fold register is a float register [r] carried through one chain
-   [r <- r op e]: exactly one instruction [F] writes it, with [r] as
-   the left operand of [+ - * / min max] or as the accumulator of a
-   fused multiply-add form; [e] does not read [r]; no other instruction
-   reads [r]; and [F] is not inside a serial loop. It is neither carried
-   nor varying: it stays scalar, and the lane path folds [F] over a
-   pass's iterations in iteration order (recurrence fission), so no
-   operation is reassociated. *)
+   [r <- r op e] or [r <- e op r]: exactly one instruction [F] writes
+   it, with [r] as either operand of [+ - * / min max] or as the
+   accumulator of a fused multiply-add form; [e] does not read [r]; no
+   other instruction reads [r]; and [F] is not inside a serial loop.
+   It is neither carried nor varying: it stays scalar, and the lane
+   path folds [F] over a pass's iterations in iteration order
+   (recurrence fission) and operand order, so no operation is
+   reassociated or commuted. *)
 
 module IntSet = Set.Make (Int)
 module IntMap = Map.Make (Int)
@@ -1511,15 +1512,18 @@ type lane_plan = {
   lp_uniform : bool array;
 }
 
-(* The accumulator of a fold form [r <- r op e]: the register it writes,
-   when it is also the left operand (the accumulator of a fused form). *)
+(* The accumulator of a fold form [r <- r op e] or [r <- e op r]: the
+   register it writes, when it is also an operand of [+ - * / min max]
+   or the accumulator of a fused form. *)
 let fold_acc = function
-  | Fadd (d, a, _)
-  | Fsub (d, a, _)
-  | Fmul (d, a, _)
-  | Fdiv (d, a, _)
-  | Fmin (d, a, _)
-  | Fmax (d, a, _)
+  | Fadd (d, a, b)
+  | Fsub (d, a, b)
+  | Fmul (d, a, b)
+  | Fdiv (d, a, b)
+  | Fmin (d, a, b)
+  | Fmax (d, a, b)
+    when a = d || b = d ->
+      Some d
   | Fmac (d, a, _, _)
   | Fmsb (d, a, _, _)
   | Fmac2 (d, a, _, _)

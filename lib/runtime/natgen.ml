@@ -66,8 +66,9 @@
      jamming), every stored array at one flat offset
      [inv + c * jslot], c <> 0 (the analysis also accepts an array
      pinned by one subscript), and no fold register (the analysis
-     also accepts a float chain [r <- r op e], which the lane path
-     folds in order; strip reductions stay single here).
+     also accepts a float chain [r <- r op e] or [r <- e op r], which
+     the lane path folds in order; strip reductions stay single
+     here).
 
    The generator only ever emits the *unsafe* access path, so the
    executor uses a plan's native runner for a fork only when

@@ -537,14 +537,12 @@ let trip_prog_branchy ~trips =
   }
 
 (* A carried float sum next to a strip-indexed access: every iteration
-   reads and writes [s]. Written [s = s + W[i, j]], [s] is a fold
-   register, so the lane path folds it in iteration order (sanitized
-   runs keep the scalar runner); written [s = W[i, j] + s] ([~right]),
-   the accumulator is the right operand, no fold, so lanes reject the
-   body and every strip runs on the scalar runner, [s] carried across
-   its back-edge. The addends are quarters, so every partial sum is
-   exact and the domain-order reduction merge equals [Eval]'s
-   sequential sum bit for bit at any domain count. *)
+   reads and writes [s]. Written [s = s + W[i, j]] or, with [~right],
+   [s = W[i, j] + s], [s] is a fold register, so the lane path folds it
+   in iteration order; sanitized runs keep the scalar runner, [s]
+   carried across its back-edge. The addends are quarters, so every
+   partial sum is exact and the domain-order reduction merge equals
+   [Eval]'s sequential sum bit for bit at any domain count. *)
 let trip_prog_sum ?(right = false) ~trips () =
   let wij = Ast.Load ("W", [ Ast.Var "i"; Ast.Var "j" ]) in
   let quarter =
@@ -729,7 +727,7 @@ let test_strip_backedge_identical () =
       ("plain", trip_prog);
       ("branchy variable-step", trip_prog_branchy);
       ("carried sum", fun ~trips -> trip_prog_sum ~trips ());
-      ( "carried sum, no fold",
+      ( "carried sum, accumulator on the right",
         fun ~trips -> trip_prog_sum ~right:true ~trips () );
     ];
   (* Racy: one domain visits iterations 1..n in order, whatever the
@@ -765,8 +763,8 @@ let test_strip_backedge_identical () =
               (Policy.name policy))
         [ Policy.Static_block; Policy.Self_sched 3; Policy.Gss ])
     strip_trips;
-  (* The carried sum runs on lanes, [s] a fold register; the right-hand
-     sum really runs scalar: lanes reject its body. *)
+  (* The carried sum runs on lanes, [s] a fold register, with the
+     accumulator on either side. *)
   List.iter
     (fun (what, right, want) ->
       Alcotest.(check (list string))
@@ -786,7 +784,7 @@ let test_strip_backedge_identical () =
               (Compile.compile ~opt_level:2 (trip_prog_sum ~right ~trips:9 ())))))
     [
       ("carried sum is a lane fold", false, "1 fold");
-      ("right-hand carried sum is not lane-eligible", true, "carried");
+      ("right-hand carried sum is a lane fold", true, "1 fold");
     ]
 
 (* The sanitizer must see the exact same accesses at every level — the
@@ -891,18 +889,18 @@ let jam_positives =
   ]
 
 (* shapes that must run in order, with the lane rule each fails first: a
-   strip-carried scalar (a sum with the accumulator on the right is no
-   fold), a divisor that is not a literal, a store every iteration would
+   strip-carried scalar (an int sum: fold registers are float), a
+   divisor that is not a literal, a store every iteration would
    make to one element, and a data-dependent branch *)
 let jam_negatives =
   [
     ( "strip-carried scalar",
-      "",
+      "  int n = 0\n",
       "      C[i, j] = 0.0\n\
       \      do k = 1, 3\n\
       \        C[i, j] = C[i, j] + A[i, k] * B[k, j]\n\
       \      end\n\
-      \      t = C[i, j] + t\n",
+      \      n = n + j\n",
       "carried" );
     ( "non-literal divisor",
       "  int d = 2\n",
@@ -931,18 +929,22 @@ let jam_negatives =
   ]
 
 
-(* A strip sum after a serial loop: [t] is a fold register, so lanes
-   take the body, but the native tier must not jam it (its four copies
-   would fold out of order). *)
+(* A strip sum after a serial loop, the accumulator on either side:
+   [t] is a fold register, so lanes take the body, but the native tier
+   must not jam it (its four copies would fold out of order). *)
 let jam_folds =
-  [
-    ( "strip sum after a serial loop",
-      "      C[i, j] = 0.0\n\
-      \      do k = 1, 3\n\
-      \        C[i, j] = C[i, j] + A[i, k] * B[k, j]\n\
-      \      end\n\
-      \      t = t + C[i, j]\n" );
-  ]
+  List.map
+    (fun (what, sum) ->
+      ( what,
+        "      C[i, j] = 0.0\n\
+        \      do k = 1, 3\n\
+        \        C[i, j] = C[i, j] + A[i, k] * B[k, j]\n\
+        \      end\n\
+        \      t = " ^ sum ^ "\n" ))
+    [
+      ("strip sum after a serial loop", "t + C[i, j]");
+      ("commuted strip sum after a serial loop", "C[i, j] + t");
+    ]
 
 let parse what text =
   match Driver.load_string text with
@@ -1375,6 +1377,9 @@ let fold_shapes =
     ( "index differences",
       [ ("s", "0.0") ],
       "s = s - (i * 0.5) * (j * 0.25)" );
+    ("commuted sum", [ ("s", "0.0") ], "s = A[i, j] + s");
+    ("commuted difference", [ ("s", "0.0") ], "s = A[i, j] - s");
+    ("commuted product", [ ("s", "1.0") ], "s = B[i, j] * s");
     ("min", [ ("s", "100.0") ], "s = min(s, A[i, j])");
     ("max", [ ("s", "-100.0") ], "s = max(s, A[i, j])");
     ( "two accumulators",
@@ -1450,6 +1455,77 @@ let fold_negatives =
 let fold_negative_prog what body =
   fold_prog ~exact:false ~nj:7 [ (what, [ ("s", "0.0") ], body) ]
 
+(* Commuted folds over NaNs of two payloads, the default NaN and its
+   negation: [s] starts as the negation, [A] holds both, the default one
+   last. A fold that ran [e op s] as [s op e] would keep the
+   accumulator's payload where the scalar runner and [Eval] take the
+   element's. *)
+let commuted_nan_prog ~nj =
+  Printf.sprintf
+    "program\n\
+    \  real A[3, %d]\n\
+    \  real s0 = 0.0\n\
+    \  real s1 = 1.0\n\
+    \  real s2 = 0.0\n\
+    \  real z = 0.0\n\
+     begin\n\
+    \  doall i = 1, 3\n\
+    \    doall j = 1, %d\n\
+    \      A[i, j] = (i + 3 * j) * 0.25\n\
+    \    end\n\
+    \  end\n\
+    \  A[2, 3] = -(z / z)\n\
+    \  A[3, 2] = z / z\n\
+    \  s0 = -(z / z)\n\
+    \  s1 = -(z / z)\n\
+    \  doall i = 1, 3\n\
+    \    doall j = 1, %d\n\
+    \      s0 = A[i, j] + s0\n\
+    \      s1 = A[i, j] * s1\n\
+    \      s2 = A[i, j] - s2\n\
+    \    end\n\
+    \  end\n\
+     end\n"
+    nj nj nj
+
+(* Lanes against the scalar runner (a profiler attached) bit for bit at
+   -O0 and -O2 on 1-3 domains, every fork on lanes, and against [Eval]
+   on one domain. On more, the domain-order merge decides which
+   partial's NaN survives, on the scalar runner too, so [Eval]'s
+   payload is compared where the fold order is the whole order. *)
+let check_commuted_nans ~nj =
+  let prog = parse "commuted NaNs" (commuted_nan_prog ~nj) in
+  let reference =
+    let arrays, scalars = Eval.dump (Eval.run prog) in
+    { Exec.arrays; scalars }
+  in
+  List.iter
+    (fun lvl ->
+      let t = Compile.compile ~opt_level:lvl prog in
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun d ->
+              let where =
+                Printf.sprintf "commuted NaNs nj=%d -O%d, %d domains, %s" nj
+                  lvl d (Policy.name policy)
+              in
+              let scalar =
+                Exec.run_compiled ~domains:d ~policy
+                  ~profile:(Runtime.Profile.create ()) t
+              in
+              let before = Registry.value lane_forks in
+              let lane = Exec.run_compiled ~domains:d ~policy t in
+              Alcotest.(check int) (where ^ ": lane forks") 2
+                (Registry.value lane_forks - before);
+              if not (same_bits lane scalar) then
+                Alcotest.failf "%s: lanes differ from the scalar runner" where;
+              if d = 1 && not (same_bits lane reference) then
+                Alcotest.failf "%s: lanes differ from Eval" where)
+            [ 1; 2; 3 ])
+        lane_policies)
+    [ 0; 2 ]
+
 let test_lane_folds () =
   let shapes = fold_shapes in
   let nfolds = List.map (fun (_, sc, _) -> List.length sc) shapes in
@@ -1477,6 +1553,7 @@ let test_lane_folds () =
         ~what:(Printf.sprintf "inexact folds nj=%d" nj)
         inexact)
     strip_trips;
+  List.iter (fun nj -> check_commuted_nans ~nj) [ 7; 257 ];
   (* the fused forms the kernels cover *)
   let ops =
     List.concat_map

@@ -380,15 +380,22 @@ let test_pool_oversubscribed () =
         ~between:(fun _ -> Unix.sleepf 0.001)
         (fun _ _ -> ()))
 
+(* Random idle gaps (0 or 2 ms, so workers are spinning or parked at the
+   fork), random sleeps inside random shares (so the caller claims the
+   shares of late workers, or joins on busy ones) and random exceptions:
+   every share still runs exactly once per fork, and the lowest-id
+   exception is the one re-raised. *)
 let test_pool_random_exceptions () =
   with_watchdog "random exceptions" @@ fun () ->
   let rng = Random.State.make [| 15 |] in
   List.iter
     (fun p ->
       Pool.with_pool p (fun pool ->
-          for _ = 1 to 300 do
+          let runs = Array.init p (fun _ -> Atomic.make 0) in
+          for k = 1 to 200 do
+            if Random.State.int rng 4 = 0 then Unix.sleepf 0.002;
             let raising = Array.init p (fun _ -> Random.State.int rng 3 = 0) in
-            let ran = Array.make p false in
+            let sleeping = Array.init p (fun _ -> Random.State.int rng 4 = 0) in
             let expect =
               let rec first q =
                 if q = p then None
@@ -400,15 +407,46 @@ let test_pool_random_exceptions () =
             let got =
               match
                 Pool.run pool (fun q ->
-                    ran.(q) <- true;
+                    Atomic.incr runs.(q);
+                    if sleeping.(q) then Unix.sleepf 0.002;
                     if raising.(q) then raise (Failure (string_of_int q)))
               with
               | () -> None
               | exception Failure m -> Some (int_of_string m)
             in
             Alcotest.(check (option int)) "lowest-id exception" expect got;
-            Alcotest.(check bool) "every worker ran" true
-              (Array.for_all Fun.id ran)
+            Array.iteri
+              (fun q r ->
+                if Atomic.get r <> k then
+                  Alcotest.failf "p=%d fork %d: share %d ran %d times in total"
+                    p k q (Atomic.get r))
+              runs
+          done))
+    [ 2; 3; Domain.recommended_domain_count () + 2 ]
+
+(* A rendezvous job — each share waits until every share has started —
+   can complete only if no domain claims a second share; so each share
+   runs on a domain of its own. [loopc calibrate] times this job to
+   measure a real hand-off. *)
+let test_pool_rendezvous () =
+  with_watchdog "rendezvous" @@ fun () ->
+  List.iter
+    (fun p ->
+      Pool.with_pool p (fun pool ->
+          for k = 1 to 20 do
+            if k mod 4 = 0 then Unix.sleepf 0.002;
+            let arrived = Atomic.make 0 in
+            let ids = Array.make p (-1) in
+            Pool.run pool (fun q ->
+                ids.(q) <- (Domain.self () :> int);
+                Atomic.incr arrived;
+                while Atomic.get arrived < p do
+                  Domain.cpu_relax ()
+                done);
+            let distinct = List.sort_uniq compare (Array.to_list ids) in
+            if List.length distinct <> p then
+              Alcotest.failf "p=%d fork %d: %d shares on %d domains" p k p
+                (List.length distinct)
           done))
     [ 2; 3; Domain.recommended_domain_count () + 2 ]
 
@@ -421,15 +459,38 @@ let test_pool_counts_parks () =
   let before = Registry.value parks in
   Pool.with_pool p (fun pool ->
       (* Each gap is 100x the spin window, so every worker parks once per
-         gap: the window is bounded by time, not by an iteration count. *)
+         gap: the window is bounded by time, not by an iteration count.
+         The job is a rendezvous, so each worker runs its own share and
+         is awake when the next gap starts; the shares of a no-op job
+         may all run on the caller while a worker is still waking, and
+         that worker then sleeps through two gaps on one park. *)
+      let arrived = Atomic.make 0 in
       fork_checked pool ~forks
         ~between:(fun _ -> Unix.sleepf 0.005)
-        (fun _ _ -> ());
+        (fun k _ ->
+          Atomic.incr arrived;
+          while Atomic.get arrived < k * p do
+            Domain.cpu_relax ()
+          done);
       Unix.sleepf 0.005;
       let parked = Registry.value parks - before in
       if parked < (p - 1) * (forks + 1) then
         Alcotest.failf "%d parks over %d idle gaps of %d workers" parked
           (forks + 1) (p - 1))
+
+(* A worker parked by an idle gap is still waking when the caller has
+   run its own no-op share, so the caller claims the worker's share
+   too. *)
+let test_pool_counts_steals () =
+  with_watchdog "steals counter" @@ fun () ->
+  let steals = Registry.counter "pool.steals" in
+  let before = Registry.value steals in
+  Pool.with_pool 2 (fun pool ->
+      fork_checked pool ~forks:40
+        ~between:(fun _ -> Unix.sleepf 0.005)
+        (fun _ _ -> ()));
+  if Registry.value steals = before then
+    Alcotest.fail "no share claimed away from a parked worker in 40 forks"
 
 let test_pool_shutdown () =
   with_watchdog "shutdown" @@ fun () ->
@@ -561,50 +622,6 @@ let test_adopted_scalars_repeatable () =
           Alcotest.failf "%s: outcome changed between runs" (Policy.name policy)
       done)
     [ Policy.Gss; Policy.Factoring; Policy.Self_sched 1 ]
-
-(* The back-off rule against scripted spin outcomes, independent of
-   the host's timing. *)
-let test_pool_backoff_rule () =
-  let step s (idle_spun, woke, join_window, joined) =
-    Pool.next_backoff s ~idle_spun ~woke ~join_window ~joined
-  in
-  let check what (want_q, want_b) (s : Pool.backoff) =
-    Alcotest.(check (pair int int)) what (want_q, want_b) (s.quiet, s.backoff)
-  in
-  let woken = (true, true, false, false)
-  and join_ran_out = (true, false, true, false)
-  and spun = (true, false, true, true)
-  and parked = (false, false, false, false) in
-  (* Spins that keep running out double the back-off up to 1024. *)
-  let s = ref { Pool.quiet = 0; backoff = 0 } in
-  List.iteri
-    (fun k want ->
-      s := step !s (if k mod 2 = 0 then woken else join_ran_out);
-      check (Printf.sprintf "run-out %d" (k + 1)) (want, want) !s)
-    [ 1; 3; 7; 15; 31; 63; 127; 255; 511; 1023; 1024; 1024 ];
-  (* A fork that started quiet parks at once: no spin, no change to the
-     back-off, one fewer quiet fork. *)
-  s := step !s parked;
-  check "quiet fork" (1023, 1024) !s;
-  for _ = 1 to 1023 do
-    s := step !s parked
-  done;
-  check "quiet run over" (0, 1024) !s;
-  (* Each fork whose spins all succeed halves it. *)
-  List.iter
-    (fun want ->
-      s := step !s spun;
-      check "spun" (0, want) !s)
-    [ 512; 256; 128; 64; 32; 16; 8; 4; 2; 1; 0; 0 ];
-  (* A probe that ran out mid-halving doubles from where it stands. *)
-  s := step { Pool.quiet = 0; backoff = 5 } woken;
-  check "run-out after halving" (11, 11) !s;
-  (* The workers' idle spin alone — the fork started quiet, so its join
-     did not spin — still counts as a success. *)
-  check "idle spin only" (2, 2)
-    (step { Pool.quiet = 3; backoff = 5 } (true, false, false, false));
-  check "join spin only" (0, 2)
-    (step { Pool.quiet = 0; backoff = 5 } (false, false, true, true))
 
 (* ---------- per-plan fork state ---------- *)
 
@@ -773,6 +790,75 @@ let test_fork_state_fault_release () =
         (Compile.plans t))
     all_policies
 
+(* ---------- shares claimed away from their worker ---------- *)
+
+(* Every policy on a long-lived 2- and 3-domain pool, with sleeps
+   between runs that park the workers: the first forks of a run then
+   find them parked, and the caller claims their shares. Exec keys all
+   per-share state by share id, so relax's arrays and reduce's sum
+   (quarters: exact, so the domain-order merge equals the sequential
+   sum) stay bit-identical to Eval's. *)
+let claimed_reduce =
+  "program\n\
+  \  real A[300]\n\
+  \  real s = 0.0\n\
+   begin\n\
+  \  doall i = 1, 300\n\
+  \    A[i] = i % 5 * 0.25\n\
+  \  end\n\
+  \  do t = 1, 4\n\
+  \    doall i = 1, 300\n\
+  \      s = s + A[i]\n\
+  \    end\n\
+  \  end\n\
+   end\n"
+
+let test_claimed_shares_bit_identical () =
+  with_watchdog "claimed shares" @@ fun () ->
+  let bits = Array.map Int64.bits_of_float in
+  let progs =
+    [
+      ("relax", Kernels.relax ~n:64 ~steps:4);
+      ("reduce", parse "reduce" claimed_reduce);
+    ]
+  in
+  let steals = Registry.counter "pool.steals" in
+  let before = Registry.value steals in
+  List.iter
+    (fun p ->
+      Pool.with_pool p (fun pool ->
+          List.iter
+            (fun (name, prog) ->
+              let arrays, scalars = Eval.dump (Eval.run prog) in
+              let t = Compile.compile prog in
+              List.iter
+                (fun policy ->
+                  for _ = 1 to 4 do
+                    Unix.sleepf 0.002;
+                    let o = Exec.run_compiled ~pool ~policy t in
+                    let what =
+                      Printf.sprintf "%s p=%d %s" name p (Policy.name policy)
+                    in
+                    List.iter2
+                      (fun (n, want) (_, got) ->
+                        if bits want <> bits got then
+                          Alcotest.failf "%s: array %s differs from Eval" what
+                            n)
+                      arrays o.Exec.arrays;
+                    let s_bits sc =
+                      match List.assoc_opt "s" sc with
+                      | Some (Eval.Vreal x) -> Some (Int64.bits_of_float x)
+                      | _ -> None
+                    in
+                    if s_bits scalars <> s_bits o.Exec.scalars then
+                      Alcotest.failf "%s: s differs from Eval" what
+                  done)
+                all_policies)
+            progs))
+    [ 2; 3 ];
+  if Registry.value steals = before then
+    Alcotest.fail "no share was claimed away from its worker"
+
 let suite =
   [
     Alcotest.test_case "kernels x policies x domains" `Quick
@@ -800,8 +886,12 @@ let suite =
       test_pool_random_exceptions;
     Alcotest.test_case "pool.parks counts idle gaps" `Quick
       test_pool_counts_parks;
-    Alcotest.test_case "pool back-off rule: scripted spin outcomes" `Quick
-      test_pool_backoff_rule;
+    Alcotest.test_case "pool.steals counts shares claimed from parked workers"
+      `Quick test_pool_counts_steals;
+    Alcotest.test_case "pool rendezvous: one domain per share" `Quick
+      test_pool_rendezvous;
+    Alcotest.test_case "claimed shares: every policy bit-identical to Eval"
+      `Quick test_claimed_shares_bit_identical;
     Alcotest.test_case "pool shutdown: run raises, second is a no-op"
       `Quick test_pool_shutdown;
     Alcotest.test_case "adopted scalars repeatable under dynamic schedules"
