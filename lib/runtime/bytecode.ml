@@ -1082,7 +1082,13 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
      for the sanitizer. When [pc] falls off the body, the strip
      back-edge advances the strip index by [jstep] and the iteration
      number by one and restarts at 0; the index is left at the last
-     iteration's value. *)
+     iteration's value. 
+
+     A left operand of [+.] or [*.] is bound before the operation when
+     the right one is not a plain read: amd64 instruction selection
+     moves an unbound read to the right of a commutative operation, and
+     with NaNs on both sides the left one's payload is the one [Eval]
+     keeps. *)
   let exec_ops ops iter0 len =
     let stop = Array.length ops in
     let pc = ref 0 and iter = ref iter0 in
@@ -1165,9 +1171,9 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
             Array.unsafe_set reals d (float_of_int (Array.unsafe_get ints s));
             incr pc
         | Fmac (d, a, x, y) ->
+            let a = Array.unsafe_get reals a in
             Array.unsafe_set reals d
-              (Array.unsafe_get reals a
-              +. (Array.unsafe_get reals x *. Array.unsafe_get reals y));
+              (a +. (Array.unsafe_get reals x *. Array.unsafe_get reals y));
             incr pc
         | Fmsb (d, a, x, y) ->
             Array.unsafe_set reals d
@@ -1196,7 +1202,8 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
         | Fmac2 (d, a, i1, i2) ->
             let l1 = load_elem i1 !iter in
             let l2 = load_elem i2 !iter in
-            Array.unsafe_set reals d (Array.unsafe_get reals a +. (l1 *. l2));
+            let a = Array.unsafe_get reals a in
+            Array.unsafe_set reals d (a +. (l1 *. l2));
             incr pc
         | Fmsb2 (d, a, i1, i2) ->
             let l1 = load_elem i1 !iter in
@@ -1205,17 +1212,18 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
             incr pc
         | Fldmac (d, a, x, id) ->
             let l = load_elem id !iter in
-            Array.unsafe_set reals d
-              (Array.unsafe_get reals a +. (Array.unsafe_get reals x *. l));
+            let a = Array.unsafe_get reals a and x = Array.unsafe_get reals x in
+            Array.unsafe_set reals d (a +. (x *. l));
             incr pc
         | Fldmsb (d, a, x, id) ->
             let l = load_elem id !iter in
-            Array.unsafe_set reals d
-              (Array.unsafe_get reals a -. (Array.unsafe_get reals x *. l));
+            let x = Array.unsafe_get reals x in
+            Array.unsafe_set reals d (Array.unsafe_get reals a -. (x *. l));
             incr pc
         | Fldadd (d, x, id) ->
             let l = load_elem id !iter in
-            Array.unsafe_set reals d (Array.unsafe_get reals x +. l);
+            let x = Array.unsafe_get reals x in
+            Array.unsafe_set reals d (x +. l);
             incr pc
         | Fldsub (d, x, id) ->
             let l = load_elem id !iter in
@@ -1223,7 +1231,8 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
             incr pc
         | Fldmul (d, x, id) ->
             let l = load_elem id !iter in
-            Array.unsafe_set reals d (Array.unsafe_get reals x *. l);
+            let x = Array.unsafe_get reals x in
+            Array.unsafe_set reals d (x *. l);
             incr pc
         | Fld2add (d, i1, i2) ->
             let l1 = load_elem i1 !iter in
@@ -1897,185 +1906,354 @@ type 'a view = {
 
 (* Lane kernels: [n] iterations over views; element [l] of every
    operand is read before element [l] of the destination is written, so
-   a destination may alias an operand. Each operand walks a running
-   offset, advanced by its step per element: no kernel multiplies per
-   element, and none allocates. *)
+   a destination may alias an operand. None allocates. Each call picks
+   one of three loop shapes from its views' steps:
 
-let k_fcopy n (d : float view) (a : float view) =
-  let da = d.arr and ds = d.step and aa = a.arr and as_ = a.step in
-  let od = ref d.base and oa = ref a.base in
-  for _ = 1 to n do
-    Array.unsafe_set da !od (Array.unsafe_get aa !oa);
-    od := !od + ds;
-    oa := !oa + as_
+   - unit: the destination has step 1 and every operand step 1 or 0.
+     Step-1 operands are indexed from one offset shared by all, and the
+     loop runs four elements per trip, then at most three. A step-0
+     (broadcast) operand is read once, before the loop. That is sound
+     under [lane_plan]'s rules: every access of a stored array is at
+     one offset per iteration with strip coefficient [c <> 0] (or is
+     pinned to its iteration), so no step-0 operand reads an element a
+     step-1 destination writes; and a fold register is read only by its
+     writer, whose destination has step 0.
+   - fold: the destination has step 0 and is the accumulator operand (a
+     fold register's writer, or a uniform instruction run once): the
+     accumulator stays in a local for the piece and is stored once.
+   - otherwise every operand walks a running offset, advanced by its
+     step per element: strided, negative and [c * jstep] accesses.
+
+   Every shape performs each element's operation on the same operands in
+   the same order, so results and NaN payloads are bit-identical across
+   shapes. Each shape is written once, [@inline], and every call passes
+   the operation and broadcast flags as constants, so ocamlopt resolves
+   the matches on them where it inlines the shape; a shape called with a
+   variable operation would box every element (test_bytecode.ml's
+   allocation test runs every kernel form). The operations take their
+   operands as arguments of inlined functions, which binds them, so
+   instruction selection keeps their order (see [exec_strip]). *)
+
+(* step 0 or 1 *)
+let unit_step (v : _ view) = v.step land lnot 1 = 0
+
+(* [v] is the step-0 element [d] writes: the accumulator of a fold *)
+let accumulates (d : _ view) (v : _ view) =
+  d.step = 0 && v.step = 0 && v.arr == d.arr && v.base = d.base
+
+(* A unit-shape operand at [i]: [x0], read before the loop, if it is a
+   broadcast. *)
+let[@inline] fget bc (x0 : float) (a : float array) i =
+  if bc then x0 else Array.unsafe_get a i
+
+let[@inline] iget bc (x0 : int) (a : int array) i =
+  if bc then x0 else Array.unsafe_get a i
+
+let[@inline] u_ffill n (da : float array) od x =
+  for q = 0 to (n lsr 2) - 1 do
+    let o = od + (q lsl 2) in
+    Array.unsafe_set da o x;
+    Array.unsafe_set da (o + 1) x;
+    Array.unsafe_set da (o + 2) x;
+    Array.unsafe_set da (o + 3) x
+  done;
+  for o = od + (n land lnot 3) to od + n - 1 do
+    Array.unsafe_set da o x
   done
 
 let k_ffill n (d : float view) x =
   let da = d.arr and ds = d.step in
-  let od = ref d.base in
-  for _ = 1 to n do
-    Array.unsafe_set da !od x;
-    od := !od + ds
-  done
+  if ds = 1 then u_ffill n da d.base x
+  else begin
+    let od = ref d.base in
+    for _ = 1 to n do
+      Array.unsafe_set da !od x;
+      od := !od + ds
+    done
+  end
 
-let k_fneg n (d : float view) (a : float view) =
+let[@inline] fsign neg (x : float) = if neg then -.x else x
+
+(* d <- a, or -a *)
+let[@inline] k_fmove ~neg n (d : float view) (a : float view) =
   let da = d.arr and ds = d.step and aa = a.arr and as_ = a.step in
-  let od = ref d.base and oa = ref a.base in
-  for _ = 1 to n do
-    Array.unsafe_set da !od (-.Array.unsafe_get aa !oa);
-    od := !od + ds;
-    oa := !oa + as_
-  done
+  let od = d.base and oa = a.base in
+  if ds = 1 && as_ = 0 then u_ffill n da od (fsign neg (Array.unsafe_get aa oa))
+  else if ds = 1 && as_ = 1 then begin
+    for q = 0 to (n lsr 2) - 1 do
+      let o = q lsl 2 in
+      Array.unsafe_set da (od + o) (fsign neg (Array.unsafe_get aa (oa + o)));
+      Array.unsafe_set da (od + o + 1)
+        (fsign neg (Array.unsafe_get aa (oa + o + 1)));
+      Array.unsafe_set da (od + o + 2)
+        (fsign neg (Array.unsafe_get aa (oa + o + 2)));
+      Array.unsafe_set da (od + o + 3)
+        (fsign neg (Array.unsafe_get aa (oa + o + 3)))
+    done;
+    for o = n land lnot 3 to n - 1 do
+      Array.unsafe_set da (od + o) (fsign neg (Array.unsafe_get aa (oa + o)))
+    done
+  end
+  else begin
+    let od = ref od and oa = ref oa in
+    for _ = 1 to n do
+      Array.unsafe_set da !od (fsign neg (Array.unsafe_get aa !oa));
+      od := !od + ds;
+      oa := !oa + as_
+    done
+  end
+
+let k_fcopy n d a = k_fmove ~neg:false n d a
+let k_fneg n d a = k_fmove ~neg:true n d a
 
 let k_fofi n (d : float view) (a : int view) =
   let da = d.arr and ds = d.step and aa = a.arr and as_ = a.step in
-  let od = ref d.base and oa = ref a.base in
-  for _ = 1 to n do
-    Array.unsafe_set da !od (float_of_int (Array.unsafe_get aa !oa));
-    od := !od + ds;
-    oa := !oa + as_
-  done
+  let od = d.base and oa = a.base in
+  if ds = 1 && as_ = 0 then
+    u_ffill n da od (float_of_int (Array.unsafe_get aa oa))
+  else if ds = 1 && as_ = 1 then begin
+    for q = 0 to (n lsr 2) - 1 do
+      let o = q lsl 2 in
+      Array.unsafe_set da (od + o)
+        (float_of_int (Array.unsafe_get aa (oa + o)));
+      Array.unsafe_set da (od + o + 1)
+        (float_of_int (Array.unsafe_get aa (oa + o + 1)));
+      Array.unsafe_set da (od + o + 2)
+        (float_of_int (Array.unsafe_get aa (oa + o + 2)));
+      Array.unsafe_set da (od + o + 3)
+        (float_of_int (Array.unsafe_get aa (oa + o + 3)))
+    done;
+    for o = n land lnot 3 to n - 1 do
+      Array.unsafe_set da (od + o) (float_of_int (Array.unsafe_get aa (oa + o)))
+    done
+  end
+  else begin
+    let od = ref od and oa = ref oa in
+    for _ = 1 to n do
+      Array.unsafe_set da !od (float_of_int (Array.unsafe_get aa !oa));
+      od := !od + ds;
+      oa := !oa + as_
+    done
+  end
 
 type fop = Kadd | Ksub | Kmul | Kdiv | Kmin | Kmax
 
-let k_fbin op n (d : float view) (a : float view) (b : float view) =
+let[@inline] fbin_op op (x : float) y =
+  match op with
+  | Kadd -> x +. y
+  | Ksub -> x -. y
+  | Kmul -> x *. y
+  | Kdiv -> x /. y
+  | Kmin -> if x <= y then x else y
+  | Kmax -> if x >= y then x else y
+
+let[@inline] u_fbin op ~ab ~bb n da od aa oa ba ob =
+  let a0 = if ab then Array.unsafe_get aa oa else 0.0 in
+  let b0 = if bb then Array.unsafe_get ba ob else 0.0 in
+  for q = 0 to (n lsr 2) - 1 do
+    let o = q lsl 2 in
+    Array.unsafe_set da (od + o)
+      (fbin_op op (fget ab a0 aa (oa + o)) (fget bb b0 ba (ob + o)));
+    Array.unsafe_set da (od + o + 1)
+      (fbin_op op (fget ab a0 aa (oa + o + 1)) (fget bb b0 ba (ob + o + 1)));
+    Array.unsafe_set da (od + o + 2)
+      (fbin_op op (fget ab a0 aa (oa + o + 2)) (fget bb b0 ba (ob + o + 2)));
+    Array.unsafe_set da (od + o + 3)
+      (fbin_op op (fget ab a0 aa (oa + o + 3)) (fget bb b0 ba (ob + o + 3)))
+  done;
+  for o = n land lnot 3 to n - 1 do
+    Array.unsafe_set da (od + o)
+      (fbin_op op (fget ab a0 aa (oa + o)) (fget bb b0 ba (ob + o)))
+  done
+
+(* acc <- acc op x, or x op acc when not [left] *)
+let[@inline] f_fbin op ~left n da od (xa : float array) ox xs =
+  let acc = ref (Array.unsafe_get da od) and ox = ref ox in
+  for _ = 1 to n do
+    let x = Array.unsafe_get xa !ox in
+    acc := if left then fbin_op op !acc x else fbin_op op x !acc;
+    ox := !ox + xs
+  done;
+  Array.unsafe_set da od !acc
+
+let[@inline] fbin op n (d : float view) (a : float view) (b : float view) =
   let da = d.arr and ds = d.step and aa = a.arr and as_ = a.step in
   let ba = b.arr and bs = b.step in
-  let od = ref d.base and oa = ref a.base and ob = ref b.base in
-  match op with
-  | Kadd ->
-      for _ = 1 to n do
-        Array.unsafe_set da !od
-          (Array.unsafe_get aa !oa +. Array.unsafe_get ba !ob);
-        od := !od + ds;
-        oa := !oa + as_;
-        ob := !ob + bs
-      done
-  | Ksub ->
-      for _ = 1 to n do
-        Array.unsafe_set da !od
-          (Array.unsafe_get aa !oa -. Array.unsafe_get ba !ob);
-        od := !od + ds;
-        oa := !oa + as_;
-        ob := !ob + bs
-      done
-  | Kmul ->
-      for _ = 1 to n do
-        Array.unsafe_set da !od
-          (Array.unsafe_get aa !oa *. Array.unsafe_get ba !ob);
-        od := !od + ds;
-        oa := !oa + as_;
-        ob := !ob + bs
-      done
-  | Kdiv ->
-      for _ = 1 to n do
-        Array.unsafe_set da !od
-          (Array.unsafe_get aa !oa /. Array.unsafe_get ba !ob);
-        od := !od + ds;
-        oa := !oa + as_;
-        ob := !ob + bs
-      done
-  | Kmin ->
-      for _ = 1 to n do
-        let x = Array.unsafe_get aa !oa and y = Array.unsafe_get ba !ob in
-        Array.unsafe_set da !od (if x <= y then x else y);
-        od := !od + ds;
-        oa := !oa + as_;
-        ob := !ob + bs
-      done
-  | Kmax ->
-      for _ = 1 to n do
-        let x = Array.unsafe_get aa !oa and y = Array.unsafe_get ba !ob in
-        Array.unsafe_set da !od (if x >= y then x else y);
-        od := !od + ds;
-        oa := !oa + as_;
-        ob := !ob + bs
-      done
+  let od = d.base and oa = a.base and ob = b.base in
+  if ds = 1 && unit_step a && unit_step b then
+    match (as_, bs) with
+    | 1, 1 -> u_fbin op ~ab:false ~bb:false n da od aa oa ba ob
+    | 1, _ -> u_fbin op ~ab:false ~bb:true n da od aa oa ba ob
+    | _, 1 -> u_fbin op ~ab:true ~bb:false n da od aa oa ba ob
+    | _ -> u_fbin op ~ab:true ~bb:true n da od aa oa ba ob
+  else if accumulates d a && not (accumulates d b) then
+    f_fbin op ~left:true n da od ba ob bs
+  else if accumulates d b && not (accumulates d a) then
+    f_fbin op ~left:false n da od aa oa as_
+  else begin
+    let od = ref od and oa = ref oa and ob = ref ob in
+    for _ = 1 to n do
+      Array.unsafe_set da !od
+        (fbin_op op (Array.unsafe_get aa !oa) (Array.unsafe_get ba !ob));
+      od := !od + ds;
+      oa := !oa + as_;
+      ob := !ob + bs
+    done
+  end
 
-(* d <- a +. x *. y, or a -. x *. y *)
-let k_fmac ~add n (d : float view) (a : float view) (x : float view)
+let k_fbin op n d a b =
+  match op with
+  | Kadd -> fbin Kadd n d a b
+  | Ksub -> fbin Ksub n d a b
+  | Kmul -> fbin Kmul n d a b
+  | Kdiv -> fbin Kdiv n d a b
+  | Kmin -> fbin Kmin n d a b
+  | Kmax -> fbin Kmax n d a b
+
+(* a +. x *. y, or a -. x *. y *)
+let[@inline] mac add (a : float) x y =
+  if add then a +. (x *. y) else a -. (x *. y)
+
+let[@inline] u_fmac add ~ab ~xb ~yb n da od aa oa xa ox ya oy =
+  let a0 = if ab then Array.unsafe_get aa oa else 0.0 in
+  let x0 = if xb then Array.unsafe_get xa ox else 0.0 in
+  let y0 = if yb then Array.unsafe_get ya oy else 0.0 in
+  for q = 0 to (n lsr 2) - 1 do
+    let o = q lsl 2 in
+    Array.unsafe_set da (od + o)
+      (mac add (fget ab a0 aa (oa + o)) (fget xb x0 xa (ox + o))
+         (fget yb y0 ya (oy + o)));
+    Array.unsafe_set da (od + o + 1)
+      (mac add
+         (fget ab a0 aa (oa + o + 1))
+         (fget xb x0 xa (ox + o + 1))
+         (fget yb y0 ya (oy + o + 1)));
+    Array.unsafe_set da (od + o + 2)
+      (mac add
+         (fget ab a0 aa (oa + o + 2))
+         (fget xb x0 xa (ox + o + 2))
+         (fget yb y0 ya (oy + o + 2)));
+    Array.unsafe_set da (od + o + 3)
+      (mac add
+         (fget ab a0 aa (oa + o + 3))
+         (fget xb x0 xa (ox + o + 3))
+         (fget yb y0 ya (oy + o + 3)))
+  done;
+  for o = n land lnot 3 to n - 1 do
+    Array.unsafe_set da (od + o)
+      (mac add (fget ab a0 aa (oa + o)) (fget xb x0 xa (ox + o))
+         (fget yb y0 ya (oy + o)))
+  done
+
+let[@inline] fmac add n (d : float view) (a : float view) (x : float view)
     (y : float view) =
   let da = d.arr and ds = d.step and aa = a.arr and as_ = a.step in
   let xa = x.arr and xs = x.step and ya = y.arr and ys = y.step in
-  let od = ref d.base and oa = ref a.base in
-  let ox = ref x.base and oy = ref y.base in
-  if add then
+  let od = d.base and oa = a.base and ox = x.base and oy = y.base in
+  if ds = 1 && unit_step a && unit_step x && unit_step y then
+    match (as_, xs, ys) with
+    | 1, 1, 1 ->
+        u_fmac add ~ab:false ~xb:false ~yb:false n da od aa oa xa ox ya oy
+    | 1, 1, _ ->
+        u_fmac add ~ab:false ~xb:false ~yb:true n da od aa oa xa ox ya oy
+    | 1, _, 1 ->
+        u_fmac add ~ab:false ~xb:true ~yb:false n da od aa oa xa ox ya oy
+    | 1, _, _ ->
+        u_fmac add ~ab:false ~xb:true ~yb:true n da od aa oa xa ox ya oy
+    | _, 1, 1 ->
+        u_fmac add ~ab:true ~xb:false ~yb:false n da od aa oa xa ox ya oy
+    | _, 1, _ ->
+        u_fmac add ~ab:true ~xb:false ~yb:true n da od aa oa xa ox ya oy
+    | _, _, 1 ->
+        u_fmac add ~ab:true ~xb:true ~yb:false n da od aa oa xa ox ya oy
+    | _ ->
+        u_fmac add ~ab:true ~xb:true ~yb:true n da od aa oa xa ox ya oy
+  else if accumulates d a && not (accumulates d x || accumulates d y) then begin
+    let acc = ref (Array.unsafe_get da od) and ox = ref ox and oy = ref oy in
+    for _ = 1 to n do
+      acc := mac add !acc (Array.unsafe_get xa !ox) (Array.unsafe_get ya !oy);
+      ox := !ox + xs;
+      oy := !oy + ys
+    done;
+    Array.unsafe_set da od !acc
+  end
+  else begin
+    let od = ref od and oa = ref oa and ox = ref ox and oy = ref oy in
     for _ = 1 to n do
       Array.unsafe_set da !od
-        (Array.unsafe_get aa !oa
-        +. (Array.unsafe_get xa !ox *. Array.unsafe_get ya !oy));
+        (mac add (Array.unsafe_get aa !oa) (Array.unsafe_get xa !ox)
+           (Array.unsafe_get ya !oy));
       od := !od + ds;
       oa := !oa + as_;
       ox := !ox + xs;
       oy := !oy + ys
     done
-  else
-    for _ = 1 to n do
-      Array.unsafe_set da !od
-        (Array.unsafe_get aa !oa
-        -. (Array.unsafe_get xa !ox *. Array.unsafe_get ya !oy));
-      od := !od + ds;
-      oa := !oa + as_;
-      ox := !ox + xs;
-      oy := !oy + ys
-    done
+  end
 
-(* Divisors are valid literals ([lane_plan]). One loop per operation:
-   a closure over the running offsets would box them. *)
-let k_ibin (i : instr) n (d : int view) (a : int view) (b : int view) =
+(* d <- a +. x *. y, or a -. x *. y *)
+let k_fmac ~add n d a x y =
+  if add then fmac true n d a x y else fmac false n d a x y
+
+type iop = Kimul | Kidiv | Kimod | Kicdiv | Kimin | Kimax
+
+let[@inline] ibin_op op (x : int) y =
+  match op with
+  | Kimul -> x * y
+  | Kidiv -> x / y
+  | Kimod -> x mod y
+  | Kicdiv -> Loopcoal_util.Intmath.cdiv x y
+  | Kimin -> if x <= y then x else y
+  | Kimax -> if x >= y then x else y
+
+let[@inline] u_ibin op ~ab ~bb n da od aa oa ba ob =
+  let a0 = if ab then Array.unsafe_get aa oa else 0 in
+  let b0 = if bb then Array.unsafe_get ba ob else 0 in
+  for q = 0 to (n lsr 2) - 1 do
+    let o = q lsl 2 in
+    Array.unsafe_set da (od + o)
+      (ibin_op op (iget ab a0 aa (oa + o)) (iget bb b0 ba (ob + o)));
+    Array.unsafe_set da (od + o + 1)
+      (ibin_op op (iget ab a0 aa (oa + o + 1)) (iget bb b0 ba (ob + o + 1)));
+    Array.unsafe_set da (od + o + 2)
+      (ibin_op op (iget ab a0 aa (oa + o + 2)) (iget bb b0 ba (ob + o + 2)));
+    Array.unsafe_set da (od + o + 3)
+      (ibin_op op (iget ab a0 aa (oa + o + 3)) (iget bb b0 ba (ob + o + 3)))
+  done;
+  for o = n land lnot 3 to n - 1 do
+    Array.unsafe_set da (od + o)
+      (ibin_op op (iget ab a0 aa (oa + o)) (iget bb b0 ba (ob + o)))
+  done
+
+let[@inline] ibin op n (d : int view) (a : int view) (b : int view) =
   let da = d.arr and ds = d.step and aa = a.arr and as_ = a.step in
   let ba = b.arr and bs = b.step in
-  let od = ref d.base and oa = ref a.base and ob = ref b.base in
+  let od = d.base and oa = a.base and ob = b.base in
+  if ds = 1 && unit_step a && unit_step b then
+    match (as_, bs) with
+    | 1, 1 -> u_ibin op ~ab:false ~bb:false n da od aa oa ba ob
+    | 1, _ -> u_ibin op ~ab:false ~bb:true n da od aa oa ba ob
+    | _, 1 -> u_ibin op ~ab:true ~bb:false n da od aa oa ba ob
+    | _ -> u_ibin op ~ab:true ~bb:true n da od aa oa ba ob
+  else begin
+    let od = ref od and oa = ref oa and ob = ref ob in
+    for _ = 1 to n do
+      Array.unsafe_set da !od
+        (ibin_op op (Array.unsafe_get aa !oa) (Array.unsafe_get ba !ob));
+      od := !od + ds;
+      oa := !oa + as_;
+      ob := !ob + bs
+    done
+  end
+
+(* Divisors are valid literals ([lane_plan]). *)
+let k_ibin (i : instr) n d a b =
   match i with
-  | Imul _ ->
-      for _ = 1 to n do
-        Array.unsafe_set da !od
-          (Array.unsafe_get aa !oa * Array.unsafe_get ba !ob);
-        od := !od + ds;
-        oa := !oa + as_;
-        ob := !ob + bs
-      done
-  | Idiv _ ->
-      for _ = 1 to n do
-        Array.unsafe_set da !od
-          (Array.unsafe_get aa !oa / Array.unsafe_get ba !ob);
-        od := !od + ds;
-        oa := !oa + as_;
-        ob := !ob + bs
-      done
-  | Imod _ ->
-      for _ = 1 to n do
-        Array.unsafe_set da !od
-          (Array.unsafe_get aa !oa mod Array.unsafe_get ba !ob);
-        od := !od + ds;
-        oa := !oa + as_;
-        ob := !ob + bs
-      done
-  | Icdiv _ ->
-      for _ = 1 to n do
-        Array.unsafe_set da !od
-          (Loopcoal_util.Intmath.cdiv (Array.unsafe_get aa !oa)
-             (Array.unsafe_get ba !ob));
-        od := !od + ds;
-        oa := !oa + as_;
-        ob := !ob + bs
-      done
-  | Imin _ ->
-      for _ = 1 to n do
-        let x = Array.unsafe_get aa !oa and y = Array.unsafe_get ba !ob in
-        Array.unsafe_set da !od (if x <= y then x else y);
-        od := !od + ds;
-        oa := !oa + as_;
-        ob := !ob + bs
-      done
-  | _ ->
-      for _ = 1 to n do
-        let x = Array.unsafe_get aa !oa and y = Array.unsafe_get ba !ob in
-        Array.unsafe_set da !od (if x >= y then x else y);
-        od := !od + ds;
-        oa := !oa + as_;
-        ob := !ob + bs
-      done
+  | Imul _ -> ibin Kimul n d a b
+  | Idiv _ -> ibin Kidiv n d a b
+  | Imod _ -> ibin Kimod n d a b
+  | Icdiv _ -> ibin Kicdiv n d a b
+  | Imin _ -> ibin Kimin n d a b
+  | _ -> ibin Kimax n d a b
 
 (* One domain's lane arrays: they hold no register file or array, so a
    fork state keeps them across runs. *)

@@ -953,15 +953,35 @@ let parse what text =
 
 let lane_forks = Registry.counter "exec.lane_forks"
 
-(* Every bit of every array and scalar. *)
-let same_bits (a : Exec.outcome) (b : Exec.outcome) =
-  let fbits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+let fbits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* Every bit of every array. *)
+let same_array_bits (a : Exec.outcome) (b : Exec.outcome) =
   List.equal
     (fun (n1, d1) (n2, d2) ->
       String.equal n1 n2
       && Array.length d1 = Array.length d2
       && Array.for_all2 fbits d1 d2)
     a.Exec.arrays b.Exec.arrays
+
+(* The first array element whose bits differ, for a failure message. *)
+let array_diff (a : Exec.outcome) (b : Exec.outcome) =
+  List.fold_left2
+    (fun acc (n1, d1) (_, d2) ->
+      match acc with
+      | Some _ -> acc
+      | None ->
+          Seq.find_map
+            (fun k ->
+              if fbits d1.(k) d2.(k) then None
+              else Some (Printf.sprintf "%s[%d]: %h vs %h" n1 k d1.(k) d2.(k)))
+            (Seq.init (min (Array.length d1) (Array.length d2)) Fun.id))
+    None a.Exec.arrays b.Exec.arrays
+  |> Option.value ~default:"lengths"
+
+(* Every bit of every array and scalar. *)
+let same_bits (a : Exec.outcome) (b : Exec.outcome) =
+  same_array_bits a b
   && List.equal
        (fun (n1, v1) (n2, v2) ->
          String.equal n1 n2
@@ -1685,6 +1705,297 @@ let prop_lanes_serial_loops =
     (QCheck.make ~print:Pretty.program_to_string
        (QCheck.Gen.oneof [ serial_accum_gen; branchy_varstep_gen ]))
 
+(* ---------- lane kernels: operand step classes ---------- *)
+
+(* Float operands of every step class for a strip over [j = 1 .. n],
+   reading array [a]: unit ([a[j]], or a lane register once loaded), a
+   broadcast scalar, a broadcast NaN, strided, negative, and gathered
+   (the subscript reads [min(j, 5)], a lane register). *)
+let class_operands ~n a =
+  let x = a = "X" in
+  [
+    a ^ "[j]";
+    (if x then "c" else "e");
+    (if x then "nn" else "pn");
+    a ^ "[2 * j]";
+    Printf.sprintf "%s[%d - j]" a (n + 1);
+    a ^ "[min(j, 5)]";
+  ]
+
+let float_ops = [ "+"; "-"; "*"; "/"; "min"; "max" ]
+
+let apply op l r =
+  match op with
+  | "min" | "max" -> Printf.sprintf "%s(%s, %s)" op l r
+  | _ -> Printf.sprintf "%s %s %s" l op r
+
+(* Operands of [a + x * y]: each class in each position with the others
+   unit (class 0), and every mix of unit and broadcast (class 1). *)
+let mac_operands ~n =
+  let xs = Array.of_list (class_operands ~n "X") in
+  let ys = Array.of_list (class_operands ~n "Y") in
+  let classes = List.init (Array.length xs) Fun.id in
+  List.concat_map
+    (fun i ->
+      List.concat_map
+        (fun j ->
+          List.filter_map
+            (fun k ->
+              let cs = [ i; j; k ] in
+              if
+                List.length (List.filter (( <> ) 0) cs) <= 1
+                || List.for_all (( >= ) 1) cs
+              then Some (xs.(i), ys.(j), xs.(k))
+              else None)
+            classes)
+        classes)
+    classes
+
+let int_exprs ~n =
+  [
+    "j * m"; "m * j"; "j * j"; "min(j, m)"; "min(m, j)";
+    Printf.sprintf "min(j, %d - j)" (n + 1); "max(j, m)"; "max(m, j)";
+    Printf.sprintf "max(j, %d - j)" (n + 1);
+  ]
+
+(* -O0 keeps a literal divisor out of the prologue, so these run on
+   lanes at -O2 only ([may_raise]) *)
+let int_divisions =
+  [
+    "j / 3"; "(5 - j) / 3"; "j % 3"; "(5 - j) % 3"; "ceildiv(j, 4)";
+    "ceildiv(5 - j, 4)";
+  ]
+
+(* Five DOALLs over [j = 1 .. n], each one plan of one kernel family:
+   binary operations (every class pair, [X] left and [Y] right), fused
+   multiply-adds, moves, stores and int operations, int divisions, and
+   folds with the accumulator on either side. [X] and [Y] hold NaNs of
+   opposite signs at 1 (both), 3 and 4 (one each), and [nn] and [pn] are
+   the same two NaNs as broadcasts, so the operand order of every
+   operation decides a NaN payload somewhere, inside a fold too. The
+   moves end with a lane register [t] written from a load and from a
+   constant. *)
+let step_class_prog n =
+  let xs = class_operands ~n "X" and ys = class_operands ~n "Y" in
+  let bins =
+    List.concat_map
+      (fun op -> List.concat_map (fun l -> List.map (apply op l) ys) xs)
+      float_ops
+  in
+  let macs =
+    List.concat_map
+      (fun s ->
+        List.map
+          (fun (a, x, y) -> Printf.sprintf "%s %s %s * %s" a s x y)
+          (mac_operands ~n))
+      [ "+"; "-" ]
+  in
+  let moves =
+    List.concat_map (fun l -> [ l; "-(" ^ l ^ ")" ]) xs @ int_exprs ~n
+  in
+  let folds =
+    List.concat_map
+      (fun op ->
+        List.concat_map
+          (fun r -> [ (op, apply op "s" r); (op, apply op r "s") ])
+          ys)
+      float_ops
+    @ List.map
+        (fun e -> ("+", e))
+        [ "s + X[j] * Y[2 * j]"; "s - c * Y[j]"; "s + X[min(j, 5)] * pn" ]
+  in
+  let b = Buffer.create 8192 in
+  let add fmt = Printf.bprintf b fmt in
+  let rows name es = add "  real %s[%d, %d]\n" name (List.length es) n in
+  add "program\n  real X[%d]\n  real Y[%d]\n" ((2 * n) + 5) ((2 * n) + 5);
+  rows "D" bins;
+  rows "M" macs;
+  rows "V" (moves @ [ "t"; "t" ]);
+  rows "W" int_divisions;
+  add "  real E[%d]\n  real F[%d]\n  real G[%d]\n" (2 * n) n n;
+  add
+    "  real c = 1.25\n\
+    \  real e = -0.75\n\
+    \  real z = 0.0\n\
+    \  real nn = 0.0\n\
+    \  real pn = 0.0\n\
+    \  real t = 0.0\n\
+    \  int m = 3\n";
+  List.iteri
+    (fun k (op, _) ->
+      add "  real s%d = %s\n" k (if op = "*" || op = "/" then "1.0" else "0.0"))
+    folds;
+  add
+    "begin\n\
+    \  doall j = 1, %d\n\
+    \    X[j] = 1.0 + 1.0 / (j + 2)\n\
+    \    Y[j] = 1.0 - 0.5 / (j + 3)\n\
+    \  end\n\
+    \  nn = z / z\n\
+    \  pn = -(z / z)\n\
+    \  X[1] = nn\n\
+    \  Y[1] = pn\n\
+    \  X[3] = pn\n\
+    \  Y[4] = nn\n"
+    ((2 * n) + 5);
+  let doall stmts =
+    add "  doall j = 1, %d\n" n;
+    List.iter (add "    %s\n") stmts;
+    add "  end\n"
+  in
+  let store name =
+    List.mapi (fun k -> Printf.sprintf "%s[%d, j] = %s" name (k + 1))
+  in
+  let nv = List.length moves in
+  doall (store "D" bins);
+  doall (store "M" macs);
+  doall
+    (store "V" moves
+    @ [
+        "t = X[j]";
+        Printf.sprintf "V[%d, j] = t" (nv + 1);
+        "t = 2.5";
+        Printf.sprintf "V[%d, j] = t" (nv + 2);
+        "E[2 * j] = X[j]";
+        Printf.sprintf "F[%d - j] = Y[j] * 2.0" (n + 1);
+        "G[j] = Y[2 * j]";
+      ]);
+  doall (store "W" int_divisions);
+  (* [s] of fold [k] is [s<k>]: no other name has an [s] *)
+  doall
+    (List.mapi
+       (fun k (_, e) ->
+         let e =
+           String.concat (Printf.sprintf "s%d" k) (String.split_on_char 's' e)
+         in
+         Printf.sprintf "s%d = %s" k e)
+       folds);
+  add "end\n";
+  Buffer.contents b
+
+(* A plan's tape, strip index register and lane program, when it has
+   one. *)
+let lane_program (pl : Compile.plan) =
+  let tape = pl.Compile.tape in
+  let jslot = pl.Compile.index_slots.(pl.Compile.depth - 1) in
+  Result.to_option
+    (Result.map (fun ln -> (tape, jslot, ln)) (Bytecode.lanes ~jslot tape))
+
+let step_class_policies = [ Policy.Static_block; Policy.Self_sched 3 ]
+
+(* The lane kernels against the scalar runner and [Eval], bit for bit,
+   at -O0 and -O2 on 1-3 domains: arrays always (every element is one
+   iteration's), scalars on one domain (on more, the domain-order merge
+   of fold partials decides a NaN's payload, on the scalar runner too).
+   Piece lengths 1-9 cover every remainder of the four-element unroll;
+   255-257 fill, miss and cross one lane pass. *)
+let test_lane_step_classes () =
+  let forms = ref [] in
+  List.iter
+    (fun n ->
+      let what = Printf.sprintf "step classes, n=%d" n in
+      let prog = parse what (step_class_prog n) in
+      Alcotest.(check (list string))
+        (what ^ ": lane rules at -O2")
+        [ "ok"; "ok"; "ok"; "ok"; "ok"; "ok" ]
+        (lane_reasons prog);
+      let reference =
+        let arrays, scalars = Eval.dump (Eval.run prog) in
+        { Exec.arrays; scalars }
+      in
+      List.iter
+        (fun lvl ->
+          let t = Compile.compile ~opt_level:lvl prog in
+          let laned = List.filter_map lane_program (Compile.plans t) in
+          List.iter
+            (fun (tape, _, _) ->
+              Array.iter
+                (fun i -> forms := Bytecode.instr_mnemonic i :: !forms)
+                tape.Bytecode.tp_ops)
+            laned;
+          List.iter
+            (fun policy ->
+              List.iter
+                (fun d ->
+                  let where =
+                    Printf.sprintf "%s -O%d, %d domains, %s" what lvl d
+                      (Policy.name policy)
+                  in
+                  let scalar =
+                    Exec.run_compiled ~domains:d ~policy
+                      ~profile:(Runtime.Profile.create ()) t
+                  in
+                  let before = Registry.value lane_forks in
+                  let lane = Exec.run_compiled ~domains:d ~policy t in
+                  (* a one-iteration DOALL runs no lane pass *)
+                  if n > 1 then
+                    Alcotest.(check int) (where ^ ": lane forks")
+                      (List.length laned)
+                      (Registry.value lane_forks - before);
+                  (* dynamic schedules fold different partials per run *)
+                  let same =
+                    if d = 1 || policy = Policy.Static_block then same_bits
+                    else same_array_bits
+                  in
+                  if not (same lane scalar) then
+                    Alcotest.failf "%s: lanes differ from the scalar runner"
+                      where;
+                  if not (same_array_bits lane reference) then
+                    Alcotest.failf "%s: arrays differ from Eval: %s" where
+                      (array_diff lane reference);
+                  if d = 1 && not (same_bits lane reference) then
+                    Alcotest.failf "%s: scalars differ from Eval" where)
+                [ 1; 2; 3 ])
+            step_class_policies)
+        [ 0; 2 ])
+    (List.init 9 (fun k -> k + 1) @ [ 255; 256; 257 ]);
+  List.iter
+    (fun f ->
+      if not (List.mem f !forms) then Alcotest.failf "no lane program has %s" f)
+    [
+      "fmov"; "fneg"; "fofi"; "fload"; "fstore"; "fldst"; "fadd"; "fsub";
+      "fmul"; "fdiv"; "fmin"; "fmax"; "fmac"; "fmsb"; "fmac2"; "fmsb2";
+      "fldmac"; "fldmsb"; "fldadd"; "fldsub"; "fldmul"; "fld2add"; "imul";
+      "idiv"; "imod"; "icdiv"; "imin"; "imax";
+    ]
+
+(* Minor words [f ()] allocates. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Every lane program of the step-class program at -O0 and -O2, its
+   strips run by [Bytecode.lane_runner] on a bound lane state: a repeat
+   call allocates nothing, whatever the strip's length. *)
+let test_lane_runner_allocation () =
+  let n = 257 in
+  let prog = parse "step classes" (step_class_prog n) in
+  let base = minor_words ignore in
+  List.iter
+    (fun lvl ->
+      let t = Compile.compile ~opt_level:lvl prog in
+      let env = Compile.make_env t ~fork:(fun _ _ -> ()) in
+      List.iteri
+        (fun k (tape, jslot, ln) ->
+          let run =
+            Bytecode.lane_runner tape ln (Bytecode.make_lane_state ln)
+              ~ints:env.Compile.ints ~reals:env.Compile.reals
+              ~arrays:env.Compile.arrays ~inv:(Bytecode.make_scratch tape)
+              ~jslot
+          in
+          List.iter
+            (fun len ->
+              run 1 1 len;
+              Alcotest.(check (float 0.0))
+                (Printf.sprintf "-O%d lane program %d, strip of %d: minor words"
+                   lvl k len)
+                base
+                (minor_words (fun () -> run 1 1 len)))
+            [ 1; 2; 3; 4; 5; 7; 255; 256; n ])
+        (List.filter_map lane_program (Compile.plans t)))
+    [ 0; 2 ]
+
 let suite =
   [
     Alcotest.test_case "strip bounds pinned" `Quick test_strip_bounds;
@@ -1721,4 +2032,9 @@ let suite =
     Alcotest.test_case "lane folds: bit-identical to scalar and Eval" `Quick
       test_lane_folds;
     Alcotest.test_case "scalar fork reasons" `Quick test_scalar_fork_reasons;
+    Alcotest.test_case
+      "lane kernels: every form and operand step class = scalar = Eval"
+      `Quick test_lane_step_classes;
+    Alcotest.test_case "lane runner: a repeat strip allocates nothing" `Quick
+      test_lane_runner_allocation;
   ]

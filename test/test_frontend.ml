@@ -411,3 +411,86 @@ let suite =
       Alcotest.test_case "peel rejections" `Quick test_peel_rejections;
       Gen.to_alcotest prop_peel_preserves;
     ]
+
+(* ---------- hostile input ---------- *)
+
+(* Seeded mutations of the example programs, and random bytes: loading
+   returns [Ok] or [Error], and validation and verification of whatever
+   loads return their reports. None of them raises. *)
+let corpus =
+  lazy
+    (let dir = "../examples/programs" in
+     Sys.readdir dir |> Array.to_list
+     |> List.filter (fun f -> Filename.check_suffix f ".loop")
+     |> List.sort compare
+     |> List.map (fun f ->
+            In_channel.with_open_bin (Filename.concat dir f)
+              In_channel.input_all))
+
+let fuzz_tokens =
+  [|
+    "doall"; "do"; "end"; "if"; "then"; "else"; "begin"; "program"; "real";
+    "int"; "min("; "max("; "ceildiv("; "("; ")"; "["; "]"; ","; "="; "-"; "%";
+    "/"; "*"; "0"; "-1"; "4611686018427387903"; "99999999999999999999";
+    "1e999"; "0.5"; "i"; "j"; "A"; "\n"; " ";
+  |]
+
+(* 1-4 edits: delete, duplicate or overwrite a span, or insert a token *)
+let mutate rng src =
+  let edit s =
+    let n = String.length s in
+    let pos = Random.State.int rng (n + 1) in
+    let len = min (n - pos) (1 + Random.State.int rng 8) in
+    let cut = String.sub s 0 pos and rest = String.sub s pos (n - pos) in
+    match Random.State.int rng 4 with
+    | 0 -> cut ^ String.sub rest len (String.length rest - len)
+    | 1 -> cut ^ String.sub rest 0 len ^ rest
+    | 2 ->
+        cut
+        ^ String.make len (Char.chr (32 + Random.State.int rng 95))
+        ^ String.sub rest len (String.length rest - len)
+    | _ ->
+        cut
+        ^ fuzz_tokens.(Random.State.int rng (Array.length fuzz_tokens))
+        ^ rest
+  in
+  let s = ref src in
+  for _ = 0 to Random.State.int rng 4 do
+    s := edit !s
+  done;
+  !s
+
+let load_check_verify text =
+  match Driver.load_string text with
+  | Error _ -> ()
+  | Ok p ->
+      ignore (Validate.check_program p : Validate.issue list);
+      ignore (Verify.check_program p : Verify.result)
+
+let test_hostile_input () =
+  let rng = Random.State.make [| 27 |] in
+  let progs = Array.of_list (Lazy.force corpus) in
+  let survive what text =
+    match load_check_verify text with
+    | () -> ()
+    | exception e ->
+        Alcotest.failf "%s raised %s on:\n%s" what (Printexc.to_string e) text
+  in
+  for k = 1 to 3000 do
+    survive
+      (Printf.sprintf "mutation %d" k)
+      (mutate rng progs.(k mod Array.length progs))
+  done;
+  for k = 1 to 500 do
+    survive
+      (Printf.sprintf "random bytes %d" k)
+      (String.init (Random.State.int rng 200) (fun _ ->
+           Char.chr (Random.State.int rng 256)))
+  done
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "hostile input: load, validate, verify never raise"
+        `Quick test_hostile_input;
+    ]
