@@ -2,30 +2,34 @@ open Loopcoal_ir
 
 type op = Sum | Product
 
-type t = { scalar : Ast.var; op : op; identity : float }
+type t = { scalar : Ast.var; op : op; identity : float; acc_left : bool }
 
 let binop_of = function Sum -> Ast.Add | Product -> Ast.Mul
 
-let make scalar op =
-  { scalar; op; identity = (match op with Sum -> 0.0 | Product -> 1.0) }
+let make scalar (op, acc_left) =
+  {
+    scalar;
+    op;
+    identity = (match op with Sum -> 0.0 | Product -> 1.0);
+    acc_left;
+  }
 
-(* [s = s op e] or [s = e op s], with e free of s. *)
+(* [s = s op e] or [s = e op s], with e free of s: the operator and
+   whether the accumulator is its left operand. *)
 let update_shape (s : Ast.stmt) =
+  let shape v bop e acc_left =
+    if List.mem v (Ast.expr_vars e) then None
+    else
+      match (bop : Ast.binop) with
+      | Add -> Some (v, (Sum, acc_left))
+      | Mul -> Some (v, (Product, acc_left))
+      | Sub | Div | Mod | Cdiv | Min | Max -> None
+  in
   match s with
   | Assign (Scalar v, Bin (bop, Var w, e)) when String.equal v w ->
-      if List.mem v (Ast.expr_vars e) then None
-      else (
-        match bop with
-        | Add -> Some (v, Sum)
-        | Mul -> Some (v, Product)
-        | Sub | Div | Mod | Cdiv | Min | Max -> None)
+      shape v bop e true
   | Assign (Scalar v, Bin (bop, e, Var w)) when String.equal v w ->
-      if List.mem v (Ast.expr_vars e) then None
-      else (
-        match bop with
-        | Add -> Some (v, Sum)
-        | Mul -> Some (v, Product)
-        | Sub | Div | Mod | Cdiv | Min | Max -> None)
+      shape v bop e false
   | Assign _ | If _ | For _ -> None
 
 let detect (body : Ast.block) =

@@ -16,6 +16,9 @@ type t = {
   scalar : Ast.var;
   op : op;
   identity : float;  (** 0 for sums, 1 for products *)
+  acc_left : bool;
+      (** the update is [s = s op e] (else [s = e op s]): NaN payloads
+          depend on the operand order, so merges keep it *)
 }
 
 val detect : Ast.block -> t list

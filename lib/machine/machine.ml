@@ -41,13 +41,16 @@ type calibration = {
   fork_ns : float;  (** starting a parallel loop (pool wake) *)
   barrier_ns : float;  (** joining it *)
   tape_op_ns : float;  (** one weighted op on the bytecode tape *)
-  closure_op_ns : float;  (** one weighted op in the closure tier *)
+  closure_op_ns : float;
+      (** one weighted op of serial host code (the top-level tape,
+          every access checked); the name is kept for [machine.json] *)
 }
 
 (* Conservative constants for a machine nobody has calibrated: the
-   ratios (closure ~3x the tape per op, fork/barrier microseconds,
-   dispatch tens of ns) are what the bench history shows across hosts;
-   the absolute values only set the scale of predicted times. *)
+   ratios (serial host code ~3x the plan tape per op, fork/barrier
+   microseconds, dispatch tens of ns) are what the bench history shows
+   across hosts; the absolute values only set the scale of predicted
+   times. *)
 let default_calibration =
   {
     cal_p = 1;

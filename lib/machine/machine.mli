@@ -42,7 +42,9 @@ type calibration = {
   fork_ns : float;  (** starting a parallel loop (pool wake) *)
   barrier_ns : float;  (** joining it *)
   tape_op_ns : float;  (** one weighted op on the bytecode tape *)
-  closure_op_ns : float;  (** one weighted op in the closure tier *)
+  closure_op_ns : float;
+      (** one weighted op of serial host code (the top-level tape,
+          every access checked); the name is kept for [machine.json] *)
 }
 
 val default_calibration : calibration

@@ -219,6 +219,8 @@ type instr =
   | Icount of int
       (** scratch slot += 1: a block counter, inserted by the profiler
           only *)
+  | Ifork of int
+      (** run plan k through the fork hook: top-level tapes only *)
 
 type access = {
   ac_slot : int;
@@ -337,6 +339,15 @@ type raw_access = {
   ra_off : aff;
 }
 
+type fork_site = {
+  fk_loops : Ast.loop list;
+  fk_body : Ast.block;
+  fk_scope : (string * int) list;
+  fk_lo : int array;
+  fk_hi : int array;
+  fk_step : int;
+}
+
 type st = {
   lookup : string -> binding option;
   arr : string -> array_ref option;
@@ -351,6 +362,8 @@ type st = {
   plan_names : string array;
   plan_slots : int array;
   sanitize : bool;
+  fork : (fork_site -> int) option;
+      (** top-level code: parallel loops lower to [Ifork] *)
   mutable scope : (string * (int * rng)) list;  (** serial-loop indexes *)
   mutable promo : (string * Ast.expr list * int) list;
       (** array elements promoted to real registers across a serial loop:
@@ -491,6 +504,43 @@ and stmt_writes = function
   | Assign (Elem _, _) -> []
   | If (_, t, f) -> block_writes t @ block_writes f
   | For l -> l.index :: block_writes l.body
+
+(* Scalar names assigned anywhere in a block, loop indexes excluded. *)
+let rec assigned_scalars (b : Ast.block) =
+  List.concat_map
+    (fun (s : Ast.stmt) ->
+      match s with
+      | Assign (Scalar v, _) -> [ v ]
+      | Assign (Elem _, _) -> []
+      | If (_, t, f) -> assigned_scalars t @ assigned_scalars f
+      | For l -> assigned_scalars l.body)
+    b
+
+(* The maximal rectangular perfectly-nested parallel prefix rooted at
+   [l], mirroring [Nest.check_coalescible]: every extended level is a
+   singleton-body [Parallel] loop with syntactic unit step, distinct
+   index, and bounds free of outer nest indexes and of scalars its body
+   assigns (the interpreter re-evaluates inner bounds per outer
+   iteration, a flattened plan does not). Returns the levels, outer
+   first, and the innermost body. *)
+let coalesced_nest (l : Ast.loop) =
+  let rec collect acc (cur : Ast.loop) =
+    let names = List.map (fun (x : Ast.loop) -> x.index) (cur :: acc) in
+    match cur.body with
+    | [ For inner ]
+      when inner.par = Parallel
+           && Ast.equal_expr inner.step (Ast.Int 1)
+           && (not (List.mem inner.index names))
+           &&
+           let bound_vars = Ast.expr_vars inner.lo @ Ast.expr_vars inner.hi in
+           let assigned = assigned_scalars inner.body in
+           List.for_all
+             (fun v -> not (List.mem v names || List.mem v assigned))
+             bound_vars ->
+        collect (cur :: acc) inner
+    | _ -> (List.rev (cur :: acc), cur.body)
+  in
+  collect [] l
 
 (* Every array access in a block, as (name, subscripts). *)
 let rec expr_accesses acc = function
@@ -793,7 +843,55 @@ let rec lower_stmt st (s : Ast.stmt) =
       patch_all st fp st.len;
       lower_block st f;
       patch st pend st.len
-  | For l -> lower_serial_loop st l
+  | For l -> (
+      match st.fork with
+      | Some fork when l.par = Parallel -> lower_fork st fork l
+      | _ -> lower_serial_loop st l)
+
+(* A parallel loop in top-level code: evaluate its coalesced nest's
+   bounds into fresh registers in the interpreter's order — the outer
+   level's lo, hi and (checked) step, then each inner level's lo and hi,
+   skipping to the fork at the first empty level, whose inner bounds the
+   interpreter never evaluates — and fork. The fork runs even on an
+   empty space, which reads no bound past the first empty level. *)
+and lower_fork st fork (l : Ast.loop) =
+  set_tag st ("doall " ^ l.index);
+  let loops, body = coalesced_nest l in
+  let depth = List.length loops in
+  let bound what e =
+    let v = to_int what (lower_expr st e) in
+    let r = st.fresh_i () in
+    emit st (Iaff (r, v.va));
+    r
+  in
+  let lo = Array.make depth 0 and hi = Array.make depth 0 in
+  let step = ref 0 and empty = ref [] in
+  List.iteri
+    (fun k (x : Ast.loop) ->
+      lo.(k) <- bound "loop bound" x.lo;
+      hi.(k) <- bound "loop bound" x.hi;
+      if k = 0 then begin
+        step := bound "loop step" x.step;
+        emit st (Istep (!step, x.index))
+      end;
+      if k < depth - 1 then begin
+        empty := st.len :: !empty;
+        emit st (Jii (Gt, lo.(k), hi.(k), -1))
+      end)
+    loops;
+  let id =
+    fork
+      {
+        fk_loops = loops;
+        fk_body = body;
+        fk_scope = List.map (fun (v, (r, _)) -> (v, r)) st.scope;
+        fk_lo = lo;
+        fk_hi = hi;
+        fk_step = !step;
+      }
+  in
+  patch_all st !empty st.len;
+  emit st (Ifork id)
 
 and lower_serial_loop st (l : Ast.loop) =
   (* Header (bounds, step, entry guard, promotion loads) belongs to the
@@ -829,11 +927,14 @@ and lower_serial_loop st (l : Ast.loop) =
      stores loads once here — after the trip-count guard, so a
      zero-trip loop touches nothing — lives in a register for the whole
      loop, and stores back once past the back edge. Skipped on
-     sanitized tapes, which keep the per-iteration shadow protocol. An
-     element whose reference is statically wrong is not promoted: its
-     store reports the error in statement order. *)
+     sanitized tapes, which keep the per-iteration shadow protocol, and
+     in top-level code, where a fork in the loop may read or write the
+     element and the load, always checked there, must not fault ahead
+     of the statements before the store. An element whose reference is
+     statically wrong is not promoted: its store reports the error in
+     statement order. *)
   let promos =
-    if st.sanitize then []
+    if st.sanitize || Option.is_some st.fork then []
     else
       List.filter_map
         (fun (a, subs) ->
@@ -867,9 +968,10 @@ and lower_serial_loop st (l : Ast.loop) =
 
 and lower_block st (b : Ast.block) = List.iter (lower_stmt st) b
 
-let lower ~lookup ~array_ref ~fresh_int ~fresh_real ~assigned ~plan_names
+let lower ?fork ~lookup ~array_ref ~fresh_int ~fresh_real ~plan_names
     ~plan_slots ~sanitize (body : Ast.block) : tape =
   let root = String.concat "." (Array.to_list plan_names) in
+  let assigned = assigned_scalars body in
   let writes = block_writes body in
   let once =
     List.filter_map
@@ -892,6 +994,7 @@ let lower ~lookup ~array_ref ~fresh_int ~fresh_real ~assigned ~plan_names
       plan_names;
       plan_slots;
       sanitize;
+      fork;
       scope = [];
       promo = [];
       code = Array.make 64 (Jmp 0);
@@ -915,7 +1018,10 @@ let lower ~lookup ~array_ref ~fresh_int ~fresh_real ~assigned ~plan_names
      to a specific statement. *)
   ignore (intern_tag st root "strip" : int);
   lower_block st body;
-  let jj = plan_slots.(Array.length plan_slots - 1) in
+  (* Top-level code has no strip index. *)
+  let jj =
+    if plan_slots = [||] then -1 else plan_slots.(Array.length plan_slots - 1)
+  in
   let finish (ra : raw_access) =
     (* Split the flat offset: terms over registers the tape never
        writes and that are not the strip index are constant for a
@@ -1051,11 +1157,12 @@ let[@inline] fcmp (op : Ast.relop) (x : float) (y : float) =
   | Gt -> x > y
   | Ge -> x >= y
 
-let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
+(* The dispatch loop of both runners. [fork] runs an [Ifork]'s plan;
+   strips never meet one. *)
+let exec_tape ~fork tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~jstep
     ~len ~iter0 =
   let accs = tape.tp_accs in
   let unsafe = prep.pr_unsafe in
-  Array.unsafe_set ints jslot j0;
   (* Offset of one access execution: the hoisted invariant part plus
      the variant part on the unsafe path, the subscripts otherwise. *)
   let off_of id (ac : access) =
@@ -1082,7 +1189,7 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
      for the sanitizer. When [pc] falls off the body, the strip
      back-edge advances the strip index by [jstep] and the iteration
      number by one and restarts at 0; the index is left at the last
-     iteration's value. 
+     iteration's value.
 
      A left operand of [+.] or [*.] is bound before the operation when
      the right one is not a plain read: amd64 instruction selection
@@ -1272,6 +1379,9 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
         | Icount k ->
             Array.unsafe_set inv k (Array.unsafe_get inv k + 1);
             incr pc
+        | Ifork k ->
+            fork k;
+            incr pc
       done;
       if !iter < last then
         Array.unsafe_set ints jslot (Array.unsafe_get ints jslot + jstep);
@@ -1293,6 +1403,23 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
     Array.unsafe_set inv a (aff_eval ints (Array.unsafe_get accs a).ac_inv)
   done;
   exec_ops tape.tp_ops iter0 len
+
+let no_fork _ = invalid_arg "Bytecode.exec_strip: fork in a plan tape"
+
+let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
+    ~len ~iter0 =
+  Array.unsafe_set ints jslot j0;
+  exec_tape ~fork:no_fork tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot
+    ~jstep ~len ~iter0
+
+(* Top-level code runs once, every access checked: its registers change
+   between statements, so no once-per-run proof holds. With one
+   iteration there is no strip advance, so the strip index is unused. *)
+let exec_top tape ~ints ~reals ~arrays ~fork =
+  exec_tape ~fork tape
+    { pr_unsafe = Array.make (Array.length tape.tp_accs) false }
+    ~ints ~reals ~arrays ~shadow:None ~inv:(make_scratch tape) ~jslot:0
+    ~jstep:0 ~len:1 ~iter0:0
 
 (* ---------- strip geometry ---------- *)
 
@@ -1448,7 +1575,7 @@ module IntSet = Set.Make (Int)
 module IntMap = Map.Make (Int)
 
 let reads = function
-  | Iconst _ | Fconst _ | Jmp _ | Icount _ -> ([], [], [])
+  | Iconst _ | Fconst _ | Jmp _ | Icount _ | Ifork _ -> ([], [], [])
   | Iaff (_, a) -> (Array.to_list a.regs, [], [])
   | Imul (_, a, b)
   | Idiv (_, a, b)
@@ -2530,7 +2657,7 @@ let lane_step lr ~lanes n (i : instr) =
       fmem lr 1 n i1;
       fmem lr 0 n i2;
       k_fcopy n fv.(0) fv.(1)
-  | Istep _ | Icount _ | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _
+  | Istep _ | Icount _ | Ifork _ | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _
   | Iloopc _ ->
       assert false
 
@@ -2677,6 +2804,7 @@ let pp_instr (op : instr) =
   | Iloopc (r, c, bnd, top) ->
       f "loopc i%d += %d while <= i%d -> %d" r c bnd top
   | Icount k -> f "count s%d" k
+  | Ifork k -> f "fork plan %d" k
 
 (* One lowercase mnemonic per constructor, for per-opcode profiler
    tables and folded stacks. *)
@@ -2720,6 +2848,7 @@ let instr_mnemonic = function
   | Iloop _ -> "iloop"
   | Iloopc _ -> "iloopc"
   | Icount _ -> "icount"
+  | Ifork _ -> "ifork"
 
 let pp_vkind = function
   | V0 -> "inv"

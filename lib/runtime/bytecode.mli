@@ -144,6 +144,9 @@ type instr =
   | Icount of int
       (** scratch slot += 1: a basic-block counter, inserted by
           {!Profile}'s instrumentation only *)
+  | Ifork of int
+      (** run plan [k] through {!exec_top}'s fork hook; only a
+          top-level tape ({!lower} with [~fork]) holds it *)
 
 type access = {
   ac_slot : int;
@@ -195,30 +198,56 @@ type tape = {
   tp_tags : srcloc array;  (** tag table; entry 0 is the plan root *)
 }
 
+type fork_site = {
+  fk_loops : Ast.loop list;  (** the coalesced nest, outer first *)
+  fk_body : Ast.block;  (** the innermost level's body *)
+  fk_scope : (string * int) list;
+      (** enclosing serial loops' indexes and their int registers,
+          innermost first *)
+  fk_lo : int array;  (** per-level lower-bound registers *)
+  fk_hi : int array;  (** per-level upper-bound registers (inclusive) *)
+  fk_step : int;  (** the outer level's step register *)
+}
+(** A parallel loop in top-level code, as {!lower} hands it to its
+    [fork] hook. The top-level tape sets the bound registers before it
+    forks: the outer level's lo, hi and step (checked positive), then
+    each inner level's lo and hi up to the first empty level. Registers
+    past that level are stale when the fork runs. *)
+
 val lower :
+  ?fork:(fork_site -> int) ->
   lookup:(string -> binding option) ->
   array_ref:(string -> array_ref option) ->
   fresh_int:(unit -> int) ->
   fresh_real:(unit -> int) ->
-  assigned:string list ->
   plan_names:string array ->
   plan_slots:int array ->
   sanitize:bool ->
   Ast.block ->
   tape
-(** Lower a coalesced plan body. [plan_names]/[plan_slots] are the
-    flattened nest's indexes, outer first; the last slot is the strip
-    index. [lookup] resolves free names exactly as the staging compiler
-    scoped them; [assigned] lists scalars the body assigns. Their
-    reads get no range, except reads of an int scalar the body assigns
-    exactly once, by a top-level statement (not under an [if] or a
-    serial loop), from a right-hand side with a known range (no [/],
-    [%] or [ceildiv] in it): a read lowered after that assignment takes
-    that range. [fresh_int]/[fresh_real]
-    allocate temporary registers from the host register files. Raises
-    {!exception:Error} on a statically ill-typed body: the first fault in
-    evaluation order (an expression's right operand before its left, a
-    stored value before its target), with the interpreter's message. *)
+(** Lower a block to a tape: a coalesced plan body or, with [fork],
+    top-level code.
+
+    For a plan body, [plan_names]/[plan_slots] are the flattened nest's
+    indexes, outer first; the last slot is the strip index. [lookup]
+    resolves free names exactly as the staging compiler scoped them.
+    Reads of a scalar the body assigns get no range, except reads of an
+    int scalar the body assigns exactly once, by a top-level statement
+    (not under an [if] or a serial loop), from a right-hand side with a
+    known range (no [/], [%] or [ceildiv] in it): a read lowered after
+    that assignment takes that range.
+
+    With [fork] (and no plan indexes), every parallel loop, at any
+    depth of serial loops and [if]s, lowers to the code that sets its
+    {!fork_site}'s bound registers and an [Ifork k], [k] being what
+    [fork] returns for the site; serial loops promote no element to a
+    register. Such a tape runs only under {!exec_top}.
+
+    [fresh_int]/[fresh_real] allocate temporary registers from the host
+    register files. Raises {!exception:Error} on a statically ill-typed
+    block: the first fault in evaluation order (an expression's right
+    operand before its left, a stored value before its target), with
+    the interpreter's message. *)
 
 val sanitized : tape -> bool
 val n_instrs : tape -> int
@@ -313,6 +342,16 @@ val exec_strip :
     call. On return [jslot] holds the last iteration's index. Outer
     index registers must already be set. [inv] is a {!make_scratch}
     array; invariant offset parts are (re)hoisted into it on entry. *)
+
+val exec_top :
+  tape ->
+  ints:int array ->
+  reals:float array ->
+  arrays:float array array ->
+  fork:(int -> unit) ->
+  unit
+(** Run a top-level tape once, every access checked, calling [fork k]
+    at each [Ifork k]. *)
 
 (** {1 Lane execution}
 

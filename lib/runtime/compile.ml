@@ -1,28 +1,26 @@
-(* Staging compiler: AST -> closure tree for serial code, tapes for plan
-   bodies.
+(* Staging compiler: AST -> bytecode tapes.
 
    The reference interpreter ([Loopcoal_ir.Eval]) re-resolves every name
    through hash tables, walks subscript lists with folds, and boxes every
    value in [Vint]/[Vreal] on every single operation. This module pays
-   all of that exactly once, at staging time:
+   all of that exactly once, at staging time, by lowering the program to
+   register tapes ({!Bytecode.lower}):
 
-   - every scalar and loop index is resolved to a slot in a flat [int
-     array] or [float array];
-   - every array reference is resolved to a slot in a [float array
-     array] with its dimensions and row-major strides captured in the
-     closure (1-d and 2-d references are specialized to straight-line
-     index arithmetic);
-   - expression kinds (int vs real) are inferred statically, so the
-     compiled closures are monomorphic [env -> int] / [env -> float]
-     functions with no tag dispatch;
-   - a [For] loop annotated [Parallel] that is not already inside a
-     parallel region is compiled to a {!plan}: the maximal rectangular
-     perfectly-nested parallel prefix is flattened into one coalesced
-     iteration space whose body is lowered to a bytecode tape
-     ({!Bytecode.lower}), executed through the [env]'s [fork] hook. The
-     executor ([Exec]) decides whether a plan runs sequentially or
-     across domains. Only the serial code around the plans stays a
-     closure tree.
+   - every scalar and loop index resolves to a register: a slot in a
+     flat [int array] or [float array];
+   - every array reference resolves to a slot in a [float array array]
+     with its dimensions and row-major strides;
+   - expression kinds (int vs real) are inferred statically.
+
+   The program body lowers to one top-level tape. Each loop annotated
+   [Parallel] in it is a {!plan}: the maximal rectangular
+   perfectly-nested parallel prefix is flattened into one coalesced
+   iteration space whose body lowers to a tape of its own, and the
+   top-level tape evaluates the nest's bounds into registers and forks
+   the plan ([Bytecode.Ifork]) through the [fork] hook {!run_code} is
+   given. The executor ([Exec]) decides whether a plan runs sequentially
+   or across domains. Staging itself only builds the plans the lowering
+   meets.
 
    Bounds checks and the interpreter's runtime error conditions
    (division by zero, non-positive steps, subscripts out of range) are
@@ -50,8 +48,6 @@ type env = {
   ints : int array;  (** loop indexes and integer scalars *)
   reals : float array;  (** real scalars *)
   arrays : float array array;  (** shared array data, one slot per decl *)
-  fork : plan -> env -> unit;
-      (** how to execute a parallel plan encountered in this context *)
   shadow : Sanitize.t option;
       (** race-sanitizer shadow state, shared across clones *)
 }
@@ -60,9 +56,17 @@ and plan = {
   depth : int;  (** flattened nest depth, >= 1 *)
   index_slots : int array;  (** int slots of the nest indexes, outer first *)
   index_names : string array;
-  lo_x : (env -> int) array;  (** per-level lower bounds *)
-  hi_x : (env -> int) array;  (** per-level upper bounds (inclusive) *)
-  step_x : env -> int;  (** outermost step; inner levels are unit-step *)
+  lo_regs : int array;  (** per-level lower-bound registers *)
+  hi_regs : int array;  (** per-level upper-bound registers (inclusive) *)
+  step_reg : int;  (** outermost step register; inner levels are unit-step *)
+  scalar_ints : int;
+      (** int scalar slots, a prefix of the int registers; with
+          [scope_regs], every int register the body reads and does not
+          write first *)
+  scalar_reals : int;
+      (** real scalar slots, a prefix of the float registers: every
+          float register the body reads and does not write first *)
+  scope_regs : int array;  (** the enclosing serial loops' index registers *)
   reductions : red array;
   tape : Bytecode.tape;
       (** the body lowered to the bytecode tier: the executor dispatches
@@ -106,8 +110,10 @@ and fork_state = {
   fs_next : int Atomic.t;  (** shared dispatch index *)
   fs_saved_ints : int array;  (** master's pre-fork reduction values *)
   fs_saved_reals : float array;
-  fs_part_ints : int array;  (** reduction partials across a restart *)
-  fs_part_reals : float array;
+  mutable fs_chunk_ints : int array;
+      (** reduction partials by row, merged in row order: one row per
+          chunk, by chunk number, or per domain under static block *)
+  mutable fs_chunk_reals : float array;
   mutable fs_bound : binding option;
   mutable fs_solo : solo option;
   fs_lanes : (Bytecode.lanes, string) result;
@@ -145,12 +151,8 @@ and red = {
   r_slot : int;
   r_real : bool;  (** slot lives in [reals] (else [ints]) *)
   r_op : Reduction.op;
+  r_acc_left : bool;  (** the update is [s = s op e], else [s = e op s] *)
 }
-
-type iexp = env -> int
-type rexp = env -> float
-type code = env -> unit
-type cexp = I of iexp | R of rexp
 
 (* ---------- compile-time context ---------- *)
 
@@ -166,7 +168,6 @@ type array_info = {
 type ctx = {
   arr_tbl : (string, array_info) Hashtbl.t;
   sc_tbl : (string, slot) Hashtbl.t;
-  mutable scope : (string * int) list;  (** loop index -> int slot *)
   mutable n_ints : int;
   mutable n_reals : int;
   mutable plans : plan list;  (** compiled parallel plans, reversed *)
@@ -193,346 +194,64 @@ let fresh_real ctx =
   ctx.n_reals <- s + 1;
   s
 
-(* ---------- kind-directed expression compilation ---------- *)
+let array_ref ctx a =
+  Option.map
+    (fun info ->
+      {
+        Bytecode.ba_slot = info.a_slot;
+        ba_name = a;
+        ba_dims = info.a_dims;
+        ba_strides = info.a_strides;
+      })
+    (Hashtbl.find_opt ctx.arr_tbl a)
 
-let to_i what = function
-  | I f -> f
-  | R _ -> error "%s: expected an integer value" what
+let lookup_scalar ctx v =
+  match Hashtbl.find_opt ctx.sc_tbl v with
+  | Some (Si s) -> Some (Bytecode.Bint s)
+  | Some (Sr s) -> Some (Bytecode.Breal s)
+  | None -> None
 
-let to_r = function
-  | R f -> f
-  | I f -> fun env -> float_of_int (f env)
+(* ---------- plans ---------- *)
 
-let compile_load ctx a subs_c : rexp =
-  match Hashtbl.find_opt ctx.arr_tbl a with
-  | None -> error "unbound array %s" a
-  | Some info ->
-      if List.length subs_c <> Array.length info.a_dims then
-        error "array %s: %d subscripts for %d dimensions" a
-          (List.length subs_c)
-          (Array.length info.a_dims);
-      let subs = List.map (to_i "subscript") subs_c in
-      let slot = info.a_slot in
-      let oob s d = error "array %s: subscript %d out of bounds 1..%d" a s d in
-      (match (subs, info.a_dims) with
-      | [ s1 ], [| d1 |] ->
-          fun env ->
-            let i1 = s1 env in
-            if i1 < 1 || i1 > d1 then oob i1 d1;
-            env.arrays.(slot).(i1 - 1)
-      | [ s1; s2 ], [| d1; d2 |] ->
-          fun env ->
-            let i1 = s1 env in
-            if i1 < 1 || i1 > d1 then oob i1 d1;
-            let i2 = s2 env in
-            if i2 < 1 || i2 > d2 then oob i2 d2;
-            env.arrays.(slot).(((i1 - 1) * d2) + (i2 - 1))
-      | subs, dims ->
-          let subs = Array.of_list subs in
-          let strides = info.a_strides in
-          fun env ->
-            let off = ref 0 in
-            for k = 0 to Array.length subs - 1 do
-              let s = subs.(k) env in
-              if s < 1 || s > dims.(k) then oob s dims.(k);
-              off := !off + ((s - 1) * strides.(k))
-            done;
-            env.arrays.(slot).(!off))
-
-let compile_store ctx a subs_c (value : rexp) : code =
-  match Hashtbl.find_opt ctx.arr_tbl a with
-  | None -> error "unbound array %s" a
-  | Some info ->
-      if List.length subs_c <> Array.length info.a_dims then
-        error "array %s: %d subscripts for %d dimensions" a
-          (List.length subs_c)
-          (Array.length info.a_dims);
-      let subs = List.map (to_i "subscript") subs_c in
-      let slot = info.a_slot in
-      let oob s d = error "array %s: subscript %d out of bounds 1..%d" a s d in
-      (match (subs, info.a_dims) with
-      | [ s1 ], [| d1 |] ->
-          fun env ->
-            let i1 = s1 env in
-            if i1 < 1 || i1 > d1 then oob i1 d1;
-            env.arrays.(slot).(i1 - 1) <- value env
-      | [ s1; s2 ], [| d1; d2 |] ->
-          fun env ->
-            let i1 = s1 env in
-            if i1 < 1 || i1 > d1 then oob i1 d1;
-            let i2 = s2 env in
-            if i2 < 1 || i2 > d2 then oob i2 d2;
-            env.arrays.(slot).(((i1 - 1) * d2) + (i2 - 1)) <- value env
-      | subs, dims ->
-          let subs = Array.of_list subs in
-          let strides = info.a_strides in
-          fun env ->
-            let off = ref 0 in
-            for k = 0 to Array.length subs - 1 do
-              let s = subs.(k) env in
-              if s < 1 || s > dims.(k) then oob s dims.(k);
-              off := !off + ((s - 1) * strides.(k))
-            done;
-            env.arrays.(slot).(!off) <- value env)
-
-let rec compile_expr ctx (e : Ast.expr) : cexp =
-  match e with
-  | Int n -> I (fun _ -> n)
-  | Real x -> R (fun _ -> x)
-  | Var v -> (
-      match List.assoc_opt v ctx.scope with
-      | Some s -> I (fun env -> env.ints.(s))
-      | None -> (
-          match Hashtbl.find_opt ctx.sc_tbl v with
-          | Some (Si s) -> I (fun env -> env.ints.(s))
-          | Some (Sr s) -> R (fun env -> env.reals.(s))
-          | None -> error "unbound variable %s" v))
-  | Neg a -> (
-      match compile_expr ctx a with
-      | I f -> I (fun env -> -f env)
-      | R f -> R (fun env -> -.f env))
-  | Load (a, subs) ->
-      R (compile_load ctx a (List.map (compile_expr ctx) subs))
-  | Bin (op, a, b) -> compile_bin ctx op (compile_expr ctx a) (compile_expr ctx b)
-
-and compile_bin _ctx op ca cb : cexp =
-  let arith fint freal =
-    match (ca, cb) with
-    | I fa, I fb -> I (fun env -> fint (fa env) (fb env))
-    | _ ->
-        let fa = to_r ca and fb = to_r cb in
-        R (fun env -> freal (fa env) (fb env))
-  in
-  match (op : Ast.binop) with
-  | Add -> arith ( + ) ( +. )
-  | Sub -> arith ( - ) ( -. )
-  | Mul -> arith ( * ) ( *. )
-  | Min -> arith min min
-  | Max -> arith max max
-  | Div -> (
-      match (ca, cb) with
-      | I fa, I fb ->
-          I
-            (fun env ->
-              let b = fb env in
-              if b = 0 then error "integer division by zero";
-              (* Fortran-style truncating division. *)
-              fa env / b)
-      | _ ->
-          let fa = to_r ca and fb = to_r cb in
-          R (fun env -> fa env /. fb env))
-  | Mod ->
-      let fa = to_i "mod" ca and fb = to_i "mod" cb in
-      I
-        (fun env ->
-          let b = fb env in
-          if b = 0 then error "mod by zero";
-          fa env mod b)
-  | Cdiv ->
-      let fa = to_i "ceildiv" ca and fb = to_i "ceildiv" cb in
-      I
-        (fun env ->
-          let b = fb env in
-          if b <= 0 then error "ceildiv: non-positive divisor %d" b;
-          Loopcoal_util.Intmath.cdiv (fa env) b)
-
-let compile_cmp (op : Ast.relop) ca cb : env -> bool =
-  match (ca, cb) with
-  | I fa, I fb -> (
-      match op with
-      | Eq -> fun env -> fa env = fb env
-      | Ne -> fun env -> fa env <> fb env
-      | Lt -> fun env -> fa env < fb env
-      | Le -> fun env -> fa env <= fb env
-      | Gt -> fun env -> fa env > fb env
-      | Ge -> fun env -> fa env >= fb env)
-  | _ -> (
-      let fa = to_r ca and fb = to_r cb in
-      match op with
-      | Eq -> fun env -> fa env = fb env
-      | Ne -> fun env -> fa env <> fb env
-      | Lt -> fun env -> fa env < fb env
-      | Le -> fun env -> fa env <= fb env
-      | Gt -> fun env -> fa env > fb env
-      | Ge -> fun env -> fa env >= fb env)
-
-let rec compile_cond ctx (c : Ast.cond) : env -> bool =
-  match c with
-  | True -> fun _ -> true
-  | Cmp (op, a, b) ->
-      compile_cmp op (compile_expr ctx a) (compile_expr ctx b)
-  | And (a, b) ->
-      let fa = compile_cond ctx a and fb = compile_cond ctx b in
-      fun env -> fa env && fb env
-  | Or (a, b) ->
-      let fa = compile_cond ctx a and fb = compile_cond ctx b in
-      fun env -> fa env || fb env
-  | Not a ->
-      let fa = compile_cond ctx a in
-      fun env -> not (fa env)
-
-(* ---------- statement compilation ---------- *)
-
-let seq (codes : code list) : code =
-  match codes with
-  | [] -> fun _ -> ()
-  | [ c ] -> c
-  | [ a; b ] ->
-      fun env ->
-        a env;
-        b env
-  | l ->
-      let arr = Array.of_list l in
-      fun env ->
-        for k = 0 to Array.length arr - 1 do
-          arr.(k) env
-        done
-
-(* Scalar names assigned anywhere in a block (used to reject flattening a
-   nest whose inner bounds could be mutated by the body — the interpreter
-   re-evaluates bounds per outer iteration, a flattened plan does not). *)
-let rec assigned_scalars (b : Ast.block) =
-  List.concat_map
-    (fun (s : Ast.stmt) ->
-      match s with
-      | Assign (Scalar v, _) -> [ v ]
-      | Assign (Elem _, _) -> []
-      | If (_, t, f) -> assigned_scalars t @ assigned_scalars f
-      | For l -> assigned_scalars l.body)
-    b
-
-let rec compile_stmt ctx (s : Ast.stmt) : code =
-  match s with
-  | Assign (Scalar v, e) -> (
-      if List.mem_assoc v ctx.scope then
-        error "cannot assign to loop index %s" v;
-      let ce = compile_expr ctx e in
-      match Hashtbl.find_opt ctx.sc_tbl v with
-      | None -> error "unbound scalar %s" v
-      | Some (Si slot) -> (
-          match ce with
-          | I f -> fun env -> env.ints.(slot) <- f env
-          | R _ -> error "assigning real to int scalar %s" v)
-      | Some (Sr slot) ->
-          let f = to_r ce in
-          fun env -> env.reals.(slot) <- f env)
-  | Assign (Elem (a, subs), e) ->
-      compile_store ctx a
-        (List.map (compile_expr ctx) subs)
-        (to_r (compile_expr ctx e))
-  | If (c, t, f) ->
-      let fc = compile_cond ctx c in
-      let ft = compile_block ctx t in
-      let ff = compile_block ctx f in
-      fun env -> if fc env then ft env else ff env
-  | For l when l.par = Parallel -> compile_parallel_nest ctx l
-  | For l -> compile_serial_loop ctx l
-
-and compile_serial_loop ctx (l : Ast.loop) : code =
-  let flo = to_i "loop bound" (compile_expr ctx l.lo) in
-  let fhi = to_i "loop bound" (compile_expr ctx l.hi) in
-  let fstep = to_i "loop step" (compile_expr ctx l.step) in
-  let slot = fresh_int ctx in
-  let saved = ctx.scope in
-  ctx.scope <- (l.index, slot) :: saved;
-  let body = compile_block ctx l.body in
-  ctx.scope <- saved;
-  let index = l.index in
-  fun env ->
-    let lo = flo env and hi = fhi env and step = fstep env in
-    if step <= 0 then error "loop %s: step must be positive" index;
-    let i = ref lo in
-    while !i <= hi do
-      env.ints.(slot) <- !i;
-      body env;
-      i := !i + step
-    done
-
-(* Flatten the maximal rectangular perfectly-nested parallel prefix rooted
-   at [l] into a single plan, mirroring [Nest.check_coalescible]: every
-   extended level must be a singleton-body [Parallel] loop with syntactic
-   unit step, distinct index, and bounds free of outer nest indexes. The
-   body must not assign scalars that the inner bounds read. *)
-and compile_parallel_nest ctx (l : Ast.loop) : code =
-  let rec collect acc (cur : Ast.loop) =
-    let names = List.map (fun (x : Ast.loop) -> x.index) (List.rev (cur :: acc)) in
-    match cur.body with
-    | [ For inner ]
-      when inner.par = Parallel
-           && Ast.equal_expr inner.step (Ast.Int 1)
-           && (not (List.mem inner.index names))
-           && (let bound_vars =
-                 Ast.expr_vars inner.lo @ Ast.expr_vars inner.hi
-               in
-               (not (List.exists (fun v -> List.mem v names) bound_vars))
-               && not
-                    (List.exists
-                       (fun v -> List.mem v (assigned_scalars inner.body))
-                       bound_vars)) ->
-        collect (cur :: acc) inner
-    | _ -> (List.rev (cur :: acc), cur.body)
-  in
-  let loops, inner_body = collect [] l in
-  let depth = List.length loops in
-  let lo_x =
-    Array.of_list
-      (List.map
-         (fun (x : Ast.loop) -> to_i "loop bound" (compile_expr ctx x.lo))
-         loops)
-  in
-  let hi_x =
-    Array.of_list
-      (List.map
-         (fun (x : Ast.loop) -> to_i "loop bound" (compile_expr ctx x.hi))
-         loops)
-  in
-  let step_x = to_i "loop step" (compile_expr ctx (List.hd loops).step) in
+(* The plan of one fork site of the top-level tape. Its body lowers to
+   its own tape, scoped like the code around the fork: the enclosing
+   serial loops' indexes, then the declared scalars. Temporaries come
+   from the same slot counters, so [make_env] sizes one set of register
+   files for every tape. On a plan-cache hit the stored tape and its
+   register-counter deltas are replayed instead, which reproduces the
+   cold compile's numbering exactly. The scalars, declared first, hold
+   the first [scalar_ints] int and [scalar_reals] float registers.
+   Returns the plan's number. *)
+let plan_of_site ctx ~scalar_ints ~scalar_reals (site : Bytecode.fork_site) =
   let index_names =
-    Array.of_list (List.map (fun (x : Ast.loop) -> x.index) loops)
+    Array.of_list (List.map (fun (x : Ast.loop) -> x.index) site.fk_loops)
   in
-  let saved = ctx.scope in
-  let index_slots =
-    Array.map
-      (fun name ->
-        let slot = fresh_int ctx in
-        ctx.scope <- (name, slot) :: ctx.scope;
-        slot)
-      index_names
-  in
+  let depth = Array.length index_names in
+  let index_slots = Array.map (fun _ -> fresh_int ctx) index_names in
   (* Recognized scalar reductions in the flattened body get per-domain
      partial results and an ordered merge in the executor. *)
   let reductions =
-    Reduction.detect inner_body
+    Reduction.detect site.fk_body
     |> List.filter_map (fun (r : Reduction.t) ->
-           if List.mem_assoc r.Reduction.scalar ctx.scope then None
+           let v = r.Reduction.scalar in
+           if List.mem_assoc v site.fk_scope || Array.mem v index_names then
+             None
            else
-             match Hashtbl.find_opt ctx.sc_tbl r.Reduction.scalar with
-             | Some (Si s) ->
-                 Some
-                   {
-                     r_name = r.Reduction.scalar;
-                     r_slot = s;
-                     r_real = false;
-                     r_op = r.Reduction.op;
-                   }
-             | Some (Sr s) ->
-                 Some
-                   {
-                     r_name = r.Reduction.scalar;
-                     r_slot = s;
-                     r_real = true;
-                     r_op = r.Reduction.op;
-                   }
+             let red slot real =
+               {
+                 r_name = v;
+                 r_slot = slot;
+                 r_real = real;
+                 r_op = r.Reduction.op;
+                 r_acc_left = r.Reduction.acc_left;
+               }
+             in
+             match Hashtbl.find_opt ctx.sc_tbl v with
+             | Some (Si s) -> Some (red s false)
+             | Some (Sr s) -> Some (red s true)
              | None -> None)
     |> Array.of_list
   in
-  (* Lower the body to a tape while the nest indexes are still in scope:
-     names resolve as in the serial code around it, and temporaries come
-     from the same slot counters, so [make_env] sizes one set of register
-     files for both. Lowering's static errors are staging errors. On a
-     plan-cache hit the stored tape and its register-counter deltas are
-     replayed instead, which reproduces the cold compile's numbering
-     exactly. *)
   let tape =
     match ctx.tape_reuse with
     | Some ((t, d_ints, d_reals) :: rest) ->
@@ -542,37 +261,18 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
         t
     | _ ->
         let int_base = ctx.n_ints and real_base = ctx.n_reals in
-        let scope_now = ctx.scope in
         let lookup v =
-          match List.assoc_opt v scope_now with
+          match List.assoc_opt v site.fk_scope with
           | Some s -> Some (Bytecode.Bindex s)
-          | None -> (
-              match Hashtbl.find_opt ctx.sc_tbl v with
-              | Some (Si s) -> Some (Bytecode.Bint s)
-              | Some (Sr s) -> Some (Bytecode.Breal s)
-              | None -> None)
-        in
-        let array_ref a =
-          Option.map
-            (fun info ->
-              {
-                Bytecode.ba_slot = info.a_slot;
-                ba_name = a;
-                ba_dims = info.a_dims;
-                ba_strides = info.a_strides;
-              })
-            (Hashtbl.find_opt ctx.arr_tbl a)
+          | None -> lookup_scalar ctx v
         in
         let t =
           Registry.time h_lower_ns (fun () ->
-              try
-                Bytecode.lower ~lookup ~array_ref
-                  ~fresh_int:(fun () -> fresh_int ctx)
-                  ~fresh_real:(fun () -> fresh_real ctx)
-                  ~assigned:(assigned_scalars inner_body)
-                  ~plan_names:index_names ~plan_slots:index_slots
-                  ~sanitize:ctx.sanitize inner_body
-              with Bytecode.Error m -> raise (Error m))
+              Bytecode.lower ~lookup ~array_ref:(array_ref ctx)
+                ~fresh_int:(fun () -> fresh_int ctx)
+                ~fresh_real:(fun () -> fresh_real ctx)
+                ~plan_names:index_names ~plan_slots:index_slots
+                ~sanitize:ctx.sanitize site.fk_body)
         in
         let plan_ord = List.length ctx.plans in
         let user_dump =
@@ -618,15 +318,17 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
           (t, ctx.n_ints - int_base, ctx.n_reals - real_base) :: ctx.tape_log;
         t
   in
-  ctx.scope <- saved;
   let plan =
     {
       depth;
       index_slots;
       index_names;
-      lo_x;
-      hi_x;
-      step_x;
+      lo_regs = site.fk_lo;
+      hi_regs = site.fk_hi;
+      step_reg = site.fk_step;
+      scalar_ints;
+      scalar_reals;
+      scope_regs = Array.of_list (List.map snd site.fk_scope);
       reductions;
       tape;
       native = None;
@@ -634,22 +336,19 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
     }
   in
   ctx.plans <- plan :: ctx.plans;
-  fun env -> env.fork plan env
-
-and compile_block ctx (b : Ast.block) : code =
-  seq (List.map (compile_stmt ctx) b)
+  List.length ctx.plans - 1
 
 (* ---------- program compilation ---------- *)
 
 type t = {
-  prog_code : code;
+  top : Bytecode.tape;  (** the program body; forks by plan number *)
   n_ints : int;
   n_reals : int;
   int_init : (int * int) list;  (** (slot, value) for int scalars *)
   real_init : (int * float) list;
   array_decls : (string * int * int) array;  (** name, slot, flat size *)
   scalar_slots : (string * slot) list;  (** declared scalars, by name *)
-  prog_plans : plan list;  (** parallel plans, in compilation order *)
+  prog_plans : plan array;  (** parallel plans, by number *)
   mutable nat_state : [ `Untried | `Ready | `Unavailable of string ];
       (** Natgen attachment status, so prepare attempts are idempotent *)
 }
@@ -694,7 +393,6 @@ let compile ?(sanitize = false) ?(opt_level = 2) ?cache ?(cache_salt = "")
     {
       arr_tbl = Hashtbl.create 16;
       sc_tbl = Hashtbl.create 16;
-      scope = [];
       n_ints = 0;
       n_reals = 0;
       plans = [];
@@ -736,13 +434,26 @@ let compile ?(sanitize = false) ?(opt_level = 2) ?cache ?(cache_salt = "")
           real_init := (slot, s.sc_init) :: !real_init;
           Hashtbl.add ctx.sc_tbl s.sc_name (Sr slot))
     p.scalars;
-  let prog_code = compile_block ctx p.body in
+  (* Top-level code is lowering output: moving code across a fork
+     would be wrong, so no optimizer pass runs on it. *)
+  let top =
+    try
+      Bytecode.lower
+        ~fork:
+          (plan_of_site ctx ~scalar_ints:ctx.n_ints ~scalar_reals:ctx.n_reals)
+        ~lookup:(lookup_scalar ctx)
+        ~array_ref:(array_ref ctx)
+        ~fresh_int:(fun () -> fresh_int ctx)
+        ~fresh_real:(fun () -> fresh_real ctx)
+        ~plan_names:[||] ~plan_slots:[||] ~sanitize:false p.body
+    with Bytecode.Error m -> raise (Error m)
+  in
   (match (cache_key, cached) with
   | Some (c, k), None ->
       Plancache.store c k { Plancache.e_plans = List.rev ctx.tape_log }
   | _ -> ());
   {
-    prog_code;
+    top;
     n_ints = ctx.n_ints;
     n_reals = ctx.n_reals;
     int_init = !int_init;
@@ -759,7 +470,7 @@ let compile ?(sanitize = false) ?(opt_level = 2) ?cache ?(cache_salt = "")
         (fun (s : Ast.scalar_decl) ->
           (s.sc_name, Hashtbl.find ctx.sc_tbl s.sc_name))
         p.scalars;
-    prog_plans = List.rev ctx.plans;
+    prog_plans = Array.of_list (List.rev ctx.plans);
     nat_state = `Untried;
   }
 
@@ -772,20 +483,19 @@ let compile_result ?sanitize ?opt_level ?cache ?cache_salt ?tape_dump
   | exception Error m -> Error m
 
 let shadow_layout t = Array.map (fun (name, _, size) -> (name, size)) t.array_decls
-let plans t = t.prog_plans
+let plans t = Array.to_list t.prog_plans
 let native_state t = t.nat_state
 let set_native_state t s = t.nat_state <- s
 
 (* ---------- environments ---------- *)
 
-let make_env ?(array_init = 0.0) ?shadow t ~fork =
+let make_env ?(array_init = 0.0) ?shadow t =
   let env =
     {
       ints = Array.make (max 1 t.n_ints) 0;
       reals = Array.make (max 1 t.n_reals) 0.0;
       arrays =
         Array.map (fun (_, _, size) -> Array.make size array_init) t.array_decls;
-      fork;
       shadow;
     }
   in
@@ -799,12 +509,15 @@ let clone_env env =
     reals = Array.copy env.reals;
     arrays = env.arrays;
     (* shared *)
-    fork = env.fork;
     shadow = env.shadow;
     (* shared *)
   }
 
-let run_code t env = t.prog_code env
+let run_code t env ~fork =
+  try
+    Bytecode.exec_top t.top ~ints:env.ints ~reals:env.reals ~arrays:env.arrays
+      ~fork:(fun k -> fork t.prog_plans.(k))
+  with Bytecode.Error m -> raise (Error m)
 
 (* ---------- result readback ---------- *)
 

@@ -1,15 +1,15 @@
-(** Staging compiler: AST -> slot-resolved executable code.
+(** Staging compiler: AST -> bytecode tapes.
 
     Compilation resolves every name once — scalars and loop indexes to
-    slots in flat arrays, array references to pre-computed row-major
-    strides — and infers int/real kinds statically. Parallel loops
-    (outside an enclosing parallel region) compile to {!plan}s:
-    flattened, coalesced iteration spaces whose body is lowered to one
-    bytecode tape ({!Bytecode.lower}), dispatched through the
-    environment's [fork] hook, which the executor binds to sequential or
-    multi-domain execution. The serial code around the plans compiles to
-    a closure tree that runs with no hash lookups, no list folds and no
-    value boxing.
+    registers (slots in flat arrays), array references to pre-computed
+    row-major strides — and infers int/real kinds statically. The
+    program body lowers to one top-level tape ({!Bytecode.lower}).
+    Parallel loops in it are {!plan}s: flattened, coalesced iteration
+    spaces whose body lowers to a tape of its own. The top-level tape
+    sets each plan's bound registers and forks it through the [fork]
+    hook {!run_code} is given, which the executor binds to sequential or
+    multi-domain execution. Top-level code runs with every access
+    checked and no optimizer pass.
 
     The interpreter's runtime error conditions (bounds, zero division,
     non-positive steps, int/real mismatches) are preserved as
@@ -26,7 +26,6 @@ type env = {
   ints : int array;
   reals : float array;
   arrays : float array array;
-  fork : plan -> env -> unit;
   shadow : Sanitize.t option;
       (** race-sanitizer shadow state, shared across clones; consulted
           only by tapes lowered with [~sanitize:true] *)
@@ -36,9 +35,19 @@ and plan = {
   depth : int;
   index_slots : int array;
   index_names : string array;
-  lo_x : (env -> int) array;
-  hi_x : (env -> int) array;
-  step_x : env -> int;
+  lo_regs : int array;
+      (** per-level lower-bound registers, which the top-level tape sets
+          before it forks the plan *)
+  hi_regs : int array;  (** per-level upper-bound registers (inclusive) *)
+  step_reg : int;  (** outermost step register; inner levels are unit-step *)
+  scalar_ints : int;
+      (** int scalar slots, a prefix of the int registers; with
+          [scope_regs], every int register the body reads and does not
+          write first *)
+  scalar_reals : int;
+      (** real scalar slots, a prefix of the float registers: every
+          float register the body reads and does not write first *)
+  scope_regs : int array;  (** the enclosing serial loops' index registers *)
   reductions : red array;
   tape : Bytecode.tape;
       (** the body lowered to the bytecode tier ({!Bytecode.lower}) and
@@ -83,8 +92,10 @@ and fork_state = {
   fs_next : int Atomic.t;  (** shared dispatch index of dynamic policies *)
   fs_saved_ints : int array;  (** master's pre-fork reduction values *)
   fs_saved_reals : float array;
-  fs_part_ints : int array;  (** reduction partials across a restart *)
-  fs_part_reals : float array;
+  mutable fs_chunk_ints : int array;
+      (** reduction partials by row, merged in row order: one row per
+          chunk, by chunk number, or per domain under static block *)
+  mutable fs_chunk_reals : float array;
   mutable fs_bound : binding option;
       (** clones and closures of the current run; dropped when the run
           ends *)
@@ -138,6 +149,7 @@ and red = {
   r_slot : int;
   r_real : bool;
   r_op : Loopcoal_analysis.Reduction.op;
+  r_acc_left : bool;  (** the update is [s = s op e], else [s = e op s] *)
 }
 
 type t
@@ -201,8 +213,8 @@ val shadow_layout : t -> (string * int) array
     {!Sanitize.create} expects. *)
 
 val plans : t -> plan list
-(** Every compiled parallel plan, in compilation order — for engine
-    introspection (how many bodies lowered to the bytecode tier). *)
+(** Every compiled parallel plan, in compilation order (the order of
+    their [Ifork] numbers). *)
 
 val native_state : t -> [ `Untried | `Ready | `Unavailable of string ]
 (** Whether {!Natgen.prepare} has attached native runners to this
@@ -215,15 +227,16 @@ val set_native_state : t -> [ `Untried | `Ready | `Unavailable of string ] -> un
     executor neither retries a known-unavailable toolchain per fork nor
     re-runs codegen for an already-attached program. *)
 
-val make_env :
-  ?array_init:float -> ?shadow:Sanitize.t -> t -> fork:(plan -> env -> unit) -> env
+val make_env : ?array_init:float -> ?shadow:Sanitize.t -> t -> env
 (** Fresh initial store: arrays filled with [array_init] (default 0.0),
     scalars at their declared initial values. *)
 
 val clone_env : env -> env
 (** Private copies of the scalar stores; the array data stays shared. *)
 
-val run_code : t -> env -> unit
+val run_code : t -> env -> fork:(plan -> unit) -> unit
+(** Run the top-level tape on [env]; [fork] runs each plan it forks, on
+    [env]. *)
 
 val read_arrays : t -> env -> (string * float array) list
 (** Final array contents, sorted by name (same order as [Eval.dump]). *)

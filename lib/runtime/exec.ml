@@ -23,8 +23,9 @@
    Per-domain state: each domain gets a private copy of the scalar store
    (arrays are shared; DOALL iterations write disjoint elements by
    assumption of the [Parallel] annotation). After the join, recognized
-   reductions are merged in domain order from their identity-initialized
-   partials, and the remaining scalars are adopted from the domain that
+   reductions are merged in iteration order from their identity-initialized
+   partials (one per domain under static block, one per chunk under any
+   other policy), and the remaining scalars are adopted from the domain that
    executed the highest coalesced iteration, matching the sequential
    last-iteration semantics for privatizable scalars.
 
@@ -60,31 +61,20 @@ let trip plan lo hi step =
     let d = hi - lo in
     if d < 0 || d / step = max_int then overflow plan else (d / step) + 1
 
-(* Evaluate the plan's bounds under [env] into [sp], in the
-   interpreter's order: lo, hi and step (checked) of the outer level,
-   then each inner level's lo and hi, stopping at the first empty level
-   — the interpreter never evaluates the bounds of a loop nested in one
-   that runs no iteration. Levels past it keep stale bounds, which
-   nothing reads when [total = 0]. *)
+(* Read the plan's bounds into [sp]: the top-level tape evaluated them
+   into the plan's registers in the interpreter's order, checked the
+   step and skipped the bounds under the first empty level, whose stale
+   registers this reads no further than. *)
 let fill_space (plan : plan) sp env =
   let depth = plan.depth in
   let total = ref 1 and k = ref 0 in
+  sp.step0 <- env.ints.(plan.step_reg);
   while !k < depth && !total > 0 do
-    let lo = plan.lo_x.(!k) env in
-    let hi = plan.hi_x.(!k) env in
-    let step =
-      if !k > 0 then 1
-      else begin
-        let s = plan.step_x env in
-        if s <= 0 then
-          error "loop %s: step must be positive" plan.index_names.(0);
-        sp.step0 <- s;
-        s
-      end
-    in
+    let lo = env.ints.(plan.lo_regs.(!k)) in
+    let hi = env.ints.(plan.hi_regs.(!k)) in
     sp.los.(!k) <- lo;
     sp.his.(!k) <- hi;
-    sp.sizes.(!k) <- trip plan lo hi step;
+    sp.sizes.(!k) <- trip plan lo hi (if !k > 0 then 1 else sp.step0);
     (total :=
        try Loopcoal_util.Intmath.checked_mul !total sp.sizes.(!k)
        with Invalid_argument _ -> overflow plan);
@@ -263,38 +253,51 @@ let new_epoch env =
 
 (* ---------- reduction merge ---------- *)
 
+(* Partials start at the operator's exact identity: [-0.0], not [0.0],
+   for a float sum, since [0.0 +. -0.0] is [0.0] and would turn a sum of
+   negative zeros positive. *)
 let reset_partials (plan : plan) env =
   let reds = plan.reductions in
   for i = 0 to Array.length reds - 1 do
     let r = reds.(i) in
     match r.r_op with
     | Reduction.Sum ->
-        if r.r_real then env.reals.(r.r_slot) <- 0.0 else env.ints.(r.r_slot) <- 0
+        if r.r_real then env.reals.(r.r_slot) <- -0.0
+        else env.ints.(r.r_slot) <- 0
     | Reduction.Product ->
         if r.r_real then env.reals.(r.r_slot) <- 1.0 else env.ints.(r.r_slot) <- 1
   done
 
-(* Fold the domains' partials, in domain order, onto the master's value. *)
-let merge_reductions (plan : plan) master clones =
+(* Fold the [n] rows of partials in [ints]/[reals] (row [k] holds
+   reduction [i] at [k * nred + i]), in order, onto the master's value.
+   The accumulator stays on the update's side: with NaNs on both sides
+   the left one's payload survives, as in [Eval]. Both operands are
+   bound first, the partial straight from its array: amd64 instruction
+   selection moves an unbound read (or a boxed float's unboxing) to the
+   right of the operation. *)
+let merge_reductions (plan : plan) master ~n ints reals =
   let reds = plan.reductions in
-  for i = 0 to Array.length reds - 1 do
+  let nred = Array.length reds in
+  for i = 0 to nred - 1 do
     let r = reds.(i) in
     let s = r.r_slot in
     if r.r_real then begin
       let acc = ref master.reals.(s) in
-      for q = 0 to Array.length clones - 1 do
-        let x = clones.(q).reals.(s) in
+      for k = 0 to n - 1 do
+        let x = reals.((k * nred) + i) and a = !acc in
         acc :=
-          match r.r_op with
-          | Reduction.Sum -> !acc +. x
-          | Reduction.Product -> !acc *. x
+          match (r.r_op, r.r_acc_left) with
+          | Reduction.Sum, true -> a +. x
+          | Reduction.Sum, false -> x +. a
+          | Reduction.Product, true -> a *. x
+          | Reduction.Product, false -> x *. a
       done;
       master.reals.(s) <- !acc
     end
     else begin
       let acc = ref master.ints.(s) in
-      for q = 0 to Array.length clones - 1 do
-        let x = clones.(q).ints.(s) in
+      for k = 0 to n - 1 do
+        let x = ints.((k * nred) + i) in
         acc :=
           match r.r_op with
           | Reduction.Sum -> !acc + x
@@ -322,9 +325,35 @@ let restore_reductions (plan : plan) env ints reals =
     else env.ints.(r.r_slot) <- ints.(i)
   done
 
-let copy_scalars ~src ~dst =
-  Array.blit src.ints 0 dst.ints 0 (Array.length dst.ints);
-  Array.blit src.reals 0 dst.reals 0 (Array.length dst.reals)
+(* Chunk [k]'s partials go to row [k] of the state's chunk table; under
+   static block, domain [q]'s go to row [q]. *)
+let save_chunk st (plan : plan) env k =
+  let reds = plan.reductions in
+  let nred = Array.length reds in
+  for i = 0 to nred - 1 do
+    let r = reds.(i) in
+    if r.r_real then st.fs_chunk_reals.((k * nred) + i) <- env.reals.(r.r_slot)
+    else st.fs_chunk_ints.((k * nred) + i) <- env.ints.(r.r_slot)
+  done
+
+(* What a fork hands a clone: every register the plan's body reads
+   without writing it first — the scalars and the enclosing serial
+   loops' indexes — and nothing of the top-level tape's own, so a fork
+   moves no more than the plan can see. *)
+let copy_in (plan : plan) ~src ~dst =
+  Array.blit src.ints 0 dst.ints 0 plan.scalar_ints;
+  Array.blit src.reals 0 dst.reals 0 plan.scalar_reals;
+  let scope = plan.scope_regs in
+  for i = 0 to Array.length scope - 1 do
+    let r = scope.(i) in
+    dst.ints.(r) <- src.ints.(r)
+  done
+
+(* What the master adopts from a clone: the scalars, the only registers
+   of the plan's that code after the fork reads. *)
+let copy_out (plan : plan) ~src ~dst =
+  Array.blit src.ints 0 dst.ints 0 plan.scalar_ints;
+  Array.blit src.reals 0 dst.reals 0 plan.scalar_reals
 
 (* ---------- fork state ---------- *)
 
@@ -348,8 +377,8 @@ let new_state (plan : plan) =
     fs_next = Atomic.make 0;
     fs_saved_ints = Array.make nred 0;
     fs_saved_reals = Array.make nred 0.0;
-    fs_part_ints = Array.make nred 0;
-    fs_part_reals = Array.make nred 0.0;
+    fs_chunk_ints = [||];
+    fs_chunk_reals = [||];
     fs_bound = None;
     fs_solo = None;
     fs_lanes =
@@ -505,14 +534,15 @@ let mark_stride = 16
 
 (* The domain that runs the chunk holding iteration [n] supplies every
    non-reduction scalar after the join. It starts that chunk from the
-   fork-entry scalars (keeping its reduction partials), so what it hands
-   over depends on that chunk alone — not on which earlier chunks a
-   dynamic schedule gave it, which a scalar the last chunk leaves
-   unassigned would otherwise expose. *)
-let restart st (plan : plan) master c =
-  save_reductions plan c st.fs_part_ints st.fs_part_reals;
-  copy_scalars ~src:master ~dst:c;
-  restore_reductions plan c st.fs_part_ints st.fs_part_reals
+   fork-entry scalars, so what it hands over depends on that chunk alone
+   — not on which earlier chunks a dynamic schedule gave it, which a
+   scalar the last chunk leaves unassigned would otherwise expose. Its
+   reduction partials start at the identity, as every chunk's do: a
+   domain's one chunk under static block, each chunk under the other
+   policies. *)
+let restart (plan : plan) master c =
+  copy_in plan ~src:master ~dst:c;
+  reset_partials plan c
 
 (* Clone [master] once per domain and bind each clone's chunk runner and
    the pool job over them. Everything a fork changes is read from [st]
@@ -520,31 +550,40 @@ let restart st (plan : plan) master c =
 let bind ?profile ~trace ~policy ~p st (plan : plan) master =
   let sp = st.fs_space in
   let clones = Array.init p (fun _ -> clone_env master) in
+  (* Under a policy other than static block a domain's chunks are not
+     contiguous, so its partial would fold them out of iteration order:
+     each chunk starts from the identity and leaves its partials in
+     row [k] of the chunk table, merged in chunk order. *)
+  let chunked =
+    Array.length plan.reductions > 0 && policy <> Policy.Static_block
+  in
   let runners =
     Array.mapi
       (fun q c ->
         let lanes = lanes_for ?profile st q in
         let run = chunk_runner ?profile ?lanes plan sp c in
-        fun mode t0 len ->
-          if t0 + len - 1 = sp.total then restart st plan master c;
-          run mode t0 len)
+        fun k mode t0 len ->
+          if chunked then reset_partials plan c;
+          if t0 + len - 1 = sp.total then restart plan master c;
+          run mode t0 len;
+          if chunked then save_chunk st plan c k)
       clones
   in
   let marks = Array.make (p * mark_stride) 0 in
   (* The probe is selected here, once per binding: with tracing off the
      executed closure is exactly the untraced one — no timestamp, no
-     branch, no write on the chunk path. *)
+     branch, no write on the chunk path. [k] numbers the chunk. *)
   let run_on =
     match trace with
     | None ->
-        fun q mode t0 len ->
-          runners.(q) mode t0 len;
+        fun q mode k t0 len ->
+          runners.(q) k mode t0 len;
           let m = q * mark_stride in
           if t0 + len - 1 > marks.(m) then marks.(m) <- t0 + len - 1
     | Some tracer ->
-        fun q mode t0 len ->
+        fun q mode k t0 len ->
           let a = Trace.now () in
-          runners.(q) mode t0 len;
+          runners.(q) k mode t0 len;
           let b = Trace.now () in
           Trace.record tracer ~worker:q ~start:t0 ~len ~t0:a ~t1:b;
           let m = q * mark_stride in
@@ -556,14 +595,14 @@ let bind ?profile ~trace ~policy ~p st (plan : plan) master =
         (* Contiguous blocks, identical to Static.block ownership. *)
         fun q ->
           (match Static.block_chunk ~n:sp.total ~p q with
-          | Some (t0, len) -> run_on q (Option.get st.fs_mode) t0 len
+          | Some (t0, len) -> run_on q (Option.get st.fs_mode) q t0 len
           | None -> ())
     | Static_cyclic ->
         fun q ->
           let mode = Option.get st.fs_mode and n = sp.total in
           let t = ref (q + 1) in
           while !t <= n do
-            run_on q mode !t 1;
+            run_on q mode (!t - 1) !t 1;
             t := !t + p
           done
     | Self_sched c ->
@@ -575,7 +614,7 @@ let bind ?profile ~trace ~policy ~p st (plan : plan) master =
           while !continue_ do
             let t0 = Atomic.fetch_and_add st.fs_next c in
             if t0 > n then continue_ := false
-            else run_on q mode t0 (min c (n - t0 + 1))
+            else run_on q mode ((t0 - 1) / c) t0 (min c (n - t0 + 1))
           done
     | Gss | Factoring | Trapezoid ->
         (* The policy's closed-form chunk sequence (a function of n and
@@ -589,7 +628,7 @@ let bind ?profile ~trace ~policy ~p st (plan : plan) master =
             if k >= Array.length chunks then continue_ := false
             else begin
               let t0, len = chunks.(k) in
-              run_on q mode t0 len
+              run_on q mode k t0 len
             end
           done
   in
@@ -643,7 +682,7 @@ let fork_on st engine ?trace ?profile pool policy (plan : plan) master =
     let clones = b.b_clones in
     for q = 0 to p - 1 do
       let c = clones.(q) in
-      copy_scalars ~src:master ~dst:c;
+      copy_in plan ~src:master ~dst:c;
       reset_partials plan c;
       b.b_marks.(q * mark_stride) <- 0
     done;
@@ -660,10 +699,23 @@ let fork_on st engine ?trace ?profile pool policy (plan : plan) master =
     (* Save the master's pre-loop reduction values: they are the base of
        the merge and must survive the wholesale scalar adoption below. *)
     save_reductions plan master st.fs_saved_ints st.fs_saved_reals;
+    let nred = Array.length plan.reductions in
+    let nchunks =
+      match (policy : Policy.t) with
+      | _ when nred = 0 -> 0
+      | Static_block -> p
+      | Static_cyclic -> n
+      | Self_sched c -> ((n - 1) / c) + 1
+      | Gss | Factoring | Trapezoid -> Array.length st.fs_seq
+    in
+    if Array.length st.fs_chunk_reals < nchunks * nred then begin
+      st.fs_chunk_ints <- Array.make (nchunks * nred) 0;
+      st.fs_chunk_reals <- Array.make (nchunks * nred) 0.0
+    end;
     Pool.run pool b.b_worker;
     (* Merge: adopt scalars from the domain that ran the highest
        iteration (sequential last-iteration-wins semantics for
-       privatized scalars), then fold reduction partials in domain
+       privatized scalars), then fold reduction partials in iteration
        order on top of the master's pre-loop value. *)
     let qlast = ref (-1) and tlast = ref 0 in
     for q = 0 to p - 1 do
@@ -673,9 +725,11 @@ let fork_on st engine ?trace ?profile pool policy (plan : plan) master =
         qlast := q
       end
     done;
-    if !qlast >= 0 then copy_scalars ~src:clones.(!qlast) ~dst:master;
+    if !qlast >= 0 then copy_out plan ~src:clones.(!qlast) ~dst:master;
     restore_reductions plan master st.fs_saved_ints st.fs_saved_reals;
-    merge_reductions plan master clones;
+    if nred > 0 && policy = Policy.Static_block then
+      Array.iteri (fun q c -> save_chunk st plan c q) clones;
+    merge_reductions plan master ~n:nchunks st.fs_chunk_ints st.fs_chunk_reals;
     (* The traced region closes after the merge: its wall time is the
        full fork-to-usable-result span, so join latency includes the
        barrier wait and the serial reduction fold. *)
@@ -705,8 +759,8 @@ let run_compiled ?(array_init = 0.0) ?pool ?(policy = Policy.Static_block)
     ?(domains = 1) ?(engine = Bytecode) ?trace ?profile ?shadow
     (t : Compile.t) =
   if domains < 1 then invalid_arg "Exec.run_compiled: domains must be >= 1";
-  (* [Closure] is a synonym for [Bytecode]: plan bodies run only on their
-     tapes. *)
+  (* [Closure] is a synonym for [Bytecode]: every statement runs on a
+     tape. *)
   let engine = match engine with Closure -> Bytecode | e -> e in
   (match Policy.validate policy with
   | Ok () -> ()
@@ -729,12 +783,12 @@ let run_compiled ?(array_init = 0.0) ?pool ?(policy = Policy.Static_block)
       | None -> seq_fork_e engine ?profile ?trace
       | Some pool -> parallel_fork_e engine ?trace ?profile pool policy
     in
-    let env = Compile.make_env ~array_init ?shadow t ~fork in
+    let env = Compile.make_env ~array_init ?shadow t in
     (* Plans keep their fork states across runs, but not this run's
        environment and arrays. *)
     Fun.protect
       ~finally:(fun () -> List.iter (unbind env) (Compile.plans t))
-      (fun () -> Compile.run_code t env);
+      (fun () -> Compile.run_code t env ~fork:(fun plan -> fork plan env));
     outcome_of t env
   in
   match pool with

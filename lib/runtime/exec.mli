@@ -13,8 +13,9 @@
     Arrays are shared between domains (DOALL iterations write disjoint
     elements by assumption of the [Parallel] annotation); scalars are
     per-domain private. After the join, recognized reductions are merged
-    in domain order and remaining scalars are adopted from the domain
-    that executed the highest coalesced iteration. *)
+    in iteration order (per domain under static block, per chunk under
+    the other policies) and remaining scalars are adopted from the
+    domain that executed the highest coalesced iteration. *)
 
 open Loopcoal_ir
 
@@ -38,8 +39,10 @@ type engine = Closure | Bytecode | Native
     toolchain, sanitized) and profiled runs fall back to the bytecode
     tier per fork, counted under [native.fallbacks]. Chunk boundaries,
     schedules, traces and results are identical across engines.
-    [Closure] is a synonym for [Bytecode], kept for existing callers:
-    every plan body runs on its tape, so there is no closure engine. *)
+    Top-level code runs on its own tape, every access checked, on every
+    engine. [Closure] is a synonym for [Bytecode], kept for existing
+    callers: every statement runs on a tape, so there is no closure
+    engine. *)
 
 val seq_fork : Compile.plan -> Compile.env -> unit
 (** Run a plan sequentially in ascending coalesced order (the exact

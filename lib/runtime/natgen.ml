@@ -407,8 +407,9 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
               emit_store i2 v
           | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _ | Iloopc _ ->
               assert false
-          | Icount _ ->
-              (* plan tapes never carry the profiler's counters *)
+          | Icount _ | Ifork _ ->
+              (* plan tapes never carry the profiler's counters or a
+                 fork *)
               assert false
         in
         (* ---- strip prologue, interpreter order: prologue ops first,

@@ -31,8 +31,11 @@ open Loopcoal_ir
    8: one body per tape — the x4 unrolled body, its provenance table
       and its strip-advance instruction are deleted.
    9: offset streaming deleted — no stream-init instruction, no [Vs]
-      offset kinds. *)
-let format_version = 9
+      offset kinds.
+   10: top-level code lowers to a tape first — plan register numbers
+      shift past its bound registers, and [Ifork] joins
+      [Bytecode.instr]. *)
+let format_version = 10
 
 (* A disk entry that fails to load — unreadable, corrupt, or written by
    a different format/build — is treated as a miss; count those

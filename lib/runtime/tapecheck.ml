@@ -17,8 +17,8 @@
    - LC011  malformed instructions: register-file and access-id bounds,
      jump shape (forward-only except [Iloop]/[Iloopc] back edges,
      targets inside the section), prologue restrictions (no control
-     flow, no array accesses), and block counters inside the counter
-     range.
+     flow, no array accesses), block counters inside the counter
+     range, and no [Ifork] (only top-level code forks).
    - LC012  offset discipline: the split offset [ac_inv + ac_var] must
      equal the subscript form [sum (sub_k - 1) * stride_k]; the variant
      kind must agree with [ac_var]'s terms; and the stored
@@ -84,7 +84,7 @@ let iter_int_reads f = function
   | Iconst _ | Fconst _ | Fmov _ | Fadd _ | Fsub _ | Fmul _ | Fdiv _ | Fmin _
   | Fmax _ | Fneg _ | Fmac _ | Fmsb _ | Fload _ | Fstore _ | Fmac2 _ | Fmsb2 _
   | Fldmac _ | Fldmsb _ | Fldadd _ | Fldsub _ | Fldmul _ | Fld2add _ | Fldst _
-  | Jmp _ | Jff _ | Jffn _ | Icount _ ->
+  | Jmp _ | Jff _ | Jffn _ | Icount _ | Ifork _ ->
       ()
 
 let int_write = function
@@ -124,7 +124,7 @@ let iter_float_reads f = function
   | Fldadd (_, x, _) | Fldsub (_, x, _) | Fldmul (_, x, _) -> f x
   | Iconst _ | Iaff _ | Imul _ | Idiv _ | Imod _ | Icdiv _ | Imin _ | Imax _
   | Istep _ | Fconst _ | Fofi _ | Fload _ | Jmp _ | Jii _ | Iloop _
-  | Iloopc _ | Fld2add _ | Fldst _ | Icount _ ->
+  | Iloopc _ | Fld2add _ | Fldst _ | Icount _ | Ifork _ ->
       ()
 
 let float_write = function
@@ -250,6 +250,7 @@ let check_structure ctx ?full t =
           bad subject
             "Icount targets scratch slot %d outside the counter range %d..%d"
             k naccs (nslots - 1)
+    | Ifork k -> bad subject "fork of plan %d in a plan tape" k
     | _ -> ()
   in
   (* Prologue: straight-line and access-free. *)

@@ -29,7 +29,8 @@
 
     Findings are reported through {!Loopcoal_verify.Diag} as the stable
     codes LC010 (undefined register read), LC011 (malformed
-    instruction / protocol violation), LC012 (offset form or range
+    instruction / protocol violation, including an [Ifork]: only
+    top-level code forks), LC012 (offset form or range
     coverage), LC013 (provenance), LC014 (footprint mismatch). The
     validator never mutates the tape and runs only at compile/validate
     time; metrics land in the registry as [tapecheck.ns] and

@@ -59,7 +59,7 @@ let iter_int_reads f = function
   | Iconst _ | Fconst _ | Fmov _ | Fadd _ | Fsub _ | Fmul _ | Fdiv _
   | Fmin _ | Fmax _ | Fneg _ | Fmac _ | Fmsb _ | Fload _ | Fstore _ | Jmp _
   | Jff _ | Jffn _ | Fmac2 _ | Fmsb2 _ | Fldmac _ | Fldmsb _ | Fldadd _ | Fldsub _
-  | Fldmul _ | Fld2add _ | Fldst _ | Icount _ ->
+  | Fldmul _ | Fld2add _ | Fldst _ | Icount _ | Ifork _ ->
       ()
 
 let iter_float_reads f = function
@@ -84,7 +84,7 @@ let iter_float_reads f = function
   | Fldadd (_, x, _) | Fldsub (_, x, _) | Fldmul (_, x, _) -> f x
   | Iconst _ | Iaff _ | Imul _ | Idiv _ | Imod _ | Icdiv _ | Imin _ | Imax _
   | Istep _ | Fconst _ | Fofi _ | Fload _ | Jmp _ | Jii _ | Iloop _
-  | Iloopc _ | Fld2add _ | Fldst _ | Icount _ ->
+  | Iloopc _ | Fld2add _ | Fldst _ | Icount _ | Ifork _ ->
       ()
 
 (* ---------- jump-target bookkeeping ---------- *)

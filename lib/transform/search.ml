@@ -12,7 +12,8 @@
    parallel prefixes (exactly the regions [Verify.collect_nest] / the
    runtime compiler discover) run on the bytecode tape at [tape_op_ns]
    per weighted op and are scheduled by {!Event_sim}; everything outside
-   a region runs serially in the closure tier at [closure_op_ns].  Trip
+   a region runs as serial host code (the top-level tape, every access
+   checked) at [closure_op_ns], one op of serial host code.  Trip
    counts come from integer bound evaluation under a midpoint
    environment, falling back to a default extent when bounds are
    symbolic — the model only has to rank recipes, not predict wall

@@ -34,8 +34,9 @@ val default_ctx :
   ctx
 
 val cost : ctx:ctx -> Ast.program -> float
-(** Predicted completion time in (calibrated) nanoseconds: host code at
-    [closure_op_ns] per weighted op, each maximal parallel prefix
+(** Predicted completion time in (calibrated) nanoseconds: serial host
+    code at [closure_op_ns] (one op of serial host code) per weighted
+    op, each maximal parallel prefix
     simulated as a fork-join region over the tape at [tape_op_ns]. *)
 
 val first_region_profile : Ast.program -> (int * float) option

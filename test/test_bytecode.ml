@@ -262,17 +262,24 @@ let sanitizable =
         ];
     ]
 
+(* Each fork's proof, taken on the bounds the top-level tape set; the
+   plans' bounds here are unit-step literals, so hi is attained. *)
 let plan_flags compiled =
-  let env = Compile.make_env compiled ~fork:(fun _ _ -> ()) in
-  List.map
-    (fun (pl : Compile.plan) ->
-      let tape = pl.Compile.tape in
-      let lo = Array.map (fun f -> f env) pl.Compile.lo_x in
-      let hi = Array.map (fun f -> f env) pl.Compile.hi_x in
+  let flags = ref [] in
+  let env = Compile.make_env compiled in
+  let fork (pl : Compile.plan) =
+    let tape = pl.Compile.tape in
+    let reg r = env.Compile.ints.(r) in
+    let lo = Array.map reg pl.Compile.lo_regs in
+    let hi = Array.map reg pl.Compile.hi_regs in
+    flags :=
       ( tape,
         Bytecode.unsafe_flags
-          (Bytecode.prepare tape ~ints:env.Compile.ints ~lo ~hi) ))
-    (Compile.plans compiled)
+          (Bytecode.prepare tape ~ints:env.Compile.ints ~lo ~hi) )
+      :: !flags
+  in
+  Compile.run_code compiled env ~fork;
+  List.rev !flags
 
 let test_sanitized_tape_stays_checked () =
   (* Instrumented tapes must never take the unsafe path: the shadow
@@ -1975,7 +1982,7 @@ let test_lane_runner_allocation () =
   List.iter
     (fun lvl ->
       let t = Compile.compile ~opt_level:lvl prog in
-      let env = Compile.make_env t ~fork:(fun _ _ -> ()) in
+      let env = Compile.make_env t in
       List.iteri
         (fun k (tape, jslot, ln) ->
           let run =

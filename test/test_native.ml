@@ -1011,6 +1011,91 @@ let test_overflow_trip_count () =
         "loop i.j: coalesced trip count exceeds the int range" m)
     (compiled_error ~what:"trip count" prog)
 
+(* ---------- serial code around forks ---------- *)
+
+(* Arrays and scalars bit for bit, NaN payloads included, against
+   [Eval] on every engine configuration at 1-3 domains under static
+   block, GSS and chunk:3. *)
+let check_eval_bits ~what prog =
+  let arrays, scalars = Eval.dump (Eval.run prog) in
+  let fbits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let same_array (n1, a) (n2, b) =
+    String.equal n1 n2
+    && Array.length a = Array.length b
+    && Array.for_all2 fbits a b
+  in
+  let same_scalar (n1, v1) (n2, v2) =
+    String.equal n1 n2
+    &&
+    match (v1, v2) with
+    | Eval.Vreal x, Eval.Vreal y -> fbits x y
+    | _ -> v1 = v2
+  in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun domains ->
+          List.iter
+            (fun (cname, engine, opt_level) ->
+              let o = Exec.run ~domains ~policy ~engine ~opt_level prog in
+              if
+                not
+                  (List.equal same_array arrays o.Exec.arrays
+                  && List.equal same_scalar scalars o.Exec.scalars)
+              then
+                Alcotest.failf "%s: %s (%d domains, %s) differs from Eval" what
+                  cname domains (Policy.name policy))
+            configs)
+        [ 1; 2; 3 ])
+    [ Policy.Static_block; Policy.Gss; Policy.Self_sched 3 ]
+
+(* examples/programs/serial_forks.loop: forks inside serial loops, with
+   what each fork must see of the code around it — an element the loop
+   stores and the fork reads or writes, never held in a register across
+   the fork; a scalar the fork leaves that top-level code then
+   subscripts with; forks under an [if]; inner bounds that read the
+   enclosing serial index, re-evaluated per fork. *)
+let test_serial_forks () =
+  let file = "../examples/programs/serial_forks.loop" in
+  match Driver.load_file file with
+  | Error m -> Alcotest.failf "%s: %s" file m
+  | Ok prog -> check_eval_bits ~what:"serial forks" prog
+
+(* A merged reduction keeps [Eval]'s NaN: with NaNs of opposite signs
+   in two elements, [s = A[i] + s] ends with the last one's payload and
+   [s = s + A[i]] with the first one's, whichever domains or chunks
+   hold them. A sum of negative zeros stays negative. *)
+let nan_reduction_prog =
+  "program\n\
+  \  real A[64]\n\
+  \  real s = 0.0\n\
+  \  real t = 0.0\n\
+  \  real p = 1.0\n\
+  \  real q = 1.0\n\
+  \  real u = 0.0\n\
+  \  real w = 0.0\n\
+  \  real z = 0.0\n\
+   begin\n\
+  \  doall i = 1, 64\n\
+  \    A[i] = i\n\
+  \  end\n\
+  \  u = -z\n\
+  \  w = -z\n\
+  \  A[10] = -(z / z)\n\
+  \  A[60] = z / z\n\
+  \  doall i = 1, 64\n\
+  \    s = A[i] + s\n\
+  \    t = t + A[i]\n\
+  \    p = A[i] * p\n\
+  \    q = q * A[i]\n\
+  \    u = u + -z\n\
+  \    w = -z + w\n\
+  \  end\n\
+   end\n"
+
+let test_reduction_nan_payload () =
+  check_eval_bits ~what:"NaN reductions" (parse "nan" nan_reduction_prog)
+
 let suite =
   [
     Alcotest.test_case "codegen shape" `Quick test_codegen_shape;
@@ -1049,6 +1134,10 @@ let suite =
       `Slow test_jam_five_way;
     Alcotest.test_case "fold plans: not jammed, five-way on fold_lanes"
       `Slow test_fold_plans;
+    Alcotest.test_case "serial code around forks = Eval (five-way)" `Slow
+      test_serial_forks;
+    Alcotest.test_case "reduction merge keeps Eval's NaN payload" `Slow
+      test_reduction_nan_payload;
   ]
   @ [
       Gen.to_alcotest prop_serial_accum;

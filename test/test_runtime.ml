@@ -199,6 +199,21 @@ let test_error_parity () =
       ( "outer step before inner bound",
         true,
         bounds_prog ~hi:(B.int 5) ~step:(B.var "z") );
+      (* Serial code keeps statement order: a serial loop's element
+         store faults after the statement before it, not at loop
+         entry. *)
+      ( "serial loop faults in statement order",
+        true,
+        B.program
+          ~arrays:[ B.array "A" [ 4 ] ]
+          ~scalars:[ B.int_scalar "n"; B.int_scalar "z" ]
+          [
+            B.for_ "j" (B.int 1) (B.int 2)
+              [
+                B.assign "n" B.(int 1 / var "z");
+                B.store "A" [ B.int 5 ] (B.real 1.0);
+              ];
+          ] );
     ]
   in
   List.iter
@@ -239,10 +254,11 @@ let test_assign_to_index_rejected () =
   | Ok _ -> Alcotest.fail "assignment to loop index should be rejected"
 
 (* Every static error a plan body can raise, one fault per program,
-   inside [do k / doall i]. The expected messages are the ones the
-   staging compiler gave before plan bodies were compiled only to tapes,
-   including which fault wins when a store's value and target are both
-   wrong: the value's. *)
+   inside [do k / doall i], then the same faults in serial code, inside
+   [do k / do i]. The expected messages are the ones the staging
+   compiler gave before plan bodies, and then serial code, were
+   compiled only to tapes, including which fault wins when a store's
+   value and target are both wrong: the value's. *)
 let test_lowering_error_parity () =
   let open B in
   let x = real 1.5 in
@@ -282,17 +298,23 @@ let test_lowering_error_parity () =
     ]
   in
   List.iter
-    (fun (body, expected) ->
-      let prog =
-        program
-          ~arrays:[ array "A" [ 4 ]; array "M" [ 4; 4 ] ]
-          ~scalars:[ int_scalar "n"; real_scalar "r" ]
-          [ for_ "k" (int 1) (int 2) [ doall "i" (int 1) (int 4) body ] ]
-      in
-      match Compile.compile_result prog with
-      | Error m -> Alcotest.(check string) expected expected m
-      | Ok _ -> Alcotest.failf "%s: compiled without error" expected)
-    cases
+    (fun (where, loop) ->
+      List.iter
+        (fun (body, expected) ->
+          let prog =
+            program
+              ~arrays:[ array "A" [ 4 ]; array "M" [ 4; 4 ] ]
+              ~scalars:[ int_scalar "n"; real_scalar "r" ]
+              [ for_ "k" (int 1) (int 2) [ loop "i" (int 1) (int 4) body ] ]
+          in
+          match Compile.compile_result prog with
+          | Error m -> Alcotest.(check string) (where ^ expected) expected m
+          | Ok _ -> Alcotest.failf "%s%s: compiled without error" where expected)
+        cases)
+    [
+      ("plan body: ", fun i lo hi b -> doall i lo hi b);
+      ("serial code: ", fun i lo hi b -> for_ i lo hi b);
+    ]
 
 (* ---------- pool ---------- *)
 

@@ -347,6 +347,28 @@ let test_icount_slot () =
       ("counter on an access offset", 0);
     ]
 
+(* Only top-level code forks: a plan tape holding an [Ifork], whether
+   a pass produced it or a disk entry carried it, is rejected. *)
+let test_fork_in_plan_tape () =
+  let fork_first (t : Bytecode.tape) =
+    t.Bytecode.tp_ops.(0) <- Bytecode.Ifork 0
+  in
+  check_code "fork after lowering" "LC011"
+    (findings ~mutate:("lower", fork_first) stream_prog);
+  let c = Compile.compile ~opt_level:2 stream_prog in
+  let t =
+    match Compile.plans c with
+    | p :: _ -> p.Compile.tape
+    | [] -> Alcotest.fail "fixture has no plan"
+  in
+  Alcotest.(check int) "plan tape validates" 0
+    (List.length (Runtime.Tapecheck.check_entry ~region:0 t));
+  let ops = Array.copy t.Bytecode.tp_ops in
+  ops.(Array.length ops - 1) <- Bytecode.Ifork 0;
+  check_code "fork in a cached plan tape" "LC011"
+    (Runtime.Tapecheck.check_entry ~region:0
+       { t with Bytecode.tp_ops = ops })
+
 let suite =
   [
     Alcotest.test_case "undefined register read -> LC010" `Quick
@@ -361,6 +383,8 @@ let suite =
       test_footprint_divergence;
     Alcotest.test_case "counter off its scratch range -> LC011" `Quick
       test_icount_slot;
+    Alcotest.test_case "fork in a plan tape -> LC011" `Quick
+      test_fork_in_plan_tape;
     Alcotest.test_case "example programs validate clean" `Quick
       test_examples_clean;
     Alcotest.test_case "built-in kernels validate clean" `Quick

@@ -61,23 +61,23 @@ let licm_prog =
 
 let licm_golden =
   "pre:\n\
-  \   0: i2 <- 8\n\
-  \   1: i5 <- 9\n\
+  \   0: i5 <- 8\n\
+  \   1: i8 <- 9\n\
    ops:\n\
-  \   0: i1 <- 1\n\
-  \   1: jii gt i1 i2 -> 10\n\
-  \   2: i3 <- i0 * i0\n\
-  \   3: i4 <- 1 + 1*i3\n\
-  \   4: i6 <- min i4 i5\n\
+  \   0: i4 <- 1\n\
+  \   1: jii gt i4 i5 -> 10\n\
+  \   2: i6 <- i3 * i3\n\
+  \   3: i7 <- 1 + 1*i6\n\
+  \   4: i9 <- min i7 i8\n\
   \   5: r0 <- load[1]\n\
   \   6: r1 <- load[2]\n\
   \   7: r2 <- r1 + r0\n\
   \   8: store[0] <- r2\n\
-  \   9: loopc i1 += 1 while <= i2 -> 6\n\
+  \   9: loopc i4 += 1 while <= i5 -> 6\n\
    accs:\n\
-  \   0: W  inv = -9  var = 0 + 8*i0 + 1*i1  off = inv + 8*i0 + 1*i1\n\
-  \   1: A  inv = -1  var = 0 + 1*i6  off = inv + 1*i6\n\
-  \   2: W  inv = -9  var = 0 + 8*i0 + 1*i1  off = inv + 8*i0 + 1*i1\n\
+  \   0: W  inv = -9  var = 0 + 8*i3 + 1*i4  off = inv + 8*i3 + 1*i4\n\
+  \   1: A  inv = -1  var = 0 + 1*i9  off = inv + 1*i9\n\
+  \   2: W  inv = -9  var = 0 + 8*i3 + 1*i4  off = inv + 8*i3 + 1*i4\n\
    sanitize=false\n"
 
 let test_licm_golden () =
