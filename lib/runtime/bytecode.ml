@@ -610,6 +610,76 @@ let promotable (l : Ast.loop) =
       end)
     top_stores
 
+(* Whether one iteration of a serial loop over [index] with body [body]
+   may raise, in the interpreter's evaluation order (a binary operator's
+   right operand first, a store's subscripts, then its value), before
+   it first accesses array [a]. What may raise: an integer division or
+   remainder whose divisor is not a suitable literal, and an inner loop
+   whose step is not a positive literal. An access that may not run (in
+   a branch, an inner loop or a short-circuited operand) does not count
+   as the first. Bounds faults of other arrays are not counted: in that
+   order matmul's [C[i, j] + A[i, k] * B[k, j]] reads [B] first, so
+   counting them would stop the promotion the serial [k] loop lives on,
+   and with both elements out of bounds the hoisted load's message
+   names [C] where the interpreter's names [B]. [real v] tells whether
+   scalar [v] is real. *)
+let raises_before_access ~real a index (body : Ast.block) =
+  let ( >>> ) r k = match r with `Clean -> k () | r -> r in
+  let maybe = function `Raises -> `Raises | _ -> `Clean in
+  let rec is_int bound = function
+    | Ast.Int _ -> true
+    | Real _ | Load _ -> false
+    | Var v -> List.mem v bound || not (real v)
+    | Neg x -> is_int bound x
+    | Bin (_, x, y) -> is_int bound x && is_int bound y
+  in
+  let access b = if String.equal a b then `Reached else `Clean in
+  let rec expr bound = function
+    | Ast.Int _ | Real _ | Var _ -> `Clean
+    | Neg x -> expr bound x
+    | Load (b, subs) -> exprs bound subs >>> fun () -> access b
+    | Bin (op, x, y) -> (
+        expr bound y >>> fun () ->
+        expr bound x >>> fun () ->
+        let raises =
+          match (op, y) with
+          | (Div | Mod), Int c -> c = 0
+          | Div, _ -> is_int bound x && is_int bound y
+          | Mod, _ -> true
+          | Cdiv, Int c -> c <= 0
+          | Cdiv, _ -> true
+          | (Add | Sub | Mul | Min | Max), _ -> false
+        in
+        if raises then `Raises else `Clean)
+  and exprs bound es =
+    List.fold_left (fun r e -> r >>> fun () -> expr bound e) `Clean es
+  in
+  let rec cond bound = function
+    | Ast.True -> `Clean
+    | Cmp (_, x, y) -> exprs bound [ x; y ]
+    | And (x, y) | Or (x, y) -> cond bound x >>> fun () -> maybe (cond bound y)
+    | Not x -> cond bound x
+  in
+  let rec stmt bound = function
+    | Ast.Assign (Scalar _, e) -> expr bound e
+    | Assign (Elem (b, subs), e) ->
+        exprs bound (subs @ [ e ]) >>> fun () -> access b
+    | If (c, t, f) -> (
+        cond bound c >>> fun () ->
+        match (block bound t, block bound f) with
+        | `Raises, _ | _, `Raises -> `Raises
+        | `Reached, `Reached -> `Reached
+        | _ -> `Clean)
+    | For l -> (
+        exprs bound [ l.lo; l.hi; l.step ] >>> fun () ->
+        match l.step with
+        | Int c when c > 0 -> maybe (block (l.index :: bound) l.body)
+        | _ -> `Raises)
+  and block bound b =
+    List.fold_left (fun r s -> r >>> fun () -> stmt bound s) `Clean b
+  in
+  block [ index ] body <> `Reached
+
 let plan_level st v =
   let n = Array.length st.plan_names in
   let rec go k =
@@ -932,14 +1002,22 @@ and lower_serial_loop st (l : Ast.loop) =
      element and the load, always checked there, must not fault ahead
      of the statements before the store. An element whose reference is
      statically wrong is not promoted: its store reports the error in
-     statement order. *)
+     statement order. Nor is one the body may fault before reaching:
+     the hoisted load, checked unless the fork's proof covers it, would
+     report its bounds error ahead of that fault. *)
+  let real v =
+    (not (List.mem_assoc v st.scope || plan_level st v <> None))
+    && match st.lookup v with Some (Breal _) -> true | _ -> false
+  in
   let promos =
     if st.sanitize || Option.is_some st.fork then []
     else
       List.filter_map
         (fun (a, subs) ->
-          if List.exists (fun (a', _, _) -> String.equal a a') st.promo then
-            None
+          if
+            List.exists (fun (a', _, _) -> String.equal a a') st.promo
+            || raises_before_access ~real a l.index l.body
+          then None
           else
             match make_access st a (List.map (lower_expr st) subs) with
             | exception Error _ -> None

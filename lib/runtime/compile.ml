@@ -347,11 +347,19 @@ type t = {
   int_init : (int * int) list;  (** (slot, value) for int scalars *)
   real_init : (int * float) list;
   array_decls : (string * int * int) array;  (** name, slot, flat size *)
+  array_dims : int array array;  (** extents, by slot *)
+  array_boxes : (int * int) array array;
+      (** by slot: the box of elements the array's first mention
+          overwrites ({!Loopcoal_analysis.First_touch}), clipped to the
+          extents; an empty box is [(1, 0)] in every dimension *)
   scalar_slots : (string * slot) list;  (** declared scalars, by name *)
   prog_plans : plan array;  (** parallel plans, by number *)
   mutable nat_state : [ `Untried | `Ready | `Unavailable of string ];
       (** Natgen attachment status, so prepare attempts are idempotent *)
 }
+
+(* A box no element lies in: [fill_outside] fills the whole array. *)
+let empty_box dims = Array.map (fun _ -> (1, 0)) dims
 
 let compile ?(sanitize = false) ?(opt_level = 2) ?cache ?(cache_salt = "")
     ?tape_dump ?validate (p : Ast.program) : t =
@@ -452,6 +460,26 @@ let compile ?(sanitize = false) ?(opt_level = 2) ?cache ?(cache_salt = "")
   | Some (c, k), None ->
       Plancache.store c k { Plancache.e_plans = List.rev ctx.tape_log }
   | _ -> ());
+  let array_dims =
+    Array.of_list
+      (List.map (fun (a : Ast.array_decl) -> Array.of_list a.dims) p.arrays)
+  in
+  let covered = Loopcoal_analysis.First_touch.boxes p in
+  let array_boxes =
+    Array.of_list
+      (List.mapi
+         (fun slot (a : Ast.array_decl) ->
+           let dims = array_dims.(slot) in
+           let box =
+             match List.assoc_opt a.arr_name covered with
+             | None -> empty_box dims
+             | Some box ->
+                 Array.mapi (fun k (lo, hi) -> (max lo 1, min hi dims.(k))) box
+           in
+           if Array.exists (fun (lo, hi) -> lo > hi) box then empty_box dims
+           else box)
+         p.arrays)
+  in
   {
     top;
     n_ints = ctx.n_ints;
@@ -465,6 +493,8 @@ let compile ?(sanitize = false) ?(opt_level = 2) ?cache ?(cache_salt = "")
              let info = Hashtbl.find ctx.arr_tbl a.arr_name in
              (a.arr_name, info.a_slot, info.a_size))
            p.arrays);
+    array_dims;
+    array_boxes;
     scalar_slots =
       List.map
         (fun (s : Ast.scalar_decl) ->
@@ -484,18 +514,51 @@ let compile_result ?sanitize ?opt_level ?cache ?cache_salt ?tape_dump
 
 let shadow_layout t = Array.map (fun (name, _, size) -> (name, size)) t.array_decls
 let plans t = Array.to_list t.prog_plans
+
+let fill_elided t =
+  Array.fold_left
+    (fun acc box ->
+      acc + Array.fold_left (fun n (lo, hi) -> n * (hi - lo + 1)) 1 box)
+    0 t.array_boxes
+
 let native_state t = t.nat_state
 let set_native_state t s = t.nat_state <- s
 
 (* ---------- environments ---------- *)
 
-let make_env ?(array_init = 0.0) ?shadow t =
+(* Write [v] into every element of the row-major array [a] with
+   extents [dims] that lies outside [box], a box within the extents:
+   along dimension [k] of the block of [size] elements at [base], the
+   slices before and after the box, then each slice in it, one
+   dimension down. *)
+let fill_outside a dims box v =
+  let m = Array.length dims in
+  let rec go k base size =
+    let lo, hi = box.(k) and stride = size / dims.(k) in
+    Array.fill a base ((lo - 1) * stride) v;
+    Array.fill a (base + (hi * stride)) ((dims.(k) - hi) * stride) v;
+    if k < m - 1 then
+      for s = lo to hi do
+        go (k + 1) (base + ((s - 1) * stride)) stride
+      done
+  in
+  go 0 0 (Array.length a)
+
+let make_env ?(array_init = 0.0) ?unfilled ?shadow t =
+  let array slot (_, _, size) =
+    let a =
+      match unfilled with
+      | None -> Array.create_float size
+      | Some v -> Array.make size v
+    in
+    fill_outside a t.array_dims.(slot) t.array_boxes.(slot) array_init;
+    a
+  in
   let env =
     {
       ints = Array.make (max 1 t.n_ints) 0;
       reals = Array.make (max 1 t.n_reals) 0.0;
-      arrays =
-        Array.map (fun (_, _, size) -> Array.make size array_init) t.array_decls;
+      arrays = Array.mapi array t.array_decls;
       shadow;
     }
   in

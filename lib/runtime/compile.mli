@@ -227,9 +227,19 @@ val set_native_state : t -> [ `Untried | `Ready | `Unavailable of string ] -> un
     executor neither retries a known-unavailable toolchain per fork nor
     re-runs codegen for an already-attached program. *)
 
-val make_env : ?array_init:float -> ?shadow:Sanitize.t -> t -> env
-(** Fresh initial store: arrays filled with [array_init] (default 0.0),
-    scalars at their declared initial values. *)
+val fill_elided : t -> int
+(** Elements {!make_env} leaves unfilled: the sizes of the boxes that
+    the arrays' first mentions overwrite ({!Loopcoal_analysis.First_touch}),
+    clipped to the extents, summed. *)
+
+val make_env :
+  ?array_init:float -> ?unfilled:float -> ?shadow:Sanitize.t -> t -> env
+(** Fresh initial store: scalars at their declared initial values,
+    arrays filled with [array_init] (default 0.0) except for the
+    elements their first mentions overwrite before any read, which are
+    left as allocated. [unfilled], a test hook, fills those elements with
+    its value instead, so a test can see any of them leak into a
+    result. *)
 
 val clone_env : env -> env
 (** Private copies of the scalar stores; the array data stays shared. *)

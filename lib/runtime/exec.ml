@@ -44,6 +44,8 @@ open Compile
 
 let c_runs = Registry.counter "exec.runs"
 let h_run_ns = Registry.histogram "exec.run_ns"
+let h_alloc_ns = Registry.histogram "exec.alloc_ns"
+let c_fill_elided = Registry.counter "exec.fill_elided"
 
 let error fmt = Printf.ksprintf (fun s -> raise (Compile.Error s)) fmt
 
@@ -755,9 +757,9 @@ type outcome = {
 let outcome_of t env =
   { arrays = Compile.read_arrays t env; scalars = Compile.read_scalars t env }
 
-let run_compiled ?(array_init = 0.0) ?pool ?(policy = Policy.Static_block)
-    ?(domains = 1) ?(engine = Bytecode) ?trace ?profile ?shadow
-    (t : Compile.t) =
+let run_compiled ?(array_init = 0.0) ?unfilled ?pool
+    ?(policy = Policy.Static_block) ?(domains = 1) ?(engine = Bytecode) ?trace
+    ?profile ?shadow (t : Compile.t) =
   if domains < 1 then invalid_arg "Exec.run_compiled: domains must be >= 1";
   (* [Closure] is a synonym for [Bytecode]: every statement runs on a
      tape. *)
@@ -783,7 +785,11 @@ let run_compiled ?(array_init = 0.0) ?pool ?(policy = Policy.Static_block)
       | None -> seq_fork_e engine ?profile ?trace
       | Some pool -> parallel_fork_e engine ?trace ?profile pool policy
     in
-    let env = Compile.make_env ~array_init ?shadow t in
+    let env =
+      Registry.time h_alloc_ns (fun () ->
+          Compile.make_env ~array_init ?unfilled ?shadow t)
+    in
+    Registry.add c_fill_elided (Compile.fill_elided t);
     (* Plans keep their fork states across runs, but not this run's
        environment and arrays. *)
     Fun.protect

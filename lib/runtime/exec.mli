@@ -60,6 +60,7 @@ val parallel_fork :
 
 val run_compiled :
   ?array_init:float ->
+  ?unfilled:float ->
   ?pool:Pool.t ->
   ?policy:Loopcoal_sched.Policy.t ->
   ?domains:int ->
@@ -95,6 +96,13 @@ val run_compiled :
     made once per fork binding, so an unprofiled run executes the plain
     tape with no counting. Every plan's forks are profiled on its tape;
     profiled [Native] forks run on the bytecode tier.
+
+    Arrays start at [array_init] (default 0.0), except for the
+    elements each array's first mention overwrites before any read,
+    which {!Compile.make_env} leaves unfilled; [unfilled], a test hook,
+    fills those with its value instead. The allocation is timed under
+    [exec.alloc_ns] and the elements left unfilled are counted under
+    [exec.fill_elided].
 
     [shadow] attaches race-sanitizer shadow state to the run; it only
     has an effect on programs compiled with [Compile.compile

@@ -2003,6 +2003,53 @@ let test_lane_runner_allocation () =
         (List.filter_map lane_program (Compile.plans t)))
     [ 0; 2 ]
 
+(* Register promotion hoists a promoted element's load, checked unless
+   the fork's proof covers it, above the serial loop. [A[5]] is out of
+   bounds: where a division by zero comes first in the body, or in the
+   stored value's right operand, which the interpreter evaluates first,
+   the run must report it, as the interpreter does, and not the hoisted
+   load's bounds error. Where the store comes first, both report the
+   bounds error. Bytecode, and native where a toolchain exists, at 1 and 2
+   domains. *)
+let test_promotion_fault_order () =
+  let program body =
+    Driver.load_string
+      (Printf.sprintf
+         "program\n real A[4]\n int z = 0\n int n = 0\nbegin\n doall i = 1, 2\n  do j = 1, 2\n%s\n  end\n end\nend\n"
+         body)
+    |> Result.get_ok
+  in
+  let engines =
+    Exec.Bytecode
+    :: (if Runtime.Natgen.available () = Ok () then [ Exec.Native ] else [])
+  in
+  List.iter
+    (fun (body, want) ->
+      let p = program body in
+      (match Eval.run p with
+      | _ -> Alcotest.fail "Eval ran"
+      | exception Eval.Runtime_error m -> Alcotest.(check string) "Eval" want m);
+      let t = Compile.compile p in
+      List.iter
+        (fun engine ->
+          List.iter
+            (fun domains ->
+              match Exec.run_compiled ~domains ~policy:Policy.Gss ~engine t with
+              | _ -> Alcotest.fail "ran"
+              | exception Compile.Error m ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s, %d domain(s)"
+                       (if engine = Exec.Native then "native" else "bytecode")
+                       domains)
+                    want m)
+            [ 1; 2 ])
+        engines)
+    [
+      ("   n = 1 / z\n   A[5] = 1.0", "integer division by zero");
+      ("   A[5] = A[5] + 1 / z", "integer division by zero");
+      ("   A[5] = 1.0\n   n = 1 / z", "array A: subscript 5 out of bounds 1..4");
+    ]
+
 let suite =
   [
     Alcotest.test_case "strip bounds pinned" `Quick test_strip_bounds;
@@ -2044,4 +2091,6 @@ let suite =
       `Quick test_lane_step_classes;
     Alcotest.test_case "lane runner: a repeat strip allocates nothing" `Quick
       test_lane_runner_allocation;
+    Alcotest.test_case "promotion keeps the interpreter's fault order" `Quick
+      test_promotion_fault_order;
   ]
