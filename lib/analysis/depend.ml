@@ -45,13 +45,25 @@ let term_interval c range =
 (* Bounds of [a*x - b*y] under a coupling constraint over a shared range.
    For [Clt]/[Cgt] the feasible region is a triangle whose vertices give the
    extrema of the linear objective; for [Cany] it is the full box. Assumes
-   the region is non-empty (checked by callers for Clt/Cgt). *)
+   the region is non-empty (checked by callers for Clt/Cgt). With no range
+   and [a = b] the direction alone bounds [a*(x - y)] on one side:
+   [x < y] gives [x - y <= -1], [x > y] gives [x - y >= 1]. *)
 let coupled_interval a b coupling range =
   if a = 0 && b = 0 then point 0
   else
     match range with
-    | None ->
-        if a = b && coupling = Ceq then point 0 else unbounded
+    | None -> (
+        (* [a * (x - y)] for [x - y] at least [d] ([up]) or at most [d] *)
+        let ray d up =
+          if a > 0 = up then { lo = Fin (a * d); hi = Pos_inf }
+          else { lo = Neg_inf; hi = Fin (a * d) }
+        in
+        match coupling with
+        | _ when a <> b -> unbounded
+        | Ceq -> point 0
+        | Clt -> ray (-1) false
+        | Cgt -> ray 1 true
+        | Cany -> unbounded)
     | Some (l, u) -> (
         let at x y = (a * x) - (b * y) in
         let of_vertices vs =

@@ -58,18 +58,42 @@ let sub_form = function
   | Bin (Sub, Var v, Int c) when c <> min_int -> Some (v, -c)
   | _ -> None
 
-(* The box [stmt] covers in [x], the only mention of [x] in it being
-   the store of [x] at the top level of the nest's innermost body. *)
-let cover ~dims x stmt =
-  let store =
-    List.find_map (function
-      | Assign (Elem (y, subs), _) when String.equal x y -> Some subs
-      | _ -> None)
+(* The subscripts of each mention of [x] in [b]. *)
+let mentions x b =
+  List.filter_map
+    (fun (r : Usedef.array_ref) ->
+      if String.equal r.arr x then Some r.subs else None)
+    (Usedef.array_refs b)
+
+(* The subscripts of the store of [x] that is the first mention of [x]
+   in the innermost body of [n]: a statement at its top level whose
+   value does not read [x], every later mention of [x] at the same
+   subscripts and under no loop that rebinds an index of [n]. *)
+let store (n : Nest.t) x =
+  let rec go = function
+    | [] -> None
+    | st :: rest when mentions x [ st ] = [] -> go rest
+    | (Assign (Elem (y, subs), _) as st) :: rest
+      when String.equal x y
+           && List.length (mentions x [ st ]) = 1
+           && List.for_all (( = ) subs) (mentions x rest)
+           && not
+                (List.exists
+                   (fun (l : loop) ->
+                     List.mem l.index (bound_indices_block rest))
+                   n.loops) ->
+        Some subs
+    | _ -> None
   in
+  go n.body
+
+(* The box [stmt] covers in [x], its first mention of [x] being the
+   store [store] finds. *)
+let cover ~dims x stmt =
   match Nest.of_stmt stmt with
   | None -> None
   | Some n -> (
-      match (levels n, store n.body) with
+      match (levels n, store n x) with
       | Some levels, Some subs
         when List.length subs = List.length levels && List.length subs = dims ->
           let rec box used = function
@@ -95,7 +119,6 @@ let boxes (p : program) =
         (fun (r : Usedef.array_ref) -> r.arr)
         (Usedef.array_refs [ stmt ])
     in
-    let once x = List.length (List.filter (String.equal x) ms) = 1 in
     List.fold_left
       (fun (seen, found) x ->
         if List.mem x seen then (seen, found)
@@ -106,7 +129,7 @@ let boxes (p : program) =
                 (fun (a : array_decl) -> String.equal a.arr_name x)
                 p.arrays
             with
-            | Some a when once x -> cover ~dims:(List.length a.dims) x stmt
+            | Some a -> cover ~dims:(List.length a.dims) x stmt
             | _ -> None
           in
           (x :: seen, match box with Some b -> (x, b) :: found | None -> found))

@@ -2,10 +2,11 @@
     overwrites before anything can read them.
 
     Coalescing runs a nest as one index J over the product of its trip
-    counts. When the nest's only mention of an array [X] is one store
-    [X[i1 + c1, ..., id + cd]] whose subscripts use the nest's indexes
-    each exactly once, J maps one-to-one onto a box of [X]: the nest
-    writes every element of that box exactly once. If that nest is also
+    counts. When each iteration of the nest mentions an array [X] first
+    in a store [X[i1 + c1, ..., id + cd]] whose subscripts use the
+    nest's indexes each exactly once, and then only at that element, J
+    maps one-to-one onto a box of [X]: every iteration writes its own
+    element of the box before anything reads it. If that nest is also
     the first top-level statement to mention [X], no element of the box
     can be read before the nest writes it, so its initial value is dead
     and the runtime need not fill it ([Compile.make_env]).
@@ -17,8 +18,12 @@
       whose bounds and steps are integer constants (literals, or
       literals under [+], [-], [*], [min], [max] and negation, such as
       [n - 1] in a generated kernel), the steps positive,
-    - whose only mention of [X] is one store at the top level of the
-      innermost body (not under an [if]),
+    - whose first mention of [X] in the innermost body is a store at
+      its top level (not under an [if]) whose value does not read [X],
+      every later mention of [X] in the body being at the same
+      subscripts, under no loop that rebinds an index of the nest (so
+      matmul's [C[i, j] = 0.0] before its [do k] loop over [C[i, j]]
+      qualifies),
     - whose subscripts are each [v], [v + c], [c + v] or [v - c] for an
       integer literal [c], where the [v] are the nest's indexes, each
       used exactly once, in any order, one per dimension of [X].
@@ -31,10 +36,12 @@
     be read, in every run that shows its arrays:
     - Statements before the nest do not mention [X], so they read no
       element of it.
-    - Inside the nest, nothing but the store mentions [X], and the
-      store's own subscripts and value do not read it. So no iteration
-      reads an element of [X], whatever order the iterations run in and
-      however they are split across domains.
+    - Inside the nest, each iteration mentions [X] first in the store,
+      whose subscripts and value do not read it, and afterwards only at
+      the same subscripts, which read nothing but the nest's indexes: so
+      each iteration touches its own element alone and writes it before
+      reading it, whatever order the iterations run in and however they
+      are split across domains.
     - The nest has constant bounds, so it runs exactly the iterations
       the box is computed from, and each of them stores its element
       unconditionally. A statement before the store in the innermost

@@ -83,10 +83,41 @@ let rec eval_at ~coalesced j (e : Ast.expr) =
 
 (* ---------- syntactic matcher for the emitted families ---------- *)
 
+(* A size or stride as a product [m_c * f1 * ... * fk]: the literal part
+   and the non-literal factors, sorted, so products compare structurally.
+   Literal sizes have no factors. *)
+type mono = { m_c : int; m_f : Ast.expr list }
+
+let rec mono (e : Ast.expr) =
+  match e with
+  | Int n -> { m_c = n; m_f = [] }
+  | Bin (Mul, a, b) -> mul (mono a) (mono b)
+  | e -> { m_c = 1; m_f = [ e ] }
+
+and mul a b = { m_c = a.m_c * b.m_c; m_f = List.sort compare (a.m_f @ b.m_f) }
+
+let one = { m_c = 1; m_f = [] }
+
+(* [a / b] when [b] divides [a]: its literal part, and its factors as a
+   sub-multiset of [a]'s. *)
+let quotient a b =
+  let rec remove x = function
+    | [] -> None
+    | y :: ys when y = x -> Some ys
+    | y :: ys -> Option.map (fun ys -> y :: ys) (remove x ys)
+  in
+  if b.m_c = 0 || a.m_c mod b.m_c <> 0 then None
+  else
+    Option.map
+      (fun f -> { m_c = a.m_c / b.m_c; m_f = f })
+      (List.fold_left
+         (fun acc x -> Option.bind acc (remove x))
+         (Some a.m_f) b.m_f)
+
 (* One recovered definition, reduced to its (stride, size) shape. The
    outermost index never needs a wrap, so its size is unknown at match
    time and is reconstructed from the trip count. *)
-type shape = { s_t : int; s_n : int option }
+type shape = { s_t : mono; s_n : mono option }
 
 let is_j ~j (e : Ast.expr) =
   match e with Var v -> String.equal v j | _ -> false
@@ -97,27 +128,27 @@ let is_jm1 ~j (e : Ast.expr) =
   | Bin (Sub, v, Int 1) -> is_j ~j v
   | _ -> false
 
-(* ceil(j / t): [Cdiv (j, t)] with t > 1, or plain [j] when t = 1 (the
-   simplifier folds ceildiv(j, 1)). Returns t. *)
+(* ceil(j / t): [Cdiv (j, t)], or plain [j] when t = 1 (the simplifier
+   folds ceildiv(j, 1)). Returns t. *)
 let match_ceil ~j (e : Ast.expr) =
   match e with
-  | Bin (Cdiv, v, Int t) when is_j ~j v && t >= 1 -> Some t
-  | v when is_j ~j v -> Some 1
+  | Bin (Cdiv, v, t) when is_j ~j v -> Some (mono t)
+  | v when is_j ~j v -> Some one
   | _ -> None
 
 (* (j - 1) / t, with the t = 1 division folded away. Returns t. *)
 let match_quot ~j (e : Ast.expr) =
   match e with
-  | Bin (Div, base, Int t) when is_jm1 ~j base && t >= 1 -> Some t
-  | base when is_jm1 ~j base -> Some 1
+  | Bin (Div, base, t) when is_jm1 ~j base -> Some (mono t)
+  | base when is_jm1 ~j base -> Some one
   | _ -> None
 
 let match_shape ~j (e : Ast.expr) : shape option =
   match e with
   (* div/mod, wrapped: ((j-1) / t) mod n + 1 *)
-  | Bin (Add, Bin (Mod, q, Int n), Int 1) when n >= 1 -> (
+  | Bin (Add, Bin (Mod, q, n), Int 1) -> (
       match match_quot ~j q with
-      | Some t -> Some { s_t = t; s_n = Some n }
+      | Some t -> Some { s_t = t; s_n = Some (mono n) }
       | None -> None)
   (* div/mod, outermost: (j-1) / t + 1 *)
   | Bin (Add, q, Int 1) -> (
@@ -125,16 +156,18 @@ let match_shape ~j (e : Ast.expr) : shape option =
       | Some t -> Some { s_t = t; s_n = None }
       | None -> None)
   (* ceiling, wrapped: ceil(j/t) - n * (ceil(j/(n*t)) - 1) *)
-  | Bin (Sub, q, Bin (Mul, Int n, Bin (Sub, outer, Int 1))) when n >= 1 -> (
+  | Bin (Sub, q, Bin (Mul, n, Bin (Sub, outer, Int 1))) -> (
+      let n = mono n in
       match (match_ceil ~j q, match_ceil ~j outer) with
-      | Some t, Some t_outer when t_outer = n * t ->
+      | Some t, Some t_outer when t_outer = mul n t ->
           Some { s_t = t; s_n = Some n }
       | _ -> None)
   (* ceiling, wrapped, n = 1 folded out of the product:
      ceil(j/t) - (ceil(j/t') - 1) with t' = t *)
   | Bin (Sub, q, Bin (Sub, outer, Int 1)) -> (
       match (match_ceil ~j q, match_ceil ~j outer) with
-      | Some t, Some t_outer when t_outer = t -> Some { s_t = t; s_n = Some 1 }
+      | Some t, Some t_outer when t_outer = t ->
+          Some { s_t = t; s_n = Some one }
       | _ -> None)
   (* ceiling, outermost: ceil(j/t) (covers plain [j] for t = 1) *)
   | _ -> (
@@ -142,49 +175,74 @@ let match_shape ~j (e : Ast.expr) : shape option =
       | Some t -> Some { s_t = t; s_n = None }
       | None -> None)
 
-let assemble_symbolic ~coalesced ~trip shapes defs =
-  (* The definitions come outermost-first; the innermost stride must be 1
-     and each stride must equal (inner size) * (inner stride). The
-     outermost size is trip / t0. *)
+(* A non-literal size factor the decomposition accepts: [max(e, c)] or
+   [max(c, e)] with a literal [c >= 0], as the coalescing transform
+   emits trip counts, over variables [invariant] holds for. Such a
+   factor is never negative, so when the coalesced loop runs (its trip,
+   the product of the sizes, is at least 1) every size is at least 1. *)
+let size_factor ~invariant (e : Ast.expr) =
+  (match e with
+  | Bin (Max, _, Int c) | Bin (Max, Int c, _) -> c >= 0
+  | _ -> false)
+  && List.for_all invariant (Ast.expr_vars e)
+
+(* The sizes of a matched definition block, outermost first: each wrap's
+   size, and the outermost one [trip / t0]. The innermost stride must be
+   1, each stride the product of the inner size and stride, every size a
+   positive literal times accepted factors, and the sizes must multiply
+   to the trip. *)
+let assemble_sizes ~invariant ~trip shapes =
   let rec strides_ok = function
     | [] -> false
-    | [ s ] -> s.s_t = 1
+    | [ s ] -> s.s_t = one
     | a :: (b :: _ as rest) ->
-        (match b.s_n with Some n -> a.s_t = n * b.s_t | None -> false)
+        (match b.s_n with Some n -> a.s_t = mul n b.s_t | None -> false)
         && strides_ok rest
   in
   if not (strides_ok shapes) then None
   else
-    let t0 = (List.hd shapes).s_t in
-    if t0 = 0 || trip mod t0 <> 0 then None
-    else
-      let n0 = trip / t0 in
-      let sizes =
-        List.mapi
-          (fun k s -> match s.s_n with Some n -> n | None -> if k = 0 then n0 else -1)
-          shapes
-      in
-      if List.exists (fun n -> n < 1) sizes then None
-      else if List.fold_left ( * ) 1 sizes <> trip then None
-      else
-        Some
-          {
-            q_coalesced = coalesced;
-            q_trip = trip;
-            q_digits =
-              List.map2
-                (fun (v, _) (s, n) ->
-                  { d_var = v; d_lo = 1; d_size = n; d_stride = s.s_t })
-                defs
-                (List.map2 (fun s n -> (s, n)) shapes sizes);
-          }
+    match quotient trip (List.hd shapes).s_t with
+    | None -> None
+    | Some n0 ->
+        let sizes =
+          List.mapi
+            (fun k s ->
+              match s.s_n with
+              | Some n -> n
+              | None -> if k = 0 then n0 else { m_c = 0; m_f = [] })
+            shapes
+        in
+        if
+          List.for_all
+            (fun n -> n.m_c >= 1 && List.for_all (size_factor ~invariant) n.m_f)
+            sizes
+          && List.fold_left mul one sizes = trip
+        then Some sizes
+        else None
 
 let symbolic ~coalesced ~trip defs =
   let shapes =
     List.map (fun (_, e) -> match_shape ~j:coalesced e) defs
   in
   if List.exists Option.is_none shapes then None
-  else assemble_symbolic ~coalesced ~trip (List.map Option.get shapes) defs
+  else
+    let shapes = List.map Option.get shapes in
+    match
+      assemble_sizes ~invariant:(fun _ -> false) ~trip:(mono (Int trip)) shapes
+    with
+    | None -> None
+    | Some sizes ->
+        Some
+          {
+            q_coalesced = coalesced;
+            q_trip = trip;
+            q_digits =
+              List.map2
+                (fun ((v, _), s) n ->
+                  { d_var = v; d_lo = 1; d_size = n.m_c; d_stride = s.s_t.m_c })
+                (List.combine defs shapes)
+                sizes;
+          }
 
 (* ---------- numeric certification ---------- *)
 
@@ -296,3 +354,22 @@ let verify_hint ~coalesced ~trip ~sizes defs =
     in
     if List.for_all check probes then Ok t
     else Error "recovery definitions disagree with the hint at a probe point"
+
+let decompose_sizes ~coalesced ~trip ~invariant defs =
+  let shapes = List.map (fun (_, e) -> match_shape ~j:coalesced e) defs in
+  let invariant v =
+    invariant v
+    && not (String.equal v coalesced || List.mem_assoc v defs)
+  in
+  if defs = [] || List.exists Option.is_none shapes then
+    Error "unrecognized recovery form"
+  else
+    match
+      assemble_sizes ~invariant ~trip:(mono trip) (List.map Option.get shapes)
+    with
+    | None -> Error "recovery sizes do not tile the coalesced range"
+    | Some sizes ->
+        Ok
+          (List.map2
+             (fun (v, _) n -> (v, if n.m_f = [] then Some n.m_c else None))
+             defs sizes)

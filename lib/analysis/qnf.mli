@@ -45,6 +45,23 @@ val decompose :
     certified numerically by checking the stride equality over the whole
     coalesced range, provided [trip <= budget] (default 2^20). *)
 
+val decompose_sizes :
+  coalesced:Ast.var ->
+  trip:Ast.expr ->
+  invariant:(Ast.var -> bool) ->
+  (Ast.var * Ast.expr) list ->
+  ((Ast.var * int option) list, string) result
+(** The syntactic matcher of {!decompose} over a trip that need not be a
+    literal: each size is a positive literal times factors [max(e, c)]
+    ([c >= 0] a literal, [e] over variables [invariant] holds for, never
+    the coalesced index or a recovered name), which the coalescing
+    transform emits for a nest bound that is not a literal. Whenever the
+    loop runs every size is then positive, so the digits are a bijection
+    onto [1..trip]. Returns each digit, outermost first, with its size
+    when that is a literal (its values are [1..size]). The strides are
+    not literals, so no affine form of the coalesced index exists: the
+    caller must not need one. *)
+
 val verify_hint :
   coalesced:Ast.var ->
   trip:int ->

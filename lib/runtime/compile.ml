@@ -119,6 +119,9 @@ and fork_state = {
   fs_lanes : (Bytecode.lanes, string) result;
       (** the body's lane program, or the lane rule it fails *)
   mutable fs_lane_states : Bytecode.lane_state array;  (** per domain *)
+  mutable fs_lane_loops : Registry.counter array;
+      (** [exec.lane_loops.<slug>] per serial loop of a lane body, made
+          at the state's first lane fork *)
 }
 
 and fork_mode =

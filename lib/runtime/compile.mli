@@ -107,6 +107,9 @@ and fork_state = {
           rule it fails *)
   mutable fs_lane_states : Bytecode.lane_state array;
       (** lane arrays per domain, kept across runs *)
+  mutable fs_lane_loops : Loopcoal_obs.Registry.counter array;
+      (** [exec.lane_loops.<slug>] per serial loop of a lane body, made
+          at the state's first lane fork *)
 }
 (** What one fork of a plan leaves for the next, so a fork
     refreshes only what changed ({!Exec} owns every field). A fork

@@ -386,6 +386,7 @@ let new_state (plan : plan) =
     fs_lanes =
       Bytecode.lanes ~jslot:plan.index_slots.(depth - 1) plan.tape;
     fs_lane_states = [||];
+    fs_lane_loops = [||];
   }
 
 (* The plan's fork state, held for this fork: the kept one if it is
@@ -463,10 +464,27 @@ let prove ?profile st (plan : plan) master =
       st.fs_prep <- Some pr;
       pr
 
+(* A lane fork counts each serial loop of the body once, under
+   [exec.lane_loops.<slug>]: ["fused"], or the rule that keeps the loop
+   on the dispatch loop ({!Bytecode.lane_loops}). *)
+let count_lane_loops st ln =
+  if Array.length st.fs_lane_loops = 0 then
+    st.fs_lane_loops <-
+      Array.map
+        (fun slug -> Registry.counter ("exec.lane_loops." ^ slug))
+        (Bytecode.lane_loops ln);
+  Array.iter Registry.incr st.fs_lane_loops
+
 (* A fork's decision, on the state's proof. *)
 let decide ?profile engine st (plan : plan) master =
   let pr = prove ?profile st plan master in
-  tape_mode ?profile engine plan st.fs_lanes pr ~all_unsafe:st.fs_all_unsafe
+  let mode =
+    tape_mode ?profile engine plan st.fs_lanes pr ~all_unsafe:st.fs_all_unsafe
+  in
+  (match (mode, st.fs_lanes) with
+  | Fork_lanes _, Ok ln -> count_lane_loops st ln
+  | _ -> ());
+  mode
 
 let same_opt a b =
   match (a, b) with

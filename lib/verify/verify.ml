@@ -89,15 +89,18 @@ and regions_of_stmt acc (s : Ast.stmt) =
 
 (* ---------- coalesced-index recovery recognition ---------- *)
 
-(* Longest leading run of scalar definitions closed over the coalesced
-   index [j] — the shape of generated recovery code. *)
-let recovery_prefix ~j (body : Ast.block) =
+(* Longest leading run of scalar definitions over the coalesced index
+   [j] and variables [reads] accepts — the shape of generated recovery
+   code. *)
+let recovery_prefix ?(reads = fun _ -> false) ~j (body : Ast.block) =
   let rec go acc rest =
     match rest with
     | Ast.Assign (Ast.Scalar v, e) :: tl
       when (not (String.equal v j))
            && (not (List.exists (fun (w, _) -> String.equal v w) acc))
-           && List.for_all (String.equal j) (Ast.expr_vars e) ->
+           && List.for_all
+                (fun w -> String.equal j w || reads w)
+                (Ast.expr_vars e) ->
         go ((v, e) :: acc) tl
     | _ -> (List.rev acc, rest)
   in
@@ -118,6 +121,10 @@ type qnf_outcome =
   | Unrecognized  (** division of the index, but no decomposition found *)
   | Recovered of Qnf.t * Ast.block
       (** decomposition plus the body with recognized definitions removed *)
+  | Recovered_sizes of (Ast.var * int option) list * Ast.block
+      (** digits of a trip that is not a literal, each with its size when
+          that is one, and the body past the definitions, which does not
+          read the coalesced index *)
 
 (* Bounds like [10 - 1] are constant without being literal [Int]s: fold
    them through the affine machinery before giving up on a range. *)
@@ -134,10 +141,50 @@ let fold_range (l : Ast.loop) =
       | Some lo, Some hi -> Some (lo, hi)
       | _ -> None)
 
+(* A coalesced loop [j = 1, trip] whose trip is not a literal: its
+   leading recovery definitions, which may also read variables the loop
+   never writes, when {!Qnf.decompose_sizes} matches them and the rest
+   of the body reads neither [j] nor rewrites a recovered name. *)
+let try_qnf_sizes (l : Ast.loop) inner_body =
+  let j = l.Ast.index in
+  let writes = Usedef.scalar_writes inner_body in
+  let invariant v =
+    not (Vset.mem v writes || List.mem v (Ast.bound_indices_block inner_body))
+  in
+  let prefix, rest = recovery_prefix ~reads:invariant ~j inner_body in
+  let non_affine (_, e) =
+    Affine.of_expr ~is_index:(String.equal j) e = None
+  in
+  let rec search n =
+    if n < 1 then Unrecognized
+    else
+      let rest =
+        List.map (fun (v, e) -> Ast.Assign (Ast.Scalar v, e)) (drop n prefix)
+        @ rest
+      in
+      let defs = take n prefix in
+      if
+        Vset.mem j (Usedef.scalar_reads rest)
+        || List.exists
+             (fun (v, _) -> Vset.mem v (Usedef.scalar_writes rest))
+             defs
+      then search (n - 1)
+      else
+        match
+          Qnf.decompose_sizes ~coalesced:j ~trip:l.Ast.hi ~invariant defs
+        with
+        | Ok digits -> Recovered_sizes (digits, rest)
+        | Error _ -> search (n - 1)
+  in
+  if prefix = [] || not (List.exists non_affine prefix) then Plain
+  else if Vset.mem j writes then Unrecognized
+  else search (List.length prefix)
+
 let try_qnf ~hints (loops : Ast.loop list) (inner_body : Ast.block) =
   match loops with
   | [ l ] when const_of l.Ast.lo = Some 1 && const_of l.Ast.step = Some 1 -> (
       match const_of l.Ast.hi with
+      | None -> try_qnf_sizes l inner_body
       | Some trip when trip >= 1 -> (
           let j = l.Ast.index in
           let prefix, rest = recovery_prefix ~j inner_body in
@@ -354,6 +401,20 @@ let analyze_region ~hints ordinal ((loops : Ast.loop list), inner_body) =
             q.Qnf.q_digits,
           analyzed,
           Some q.Qnf.q_trip )
+    | Recovered_sizes (digits, analyzed) ->
+        let range n = Option.map (fun n -> (1, n)) n in
+        emit "LC007" (List.hd loop_names)
+          (Printf.sprintf "recovery recognized: %s"
+             (String.concat ", "
+                (List.map
+                   (fun (v, n) ->
+                     match n with
+                     | Some n -> Printf.sprintf "%s in 1..%d" v n
+                     | None -> Printf.sprintf "%s in 1..(not a literal)" v)
+                   digits)));
+        ( List.map (fun (v, n) -> { lv_var = v; lv_range = range n }) digits,
+          analyzed,
+          None )
     | Unrecognized | Plain ->
         if qnf = Unrecognized then
           emit "LC005"
@@ -424,7 +485,7 @@ let analyze_region ~hints ordinal ((loops : Ast.loop list), inner_body) =
             if List.mem q.Qnf.q_coalesced (Ast.expr_vars e) then
               Ast.subst_expr q.Qnf.q_coalesced lin e
             else e
-      | Plain | Unrecognized -> fun e -> e
+      | Recovered_sizes _ | Plain | Unrecognized -> fun e -> e
     in
     let strips = find_strips ~level_names analyzed in
     let strip_rem = Hashtbl.create 4 in

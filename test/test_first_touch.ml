@@ -569,6 +569,115 @@ let test_candidates () =
     Kernels.all_names;
   if !applied < 50 then Alcotest.failf "only %d candidates applied" !applied
 
+
+(* ---------- a store first in its iteration ---------- *)
+
+(* The first mention of [X] in the innermost body is an unconditional
+   top-level store, and every later mention in the iteration is at the
+   same subscripts: matmul's [C]. A later mention at another subscript,
+   a read before the store, the store under [if], and a loop rebinding a
+   nest index each keep [X] filled. *)
+let store_first_cases =
+  let nest body =
+    Printf.sprintf
+      "program\n\
+      \ real X[3, 5]\n\
+      \ real A[3, 3]\n\
+      \ real B[3, 4]\n\
+       begin\n\
+      \ doall i = 1, 3\n\
+      \  doall k = 1, 3\n\
+      \   A[i, k] = i - k * 0.5\n\
+      \  end\n\
+      \ end\n\
+      \ doall i = 1, 3\n\
+      \  doall j = 1, 4\n\
+       %s\
+      \  end\n\
+      \ end\n\
+       end\n"
+      body
+  in
+  let a = ("A", [ (1, 3); (1, 3) ]) and b = ("B", [ (1, 3); (1, 4) ]) in
+  let x = ("X", [ (1, 3); (1, 4) ]) in
+  [
+    ( "store, then a serial loop at the same subscripts",
+      nest
+        "   B[i, j] = j\n\
+        \   X[i, j] = 0.0\n\
+        \   do k = 1, 3\n\
+        \    X[i, j] = X[i, j] + A[i, k] * B[i, j]\n\
+        \   end\n",
+      [ x; a; b ],
+      [ 1; 2 ] );
+    ( "a later mention at another subscript",
+      nest
+        "   X[i, j] = 0.0\n\
+        \   do k = 1, 3\n\
+        \    X[i, j] = X[i, j] + A[i, k]\n\
+        \   end\n\
+        \   B[i, j] = X[i, 5]\n",
+      [ a; b ],
+      [ 1; 2 ] );
+    ( "a read before the store",
+      nest
+        "   B[i, j] = X[i, j]\n\
+        \   X[i, j] = 1.0\n\
+        \   X[i, j] = X[i, j] * 2.0\n",
+      [ a; b ],
+      [ 1; 2 ] );
+    ( "the store reads the element",
+      nest "   X[i, j] = X[i, j] + 1.0\n   B[i, j] = X[i, j]\n",
+      [ a; b ],
+      [ 1; 2 ] );
+    ( "the store under if",
+      nest
+        "   if i > 1 then\n\
+        \    X[i, j] = 0.0\n\
+        \   end\n\
+        \   X[i, j] = X[i, j] + 1.0\n\
+        \   B[i, j] = 1.0\n",
+      [ a; b ],
+      [ 1; 2 ] );
+    ( "a loop rebinding a nest index",
+      nest
+        "   X[i, j] = 0.0\n\
+        \   do i = 1, 2\n\
+        \    X[i, j] = X[i, j] + 1.0\n\
+        \   end\n\
+        \   B[i, j] = 1.0\n",
+      [ a; b ],
+      (* every [i] writes the rebound rows: racy *)
+      [ 1 ] );
+  ]
+
+let test_store_first () =
+  List.iter
+    (fun (what, src, want, domains) ->
+      let p = parse what src in
+      Alcotest.(check string)
+        what (show_boxes want)
+        (show_boxes
+           (List.map
+              (fun (x, b) -> (x, Array.to_list b))
+              (First_touch.boxes p)));
+      List.iter
+        (fun array_init -> check ~array_init ~domains ~exact:true ~what p)
+        [ 0.0; 1.0 ])
+    store_first_cases;
+  let mm = Kernels.matmul ~ra:5 ~ca:4 ~cb:6 in
+  Alcotest.(check (option (list (pair int int))))
+    "matmul: C covered"
+    (Some [ (1, 5); (1, 6) ])
+    (Option.map Array.to_list (List.assoc_opt "C" (First_touch.boxes mm)));
+  let env = Compile.make_env ~unfilled:poison (Compile.compile mm) in
+  Alcotest.(check bool)
+    "matmul: C left unfilled" true
+    (Array.for_all
+       (fun x -> Test_bytecode.bits_equal [| x |] [| poison |])
+       env.Compile.arrays.(2));
+  check ~exact:true ~what:"matmul" mm
+
 let suite =
   [
     Alcotest.test_case "boxes of the adversarial cases" `Quick test_boxes;
@@ -584,4 +693,6 @@ let suite =
       `Quick test_generated;
     Alcotest.test_case "search candidates = Eval with unfilled poisoned"
       `Quick test_candidates;
+    Alcotest.test_case "a store first in its iteration: matmul's C unfilled"
+      `Quick test_store_first;
   ]

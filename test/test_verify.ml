@@ -584,6 +584,75 @@ end|}
     (Verify.race_free (Verify.check_program p));
   Alcotest.(check bool) "sanitizer agrees" true (sanitize_total ~domains:1 p > 0)
 
+
+(* ---------- bounds that are not literals ---------- *)
+
+(* A doall whose range is unknown at check time: a scalar bound [n], an
+   enclosing serial index [t], and [doall i = 1, t] under [doall q]
+   (coalesced by the runtime, and checked coalesced too, in both
+   recovery forms). The direction of two iterations alone keeps
+   [A[.., i]] apart; [A[.., i + 1]], [A[.., 1]] and [A[.., 2 * i]]
+   against [A[.., i]] must still be flagged. *)
+let test_verify_unknown_ranges () =
+  let contexts =
+    [
+      ( "scalar bound",
+        Printf.sprintf " doall i = 1, n\n  %s\n end\n" );
+      ( "serial index",
+        Printf.sprintf " do t = 1, 4\n  doall i = 1, t\n   %s\n  end\n end\n"
+      );
+      ( "coalesced",
+        Printf.sprintf
+          " do t = 1, 4\n\
+          \  doall q = 1, 3\n\
+          \   doall i = 1, t\n\
+          \    %s\n\
+          \   end\n\
+          \  end\n\
+          \ end\n" );
+    ]
+  in
+  let bodies =
+    [
+      ("A[q, i] = A[q, i] + 1.0", true);
+      ("A[q, i] = A[q, i + 1]", false);
+      ("A[q, i] = A[q, 1]", false);
+      ("A[q, 2 * i] = A[q, i]", false);
+    ]
+  in
+  List.iter
+    (fun (where, wrap) ->
+      List.iter
+        (fun (body, free) ->
+          let body =
+            if where = "coalesced" then body
+            else String.concat "2" (String.split_on_char 'q' body)
+          in
+          let p =
+            parse
+              (Printf.sprintf
+                 "program\n real A[3, 20]\n int n = 7\nbegin\n%send\n"
+                 (wrap body))
+          in
+          let what = Printf.sprintf "%s: %s" where body in
+          Alcotest.(check bool)
+            what free
+            (Verify.race_free (Verify.check_program p));
+          List.iter
+            (fun (sname, strategy) ->
+              let p', metas = Coalesce.apply_all_program_meta ~strategy p in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, coalesced (%s)" what sname)
+                free
+                (Verify.race_free
+                   (Verify.check_program ~hints:(hints_of metas) p')))
+            [
+              ("ceiling", Index_recovery.Ceiling);
+              ("divmod", Index_recovery.Div_mod);
+            ])
+        bodies)
+    contexts
+
 let suite =
   [
     Alcotest.test_case "affine div/mod folds" `Quick test_affine_folds;
@@ -624,4 +693,6 @@ let suite =
       test_differential;
     Alcotest.test_case "differential: racy agrees" `Quick
       test_differential_racy_agrees;
+    Alcotest.test_case "verify: bounds that are not literals" `Quick
+      test_verify_unknown_ranges;
   ]
