@@ -1096,6 +1096,33 @@ let nan_reduction_prog =
 let test_reduction_nan_payload () =
   check_eval_bits ~what:"NaN reductions" (parse "nan" nan_reduction_prog)
 
+(* A serial loop stepping by a register the body never writes: the
+   step check is uniform, so the jam keeps it in each copy (the first
+   copy raises the message the first iteration would), and a zero step
+   raises Eval's message on every engine. *)
+let test_jam_register_step () =
+  let body =
+    "      C[i, j] = 0.0\n\
+    \      do k = 1, 5, s\n\
+    \        C[i, j] = C[i, j] + A[i, k] * B[k, j]\n\
+    \      end\n"
+  in
+  let prog s =
+    parse "register step"
+      (jam_nest ~decls:(Printf.sprintf "  int s = %d\n" s) ~nk:5 ~nj:7 body)
+  in
+  check_jam ~jam:true ~what:"register step" (prog 2);
+  let zero = prog 0 in
+  let want =
+    match Eval.run zero with
+    | _ -> Alcotest.fail "zero step: interpreter ran without an error"
+    | exception Eval.Runtime_error m -> m
+  in
+  if Lazy.force toolchain = Ok () then
+    List.iter
+      (fun (cname, m) -> Alcotest.(check string) ("zero step: " ^ cname) want m)
+      (compiled_error ~what:"zero step" zero)
+
 let suite =
   [
     Alcotest.test_case "codegen shape" `Quick test_codegen_shape;
@@ -1150,4 +1177,6 @@ let suite =
         `Quick test_cdiv_int_range;
       Alcotest.test_case "build timeout: killed, diagnosed, bytecode" `Quick
         test_build_timeout;
+      Alcotest.test_case "unroll-and-jam: a step over a uniform register"
+        `Slow test_jam_register_step;
     ]
