@@ -1,11 +1,18 @@
 (* loopc: command-line front end for the loop-coalescing library.
 
    Subcommands:
-     show      parse a program and pretty-print it with a nest summary
-     analyze   classify loops, verify parallel annotations
-     coalesce  apply the transformation (verified) and print the result
-     simulate  schedule a rectangular iteration space on the machine model
-     kernel    dump a built-in kernel as surface syntax *)
+     show       parse a program and pretty-print it with a nest summary
+     analyze    classify loops, verify parallel annotations
+     transform  apply a recipe (Recipe grammar), verify, print the result
+     emit-c     translate to C99 with OpenMP pragmas
+     simulate   schedule a rectangular iteration space on the machine model
+     schedule   profile a program's first nest, then simulate it
+     run        execute on the multicore runtime
+     tune       rank candidate recipes (transformation search)
+     calibrate  measure this host's cost-model constants
+     profile    per-instruction profile of the bytecode tier
+     check      static race verification (and tape validation)
+     kernel     dump a built-in kernel as surface syntax *)
 
 open Cmdliner
 module L = Loopcoal
@@ -18,11 +25,13 @@ let read_program path =
 let program_conv =
   Arg.conv (read_program, fun fmt _ -> Format.fprintf fmt "<program>")
 
-let program_arg =
+let program_at n =
   Arg.(
     required
-    & pos 0 (some program_conv) None
+    & pos n (some program_conv) None
     & info [] ~docv:"FILE" ~doc:"Program in the loopc surface language.")
+
+let program_arg = program_at 0
 
 let strategy_conv =
   let parse = function
@@ -105,114 +114,46 @@ let analyze_cmd =
        ~doc:"Run dependence analysis: verify and infer parallel annotations.")
     Term.(const run $ deps_flag $ program_arg)
 
-(* ---------- coalesce ---------- *)
+(* ---------- transform ---------- *)
 
-let chunk_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "chunk" ] ~docv:"C"
-        ~doc:
-          "Emit chunked code: each processor chunk of $(docv) coalesced \
-           iterations recovers indices once and advances them with the \
-           O(1) odometer.")
-
-let verified_print p p' banner =
-  print_string (L.Pretty.program_to_string p');
-  let verdict =
-    match L.Pipeline.observably_equal ~reference:p p' with
-    | Ok () -> "verified"
-    | Error d -> "NOT verified: " ^ d
-  in
-  Printf.eprintf "%s; interpreter equivalence: %s\n" banner verdict
-
-let coalesce_cmd =
-  let run strategy chunk p =
-    match chunk with
-    | None -> (
-        match L.Driver.coalesce_report ~strategy p with
-        | Error m ->
-            Printf.eprintf "error: %s\n" m;
-            exit 1
-        | Ok r ->
-            print_string r.L.Driver.after_text;
-            Printf.eprintf
-              "coalesced %d nest(s); interpreter equivalence: %s\n"
-              r.L.Driver.nests_coalesced
-              (if r.L.Driver.verified then "verified" else "NOT verified"))
-    | Some c -> (
-        match L.Coalesce_chunked.apply_program ~chunk:c p with
-        | Error _ ->
-            Printf.eprintf "error: no coalescible nest (or bad chunk)\n";
-            exit 1
-        | Ok p' -> verified_print p p' "chunk-coalesced first nest")
-  in
-  Cmd.v
-    (Cmd.info "coalesce"
-       ~doc:
-         "Coalesce every maximal parallel nest and print the transformed \
-          program (equivalence checked with the reference interpreter). \
-          With $(b,--chunk), rewrite the first nest into chunked form \
-          with odometer index recovery instead.")
-    Term.(const run $ strategy_arg $ chunk_arg $ program_arg)
-
-let distribute_cmd =
-  let run p =
-    let p', count = L.Distribute.apply_program p in
-    verified_print p p' (Printf.sprintf "distributed %d loop(s)" count)
-  in
-  Cmd.v
-    (Cmd.info "distribute"
-       ~doc:
-         "Split loops around independent statement groups (fission), \
-          exposing perfect nests for coalescing.")
-    Term.(const run $ program_arg)
-
-let fuse_cmd =
-  let run p =
-    let body, count = L.Fuse.apply_block p.L.Ast.body in
-    let p' = { p with L.Ast.body = body } in
-    verified_print p p' (Printf.sprintf "performed %d fusion(s)" count)
-  in
-  Cmd.v
-    (Cmd.info "fuse" ~doc:"Fuse adjacent compatible loops.")
-    Term.(const run $ program_arg)
-
-let reduce_cmd =
-  let index_arg =
+let transform_cmd =
+  let recipe_arg =
+    let recipe_conv =
+      Arg.conv
+        ( (fun s -> Result.map_error (fun m -> `Msg m) (L.Recipe.of_string s)),
+          fun fmt r -> Format.pp_print_string fmt (L.Recipe.to_string r) )
+    in
     Arg.(
       required
-      & opt (some string) None
-      & info [ "index"; "i" ] ~docv:"VAR" ~doc:"Loop index of the reduction.")
+      & pos 0 (some recipe_conv) None
+      & info [] ~docv:"RECIPE"
+          ~doc:
+            "Atoms joined by $(b,+), applied left to right, e.g. \
+             $(b,distribute+coalesce\\(ceiling\\)). The grammar and every \
+             atom are documented in lib/transform/recipe.mli.")
   in
-  let scalar_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "scalar" ] ~docv:"VAR" ~doc:"Accumulator scalar.")
-  in
-  let procs_arg =
-    Arg.(value & opt int 8 & info [ "p" ] ~docv:"P" ~doc:"Partial results.")
-  in
-  let run index scalar procs p =
-    match L.Parallel_reduce.apply p ~loop_index:index ~scalar ~processors:procs with
-    | Error _ ->
-        Printf.eprintf "error: no such reduction (index %s, scalar %s)\n"
-          index scalar;
+  let run r p =
+    match L.Recipe.apply r p with
+    | Error m ->
+        Printf.eprintf "error: %s\n" m;
         exit 1
     | Ok p' ->
         print_string (L.Pretty.program_to_string p');
-        Printf.eprintf
-          "parallelized reduction on %s (note: re-associates floating \
-           point)\n"
-          scalar
+        let verdict =
+          match L.Pipeline.observably_equal ~reference:p p' with
+          | Ok () -> "verified"
+          | Error d -> "NOT verified: " ^ d
+        in
+        Printf.eprintf "%s; interpreter equivalence: %s\n"
+          (L.Recipe.to_string r) verdict
   in
   Cmd.v
-    (Cmd.info "reduce"
+    (Cmd.info "transform"
        ~doc:
-         "Parallelize a recognized reduction into per-processor partial \
-          results.")
-    Term.(const run $ index_arg $ scalar_arg $ procs_arg $ program_arg)
+         "Apply a transformation recipe and print the transformed program; \
+          the interpreter checks it against the original (verdict on \
+          stderr). Exits 1 when a pass declines.")
+    Term.(const run $ recipe_arg $ program_at 1)
 
 (* ---------- simulate ---------- *)
 
@@ -451,153 +392,6 @@ let schedule_cmd =
           interpreter and simulate coalesced vs nested schedules using the \
           measured body cost.")
     Term.(const run $ procs_arg $ program_arg)
-
-(* ---------- shrink ---------- *)
-
-let shrink_cmd =
-  let run p =
-    let p', factors = L.Cycle_shrink.apply_program p in
-    verified_print p p'
-      (Printf.sprintf "cycle-shrunk %d loop(s)%s" (List.length factors)
-         (if factors = [] then ""
-          else
-            " with lambda = "
-            ^ String.concat ", " (List.map string_of_int factors)))
-  in
-  Cmd.v
-    (Cmd.info "shrink"
-       ~doc:
-         "Cycle shrinking: split serial loops whose carried dependences \
-          all span >= lambda iterations into serial groups of lambda \
-          parallel iterations.")
-    Term.(const run $ program_arg)
-
-(* ---------- unroll / peel ---------- *)
-
-let first_loop_rewrite p ~name ~rewrite =
-  (* Rewrite the first top-level loop the transformation accepts. *)
-  let done_ = ref false in
-  let body =
-    List.concat_map
-      (fun (s : L.Ast.stmt) ->
-        if !done_ then [ s ]
-        else
-          match s with
-          | L.Ast.For _ -> (
-              match rewrite s with
-              | Ok stmts ->
-                  done_ := true;
-                  stmts
-              | Error _ -> [ s ])
-          | _ -> [ s ])
-      p.L.Ast.body
-  in
-  if !done_ then Some { p with L.Ast.body }
-  else begin
-    Printf.eprintf "error: no top-level loop accepts %s\n" name;
-    None
-  end
-
-let unroll_cmd =
-  let factor_arg =
-    Arg.(value & opt int 4 & info [ "factor"; "u" ] ~docv:"U" ~doc:"Unroll factor.")
-  in
-  let run factor p =
-    let avoid = L.Names.in_program p in
-    match
-      first_loop_rewrite p ~name:"unrolling" ~rewrite:(fun s ->
-          L.Unroll.apply ~avoid ~factor s)
-    with
-    | Some p' -> verified_print p p' "unrolled first loop"
-    | None -> exit 1
-  in
-  Cmd.v
-    (Cmd.info "unroll"
-       ~doc:"Unroll the first (normalized) top-level loop by a factor.")
-    Term.(const run $ factor_arg $ program_arg)
-
-let peel_cmd =
-  let count_arg =
-    Arg.(value & opt int 1 & info [ "count"; "k" ] ~docv:"K" ~doc:"Iterations to peel.")
-  in
-  let from_end_arg =
-    Arg.(value & flag & info [ "from-end" ] ~doc:"Peel from the back instead.")
-  in
-  let run count from_end p =
-    match
-      first_loop_rewrite p ~name:"peeling" ~rewrite:(fun s ->
-          L.Peel.apply ~from_end ~count s)
-    with
-    | Some p' -> verified_print p p' "peeled first loop"
-    | None -> exit 1
-  in
-  Cmd.v
-    (Cmd.info "peel"
-       ~doc:"Peel iterations off the first top-level loop with literal bounds.")
-    Term.(const run $ count_arg $ from_end_arg $ program_arg)
-
-(* ---------- interchange / tile ---------- *)
-
-let interchange_cmd =
-  let run p =
-    match
-      first_loop_rewrite p ~name:"interchange" ~rewrite:(fun s ->
-          Result.map (fun s' -> [ s' ]) (L.Interchange.apply s))
-    with
-    | Some p' -> verified_print p p' "interchanged outer loop pair"
-    | None -> exit 1
-  in
-  Cmd.v
-    (Cmd.info "interchange"
-       ~doc:"Swap the two outermost loops of the first legal perfect nest.")
-    Term.(const run $ program_arg)
-
-let tile_cmd =
-  let c1_arg =
-    Arg.(value & opt int 8 & info [ "c1" ] ~docv:"C1" ~doc:"Outer tile size.")
-  in
-  let c2_arg =
-    Arg.(value & opt int 8 & info [ "c2" ] ~docv:"C2" ~doc:"Inner tile size.")
-  in
-  let run c1 c2 p =
-    let avoid = L.Names.in_program p in
-    match
-      first_loop_rewrite p ~name:"tiling" ~rewrite:(fun s ->
-          Result.map (fun s' -> [ s' ]) (L.Tile.apply ~avoid ~c1 ~c2 s))
-    with
-    | Some p' -> verified_print p p' "tiled first parallel nest"
-    | None -> exit 1
-  in
-  Cmd.v
-    (Cmd.info "tile"
-       ~doc:"Tile the first normalized doubly parallel perfect nest.")
-    Term.(const run $ c1_arg $ c2_arg $ program_arg)
-
-(* ---------- optimize ---------- *)
-
-let optimize_cmd =
-  let run p =
-    let o = L.Pipeline.run L.Pipeline.standard p in
-    (match o.L.Pipeline.verification with
-    | Some f ->
-        Printf.eprintf "internal error: pass %s changed behaviour: %s\n"
-          f.L.Pipeline.pass_name f.L.Pipeline.detail;
-        exit 2
-    | None -> ());
-    print_string (L.Pretty.program_to_string o.L.Pipeline.program);
-    Printf.eprintf "passes applied: %s\n"
-      (String.concat ", " o.L.Pipeline.applied);
-    List.iter
-      (fun (name, reason) ->
-        Printf.eprintf "pass %s declined: %s\n" name reason)
-      o.L.Pipeline.failures
-  in
-  Cmd.v
-    (Cmd.info "optimize"
-       ~doc:
-         "Run the standard verified pipeline: normalize, distribute, infer \
-          parallelism, hoist parallel loops, coalesce, cycle-shrink.")
-    Term.(const run $ program_arg)
 
 (* ---------- emit-c ---------- *)
 
@@ -2186,9 +1980,8 @@ let main =
   Cmd.group
     (Cmd.info "loopc" ~version:"1.0.0"
        ~doc:"Loop coalescing: transformation, analysis and schedule simulation.")
-    [ show_cmd; analyze_cmd; coalesce_cmd; distribute_cmd; fuse_cmd;
-      reduce_cmd; shrink_cmd; unroll_cmd; peel_cmd; interchange_cmd;
-      tile_cmd; optimize_cmd; emit_c_cmd; simulate_cmd; schedule_cmd;
-      run_cmd; tune_cmd; calibrate_cmd; profile_cmd; check_cmd; kernel_cmd ]
+    [ show_cmd; analyze_cmd; transform_cmd; emit_c_cmd; simulate_cmd;
+      schedule_cmd; run_cmd; tune_cmd; calibrate_cmd; profile_cmd; check_cmd;
+      kernel_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -1,23 +1,21 @@
-(* The full transformation toolbox on one program: a non-perfect nest
-   distributes into perfect nests, which coalesce; a recurrence that the
-   DOALL test rejects cycle-shrinks into partial parallelism; and the
-   schedules are compared on the simulated machine. Every rewrite is
-   verified against the reference interpreter.
+(* The transformation toolbox on one program, as one recipe: a
+   non-perfect nest distributes into perfect nests, which coalesce; a
+   recurrence that the DOALL test rejects cycle-shrinks into partial
+   parallelism; and the schedules are compared on the simulated machine.
+   The result is verified against the reference interpreter.
 
      dune exec examples/transform_pipeline.exe *)
 
 open Loopcoal
 module B = Builder
 
-(* A program with three different parallelization stories:
+(* A program with two parallelization stories:
    1. a non-perfect doubly-parallel nest (needs distribution first),
-   2. a distance-8 recurrence (needs cycle shrinking),
-   3. a scalar-temp loop (needs scalar expansion). *)
+   2. a distance-8 recurrence (needs cycle shrinking). *)
 let program =
   B.program
     ~arrays:
       [ B.array "A" [ 24; 40 ]; B.array "B" [ 24; 40 ]; B.array "R" [ 128 ] ]
-    ~scalars:[ B.real_scalar "t" ]
     [
       (* 1: imperfect nest *)
       B.doall "i" (B.int 1) (B.int 24)
@@ -34,13 +32,6 @@ let program =
         [
           B.store "R" [ B.(var "k" + int 8) ]
             B.(load "R" [ var "k" ] + real 1.0);
-        ];
-      (* 3: swap-through-temporary *)
-      B.for_ "i" (B.int 1) (B.int 24)
-        [
-          B.assign "t" (B.load "A" [ B.var "i"; B.int 1 ]);
-          B.store "A" [ B.var "i"; B.int 1 ] (B.load "B" [ B.var "i"; B.int 1 ]);
-          B.store "B" [ B.var "i"; B.int 1 ] (B.var "t");
         ];
     ]
 
@@ -65,48 +56,27 @@ let show_counts label p =
 let () =
   show_counts "original:" program;
 
-  (* Scalar expansion turns the swap temp into an array. *)
-  let p1 =
-    match Scalar_expand.apply program ~loop_index:"i" ~scalar:"t" with
+  (* Distribute, re-infer annotations, coalesce everything coalescible,
+     then cycle-shrink the recurrence that stayed serial — the same
+     string `loopc transform` takes. *)
+  let recipe = "distribute+infer+coalesce(ceiling)+shrink" in
+  let p =
+    match Result.bind (Recipe.of_string recipe) (Fun.flip Recipe.apply program)
+    with
     | Ok p -> p
-    | Error _ -> failwith "scalar expansion failed"
+    | Error m -> failwith m
   in
-
-  (* The verified pipeline: distribute, re-infer annotations, coalesce
-     everything coalescible. *)
-  let outcome =
-    Pipeline.run
-      [
-        Pipeline.distribute_all;
-        Pipeline.infer_parallel;
-        Pipeline.coalesce_all ();
-      ]
-      p1
-  in
-  (match outcome.Pipeline.verification with
-  | None -> ()
-  | Some f -> failwith ("pipeline broke the program at " ^ f.Pipeline.pass_name));
-  let p2 = outcome.Pipeline.program in
-  Printf.printf "pipeline applied: %s\n"
-    (String.concat ", " outcome.Pipeline.applied);
-
-  (* Cycle shrinking picks up the recurrence the pipeline left serial. *)
-  let p3, factors = Cycle_shrink.apply_program p2 in
-  (* Verify against the post-expansion program: scalar expansion added the
-     t_x array, so the original's store shape differs by construction
-     (its arrays are checked by the expansion test suite instead). *)
-  (match Pipeline.observably_equal ~reference:p1 p3 with
+  (match Pipeline.observably_equal ~reference:program p with
   | Ok () -> ()
-  | Error d -> failwith ("cycle shrinking broke the program: " ^ d));
-  Printf.printf "cycle shrinking factors: [%s]\n"
-    (String.concat "; " (List.map string_of_int factors));
-  show_counts "after all transformations:" p3;
+  | Error d -> failwith ("the recipe changed the program's results: " ^ d));
+  Printf.printf "recipe %s: interpreter equivalence verified\n" recipe;
+  show_counts "after all transformations:" p;
   print_newline ();
-  print_string (Pretty.program_to_string p3);
+  print_string (Pretty.program_to_string p);
 
   (* Profile-and-schedule the transformed program's first nest. *)
   print_newline ();
-  match Driver.schedule_program ~p:32 p3 with
+  match Driver.schedule_program ~p:32 p with
   | Error m -> failwith m
   | Ok (prof, lines) ->
       Printf.printf

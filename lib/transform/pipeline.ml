@@ -96,9 +96,9 @@ let cycle_shrink_all =
         Ok p');
   }
 
-let tile_all ~c =
+let tile_all ~c1 ~c2 =
   {
-    name = Printf.sprintf "tile-all(%d)" c;
+    name = Printf.sprintf "tile-all(%d,%d)" c1 c2;
     transform =
       (fun p ->
         let count = ref 0 in
@@ -109,7 +109,7 @@ let tile_all ~c =
           | Assign _ -> s
           | If (cnd, t, f) -> If (cnd, blk t, blk f)
           | For l -> (
-              match Tile.apply ~avoid ~c1:c ~c2:c s with
+              match Tile.apply ~avoid ~c1 ~c2 s with
               | Ok s' ->
                   incr count;
                   s'
@@ -160,15 +160,38 @@ let interchange_outer =
         else Error "no interchangeable nest found");
   }
 
-let standard =
-  [
-    normalize;
-    distribute_all;
-    infer_parallel;
-    hoist_parallel_all;
-    coalesce_all ();
-    cycle_shrink_all;
-  ]
+(* Rewrite the first top-level loop the transformation accepts. *)
+let first_loop ~name ~what rewrite =
+  {
+    name;
+    transform =
+      (fun p ->
+        let rec go = function
+          | [] -> None
+          | (Ast.For _ as s) :: rest -> (
+              match rewrite p s with
+              | Ok stmts -> Some (stmts @ rest)
+              | Error _ -> Option.map (fun rest -> s :: rest) (go rest))
+          | s :: rest -> Option.map (fun rest -> s :: rest) (go rest)
+        in
+        match go p.Ast.body with
+        | Some body -> Ok { p with Ast.body }
+        | None -> Error ("no top-level loop accepts " ^ what));
+  }
+
+let unroll_first ~factor =
+  first_loop
+    ~name:(Printf.sprintf "unroll-first(%d)" factor)
+    ~what:"unrolling"
+    (fun p s -> Unroll.apply ~avoid:(Names.in_program p) ~factor s)
+
+let peel_first ~count ~from_end =
+  first_loop
+    ~name:
+      (Printf.sprintf "peel-first(%d%s)" count
+         (if from_end then ",end" else ""))
+    ~what:"peeling"
+    (fun _ s -> Peel.apply ~from_end ~count s)
 
 type verification_failure = { pass_name : string; detail : string }
 

@@ -29,8 +29,8 @@ val interchange_outer : pass
 val coalesce_chunked : chunk:int -> pass
 (** Chunk-coalesce the first coalescible nest with odometer recovery. *)
 
-val tile_all : c:int -> pass
-(** Tile every doubly-parallel perfect nest with square [c x c] tiles
+val tile_all : c1:int -> c2:int -> pass
+(** Tile every doubly-parallel perfect nest with [c1 x c2] tiles
     (fails when no nest is tileable). Run {!normalize} first: tiling
     requires lo = 1, step = 1 loops. *)
 
@@ -38,7 +38,16 @@ val parallel_reduce :
   loop_index:string -> scalar:string -> processors:int -> pass
 (** Rewrite the reduction on [scalar] in the loop with index [loop_index]
     into per-processor partials ({!Parallel_reduce.apply}). Re-associates
-    floating-point combination — opt-in only, never part of {!standard}. *)
+    floating-point combination — opt-in only. *)
+
+val unroll_first : factor:int -> pass
+(** Unroll the first top-level loop {!Unroll.apply} accepts (a
+    normalized one) by [factor]; fails when none does. *)
+
+val peel_first : count:int -> from_end:bool -> pass
+(** Peel [count] iterations off the front (or, with [from_end], the
+    back) of the first top-level loop {!Peel.apply} accepts; fails when
+    none does. *)
 
 val distribute_all : pass
 (** Distribute every splittable loop (never fails; identity when there is
@@ -53,12 +62,6 @@ val hoist_parallel_all : pass
 
 val cycle_shrink_all : pass
 (** Cycle-shrink every applicable serial loop (never fails). *)
-
-val standard : pass list
-(** The canonical optimization recipe: normalize, distribute, re-infer
-    parallel annotations, hoist parallel loops outward, coalesce every
-    nest, cycle-shrink what stayed serial. Run it with {!run}, which
-    verifies each step. *)
 
 type verification_failure = {
   pass_name : string;

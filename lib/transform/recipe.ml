@@ -1,17 +1,23 @@
 (* A recipe is a named, serializable sequence of pipeline passes — the
-   unit of currency of the transformation searcher.  The string form is
-   the plan-cache replay format, so the round-trip must be exact and the
-   grammar is deliberately tiny: atoms joined by '+', each atom either a
-   bare word or word(args).  The empty recipe prints as "id". *)
+   unit of currency of the transformation searcher and of
+   [loopc transform].  The string form is the plan-cache replay format,
+   so the round-trip must be exact and the grammar is deliberately tiny
+   (recipe.mli states it): atoms joined by '+', each atom either a bare
+   word or word(args).  The empty recipe prints as "id". *)
 
 open Loopcoal_ir
 
 type atom =
+  | Normalize
+  | Infer
   | Interchange
   | Hoist
   | Distribute
   | Fuse
-  | Tile of int
+  | Shrink
+  | Unroll of int
+  | Peel of { count : int; from_end : bool }
+  | Tile of int * int
   | Preduce of { pr_index : string; pr_scalar : string; pr_procs : int }
   | Coalesce of Index_recovery.strategy
   | Chunked of int
@@ -27,11 +33,18 @@ let strategy_name = function
   | Index_recovery.Incremental -> "incremental"
 
 let atom_to_string = function
+  | Normalize -> "normalize"
+  | Infer -> "infer"
   | Interchange -> "interchange"
   | Hoist -> "hoist"
   | Distribute -> "distribute"
   | Fuse -> "fuse"
-  | Tile c -> Printf.sprintf "tile(%d)" c
+  | Shrink -> "shrink"
+  | Unroll u -> Printf.sprintf "unroll(%d)" u
+  | Peel { count; from_end = false } -> Printf.sprintf "peel(%d)" count
+  | Peel { count; from_end = true } -> Printf.sprintf "peel(%d,end)" count
+  | Tile (c1, c2) when c1 = c2 -> Printf.sprintf "tile(%d)" c1
+  | Tile (c1, c2) -> Printf.sprintf "tile(%d,%d)" c1 c2
   | Preduce { pr_index; pr_scalar; pr_procs } ->
       Printf.sprintf "preduce(%s,%s,%d)" pr_index pr_scalar pr_procs
   | Coalesce s -> Printf.sprintf "coalesce(%s)" (strategy_name s)
@@ -65,19 +78,30 @@ let atom_of_string s =
             |> List.map String.trim) )
     | _ -> (s, None)
   in
+  let sized what c k =
+    match pos_int c with
+    | Some c -> Ok (k c)
+    | None -> Error (Printf.sprintf "recipe: bad %s %S" what c)
+  in
   match (head, args) with
+  | "normalize", None -> Ok Normalize
+  | "infer", None -> Ok Infer
   | "interchange", None -> Ok Interchange
   | "hoist", None -> Ok Hoist
   | "distribute", None -> Ok Distribute
   | "fuse", None -> Ok Fuse
-  | "tile", Some [ c ] -> (
-      match pos_int c with
-      | Some c -> Ok (Tile c)
-      | None -> Error (Printf.sprintf "recipe: bad tile size %S" c))
-  | "chunked", Some [ c ] -> (
-      match pos_int c with
-      | Some c -> Ok (Chunked c)
-      | None -> Error (Printf.sprintf "recipe: bad chunk size %S" c))
+  | "shrink", None -> Ok Shrink
+  | "unroll", Some [ u ] -> sized "unroll factor" u (fun u -> Unroll u)
+  | "peel", Some [ k ] ->
+      sized "peel count" k (fun count -> Peel { count; from_end = false })
+  | "peel", Some [ k; "end" ] ->
+      sized "peel count" k (fun count -> Peel { count; from_end = true })
+  | "tile", Some [ c ] -> sized "tile size" c (fun c -> Tile (c, c))
+  | "tile", Some [ c1; c2 ] -> (
+      match (pos_int c1, pos_int c2) with
+      | Some c1, Some c2 -> Ok (Tile (c1, c2))
+      | _ -> Error (Printf.sprintf "recipe: bad tile sizes %S" s))
+  | "chunked", Some [ c ] -> sized "chunk size" c (fun c -> Chunked c)
   | "preduce", Some [ i; sc; pr ] -> (
       match (is_ident i && is_ident sc, pos_int pr) with
       | true, Some pr_procs ->
@@ -87,7 +111,9 @@ let atom_of_string s =
       match st with
       | "divmod" -> Ok (Coalesce Index_recovery.Div_mod)
       | "ceiling" -> Ok (Coalesce Index_recovery.Ceiling)
-      | "incremental" -> Ok (Coalesce Index_recovery.Incremental)
+      (* Incremental recovery is chunk-local code (the [chunked] atom),
+         never a whole-loop rewrite: accepting it here would let a
+         stored recipe reach [Coalesce.apply_all_program], which raises. *)
       | _ -> Error (Printf.sprintf "recipe: unknown recovery strategy %S" st))
   | _ -> Error (Printf.sprintf "recipe: unknown atom %S" s)
 
@@ -110,11 +136,16 @@ let of_string s =
 let passes (r : t) : Pipeline.pass list =
   List.concat_map
     (function
+      | Normalize -> [ Pipeline.normalize ]
+      | Infer -> [ Pipeline.infer_parallel ]
       | Interchange -> [ Pipeline.interchange_outer ]
       | Hoist -> [ Pipeline.hoist_parallel_all ]
       | Distribute -> [ Pipeline.distribute_all ]
       | Fuse -> [ Pipeline.fuse_all ]
-      | Tile c -> [ Pipeline.normalize; Pipeline.tile_all ~c ]
+      | Shrink -> [ Pipeline.cycle_shrink_all ]
+      | Unroll factor -> [ Pipeline.unroll_first ~factor ]
+      | Peel { count; from_end } -> [ Pipeline.peel_first ~count ~from_end ]
+      | Tile (c1, c2) -> [ Pipeline.normalize; Pipeline.tile_all ~c1 ~c2 ]
       | Preduce { pr_index; pr_scalar; pr_procs } ->
           [
             Pipeline.parallel_reduce ~loop_index:pr_index ~scalar:pr_scalar

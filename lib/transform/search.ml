@@ -293,12 +293,12 @@ let enumerate ?(fp_reassoc = false) ~procs ~budget (p : Ast.program) :
     ]
     @ preduces
     @ [
-        [ Recipe.Tile 4 ];
-        [ Recipe.Tile 8 ];
-        [ Recipe.Tile 16 ];
-        [ Recipe.Tile 32 ];
+        [ Recipe.Tile (4, 4) ];
+        [ Recipe.Tile (8, 8) ];
+        [ Recipe.Tile (16, 16) ];
+        [ Recipe.Tile (32, 32) ];
         [ Recipe.Distribute; Recipe.Interchange ];
-        [ Recipe.Interchange; Recipe.Tile 8 ];
+        [ Recipe.Interchange; Recipe.Tile (8, 8) ];
         [ Recipe.Fuse; Recipe.Hoist ];
         [ Recipe.Coalesce Index_recovery.Ceiling ];
         [ Recipe.Coalesce Index_recovery.Div_mod ];

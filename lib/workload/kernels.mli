@@ -49,9 +49,9 @@ val stencil : n:int -> Ast.program
 val stencil_reference : n:int -> float array
 (** Row-major contents of [B]. *)
 
-(** {1 Array swap} — elementwise swap through a scalar temporary: not a
-    DOALL as written (scalar anti-dependence); becomes one after scalar
-    expansion. *)
+(** {1 Array swap} — elementwise swap through a scalar temporary, which
+    scalar privatization proves iteration-private, so the swap loop is a
+    DOALL. *)
 
 val swap : n:int -> Ast.program
 

@@ -101,11 +101,19 @@ let test_gantt_empty_trace_rejected () =
 
 (* ---------- standard pipeline ---------- *)
 
+(* The optimizing recipe, run pass by pass with interpreter verification. *)
+let standard =
+  match
+    Recipe.of_string "normalize+distribute+infer+hoist+coalesce(ceiling)+shrink"
+  with
+  | Ok r -> Recipe.passes r
+  | Error m -> failwith m
+
 let test_standard_pipeline_on_kernels () =
   List.iter
     (fun name ->
       let p = (Option.get (Kernels.by_name name)) () in
-      let o = Pipeline.run ~fuel:2_000_000 Pipeline.standard p in
+      let o = Pipeline.run ~fuel:2_000_000 standard p in
       match o.Pipeline.verification with
       | None -> ()
       | Some f ->
@@ -115,7 +123,7 @@ let test_standard_pipeline_on_kernels () =
 
 let test_standard_pipeline_coalesces_matmul () =
   let p = Kernels.matmul ~ra:6 ~ca:5 ~cb:4 in
-  let o = Pipeline.run Pipeline.standard p in
+  let o = Pipeline.run standard p in
   (* after the standard recipe every top-level statement of matmul is a
      single coalesced doall *)
   List.iter

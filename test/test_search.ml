@@ -27,16 +27,31 @@ let some_recipes : (string * Recipe.t) list =
     ("interchange", [ Recipe.Interchange ]);
     ("distribute", [ Recipe.Distribute ]);
     ("fuse", [ Recipe.Fuse ]);
-    ("tile(8)", [ Recipe.Tile 8 ]);
+    ("tile(8)", [ Recipe.Tile (8, 8) ]);
     ("chunked(64)", [ Recipe.Chunked 64 ]);
     ("coalesce(ceiling)", [ Recipe.Coalesce Index_recovery.Ceiling ]);
     ("coalesce(divmod)", [ Recipe.Coalesce Index_recovery.Div_mod ]);
-    ("coalesce(incremental)", [ Recipe.Coalesce Index_recovery.Incremental ]);
     ( "preduce(c,pi_val,4)",
       [ Recipe.Preduce { pr_index = "c"; pr_scalar = "pi_val"; pr_procs = 4 } ]
     );
+    ("normalize", [ Recipe.Normalize ]);
+    ("infer", [ Recipe.Infer ]);
+    ("shrink", [ Recipe.Shrink ]);
+    ("unroll(4)", [ Recipe.Unroll 4 ]);
+    ("peel(2)", [ Recipe.Peel { count = 2; from_end = false } ]);
+    ("peel(3,end)", [ Recipe.Peel { count = 3; from_end = true } ]);
+    ("tile(4,16)", [ Recipe.Tile (4, 16) ]);
+    ( "normalize+distribute+infer+hoist+coalesce(ceiling)+shrink",
+      [
+        Recipe.Normalize;
+        Recipe.Distribute;
+        Recipe.Infer;
+        Recipe.Hoist;
+        Recipe.Coalesce Index_recovery.Ceiling;
+        Recipe.Shrink;
+      ] );
     ( "distribute+interchange+tile(4)",
-      [ Recipe.Distribute; Recipe.Interchange; Recipe.Tile 4 ] );
+      [ Recipe.Distribute; Recipe.Interchange; Recipe.Tile (4, 4) ] );
   ]
 
 let test_recipe_round_trip () =
@@ -64,6 +79,16 @@ let test_recipe_rejects_garbage () =
       "tile(x)";
       "chunked(1.5)";
       "coalesce(odometer)";
+      (* incremental recovery is chunk-local code, not a loop rewrite *)
+      "coalesce(incremental)";
+      "unroll()";
+      "unroll(0)";
+      "peel(2,start)";
+      "peel(2,end,end)";
+      "tile(4,0)";
+      "tile(1,2,3)";
+      "normalize(1)";
+      "shrink()";
       "preduce(c,pi_val)";
       "preduce(1c,pi,4)";
       "hoist+";
@@ -72,12 +97,21 @@ let test_recipe_rejects_garbage () =
 
 let atom_pool =
   [
+    Recipe.Normalize;
+    Recipe.Infer;
+    Recipe.Shrink;
+    Recipe.Unroll 2;
+    Recipe.Unroll 8;
+    Recipe.Peel { count = 1; from_end = false };
+    Recipe.Peel { count = 3; from_end = true };
+    Recipe.Tile (8, 8);
+    Recipe.Tile (4, 16);
     Recipe.Hoist;
     Recipe.Interchange;
     Recipe.Distribute;
     Recipe.Fuse;
-    Recipe.Tile 4;
-    Recipe.Tile 32;
+    Recipe.Tile (4, 4);
+    Recipe.Tile (32, 32);
     Recipe.Chunked 16;
     Recipe.Coalesce Index_recovery.Ceiling;
     Recipe.Coalesce Index_recovery.Div_mod;
@@ -86,12 +120,59 @@ let atom_pool =
 
 let prop_recipe_round_trip =
   QCheck.Test.make ~count:200 ~name:"Recipe.of_string (to_string r) = r"
-    QCheck.(list_of_size (Gen.int_range 0 5) (int_range 0 9))
+    QCheck.(
+      list_of_size (Gen.int_range 0 5)
+        (int_range 0 (List.length atom_pool - 1)))
     (fun idxs ->
       let r = List.map (List.nth atom_pool) idxs in
       match Recipe.of_string (Recipe.to_string r) with
       | Ok r' -> r = r'
       | Error _ -> false)
+
+(* Every recipe [of_string] accepts must apply without raising: a
+   cached recipe is replayed unconditionally, so an exception there
+   kills [loopc run --search] instead of falling back to a search. *)
+let example_programs =
+  lazy
+    (let dir = "../examples/programs" in
+     Sys.readdir dir |> Array.to_list
+     |> List.filter (fun f -> Filename.check_suffix f ".loop")
+     |> List.sort compare
+     |> List.map (fun f ->
+            match Driver.load_file (Filename.concat dir f) with
+            | Ok p -> (f, p)
+            | Error m -> failwith (f ^ ": " ^ m)))
+
+let atom_strings =
+  List.map (fun a -> Recipe.to_string [ a ]) atom_pool
+  @ [
+      "coalesce(incremental)";
+      "unroll(1)";
+      "peel(1000)";
+      "tile(1)";
+      "chunked(1)";
+      "preduce(i,s,4)";
+      "preduce(zz,s,2)";
+      "frobnicate";
+    ]
+
+let prop_apply_never_raises =
+  QCheck.Test.make ~count:100
+    ~name:"Recipe.apply never raises on an accepted recipe"
+    QCheck.(
+      list_of_size (Gen.int_range 1 4) (oneofl ~print:Fun.id atom_strings))
+    (fun parts ->
+      match Recipe.of_string (String.concat "+" parts) with
+      | Error _ -> true
+      | Ok r ->
+          List.for_all
+            (fun (f, p) ->
+              match Recipe.apply r p with
+              | Ok _ | Error _ -> true
+              | exception e ->
+                  QCheck.Test.fail_reportf "%s on %s raised %s"
+                    (Recipe.to_string r) f (Printexc.to_string e))
+            (Lazy.force example_programs))
 
 (* ---------- search basics ---------- *)
 
@@ -367,6 +448,51 @@ let test_warm_cache_recipe_replay () =
   Alcotest.(check int) "no enumeration on the warm path" before
     (Registry.value candidates)
 
+(* A stored recipe this build no longer accepts is a cache miss: the
+   run searches again, stores its winner over the bad string and exits
+   0. *)
+let test_bad_cached_recipe_falls_back () =
+  let loopc = "../bin/loopc.exe" in
+  if not (Sys.file_exists loopc) then Alcotest.skip ();
+  with_temp_cache_dir @@ fun dir ->
+  let run () =
+    Sys.command
+      (Printf.sprintf
+         "XDG_CACHE_HOME=%s %s run --search=16 --engine bytecode \
+          ../examples/programs/matmul.loop >/dev/null"
+         (Filename.quote dir) loopc)
+  in
+  let recipes () =
+    let cache = Filename.concat dir "loopc" in
+    Sys.readdir cache |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".recipe")
+    |> List.map (Filename.concat cache)
+  in
+  let read f = String.trim (In_channel.with_open_bin f In_channel.input_all) in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore
+        (Sys.command
+           ("rm -rf " ^ Filename.quote (Filename.concat dir "loopc"))))
+    (fun () ->
+      Alcotest.(check int) "cold run" 0 (run ());
+      let files = recipes () in
+      Alcotest.(check int) "one stored recipe" 1 (List.length files);
+      List.iter
+        (fun f ->
+          Out_channel.with_open_bin f (fun oc ->
+              output_string oc "coalesce(incremental)\n"))
+        files;
+      Alcotest.(check int) "run over the bad recipe" 0 (run ());
+      List.iter
+        (fun f ->
+          let r = read f in
+          Alcotest.(check bool)
+            (Printf.sprintf "re-searched winner %S stored" r)
+            true
+            (Result.is_ok (Recipe.of_string r)))
+        files)
+
 let suite =
   [
     Alcotest.test_case "recipe strings round-trip" `Quick
@@ -374,6 +500,7 @@ let suite =
     Alcotest.test_case "recipe parser rejects garbage" `Quick
       test_recipe_rejects_garbage;
     Gen.to_alcotest prop_recipe_round_trip;
+    Gen.to_alcotest prop_apply_never_raises;
     Alcotest.test_case "identity always survives" `Quick
       test_identity_always_survives;
     Alcotest.test_case "budget respected" `Quick test_budget_respected;
@@ -398,4 +525,6 @@ let suite =
     Alcotest.test_case "explain renderers" `Quick test_explain_renders;
     Alcotest.test_case "warm-cache recipe replay" `Quick
       test_warm_cache_recipe_replay;
+    Alcotest.test_case "bad cached recipe falls back to search" `Quick
+      test_bad_cached_recipe_falls_back;
   ]

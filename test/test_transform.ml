@@ -1,6 +1,6 @@
 (* Transformation tests: index recovery (unit + property), normalization,
    coalescing (semantic preservation on random nests), interchange,
-   chunking, scalar expansion and the pass pipeline. *)
+   chunking and the pass pipeline. *)
 
 open Loopcoal
 module B = Builder
@@ -447,66 +447,6 @@ let test_chunk_rejects_bad_size () =
   | Error (Chunk.Bad_chunk _) -> ()
   | _ -> Alcotest.fail "must reject chunk 0"
 
-(* ---------- scalar expansion ---------- *)
-
-let test_scalar_expand_swap () =
-  let p = Kernels.swap ~n:12 in
-  match Scalar_expand.apply p ~loop_index:"i" ~scalar:"t" with
-  | Error _ -> Alcotest.fail "swap should expand"
-  | Ok p' ->
-      (* arrays A and B must match the original program's final state *)
-      let s1 = Eval.run p and s2 = Eval.run p' in
-      Alcotest.(check (array (float 0.0)))
-        "A" (Eval.array_contents s1 "A") (Eval.array_contents s2 "A");
-      Alcotest.(check (array (float 0.0)))
-        "B" (Eval.array_contents s1 "B") (Eval.array_contents s2 "B");
-      (* and the swap loop must now be a provable DOALL *)
-      let inferred = Loop_class.infer_block p'.Ast.body in
-      let last = List.nth inferred (List.length inferred - 1) in
-      (match last with
-      | Ast.For l -> assert (l.par = Ast.Parallel)
-      | _ -> Alcotest.fail "expected loop")
-
-let test_scalar_expand_rejects_use_before_def () =
-  let p =
-    B.program
-      ~arrays:[ B.array "A" [ 5 ] ]
-      ~scalars:[ B.real_scalar "t" ]
-      [
-        B.for_ "i" (B.int 1) (B.int 5)
-          [
-            B.store "A" [ B.var "i" ] (B.var "t");
-            B.assign "t" (B.load "A" [ B.var "i" ]);
-          ];
-      ]
-  in
-  match Scalar_expand.apply p ~loop_index:"i" ~scalar:"t" with
-  | Error (Scalar_expand.Not_privatizable _) -> ()
-  | _ -> Alcotest.fail "use-before-def must be rejected"
-
-let test_scalar_expand_rejects_subscript_use () =
-  let p =
-    B.program
-      ~arrays:[ B.array "A" [ 5 ] ]
-      ~scalars:[ B.real_scalar "t" ]
-      [
-        B.for_ "i" (B.int 1) (B.int 5)
-          [
-            B.assign "t" (B.int 1);
-            B.store "A" [ B.var "t" ] (B.int 0);
-          ];
-      ]
-  in
-  match Scalar_expand.apply p ~loop_index:"i" ~scalar:"t" with
-  | Error (Scalar_expand.Integer_context _) -> ()
-  | _ -> Alcotest.fail "subscript use must be rejected"
-
-let test_scalar_expand_missing_loop () =
-  let p = Kernels.swap ~n:4 in
-  match Scalar_expand.apply p ~loop_index:"zz" ~scalar:"t" with
-  | Error (Scalar_expand.Not_found_loop _) -> ()
-  | _ -> Alcotest.fail "missing loop must be reported"
-
 (* ---------- pipeline ---------- *)
 
 let test_pipeline_end_to_end () =
@@ -594,13 +534,6 @@ let suite =
       test_chunk_rejects_unnormalized;
     Alcotest.test_case "chunk rejects bad size" `Quick
       test_chunk_rejects_bad_size;
-    Alcotest.test_case "scalar expand swap" `Quick test_scalar_expand_swap;
-    Alcotest.test_case "scalar expand use-before-def" `Quick
-      test_scalar_expand_rejects_use_before_def;
-    Alcotest.test_case "scalar expand subscript use" `Quick
-      test_scalar_expand_rejects_subscript_use;
-    Alcotest.test_case "scalar expand missing loop" `Quick
-      test_scalar_expand_missing_loop;
     Alcotest.test_case "pipeline end-to-end" `Quick test_pipeline_end_to_end;
     Alcotest.test_case "pipeline records failures" `Quick
       test_pipeline_records_failures;

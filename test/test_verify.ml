@@ -370,7 +370,7 @@ begin
 end|}
   in
   Alcotest.(check bool) "untiled race free" true (snd (verdict_of p));
-  match Recipe.apply [ Recipe.Tile 4 ] p with
+  match Recipe.apply [ Recipe.Tile (4, 4) ] p with
   | Error m -> Alcotest.failf "tile recipe declined: %s" m
   | Ok tiled ->
       let res, free = verdict_of tiled in
