@@ -374,9 +374,10 @@ let bench_kernel ~out ~score ~domain_counts (name, mk) =
      rep), and profiler off again. The off/off-repeat ratio is the
      noise canary [prof_ratios] documents; on/off is the collector's
      price. A profiled run also furnishes the record's profile summary
-     — the same attribution `loopc profile` prints. As in the sequential
-     rounds, each configuration is timed right after one untimed run of
-     itself, so the two off runs never differ by what ran before them. *)
+     — the same attribution `loopc run --profile` prints. As in the
+     sequential rounds, each configuration is timed right after one
+     untimed run of itself, so the two off runs never differ by what ran
+     before them. *)
   let t_prof_on =
     let best = Array.make 3 infinity in
     let rounds = ref [] in

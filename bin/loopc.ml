@@ -7,15 +7,18 @@
      emit-c     translate to C99 with OpenMP pragmas
      simulate   schedule a rectangular iteration space on the machine model
      schedule   profile a program's first nest, then simulate it
-     run        execute on the multicore runtime
-     tune       rank candidate recipes (transformation search)
+     run        execute on the multicore runtime; --search picks a recipe
+                first, --profile counts every tape dispatch
      calibrate  measure this host's cost-model constants
-     profile    per-instruction profile of the bytecode tier
      check      static race verification (and tape validation)
      kernel     dump a built-in kernel as surface syntax *)
 
 open Cmdliner
 module L = Loopcoal
+
+(* One-line usage error: print it and exit 1. *)
+let die fmt =
+  Printf.ksprintf (fun m -> prerr_endline ("error: " ^ m); exit 1) fmt
 
 let read_program path =
   match L.Driver.load_file path with
@@ -484,7 +487,7 @@ let engine_conv =
   in
   Arg.conv (parse, fun fmt e -> Format.pp_print_string fmt (run_engine_name e))
 
-(* ---------- transformation-search plumbing (tune / calibrate / run --search) *)
+(* ---------- transformation-search plumbing (calibrate / run --search) *)
 
 (* Where the search scorer's per-op costs come from: [LOOPC_MACHINE]
    names a calibration file explicitly, otherwise [machine.json] in the
@@ -519,36 +522,21 @@ let search_measure ~engine ~domains ~policy p' =
   | (_ : L.Runtime.Exec.outcome) -> (Unix.gettimeofday () -. t0) *. 1e9
   | exception _ -> infinity
 
-let exec_engine_of = function
-  | Bytecode -> Some L.Runtime.Exec.Bytecode
-  | Native -> Some L.Runtime.Exec.Native
-  | Interp -> None
-
 (* The tape optimizer has two levels: 0 runs the raw lowered tape, 2 the
    full pipeline. *)
 let require_opt_level n =
-  if n <> 0 && n <> 2 then begin
-    Printf.eprintf "error: --opt-level must be 0 or 2 (got %d)\n" n;
-    exit 1
-  end
+  if n <> 0 && n <> 2 then die "--opt-level must be 0 or 2 (got %d)" n
 
 let run_cmd =
-  let parallel_flag =
-    Arg.(
-      value & flag
-      & info [ "parallel" ]
-          ~doc:
-            "Execute parallel loops across OCaml domains (one fork-join \
-             per coalesced nest). Without this flag the staged program \
-             runs sequentially.")
-  in
   let procs_arg =
     Arg.(
-      value & opt int 0
+      value & opt int 1
       & info [ "p" ] ~docv:"P"
           ~doc:
-            "Domains for $(b,--parallel); 0 (default) uses the \
-             recommended domain count of the machine.")
+            "Domains that parallel loops run on (one fork-join per \
+             coalesced nest): $(b,1) (default) runs the staged program \
+             sequentially, $(b,0) uses the recommended domain count of \
+             the machine.")
   in
   let policy_arg =
     Arg.(
@@ -583,12 +571,14 @@ let run_cmd =
   let trace_arg =
     Arg.(
       value
-      & opt ~vopt:(Some "loopc_trace.json") (some string) None
+      & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Record per-domain dispatch events (chunk ranges, monotonic \
-             timestamps) and write a Chrome trace_event JSON file \
-             (default $(b,loopc_trace.json)) for about://tracing.")
+             timestamps) and write them to $(docv) as a Chrome \
+             trace_event JSON file for about://tracing. With \
+             $(b,--profile) the trace also carries a profiler track \
+             (per-loop dispatch counts).")
   in
   let metrics_flag =
     Arg.(
@@ -623,8 +613,9 @@ let run_cmd =
              out of process and Dynlinks the result (per-plan fallback \
              to bytecode when no toolchain is present), \
              $(b,interp) uses the sequential reference interpreter \
-             (incompatible with $(b,--parallel), $(b,--trace), \
-             $(b,--metrics) and $(b,--sanitize)).")
+             (incompatible with $(b,-p) other than 1, $(b,--trace), \
+             $(b,--metrics), $(b,--sanitize), $(b,--dump-tape), \
+             $(b,--validate-tape), $(b,--search) and $(b,--profile)).")
   in
   let opt_level_arg =
     Arg.(
@@ -648,14 +639,13 @@ let run_cmd =
   let dump_tape_arg =
     Arg.(
       value
-      & opt ~vopt:(Some "all") (some string) None
+      & opt (some string) None
       & info [ "dump-tape" ] ~docv:"PASS"
           ~doc:
             "Print each plan's bytecode tape as it moves through the \
              optimizer pipeline, in the stable textual format the golden \
-             tests pin. With no argument (or $(b,all)) every stage is \
-             printed; naming one stage of $(b,lower), $(b,licm), \
-             $(b,fuse) prints the tape before \
+             tests pin. $(b,all) prints every stage; naming one stage of \
+             $(b,lower), $(b,licm), $(b,fuse) prints the tape before \
              and after that stage. Implies \
              $(b,--no-plan-cache) for this run, since a cache hit skips \
              the pipeline.")
@@ -682,19 +672,41 @@ let run_cmd =
              fallbacks, compile and optimizer pass timings, pool \
              fork/join latency, run times) as JSON after the run.")
   in
-  let search_arg =
+  let search_flag =
     Arg.(
-      value
-      & opt ~vopt:(Some "16") (some string) None
-      & info [ "search" ] ~docv:"SPEC"
+      value & flag
+      & info [ "search" ]
           ~doc:
             "Run the model-guided transformation search before compiling \
-             and execute the winning recipe. $(docv) is a candidate \
-             budget (default $(b,16)) or $(b,measure[:K]) to also time \
-             the top K predicted finalists (default 3) on the real \
-             engine. The winner is recorded in the plan cache, so warm \
-             runs replay it with zero search cost ($(b,search=hit) under \
-             $(b,--time)).")
+             and execute the winning recipe: enumerate a budgeted set of \
+             recipes (interchange, hoisting, distribution, fusion, \
+             tiling, coalescing variants, and with $(b,--fp-reassoc) \
+             parallel reductions), prune any whose static race-verifier \
+             verdict degrades, and score the survivors with the \
+             calibrated event-driven machine model under this run's \
+             $(b,--policy) and $(b,-p). The winner is recorded in the \
+             plan cache, so warm runs replay it with zero search cost \
+             ($(b,search=hit) under $(b,--time)).")
+  in
+  let budget_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "budget" ] ~docv:"N"
+          ~doc:
+            "With $(b,--search): the number of candidate recipes to \
+             consider (default 16).")
+  in
+  let measure_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "measure" ] ~docv:"K"
+          ~doc:
+            "With $(b,--search): also time the top $(docv) predicted \
+             finalists plus the identity on the real engine, in \
+             interleaved rounds, and let the measured medians pick the \
+             winner.")
   in
   let explain_flag =
     Arg.(
@@ -714,49 +726,48 @@ let run_cmd =
              parallel-reduction recipes; sums may differ from the \
              serial order in the last bits.")
   in
+  let profile_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "profile" ] ~docv:"FILE"
+          ~doc:
+            "Count every dispatched tape instruction, attributed to the \
+             source loop nest and statement it was lowered from through \
+             every optimizer pass; print the hot-loop and hot-opcode \
+             tables (ten rows each) and write flamegraph folded stacks \
+             (one $(i,root;loop;...;stmt count) line per source location) \
+             to $(docv). Bytecode engine only. Implies \
+             $(b,--no-plan-cache), so $(b,--stats-json) carries the \
+             optimizer pass metrics.")
+  in
   let write_file path s =
     let oc = open_out path in
     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
   in
-  let run parallel procs policy coalesce compare time trace_file metrics
-      sanitize engine opt_level no_plan_cache dump_tape validate_tape
-      stats_file search explain fp_reassoc p =
+  let run procs policy coalesce compare time trace_file metrics sanitize
+      engine opt_level no_plan_cache dump_tape validate_tape stats_file search
+      budget measure explain fp_reassoc profile_file p =
+    if procs < 0 then die "-p must be >= 0 (got %d)" procs;
     require_opt_level opt_level;
     (match dump_tape with
     | Some pass
       when pass <> "all" && not (List.mem pass L.Runtime.Tapeopt.pass_names) ->
-        Printf.eprintf "error: --dump-tape: unknown pass %S (all|%s)\n" pass
-          (String.concat "|" L.Runtime.Tapeopt.pass_names);
-        exit 1
+        die "--dump-tape: unknown pass %S (all|%s)" pass
+          (String.concat "|" L.Runtime.Tapeopt.pass_names)
     | _ -> ());
-    let search_plan =
-      match search with
-      | None -> None
-      | Some s -> (
-          let s = String.trim s in
-          match int_of_string_opt s with
-          | Some b when b >= 1 -> Some (`Model b)
-          | Some b ->
-              Printf.eprintf "error: --search budget must be >= 1 (got %d)\n" b;
-              exit 1
-          | None ->
-              if s = "measure" then Some (`Measure (16, 3))
-              else if String.length s > 8 && String.sub s 0 8 = "measure:"
-              then (
-                match
-                  int_of_string_opt (String.sub s 8 (String.length s - 8))
-                with
-                | Some k when k >= 1 -> Some (`Measure (16, k))
-                | _ ->
-                    Printf.eprintf "error: --search measure:<positive int>\n";
-                    exit 1)
-              else begin
-                Printf.eprintf
-                  "error: --search expects a budget or measure[:K] (got %S)\n"
-                  s;
-                exit 1
-              end)
-    in
+    if
+      (budget <> None || measure <> None || explain || fp_reassoc)
+      && not search
+    then die "--budget, --measure, --explain and --fp-reassoc need --search";
+    let budget = Option.value budget ~default:16 in
+    if budget < 1 then die "--budget must be >= 1 (got %d)" budget;
+    (match measure with
+    | Some k when k < 1 -> die "--measure must be >= 1 (got %d)" k
+    | _ -> ());
+    if profile_file <> None && engine <> Bytecode then
+      die "--profile: unsupported engine %S; supported engines: bytecode"
+        (run_engine_name engine);
     report_validation p;
     let orig = p in
     let p =
@@ -767,22 +778,17 @@ let run_cmd =
         p'
     in
     let domains =
-      if not parallel then 1
-      else if procs > 0 then procs
-      else Domain.recommended_domain_count ()
+      if procs = 0 then Domain.recommended_domain_count () else procs
     in
     match engine with
     | Interp -> (
-        if parallel || trace_file <> None || metrics || sanitize
-           || dump_tape <> None || validate_tape || search_plan <> None
-        then begin
-          Printf.eprintf
-            "error: --engine interp is the sequential reference \
-             interpreter; it supports none of --parallel, --trace, \
-             --metrics, --sanitize, --dump-tape, --validate-tape, \
-             --search\n";
-          exit 1
-        end;
+        if procs <> 1 || trace_file <> None || metrics || sanitize
+           || dump_tape <> None || validate_tape || search
+        then
+          die
+            "--engine interp is the sequential reference interpreter; it \
+             supports none of -p (other than 1), --trace, --metrics, \
+             --sanitize, --dump-tape, --validate-tape, --search";
         if compare then
           prerr_endline "note: --compare is a no-op under --engine interp";
         let t0 = Unix.gettimeofday () in
@@ -816,7 +822,10 @@ let run_cmd =
       | Native -> L.Runtime.Exec.Native
       | _ -> L.Runtime.Exec.Bytecode
     in
-    let cache_off = no_plan_cache || dump_tape <> None || validate_tape in
+    let cache_off =
+      no_plan_cache || dump_tape <> None || validate_tape
+      || profile_file <> None
+    in
     let cache =
       if cache_off then None
       else Some (L.Runtime.Plancache.create ?dir:(L.Runtime.Plancache.default_dir ()) ())
@@ -828,65 +837,59 @@ let run_cmd =
        recipe string with zero enumeration, cold ones run the searcher
        and record the winner. *)
     let p, search_state =
-      match search_plan with
-      | None -> (p, "off")
-      | Some spec -> (
-          let budget, mode =
-            match spec with
-            | `Model b -> (b, L.Search.Model)
-            | `Measure (b, k) -> (b, L.Search.Measure k)
-          in
-          let salt =
-            "search:" ^ run_engine_name eng
-            ^ if fp_reassoc then "+fp" else ""
-          in
-          let rkey = L.Runtime.Plancache.key ~sanitize ~opt_level ~salt p in
-          let replay =
-            match cache with
-            | None -> None
-            | Some c -> (
-                match L.Runtime.Plancache.find_recipe c rkey with
-                | None -> None
-                | Some s -> (
-                    match L.Recipe.of_string s with
-                    | Error _ -> None
-                    | Ok r -> (
-                        match L.Recipe.apply r p with
-                        | Ok p' -> Some (r, p')
-                        | Error _ -> None)))
-          in
-          match replay with
-          | Some (r, p') ->
-              if explain then
-                Printf.printf "search: replaying cached recipe %s\n"
-                  (L.Recipe.to_string r);
-              (p', "hit")
-          | None ->
-              let ctx =
-                L.Search.default_ctx ~policy
-                  ~cal:(load_search_calibration ()) ~p:domains ()
-              in
-              let measure_fn =
-                match mode with
-                | L.Search.Measure _ ->
+      if not search then (p, "off")
+      else
+        let salt =
+          "search:" ^ run_engine_name eng
+          ^ if fp_reassoc then "+fp" else ""
+        in
+        let rkey = L.Runtime.Plancache.key ~sanitize ~opt_level ~salt p in
+        let replay =
+          match cache with
+          | None -> None
+          | Some c -> (
+              match L.Runtime.Plancache.find_recipe c rkey with
+              | None -> None
+              | Some s -> (
+                  match L.Recipe.of_string s with
+                  | Error _ -> None
+                  | Ok r -> (
+                      match L.Recipe.apply r p with
+                      | Ok p' -> Some (r, p')
+                      | Error _ -> None)))
+        in
+        match replay with
+        | Some (r, p') ->
+            if explain then
+              Printf.printf "search: replaying cached recipe %s\n"
+                (L.Recipe.to_string r);
+            (p', "hit")
+        | None ->
+            let ctx =
+              L.Search.default_ctx ~policy
+                ~cal:(load_search_calibration ()) ~p:domains ()
+            in
+            let mode, measure_fn =
+              match measure with
+              | Some k ->
+                  ( L.Search.Measure k,
                     Some
                       (search_measure ~engine:exec_engine ~domains ~policy)
-                | L.Search.Model -> None
-              in
-              let rep =
-                L.Search.run ~budget ~mode ?measure:measure_fn ~fp_reassoc
-                  ~label:"program" ~ctx p
-              in
-              if explain then print_string (L.Search.explain_to_string rep);
-              (match cache with
-              | Some c ->
-                  L.Runtime.Plancache.store_recipe c rkey
-                    (L.Recipe.to_string rep.L.Search.rp_winner)
-              | None -> ());
-              ( rep.L.Search.rp_program,
-                match spec with
-                | `Measure _ -> "measure"
-                | `Model b -> string_of_int b ))
+                  )
+              | None -> (L.Search.Model, None)
+            in
+            let rep =
+              L.Search.run ~budget ~mode ?measure:measure_fn ~fp_reassoc
+                ~label:"program" ~ctx p
+            in
+            if explain then print_string (L.Search.explain_to_string rep);
+            (match cache with
+            | Some c ->
+                L.Runtime.Plancache.store_recipe c rkey
+                  (L.Recipe.to_string rep.L.Search.rp_winner)
+            | None -> ());
+            ( rep.L.Search.rp_program,
+              if measure = None then string_of_int budget else "measure" )
     in
     (* [prev] remembers each plan's previous stage so a named pass can
        show the tape it rewrote ("before licm") next to its output. *)
@@ -926,7 +929,8 @@ let run_cmd =
                   d.L.Diag.message)
               ds)
     in
-    let hits0, _ = L.Counters.plan_cache_stats () in
+    let cache_hits = L.Registry.counter "plan_cache.hit" in
+    let hits0 = L.Registry.value cache_hits in
     match
       L.Runtime.Compile.compile_result ~sanitize ~opt_level ?cache ?tape_dump
         ?validate ~cache_salt:(run_engine_name eng) p
@@ -935,14 +939,11 @@ let run_cmd =
         Printf.eprintf "staging error: %s\n" m;
         exit 1
     | Ok compiled -> (
-        if !tape_errors > 0 then begin
-          Printf.eprintf "error: tape validation failed (%d error(s))\n"
-            !tape_errors;
-          exit 1
-        end;
+        if !tape_errors > 0 then
+          die "tape validation failed (%d error(s))" !tape_errors;
         let plan_cache_state =
           if cache_off then "off"
-          else if fst (L.Counters.plan_cache_stats ()) > hits0 then "hit"
+          else if L.Registry.value cache_hits > hits0 then "hit"
           else "miss"
         in
         (* The native tier is prepared here (rather than letting
@@ -978,6 +979,9 @@ let run_cmd =
             Some (L.Trace.create ~p:domains ())
           else None
         in
+        let profiler =
+          Option.map (fun _ -> L.Runtime.Profile.create ()) profile_file
+        in
         let shadow =
           if sanitize then
             Some
@@ -987,7 +991,7 @@ let run_cmd =
         in
         let t0 = Unix.gettimeofday () in
         match L.Runtime.Exec.run_compiled ~domains ~policy ~engine:exec_engine
-                ?trace:tracer ?shadow compiled with
+                ?trace:tracer ?profile:profiler ?shadow compiled with
         | exception L.Runtime.Compile.Error m ->
             Printf.eprintf "runtime error: %s\n" m;
             exit 1
@@ -1008,6 +1012,18 @@ let run_cmd =
                   (Array.length data)
                   (Array.fold_left ( +. ) 0.0 data))
               outcome.L.Runtime.Exec.arrays;
+            let summary = Option.map L.Runtime.Profile.summarize profiler in
+            (match (profile_file, summary) with
+            | Some f, Some sm ->
+                if sm.L.Runtime.Profile.sm_dispatches = 0 then
+                  print_endline
+                    "no tape dispatches recorded (no parallel plan lowered \
+                     to bytecode — annotate a loop nest with doall)"
+                else print_string (L.Runtime.Profile.render sm);
+                write_file f (L.Runtime.Profile.folded sm);
+                Printf.printf "wrote folded stacks %s (%d locations)\n" f
+                  (List.length sm.L.Runtime.Profile.sm_loops)
+            | _ -> ());
             (match tracer with
             | None -> ()
             | Some tracer ->
@@ -1015,13 +1031,26 @@ let run_cmd =
                 (match trace_file with
                 | None -> ()
                 | Some file ->
-                    L.Chrome_trace.to_file file tr;
+                    (* The profiler track: per-loop dispatch counts. *)
+                    let profile =
+                      Option.map
+                        (fun (sm : L.Runtime.Profile.summary) ->
+                          List.map
+                            (fun (r : L.Runtime.Profile.loop_row) ->
+                              ( r.L.Runtime.Profile.lr_loop ^ " :: "
+                                ^ r.L.Runtime.Profile.lr_stmt,
+                                r.L.Runtime.Profile.lr_dispatches ))
+                            sm.L.Runtime.Profile.sm_loops)
+                        summary
+                    in
+                    L.Chrome_trace.to_file ?profile file tr;
                     Printf.printf
-                      "wrote Chrome trace %s (%d chunks, %d regions); load \
-                       it in about://tracing\n"
+                      "wrote Chrome trace %s (%d chunks, %d regions%s); \
+                       load it in about://tracing\n"
                       file
                       (Array.length tr.L.Trace.chunks)
-                      (Array.length tr.L.Trace.forks));
+                      (Array.length tr.L.Trace.forks)
+                      (if profile = None then "" else ", profiler track"));
                 if metrics then begin
                   let m = L.Metrics.of_trace tr in
                   L.Table.print (L.Report.metrics_table m);
@@ -1117,154 +1146,24 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:
          "Compile a program and execute it with the multicore runtime — \
-          sequentially, or with $(b,--parallel) across OCaml domains \
-          under a real scheduling policy (static block/cyclic, \
-          self-scheduling via atomic fetch-and-add, GSS, factoring, \
-          trapezoid). $(b,--engine) $(i,interp|bytecode|native) \
-          picks the execution tier (default $(b,bytecode): flat register \
-          tape, tuned by $(b,--opt-level) $(i,0|2) and reused across \
-          invocations via a persistent plan cache unless \
-          $(b,--no-plan-cache) is given; $(b,native) Dynlink-compiles \
-          the same tapes to machine code, caching $(i,.cmxs) artifacts \
-          alongside the plans).")
+          sequentially, or with $(b,-p) across OCaml domains under a real \
+          scheduling policy (static block/cyclic, self-scheduling via \
+          atomic fetch-and-add, GSS, factoring, trapezoid). \
+          $(b,--engine) $(i,interp|bytecode|native) picks the execution \
+          tier (default $(b,bytecode): flat register tape, tuned by \
+          $(b,--opt-level) $(i,0|2) and reused across invocations via a \
+          persistent plan cache unless $(b,--no-plan-cache) is given; \
+          $(b,native) Dynlink-compiles the same tapes to machine code, \
+          caching $(i,.cmxs) artifacts alongside the plans). \
+          $(b,--search) picks a transformation recipe first, \
+          $(b,--profile) explains where the tape's time went.")
     Term.(
-      const run $ parallel_flag $ procs_arg $ policy_arg $ coalesce_flag
-      $ compare_flag $ time_flag $ trace_arg $ metrics_flag $ sanitize_flag
-      $ engine_arg $ opt_level_arg $ no_plan_cache_flag $ dump_tape_arg
-      $ validate_tape_flag $ stats_arg $ search_arg $ explain_flag
-      $ fp_reassoc_flag $ program_arg)
-
-(* ---------- tune ---------- *)
-
-let tune_cmd =
-  let budget_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "budget" ] ~docv:"N"
-          ~doc:"Maximum number of candidate recipes to consider.")
-  in
-  let procs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "p" ] ~docv:"P"
-          ~doc:
-            "Processors the scored machine model has; 0 (default) uses \
-             the recommended domain count.")
-  in
-  let policy_arg =
-    Arg.(
-      value
-      & opt policy_conv L.Policy.Static_block
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:"block | cyclic | ss | chunk:N | gss | factoring | tss.")
-  in
-  let measure_arg =
-    Arg.(
-      value
-      & opt ~vopt:(Some 3) (some int) None
-      & info [ "measure" ] ~docv:"K"
-          ~doc:
-            "Also time the top $(docv) (default 3) predicted finalists \
-             plus the identity on the real engine, in interleaved \
-             rounds, and let the measured medians pick the winner.")
-  in
-  let engine_arg =
-    Arg.(
-      value
-      & opt engine_conv Bytecode
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Execution tier $(b,--measure) times candidates on.")
-  in
-  let fp_reassoc_flag =
-    Arg.(
-      value & flag
-      & info [ "fp-reassoc" ]
-          ~doc:
-            "Consider floating-point-reassociating parallel-reduction \
-             recipes; sums may differ from the serial order in the last \
-             bits.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the explain report as JSON to $(docv).")
-  in
-  let emit_flag =
-    Arg.(
-      value & flag
-      & info [ "emit" ]
-          ~doc:"Print the winning program after the report.")
-  in
-  let path_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE"
-          ~doc:"Program in the loopc surface language.")
-  in
-  let run budget procs policy measure engine fp_reassoc json emit path =
-    match read_program path with
-    | Error (`Msg m) ->
-        Printf.eprintf "error: %s\n" m;
-        exit 1
-    | Ok p ->
-        report_validation p;
-        let procs =
-          if procs > 0 then procs else Domain.recommended_domain_count ()
-        in
-        let ctx =
-          L.Search.default_ctx ~policy ~cal:(load_search_calibration ())
-            ~p:procs ()
-        in
-        let mode, measure_fn =
-          match measure with
-          | None -> (L.Search.Model, None)
-          | Some k -> (
-              match exec_engine_of engine with
-              | None ->
-                  Printf.eprintf
-                    "error: --measure needs a compiled engine \
-                     (bytecode|native)\n";
-                  exit 1
-              | Some eng ->
-                  ( L.Search.Measure k,
-                    Some (search_measure ~engine:eng ~domains:procs ~policy)
-                  ))
-        in
-        let label = Filename.remove_extension (Filename.basename path) in
-        let rep =
-          L.Search.run ~budget ~mode ?measure:measure_fn ~fp_reassoc ~label
-            ~ctx p
-        in
-        print_string (L.Search.explain_to_string rep);
-        (match json with
-        | None -> ()
-        | Some f ->
-            let oc = open_out f in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () -> output_string oc (L.Search.explain_to_json rep));
-            Printf.eprintf "wrote %s\n" f);
-        if emit then
-          print_string (L.Pretty.program_to_string rep.L.Search.rp_program)
-  in
-  Cmd.v
-    (Cmd.info "tune"
-       ~doc:
-         "Model-guided transformation search: enumerate a budgeted set \
-          of recipes (interchange, hoisting, distribution, fusion, \
-          tiling, coalescing variants, and with $(b,--fp-reassoc) \
-          parallel reductions), prune any whose static race-verifier \
-          verdict degrades, score the survivors with the calibrated \
-          event-driven machine model, and report the predicted-fastest \
-          recipe. $(b,--measure) settles the finalists on the real \
-          engine instead. [loopc run --search] applies the winner and \
-          caches it for replay.")
-    Term.(
-      const run $ budget_arg $ procs_arg $ policy_arg $ measure_arg
-      $ engine_arg $ fp_reassoc_flag $ json_arg $ emit_flag $ path_arg)
+      const run $ procs_arg $ policy_arg $ coalesce_flag $ compare_flag
+      $ time_flag $ trace_arg $ metrics_flag $ sanitize_flag $ engine_arg
+      $ opt_level_arg $ no_plan_cache_flag $ dump_tape_arg
+      $ validate_tape_flag $ stats_arg $ search_flag $ budget_arg
+      $ measure_arg $ explain_flag $ fp_reassoc_flag $ profile_arg
+      $ program_arg)
 
 (* ---------- calibrate ---------- *)
 
@@ -1477,199 +1376,11 @@ let calibrate_cmd =
           (atomic fetch&add), fork/join (a pool run whose shares wait \
           for one another) — and per-op tape and host costs (staged \
           probe kernels divided by the search scorer's weighted op \
-          counts), then write the calibration JSON that [loopc tune] \
-          and [loopc run --search] score candidates with. \
+          counts), then write the calibration JSON that \
+          [loopc run --search] scores candidates with. \
           $(b,LOOPC_MACHINE) overrides the default location.")
     Term.(const run $ procs_arg $ rounds_arg $ output_arg)
 
-(* ---------- profile ---------- *)
-
-let profile_cmd =
-  let parallel_flag =
-    Arg.(
-      value & flag
-      & info [ "parallel" ]
-          ~doc:"Profile the parallel execution across OCaml domains.")
-  in
-  let procs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "p" ] ~docv:"P"
-          ~doc:
-            "Domains for $(b,--parallel); 0 (default) uses the \
-             recommended domain count of the machine.")
-  in
-  let policy_arg =
-    Arg.(
-      value
-      & opt policy_conv L.Policy.Gss
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:"block | cyclic | ss | chunk:N | gss | factoring | tss.")
-  in
-  let coalesce_flag =
-    Arg.(
-      value & flag
-      & info [ "coalesce" ]
-          ~doc:"Apply the coalescing transformation before staging.")
-  in
-  let opt_level_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "opt-level" ] ~docv:"N"
-          ~doc:"Bytecode tape optimizer level (0|2), as in $(b,run).")
-  in
-  let top_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"N"
-          ~doc:"Rows in the hot-loop and hot-opcode tables (default 10).")
-  in
-  let folded_arg =
-    Arg.(
-      value
-      & opt ~vopt:(Some "loopc_profile.folded") (some string) None
-      & info [ "folded" ] ~docv:"FILE"
-          ~doc:
-            "Write flamegraph folded stacks (one \
-             $(i,root;loop;...;stmt count) line per source location, \
-             default $(b,loopc_profile.folded)); feed to any folded-format \
-             flamegraph renderer.")
-  in
-  let trace_arg =
-    Arg.(
-      value
-      & opt ~vopt:(Some "loopc_trace.json") (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Record dispatch events and write a Chrome trace_event JSON \
-             file carrying an extra profiler track (per-loop dispatch \
-             shares) alongside the per-domain chunk lanes.")
-  in
-  let stats_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats-json" ] ~docv:"FILE"
-          ~doc:
-            "Dump the whole metrics registry (plan cache, compile and \
-             optimizer pass timings, pool fork/join latency, run times) \
-             as JSON after the run.")
-  in
-  let engine_arg =
-    Arg.(
-      value
-      & opt engine_conv Bytecode
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Execution tier to profile. Only $(b,bytecode) is supported: \
-             the profiler counts per-opcode tape dispatches, which the \
-             other tiers do not perform.")
-  in
-  let write_file path s =
-    let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
-  in
-  let run parallel procs policy coalesce engine opt_level top folded_file
-      trace_file stats_file p =
-    (match engine with
-    | Bytecode -> ()
-    | other ->
-        Printf.eprintf
-          "error: loopc profile: unsupported engine %S; supported engines: \
-           bytecode\n"
-          (run_engine_name other);
-        exit 1);
-    require_opt_level opt_level;
-    report_validation p;
-    let p =
-      if not coalesce then p
-      else begin
-        let p', n = L.Coalesce.apply_all_program p in
-        Printf.eprintf "coalesced %d nest(s)\n" n;
-        p'
-      end
-    in
-    let domains =
-      if not parallel then 1
-      else if procs > 0 then procs
-      else Domain.recommended_domain_count ()
-    in
-    (* Always a cold compile: a plan-cache hit would skip the optimizer
-       pipeline and leave the tapeopt pass metrics empty in the dump. *)
-    match L.Runtime.Compile.compile_result ~opt_level p with
-    | Error m ->
-        Printf.eprintf "staging error: %s\n" m;
-        exit 1
-    | Ok compiled -> (
-        let tracer =
-          Option.map (fun _ -> L.Trace.create ~p:domains ()) trace_file
-        in
-        let profile = L.Runtime.Profile.create () in
-        let t0 = Unix.gettimeofday () in
-        match
-          L.Runtime.Exec.run_compiled ~domains ~policy
-            ~engine:L.Runtime.Exec.Bytecode ?trace:tracer ~profile compiled
-        with
-        | exception L.Runtime.Compile.Error m ->
-            Printf.eprintf "runtime error: %s\n" m;
-            exit 1
-        | _outcome ->
-            let elapsed = Unix.gettimeofday () -. t0 in
-            let sm = L.Runtime.Profile.summarize profile in
-            Printf.printf
-              "engine: compiled runtime (bytecode), %d domain(s), policy \
-               %s, opt-level %d, wall_s=%.6f\n\n"
-              domains (L.Policy.name policy) opt_level elapsed;
-            if sm.L.Runtime.Profile.sm_dispatches = 0 then
-              print_endline
-                "no tape dispatches recorded (no parallel plan lowered to \
-                 bytecode — annotate a loop nest with doall)"
-            else print_string (L.Runtime.Profile.render ~top sm);
-            (match folded_file with
-            | None -> ()
-            | Some f ->
-                write_file f (L.Runtime.Profile.folded sm);
-                Printf.printf "wrote folded stacks %s (%d locations)\n" f
-                  (List.length sm.L.Runtime.Profile.sm_loops));
-            (match (trace_file, tracer) with
-            | Some f, Some tracer ->
-                let tr = L.Trace.snapshot tracer in
-                let track =
-                  List.map
-                    (fun (r : L.Runtime.Profile.loop_row) ->
-                      ( r.L.Runtime.Profile.lr_loop ^ " :: "
-                        ^ r.L.Runtime.Profile.lr_stmt,
-                        r.L.Runtime.Profile.lr_dispatches ))
-                    sm.L.Runtime.Profile.sm_loops
-                in
-                L.Chrome_trace.to_file ~profile:track f tr;
-                Printf.printf
-                  "wrote Chrome trace %s (%d chunks, %d regions, profiler \
-                   track); load it in about://tracing\n"
-                  f
-                  (Array.length tr.L.Trace.chunks)
-                  (Array.length tr.L.Trace.forks)
-            | _ -> ());
-            match stats_file with
-            | None -> ()
-            | Some f ->
-                write_file f (L.Registry.to_json ());
-                Printf.printf "wrote metrics registry %s\n" f)
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Execute a program on the bytecode tier with the tape profiler \
-          on and print hot-loop and hot-opcode tables: every dispatched \
-          instruction is counted and attributed to the source loop nest \
-          and statement it was lowered from, through every optimizer \
-          pass. $(b,--folded) writes flamegraph folded stacks, \
-          $(b,--trace) a Chrome trace with a profiler track, \
-          $(b,--stats-json) the whole metrics registry.")
-    Term.(
-      const run $ parallel_flag $ procs_arg $ policy_arg $ coalesce_flag
-      $ engine_arg $ opt_level_arg $ top_arg $ folded_arg $ trace_arg
-      $ stats_arg $ program_arg)
 
 (* ---------- check ---------- *)
 
@@ -1981,7 +1692,6 @@ let main =
     (Cmd.info "loopc" ~version:"1.0.0"
        ~doc:"Loop coalescing: transformation, analysis and schedule simulation.")
     [ show_cmd; analyze_cmd; transform_cmd; emit_c_cmd; simulate_cmd;
-      schedule_cmd; run_cmd; tune_cmd; calibrate_cmd; profile_cmd; check_cmd;
-      kernel_cmd ]
+      schedule_cmd; run_cmd; calibrate_cmd; check_cmd; kernel_cmd ]
 
 let () = exit (Cmd.eval main)

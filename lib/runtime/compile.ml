@@ -38,6 +38,10 @@ let h_compile_ns = Registry.histogram "compile.ns"
 let h_lower_ns = Registry.histogram "compile.lower_ns"
 let h_opt_ns = Registry.histogram "compile.opt_ns"
 
+(* Each compile that consults a plan cache bumps one of these. *)
+let c_cache_hit = Registry.counter "plan_cache.hit"
+let c_cache_miss = Registry.counter "plan_cache.miss"
+
 exception Error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
@@ -396,8 +400,8 @@ let compile ?(sanitize = false) ?(opt_level = 2) ?cache ?(cache_salt = "")
           | None -> None
         in
         (match e with
-        | Some _ -> Loopcoal_obs.Counters.plan_cache_hit ()
-        | None -> Loopcoal_obs.Counters.plan_cache_miss ());
+        | Some _ -> Registry.incr c_cache_hit
+        | None -> Registry.incr c_cache_miss);
         (e, Some (c, k))
   in
   let ctx =

@@ -182,8 +182,8 @@ val compile :
 
     With [cache], lowered+optimized tapes are reused across compiles of
     the same program (keyed over the AST, [sanitize], [opt_level] and
-    [cache_salt]); one {!Loopcoal_obs.Counters} hit or miss is recorded
-    per call. A hit replays the stored register-counter deltas, so the
+    [cache_salt]); one [plan_cache.hit] or [plan_cache.miss] registry
+    count is recorded per call. A hit replays the stored register-counter deltas, so the
     resulting plans are identical to a cold compile.
 
     [tape_dump], when given, observes each plan's tape after every

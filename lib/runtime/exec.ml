@@ -541,12 +541,10 @@ let holding (plan : plan) f =
       release st;
       Printexc.raise_with_backtrace e bt
 
-let seq_fork_e engine ?profile ?trace (plan : plan) env =
+let seq_fork engine ?profile ?trace (plan : plan) env =
   holding plan (fun st ->
       fill_space plan st.fs_space env;
       seq_on st engine ?profile ?trace plan env)
-
-let seq_fork plan env = seq_fork_e Bytecode plan env
 
 (* Highest-iteration marks sit this many ints apart: one cache line
    and the one the adjacent-line prefetcher pairs with it. *)
@@ -758,12 +756,9 @@ let fork_on st engine ?trace ?profile pool policy (plan : plan) master =
     | Some tracer -> Trace.fork_end tracer
   end
 
-let parallel_fork_e engine ?trace ?profile pool policy (plan : plan) master =
+let parallel_fork engine ?trace ?profile pool policy (plan : plan) master =
   holding plan (fun st ->
       fork_on st engine ?trace ?profile pool policy plan master)
-
-let parallel_fork ?trace pool policy plan master =
-  parallel_fork_e Bytecode ?trace pool policy plan master
 
 (* ---------- whole-program entry points ---------- *)
 
@@ -800,8 +795,8 @@ let run_compiled ?(array_init = 0.0) ?unfilled ?pool
     Registry.time h_run_ns @@ fun () ->
     let fork =
       match pool with
-      | None -> seq_fork_e engine ?profile ?trace
-      | Some pool -> parallel_fork_e engine ?trace ?profile pool policy
+      | None -> seq_fork engine ?profile ?trace
+      | Some pool -> parallel_fork engine ?trace ?profile pool policy
     in
     let env =
       Registry.time h_alloc_ns (fun () ->

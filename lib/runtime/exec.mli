@@ -44,20 +44,6 @@ type engine = Closure | Bytecode | Native
     callers: every statement runs on a tape, so there is no closure
     engine. *)
 
-val seq_fork : Compile.plan -> Compile.env -> unit
-(** Run a plan sequentially in ascending coalesced order (the exact
-    iteration order of the original nest), on the default engine. *)
-
-val parallel_fork :
-  ?trace:Loopcoal_obs.Trace.collector ->
-  Pool.t ->
-  Loopcoal_sched.Policy.t ->
-  Compile.plan ->
-  Compile.env ->
-  unit
-(** Run a plan across the pool's domains under the given policy, on the
-    default engine. *)
-
 val run_compiled :
   ?array_init:float ->
   ?unfilled:float ->

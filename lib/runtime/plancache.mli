@@ -10,7 +10,8 @@
     optimizer level, a caller salt (the CLI passes the engine name) and
     a tape-format version — a sanitized run can never reuse an
     unsanitized tape, and stale disk entries from an older build are
-    misses. Hit/miss totals land in [Loopcoal_obs.Counters]. *)
+    misses. Hit/miss totals land in the [plan_cache.hit] and
+    [plan_cache.miss] registry counters. *)
 
 open Loopcoal_ir
 

@@ -213,29 +213,32 @@ let observably_equal ?fuel ~reference candidate =
   | Error m, Ok _ -> Error ("reference faults (" ^ m ^ ") but candidate runs")
   | Ok _, Error m -> Error ("candidate faults: " ^ m)
   | Ok s1, Ok s2 -> (
+      (* Only the reference's arrays are observable: the candidate must
+         declare each with equal contents and may add temporaries. *)
       let arrays1, _ = Eval.dump s1 in
       let arrays2, _ = Eval.dump s2 in
-      let arr_names st = List.map fst st in
-      if arr_names arrays1 <> arr_names arrays2 then
-        Error "different array declarations"
-      else
-        match
-          List.find_opt
-            (fun ((_, d1), (_, d2)) -> d1 <> d2)
-            (List.combine arrays1 arrays2)
-        with
-        | Some ((n, _), _) -> Error ("array " ^ n ^ " differs")
-        | None -> (
-            let scalar_diff =
-              List.find_opt
-                (fun (s : Ast.scalar_decl) ->
-                  Eval.scalar_value s1 s.sc_name
-                  <> Eval.scalar_value s2 s.sc_name)
-                reference.Ast.scalars
-            in
-            match scalar_diff with
-            | Some s -> Error ("scalar " ^ s.Ast.sc_name ^ " differs")
-            | None -> Ok ()))
+      let array_diff =
+        List.find_map
+          (fun (n, d1) ->
+            match List.assoc_opt n arrays2 with
+            | None -> Some ("array " ^ n ^ " not declared by the candidate")
+            | Some d2 when d1 <> d2 -> Some ("array " ^ n ^ " differs")
+            | Some _ -> None)
+          arrays1
+      in
+      match array_diff with
+      | Some d -> Error d
+      | None -> (
+          let scalar_diff =
+            List.find_opt
+              (fun (s : Ast.scalar_decl) ->
+                Eval.scalar_value s1 s.sc_name
+                <> Eval.scalar_value s2 s.sc_name)
+              reference.Ast.scalars
+          in
+          match scalar_diff with
+          | Some s -> Error ("scalar " ^ s.Ast.sc_name ^ " differs")
+          | None -> Ok ()))
 
 let run ?(verify = true) ?fuel passes program =
   let rec go program applied failures = function

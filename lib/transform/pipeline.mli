@@ -84,5 +84,7 @@ val run : ?verify:bool -> ?fuel:int -> pass list -> Ast.program -> outcome
 
 val observably_equal :
   ?fuel:int -> reference:Ast.program -> Ast.program -> (unit, string) result
-(** The equivalence judgment used by [run]: equal array stores and equal
-    values of the scalars declared by [reference]. *)
+(** The equivalence judgment used by [run]: every array [reference]
+    declares is declared by the candidate with equal contents (the
+    candidate may add temporaries), and the scalars [reference] declares
+    have equal values. *)

@@ -536,55 +536,3 @@ let explain_to_string (rp : report) =
   outf "  considered=%d pruned=%d winner=%s" rp.rp_considered rp.rp_pruned
     (Recipe.to_string rp.rp_winner);
   Buffer.contents buf
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let explain_to_json (rp : report) =
-  let buf = Buffer.create 1024 in
-  let out s = Buffer.add_string buf s in
-  let outf fmt = Printf.ksprintf out fmt in
-  let jnum = function
-    | None -> "null"
-    | Some ns -> Printf.sprintf "%.1f" ns
-  in
-  out "{\n";
-  outf "  \"label\": \"%s\",\n" (json_escape rp.rp_label);
-  outf "  \"budget\": %d,\n" rp.rp_budget;
-  outf "  \"mode\": \"%s\",\n" (mode_string rp.rp_mode);
-  outf "  \"p\": %d,\n" rp.rp_p;
-  outf "  \"policy\": \"%s\",\n" (Policy.name rp.rp_policy);
-  outf "  \"winner\": \"%s\",\n" (json_escape (Recipe.to_string rp.rp_winner));
-  outf "  \"considered\": %d,\n" rp.rp_considered;
-  outf "  \"pruned\": %d,\n" rp.rp_pruned;
-  out "  \"candidates\": [";
-  List.iteri
-    (fun i c ->
-      if i > 0 then out ",";
-      out "\n    ";
-      outf
-        "{ \"recipe\": \"%s\", \"status\": \"%s\", \"reason\": %s, \
-         \"predicted_ns\": %s, \"measured_ns\": %s }"
-        (json_escape (Recipe.to_string c.cd_recipe))
-        (status_word c.cd_status)
-        (match status_reason c.cd_status with
-        | Some why -> Printf.sprintf "\"%s\"" (json_escape why)
-        | None -> "null")
-        (jnum c.cd_predicted_ns) (jnum c.cd_measured_ns))
-    rp.rp_candidates;
-  if rp.rp_candidates <> [] then out "\n  ";
-  out "]\n}\n";
-  Buffer.contents buf

@@ -95,6 +95,3 @@ val run :
 val explain_to_string : report -> string
 (** Human-readable candidate table with predictions, measurements,
     prune reasons, and the winner. *)
-
-val explain_to_json : report -> string
-(** The same report as hand-rolled JSON (fixed key order). *)

@@ -874,29 +874,32 @@ let test_fork_alloc_bound () =
 
 (* ---------- profile CLI guard ---------- *)
 
-(* [loopc profile] only profiles the bytecode tier; any other engine is
-   a clean one-line error naming the supported set (satellite of the
-   native tier: no crash, no silent fallback). *)
+(* [loopc run --profile] only profiles the bytecode tier; any other
+   engine is a clean one-line error naming the supported set: no crash,
+   no silent fallback. *)
 let test_profile_engine_cli_error () =
   let loopc = "../bin/loopc.exe" in
   if not (Sys.file_exists loopc) then Alcotest.skip ();
   let err = Filename.temp_file "loopc_profile" ".err" in
+  let folded = Filename.remove_extension err ^ ".folded" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
     (fun () ->
       let code =
         Sys.command
           (Printf.sprintf
-             "%s profile --engine native ../examples/programs/matmul.loop \
-              >/dev/null 2>%s"
-             loopc (Filename.quote err))
+             "%s run --profile %s --engine native \
+              ../examples/programs/matmul.loop >/dev/null 2>%s"
+             loopc (Filename.quote folded) (Filename.quote err))
       in
       Alcotest.(check int) "exit status" 1 code;
+      Alcotest.(check bool) "no folded stacks written" false
+        (Sys.file_exists folded);
       let lines = In_channel.with_open_text err In_channel.input_lines in
       Alcotest.(check (list string))
         "pinned one-line error"
         [
-          "error: loopc profile: unsupported engine \"native\"; supported \
+          "error: --profile: unsupported engine \"native\"; supported \
            engines: bytecode";
         ]
         lines)

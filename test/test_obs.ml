@@ -548,20 +548,17 @@ let test_registry_snapshot_and_json () =
   Alcotest.(check bool) "render mentions metrics" true
     (String.length (Registry.render ()) > 0)
 
-let test_registry_reset_via_counters_facade () =
-  (* The legacy [Counters] facade now rides on the registry, and its
-     [reset] resets every metric, not just the plan-cache pair. *)
-  Counters.plan_cache_hit ();
-  Counters.plan_cache_miss ();
+let test_registry_reset () =
+  (* [reset] zeroes every metric any module registered, the plan-cache
+     pair included. *)
+  let hits = Registry.counter "plan_cache.hit" in
   let c = Registry.counter "test_obs.reset_me" in
   let h = Registry.histogram "test_obs.reset_hist" in
+  Registry.incr hits;
   Registry.incr c;
   Registry.observe h 42;
-  Alcotest.(check bool) "facade sees hits" true
-    (fst (Counters.plan_cache_stats ()) > 0);
-  Counters.reset ();
-  Alcotest.(check (pair int int)) "plan cache stats zeroed" (0, 0)
-    (Counters.plan_cache_stats ());
+  Registry.reset ();
+  Alcotest.(check int) "plan cache hits zeroed" 0 (Registry.value hits);
   Alcotest.(check int) "other counters zeroed" 0 (Registry.value c);
   Alcotest.(check int) "histograms zeroed" 0 (Registry.hstats h).Registry.count
 
@@ -631,8 +628,7 @@ let suite =
       test_registry_histogram_percentiles;
     Alcotest.test_case "registry snapshot and JSON dump" `Quick
       test_registry_snapshot_and_json;
-    Alcotest.test_case "reset clears all metrics (Counters facade)" `Quick
-      test_registry_reset_via_counters_facade;
+    Alcotest.test_case "reset clears all metrics" `Quick test_registry_reset;
     Alcotest.test_case "measured gantt has one row per worker" `Quick
       test_measured_gantt_rows;
     Alcotest.test_case "side-by-side pairing" `Quick test_side_by_side;

@@ -34,7 +34,9 @@ let other_prog =
     ~arrays:[ B.array "V" [ 9 ] ]
     [ B.doall "q" (B.int 1) (B.int 9) [ B.store "V" [ B.var "q" ] (B.var "q") ] ]
 
-let stats () = Counters.plan_cache_stats ()
+let stats () =
+  ( Registry.value (Registry.counter "plan_cache.hit"),
+    Registry.value (Registry.counter "plan_cache.miss") )
 
 let check_stats what (h, m) =
   Alcotest.(check (pair int int)) what (h, m) (stats ())
@@ -43,7 +45,7 @@ let tapes compiled =
   List.map (fun (p : Compile.plan) -> p.Compile.tape) (Compile.plans compiled)
 
 let test_hit_miss_counters () =
-  Counters.reset ();
+  Registry.reset ();
   let cache = Plancache.create () in
   let c1 = Compile.compile ~cache prog in
   check_stats "first compile misses" (0, 1);
@@ -60,7 +62,7 @@ let test_hit_miss_counters () =
     (o1.Exec.arrays = o2.Exec.arrays && o1.Exec.scalars = o2.Exec.scalars)
 
 let test_key_discrimination () =
-  Counters.reset ();
+  Registry.reset ();
   let cache = Plancache.create () in
   let _ = Compile.compile ~cache prog in
   (* Sanitized compile after an unsanitized one must miss, and its tapes
@@ -90,7 +92,7 @@ let test_key_discrimination () =
   check_stats "engine salt changes the key" (2, 4)
 
 let test_no_cache_bypass () =
-  Counters.reset ();
+  Registry.reset ();
   let c1 = Compile.compile prog in
   let c2 = Compile.compile prog in
   check_stats "no cache, no counter traffic" (0, 0);
@@ -115,7 +117,7 @@ let with_temp_dir f =
 
 let test_disk_persistence () =
   with_temp_dir (fun dir ->
-      Counters.reset ();
+      Registry.reset ();
       let c1 = Compile.compile ~cache:(Plancache.create ~dir ()) prog in
       check_stats "cold disk cache misses" (0, 1);
       Alcotest.(check bool) "one entry written" true
@@ -153,7 +155,7 @@ let test_stale_format_is_a_miss () =
   List.iter
     (fun (what, stale) ->
       with_temp_dir (fun dir ->
-          Counters.reset ();
+          Registry.reset ();
           let evict = Registry.counter "plan_cache.evict" in
           let c1 = Compile.compile ~cache:(Plancache.create ~dir ()) prog in
           check_stats (what ^ ": cold disk cache misses") (0, 1);
@@ -258,7 +260,7 @@ let test_size_cap_evicts_lru () =
       output_string oc mib;
       close_out oc;
       with_cache_cap "2" (fun () ->
-          Counters.reset ();
+          Registry.reset ();
           Plancache.enforce_cap dir;
           Alcotest.(check bool) "oldest decoy evicted" false
             (Sys.file_exists (decoy 0));

@@ -384,14 +384,7 @@ let test_explain_renders () =
         (Recipe.to_string c.Search.cd_recipe ^ " row present")
         true
         (has (Recipe.to_string c.Search.cd_recipe) text))
-    rp.Search.rp_candidates;
-  (* JSON form parses and mentions every candidate *)
-  let json = Search.explain_to_json rp in
-  Alcotest.(check bool) "explain json valid" true (Test_obs.json_valid json);
-  Alcotest.(check bool) "json names the winner" true
-    (has
-       (Printf.sprintf "\"winner\": \"%s\"" (Recipe.to_string rp.Search.rp_winner))
-       json)
+    rp.Search.rp_candidates
 
 (* ---------- warm-cache recipe replay ---------- *)
 
@@ -458,7 +451,7 @@ let test_bad_cached_recipe_falls_back () =
   let run () =
     Sys.command
       (Printf.sprintf
-         "XDG_CACHE_HOME=%s %s run --search=16 --engine bytecode \
+         "XDG_CACHE_HOME=%s %s run --engine bytecode --search \
           ../examples/programs/matmul.loop >/dev/null"
          (Filename.quote dir) loopc)
   in

@@ -261,14 +261,14 @@ let test_metrics_recorded () =
 
 let test_disk_hit_validated () =
   Test_plancache.with_temp_dir (fun dir ->
-      Counters.reset ();
+      Registry.reset ();
       let reject0 = Registry.value (Registry.counter "plan_cache.reject") in
       let c1 =
         Compile.compile ~cache:(Plancache.create ~dir ()) Test_plancache.prog
       in
       Alcotest.(check (pair int int))
         "cold compile misses" (0, 1)
-        (Counters.plan_cache_stats ());
+        (Test_plancache.stats ());
       (* Corrupt the stored tapes' provenance in place, keeping the
          files loadable: deserialization succeeds, validation must
          not. *)
@@ -296,7 +296,7 @@ let test_disk_hit_validated () =
       in
       Alcotest.(check (pair int int))
         "rejected disk entry recompiles as a miss" (0, 2)
-        (Counters.plan_cache_stats ());
+        (Test_plancache.stats ());
       Alcotest.(check bool) "rejection counted" true
         (Registry.value (Registry.counter "plan_cache.reject") > reject0);
       Alcotest.(check bool) "recompile reproduces the cold tapes" true
@@ -308,7 +308,7 @@ let test_disk_hit_validated () =
       in
       Alcotest.(check (pair int int))
         "overwritten entry hits" (1, 2)
-        (Counters.plan_cache_stats ()))
+        (Test_plancache.stats ()))
 
 (* A profiler counter must bump a fresh scratch slot: one aimed past
    the scratch array or at an access's hoisted offset would write out

@@ -488,6 +488,45 @@ let test_pipeline_catches_bad_pass () =
   | None -> Alcotest.fail "verification should have caught the clobber");
   assert (Ast.equal_program p o.Pipeline.program)
 
+(* [observably_equal] compares the reference's arrays only: a candidate
+   may add temporaries (preduce's partials array) but must keep every
+   reference array, with its contents. *)
+let reduction_loop () =
+  match Driver.load_file "../examples/programs/reduction.loop" with
+  | Ok p -> p
+  | Error m -> Alcotest.fail m
+
+let test_equal_allows_temporaries () =
+  let p = reduction_loop () in
+  match Recipe.of_string "preduce(i,s,4)" with
+  | Error m -> Alcotest.fail m
+  | Ok r -> (
+      match Recipe.apply r p with
+      | Error m -> Alcotest.fail m
+      | Ok p' ->
+          Alcotest.(check bool) "preduce adds an array" true
+            (List.length p'.Ast.arrays > List.length p.Ast.arrays);
+          assert_equal_behaviour "preduce(i,s,4) on reduction.loop" p p')
+
+let test_equal_rejects_dropped_array () =
+  let p =
+    B.program
+      ~arrays:[ B.array "A" [ 4 ]; B.array "T" [ 4 ] ]
+      [ B.doall "i" (B.int 1) (B.int 4) [ B.store "A" [ B.var "i" ] (B.real 1.0) ] ]
+  in
+  let dropped = { p with Ast.arrays = [ B.array "A" [ 4 ] ] } in
+  Alcotest.(check bool) "dropping a reference array fails" true
+    (Result.is_error (observably_equal p dropped))
+
+let test_equal_rejects_changed_array () =
+  let fill x =
+    B.program
+      ~arrays:[ B.array "A" [ 4 ] ]
+      [ B.doall "i" (B.int 1) (B.int 4) [ B.store "A" [ B.var "i" ] (B.real x) ] ]
+  in
+  Alcotest.(check bool) "changing a reference array fails" true
+    (Result.is_error (observably_equal (fill 1.0) (fill 2.0)))
+
 let suite =
   [
     Alcotest.test_case "recover known values" `Quick test_recover_known;
@@ -539,4 +578,10 @@ let suite =
       test_pipeline_records_failures;
     Alcotest.test_case "pipeline catches bad pass" `Quick
       test_pipeline_catches_bad_pass;
+    Alcotest.test_case "equal allows added temporaries" `Quick
+      test_equal_allows_temporaries;
+    Alcotest.test_case "equal rejects a dropped array" `Quick
+      test_equal_rejects_dropped_array;
+    Alcotest.test_case "equal rejects a changed array" `Quick
+      test_equal_rejects_changed_array;
   ]
