@@ -150,6 +150,29 @@ let bench_policies =
 
 let host_cores = Domain.recommended_domain_count ()
 
+(* The host a run measured: its CPU model (the first "model name" of
+   /proc/cpuinfo, where the system has one), cores and OCaml version. *)
+let host =
+  let model =
+    try
+      In_channel.with_open_text "/proc/cpuinfo" (fun ic ->
+          let rec find () =
+            match In_channel.input_line ic with
+            | None -> None
+            | Some l -> (
+                match String.index_opt l ':' with
+                | Some k when String.starts_with ~prefix:"model name" l ->
+                    let n = String.length l - k - 1 in
+                    Some (String.trim (String.sub l (k + 1) n))
+                | _ -> find ())
+          in
+          find ())
+    with Sys_error _ -> None
+  in
+  Printf.sprintf "%s, %d cores, OCaml %s"
+    (Option.value ~default:"unknown CPU" model)
+    host_cores Sys.ocaml_version
+
 (* Robust per-kernel sequential ratios, filled by [bench_kernel] and
    read back by the headline tables and perf gates: kernel ->
    (median interpreter/-O2 time ratio, median -O0/-O2 time ratio). Each
@@ -743,7 +766,7 @@ let run ?(oversubscribe = false) ?(gate = false) () =
   let records = List.rev !records in
   let oc = open_out "BENCH_runtime.json" in
   Printf.fprintf oc
-    "{\n  \"host_cores\": %d,\n  \"note\": \"engine is interpreter, \
+    "{\n  \"host\": %S,\n  \"host_cores\": %d,\n  \"note\": \"engine is interpreter, \
      bytecode (flat register tape, strip-mined; eligible strips run \
      lane-at-a-time unless profiled) or \
      native (the -O2 tape Dynlink-compiled to machine code; rows present \
@@ -762,7 +785,7 @@ let run ?(oversubscribe = false) ?(gate = false) () =
      default-vs-searched median ratios\",\n\
      \  \"search\": [\n%s\n  ],\n\
      \  \"results\": [\n%s\n  ]\n}\n"
-    host_cores
+    host host_cores
     (String.concat ",\n" (List.map json_of_search_row search_rows))
     (String.concat ",\n" (List.map json_of_record records));
   close_out oc;
@@ -873,12 +896,14 @@ let run ?(oversubscribe = false) ?(gate = false) () =
   (let oc = open_out "BENCH_opt.md" in
    Printf.fprintf oc
      "# Bytecode tape optimizer: -O2 vs -O0, 1 domain\n\n\
+      host: %s\n\n\
       ns/iter is best-round wall-clock over the interpreter-counted\n\
       iteration total; speedup is the median of per-round -O0/-O2\n\
       ratios (drift-immune), so it need not equal the quotient of the\n\
       two best-round columns.\n\n\
       | kernel | -O0 ns/iter | -O2 ns/iter | speedup |\n\
-      |---|---:|---:|---:|\n";
+      |---|---:|---:|---:|\n"
+     host;
    List.iter
      (fun (k, o0, o2, r) ->
        Printf.fprintf oc "| %s | %.1f | %.1f | %.2fx |\n" k o0 o2 r)

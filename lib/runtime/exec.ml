@@ -384,7 +384,8 @@ let new_state (plan : plan) =
     fs_bound = None;
     fs_solo = None;
     fs_lanes =
-      Bytecode.lanes ~jslot:plan.index_slots.(depth - 1) plan.tape;
+      Bytecode.lanes ~jslot:plan.index_slots.(depth - 1)
+        ~scalar_reals:plan.scalar_reals plan.tape;
     fs_lane_states = [||];
     fs_lane_loops = [||];
   }
@@ -464,16 +465,26 @@ let prove ?profile st (plan : plan) master =
       st.fs_prep <- Some pr;
       pr
 
+let c_view_loads = Registry.counter "exec.lane_views.load"
+let c_view_stores = Registry.counter "exec.lane_views.store"
+let c_view_calls = Registry.counter "exec.lane_views.call"
+
 (* A lane fork counts each serial loop of the body once, under
    [exec.lane_loops.<slug>]: ["fused"], or the rule that keeps the loop
-   on the dispatch loop ({!Bytecode.lane_loops}). *)
+   on the dispatch loop ({!Bytecode.lane_loops}); and its forwarded
+   loads, fused stores and one-call lane loops under
+   [exec.lane_views.load], [.store] and [.call]. *)
 let count_lane_loops st ln =
   if Array.length st.fs_lane_loops = 0 then
     st.fs_lane_loops <-
       Array.map
         (fun slug -> Registry.counter ("exec.lane_loops." ^ slug))
         (Bytecode.lane_loops ln);
-  Array.iter Registry.incr st.fs_lane_loops
+  Array.iter Registry.incr st.fs_lane_loops;
+  let loads, stores, calls = Bytecode.lane_views ln in
+  Registry.add c_view_loads loads;
+  Registry.add c_view_stores stores;
+  Registry.add c_view_calls calls
 
 (* A fork's decision, on the state's proof. *)
 let decide ?profile engine st (plan : plan) master =

@@ -80,11 +80,12 @@
    [loopc_nat_<digest>.cmxs], keyed over the plan-cache key (or the
    generated source), the {!Plancache.stamp} producing-binary identity
    and {!Natapi.abi_version} — a warm cache pays zero codegen and zero
-   compiler cost. A cold build is one compiler process: the build runs
-   directly, and only a failed build probes the compiler ([-version]) to
-   choose between trying the next candidate and reporting the build's
-   error. A build that outlives [build_timeout_s] is killed and reported
-   without a probe. *)
+   compiler cost. A cached artifact that is truncated or fails to load
+   is dropped and rebuilt ([intact]). A cold build is one compiler
+   process: the build runs directly, and only a failed build probes the
+   compiler ([-version]) to choose between trying the next candidate
+   and reporting the build's error. A build that outlives
+   [build_timeout_s] is killed and reported without a probe. *)
 
 module Registry = Loopcoal_obs.Registry
 
@@ -730,14 +731,43 @@ let with_tmpdir f =
       try Sys.rmdir base with Sys_error _ -> ())
     (fun () -> f base)
 
-let copy_file src dst =
+(* A persisted artifact is the plugin followed by a trailer: [magic] and
+   the plugin's length, eight bytes little-endian. The dynamic loader
+   ignores bytes past the image, and a file that lost its tail — a
+   truncated copy, a zero-byte file — lacks the trailer, so [intact]
+   rejects it before [Dynlink] maps it: mapping a truncated plugin
+   faults (SIGBUS) instead of raising. *)
+let magic = "loopcmxs"
+
+let persist_artifact src dst =
   let ic = open_in_bin src in
   let n = in_channel_length ic in
   let buf = really_input_string ic n in
   close_in ic;
+  let len = Bytes.create 8 in
+  Bytes.set_int64_le len 0 (Int64.of_int n);
   let oc = open_out_bin dst in
   output_string oc buf;
+  output_string oc magic;
+  output_bytes oc len;
   close_out oc
+
+let intact path =
+  let tl = String.length magic + 8 in
+  try
+    In_channel.with_open_bin path (fun ic ->
+        let size = Int64.to_int (In_channel.length ic) in
+        size >= tl
+        && begin
+             In_channel.seek ic (Int64.of_int (size - tl));
+             match In_channel.really_input_string ic tl with
+             | Some t ->
+                 String.starts_with ~prefix:magic t
+                 && Int64.to_int (String.get_int64_le t (String.length magic))
+                    = size - tl
+             | None -> false
+           end)
+  with Sys_error _ -> false
 
 let rec mkdirs d =
   if d <> "" && d <> "/" && not (Sys.file_exists d) then begin
@@ -900,7 +930,7 @@ let prepare ?key ?dir ?(persist = true) ?build_timeout (t : Compile.t) :
                                   Printf.sprintf "%s.tmp.%d" p
                                     (Unix.getpid ())
                                 in
-                                copy_file out tmpn;
+                                persist_artifact out tmpn;
                                 Sys.rename tmpn p;
                                 Plancache.enforce_cap
                                   (Filename.dirname p);
@@ -936,7 +966,10 @@ let prepare ?key ?dir ?(persist = true) ?build_timeout (t : Compile.t) :
             in
             match cached_path with
             | Some p when Sys.file_exists p -> (
-                match load_runners p nplans with
+                match
+                  if intact p then load_runners p nplans
+                  else Error "truncated artifact"
+                with
                 | Ok rs when Array.exists Option.is_some rs ->
                     Hashtbl.replace loaded digest rs;
                     attach t rs;
@@ -945,7 +978,8 @@ let prepare ?key ?dir ?(persist = true) ?build_timeout (t : Compile.t) :
                     (try Unix.utimes p 0.0 0.0 with Unix.Unix_error _ -> ());
                     Ready { artifact_hit = true }
                 | Ok _ | Error _ ->
-                    (* stale or corrupt artifact: drop it, rebuild once *)
+                    (* stale, truncated or corrupt artifact: drop it,
+                       rebuild once *)
                     (try Sys.remove p with Sys_error _ -> ());
                     build_and_load cached_path)
             | _ -> build_and_load cached_path))

@@ -1063,7 +1063,10 @@ let lane_reasons ?sanitize prog =
   List.map
     (fun (pl : Compile.plan) ->
       let jslot = pl.Compile.index_slots.(pl.Compile.depth - 1) in
-      match Bytecode.lanes ~jslot pl.Compile.tape with
+      match
+        Bytecode.lanes ~jslot ~scalar_reals:pl.Compile.scalar_reals
+          pl.Compile.tape
+      with
       | Ok _ -> "ok"
       | Error why -> why)
     (Compile.plans (Compile.compile ?sanitize ~opt_level:2 prog))
@@ -1886,7 +1889,9 @@ let lane_program (pl : Compile.plan) =
   let tape = pl.Compile.tape in
   let jslot = pl.Compile.index_slots.(pl.Compile.depth - 1) in
   Result.to_option
-    (Result.map (fun ln -> (tape, jslot, ln)) (Bytecode.lanes ~jslot tape))
+    (Result.map
+       (fun ln -> (tape, jslot, ln))
+       (Bytecode.lanes ~jslot ~scalar_reals:pl.Compile.scalar_reals tape))
 
 let step_class_policies = [ Policy.Static_block; Policy.Self_sched 3 ]
 
@@ -1998,10 +2003,70 @@ let lane_loop_1d n =
      end\n"
     n n n n n
 
-(* Every lane program of the step-class program and of [lane_loop_1d]
-   at -O0 and -O2, its strips run by [Bytecode.lane_runner] on a bound
-   lane state: a repeat call allocates nothing, whatever the strip's
-   length. *)
+(* One-level nests of [n] iterations, every strip from 1 with step 1
+   (so that a strip of any length up to [n] stays in bounds): a
+   relax-shaped body, plan scalars loaded and read after a store to
+   the array ([w]), computed and stored ([t]), loaded and read twice
+   ([u]), stored and read again ([v]), and a one-call [Fmsb2] loop over
+   [X[1 .. 9]], zero past [n]. *)
+let lane_view_1d n =
+  Printf.sprintf
+    "program\n\
+    \  real A[%d]\n\
+    \  real B[%d]\n\
+    \  real D[%d]\n\
+    \  real E[%d]\n\
+    \  real F[%d]\n\
+    \  real X[%d]\n\
+    \  real Y[9, %d]\n\
+    \  real G[%d]\n\
+    \  real t = 0.0\n\
+    \  real u = 0.0\n\
+    \  real v = 0.0\n\
+    \  real w = 0.0\n\
+     begin\n\
+    \  doall j = 1, %d\n\
+    \    A[j] = j * 0.5\n\
+    \    B[j] = j * 0.25 - 3.0\n\
+    \    X[j] = j + 0.5\n\
+    \    do k = 1, 9\n\
+    \      Y[k, j] = k - j * 0.75\n\
+    \    end\n\
+    \  end\n\
+    \  doall j = 1, %d\n\
+    \    A[j] = 0.99 * A[j] + B[j]\n\
+    \  end\n\
+    \  doall j = 1, %d\n\
+    \    w = A[j]\n\
+    \    A[j] = B[j] * 0.5\n\
+    \    D[j] = w + A[j]\n\
+    \  end\n\
+    \  doall j = 1, %d\n\
+    \    t = A[j] * 0.5 + B[j]\n\
+    \    E[j] = t\n\
+    \  end\n\
+    \  doall j = 1, %d\n\
+    \    u = B[j]\n\
+    \    F[j] = u * u - u\n\
+    \  end\n\
+    \  doall j = 1, %d\n\
+    \    v = D[j] - 1.0\n\
+    \    E[j] = v\n\
+    \    F[j] = v * F[j]\n\
+    \  end\n\
+    \  doall j = 1, %d\n\
+    \    G[j] = 1.0\n\
+    \    do k = 1, 9\n\
+    \      G[j] = G[j] - X[k] * Y[k, j]\n\
+    \    end\n\
+    \  end\n\
+     end\n"
+    n n n n n (n + 9) n n n n n n n n n
+
+(* Every lane program of the step-class program, [lane_loop_1d] and
+   [lane_view_1d] at -O0 and -O2, its strips run by
+   [Bytecode.lane_runner] on a bound lane state: a repeat call allocates
+   nothing, whatever the strip's length. *)
 let test_lane_runner_allocation () =
   let n = 257 in
   let base = minor_words ignore in
@@ -2032,7 +2097,11 @@ let test_lane_runner_allocation () =
                 [ 1; 2; 3; 4; 5; 7; 255; 256; n ])
             (List.filter_map lane_program (Compile.plans t)))
         [ 0; 2 ])
-    [ ("step classes", step_class_prog n); ("lane loops", lane_loop_1d n) ]
+    [
+      ("step classes", step_class_prog n);
+      ("lane loops", lane_loop_1d n);
+      ("lane views", lane_view_1d n);
+    ]
 
 (* Register promotion hoists a promoted element's load, checked unless
    the fork's proof covers it, above the serial loop. [A[5]] is out of
@@ -2387,6 +2456,316 @@ let test_lane_loop_counts () =
             (Registry.value lane_forks > before))
     [ 1; 2 ]
 
+(* ---------- lane views ---------- *)
+
+(* Lane passes over array views, one [doall i = 1, 2 / doall j = 1, nj]
+   nest each: a relax-shaped body (its load forwarded, its store fused);
+   shapes that must keep their lane arrays, written through plan
+   scalars, the only registers the source can name: a load read after
+   a store to its array ([w]), a computed value stored and read after
+   the nest ([t]), a load with two readers ([u]) and a stored value
+   read again ([v]); and one-call lane loops: an [Fmsb2] fold, a step
+   of 2, a register step ([s]), bounds up to [max_int - 1] with steps 1
+   and 2, and a step-2 loop whose bound is too near [max_int] for one
+   call. Near [max_int] the loads read [Z] by [k - p], [p] a few below
+   the bounds: the fork's range proof, which evaluates [k - m + 4] as
+   [4 + k - m] and an offset that multiplies [m] by a row length,
+   would overflow and send the fork to the scalar runner. *)
+let lane_view_prog nj =
+  let nest body =
+    Printf.sprintf
+      "  doall i = 1, 2\n    doall j = 1, %d\n%s    end\n  end\n" nj body
+  in
+  let dot name loop sub y =
+    nest
+      (Printf.sprintf
+         "      %s[i, j] = 1.0\n\
+         \      do k = %s\n\
+         \        %s[i, j] = %s[i, j] - X[i, %s] * %s\n\
+         \      end\n"
+         name loop name name sub y)
+  in
+  let row sub = Printf.sprintf "Y[%s, j]" sub and col sub = "Z[" ^ sub ^ "]" in
+  Printf.sprintf
+    "program\n\
+    \  real A[2, %d]\n\
+    \  real B[2, %d]\n\
+    \  real D[2, %d]\n\
+    \  real E[2, %d]\n\
+    \  real F[2, %d]\n\
+    \  real X[2, 9]\n\
+    \  real Y[9, %d]\n\
+    \  real Z[9]\n\
+    \  real G[2, %d]\n\
+    \  real H[2, %d]\n\
+    \  real P[2, %d]\n\
+    \  real Q[2, %d]\n\
+    \  real R[2, %d]\n\
+    \  real S[2, %d]\n\
+    \  real T[2]\n\
+    \  real t = 0.0\n\
+    \  real u = 0.0\n\
+    \  real v = 0.0\n\
+    \  real w = 0.0\n\
+    \  int s = 2\n\
+    \  int m = 0\n\
+    \  int p4 = 0\n\
+    \  int p5 = 0\n\
+    \  int p7 = 0\n\
+     begin\n\
+    \  m = 4611686018427387903\n\
+    \  p4 = m - 4\n\
+    \  p5 = m - 5\n\
+    \  p7 = m - 7\n\
+     %s%s%s%s%s%s%s%s%s%s%s%s\
+    \  T[1] = t\n\
+    \  T[2] = u + v + w\n\
+     end\n"
+    nj nj nj nj nj nj nj nj nj nj nj nj
+    (nest "      A[i, j] = i + j * 0.5\n      B[i, j] = i - j * 0.25\n")
+    (Printf.sprintf
+       "  doall i = 1, 2\n\
+       \    doall k = 1, 9\n\
+       \      X[i, k] = i + 2 * k + 0.5\n\
+       \    end\n\
+       \  end\n\
+       \  doall k = 1, 9\n\
+       \    doall j = 1, %d\n\
+       \      Y[k, j] = k - j * 0.75\n\
+       \    end\n\
+       \    Z[k] = k * 0.125 + 1.0\n\
+       \  end\n"
+       nj)
+    (nest "      A[i, j] = 0.99 * A[i, j] + B[i, j]\n")
+    (nest
+       "      w = A[i, j]\n\
+       \      A[i, j] = B[i, j] * 0.5\n\
+       \      D[i, j] = w + A[i, j]\n")
+    (nest "      t = A[i, j] * 0.5 + B[i, j]\n      E[i, j] = t\n")
+    (nest "      u = B[i, j]\n      F[i, j] = u * u - u\n")
+    (nest
+       "      v = D[i, j] - 1.0\n\
+       \      E[i, j] = v\n\
+       \      F[i, j] = v * F[i, j]\n")
+    (dot "G" "1, 9" "k" (row "k"))
+    (dot "H" "1, 9, 2" "k" (row "k"))
+    (dot "P" "2, 9, s" "k" (row "k"))
+    (dot "Q" "m - 3, m - 1" "k - p4" (col "k - p4"))
+    (dot "R" "m - 6, m - 2, 2" "k - p7" (col "k - p7")
+    ^ dot "S" "m - 4, m - 1, 2" "k - p5" (col "k - p5"))
+
+let lane_views_counted () =
+  List.map
+    (fun k -> Registry.value (Registry.counter ("exec.lane_views." ^ k)))
+    [ "load"; "store"; "call" ]
+
+(* Every case bit-identical to scalar bytecode and [Eval] over strips
+   of 1 to 517 under static block, GSS and chunk:3 at 1-2 domains. At
+   -O2 the relax nest forwards its load and fuses its store, no plan
+   scalar is read or written through a view, and the six dot products
+   are one-call loops ([S]'s runs by [lane_trips]); every fork takes
+   the lane path and counts its views once. *)
+let test_lane_views () =
+  List.iter
+    (fun nj ->
+      check_lanes ~lanes:(nj > 1) ~domains:[ 1; 2 ]
+        ~what:(Printf.sprintf "lane views, nj=%d" nj)
+        (parse "lane views" (lane_view_prog nj)))
+    [ 1; 2; 3; 5; 255; 256; 257; 517 ];
+  let prog = parse "lane views" (lane_view_prog 40) in
+  let views =
+    List.filter_map
+      (fun pl ->
+        Option.map
+          (fun (_, _, ln) ->
+            let l, s, c = Bytecode.lane_views ln in
+            [ l; s; c ])
+          (lane_program pl))
+      (Compile.plans (Compile.compile ~opt_level:2 prog))
+  in
+  (* per plan: the three inits; relax; [w]'s nest forwards [B[i, j]]
+     and fuses both stores, [t]'s forwards both loads and keeps [t]'s
+     store, [u]'s fuses [F]'s store, [v]'s forwards [D[i, j]] and fuses
+     [F]'s store; the six dot products *)
+  Alcotest.(check (list (list int)))
+    "-O2 views per lane plan"
+    ([
+       [ 0; 2; 0 ]; [ 0; 1; 0 ]; [ 0; 1; 0 ]; [ 1; 1; 0 ]; [ 1; 2; 0 ];
+       [ 2; 0; 0 ]; [ 0; 1; 0 ]; [ 1; 1; 0 ];
+     ]
+    @ List.init 6 (fun _ -> [ 0; 0; 1 ]))
+    views;
+  let t = Compile.compile prog in
+  List.iter
+    (fun d ->
+      let before = lane_views_counted () in
+      ignore (Exec.run_compiled ~domains:d ~policy:Policy.Gss t : Exec.outcome);
+      Alcotest.(check (list int))
+        (Printf.sprintf "counted once per lane fork, %d domain(s)" d)
+        [ 5; 9; 6 ]
+        (List.map2 ( - ) (lane_views_counted ()) before))
+    [ 1; 2 ]
+
+(* The view rules with every float register counted a body temporary
+   ([scalar_reals = 0]), so that plan scalars — the only registers the
+   source can name — take them: at each fork of [prog] the plan runs on
+   copies of the registers and arrays under {!Bytecode.lane_runner}, in
+   strips of at most [strip] iterations, and under
+   {!Bytecode.exec_strip}, whose run the program goes on from; every
+   array must agree bit for bit. Returns each lane plan's views. *)
+let runner_views ?(what = "") ~lvl ~strip prog =
+  let t = Compile.compile ~opt_level:lvl prog in
+  let env = Compile.make_env t in
+  let ints = env.Compile.ints and reals = env.Compile.reals in
+  let arrays = env.Compile.arrays in
+  let views = ref [] in
+  let fork (pl : Compile.plan) =
+    let tape = pl.Compile.tape and d = pl.Compile.depth in
+    let slots = pl.Compile.index_slots in
+    let jslot = slots.(d - 1) in
+    (* level [k] runs from [lo.(k)] by [step k] for [trips k] iterations *)
+    let lo = Array.map (fun r -> ints.(r)) pl.Compile.lo_regs in
+    let step k = if k = 0 then ints.(pl.Compile.step_reg) else 1 in
+    let trips k =
+      let h = ints.(pl.Compile.hi_regs.(k)) in
+      if h < lo.(k) then 0 else ((h - lo.(k)) / step k) + 1
+    in
+    let hi = Array.init d (fun k -> lo.(k) + ((trips k - 1) * step k)) in
+    let empty = List.exists (fun k -> trips k = 0) (List.init d Fun.id) in
+    let len = trips (d - 1) and js = step (d - 1) in
+    let pr = Bytecode.prepare tape ~ints ~lo ~hi in
+    (* [f] once per strip, the outer indexes set in [ints'] *)
+    let nest ints' f =
+      let rec go k =
+        if k = d - 1 then f ()
+        else
+          for m = 0 to trips k - 1 do
+            ints'.(slots.(k)) <- lo.(k) + (m * step k);
+            go (k + 1)
+          done
+      in
+      if not empty then go 0
+    in
+    let scalar () =
+      let inv = Bytecode.make_scratch tape in
+      nest ints (fun () ->
+          Bytecode.exec_strip tape pr ~ints ~reals ~arrays ~shadow:None ~inv
+            ~jslot ~j0:lo.(d - 1) ~jstep:js ~len ~iter0:0)
+    in
+    match Bytecode.lanes ~jslot ~scalar_reals:0 tape with
+    | Ok ln
+      when (not empty) && Array.for_all Fun.id (Bytecode.unsafe_flags pr) ->
+        let l_ints = Array.copy ints and l_arrays = Array.map Array.copy arrays in
+        let run =
+          Bytecode.lane_runner tape ln (Bytecode.make_lane_state ln)
+            ~ints:l_ints ~reals:(Array.copy reals) ~arrays:l_arrays
+            ~inv:(Bytecode.make_scratch tape) ~jslot
+        in
+        nest l_ints (fun () ->
+            let p = ref 0 in
+            while !p < len do
+              let n = min strip (len - !p) in
+              run (lo.(d - 1) + (!p * js)) js n;
+              p := !p + n
+            done);
+        scalar ();
+        Array.iteri
+          (fun a x ->
+            Array.iteri
+              (fun k v ->
+                if not (fbits v l_arrays.(a).(k)) then
+                  Alcotest.failf
+                    "%s -O%d, strips of %d, plan %d: array %d[%d]: %h vs %h"
+                    what lvl strip (List.length !views) a k l_arrays.(a).(k) v)
+              x)
+          arrays;
+        let l, s, c = Bytecode.lane_views ln in
+        views := [ l; s; c ] :: !views
+    | _ -> scalar ()
+  in
+  Compile.run_code t env ~fork;
+  List.rev !views
+
+(* With plan scalars counted temporaries: [w], loaded and read after a
+   store to its array, is not forwarded; [t] is fused into its store;
+   [u]'s load is forwarded to its two readers; [v], stored and read
+   again, keeps its lane array. Over 1 to 517 iterations in strips of
+   1, 3, 256 and the whole. *)
+let test_lane_view_rules () =
+  List.iter
+    (fun n ->
+      let prog = parse "views" (lane_view_1d n) in
+      List.iter
+        (fun lvl ->
+          List.iter
+            (fun strip ->
+              let views = runner_views ~lvl ~strip prog in
+              if n > 1 then
+                Alcotest.(check (list (list int)))
+                  (Printf.sprintf "n=%d, -O%d, strips of %d: views" n lvl strip)
+                  (if lvl = 0 then
+                     [
+                       [ 0; 3; 0 ]; [ 2; 1; 0 ]; [ 2; 2; 0 ]; [ 2; 1; 0 ];
+                       [ 1; 1; 0 ]; [ 2; 1; 0 ]; [ 0; 0; 0 ];
+                     ]
+                   else
+                     [
+                       [ 0; 3; 0 ]; [ 1; 1; 0 ]; [ 1; 2; 0 ]; [ 2; 1; 0 ];
+                       [ 1; 1; 0 ]; [ 1; 1; 0 ]; [ 0; 0; 1 ];
+                     ])
+                  views)
+            [ 1; 3; 256; n ])
+        [ 0; 2 ])
+    [ 1; 2; 7; 255; 257; 517 ]
+
+(* [runner_views] over the lane corpus: the kernels, the example
+   programs and the jam, lane-loop and step-class shapes, whose plan
+   scalars, branches and serial loops take the view rules as body
+   temporaries would. *)
+let test_lane_view_corpus () =
+  let dir = "../examples/programs" in
+  let files =
+    List.filter
+      (fun f -> Filename.check_suffix f ".loop")
+      (Array.to_list (Sys.readdir dir))
+  in
+  let progs =
+    List.filter_map
+      (fun name -> Option.map (fun p -> (name, p ())) (Kernels.by_name name))
+      Kernels.all_names
+    @ List.map
+        (fun f ->
+          ( f,
+            parse f
+              (In_channel.with_open_bin (Filename.concat dir f)
+                 In_channel.input_all) ))
+        files
+    @ List.map
+        (fun (what, body) -> (what, parse what (jam_nest ~nk:4 ~nj:9 body)))
+        (jam_positives @ jam_folds)
+    @ List.map
+        (fun (what, text) -> (what, parse what text))
+        [
+          ("lane loops", lane_loop_prog 9);
+          ("generic loops", generic_loop_prog 9);
+          ("access forms", lane_loop_forms 9);
+          ("step classes", step_class_prog 9);
+          ("lane views", lane_view_prog 9);
+        ]
+  in
+  List.iter
+    (fun (what, prog) ->
+      match Eval.run prog with
+      | exception Eval.Runtime_error _ -> ()
+      | _ ->
+          List.iter
+            (fun lvl ->
+              List.iter
+                (fun strip -> ignore (runner_views ~what ~lvl ~strip prog))
+                [ 2; 256 ])
+            [ 0; 2 ])
+    progs
+
 let suite =
   [
     Alcotest.test_case "strip bounds pinned" `Quick test_strip_bounds;
@@ -2436,4 +2815,10 @@ let suite =
       test_lane_loop_strips;
     Alcotest.test_case "lane loops: counted per lane fork; a zero step raises"
       `Quick test_lane_loop_counts;
+    Alcotest.test_case "lane views: strips of 1 .. 517 = scalar = Eval" `Slow
+      test_lane_views;
+    Alcotest.test_case "lane views: forwarding and fusion rules on a runner"
+      `Quick test_lane_view_rules;
+    Alcotest.test_case "lane views: plan scalars as temporaries, lane corpus"
+      `Quick test_lane_view_corpus;
   ]

@@ -461,6 +461,70 @@ let test_artifact_cache_hit () =
   if not (Exec.agrees_with_interpreter o st) then
     Alcotest.fail "runners from a cached artifact differ from interpreter"
 
+(* A truncated and a zero-byte [.cmxs] in the artifact cache: each
+   [loopc run] is a fresh process, so the warm run finds the damaged file
+   on disk, where [Dynlink] would fault mapping a truncated plugin. It
+   must drop the file and rebuild it — one artifact miss, no hit — run
+   every fork natively (no [native.fallbacks]) and print what [Eval]
+   computes. *)
+let test_damaged_artifact () =
+  require_toolchain ();
+  let loopc = "../bin/loopc.exe" in
+  if not (Sys.file_exists loopc) then Alcotest.skip ();
+  let prog = "../examples/programs/matmul.loop" in
+  List.iter
+    (fun (what, damage) ->
+      let home = Filename.concat scratch_cache ("damaged-" ^ what) in
+      let json = Filename.concat scratch_cache ("damaged-" ^ what ^ ".json") in
+      let out = Filename.concat scratch_cache ("damaged-" ^ what ^ ".out") in
+      let run () =
+        Sys.command
+          (Printf.sprintf
+             "XDG_CACHE_HOME=%s %s run --engine native --compare --stats-json \
+              %s %s >%s 2>&1"
+             (Filename.quote home) loopc (Filename.quote json)
+             (Filename.quote prog) (Filename.quote out))
+      in
+      let stats () = In_channel.with_open_text json In_channel.input_all in
+      let counter name v =
+        Printf.sprintf "\"%s\": {\"type\": \"counter\", \"value\": %d}" name v
+      in
+      Alcotest.(check int) (what ^ ": cold run") 0 (run ());
+      let dir = Filename.concat home "loopc" in
+      let cmxs =
+        match
+          List.filter
+            (fun f -> Filename.check_suffix f ".cmxs")
+            (Array.to_list (Sys.readdir dir))
+        with
+        | [ f ] -> Filename.concat dir f
+        | fs -> Alcotest.failf "%s: %d artifacts" what (List.length fs)
+      in
+      let built = In_channel.with_open_bin cmxs In_channel.input_all in
+      Out_channel.with_open_bin cmxs (fun oc ->
+          output_string oc (damage built));
+      Alcotest.(check int) (what ^ ": warm run") 0 (run ());
+      let text = In_channel.with_open_text out In_channel.input_all in
+      if not (contains text "interpreter equivalence: arrays identical") then
+        Alcotest.failf "%s: output differs from Eval:\n%s" what text;
+      List.iter
+        (fun (name, v) ->
+          if not (contains (stats ()) (counter name v)) then
+            Alcotest.failf "%s: %s is not %d" what name v)
+        [
+          ("plan_cache.artifact.miss", 1);
+          ("plan_cache.artifact.hit", 0);
+          ("native.fallbacks", 0);
+        ];
+      Alcotest.(check int)
+        (what ^ ": the artifact is rebuilt")
+        (String.length built)
+        (In_channel.with_open_bin cmxs In_channel.length |> Int64.to_int))
+    [
+      ("truncated", fun s -> String.sub s 0 (String.length s / 2));
+      ("zero-byte", fun _ -> "");
+    ]
+
 (* ---------- generated source shape ---------- *)
 
 (* One plan's runner out of a plugin source: from [let rN] up to the
@@ -1182,4 +1246,6 @@ let suite =
         test_build_timeout;
       Alcotest.test_case "unroll-and-jam: a step over a uniform register"
         `Slow test_jam_register_step;
+      Alcotest.test_case "damaged artifacts are rebuilt" `Quick
+        test_damaged_artifact;
     ]
