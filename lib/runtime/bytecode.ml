@@ -1263,6 +1263,14 @@ let exec_tape ~fork tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~jstep
     | None -> ());
     Array.unsafe_get (Array.unsafe_get arrays ac.ac_slot) off
   in
+  (* A fused form loads [i1], its left operand, first; the interpreter
+     evaluates the right one first. When [i1] is checked, [i2]'s
+     subscripts are checked before it, so an out-of-bounds [i2] faults
+     first, as in the interpreter. *)
+  let[@inline] check_right i1 i2 =
+    if not (Array.unsafe_get unsafe i1) then
+      ignore (checked_offset ints (Array.unsafe_get accs i2) : int)
+  in
   (* Runs [len] strip iterations of [ops], the first numbered [iter0]
      for the sanitizer. When [pc] falls off the body, the strip
      back-edge advances the strip index by [jstep] and the iteration
@@ -1385,12 +1393,14 @@ let exec_tape ~fork tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~jstep
               off (Array.unsafe_get reals s);
             incr pc
         | Fmac2 (d, a, i1, i2) ->
+            check_right i1 i2;
             let l1 = load_elem i1 !iter in
             let l2 = load_elem i2 !iter in
             let a = Array.unsafe_get reals a in
             Array.unsafe_set reals d (a +. (l1 *. l2));
             incr pc
         | Fmsb2 (d, a, i1, i2) ->
+            check_right i1 i2;
             let l1 = load_elem i1 !iter in
             let l2 = load_elem i2 !iter in
             Array.unsafe_set reals d (Array.unsafe_get reals a -. (l1 *. l2));
@@ -1420,6 +1430,7 @@ let exec_tape ~fork tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~jstep
             Array.unsafe_set reals d (x *. l);
             incr pc
         | Fld2add (d, i1, i2) ->
+            check_right i1 i2;
             let l1 = load_elem i1 !iter in
             let l2 = load_elem i2 !iter in
             Array.unsafe_set reals d (l1 +. l2);
@@ -2033,10 +2044,11 @@ let lane_plan ~jslot ~lits (tp : tape) =
    its step per element. An access whose offset
    reads a varying register other than the strip index is gathered lane
    by lane. The strip index register holds the piece's first iteration,
-   so offsets evaluate there. After the strip the last iteration's
-   varying registers go back to the register files. A fold register
-   stays in the register file: its one writer runs over the piece like
-   a varying one, but its accumulator operand and destination are the
+   so offsets evaluate there; its lane array, and an affine int's over
+   it, are filled only where read ([progressions]). After the strip the
+   last iteration's varying registers go back to the register files. A
+   fold register stays in the register file: its one writer runs over
+   the piece like a varying one, but its accumulator operand and destination are the
    same step-0 view, and a kernel reads element [l]'s operands before
    writing element [l], so the piece folds in iteration order with the
    scalar runner's operation and operand order.
@@ -2100,7 +2112,13 @@ type lanes = {
       (** per [tp_ops] position, what the dispatch loop does there: enter
           the lane loop whose [top] it is (its index), or run it across
           lanes (-1, [ln_vary]) or once (-2), or nothing (-3: a forwarded
-          load or a fused store) *)
+          load or a fused store), or run its progression kernel
+          ([lane_prog]: -4, or -5 for an [Iaff] that also fills its lane
+          array) *)
+  ln_iprog : bool array;
+      (** per varying int register, in lane order: a progression, whose
+          last value the copy-out takes from its pair *)
+  ln_jfill : bool;  (** the strip index's lane array is read *)
   ln_block : int array;
       (** per [tp_ops] position: its block of view slots, 0 (shared) but
           in a lane loop's body *)
@@ -2110,6 +2128,8 @@ type lanes = {
           keeps it on the dispatch loop *)
   ln_views : int * int * int;
       (** forwarded loads, fused stores, one-call lane loops *)
+  ln_index : int * int;
+      (** progressions left unfilled, [mod] positions on a progression *)
 }
 
 (* The float view slots [lane_op] binds to accesses, with each one's
@@ -2277,8 +2297,85 @@ let view_regs ~jslot ~scalar_reals (lp : lane_plan) acc block (tp : tape) =
   in
   (loads, stores)
 
+(* Int lane registers a pass keeps as progressions, a pair (first value,
+   increment) per pass in place of a lane array: the strip index, and
+   the register of an [Iaff] at a varying position outside lane loop
+   bodies ([lane p]) that has one writer and whose terms over varying
+   registers are all progressions. An [Iaff] over progressions computes
+   its pair from theirs; [Fofi] of a progression converts a running int;
+   [Imod] of a progression by a literal keeps a running remainder. Any
+   other reader (a gathered offset, a lane loop body, any other
+   instruction) reads the lane array, which the progression's writer
+   then fills. [lane_plan]'s rules make the pairs current wherever they
+   are read: no register is carried, so a progression's writer runs
+   before its readers in every pass, and the passes of a strip take the
+   same path. Returns the progressions, the positions that run on them
+   and the progressions whose lane array is read. *)
+let progressions ~jslot ~lits (lp : lane_plan) acc vary block (tp : tape) =
+  let ops = tp.tp_ops in
+  let writers = Hashtbl.create 16 in
+  let count i =
+    Option.iter
+      (fun d ->
+        Hashtbl.replace writers d
+          (1 + Option.value ~default:0 (Hashtbl.find_opt writers d)))
+      (int_dst i)
+  in
+  Array.iter count tp.tp_pre;
+  Array.iter count ops;
+  let lane p = vary.(p) && block.(p) = 0 in
+  let over prog (a : aff) =
+    Array.for_all
+      (fun r -> IntSet.mem r prog || not (IntSet.mem r lp.lp_vary_i))
+      a.regs
+  in
+  let rec grow prog =
+    let prog' = ref prog in
+    Array.iteri
+      (fun p i ->
+        match i with
+        | Iaff (d, a)
+          when lane p && Hashtbl.find writers d = 1 && over prog a ->
+            prog' := IntSet.add d !prog'
+        | _ -> ())
+      ops;
+    if IntSet.equal prog !prog' then prog else grow !prog'
+  in
+  let prog =
+    grow
+      (if Hashtbl.mem writers jslot then IntSet.empty
+       else IntSet.singleton jslot)
+  in
+  let kernel =
+    Array.mapi
+      (fun p i ->
+        lane p
+        &&
+        match i with
+        | Iaff (d, _) -> IntSet.mem d prog
+        | Fofi (_, s) -> IntSet.mem s prog
+        | Imod (_, a, b) -> IntSet.mem a prog && IntMap.mem b lits
+        | _ -> false)
+      ops
+  in
+  let read = ref IntSet.empty in
+  let add_all rs = read := IntSet.union !read (IntSet.of_list rs) in
+  Array.iteri
+    (fun p i ->
+      if not kernel.(p) then begin
+        let ir, _, _ = reads i in
+        add_all ir
+      end)
+    ops;
+  Array.iteri
+    (fun id (ac : access) ->
+      if acc.(id) = La_gather then add_all (Array.to_list ac.ac_var.regs))
+    tp.tp_accs;
+  (prog, kernel, IntSet.inter prog !read)
+
 let lanes ~jslot ~scalar_reals (tp : tape) =
-  match lane_plan ~jslot ~lits:(const_regs ~jslot tp) tp with
+  let lits = const_regs ~jslot tp in
+  match lane_plan ~jslot ~lits tp with
   | Result.Error why -> Result.Error why
   | Result.Ok lp ->
       let varies i =
@@ -2337,6 +2434,17 @@ let lanes ~jslot ~scalar_reals (tp : tape) =
       let loads, stores = view_regs ~jslot ~scalar_reals lp acc block tp in
       let views = loads @ stores in
       List.iter (fun (_, _, p) -> run.(p) <- -3) views;
+      let prog, kernel, filled =
+        progressions ~jslot ~lits lp acc vary block tp
+      in
+      Array.iteri
+        (fun p k ->
+          if k then
+            run.(p) <-
+              (match tp.tp_ops.(p) with
+              | Iaff (d, _) when IntSet.mem d filled -> -5
+              | _ -> -4))
+        kernel;
       let iregs = Array.of_list (IntSet.elements lp.lp_vary_i) in
       let fregs =
         Array.of_list
@@ -2385,6 +2493,8 @@ let lanes ~jslot ~scalar_reals (tp : tape) =
           ln_acc = acc;
           ln_sums = Array.mem La_gather acc || Array.exists multi tp.tp_ops;
           ln_run = run;
+          ln_iprog = Array.map (fun r -> IntSet.mem r prog) iregs;
+          ln_jfill = IntSet.mem jslot filled || not (IntSet.mem jslot prog);
           ln_block = block;
           ln_loops = ll;
           ln_why =
@@ -2398,9 +2508,17 @@ let lanes ~jslot ~scalar_reals (tp : tape) =
               Array.fold_left
                 (fun k l -> if Option.is_some l.ll_dot then k + 1 else k)
                 0 ll );
+          ln_index =
+            ( IntSet.cardinal (IntSet.diff prog filled),
+              Array.fold_left ( + ) 0
+                (Array.mapi
+                   (fun p k ->
+                     match tp.tp_ops.(p) with Imod _ when k -> 1 | _ -> 0)
+                   kernel) );
         }
 
 let lane_views ln = ln.ln_views
+let lane_index ln = ln.ln_index
 
 let lane_loops ln = ln.ln_why
 
@@ -2795,6 +2913,66 @@ let k_ibin (i : instr) n d a b =
   | Imin _ -> ibin Kimin n d a b
   | _ -> ibin Kimax n d a b
 
+(* Progression kernels: the operand is [n] ints [v0], [v0 + dv], ...,
+   in wrapping int arithmetic, as the lane array would hold them. *)
+
+(* d <- the progression itself *)
+let k_ifill n (d : int array) od v0 dv =
+  let v = ref v0 in
+  for o = od to od + n - 1 do
+    Array.unsafe_set d o !v;
+    v := !v + dv
+  done
+
+(* d <- float v *)
+let k_fofi_run n (d : float view) v0 dv =
+  let da = d.arr and ds = d.step in
+  let od = ref d.base and v = ref v0 in
+  for _ = 1 to n do
+    Array.unsafe_set da !od (float_of_int !v);
+    od := !od + ds;
+    v := !v + dv
+  done
+
+(* d <- v mod m, [m] a nonzero literal: one division and a running
+   remainder when the values neither overflow nor change sign over the
+   pass, else [mod] per value. With every value >= 0 the remainders lie
+   in [0, |m|), with every value <= 0 in (-|m|, 0]; stepping by
+   [dv mod |m|] and wrapping once into that range gives the one
+   remainder of each value there. *)
+let k_imod_run n (d : int view) v0 dv m =
+  let da = d.arr and ds = d.step in
+  let od = ref d.base in
+  let lim = max_int / lane_width and a = abs m in
+  let s = (n - 1) * dv in
+  let last = v0 + s in
+  let exact =
+    dv >= -lim && dv <= lim
+    && ((v0 >= 0) <> (s >= 0) || (last >= 0) = (v0 >= 0))
+    && a > 0
+    && a <= max_int / 4
+  in
+  if exact && ((v0 >= 0 && last >= 0) || (v0 <= 0 && last <= 0)) then begin
+    let hi = if v0 >= 0 && last >= 0 then a else 1 in
+    let dr = dv mod a in
+    let dr = if dr < 0 then dr + a else dr in
+    let r = ref (v0 mod m) in
+    for _ = 1 to n do
+      Array.unsafe_set da !od !r;
+      od := !od + ds;
+      let x = !r + dr in
+      r := if x >= hi then x - a else x
+    done
+  end
+  else begin
+    let v = ref v0 in
+    for _ = 1 to n do
+      Array.unsafe_set da !od (!v mod m);
+      od := !od + ds;
+      v := !v + dv
+    done
+  end
+
 (* One domain's lane arrays: they hold no register file or array, so a
    fork state keeps them across runs. *)
 type lane_state = {
@@ -2803,12 +2981,17 @@ type lane_state = {
   ls_off : int array;  (** gathered offsets, multi-register sums *)
   ls_g : float array;  (** gathered loads, one lane array per operand *)
   ls_dirty : bool array;  (** varying registers written, ints then floats *)
+  ls_pf : int array;  (** per int register: a progression's first value *)
+  ls_pi : int array;  (** and its increment, for the current pass *)
 }
 
 let make_lane_state ln =
   let nvi = Array.length ln.ln_iregs and nvf = Array.length ln.ln_fregs in
   let gathers = Array.mem La_gather ln.ln_acc in
+  let nregs = Array.length ln.ln_ilane in
   {
+    ls_pf = Array.make nregs 0;
+    ls_pi = Array.make nregs 0;
     ls_i = Array.make (nvi * lane_width) 0;
     ls_f = Array.make (nvf * lane_width) 0.0;
     ls_off = (if ln.ln_sums then Array.make lane_width 0 else [||]);
@@ -3130,6 +3313,38 @@ let[@inline] lane_op lr ~lanes ~bind ~run n b (i : instr) =
    block of view slots. *)
 let lane_step lr ~lanes n i = lane_op lr ~lanes ~bind:true ~run:true n 0 i
 
+(* A position [progressions] runs on progressions ([ln_run] -4, or -5
+   to fill the [Iaff]'s lane array too), over [n] iterations on the
+   shared block: an [Iaff] sets its register's pair from its terms',
+   [Fofi] and [Imod] read their operand's pair. *)
+let lane_prog lr n ~fill (i : instr) =
+  let ls = lr.lr_ls in
+  let pf = ls.ls_pf and pi = ls.ls_pi in
+  match i with
+  | Iaff (d, a) ->
+      let v0 = ref a.base and dv = ref 0 in
+      for m = 0 to Array.length a.regs - 1 do
+        let r = Array.unsafe_get a.regs m and c = Array.unsafe_get a.coefs m in
+        if ibase lr ~lanes:true r >= 0 then begin
+          v0 := !v0 + (c * Array.unsafe_get pf r);
+          dv := !dv + (c * Array.unsafe_get pi r)
+        end
+        else v0 := !v0 + (c * Array.unsafe_get lr.lr_ints r)
+      done;
+      Array.unsafe_set pf d !v0;
+      Array.unsafe_set pi d !dv;
+      let b = Array.unsafe_get lr.lr_ln.ln_ilane d in
+      Array.unsafe_set ls.ls_dirty (b / lane_width) true;
+      if fill then k_ifill n ls.ls_i b !v0 !dv
+  | Fofi (d, s) ->
+      fdst lr ~lanes:true 0 d;
+      k_fofi_run n lr.lr_fv.(0) (Array.unsafe_get pf s) (Array.unsafe_get pi s)
+  | Imod (d, a, b) ->
+      idst lr ~lanes:true 0 d;
+      k_imod_run n lr.lr_iv.(0) (Array.unsafe_get pf a) (Array.unsafe_get pi a)
+        (Array.unsafe_get lr.lr_ints b)
+  | _ -> assert false
+
 (* The trips of lane loop [ll] from [top], index [r] stepping by [step]
    while it stays <= register [bnd], on views bound for this entry. *)
 let lane_trips lr n (ll : lane_loop) top r step bnd =
@@ -3206,6 +3421,7 @@ let lane_loop lr n (ll : lane_loop) top =
 let lane_strip lr ~jslot j0 jstep len =
   let tape = lr.lr_tape and ln = lr.lr_ln and ints = lr.lr_ints in
   let li = lr.lr_ls.ls_i and dirty = lr.lr_ls.ls_dirty in
+  let pf = lr.lr_ls.ls_pf in
   let accs = tape.tp_accs and pre = tape.tp_pre in
   let ops = tape.tp_ops and run = ln.ln_run in
   let stop = Array.length ops in
@@ -3226,11 +3442,9 @@ let lane_strip lr ~jslot j0 jstep len =
     n := if len - !p < lane_width then len - !p else lane_width;
     let j = j0 + (!p * jstep) in
     Array.unsafe_set ints jslot j;
-    let jl = ref j in
-    for l = jb to jb + !n - 1 do
-      Array.unsafe_set li l !jl;
-      jl := !jl + jstep
-    done;
+    Array.unsafe_set pf jslot j;
+    Array.unsafe_set lr.lr_ls.ls_pi jslot jstep;
+    if ln.ln_jfill then k_ifill !n li jb j jstep;
     let pc = ref 0 in
     while !pc < stop do
       let k = Array.unsafe_get run !pc in
@@ -3251,18 +3465,25 @@ let lane_strip lr ~jslot j0 jstep len =
             Array.unsafe_set ints r v;
             if v <= Array.unsafe_get ints bnd then pc := top else incr pc
         | i ->
-            if k <> -3 then
-              lane_step lr ~lanes:true (if k = -1 then !n else 1) i;
+            if k >= -2 then
+              lane_step lr ~lanes:true (if k = -1 then !n else 1) i
+            else if k <> -3 then lane_prog lr !n ~fill:(k = -5) i;
             incr pc
     done;
     p := !p + !n
   done;
-  (* the last iteration's varying registers, the strip index included *)
+  (* the last iteration's varying registers, the strip index included;
+     a progression's from its pair *)
   if len > 0 then begin
     let last = !n - 1 and nvi = Array.length ln.ln_iregs in
     Array.unsafe_set dirty (jb / lane_width) true;
     for k = 0 to nvi - 1 do
-      if dirty.(k) then ints.(ln.ln_iregs.(k)) <- li.((k * lane_width) + last)
+      if dirty.(k) then begin
+        let r = ln.ln_iregs.(k) in
+        ints.(r) <-
+          (if ln.ln_iprog.(k) then pf.(r) + (last * lr.lr_ls.ls_pi.(r))
+           else li.((k * lane_width) + last))
+      end
     done;
     for k = 0 to Array.length ln.ln_fregs - 1 do
       if dirty.(nvi + k) then

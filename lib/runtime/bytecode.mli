@@ -428,12 +428,21 @@ val lanes : jslot:int -> scalar_reals:int -> tape -> (lanes, string) result
     follows the load in one straight run with no store to its array
     between, and one whose only reader is the store right after its one
     writer is written through the store's view, so neither the load nor
-    the store runs a pass of its own. *)
+    the store runs a pass of its own. The strip index, and an int an
+    [Iaff] computes from it, are index progressions (see
+    {!lane_index}). *)
 
 val lane_views : lanes -> int * int * int
 (** How many loads the lane program forwards, stores it fuses into
     their writer, and lane loops it runs as one kernel call per entry
     (a body of one varying [Fmac2]/[Fmsb2] fold [d <- d op x * y]). *)
+
+val lane_index : lanes -> int * int
+(** How many index progressions the lane program leaves unfilled (the
+    strip index, and [Iaff] registers over progressions, kept as a first
+    value and an increment per pass because no reader needs their lane
+    array), and how many [mod]-by-literal positions run on a progression
+    as a running remainder. *)
 
 val lane_loops : lanes -> string array
 (** One slug per serial loop of the body, in back-edge order: ["fused"]

@@ -468,12 +468,16 @@ let prove ?profile st (plan : plan) master =
 let c_view_loads = Registry.counter "exec.lane_views.load"
 let c_view_stores = Registry.counter "exec.lane_views.store"
 let c_view_calls = Registry.counter "exec.lane_views.call"
+let c_view_index = Registry.counter "exec.lane_views.index"
+let c_view_divmod = Registry.counter "exec.lane_views.divmod"
 
 (* A lane fork counts each serial loop of the body once, under
    [exec.lane_loops.<slug>]: ["fused"], or the rule that keeps the loop
    on the dispatch loop ({!Bytecode.lane_loops}); and its forwarded
    loads, fused stores and one-call lane loops under
-   [exec.lane_views.load], [.store] and [.call]. *)
+   [exec.lane_views.load], [.store] and [.call], its unfilled index
+   progressions under [.index] and its [mod]s on a progression under
+   [.divmod]. *)
 let count_lane_loops st ln =
   if Array.length st.fs_lane_loops = 0 then
     st.fs_lane_loops <-
@@ -484,7 +488,10 @@ let count_lane_loops st ln =
   let loads, stores, calls = Bytecode.lane_views ln in
   Registry.add c_view_loads loads;
   Registry.add c_view_stores stores;
-  Registry.add c_view_calls calls
+  Registry.add c_view_calls calls;
+  let index, divmod = Bytecode.lane_index ln in
+  Registry.add c_view_index index;
+  Registry.add c_view_divmod divmod
 
 (* A fork's decision, on the state's proof. *)
 let decide ?profile engine st (plan : plan) master =

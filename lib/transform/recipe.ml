@@ -155,8 +155,40 @@ let passes (r : t) : Pipeline.pass list =
       | Chunked c -> [ Pipeline.coalesce_chunked ~chunk:c ])
     r
 
+module Registry = Loopcoal_obs.Registry
+
+(* [transform.<atom>.fired]: applications of the atom that changed the
+   program, one handle per atom made at module init. *)
+let atom_names =
+  [
+    "normalize"; "infer"; "interchange"; "hoist"; "distribute"; "fuse";
+    "shrink"; "unroll"; "peel"; "tile"; "preduce"; "coalesce"; "chunked";
+  ]
+
+let fired_counters =
+  List.map
+    (fun name ->
+      (name, Registry.counter (Printf.sprintf "transform.%s.fired" name)))
+    atom_names
+
+(* An atom's head word: [tile(8)] is [tile]. *)
+let atom_name a =
+  let s = atom_to_string a in
+  match String.index_opt s '(' with Some i -> String.sub s 0 i | None -> s
+
+(* Atom by atom, so each one that changes the program bumps its
+   counter; a pass that declines leaves the program as it was and the
+   rest still run, the first failure reported. *)
 let apply (r : t) (p : Ast.program) : (Ast.program, string) result =
-  let o = Pipeline.run ~verify:false (passes r) p in
-  match o.Pipeline.failures with
-  | [] -> Ok o.Pipeline.program
+  let program, failures =
+    List.fold_left
+      (fun (p, failures) atom ->
+        let o = Pipeline.run ~verify:false (passes [ atom ]) p in
+        if o.Pipeline.program <> p then
+          Registry.incr (List.assoc (atom_name atom) fired_counters);
+        (o.Pipeline.program, failures @ o.Pipeline.failures))
+      (p, []) r
+  in
+  match failures with
+  | [] -> Ok program
   | (pass, reason) :: _ -> Error (pass ^ ": " ^ reason)

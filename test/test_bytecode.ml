@@ -2003,6 +2003,97 @@ let lane_loop_1d n =
      end\n"
     n n n n n
 
+(* Index progressions ({!Bytecode.lane_index}) over [nj]-column rows,
+   one nest each: stencil's and transpose's inits ([mod] by a literal
+   and int-to-float on progressions, [T]'s conversion writing through
+   its fused store's view); dividends that cross zero inside a pass
+   ([Z]), negative ones and negative literal divisors ([N]); values
+   that overflow inside a pass, by a large coefficient or a large base
+   ([O]); progressions read by a gather ([kk]) and by a lane loop's body
+   ([q], and the strip index through [j * 3 + k]); one read only after
+   its nest, through the copy-out ([m]); and a one-level nest whose
+   strip index feeds [mod] and int-to-float directly.
+   examples/programs/lane_index.loop is this program at [nj = 300]. *)
+let lane_index_prog nj =
+  let nest body =
+    Printf.sprintf
+      "  doall i = 1, 3\n    doall j = 1, %d\n%s    end\n  end\n" nj body
+  in
+  Printf.sprintf
+    "program\n\
+    \  real A[3, %d]\n\
+    \  real T[3, %d]\n\
+    \  real Z[3, %d]\n\
+    \  real N[3, %d]\n\
+    \  real O[3, %d]\n\
+    \  real G[3, %d]\n\
+    \  real L[3, %d]\n\
+    \  real M[3, %d]\n\
+    \  real R[%d]\n\
+    \  int kk = 0\n\
+    \  int m = 0\n\
+    \  int q = 0\n\
+     begin\n\
+     %s%s%s%s%s%s\
+    \  doall j = 1, %d\n\
+    \    R[j] = j %% 5 * 0.125 + j * 0.5\n\
+    \  end\n\
+     end\n"
+    nj nj nj nj nj nj nj nj nj
+    (nest
+       "      A[i, j] = (i * 3 + j * 5) % 11 * 0.5\n\
+       \      T[i, j] = i * 103 + j * 7\n")
+    (nest
+       "      Z[i, j] = (j - 300) % 7 + (j - 300) % -4\n\
+       \      N[i, j] = (i * 3 - j * 5) % -11 * 0.25\n")
+    (nest
+       "      O[i, j] = (j * 36028797018963968 + i) % 7 + (j + \
+        4611686018427387800) % 9\n")
+    (nest
+       (Printf.sprintf "      kk = %d - j\n      G[i, j] = A[i, kk]\n" (nj + 1)))
+    (nest
+       "      q = j * 2 + i\n\
+       \      L[i, j] = 0.0\n\
+       \      do k = 1, 3\n\
+       \        L[i, j] = L[i, j] + q * k + (j * 3 + k) * 0.5\n\
+       \      end\n")
+    (nest "      m = i * 3 + j * 7\n      M[i, j] = m % 13 * 0.5\n")
+    nj
+
+(* [lane_index_prog]'s shapes in one-level nests of [n] iterations,
+   every strip from 1 with step 1 in bounds. *)
+let lane_index_1d n =
+  Printf.sprintf
+    "program\n\
+    \  real A[%d]\n\
+    \  real T[%d]\n\
+    \  real O[%d]\n\
+    \  real G[%d]\n\
+    \  real L[%d]\n\
+    \  int kk = 0\n\
+    \  int m = 0\n\
+    \  int q = 0\n\
+     begin\n\
+    \  doall j = 1, %d\n\
+    \    A[j] = (j * 5 + 3) %% 11 * 0.5 + (j - 100) %% -7\n\
+    \    T[j] = j * 7 + 103\n\
+    \    O[j] = (j + 4611686018427387800) %% 9 + (j * 36028797018963968) %% 7\n\
+    \  end\n\
+    \  doall j = 1, %d\n\
+    \    kk = %d - j\n\
+    \    G[j] = A[kk]\n\
+    \    m = j * 3 + 1\n\
+    \  end\n\
+    \  doall j = 1, %d\n\
+    \    q = j * 2 + 1\n\
+    \    L[j] = 0.0\n\
+    \    do k = 1, 3\n\
+    \      L[j] = L[j] + q * k\n\
+    \    end\n\
+    \  end\n\
+     end\n"
+    n n n n n n n (n + 1) n
+
 (* One-level nests of [n] iterations, every strip from 1 with step 1
    (so that a strip of any length up to [n] stays in bounds): a
    relax-shaped body, plan scalars loaded and read after a store to
@@ -2063,8 +2154,8 @@ let lane_view_1d n =
      end\n"
     n n n n n (n + 9) n n n n n n n n n
 
-(* Every lane program of the step-class program, [lane_loop_1d] and
-   [lane_view_1d] at -O0 and -O2, its strips run by
+(* Every lane program of the step-class program, [lane_loop_1d],
+   [lane_view_1d] and [lane_index_1d] at -O0 and -O2, its strips run by
    [Bytecode.lane_runner] on a bound lane state: a repeat call allocates
    nothing, whatever the strip's length. *)
 let test_lane_runner_allocation () =
@@ -2101,6 +2192,7 @@ let test_lane_runner_allocation () =
       ("step classes", step_class_prog n);
       ("lane loops", lane_loop_1d n);
       ("lane views", lane_view_1d n);
+      ("lane progressions", lane_index_1d n);
     ]
 
 (* Register promotion hoists a promoted element's load, checked unless
@@ -2766,6 +2858,118 @@ let test_lane_view_corpus () =
             [ 0; 2 ])
     progs
 
+(* ---------- lane progressions ---------- *)
+
+let lane_index_counted () =
+  List.map
+    (fun k -> Registry.value (Registry.counter ("exec.lane_views." ^ k)))
+    [ "index"; "divmod" ]
+
+(* [lane_index_prog] and [lane_index_1d] bit-identical to scalar
+   bytecode and [Eval] over strips of 1 to 517 under static block, GSS
+   and chunk:3 at 1-3 domains, [m]'s and [q]'s last values included. At
+   -O2, per plan: the inits leave the strip index and both [Iaff]s
+   unfilled and run one [mod] on a progression; [Z] and [N] leave
+   three [Iaff]s and the index unfilled and run three; [O] two and two;
+   [kk]'s gather fills [kk] but not the index; the lane loop fills [q]
+   and the index; [m] is read only by a [mod] and the copy-out; the
+   one-level nest's index feeds a conversion and a [mod]. Every fork
+   counts its progressions once. *)
+let test_lane_index () =
+  List.iter
+    (fun nj ->
+      List.iter
+        (fun (what, prog) ->
+          check_lanes ~lanes:(nj > 1)
+            ~what:(Printf.sprintf "%s, nj=%d" what nj)
+            (parse what (prog nj)))
+        [
+          ("lane progressions", lane_index_prog);
+          ("one-level progressions", lane_index_1d);
+        ])
+    [ 1; 2; 3; 255; 256; 257; 517 ];
+  let prog = parse "lane progressions" (lane_index_prog 300) in
+  let t = Compile.compile ~opt_level:2 prog in
+  Alcotest.(check (list (pair int int)))
+    "-O2 unfilled progressions and mods per lane plan"
+    [ (3, 1); (4, 3); (3, 2); (1, 0); (0, 0); (2, 1); (1, 1) ]
+    (List.filter_map
+       (fun pl ->
+         Option.map (fun (_, _, ln) -> Bytecode.lane_index ln) (lane_program pl))
+       (Compile.plans t));
+  List.iter
+    (fun d ->
+      let before = lane_index_counted () in
+      ignore (Exec.run_compiled ~domains:d ~policy:Policy.Gss t : Exec.outcome);
+      Alcotest.(check (list int))
+        (Printf.sprintf "counted once per lane fork, %d domain(s)" d)
+        [ 14; 8 ]
+        (List.map2 ( - ) (lane_index_counted ()) before))
+    [ 1; 2 ]
+
+(* A fused form's loads fault in the interpreter's order, right operand
+   first, on the checked path: the dot product's [B[k, j]] before
+   [A[i, k]] at [k = 10], and [A[i + 9]] before [A[i + 5]]. [Eval],
+   bytecode and native where a toolchain exists, at -O0 and -O2 and 1
+   and 2 domains. *)
+let test_fused_fault_order () =
+  let engines =
+    Exec.Bytecode
+    :: (if Runtime.Natgen.available () = Ok () then [ Exec.Native ] else [])
+  in
+  List.iter
+    (fun (text, want) ->
+      let p = parse "fault order" text in
+      (match Eval.run p with
+      | _ -> Alcotest.fail "Eval ran"
+      | exception Eval.Runtime_error m -> Alcotest.(check string) "Eval" want m);
+      List.iter
+        (fun lvl ->
+          let t = Compile.compile ~opt_level:lvl p in
+          List.iter
+            (fun engine ->
+              List.iter
+                (fun domains ->
+                  match
+                    Exec.run_compiled ~domains ~policy:Policy.Gss ~engine t
+                  with
+                  | _ -> Alcotest.fail "ran"
+                  | exception Compile.Error m ->
+                      Alcotest.(check string)
+                        (Printf.sprintf "%s -O%d, %d domain(s)"
+                           (if engine = Exec.Native then "native"
+                            else "bytecode")
+                           lvl domains)
+                        want m)
+                [ 1; 2 ])
+            engines)
+        [ 0; 2 ])
+    [
+      ( "program\n\
+        \  real A[4, 9]\n\
+        \  real B[9, 5]\n\
+        \  real C[4, 5]\n\
+         begin\n\
+        \  doall i = 1, 4\n\
+        \    doall j = 1, 5\n\
+        \      do k = 8, 10\n\
+        \        C[i, j] = C[i, j] + A[i, k] * B[k, j]\n\
+        \      end\n\
+        \    end\n\
+        \  end\n\
+         end\n",
+        "array B: subscript 10 out of bounds 1..9" );
+      ( "program\n\
+        \  real A[4]\n\
+        \  real B[4]\n\
+         begin\n\
+        \  doall i = 1, 4\n\
+        \    B[i] = A[i + 5] + A[i + 9]\n\
+        \  end\n\
+         end\n",
+        "array A: subscript 10 out of bounds 1..4" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "strip bounds pinned" `Quick test_strip_bounds;
@@ -2821,4 +3025,8 @@ let suite =
       `Quick test_lane_view_rules;
     Alcotest.test_case "lane views: plan scalars as temporaries, lane corpus"
       `Quick test_lane_view_corpus;
+    Alcotest.test_case "lane progressions: strips 1 .. 517 = scalar = Eval"
+      `Slow test_lane_index;
+    Alcotest.test_case "fused loads keep the interpreter's fault order" `Quick
+      test_fused_fault_order;
   ]

@@ -597,6 +597,24 @@ let test_model_check_grades () =
     (String.length (Model_check.summary [ s ]) > 0);
   ignore (Table.render (Model_check.table [ s ]))
 
+(* [Recipe.apply] counts each atom that changed the program under
+   [transform.<atom>.fired]: coalescing matmul's nests fires
+   [coalesce] once; coalescing the result again changes nothing. *)
+let test_transform_fired () =
+  let fired atom =
+    Registry.value (Registry.counter ("transform." ^ atom ^ ".fired"))
+  in
+  let prog =
+    Result.get_ok (Driver.load_file "../examples/programs/matmul.loop")
+  in
+  let r = Result.get_ok (Recipe.of_string "coalesce(ceiling)") in
+  let before = fired "coalesce" in
+  let once = Result.get_ok (Recipe.apply r prog) in
+  Alcotest.(check int) "matmul coalesced" 1 (fired "coalesce" - before);
+  ignore (Result.get_ok (Recipe.apply r once) : Ast.program);
+  Alcotest.(check int) "coalesced again: unchanged" 1
+    (fired "coalesce" - before)
+
 let suite =
   [
     Alcotest.test_case "chunks partition [1..N] (all policies x domains)"
@@ -635,4 +653,6 @@ let suite =
     Alcotest.test_case "model check grading" `Quick test_model_check_grades;
     Gen.to_alcotest prop_chunks_sequence_tiles;
     Gen.to_alcotest prop_chunks_static_counts;
+    Alcotest.test_case "transform atoms count fired" `Quick
+      test_transform_fired;
   ]
