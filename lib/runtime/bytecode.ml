@@ -1188,8 +1188,16 @@ let proof_inputs tape =
     [] tape.tp_accs
   |> List.sort_uniq Int.compare |> Array.of_list
 
+(* Words past the end of every array one domain writes per strip or
+   per pass (register files, scratch, lane state): two cache lines, one
+   and the line the adjacent-line prefetcher pairs with it, so that two
+   domains' arrays allocated back to back share no line. *)
+let domain_pad = 16
+
 let make_scratch tape =
-  Array.make (max 1 (Array.length tape.tp_accs + tape.tp_ncounters)) 0
+  Array.make
+    (max 1 (Array.length tape.tp_accs + tape.tp_ncounters) + domain_pad)
+    0
 
 (* ---------- profiling ---------- *)
 
@@ -1707,22 +1715,25 @@ let acc_regs (ac : access) =
   | Vn -> Array.to_list ac.ac_var.regs
   | V0 -> []
 
+(* How many times [f] lists each register over the prologue and the
+   body: its writers, say, with [f] an instruction's destinations. *)
+let reg_counts (tp : tape) f =
+  let h = Hashtbl.create 16 in
+  let get r = Option.value ~default:0 (Hashtbl.find_opt h r) in
+  let add r = Hashtbl.replace h r (1 + get r) in
+  Array.iter (fun i -> List.iter add (f i)) tp.tp_pre;
+  Array.iter (fun i -> List.iter add (f i)) tp.tp_ops;
+  get
+
+let int_writers tp = reg_counts tp (fun i -> Option.to_list (int_dst i))
+
 let const_regs ~jslot (tp : tape) =
-  let writes = Hashtbl.create 16 in
-  let count i =
-    match int_dst i with
-    | Some d ->
-        Hashtbl.replace writes d
-          (1 + Option.value ~default:0 (Hashtbl.find_opt writes d))
-    | None -> ()
-  in
-  Array.iter count tp.tp_pre;
-  Array.iter count tp.tp_ops;
+  let writes = int_writers tp in
   Array.fold_left
     (fun m i ->
       match i with
       | (Iconst (d, v) | Iaff (d, { base = v; coefs = [||]; _ }))
-        when d <> jslot && Hashtbl.find writes d = 1 ->
+        when d <> jslot && writes d = 1 ->
           IntMap.add d v m
       | _ -> m)
     IntMap.empty tp.tp_pre
@@ -2098,6 +2109,29 @@ type found_loop = {
   fl_moving : (int * int * int) list;
 }
 
+type fop = Kadd | Ksub | Kmul | Kdiv | Kmin | Kmax
+
+(* A lane chain's tail: none, [u op t] or [t op u], [u] uniform. *)
+type side = Snone | Sleft | Sright
+
+type chain_head =
+  | Ch_sum of int array
+      (** [load id1 + load id2], then [+ load id] per further id, in
+          that order *)
+  | Ch_ofi of int * int
+      (** [float p] of progression [p], or [float (p mod m)] when the
+          second is [m]'s literal register (else -1) *)
+
+(* A chain ([chains]): one pass per strip piece in place of one per
+   position. *)
+type chain = {
+  ch_head : chain_head;
+  ch_side : side;
+  ch_op : fop;  (** the tail's operation ([Kadd] when [Snone]) *)
+  ch_u : int;  (** the tail's uniform register, or -1 *)
+  ch_dst : int;  (** the last position's register *)
+}
+
 type lanes = {
   ln_vary : bool array;  (** per [tp_ops] position: runs across lanes *)
   ln_ilane : int array;  (** int register -> lane array base, or -1 *)
@@ -2112,9 +2146,11 @@ type lanes = {
       (** per [tp_ops] position, what the dispatch loop does there: enter
           the lane loop whose [top] it is (its index), or run it across
           lanes (-1, [ln_vary]) or once (-2), or nothing (-3: a forwarded
-          load or a fused store), or run its progression kernel
+          load, a fused store or a chain's position past its head), or
+          run its progression kernel
           ([lane_prog]: -4, or -5 for an [Iaff] that also fills its lane
-          array) *)
+          array), or run chain [-6 - k] of [ln_chains] (-6 and below) *)
+  ln_chains : chain array;
   ln_iprog : bool array;
       (** per varying int register, in lane order: a progression, whose
           last value the copy-out takes from its pair *)
@@ -2233,20 +2269,12 @@ let lane_loop_of (tp : tape) acc q =
 let view_regs ~jslot ~scalar_reals (lp : lane_plan) acc block (tp : tape) =
   let ops = tp.tp_ops in
   let n = Array.length ops in
-  let count f =
-    let h = Hashtbl.create 16 in
-    let get r = Option.value ~default:0 (Hashtbl.find_opt h r) in
-    let add r = Hashtbl.replace h r (1 + get r) in
-    Array.iter (fun i -> List.iter add (f i)) tp.tp_pre;
-    Array.iter (fun i -> List.iter add (f i)) ops;
-    get
-  in
   let freads i =
     let _, fr, _ = reads i in
     fr
   in
-  let writers = count (fun i -> Option.to_list (float_dst i)) in
-  let readers = count freads in
+  let writers = reg_counts tp (fun i -> Option.to_list (float_dst i)) in
+  let readers = reg_counts tp freads in
   let starts = lp.lp_starts and written_i = lp.lp_written_i in
   let jump i = instr_targets i <> [] in
   let temp p r =
@@ -2313,16 +2341,7 @@ let view_regs ~jslot ~scalar_reals (lp : lane_plan) acc block (tp : tape) =
    and the progressions whose lane array is read. *)
 let progressions ~jslot ~lits (lp : lane_plan) acc vary block (tp : tape) =
   let ops = tp.tp_ops in
-  let writers = Hashtbl.create 16 in
-  let count i =
-    Option.iter
-      (fun d ->
-        Hashtbl.replace writers d
-          (1 + Option.value ~default:0 (Hashtbl.find_opt writers d)))
-      (int_dst i)
-  in
-  Array.iter count tp.tp_pre;
-  Array.iter count ops;
+  let writers = int_writers tp in
   let lane p = vary.(p) && block.(p) = 0 in
   let over prog (a : aff) =
     Array.for_all
@@ -2334,8 +2353,7 @@ let progressions ~jslot ~lits (lp : lane_plan) acc vary block (tp : tape) =
     Array.iteri
       (fun p i ->
         match i with
-        | Iaff (d, a)
-          when lane p && Hashtbl.find writers d = 1 && over prog a ->
+        | Iaff (d, a) when lane p && writers d = 1 && over prog a ->
             prog' := IntSet.add d !prog'
         | _ -> ())
       ops;
@@ -2343,8 +2361,7 @@ let progressions ~jslot ~lits (lp : lane_plan) acc vary block (tp : tape) =
   in
   let prog =
     grow
-      (if Hashtbl.mem writers jslot then IntSet.empty
-       else IntSet.singleton jslot)
+      (if writers jslot > 0 then IntSet.empty else IntSet.singleton jslot)
   in
   let kernel =
     Array.mapi
@@ -2373,7 +2390,138 @@ let progressions ~jslot ~lits (lp : lane_plan) acc vary block (tp : tape) =
     tp.tp_accs;
   (prog, kernel, IntSet.inter prog !read)
 
-let lanes ~jslot ~scalar_reals (tp : tape) =
+(* Lane chains: runs of consecutive positions that one kernel runs in
+   one pass over the piece, in place of one pass per position ([ln_run]
+   [-6 - k] at the head, -3 past it). A chain sits outside lane loop
+   bodies, in one straight run with no block start after its head, and
+   every value one position hands the next is a body temporary with one
+   writer whose only reader is that next position: a float register at
+   or above [scalar_reals] that no view reads or writes, or, from a
+   [mod] to its conversion, an int register at or above [scalar_ints]
+   that no access offset reads. No code after the fork reads a body
+   temporary, and no other position reads one, so a chain writes only
+   its last register: its lane array, or its fused store's view. The
+   heads:
+
+   - a sum: [load + load], then up to three [+ load] (no gathered
+     load), five loads in all;
+   - [float (p mod m)], [p] a progression and [m] a literal, on the
+     running remainder of [k_imod_run];
+   - [float p] of a progression, which chains only with a tail;
+
+   then at most one tail, [+ - * /] with a uniform register on either
+   side. A sum alone is a chain; [float] of a [mod] or of a progression
+   needs what follows it. Each element's operations
+   run on the same operands in the same order as on the positions'
+   own passes, so chaining is exact. Returns the chains with their
+   head and last positions. *)
+let chains ~scalar_reals ~scalar_ints (lp : lane_plan) acc run views
+    (tp : tape) =
+  let ops = tp.tp_ops in
+  let n = Array.length ops in
+  let fwriters = reg_counts tp (fun i -> Option.to_list (float_dst i)) in
+  let iwriters = int_writers tp in
+  let freaders =
+    reg_counts tp (fun i ->
+        let _, fr, _ = reads i in
+        fr)
+  in
+  let ireaders =
+    reg_counts tp (fun i ->
+        let ir, _, _ = reads i in
+        ir)
+  in
+  let offset_regs =
+    Array.fold_left
+      (fun s (ac : access) ->
+        Array.fold_right IntSet.add ac.ac_inv.regs
+          (Array.fold_right IntSet.add ac.ac_var.regs s))
+      IntSet.empty tp.tp_accs
+  in
+  (* position [q] continues a chain: it runs across lanes on the
+     dispatch loop and is reached only from [q - 1] *)
+  let next q = q < n && run.(q) = -1 && not lp.lp_starts.(q) in
+  let ftemp r =
+    r >= scalar_reals && IntSet.mem r lp.lp_vary_f && fwriters r = 1
+    && freaders r = 1
+    && not (List.mem r views)
+  in
+  let itemp r =
+    r >= scalar_ints && iwriters r = 1 && ireaders r = 1
+    && not (IntSet.mem r offset_regs)
+  in
+  let load id = acc.(id) <> La_gather in
+  let uniform t u =
+    u <> t
+    && (not (IntSet.mem u lp.lp_vary_f))
+    && not (IntSet.mem u lp.lp_folds)
+  in
+  (* the tail at [q] over [t]: side, operation, uniform register and
+     destination *)
+  let tail q t =
+    if not (next q && ftemp t) then None
+    else
+      let op, d, a, b =
+        match ops.(q) with
+        | Fadd (d, a, b) -> (Some Kadd, d, a, b)
+        | Fsub (d, a, b) -> (Some Ksub, d, a, b)
+        | Fmul (d, a, b) -> (Some Kmul, d, a, b)
+        | Fdiv (d, a, b) -> (Some Kdiv, d, a, b)
+        | _ -> (None, 0, 0, 0)
+      in
+      match op with
+      | Some op when a = t && uniform t b -> Some (Sright, op, b, d)
+      | Some op when b = t && uniform t a -> Some (Sleft, op, a, d)
+      | _ -> None
+  in
+  (* the chain from head [p], whose value so far is [t] at [q - 1]; it
+     may end there when [bare] *)
+  let finish p q t head ~bare =
+    let chain side op u d =
+      { ch_head = head; ch_side = side; ch_op = op; ch_u = u; ch_dst = d }
+    in
+    match tail q t with
+    | Some (side, op, u, d) -> Some (p, q, chain side op u d)
+    | None when bare -> Some (p, q - 1, chain Snone Kadd (-1) t)
+    | None -> None
+  in
+  let rec sum p q t ids =
+    let more =
+      if List.length ids < 5 && next q && ftemp t then
+        match ops.(q) with
+        | Fldadd (d, x, id) when x = t && load id -> Some (d, id)
+        | _ -> None
+      else None
+    in
+    match more with
+    | Some (d, id) -> sum p (q + 1) d (ids @ [ id ])
+    | None -> finish p q t (Ch_sum (Array.of_list ids)) ~bare:true
+  in
+  let at p =
+    if run.(p) <> -1 && run.(p) <> -4 then None
+    else
+      match ops.(p) with
+      | Fld2add (d, i1, i2) when load i1 && load i2 ->
+          sum p (p + 1) d [ i1; i2 ]
+      | Imod (m, a, b) when run.(p) = -4 && itemp m && next (p + 1) -> (
+          match ops.(p + 1) with
+          | Fofi (d, m') when m' = m ->
+              finish p (p + 2) d (Ch_ofi (a, b)) ~bare:true
+          | _ -> None)
+      | Fofi (d, a) when run.(p) = -4 ->
+          finish p (p + 1) d (Ch_ofi (a, -1)) ~bare:false
+      | _ -> None
+  in
+  let rec scan p acc =
+    if p >= n then List.rev acc
+    else
+      match at p with
+      | Some ((_, last, _) as c) -> scan (last + 1) (c :: acc)
+      | None -> scan (p + 1) acc
+  in
+  scan 0 []
+
+let lanes ~jslot ~scalar_reals ~scalar_ints (tp : tape) =
   let lits = const_regs ~jslot tp in
   match lane_plan ~jslot ~lits tp with
   | Result.Error why -> Result.Error why
@@ -2445,6 +2593,18 @@ let lanes ~jslot ~scalar_reals (tp : tape) =
               | Iaff (d, _) when IntSet.mem d filled -> -5
               | _ -> -4))
         kernel;
+      let chained =
+        chains ~scalar_reals ~scalar_ints lp acc run
+          (List.map (fun (r, _, _) -> r) views)
+          tp
+      in
+      List.iteri
+        (fun k (head, last, _) ->
+          run.(head) <- -6 - k;
+          for p = head + 1 to last do
+            run.(p) <- -3
+          done)
+        chained;
       let iregs = Array.of_list (IntSet.elements lp.lp_vary_i) in
       let fregs =
         Array.of_list
@@ -2493,6 +2653,7 @@ let lanes ~jslot ~scalar_reals (tp : tape) =
           ln_acc = acc;
           ln_sums = Array.mem La_gather acc || Array.exists multi tp.tp_ops;
           ln_run = run;
+          ln_chains = Array.of_list (List.map (fun (_, _, c) -> c) chained);
           ln_iprog = Array.map (fun r -> IntSet.mem r prog) iregs;
           ln_jfill = IntSet.mem jslot filled || not (IntSet.mem jslot prog);
           ln_block = block;
@@ -2519,6 +2680,7 @@ let lanes ~jslot ~scalar_reals (tp : tape) =
 
 let lane_views ln = ln.ln_views
 let lane_index ln = ln.ln_index
+let lane_chains ln = Array.length ln.ln_chains
 
 let lane_loops ln = ln.ln_why
 
@@ -2660,8 +2822,6 @@ let k_fofi n (d : float view) (a : int view) =
       oa := !oa + as_
     done
   end
-
-type fop = Kadd | Ksub | Kmul | Kdiv | Kmin | Kmax
 
 let[@inline] fbin_op op (x : float) y =
   match op with
@@ -2934,15 +3094,15 @@ let k_fofi_run n (d : float view) v0 dv =
     v := !v + dv
   done
 
-(* d <- v mod m, [m] a nonzero literal: one division and a running
-   remainder when the values neither overflow nor change sign over the
-   pass, else [mod] per value. With every value >= 0 the remainders lie
-   in [0, |m|), with every value <= 0 in (-|m|, 0]; stepping by
-   [dv mod |m|] and wrapping once into that range gives the one
-   remainder of each value there. *)
-let k_imod_run n (d : int view) v0 dv m =
-  let da = d.arr and ds = d.step in
-  let od = ref d.base in
+(* How [n] values [v0 + l * dv] take [mod m], [m] a nonzero literal:
+   with one division and a running remainder when the values neither
+   overflow nor change sign over the pass, else by [mod] per value (0).
+   With every value >= 0 the remainders lie in [0, |m|), with every
+   value <= 0 in (-|m|, 0]; stepping by [dv mod |m|] and wrapping once
+   into that range gives the one remainder of each value there. The
+   result is the bound past which a remainder wraps: [|m|] for values
+   >= 0, 1 for values <= 0. *)
+let rem_hi n v0 dv m =
   let lim = max_int / lane_width and a = abs m in
   let s = (n - 1) * dv in
   let last = v0 + s in
@@ -2952,10 +3112,23 @@ let k_imod_run n (d : int view) v0 dv m =
     && a > 0
     && a <= max_int / 4
   in
-  if exact && ((v0 >= 0 && last >= 0) || (v0 <= 0 && last <= 0)) then begin
-    let hi = if v0 >= 0 && last >= 0 then a else 1 in
-    let dr = dv mod a in
-    let dr = if dr < 0 then dr + a else dr in
+  if exact && v0 >= 0 && last >= 0 then a
+  else if exact && v0 <= 0 && last <= 0 then 1
+  else 0
+
+(* [dv mod |m|], in [0, |m|) *)
+let rem_step dv m =
+  let a = abs m in
+  let dr = dv mod a in
+  if dr < 0 then dr + a else dr
+
+(* d <- v mod m *)
+let k_imod_run n (d : int view) v0 dv m =
+  let da = d.arr and ds = d.step in
+  let od = ref d.base in
+  let hi = rem_hi n v0 dv m in
+  if hi > 0 then begin
+    let a = abs m and dr = rem_step dv m in
     let r = ref (v0 mod m) in
     for _ = 1 to n do
       Array.unsafe_set da !od !r;
@@ -2973,8 +3146,155 @@ let k_imod_run n (d : int view) v0 dv m =
     done
   end
 
+(* Chain kernels ([chains]): a whole chain per element, in one pass, in
+   the unit shape (the destination and every load step 1, one offset
+   shared by all) or the running-offset shape. Every call passes the
+   load count, [mod] flag, side and operation as constants, so each
+   specialization is its own loop (see the lane kernels above). The
+   tail's uniform operand is read once, from [reals], before the
+   loop. *)
+
+let[@inline] tail side op (u : float) (x : float) =
+  match side with
+  | Snone -> x
+  | Sleft -> fbin_op op u x
+  | Sright -> fbin_op op x u
+
+(* The sum of [nl] loads, left to right, as [Fld2add] then [Fldadd]s
+   take it. *)
+let[@inline] sum_at nl (a1 : float array) o1 (a2 : float array) o2
+    (a3 : float array) o3 (a4 : float array) o4 (a5 : float array) o5 =
+  let x = Array.unsafe_get a1 o1 in
+  let y = Array.unsafe_get a2 o2 in
+  let s = x +. y in
+  let s =
+    if nl >= 3 then
+      let z = Array.unsafe_get a3 o3 in
+      s +. z
+    else s
+  in
+  let s =
+    if nl >= 4 then
+      let z = Array.unsafe_get a4 o4 in
+      s +. z
+    else s
+  in
+  if nl >= 5 then
+    let z = Array.unsafe_get a5 o5 in
+    s +. z
+  else s
+
+let[@inline] sum_chain nl side op n (d : float view) (v1 : float view)
+    (v2 : float view) (v3 : float view) (v4 : float view) (v5 : float view)
+    (reals : float array) ur =
+  let u = match side with Snone -> 0.0 | _ -> Array.unsafe_get reals ur in
+  let da = d.arr and a1 = v1.arr and a2 = v2.arr and a3 = v3.arr in
+  let a4 = v4.arr and a5 = v5.arr in
+  if
+    d.step = 1 && v1.step = 1 && v2.step = 1
+    && (nl < 3 || v3.step = 1)
+    && (nl < 4 || v4.step = 1)
+    && (nl < 5 || v5.step = 1)
+  then begin
+    let od = d.base and o1 = v1.base and o2 = v2.base and o3 = v3.base in
+    let o4 = v4.base and o5 = v5.base in
+    for l = 0 to n - 1 do
+      Array.unsafe_set da (od + l)
+        (tail side op u
+           (sum_at nl a1 (o1 + l) a2 (o2 + l) a3 (o3 + l) a4 (o4 + l) a5
+              (o5 + l)))
+    done
+  end
+  else begin
+    let od = ref d.base and o1 = ref v1.base and o2 = ref v2.base in
+    let o3 = ref v3.base and o4 = ref v4.base and o5 = ref v5.base in
+    for _ = 1 to n do
+      Array.unsafe_set da !od
+        (tail side op u (sum_at nl a1 !o1 a2 !o2 a3 !o3 a4 !o4 a5 !o5));
+      od := !od + d.step;
+      o1 := !o1 + v1.step;
+      o2 := !o2 + v2.step;
+      if nl >= 3 then o3 := !o3 + v3.step;
+      if nl >= 4 then o4 := !o4 + v4.step;
+      if nl >= 5 then o5 := !o5 + v5.step
+    done
+  end
+
+let[@inline] sum_loads nl side op n d v1 v2 v3 v4 v5 reals ur =
+  match nl with
+  | 2 -> sum_chain 2 side op n d v1 v2 v3 v4 v5 reals ur
+  | 3 -> sum_chain 3 side op n d v1 v2 v3 v4 v5 reals ur
+  | 4 -> sum_chain 4 side op n d v1 v2 v3 v4 v5 reals ur
+  | _ -> sum_chain 5 side op n d v1 v2 v3 v4 v5 reals ur
+
+(* d <- the sum of loads [v1 .. v_nl], through the tail *)
+let k_sum nl side op n d v1 v2 v3 v4 v5 reals ur =
+  match (side, op) with
+  | Snone, _ -> sum_loads nl Snone Kadd n d v1 v2 v3 v4 v5 reals ur
+  | Sleft, Kadd -> sum_loads nl Sleft Kadd n d v1 v2 v3 v4 v5 reals ur
+  | Sleft, Ksub -> sum_loads nl Sleft Ksub n d v1 v2 v3 v4 v5 reals ur
+  | Sleft, Kmul -> sum_loads nl Sleft Kmul n d v1 v2 v3 v4 v5 reals ur
+  | Sleft, _ -> sum_loads nl Sleft Kdiv n d v1 v2 v3 v4 v5 reals ur
+  | Sright, Kadd -> sum_loads nl Sright Kadd n d v1 v2 v3 v4 v5 reals ur
+  | Sright, Ksub -> sum_loads nl Sright Ksub n d v1 v2 v3 v4 v5 reals ur
+  | Sright, Kmul -> sum_loads nl Sright Kmul n d v1 v2 v3 v4 v5 reals ur
+  | Sright, _ -> sum_loads nl Sright Kdiv n d v1 v2 v3 v4 v5 reals ur
+
+(* The [n] values [v0 + l * dv], or their remainders by [m] when [md],
+   through [float_of_int] and the tail into [da] from [od], by [ds]
+   unless [unit]. *)
+let[@inline] ofi_pass ~unit md side op n da od ds v0 dv m u =
+  let hi = if md then rem_hi n v0 dv m else 0 in
+  if md && hi > 0 then begin
+    let a = abs m and dr = rem_step dv m in
+    let r = ref (v0 mod m) and o = ref od in
+    for l = 0 to n - 1 do
+      Array.unsafe_set da
+        (if unit then od + l else !o)
+        (tail side op u (float_of_int !r));
+      if not unit then o := !o + ds;
+      let x = !r + dr in
+      r := if x >= hi then x - a else x
+    done
+  end
+  else begin
+    let v = ref v0 and o = ref od in
+    for l = 0 to n - 1 do
+      let w = if md then !v mod m else !v in
+      Array.unsafe_set da
+        (if unit then od + l else !o)
+        (tail side op u (float_of_int w));
+      if not unit then o := !o + ds;
+      v := !v + dv
+    done
+  end
+
+let[@inline] ofi_chain md side op n (d : float view) v0 dv m
+    (reals : float array) ur =
+  let u = match side with Snone -> 0.0 | _ -> Array.unsafe_get reals ur in
+  if d.step = 1 then ofi_pass ~unit:true md side op n d.arr d.base 1 v0 dv m u
+  else ofi_pass ~unit:false md side op n d.arr d.base d.step v0 dv m u
+
+let[@inline] ofi_mod md side op n d v0 dv m reals ur =
+  if md then ofi_chain true side op n d v0 dv m reals ur
+  else ofi_chain false side op n d v0 dv m reals ur
+
+(* d <- float v, or float (v mod m) when [md], through the tail *)
+let k_ofi md side op n d v0 dv m reals ur =
+  match (side, op) with
+  | Snone, _ -> ofi_mod md Snone Kadd n d v0 dv m reals ur
+  | Sleft, Kadd -> ofi_mod md Sleft Kadd n d v0 dv m reals ur
+  | Sleft, Ksub -> ofi_mod md Sleft Ksub n d v0 dv m reals ur
+  | Sleft, Kmul -> ofi_mod md Sleft Kmul n d v0 dv m reals ur
+  | Sleft, _ -> ofi_mod md Sleft Kdiv n d v0 dv m reals ur
+  | Sright, Kadd -> ofi_mod md Sright Kadd n d v0 dv m reals ur
+  | Sright, Ksub -> ofi_mod md Sright Ksub n d v0 dv m reals ur
+  | Sright, Kmul -> ofi_mod md Sright Kmul n d v0 dv m reals ur
+  | Sright, _ -> ofi_mod md Sright Kdiv n d v0 dv m reals ur
+
 (* One domain's lane arrays: they hold no register file or array, so a
-   fork state keeps them across runs. *)
+   fork state keeps them across runs. Each ends in [domain_pad] unused
+   words. *)
 type lane_state = {
   ls_i : int array;  (** int lane arrays *)
   ls_f : float array;  (** float lane arrays *)
@@ -2989,19 +3309,21 @@ let make_lane_state ln =
   let nvi = Array.length ln.ln_iregs and nvf = Array.length ln.ln_fregs in
   let gathers = Array.mem La_gather ln.ln_acc in
   let nregs = Array.length ln.ln_ilane in
+  let pad = domain_pad in
   {
-    ls_pf = Array.make nregs 0;
-    ls_pi = Array.make nregs 0;
-    ls_i = Array.make (nvi * lane_width) 0;
-    ls_f = Array.make (nvf * lane_width) 0.0;
-    ls_off = (if ln.ln_sums then Array.make lane_width 0 else [||]);
-    ls_g = (if gathers then Array.make (4 * lane_width) 0.0 else [||]);
-    ls_dirty = Array.make (nvi + nvf) false;
+    ls_pf = Array.make (nregs + pad) 0;
+    ls_pi = Array.make (nregs + pad) 0;
+    ls_i = Array.make ((nvi * lane_width) + pad) 0;
+    ls_f = Array.make ((nvf * lane_width) + pad) 0.0;
+    ls_off = (if ln.ln_sums then Array.make (lane_width + pad) 0 else [||]);
+    ls_g = (if gathers then Array.make ((4 * lane_width) + pad) 0.0 else [||]);
+    ls_dirty = Array.make (nvi + nvf + pad) false;
   }
 
 (* One domain's lane runner: what its strips read, and the operand
    views — four float and three int slots per block ([ln_block]), slot
-   0 the destination, then the operands. *)
+   0 the destination, then the operands, and six more float slots for
+   chains ([lane_chain]). *)
 type lane_run = {
   lr_tape : tape;
   lr_ln : lanes;
@@ -3345,6 +3667,26 @@ let lane_prog lr n ~fill (i : instr) =
         (Array.unsafe_get lr.lr_ints b)
   | _ -> assert false
 
+(* Chain [ch] over [n] iterations, on the chain's view slots: the last
+   six, the destination and then the loads. *)
+let lane_chain lr n (ch : chain) =
+  let fv = lr.lr_fv and c = Array.length lr.lr_fv - 6 in
+  fdst lr ~lanes:true c ch.ch_dst;
+  match ch.ch_head with
+  | Ch_sum ids ->
+      let nl = Array.length ids in
+      for k = 0 to nl - 1 do
+        fmem lr c (k + 1) n (Array.unsafe_get ids k)
+      done;
+      k_sum nl ch.ch_side ch.ch_op n fv.(c) fv.(c + 1) fv.(c + 2) fv.(c + 3)
+        fv.(c + 4) fv.(c + 5) lr.lr_reals ch.ch_u
+  | Ch_ofi (p, m) ->
+      let ls = lr.lr_ls in
+      k_ofi (m >= 0) ch.ch_side ch.ch_op n fv.(c) (Array.unsafe_get ls.ls_pf p)
+        (Array.unsafe_get ls.ls_pi p)
+        (if m >= 0 then Array.unsafe_get lr.lr_ints m else 1)
+        lr.lr_reals ch.ch_u
+
 (* The trips of lane loop [ll] from [top], index [r] stepping by [step]
    while it stays <= register [bnd], on views bound for this entry. *)
 let lane_trips lr n (ll : lane_loop) top r step bnd =
@@ -3436,7 +3778,9 @@ let lane_strip lr ~jslot j0 jstep len =
     Array.unsafe_set lr.lr_inv a
       (aff_eval ints (Array.unsafe_get accs a).ac_inv)
   done;
-  Array.fill dirty 0 (Array.length dirty) false;
+  Array.fill dirty 0
+    (Array.length ln.ln_iregs + Array.length ln.ln_fregs)
+    false;
   let p = ref 0 and n = ref 0 in
   while !p < len do
     n := if len - !p < lane_width then len - !p else lane_width;
@@ -3467,6 +3811,8 @@ let lane_strip lr ~jslot j0 jstep len =
         | i ->
             if k >= -2 then
               lane_step lr ~lanes:true (if k = -1 then !n else 1) i
+            else if k <= -6 then
+              lane_chain lr !n (Array.unsafe_get ln.ln_chains (-6 - k))
             else if k <> -3 then lane_prog lr !n ~fill:(k = -5) i;
             incr pc
     done;
@@ -3503,7 +3849,9 @@ let lane_runner tape ln ls ~ints ~reals ~arrays ~inv ~jslot =
       lr_arrays = arrays;
       lr_inv = inv;
       lr_fv =
-        Array.init (4 * blocks) (fun _ -> { arr = reals; base = 0; step = 0 });
+        Array.init
+          ((4 * blocks) + 6)
+          (fun _ -> { arr = reals; base = 0; step = 0 });
       lr_iv =
         Array.init (3 * blocks) (fun _ -> { arr = ints; base = 0; step = 0 });
       lr_jstep = 0;

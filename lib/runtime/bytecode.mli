@@ -75,6 +75,9 @@ val aff_scale : int -> aff -> aff
 val aff_sub : aff -> aff -> aff
 val aff_eval : int array -> aff -> int
 
+val aff_coef : aff -> int -> int
+(** The coefficient of a register in a form, 0 when absent. *)
+
 (** Symbolic per-fork range skeleton (see [prepare]). *)
 type rng =
   | Rux
@@ -316,9 +319,16 @@ val proof_inputs : tape -> int array
     return the same flags when these slots hold the same values and
     [lo]/[hi] are equal. *)
 
+val domain_pad : int
+(** Unused words at the end of each array that one domain writes on
+    every strip or lane pass — its register files, its scratch, its lane
+    state — so that arrays of two domains allocated back to back share
+    no cache line. *)
+
 val make_scratch : tape -> int array
 (** Per-domain scratch: hoisted invariant offsets, then (on an
-    instrumented tape) the block counters; never shared. *)
+    instrumented tape) the block counters, then {!domain_pad} words;
+    never shared. *)
 
 val exec_strip :
   tape ->
@@ -420,17 +430,24 @@ val lane_width : int
 type lanes
 (** A tape's lane program: {!lane_plan} with [lits = const_regs]. *)
 
-val lanes : jslot:int -> scalar_reals:int -> tape -> (lanes, string) result
+val lanes :
+  jslot:int ->
+  scalar_reals:int ->
+  scalar_ints:int ->
+  tape ->
+  (lanes, string) result
 (** The lane program of a plan body whose first [scalar_reals] float
-    registers are the plan's scalars, the only ones code after the fork
-    reads: a body temporary (any other register) that a plain load
+    and [scalar_ints] int registers are the plan's scalars, the only
+    ones code after the fork reads: a body temporary (any other
+    register) that a plain load
     writes is read through the load's array view when every reader
     follows the load in one straight run with no store to its array
     between, and one whose only reader is the store right after its one
     writer is written through the store's view, so neither the load nor
     the store runs a pass of its own. The strip index, and an int an
     [Iaff] computes from it, are index progressions (see
-    {!lane_index}). *)
+    {!lane_index}). A run of positions that hand each other body
+    temporaries runs as one kernel pass (see {!lane_chains}). *)
 
 val lane_views : lanes -> int * int * int
 (** How many loads the lane program forwards, stores it fuses into
@@ -443,6 +460,13 @@ val lane_index : lanes -> int * int
     value and an increment per pass because no reader needs their lane
     array), and how many [mod]-by-literal positions run on a progression
     as a running remainder. *)
+
+val lane_chains : lanes -> int
+(** How many lane chains the lane program runs: runs of consecutive
+    positions, each handing the next a body temporary that nothing else
+    reads, that one kernel runs in one pass — a sum of two to five
+    loads, or [float] of an index progression or of its [mod] by a
+    literal, then at most one [+ - * /] with a uniform register. *)
 
 val lane_loops : lanes -> string array
 (** One slug per serial loop of the body, in back-edge order: ["fused"]

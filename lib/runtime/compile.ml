@@ -126,6 +126,9 @@ and fork_state = {
   mutable fs_lane_loops : Registry.counter array;
       (** [exec.lane_loops.<slug>] per serial loop of a lane body, made
           at the state's first lane fork *)
+  fs_tiled : bool;
+      (** its lane and native forks walk whole rows in row groups
+          ([Exec.run_tiled]) *)
 }
 
 and fork_mode =
@@ -574,9 +577,10 @@ let make_env ?(array_init = 0.0) ?unfilled ?shadow t =
   env
 
 let clone_env env =
+  let pad = Bytecode.domain_pad in
   {
-    ints = Array.copy env.ints;
-    reals = Array.copy env.reals;
+    ints = Array.append env.ints (Array.make pad 0);
+    reals = Array.append env.reals (Array.make pad 0.0);
     arrays = env.arrays;
     (* shared *)
     shadow = env.shadow;

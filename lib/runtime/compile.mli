@@ -110,6 +110,8 @@ and fork_state = {
   mutable fs_lane_loops : Loopcoal_obs.Registry.counter array;
       (** [exec.lane_loops.<slug>] per serial loop of a lane body, made
           at the state's first lane fork *)
+  fs_tiled : bool;
+      (** its lane and native forks walk whole rows in row groups *)
 }
 (** What one fork of a plan leaves for the next, so a fork
     refreshes only what changed ({!Exec} owns every field). A fork
@@ -245,7 +247,9 @@ val make_env :
     result. *)
 
 val clone_env : env -> env
-(** Private copies of the scalar stores; the array data stays shared. *)
+(** Private copies of the scalar stores, each followed by
+    {!Bytecode.domain_pad} unused words so that two domains' copies share
+    no cache line; the array data stays shared. *)
 
 val run_code : t -> env -> fork:(plan -> unit) -> unit
 (** Run the top-level tape on [env]; [fork] runs each plan it forks, on

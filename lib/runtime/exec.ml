@@ -145,6 +145,83 @@ let run_strips (plan : plan) sp env strip x t0 len =
     done
   with Bytecode.Error m | Failure m -> raise (Compile.Error m)
 
+(* Rows a tiled chunk walks together ([run_tiled]): a cache line of
+   eight floats read down a column serves eight rows; sixteen measured
+   a little faster than eight on transposes of 768 and 1024 rows. *)
+let tile_rows = 16
+
+(* One strip of [run_tiled]: [slen] iterations from coalesced [t]. *)
+let tiled_strip (plan : plan) sp env strip x t slen =
+  let inner = sp.sizes.(1) in
+  set_cursor plan sp env t;
+  strip x (sp.los.(1) + ((t - 1) mod inner)) 1 slen t
+
+(* [run_strips] for a tiled plan ([tiled]), depth 2: the chunk's partial
+   first row, then its whole rows in groups of [tile_rows], each group
+   walked one lane-width column block at a time, then its partial last
+   row. The chunk is the schedule's, every strip runs within one row,
+   and the last strip still ends at the chunk's highest iteration. *)
+let run_tiled (plan : plan) sp env strip x t0 len =
+  let inner = sp.sizes.(1) in
+  let tlast = t0 + len - 1 in
+  try
+    let pos = (t0 - 1) mod inner in
+    let t =
+      if pos = 0 then t0
+      else begin
+        let slen = min len (inner - pos) in
+        tiled_strip plan sp env strip x t0 slen;
+        t0 + slen
+      end
+    in
+    let rows = (tlast - t + 1) / inner in
+    let g = ref 0 in
+    while !g < rows do
+      let r = min tile_rows (rows - !g) and row0 = t + (!g * inner) in
+      let c = ref 0 in
+      while !c < inner do
+        let w = min Bytecode.lane_width (inner - !c) in
+        for k = 0 to r - 1 do
+          tiled_strip plan sp env strip x (row0 + (k * inner) + !c) w
+        done;
+        c := !c + w
+      done;
+      g := !g + r
+    done;
+    let t = t + (rows * inner) in
+    if t <= tlast then tiled_strip plan sp env strip x t (tlast - t + 1)
+  with Bytecode.Error m | Failure m -> raise (Compile.Error m)
+
+(* Whether a plan's lane and native forks run tiled: a depth-2 body with
+   a lane program, so that every stored array is accessed only at its
+   own iteration's element (lane rule 4) and nothing can raise, with no
+   reduction and no plan scalar written, so that no result depends on
+   the order of a chunk's iterations; and with an access that steps at
+   least eight elements per inner iteration and one to seven per outer
+   one (a column read, as a transpose's [A[j, i]]), whose cache lines
+   the rows of a group share. Checked and profiled forks keep the
+   row-major order, so their faults and profiles do not move. *)
+let tiled (plan : plan) lanes =
+  let coef a r = abs (Bytecode.aff_coef a r) in
+  let tp = plan.tape in
+  let writes_scalar i =
+    Option.fold ~none:false
+      ~some:(fun d -> d < plan.scalar_ints)
+      (Bytecode.int_dst i)
+    || Option.fold ~none:false
+         ~some:(fun d -> d < plan.scalar_reals)
+         (Bytecode.float_dst i)
+  in
+  plan.depth = 2 && Result.is_ok lanes
+  && Array.length plan.reductions = 0
+  && (not (Array.exists writes_scalar tp.tp_pre))
+  && (not (Array.exists writes_scalar tp.tp_ops))
+  && Array.exists
+       (fun (ac : Bytecode.access) ->
+         let ci = coef ac.ac_inv plan.index_slots.(0) in
+         coef ac.ac_var plan.index_slots.(1) >= 8 && ci >= 1 && ci <= 7)
+       tp.tp_accs
+
 (* The checked-vs-unsafe decision is made once against the fork's whole
    iteration space, so it is valid for every chunk any domain will
    dispatch. [hi] receives the attained upper bound of each level. *)
@@ -193,8 +270,9 @@ let tape_mode ?profile engine (plan : plan) lanes pr ~all_unsafe =
    runs the profiler's counting copy and brackets each chunk with two
    clock reads. A profiled binding registers the tape with the
    collector. *)
-let chunk_runner ?profile ?lanes (plan : plan) sp env :
+let chunk_runner ?profile ?lanes ~tiled (plan : plan) sp env :
     fork_mode -> int -> int -> unit =
+  let proved = if tiled then run_tiled else run_strips in
   let native_strip nr j0 jstep len _ =
     nr env.ints env.reals env.arrays j0 jstep len
   in
@@ -232,7 +310,7 @@ let chunk_runner ?profile ?lanes (plan : plan) sp env :
     let strip pr j0 jstep len iter0 =
       if len > 1 then run j0 jstep len else exec tape inv pr j0 jstep len iter0
     in
-    run_strips plan sp env strip
+    proved plan sp env strip
   in
   fun mode t0 len ->
     match mode with
@@ -245,7 +323,7 @@ let chunk_runner ?profile ?lanes (plan : plan) sp env :
             run_lanes := Some f;
             f pr t0 len
         | None, None -> run_tape pr t0 len)
-    | Fork_native nr -> run_strips plan sp env native_strip nr t0 len
+    | Fork_native nr -> proved plan sp env native_strip nr t0 len
 
 (* A new fork is a new sanitizer epoch: conflicts are only races between
    iterations of the {e same} fork. Called from the forking thread,
@@ -365,6 +443,10 @@ let new_state (plan : plan) =
   Registry.incr c_fork_states;
   let depth = plan.depth and nred = Array.length plan.reductions in
   let inputs = Bytecode.proof_inputs plan.tape in
+  let lanes =
+    Bytecode.lanes ~jslot:plan.index_slots.(depth - 1)
+      ~scalar_reals:plan.scalar_reals ~scalar_ints:plan.scalar_ints plan.tape
+  in
   {
     fs_busy = Atomic.make true;
     fs_space = new_space depth;
@@ -383,11 +465,10 @@ let new_state (plan : plan) =
     fs_chunk_reals = [||];
     fs_bound = None;
     fs_solo = None;
-    fs_lanes =
-      Bytecode.lanes ~jslot:plan.index_slots.(depth - 1)
-        ~scalar_reals:plan.scalar_reals plan.tape;
+    fs_lanes = lanes;
     fs_lane_states = [||];
     fs_lane_loops = [||];
+    fs_tiled = tiled plan lanes;
   }
 
 (* The plan's fork state, held for this fork: the kept one if it is
@@ -470,14 +551,16 @@ let c_view_stores = Registry.counter "exec.lane_views.store"
 let c_view_calls = Registry.counter "exec.lane_views.call"
 let c_view_index = Registry.counter "exec.lane_views.index"
 let c_view_divmod = Registry.counter "exec.lane_views.divmod"
+let c_view_chain = Registry.counter "exec.lane_views.chain"
+let c_tiled = Registry.counter "exec.tiled_forks"
 
 (* A lane fork counts each serial loop of the body once, under
    [exec.lane_loops.<slug>]: ["fused"], or the rule that keeps the loop
    on the dispatch loop ({!Bytecode.lane_loops}); and its forwarded
    loads, fused stores and one-call lane loops under
    [exec.lane_views.load], [.store] and [.call], its unfilled index
-   progressions under [.index] and its [mod]s on a progression under
-   [.divmod]. *)
+   progressions under [.index], its [mod]s on a progression under
+   [.divmod] (a chain's included) and its lane chains under [.chain]. *)
 let count_lane_loops st ln =
   if Array.length st.fs_lane_loops = 0 then
     st.fs_lane_loops <-
@@ -491,7 +574,8 @@ let count_lane_loops st ln =
   Registry.add c_view_calls calls;
   let index, divmod = Bytecode.lane_index ln in
   Registry.add c_view_index index;
-  Registry.add c_view_divmod divmod
+  Registry.add c_view_divmod divmod;
+  Registry.add c_view_chain (Bytecode.lane_chains ln)
 
 (* A fork's decision, on the state's proof. *)
 let decide ?profile engine st (plan : plan) master =
@@ -501,6 +585,9 @@ let decide ?profile engine st (plan : plan) master =
   in
   (match (mode, st.fs_lanes) with
   | Fork_lanes _, Ok ln -> count_lane_loops st ln
+  | _ -> ());
+  (match mode with
+  | (Fork_lanes _ | Fork_native _) when st.fs_tiled -> Registry.incr c_tiled
   | _ -> ());
   mode
 
@@ -521,7 +608,9 @@ let solo ?profile st (plan : plan) env =
       so.so_run
   | _ ->
       let lanes = lanes_for ?profile st 0 in
-      let run = chunk_runner ?profile ?lanes plan st.fs_space env in
+      let run =
+        chunk_runner ?profile ?lanes ~tiled:st.fs_tiled plan st.fs_space env
+      in
       st.fs_solo <- Some { so_env = env; so_profile = profile; so_run = run };
       run
 
@@ -597,7 +686,7 @@ let bind ?profile ~trace ~policy ~p st (plan : plan) master =
     Array.mapi
       (fun q c ->
         let lanes = lanes_for ?profile st q in
-        let run = chunk_runner ?profile ?lanes plan sp c in
+        let run = chunk_runner ?profile ?lanes ~tiled:st.fs_tiled plan sp c in
         fun k mode t0 len ->
           if chunked then reset_partials plan c;
           if t0 + len - 1 = sp.total then restart plan master c;

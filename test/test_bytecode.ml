@@ -1065,7 +1065,7 @@ let lane_reasons ?sanitize prog =
       let jslot = pl.Compile.index_slots.(pl.Compile.depth - 1) in
       match
         Bytecode.lanes ~jslot ~scalar_reals:pl.Compile.scalar_reals
-          pl.Compile.tape
+          ~scalar_ints:pl.Compile.scalar_ints pl.Compile.tape
       with
       | Ok _ -> "ok"
       | Error why -> why)
@@ -1891,7 +1891,8 @@ let lane_program (pl : Compile.plan) =
   Result.to_option
     (Result.map
        (fun ln -> (tape, jslot, ln))
-       (Bytecode.lanes ~jslot ~scalar_reals:pl.Compile.scalar_reals tape))
+       (Bytecode.lanes ~jslot ~scalar_reals:pl.Compile.scalar_reals
+          ~scalar_ints:pl.Compile.scalar_ints tape))
 
 let step_class_policies = [ Policy.Static_block; Policy.Self_sched 3 ]
 
@@ -2154,8 +2155,52 @@ let lane_view_1d n =
      end\n"
     n n n n n (n + 9) n n n n n n n n n
 
+(* Every chain kernel in one-level nests of [n] iterations, every strip
+   from 1 with step 1 in bounds: sums of 2 to 5 loads and [float (p mod
+   5)] with no tail or each tail operator on each side, and [float p]
+   with each tail; in the unit shape ([s = 1]) and the running-offset
+   shape ([s = 2]). *)
+let lane_chain_1d n =
+  let tails =
+    [
+      ("", ""); ("", " + u"); ("u + ", ""); ("", " - u"); ("u - ", "");
+      ("", " * u"); ("u * ", ""); ("", " / u"); ("u / ", "");
+    ]
+  in
+  let stmts s =
+    let sum nl =
+      String.concat " + "
+        (List.init nl (fun k -> Printf.sprintf "A[%d * j + %d]" s k))
+    in
+    List.concat_map
+      (fun nl -> List.map (fun t -> (sum nl, t)) tails)
+      [ 2; 3; 4; 5 ]
+    @ List.map (fun t -> ("(j * 3 + 7) % 5", t)) tails
+    @ List.map (fun t -> ("(j * 3 + 7)", t)) (List.tl tails)
+    |> List.mapi (fun k (e, (l, r)) ->
+           (Printf.sprintf "D%d_%d" s k, Printf.sprintf "%s(%s)%s" l e r))
+  in
+  let all = stmts 1 @ stmts 2 in
+  String.concat ""
+    ([ "program\n"; Printf.sprintf "  real A[%d]\n" ((2 * n) + 8) ]
+    @ List.map (fun (d, _) -> Printf.sprintf "  real %s[%d]\n" d (2 * n)) all
+    @ [
+        "  real u = 1.5\nbegin\n";
+        Printf.sprintf "  doall j = 1, %d\n    A[j] = j * 0.75 - 2.0\n  end\n"
+          ((2 * n) + 8);
+      ]
+    @ List.map
+        (fun s ->
+          Printf.sprintf "  doall j = 1, %d\n%s  end\n" n
+            (String.concat ""
+               (List.map
+                  (fun (d, e) -> Printf.sprintf "    %s[%d * j] = %s\n" d s e)
+                  (stmts s))))
+        [ 1; 2 ]
+    @ [ "end\n" ])
+
 (* Every lane program of the step-class program, [lane_loop_1d],
-   [lane_view_1d] and [lane_index_1d] at -O0 and -O2, its strips run by
+   [lane_view_1d], [lane_index_1d] and [lane_chain_1d] at -O0 and -O2, its strips run by
    [Bytecode.lane_runner] on a bound lane state: a repeat call allocates
    nothing, whatever the strip's length. *)
 let test_lane_runner_allocation () =
@@ -2193,6 +2238,7 @@ let test_lane_runner_allocation () =
       ("lane loops", lane_loop_1d n);
       ("lane views", lane_view_1d n);
       ("lane progressions", lane_index_1d n);
+      ("lane chains", lane_chain_1d n);
     ]
 
 (* Register promotion hoists a promoted element's load, checked unless
@@ -2744,7 +2790,7 @@ let runner_views ?(what = "") ~lvl ~strip prog =
           Bytecode.exec_strip tape pr ~ints ~reals ~arrays ~shadow:None ~inv
             ~jslot ~j0:lo.(d - 1) ~jstep:js ~len ~iter0:0)
     in
-    match Bytecode.lanes ~jslot ~scalar_reals:0 tape with
+    match Bytecode.lanes ~jslot ~scalar_reals:0 ~scalar_ints:0 tape with
     | Ok ln
       when (not empty) && Array.for_all Fun.id (Bytecode.unsafe_flags pr) ->
         let l_ints = Array.copy ints and l_arrays = Array.map Array.copy arrays in
@@ -2907,6 +2953,342 @@ let test_lane_index () =
         (List.map2 ( - ) (lane_index_counted ()) before))
     [ 1; 2 ]
 
+(* ---------- lane chains ---------- *)
+
+(* Lane chains ({!Bytecode.lane_chains}) over [nj]-column rows, one
+   nest per group, on [A], whose rows 2 and 3 hold NaNs of two payloads
+   (the default one and its negation) at columns 2 and 3. Chains:
+   [A]'s init ([mod] of a progression, then [* 0.5]); stencil's 5-load
+   sum [/ 5.0] and stencil1's [0.5 * (l1 + l2)]; sums of 2, 3 and 4
+   loads; each tail operator with the uniform [u] on each side, and
+   again with the NaN [w]; [float (p mod m) * c] with dividends that
+   cross zero, a negative divisor, and passes that overflow; relax's
+   [float (p mod 5)] store; [float p] of a progression with a tail on
+   each side. Where chains stop: at [x], a plan scalar read twice; at
+   a gathered load; before a varying tail operand ([j * 0.5], itself a
+   chain) and a fold ([s]); and at a [mod] copied into a plan scalar
+   ([m], and [m2], which an access offset reads). *)
+let lane_chain_prog nj =
+  let sum2 = "(A[i + 1, j] + A[i + 1, j + 1])" in
+  let tails v =
+    List.mapi
+      (fun k (l, r) -> Printf.sprintf "%s[i, j] = %s %s\n" (Printf.sprintf "%c%d" (if v = "u" then 'T' else 'N') (k + 1)) l r)
+      [
+        (sum2, "+ " ^ v); (v, "+ " ^ sum2); (sum2, "- " ^ v); (v, "- " ^ sum2);
+        (sum2, "* " ^ v); (v, "* " ^ sum2); (sum2, "/ " ^ v); (v, "/ " ^ sum2);
+      ]
+    |> String.concat ""
+  in
+  let arrays =
+    [ "S"; "P"; "Q2"; "Q3"; "Q4" ]
+    @ List.init 8 (fun k -> Printf.sprintf "T%d" (k + 1))
+    @ List.init 8 (fun k -> Printf.sprintf "N%d" (k + 1))
+    @ [ "M1"; "M2"; "M3"; "M4"; "R"; "F1"; "F2"; "G"; "H"; "K"; "V"; "X"; "Y"; "Z" ]
+  in
+  let nest body =
+    Printf.sprintf "  doall i = 1, 3\n    doall j = 1, %d\n%s    end\n  end\n"
+      nj
+      (String.concat ""
+         (List.map (fun l -> "      " ^ l)
+            (String.split_on_char '\n' (String.trim body))
+         |> List.map (fun l -> l ^ "\n")))
+  in
+  String.concat ""
+    ([
+       "program\n";
+       Printf.sprintf "  real A[5, %d]\n" (nj + 2);
+     ]
+    @ List.map (fun a -> Printf.sprintf "  real %s[3, %d]\n" a nj) arrays
+    @ [
+        "  real u = 1.5\n  real w = 0.0\n  real z = 0.0\n  real x = 0.0\n";
+        "  real s = 0.0\n  int kk = 0\n  int m = 0\n  int m2 = 0\n";
+        "begin\n";
+        Printf.sprintf
+          "  doall i = 1, 5\n\
+          \    doall j = 1, %d\n\
+          \      A[i, j] = (i * 3 + j * 5) %% 11 * 0.5\n\
+          \    end\n\
+          \  end\n"
+          (nj + 2);
+        "  A[2, 2] = -(z / z)\n  A[2, 3] = z / z\n  A[3, 2] = z / z\n\
+        \  A[3, 3] = -(z / z)\n  w = -(z / z)\n";
+        nest
+          "S[i, j] = (A[i, j + 1] + A[i + 2, j + 1] + A[i + 1, j] + A[i + 1, j \
+           + 2] + A[i + 1, j + 1]) / 5.0\n\
+           P[i, j] = 0.5 * (A[i + 1, j] + A[i + 1, j + 2])";
+        nest
+          ("Q2[i, j] = " ^ sum2
+         ^ "\nQ3[i, j] = A[i, j] + A[i + 1, j] + A[i + 2, j]\n\
+            Q4[i, j] = A[i, j] + A[i + 1, j + 1] + A[i + 2, j + 2] + A[i + \
+            1, j]");
+        nest (tails "u");
+        nest (tails "w");
+        nest
+          "M1[i, j] = (j - 300) % 7 * 0.5\n\
+           M2[i, j] = (i * 3 - j * 5) % -11 * 0.25\n\
+           M3[i, j] = (j * 36028797018963968 + i) % 7 * 2.0\n\
+           M4[i, j] = 1.5 - (j + 4611686018427387800) % 9\n\
+           R[i, j] = (i + j) % 5";
+        nest "F1[i, j] = (i * 103 + j * 7) * 0.5\nF2[i, j] = 2.0 / (j - 4)";
+      ]
+    @ [
+        nest ("x = " ^ sum2 ^ "\nG[i, j] = x * 2.0\nH[i, j] = x * 3.0");
+        nest
+          (Printf.sprintf "kk = %d - j\nK[i, j] = A[i + 1, kk] + A[i + 1, j]"
+             (nj + 1));
+        nest
+          ("V[i, j] = " ^ sum2 ^ " * (j * 0.5)\ns = s + (A[4, j] + A[5, j])");
+        nest "m = (i * 3 + j * 5) % 11\nX[i, j] = m * 0.5";
+        nest "m2 = j % 3\nY[i, j] = A[i + 1, m2 + 1] * m2\nZ[i, j] = m2 + 0.5";
+        "end\n";
+      ])
+
+(* One strip of [n] iterations of hand-built [tape], on the lane runner
+   and on {!Bytecode.exec_strip}, from copies of [env]'s registers (with
+   [extra] more of each kind) and arrays, in row 1 of a depth-2 plan:
+   every array element and int register must agree bit for bit. Returns the lane program's chain
+   count. *)
+let strip_lanes_vs_scalar ~what ~scalar_ints ~jslot ~n ?(extra = 4)
+    (env : Compile.env) tape =
+  let lo = [| 1; 1 |] and hi = [| 1; n |] in
+  let ln =
+    match Bytecode.lanes ~jslot ~scalar_reals:0 ~scalar_ints tape with
+    | Ok ln -> ln
+    | Error why -> Alcotest.failf "%s: no lane program: %s" what why
+  in
+  let ints () = Array.append env.Compile.ints (Array.make extra 0) in
+  let reals () = Array.append env.Compile.reals (Array.make extra 0.0) in
+  let arrays () = Array.map Array.copy env.Compile.arrays in
+  let ints_s = ints () and arrays_s = arrays () in
+  let pr = Bytecode.prepare tape ~ints:ints_s ~lo ~hi in
+  Bytecode.exec_strip tape pr ~ints:ints_s ~reals:(reals ()) ~arrays:arrays_s
+    ~shadow:None ~inv:(Bytecode.make_scratch tape) ~jslot ~j0:1 ~jstep:1 ~len:n
+    ~iter0:0;
+  let ints_l = ints () and arrays_l = arrays () in
+  Bytecode.lane_runner tape ln (Bytecode.make_lane_state ln) ~ints:ints_l
+    ~reals:(reals ()) ~arrays:arrays_l ~inv:(Bytecode.make_scratch tape) ~jslot
+    1 1 n;
+  Array.iteri
+    (fun a x ->
+      Array.iteri
+        (fun e v ->
+          if not (fbits v arrays_l.(a).(e)) then
+            Alcotest.failf "%s: array %d[%d]: lanes %h, scalar %h" what a e
+              arrays_l.(a).(e) v)
+        x)
+    arrays_s;
+  Array.iteri
+    (fun r v ->
+      if v <> ints_l.(r) then
+        Alcotest.failf "%s: i%d: lanes %d, scalar %d" what r ints_l.(r) v)
+    ints_s;
+  Bytecode.lane_chains ln
+
+(* The rules no source program reaches, on tapes built by hand around a
+   compiled plan's accesses and registers. A chain stops at a block
+   start: [t]'s sum, then a serial loop (kept off lane loops by a jump)
+   whose top is [D[j] = t * w], [w] uniform and stepped by the loop;
+   chaining the top into the sum would run it once, before the loop,
+   with the first trip's [w]. A [mod] that writes a plan scalar ([m3],
+   whose last value the copy-out must restore), or an int that an
+   access offset reads ([m2], with every register counted a temporary),
+   is no chain's temporary. *)
+let test_chain_hand_tapes () =
+  let n = 9 in
+  let prog =
+    parse "hand tapes"
+      (Printf.sprintf
+         "program\n\
+         \  real A[5, %d]\n\
+         \  real Y[3, %d]\n\
+         \  real Z[3, %d]\n\
+         \  int m2 = 0\n\
+         \  int m3 = 0\n\
+          begin\n\
+         \  doall i = 1, 5\n\
+         \    doall j = 1, %d\n\
+         \      A[i, j] = i * 3 - j * 0.75\n\
+         \    end\n\
+         \  end\n\
+         \  doall i = 1, 3\n\
+         \    doall j = 1, %d\n\
+         \      m2 = j %% 3\n\
+         \      m3 = j %% 5\n\
+         \      Y[i, j] = m2 * 0.5 + A[i + 1, m2 + 1]\n\
+         \      Z[i, j] = m3 * 0.5\n\
+         \      A[i, j] = A[i + 1, j] + A[i + 2, j]\n\
+         \    end\n\
+         \  end\n\
+          end\n"
+         (n + 1) n n (n + 1) n)
+  in
+  let t = Compile.compile ~opt_level:2 prog in
+  let env = Compile.make_env t in
+  Compile.run_code t env ~fork:(fun _ -> ());
+  let pl = List.nth (Compile.plans t) 1 in
+  let tp = pl.Compile.tape in
+  let jslot = pl.Compile.index_slots.(1) in
+  (* the outer index at row 1 *)
+  env.Compile.ints.(pl.Compile.index_slots.(0)) <- 1;
+  let with_ops pre ops =
+    {
+      tp with
+      Bytecode.tp_pre = Array.append tp.Bytecode.tp_pre pre;
+      tp_ops = ops;
+      tp_src = Array.make (Array.length ops) 0;
+      tp_pre_src = Array.make (Array.length tp.Bytecode.tp_pre + Array.length pre) 0;
+    }
+  in
+  let ni = Array.length env.Compile.ints and nf = Array.length env.Compile.reals in
+  match tp.Bytecode.tp_ops with
+  | Bytecode.
+      [|
+        Imod (_, j, l3);
+        Iaff (m2, _);
+        Imod (_, _, l5);
+        Iaff (m3, _);
+        Fofi (f2, _);
+        Fload (x, ia);
+        Fmac (y, _, _, half);
+        Fstore (_, iy);
+        Fofi (f3, _);
+        Fmul (z, _, _);
+        Fstore (_, iz);
+        Fld2add (_, a1, a2);
+        Fstore (_, ida);
+      |]
+    when j = jslot ->
+      let k = ni and bnd = ni + 1 in
+      let one = nf and w = nf + 1 and t1 = nf + 2 and t2 = nf + 3 in
+      let block =
+        with_ops
+          Bytecode.[| Fconst (one, 1.0); Iconst (bnd, 2) |]
+          Bytecode.
+            [|
+              Iconst (k, 1);
+              Fmov (w, one);
+              Fld2add (t1, a1, a2);
+              Fmul (t2, t1, w);
+              Fstore (t2, ida);
+              Fadd (w, w, one);
+              Jmp 7;
+              Iloopc (k, 1, bnd, 3);
+            |]
+      in
+      Alcotest.(check int) "block start: the sum alone chains" 1
+        (strip_lanes_vs_scalar ~what:"block start" ~scalar_ints:0 ~jslot ~n env
+           block);
+      let scalar =
+        with_ops [||]
+          Bytecode.
+            [| Imod (m3, j, l5); Fofi (f3, m3); Fmul (z, f3, half); Fstore (z, iz) |]
+      in
+      Alcotest.(check int) "mod into a plan scalar: no chain" 0
+        (strip_lanes_vs_scalar ~what:"plan scalar"
+           ~scalar_ints:pl.Compile.scalar_ints ~jslot ~n env scalar);
+      let offset =
+        with_ops [||]
+          Bytecode.
+            [|
+              Imod (m2, j, l3);
+              Fofi (f2, m2);
+              Fload (x, ia);
+              Fmac (y, x, f2, half);
+              Fstore (y, iy);
+            |]
+      in
+      Alcotest.(check int) "mod read by an offset: no chain" 0
+        (strip_lanes_vs_scalar ~what:"offset" ~scalar_ints:0 ~jslot ~n env
+           offset)
+  | _ -> Alcotest.failf "unexpected -O2 tape:\n%s" (Bytecode.pp_tape tp)
+
+let lane_chains_counted () =
+  Registry.value (Registry.counter "exec.lane_views.chain")
+
+(* [lane_chain_prog] bit-identical to scalar bytecode and [Eval] over
+   strips of 1 to 517 under static block, GSS and chunk:3 at 1-3
+   domains, NaN payloads included; with plan scalars counted
+   temporaries on a runner ([runner_views]), where [x], [m] and [m2]
+   would chain if the rules let them; and each plan's chains pinned at
+   -O2, counted once per lane fork. *)
+let test_lane_chains () =
+  List.iter
+    (fun nj ->
+      let prog = parse "lane chains" (lane_chain_prog nj) in
+      let reference =
+        let arrays, scalars = Eval.dump (Eval.run prog) in
+        { Exec.arrays; scalars }
+      in
+      List.iter
+        (fun lvl ->
+          let t = Compile.compile ~opt_level:lvl prog in
+          List.iter
+            (fun policy ->
+              List.iter
+                (fun d ->
+                  let where =
+                    Printf.sprintf "lane chains nj=%d -O%d, %d domains, %s" nj
+                      lvl d (Policy.name policy)
+                  in
+                  let scalar =
+                    Exec.run_compiled ~domains:d ~policy
+                      ~profile:(Runtime.Profile.create ()) t
+                  in
+                  let before = Registry.value lane_forks in
+                  let lane = Exec.run_compiled ~domains:d ~policy t in
+                  if nj > 1 && Registry.value lane_forks = before then
+                    Alcotest.failf "%s: no fork took the lane path" where;
+                  if not (same_bits lane scalar) then
+                    Alcotest.failf "%s: lanes differ from the scalar runner: %s"
+                      where (array_diff lane scalar);
+                  if not (same_array_bits lane reference) then
+                    Alcotest.failf "%s: arrays differ from Eval: %s" where
+                      (array_diff lane reference);
+                  if d = 1 && not (same_bits lane reference) then
+                    Alcotest.failf "%s: scalars differ from Eval" where)
+                [ 1; 2; 3 ])
+            lane_policies)
+        [ 0; 2 ])
+    [ 1; 2; 3; 255; 256; 257; 517 ];
+  List.iter
+    (fun n ->
+      check_lanes ~lanes:(n > 1)
+        ~what:(Printf.sprintf "chain kernels, n=%d" n)
+        (parse "chain kernels" (lane_chain_1d n)))
+    [ 1; 2; 5; 257 ];
+  Alcotest.(check (list int))
+    "-O2 chain kernels: chains per lane plan" [ 1; 53; 53 ]
+    (List.filter_map
+       (fun pl ->
+         Option.map (fun (_, _, ln) -> Bytecode.lane_chains ln) (lane_program pl))
+       (Compile.plans
+          (Compile.compile ~opt_level:2 (parse "chain kernels" (lane_chain_1d 9)))));
+  let prog = parse "lane chains" (lane_chain_prog 300) in
+  List.iter
+    (fun lvl ->
+      List.iter
+        (fun strip ->
+          ignore (runner_views ~what:"lane chains" ~lvl ~strip prog))
+        [ 1; 3; 256; 300 ])
+    [ 0; 2 ];
+  let t = Compile.compile ~opt_level:2 prog in
+  Alcotest.(check (list int))
+    "-O2 chains per lane plan"
+    [ 1; 2; 3; 8; 8; 5; 2; 1; 0; 3; 0; 0 ]
+    (List.filter_map
+       (fun pl ->
+         Option.map (fun (_, _, ln) -> Bytecode.lane_chains ln) (lane_program pl))
+       (Compile.plans t));
+  List.iter
+    (fun d ->
+      let before = lane_chains_counted () in
+      ignore (Exec.run_compiled ~domains:d ~policy:Policy.Gss t : Exec.outcome);
+      Alcotest.(check int)
+        (Printf.sprintf "counted once per lane fork, %d domain(s)" d)
+        33
+        (lane_chains_counted () - before))
+    [ 1; 2 ]
+
 (* A fused form's loads fault in the interpreter's order, right operand
    first, on the checked path: the dot product's [B[k, j]] before
    [A[i, k]] at [k = 10], and [A[i + 9]] before [A[i + 5]]. [Eval],
@@ -3029,4 +3411,8 @@ let suite =
       `Slow test_lane_index;
     Alcotest.test_case "fused loads keep the interpreter's fault order" `Quick
       test_fused_fault_order;
+    Alcotest.test_case "lane chains: strips 1 .. 517 = scalar = Eval" `Slow
+      test_lane_chains;
+    Alcotest.test_case "lane chains: hand-built tapes the source cannot reach"
+      `Quick test_chain_hand_tapes;
   ]

@@ -461,6 +461,172 @@ let test_artifact_cache_hit () =
   if not (Exec.agrees_with_interpreter o st) then
     Alcotest.fail "runners from a cached artifact differ from interpreter"
 
+(* ---------- tiled strips ---------- *)
+
+let tiled_forks = Registry.counter "exec.tiled_forks"
+
+(* Transposes of 37 rows (two groups of sixteen and a partial one) by
+   each inner extent of 1, 7, 8, 9, 255, 256, 257 and 517, one nest
+   each, all tiled; then the nests that must not be: a reduction, one
+   that leaves a last-value plan scalar, and a stencil. *)
+let tiled_prog =
+  let nr = 37 and cols = [ 1; 7; 8; 9; 255; 256; 257; 517 ] in
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  add "program\n";
+  List.iter
+    (fun nc -> add "  real A%d[%d, %d]\n  real B%d[%d, %d]\n" nc nc nr nc nr nc)
+    cols;
+  add "  real S[%d, 10]\n  real T[%d, 10]\n  real s = 0.0\n  real v = 0.0\n"
+    nr nr;
+  add "begin\n";
+  List.iter
+    (fun nc ->
+      add
+        "  doall i = 1, %d\n\
+        \    doall j = 1, %d\n\
+        \      A%d[i, j] = i * 0.5 - j * 0.25\n\
+        \    end\n\
+        \  end\n\
+        \  doall i = 1, %d\n\
+        \    doall j = 1, %d\n\
+        \      B%d[i, j] = A%d[j, i] * 2.0 + i\n\
+        \    end\n\
+        \  end\n"
+        nc nr nc nr nc nc nc)
+    cols;
+  add
+    "  doall i = 1, %d\n\
+    \    doall j = 1, 9\n\
+    \      s = s + A9[j, i]\n\
+    \      v = A9[j, i] * 3.0\n\
+    \      S[i, j] = v\n\
+    \    end\n\
+    \  end\n\
+    \  doall i = 1, %d\n\
+    \    doall j = 1, 9\n\
+    \      v = A9[j, i] - 1.0\n\
+    \      T[i, j] = v\n\
+    \    end\n\
+    \  end\n\
+    \  doall i = 2, %d\n\
+    \    doall j = 2, 8\n\
+    \      S[i, j] = (B9[i - 1, j] + B9[i + 1, j] + B9[i, j]) / 3.0\n\
+    \    end\n\
+    \  end\n\
+     end\n"
+    nr nr (nr - 1);
+  Buffer.contents b
+
+let tiled_engines () =
+  Exec.Bytecode
+  :: (if Lazy.force toolchain = Ok () then [ Exec.Native ] else [])
+
+(* Tiled runs, on lanes and native code, against untiled scalar
+   bytecode (a profiler attached) and [Eval], bit for bit: arrays
+   always, scalars on one domain or under static block (elsewhere the
+   chunk partials' merge follows the schedule, on every engine). At
+   1-3 domains under static block, static cyclic, GSS, chunk:3 and
+   chunk:1000, so chunks start and end mid-row; every transpose fork
+   and no other runs tiled; and a traced tiled run records the chunks
+   an untiled one does. *)
+let test_tiled_strips () =
+  let prog = Test_bytecode.parse "tiled" tiled_prog in
+  let st = Eval.run prog in
+  let reference =
+    let arrays, scalars = Eval.dump st in
+    { Exec.arrays; scalars }
+  in
+  let t = Compile.compile ~opt_level:2 prog in
+  (match Natgen.prepare t with Natgen.Ready _ | Natgen.Unavailable _ -> ());
+  let chunks (tr : Trace.t) static =
+    Array.to_list tr.Trace.chunks
+    |> List.map (fun (c : Trace.chunk) ->
+           ((if static then c.Trace.worker else 0), c.Trace.start, c.Trace.len))
+    |> List.sort compare
+  in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun d ->
+          let static = policy = Policy.Static_block in
+          let untiled_trace = Trace.create ~p:d () in
+          let untiled =
+            Exec.run_compiled ~domains:d ~policy ~trace:untiled_trace
+              ~profile:(Runtime.Profile.create ()) t
+          in
+          List.iter
+            (fun engine ->
+              let where =
+                Printf.sprintf "%s, %d domain(s), %s"
+                  (if engine = Exec.Native then "native" else "bytecode")
+                  d (Policy.name policy)
+              in
+              let tr = Trace.create ~p:d () in
+              let before = Registry.value tiled_forks in
+              let tiled = Exec.run_compiled ~domains:d ~policy ~engine ~trace:tr t in
+              Alcotest.(check int) (where ^ ": tiled forks") 8
+                (Registry.value tiled_forks - before);
+              let same =
+                if d = 1 || static then Test_bytecode.same_bits
+                else Test_bytecode.same_array_bits
+              in
+              if not (same tiled untiled) then
+                Alcotest.failf "%s: tiled differs from untiled: %s" where
+                  (Test_bytecode.array_diff tiled untiled);
+              if not (Test_bytecode.same_array_bits tiled reference) then
+                Alcotest.failf "%s: arrays differ from Eval: %s" where
+                  (Test_bytecode.array_diff tiled reference);
+              if d = 1 && not (Test_bytecode.same_bits tiled reference) then
+                Alcotest.failf "%s: scalars differ from Eval" where;
+              if
+                chunks (Trace.snapshot tr) static
+                <> chunks (Trace.snapshot untiled_trace) static
+              then Alcotest.failf "%s: traced chunks differ" where)
+            (tiled_engines ()))
+        [ 1; 2; 3 ])
+    [
+      Policy.Static_block; Policy.Static_cyclic; Policy.Gss; Policy.Self_sched 3;
+      Policy.Self_sched 1000;
+    ]
+
+(* A transpose whose range proof fails runs untiled, checked, and
+   faults with [Eval]'s message on every engine. *)
+let test_tiled_unproved () =
+  let prog =
+    Test_bytecode.parse "unproved"
+      "program\n\
+      \  real A[300, 20]\n\
+      \  real B[20, 300]\n\
+       begin\n\
+      \  doall i = 1, 20\n\
+      \    doall j = 1, 300\n\
+      \      B[i, j] = A[j, i + 1]\n\
+      \    end\n\
+      \  end\n\
+       end\n"
+  in
+  let want =
+    match Eval.run prog with
+    | _ -> Alcotest.fail "Eval ran"
+    | exception Eval.Runtime_error m -> m
+  in
+  let t = Compile.compile ~opt_level:2 prog in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun d ->
+          let before = Registry.value tiled_forks in
+          (match Exec.run_compiled ~domains:d ~policy:Policy.Gss ~engine t with
+          | _ -> Alcotest.fail "ran"
+          | exception Compile.Error m ->
+              Alcotest.(check string)
+                (Printf.sprintf "%d domain(s): message" d)
+                want m);
+          Alcotest.(check int) "untiled" 0 (Registry.value tiled_forks - before))
+        [ 1; 2; 3 ])
+    (tiled_engines ())
+
 (* A truncated and a zero-byte [.cmxs] in the artifact cache: each
    [loopc run] is a fresh process, so the warm run finds the damaged file
    on disk, where [Dynlink] would fault mapping a truncated plugin. It
@@ -1248,4 +1414,8 @@ let suite =
         `Slow test_jam_register_step;
       Alcotest.test_case "damaged artifacts are rebuilt" `Quick
         test_damaged_artifact;
+      Alcotest.test_case "tiled strips = untiled = Eval" `Slow
+        test_tiled_strips;
+      Alcotest.test_case "tiled strips: an unproved fork runs untiled" `Quick
+        test_tiled_unproved;
     ]
