@@ -2979,13 +2979,124 @@ let[@inline] fmac add n (d : float view) (a : float view) (x : float view)
 let k_fmac ~add n d a x y =
   if add then fmac true n d a x y else fmac false n d a x y
 
+(* One lane's eight trips of a blocked fold: the accumulator at [i]
+   read once, the terms at [ix], [ix + tx], ... and [iy], [iy + ty], ...
+   (or the trips' broadcasts [x0 .. x7], [y0 .. y7]) added in trip
+   order, stored once. *)
+let[@inline] fmac_lane add ~xb ~yb da i xa ix tx ya iy ty x0 x1 x2 x3 x4 x5
+    x6 x7 y0 y1 y2 y3 y4 y5 y6 y7 =
+  let c = Array.unsafe_get da i in
+  let c = mac add c (fget xb x0 xa ix) (fget yb y0 ya iy) in
+  let ix = ix + tx and iy = iy + ty in
+  let c = mac add c (fget xb x1 xa ix) (fget yb y1 ya iy) in
+  let ix = ix + tx and iy = iy + ty in
+  let c = mac add c (fget xb x2 xa ix) (fget yb y2 ya iy) in
+  let ix = ix + tx and iy = iy + ty in
+  let c = mac add c (fget xb x3 xa ix) (fget yb y3 ya iy) in
+  let ix = ix + tx and iy = iy + ty in
+  let c = mac add c (fget xb x4 xa ix) (fget yb y4 ya iy) in
+  let ix = ix + tx and iy = iy + ty in
+  let c = mac add c (fget xb x5 xa ix) (fget yb y5 ya iy) in
+  let ix = ix + tx and iy = iy + ty in
+  let c = mac add c (fget xb x6 xa ix) (fget yb y6 ya iy) in
+  let ix = ix + tx and iy = iy + ty in
+  let c = mac add c (fget xb x7 xa ix) (fget yb y7 ya iy) in
+  Array.unsafe_set da i c
+
+(* Four lanes' eight trips: four independent chains, interleaved trip
+   by trip so that each add overlaps the other lanes', each lane's
+   terms still added in trip order. *)
+let[@inline] fmac_lanes4 add ~xb ~yb da i xa ix tx ya iy ty x0 x1 x2 x3 x4 x5
+    x6 x7 y0 y1 y2 y3 y4 y5 y6 y7 =
+  let c0 = Array.unsafe_get da i and c1 = Array.unsafe_get da (i + 1) in
+  let c2 = Array.unsafe_get da (i + 2) and c3 = Array.unsafe_get da (i + 3) in
+  let c0 = mac add c0 (fget xb x0 xa ix) (fget yb y0 ya iy) in
+  let c1 = mac add c1 (fget xb x0 xa (ix + 1)) (fget yb y0 ya (iy + 1)) in
+  let c2 = mac add c2 (fget xb x0 xa (ix + 2)) (fget yb y0 ya (iy + 2)) in
+  let c3 = mac add c3 (fget xb x0 xa (ix + 3)) (fget yb y0 ya (iy + 3)) in
+  let ix = ix + tx and iy = iy + ty in
+  let c0 = mac add c0 (fget xb x1 xa ix) (fget yb y1 ya iy) in
+  let c1 = mac add c1 (fget xb x1 xa (ix + 1)) (fget yb y1 ya (iy + 1)) in
+  let c2 = mac add c2 (fget xb x1 xa (ix + 2)) (fget yb y1 ya (iy + 2)) in
+  let c3 = mac add c3 (fget xb x1 xa (ix + 3)) (fget yb y1 ya (iy + 3)) in
+  let ix = ix + tx and iy = iy + ty in
+  let c0 = mac add c0 (fget xb x2 xa ix) (fget yb y2 ya iy) in
+  let c1 = mac add c1 (fget xb x2 xa (ix + 1)) (fget yb y2 ya (iy + 1)) in
+  let c2 = mac add c2 (fget xb x2 xa (ix + 2)) (fget yb y2 ya (iy + 2)) in
+  let c3 = mac add c3 (fget xb x2 xa (ix + 3)) (fget yb y2 ya (iy + 3)) in
+  let ix = ix + tx and iy = iy + ty in
+  let c0 = mac add c0 (fget xb x3 xa ix) (fget yb y3 ya iy) in
+  let c1 = mac add c1 (fget xb x3 xa (ix + 1)) (fget yb y3 ya (iy + 1)) in
+  let c2 = mac add c2 (fget xb x3 xa (ix + 2)) (fget yb y3 ya (iy + 2)) in
+  let c3 = mac add c3 (fget xb x3 xa (ix + 3)) (fget yb y3 ya (iy + 3)) in
+  let ix = ix + tx and iy = iy + ty in
+  let c0 = mac add c0 (fget xb x4 xa ix) (fget yb y4 ya iy) in
+  let c1 = mac add c1 (fget xb x4 xa (ix + 1)) (fget yb y4 ya (iy + 1)) in
+  let c2 = mac add c2 (fget xb x4 xa (ix + 2)) (fget yb y4 ya (iy + 2)) in
+  let c3 = mac add c3 (fget xb x4 xa (ix + 3)) (fget yb y4 ya (iy + 3)) in
+  let ix = ix + tx and iy = iy + ty in
+  let c0 = mac add c0 (fget xb x5 xa ix) (fget yb y5 ya iy) in
+  let c1 = mac add c1 (fget xb x5 xa (ix + 1)) (fget yb y5 ya (iy + 1)) in
+  let c2 = mac add c2 (fget xb x5 xa (ix + 2)) (fget yb y5 ya (iy + 2)) in
+  let c3 = mac add c3 (fget xb x5 xa (ix + 3)) (fget yb y5 ya (iy + 3)) in
+  let ix = ix + tx and iy = iy + ty in
+  let c0 = mac add c0 (fget xb x6 xa ix) (fget yb y6 ya iy) in
+  let c1 = mac add c1 (fget xb x6 xa (ix + 1)) (fget yb y6 ya (iy + 1)) in
+  let c2 = mac add c2 (fget xb x6 xa (ix + 2)) (fget yb y6 ya (iy + 2)) in
+  let c3 = mac add c3 (fget xb x6 xa (ix + 3)) (fget yb y6 ya (iy + 3)) in
+  let ix = ix + tx and iy = iy + ty in
+  let c0 = mac add c0 (fget xb x7 xa ix) (fget yb y7 ya iy) in
+  let c1 = mac add c1 (fget xb x7 xa (ix + 1)) (fget yb y7 ya (iy + 1)) in
+  let c2 = mac add c2 (fget xb x7 xa (ix + 2)) (fget yb y7 ya (iy + 2)) in
+  let c3 = mac add c3 (fget xb x7 xa (ix + 3)) (fget yb y7 ya (iy + 3)) in
+  Array.unsafe_set da i c0;
+  Array.unsafe_set da (i + 1) c1;
+  Array.unsafe_set da (i + 2) c2;
+  Array.unsafe_set da (i + 3) c3
+
 (* [trips] passes of [fmac] whose operands [x] and [y] move by [tx] and
    [ty] per trip, the destination and [a] fixed: a lane loop whose body
    is one fold. The shape is picked once, then trips run outside and
    lanes inside, the walk of [trips] separate passes; only the unit
-   shape is taken. Whether it ran. *)
-let[@inline] t_fmac add ~xb ~yb trips tx ty n da od aa oa xa ox ya oy =
-  for t = 0 to trips - 1 do
+   shape is taken. When [blocked] (the destination is the accumulator
+   and neither [x] nor [y] reads its array), the trips run in blocks of
+   eight, each a walk of the lanes in steps of four with every lane's
+   accumulator in a register for the block; the trips left over run as
+   separate passes. No lane reads another's element, and no term reads
+   an element the walk writes, so every lane sees the same operations
+   in trip order. Whether it ran. *)
+let[@inline] t_fmac add ~xb ~yb ~blocked trips tx ty n da od aa oa xa ox ya oy
+    =
+  let tb = if blocked then trips land lnot 7 else 0 in
+  for b = 0 to (tb lsr 3) - 1 do
+    let ox = ox + (8 * b * tx) and oy = oy + (8 * b * ty) in
+    let x0 = if xb then Array.unsafe_get xa ox else 0.0 in
+    let x1 = if xb then Array.unsafe_get xa (ox + tx) else 0.0 in
+    let x2 = if xb then Array.unsafe_get xa (ox + (2 * tx)) else 0.0 in
+    let x3 = if xb then Array.unsafe_get xa (ox + (3 * tx)) else 0.0 in
+    let x4 = if xb then Array.unsafe_get xa (ox + (4 * tx)) else 0.0 in
+    let x5 = if xb then Array.unsafe_get xa (ox + (5 * tx)) else 0.0 in
+    let x6 = if xb then Array.unsafe_get xa (ox + (6 * tx)) else 0.0 in
+    let x7 = if xb then Array.unsafe_get xa (ox + (7 * tx)) else 0.0 in
+    let y0 = if yb then Array.unsafe_get ya oy else 0.0 in
+    let y1 = if yb then Array.unsafe_get ya (oy + ty) else 0.0 in
+    let y2 = if yb then Array.unsafe_get ya (oy + (2 * ty)) else 0.0 in
+    let y3 = if yb then Array.unsafe_get ya (oy + (3 * ty)) else 0.0 in
+    let y4 = if yb then Array.unsafe_get ya (oy + (4 * ty)) else 0.0 in
+    let y5 = if yb then Array.unsafe_get ya (oy + (5 * ty)) else 0.0 in
+    let y6 = if yb then Array.unsafe_get ya (oy + (6 * ty)) else 0.0 in
+    let y7 = if yb then Array.unsafe_get ya (oy + (7 * ty)) else 0.0 in
+    for q = 0 to (n lsr 2) - 1 do
+      let o = q lsl 2 in
+      fmac_lanes4 add ~xb ~yb da (od + o) xa (ox + o) tx ya (oy + o) ty x0 x1
+        x2 x3 x4 x5 x6 x7 y0 y1 y2 y3 y4 y5 y6 y7
+    done;
+    for o = n land lnot 3 to n - 1 do
+      fmac_lane add ~xb ~yb da (od + o) xa (ox + o) tx ya (oy + o) ty x0 x1 x2
+        x3 x4 x5 x6 x7 y0 y1 y2 y3 y4 y5 y6 y7
+    done
+  done;
+  for t = tb to trips - 1 do
     u_fmac add ~ab:false ~xb ~yb n da od aa oa xa (ox + (t * tx)) ya
       (oy + (t * ty))
   done
@@ -2996,14 +3107,20 @@ let[@inline] fmac_trips add trips tx ty n (d : float view) (a : float view)
   let xa = x.arr and xs = x.step and ya = y.arr and ys = y.step in
   let ox = x.base and oy = y.base in
   if d.step = 1 && a.step = 1 && unit_step x && unit_step y then begin
+    let blocked = aa == da && oa = od && xa != da && ya != da in
     (match (xs, ys) with
     | 1, 1 ->
-        t_fmac add ~xb:false ~yb:false trips tx ty n da od aa oa xa ox ya oy
+        t_fmac add ~xb:false ~yb:false ~blocked trips tx ty n da od aa oa xa ox
+          ya oy
     | 1, _ ->
-        t_fmac add ~xb:false ~yb:true trips tx ty n da od aa oa xa ox ya oy
+        t_fmac add ~xb:false ~yb:true ~blocked trips tx ty n da od aa oa xa ox
+          ya oy
     | _, 1 ->
-        t_fmac add ~xb:true ~yb:false trips tx ty n da od aa oa xa ox ya oy
-    | _ -> t_fmac add ~xb:true ~yb:true trips tx ty n da od aa oa xa ox ya oy);
+        t_fmac add ~xb:true ~yb:false ~blocked trips tx ty n da od aa oa xa ox
+          ya oy
+    | _ ->
+        t_fmac add ~xb:true ~yb:true ~blocked trips tx ty n da od aa oa xa ox
+          ya oy);
     true
   end
   else false

@@ -454,6 +454,31 @@ val lane_views : lanes -> int * int * int
     their writer, and lane loops it runs as one kernel call per entry
     (a body of one varying [Fmac2]/[Fmsb2] fold [d <- d op x * y]). *)
 
+type 'a view = { mutable arr : 'a array; mutable base : int; mutable step : int }
+(** A strided operand of a lane kernel: element [l] sits [l] steps past
+    [base]. *)
+
+val k_fmac_trips :
+  add:bool ->
+  int ->
+  int ->
+  int ->
+  int ->
+  float view ->
+  float view ->
+  float view ->
+  float view ->
+  bool
+(** [k_fmac_trips ~add trips tx ty n d a x y], the kernel of a one-fold
+    lane loop: [trips] passes of [d.(l) <- a.(l) +. x.(l) *. y.(l)]
+    ([-.] unless [add]) over lanes [l < n], [x] and [y] moving by [tx]
+    and [ty] elements per pass. It runs only in the unit shape ([d] and
+    [a] of step 1, [x] and [y] of step 0 or 1) and returns whether it
+    ran. When [d] is [a] and neither [x] nor [y] views [d]'s array, the
+    passes run in blocks of eight with each lane's accumulator held in a
+    register for the block, which is bit-identical to running them in
+    order; otherwise every pass is one walk of the lanes. *)
+
 val lane_index : lanes -> int * int
 (** How many index progressions the lane program leaves unfilled (the
     strip index, and [Iaff] registers over progressions, kept as a first

@@ -939,19 +939,29 @@ let run_sanitized ?array_init ?pool ?policy ?domains ?engine ?limit ?opt_level
   in
   (outcome, sh)
 
+(* Bit for bit: a NaN equals a NaN of the same payload, and [-0.0]
+   differs from [0.0]. *)
+let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
 (* Differential check against the reference interpreter: arrays must be
-   exactly equal; scalar comparison is optional because non-reduction
-   scalars assigned inside a parallel loop follow privatization (not
-   interleaving) semantics. *)
+   equal bit for bit; scalar comparison is optional because
+   non-reduction scalars assigned inside a parallel loop follow
+   privatization (not interleaving) semantics. *)
 let agrees_with_interpreter ?(compare_scalars = false) (outcome : outcome)
     (st : Eval.state) =
   let arrays, scalars = Eval.dump st in
-  List.length arrays = List.length outcome.arrays
-  && List.for_all2
-       (fun (n1, d1) (n2, d2) -> String.equal n1 n2 && d1 = d2)
-       arrays outcome.arrays
+  List.equal
+    (fun (n1, d1) (n2, d2) ->
+      String.equal n1 n2
+      && Array.length d1 = Array.length d2
+      && Array.for_all2 same_float d1 d2)
+    arrays outcome.arrays
   && ((not compare_scalars)
-     || List.length scalars = List.length outcome.scalars
-        && List.for_all2
-             (fun (n1, v1) (n2, v2) -> String.equal n1 n2 && v1 = v2)
-             scalars outcome.scalars)
+     || List.equal
+          (fun (n1, v1) (n2, v2) ->
+            String.equal n1 n2
+            &&
+            match (v1, v2) with
+            | Eval.Vreal x, Eval.Vreal y -> same_float x y
+            | _ -> v1 = v2)
+          scalars outcome.scalars)

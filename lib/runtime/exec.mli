@@ -130,6 +130,8 @@ val run_sanitized :
 val agrees_with_interpreter :
   ?compare_scalars:bool -> outcome -> Eval.state -> bool
 (** Differential check against the reference interpreter: arrays must be
-    element-wise identical. [compare_scalars] (default false) also
-    requires exact scalar agreement — meaningful for sequential runs and
-    for programs whose parallel-loop scalars are recognized reductions. *)
+    identical bit for bit, element by element (a NaN agrees with a NaN
+    of the same payload, [-0.0] disagrees with [0.0]).
+    [compare_scalars] (default false) also requires scalar agreement,
+    real scalars bit for bit — meaningful for sequential runs and for
+    programs whose parallel-loop scalars are recognized reductions. *)

@@ -42,20 +42,20 @@
      written ones are stored back on normal exit (nothing reads the
      register files mid-strip, and a raised error aborts the run);
    - an eligible body is unrolled and jammed: a main loop runs groups
-     of four strip iterations ([j], [j + jstep], [j + 2 jstep],
-     [j + 3 jstep]) through one block dispatcher, and the [len mod 4]
-     left over run the single-iteration loop. In the group, a strip-
-     uniform instruction (one reading only literals, prologue registers,
-     registers the body never writes and other uniform registers) is
-     emitted once; any other is emitted once per copy, copy 0 first, in
-     place, with its varying int and float registers renamed per copy
-     (copy 3 keeps the plain names, so the written-back registers are
-     the sequentially last iteration's), the strip index among them, so
-     each copy's offsets read its own iteration. A load at a uniform
-     offset is shared by the four copies; in matmul's [k] loop that
-     gives four independent accumulator chains over one [A[i,k]] load
-     and one row of [B]. Whether the interleaving equals
-     running the four iterations in order, whatever the [doall]
+     of [jam_width] (eight) strip iterations ([j], [j + jstep], ...,
+     [j + 7 jstep]) through one block dispatcher, and the
+     [len mod 8] left over run the single-iteration loop. In the group,
+     a strip-uniform instruction (one reading only literals, prologue
+     registers, registers the body never writes and other uniform
+     registers) is emitted once; any other is emitted once per copy,
+     copy 0 first, in place, with its varying int and float registers
+     renamed per copy (the last copy keeps the plain names, so the
+     written-back registers are the sequentially last iteration's), the
+     strip index among them, so each copy's offsets read its own
+     iteration. A load at a uniform offset is shared by the copies; in
+     matmul's [k] loop that gives eight independent accumulator chains
+     over one [A[i,k]] load and one row of [B]. Whether the interleaving
+     equals running the iterations in order, whatever the [doall]
      annotation claims, is {!Bytecode.lane_plan}'s analysis, shared
      with the bytecode tier's lane path: uniform control and no float
      compare, no register carried across iterations, every stored
@@ -135,14 +135,18 @@ module IntMap = Bytecode.IntMap
 
 (* ---------- unroll-and-jam analysis ---------- *)
 
-(* Whether to jam: {!Bytecode.lane_plan} decides whether running four
-   consecutive strip iterations instruction by instruction, in place,
-   equals running them in order; on top of it the emitter wants a
-   self-loop block (a serial inner loop), every stored array at one
-   flat offset and no fold register (a strip reduction stays single:
-   the copies would fold out of order). [lits] are the registers read
-   as literals. The plan's varying registers are renamed per copy;
-   [lp_uniform] marks the accesses whose load the four copies share. *)
+(* Strip iterations per jammed group. *)
+let jam_width = 8
+
+(* Whether to jam: {!Bytecode.lane_plan} decides whether running
+   [jam_width] consecutive strip iterations instruction by instruction,
+   in place, equals running them in order; on top of it the emitter
+   wants a self-loop block (a serial inner loop), every stored array at
+   one flat offset and no fold register (a strip reduction stays
+   single: the copies would fold out of order). [lits] are the
+   registers read as literals. The plan's varying registers are renamed
+   per copy; [lp_uniform] marks the accesses whose load the copies
+   share. *)
 let jam_plan ~jslot ~lits (tp : Bytecode.tape) =
   match Bytecode.lane_plan ~jslot ~lits tp with
   | Error _ -> None
@@ -200,15 +204,15 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
         let consts = Bytecode.const_regs ~jslot tp in
         let lits = ref IntMap.empty in
         (* unroll-and-jam: the copy being emitted (-1 outside the jammed
-           loop) and the registers renamed per copy; copy 3 keeps the
-           plain names, so the written-back values are the sequentially
-           last iteration's *)
+           loop) and the registers renamed per copy; the last copy keeps
+           the plain names, so the written-back values are the
+           sequentially last iteration's *)
         let jam = ref None and cur = ref (-1) in
         let copy_refs = ref [] in
         let copy_name pfx r =
           match !jam with
           | Some (jm : lane_plan)
-            when !cur >= 0 && !cur < 3
+            when !cur >= 0 && !cur < jam_width - 1
                  && IntSet.mem r
                       (if pfx = "ir" then jm.lp_vary_i else jm.lp_vary_f) ->
               let n = Printf.sprintf "%s%dc%d" pfx r !cur in
@@ -490,10 +494,10 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
           end
         in
         out "  let j = ref j0 in";
-        (* ---- unroll-and-jam main loop: groups of four iterations, one
-           dispatcher; a strip-uniform instruction is emitted once, any
-           other once per copy, copy 0 first; the remainder runs the
-           single-iteration loop below ---- *)
+        (* ---- unroll-and-jam main loop: groups of [jam_width]
+           iterations, one dispatcher; a strip-uniform instruction is
+           emitted once, any other once per copy, copy 0 first; the
+           remainder runs the single-iteration loop below ---- *)
         jam := jam_plan ~jslot ~lits:!lits tp;
         (match !jam with
         | None -> ()
@@ -511,15 +515,15 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
                          ~some:(fun d -> IntSet.mem d jm.lp_vary_f)
                          (float_dst i)
               in
-              for u = 0 to if varies then 3 else 0 do
+              for u = 0 to if varies then jam_width - 1 else 0 do
                 cur := u;
                 opnd := 0;
                 emit_instr i
               done;
               cur := -1
             in
-            out "  for _g = 1 to len / 4 do";
-            for u = 0 to 3 do
+            out "  for _g = 1 to len / %d do" jam_width;
+            for u = 0 to jam_width - 1 do
               cur := u;
               iset jslot
                 (match u with
@@ -529,9 +533,9 @@ let plan_runner_src ~idx (p : Compile.plan) : string option =
             done;
             cur := -1;
             iteration ops_of;
-            out "    j := !j + (4 * jstep)";
+            out "    j := !j + (%d * jstep)" jam_width;
             out "  done;";
-            out "  let len = len mod 4 in");
+            out "  let len = len mod %d in" jam_width);
         out "  for _k = 0 to len - 1 do";
         iset jslot "!j";
         iteration emit_instr;

@@ -45,7 +45,7 @@ val jam_plan :
   lits:int Bytecode.IntMap.t ->
   Bytecode.tape ->
   Bytecode.lane_plan option
-(** Whether a plan's runner is unrolled and jammed by four:
+(** Whether a plan's runner is unrolled and jammed by eight:
     {!Bytecode.lane_plan}'s legality plus the emitter's filters (a
     serial inner loop, every stored array at one flat offset, no fold
     register). [lits] are the registers read as literals. Exposed for

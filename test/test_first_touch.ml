@@ -70,7 +70,10 @@ let check ?(array_init = 0.0) ?(domains = [ 1; 2 ]) ?(native_too = true)
                       if not (List.equal same arrays o.Exec.arrays) then
                         fail "arrays differ from Eval"
                       else if
-                        d = 1 && not (Test_bytecode.same_bits_as_eval o st)
+                        d = 1
+                        && not
+                             (Exec.agrees_with_interpreter ~compare_scalars:true
+                                o st)
                       then fail "scalars differ from Eval"
                   | Error m, Error m' ->
                       if exact && not (String.equal m m') then

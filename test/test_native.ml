@@ -81,11 +81,11 @@ let check_five_way ?(domain_counts = [ 1; 2; 4 ])
                 let _, _, ob =
                   List.find (fun (c, l, _) -> c <> cname && l = lvl) outcomes
                 in
-                if o.Exec.arrays <> ob.Exec.arrays then
+                if not (Test_bytecode.same_array_bits o ob) then
                   Alcotest.failf
                     "%s: %s arrays not bit-identical to bytecode (%d domains)"
                     what cname domains
-                else if o.Exec.scalars <> ob.Exec.scalars then
+                else if not (Test_bytecode.same_bits o ob) then
                   Alcotest.failf
                     "%s: %s scalars not bit-identical to bytecode (%d domains)"
                     what cname domains)
@@ -159,9 +159,7 @@ let native_differential gen ~name =
             (fun domains ->
               let on = Exec.run ~domains ~engine:Exec.Native prog in
               let ob = Exec.run ~domains ~engine:Exec.Bytecode prog in
-              Exec.agrees_with_interpreter on st
-              && on.Exec.arrays = ob.Exec.arrays
-              && on.Exec.scalars = ob.Exec.scalars)
+              Exec.agrees_with_interpreter on st && Test_bytecode.same_bits on ob)
             [ 1; 3 ])
 
 let prop_serial_accum =
@@ -763,8 +761,8 @@ let test_codegen_shape () =
     (contains inner " <= 160) do () done;");
   Alcotest.(check bool) "matmul: no bound register" false
     (contains inner "<= !ir");
-  Alcotest.(check bool) "matmul: jammed by four" true
-    (contains inner "for _g = 1 to len / 4 do");
+  Alcotest.(check bool) "matmul: jammed by eight" true
+    (contains inner "for _g = 1 to len / 8 do");
   (* The sanitized build carries shadow instrumentation the generated
      code does not replay: every plan must be ineligible. *)
   let sanitized = Compile.compile ~sanitize:true prog in
@@ -843,7 +841,7 @@ let test_cond_stencil_five_way () =
 let jam_nest = Test_bytecode.jam_nest
 let jam_matmul = Test_bytecode.jam_matmul
 
-let jams src idx = contains (runner_src src idx) "for _g = 1 to len / 4 do"
+let jams src idx = contains (runner_src src idx) "for _g = 1 to len / 8 do"
 
 let check_jam ~what ~jam prog =
   List.iter
@@ -861,21 +859,23 @@ let check_jam ~what ~jam prog =
       ~policies:[ Policy.Static_block; Policy.Gss; Policy.Self_sched 3 ]
       ~what prog
 
-(* Strips of every length 1-9, a zero-trip inner loop, and the negative
-   shapes, under static, guided and fixed-chunk schedules (chunks of 3
-   cut strips short): native must stay bit-identical to bytecode. *)
+(* Strips of every length 1-17 (every remainder of a group of eight
+   after none, one and two groups), a zero-trip inner loop, and the
+   negative shapes, under static, guided and fixed-chunk schedules
+   (chunks of 3 cut strips short): native must stay bit-identical to
+   bytecode. *)
 let test_jam_five_way () =
   List.iter
     (fun nj ->
       check_jam ~jam:true
         ~what:(Printf.sprintf "jam nj=%d" nj)
         (parse "jam" (jam_nest ~nj (jam_matmul ~nk:3))))
-    [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ];
+    (List.init 17 succ);
   check_jam ~jam:true ~what:"jam, zero-trip k loop"
     (parse "jam" (jam_nest ~nk:0 ~nj:6 (jam_matmul ~nk:0)));
   List.iter
     (fun (what, body) ->
-      check_jam ~jam:true ~what (parse what (jam_nest ~nk:4 ~nj:7 body)))
+      check_jam ~jam:true ~what (parse what (jam_nest ~nk:4 ~nj:15 body)))
     Test_bytecode.jam_positives;
   List.iter
     (fun (what, decls, body, _) ->
@@ -1250,20 +1250,7 @@ let test_overflow_trip_count () =
    [Eval] on every engine configuration at 1-3 domains under static
    block, GSS and chunk:3. *)
 let check_eval_bits ~what prog =
-  let arrays, scalars = Eval.dump (Eval.run prog) in
-  let fbits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
-  let same_array (n1, a) (n2, b) =
-    String.equal n1 n2
-    && Array.length a = Array.length b
-    && Array.for_all2 fbits a b
-  in
-  let same_scalar (n1, v1) (n2, v2) =
-    String.equal n1 n2
-    &&
-    match (v1, v2) with
-    | Eval.Vreal x, Eval.Vreal y -> fbits x y
-    | _ -> v1 = v2
-  in
+  let st = Eval.run prog in
   List.iter
     (fun policy ->
       List.iter
@@ -1271,10 +1258,7 @@ let check_eval_bits ~what prog =
           List.iter
             (fun (cname, engine, opt_level) ->
               let o = Exec.run ~domains ~policy ~engine ~opt_level prog in
-              if
-                not
-                  (List.equal same_array arrays o.Exec.arrays
-                  && List.equal same_scalar scalars o.Exec.scalars)
+              if not (Exec.agrees_with_interpreter ~compare_scalars:true o st)
               then
                 Alcotest.failf "%s: %s (%d domains, %s) differs from Eval" what
                   cname domains (Policy.name policy))
@@ -1342,7 +1326,7 @@ let test_jam_register_step () =
   in
   let prog s =
     parse "register step"
-      (jam_nest ~decls:(Printf.sprintf "  int s = %d\n" s) ~nk:5 ~nj:7 body)
+      (jam_nest ~decls:(Printf.sprintf "  int s = %d\n" s) ~nk:5 ~nj:15 body)
   in
   check_jam ~jam:true ~what:"register step" (prog 2);
   let zero = prog 0 in

@@ -881,6 +881,62 @@ let test_claimed_shares_bit_identical () =
   if Registry.value steals = before then
     Alcotest.fail "no share was claimed away from its worker"
 
+(* The differential check compares bits: every element of [z / z] is
+   the same NaN on every engine, so the run agrees with [Eval]; a
+   [0.0] where [Eval] holds [-0.0], in an array or a real scalar
+   (under [~compare_scalars]), is a mismatch. *)
+let test_agreement_bitwise () =
+  let prog =
+    parse "bits"
+      "program\n\
+      \  real A[4]\n\
+      \  real N[4]\n\
+      \  real z = 0.0\n\
+      \  real s = 1.0\n\
+       begin\n\
+      \  doall i = 1, 4\n\
+      \    A[i] = z / z\n\
+      \    N[i] = -z\n\
+      \  end\n\
+      \  s = -z\n\
+       end\n"
+  in
+  let st = Eval.run prog in
+  List.iter
+    (fun (engine, opt_level, domains) ->
+      let o = Exec.run ~domains ~engine ~opt_level prog in
+      if not (Exec.agrees_with_interpreter ~compare_scalars:true o st) then
+        Alcotest.failf "z / z: -O%d, %d domains: reported a mismatch" opt_level
+          domains)
+    [
+      (Exec.Bytecode, 0, 1); (Exec.Bytecode, 2, 1); (Exec.Bytecode, 2, 2);
+    ];
+  let o = Exec.run prog in
+  let zero_n =
+    {
+      o with
+      Exec.arrays =
+        List.map
+          (fun (n, a) -> if n = "N" then (n, Array.map Float.abs a) else (n, a))
+          o.Exec.arrays;
+    }
+  in
+  let zero_s =
+    {
+      o with
+      Exec.scalars =
+        List.map
+          (fun (n, v) -> if n = "s" then (n, Eval.Vreal 0.0) else (n, v))
+          o.Exec.scalars;
+    }
+  in
+  Alcotest.(check bool) "0.0 for -0.0 in an array: mismatch" false
+    (Exec.agrees_with_interpreter zero_n st);
+  Alcotest.(check bool) "0.0 for -0.0 in a scalar: mismatch" false
+    (Exec.agrees_with_interpreter ~compare_scalars:true zero_s st);
+  Alcotest.(check bool) "scalars not compared: agrees" true
+    (Exec.agrees_with_interpreter zero_s st)
+
 let suite =
   [
     Alcotest.test_case "kernels x policies x domains" `Quick
@@ -926,4 +982,6 @@ let suite =
       test_fork_state_fault_release;
     Gen.to_alcotest prop_compiled_seq_equals_interp;
     Gen.to_alcotest prop_parallel_equals_interp;
+    Alcotest.test_case "interpreter agreement is bitwise: NaN, -0.0" `Quick
+      test_agreement_bitwise;
   ]
