@@ -13,7 +13,10 @@
    parallelism.
 
    Emits BENCH_runtime.json (machine-readable, one record per
-   measurement) and prints summary tables. *)
+   measurement) and BENCH_opt.md, and prints summary tables. A [--gate]
+   run covers only the gate kernels at one domain and writes
+   BENCH_runtime.gate.json and BENCH_opt.gate.md instead, so it never
+   overwrites the full sweep's files. *)
 
 open Loopcoal
 module Exec = Runtime.Exec
@@ -707,6 +710,10 @@ let bench_search ~out () =
     search_kernels
 
 let run ?(oversubscribe = false) ?(gate = false) () =
+  let json_file, opt_file =
+    if gate then ("BENCH_runtime.gate.json", "BENCH_opt.gate.md")
+    else ("BENCH_runtime.json", "BENCH_opt.md")
+  in
   let kernels =
     if gate then
       List.filter (fun (n, _) -> List.mem n gate_kernels) bench_kernels
@@ -764,7 +771,7 @@ let run ?(oversubscribe = false) ?(gate = false) () =
       Table.print (Model_check.table scores);
       print_endline (Model_check.summary scores));
   let records = List.rev !records in
-  let oc = open_out "BENCH_runtime.json" in
+  let oc = open_out json_file in
   Printf.fprintf oc
     "{\n  \"host\": %S,\n  \"host_cores\": %d,\n  \"note\": \"engine is interpreter, \
      bytecode (flat register tape, strip-mined; eligible strips run \
@@ -789,8 +796,7 @@ let run ?(oversubscribe = false) ?(gate = false) () =
     (String.concat ",\n" (List.map json_of_search_row search_rows))
     (String.concat ",\n" (List.map json_of_record records));
   close_out oc;
-  Printf.printf "wrote BENCH_runtime.json (%d records)\n%!"
-    (List.length records);
+  Printf.printf "wrote %s (%d records)\n%!" json_file (List.length records);
   (* Bytecode-vs-interpreter and -O2-vs-O0 headlines at 1 domain, and
      the perf gates. LOOPC_GATE_FACTOR > 1 relaxes every threshold for
      noisy shared runners. *)
@@ -893,7 +899,7 @@ let run ?(oversubscribe = false) ?(gate = false) () =
   (match opt_pairs with
   | [] -> ()
   | _ -> Printf.printf "geomean speedup: %.2fx\n%!" opt_geomean);
-  (let oc = open_out "BENCH_opt.md" in
+  (let oc = open_out opt_file in
    Printf.fprintf oc
      "# Bytecode tape optimizer: -O2 vs -O0, 1 domain\n\n\
       host: %s\n\n\
@@ -912,7 +918,7 @@ let run ?(oversubscribe = false) ?(gate = false) () =
    | [] -> ()
    | _ -> Printf.fprintf oc "\ngeomean speedup: %.2fx\n" opt_geomean);
    close_out oc);
-  Printf.printf "wrote BENCH_opt.md (%d kernels)\n%!" (List.length opt_pairs);
+  Printf.printf "wrote %s (%d kernels)\n%!" opt_file (List.length opt_pairs);
   (* Native tier vs bytecode -O2 at 1 domain — informational only, never
      a gate: absolute machine-code speedups vary too much across hosts
      to guard, and hosts without ocamlopt have no native rows at all. *)

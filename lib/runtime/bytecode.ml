@@ -2064,21 +2064,16 @@ let lane_plan ~jslot ~lits (tp : tape) =
    writing element [l], so the piece folds in iteration order with the
    scalar runner's operation and operand order.
 
-   [lane_op] points an instruction's view slots at its operands
-   ([~bind]) and runs the instruction over them ([~run]); the dispatch
-   loop does both per instruction ([lane_step]), every instruction in
-   one shared block of slots. A serial loop in the body runs through the dispatch loop one
-   trip at a time, binding each instruction's views per trip, unless it
-   is a lane loop: its body between [top] and the back edge is
-   straight-line, reads no gathered access, and no access offset in it
-   reads a register the body writes, the loop index aside. Each of its
-   instructions has a block of slots of its own. Reaching its [top],
-   the piece binds the body's views once, then runs the body's
-   kernels trip after trip; between trips every access view that reads
-   the index moves its base by the index's coefficient times the step,
-   which is what re-evaluating its offset would give. Each element sees
-   the same operations on the same operands in the same order as on the
-   dispatch loop, and the index ends as the back edge leaves it. *)
+   The dispatch loop binds each instruction's view slots to its
+   operands and runs its kernel over them ([lane_step]). A serial loop
+   in the body runs on it one trip at a time, unless it is a lane loop:
+   its one body instruction is a varying [Fmac2]/[Fmsb2] fold
+   [d <- d op x * y], its index steps by a uniform increment and neither
+   access is gathered. Reaching its [top], the piece runs every trip as
+   one [k_fmac_trips] call, which moves [x] and [y] by their index
+   coefficient times the step per trip, what re-evaluating their offsets
+   would give; when the trip count is not sure, the piece runs that trip
+   as the dispatch loop would and goes on at the back edge. *)
 
 let lane_width = 256
 
@@ -2087,26 +2082,13 @@ type lane_acc =
   | La_aff of int  (** invariant + variant part; strip coefficient *)
   | La_gather  (** reads a varying register besides the strip index *)
 
-(* A lane loop whose body is one varying [Fmac2]/[Fmsb2] fold
-   [d <- d op x * y]: the index's coefficient in the offsets of [x] and
-   [y]. *)
-type lane_dot = { dt_add : bool; dt_cx : int; dt_cy : int }
-
-(* A lane loop: the body is [top .. ll_back - 1]. *)
+(* A lane loop: the body is its [top] alone, a varying [Fmac2]/[Fmsb2]
+   fold [d <- d op x * y]; the index's coefficient in the offsets of [x]
+   and [y]. *)
 type lane_loop = {
   ll_back : int;  (** the back edge's position *)
-  ll_views : int array;
-      (** float view slots over an access reading the index *)
-  ll_coefs : int array;  (** the index's coefficient in each one's offset *)
-  ll_dot : lane_dot option;  (** a one-fold body: one kernel call per entry *)
-}
-
-(* A lane loop as [lane_loop_of] finds it: [top], the back edge, and
-   each (position, float view slot, index coefficient) to step. *)
-type found_loop = {
-  fl_top : int;
-  fl_back : int;
-  fl_moving : (int * int * int) list;
+  ll_cx : int;
+  ll_cy : int;
 }
 
 type fop = Kadd | Ksub | Kmul | Kdiv | Kmin | Kmax
@@ -2133,7 +2115,6 @@ type chain = {
 }
 
 type lanes = {
-  ln_vary : bool array;  (** per [tp_ops] position: runs across lanes *)
   ln_ilane : int array;  (** int register -> lane array base, or -1 *)
   ln_flane : int array;
       (** float register -> lane array base, or -1, or [-2 - id]: read or
@@ -2145,7 +2126,7 @@ type lanes = {
   ln_run : int array;
       (** per [tp_ops] position, what the dispatch loop does there: enter
           the lane loop whose [top] it is (its index), or run it across
-          lanes (-1, [ln_vary]) or once (-2), or nothing (-3: a forwarded
+          lanes (-1: it varies) or once (-2), or nothing (-3: a forwarded
           load, a fused store or a chain's position past its head), or
           run its progression kernel
           ([lane_prog]: -4, or -5 for an [Iaff] that also fills its lane
@@ -2155,102 +2136,37 @@ type lanes = {
       (** per varying int register, in lane order: a progression, whose
           last value the copy-out takes from its pair *)
   ln_jfill : bool;  (** the strip index's lane array is read *)
-  ln_block : int array;
-      (** per [tp_ops] position: its block of view slots, 0 (shared) but
-          in a lane loop's body *)
   ln_loops : lane_loop array;
-  ln_why : string array;
-      (** per serial loop, by back edge: ["fused"], or the rule that
-          keeps it on the dispatch loop *)
-  ln_views : int * int * int;
-      (** forwarded loads, fused stores, one-call lane loops *)
+  ln_views : int * int * int;  (** forwarded loads, fused stores, lane loops *)
   ln_index : int * int;
       (** progressions left unfilled, [mod] positions on a progression *)
 }
 
-(* The float view slots [lane_op] binds to accesses, with each one's
-   access id. It must follow [lane_op]'s binding: the lane loop tests run
-   every form listed here in a loop body, each access stepping by a
-   coefficient of its own. *)
-let mem_views = function
-  | Fload (_, id) -> [ (1, id) ]
-  | Fstore (_, id) -> [ (0, id) ]
-  | Fmac2 (_, _, i1, i2) | Fmsb2 (_, _, i1, i2) -> [ (2, i1); (3, i2) ]
-  | Fldmac (_, _, _, id) | Fldmsb (_, _, _, id) -> [ (3, id) ]
-  | Fldadd (_, _, id) | Fldsub (_, _, id) | Fldmul (_, _, id) -> [ (2, id) ]
-  | Fld2add (_, i1, i2) -> [ (1, i1); (2, i2) ]
-  | Fldst (i1, i2) -> [ (1, i1); (0, i2) ]
-  | _ -> []
-
-(* The serial loop whose back edge sits at [q]: a lane loop, or why it
-   is not — ["control"] (a jump, a nested loop or a step check in the
-   body, or an index the body writes or that does not step by a uniform
-   increment), ["gather"] (a gathered access) or
-   ["offset_written"] (an access offset reading a register the body
-   writes, the index aside). *)
-let lane_loop_of (tp : tape) acc q =
+(* The lane loop whose back edge sits at [q], if any: a body of one
+   varying [Fmac2]/[Fmsb2] fold [d <- d op x * y], an index stepping by
+   a uniform increment, and neither access gathered. *)
+let lane_loop_of (tp : tape) acc vary q =
   let ops = tp.tp_ops in
-  let top, r, uniform_incr =
-    match ops.(q) with
-    | Iloopc (r, _, _, top) -> (top, r, fun _ -> true)
-    | Iloop (r, a, _, top) ->
-        (top, r, fun written ->
-          aff_coef a r = 1
-          && Array.for_all (fun r' -> r' = r || not (IntSet.mem r' written))
-               a.regs)
-    | _ -> invalid_arg "Bytecode.lane_loop_of"
+  let fold r top uniform =
+    match ops.(top) with
+    | (Fmac2 (d, a, i1, i2) | Fmsb2 (d, a, i1, i2))
+      when top = q - 1 && vary.(top) && d = a && uniform
+           && acc.(i1) <> La_gather
+           && acc.(i2) <> La_gather ->
+        let coef id = aff_coef tp.tp_accs.(id).ac_var r in
+        Some { ll_back = q; ll_cx = coef i1; ll_cy = coef i2 }
+    | _ -> None
   in
-  let body = List.init (q - top) (fun k -> ops.(top + k)) in
-  let written = IntSet.of_list (List.filter_map int_dst body) in
-  let straight = function
-    | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _ | Iloopc _ | Istep _ | Icount _
-    | Ifork _ ->
-        false
-    | _ -> true
-  in
-  let ids =
-    List.concat_map
-      (fun i ->
-        let _, _, ids = reads i in
-        ids)
-      body
-  in
-  if
-    (not (List.for_all straight body))
-    || IntSet.mem r written
-    || not (uniform_incr written)
-  then Result.Error "control"
-  else if List.exists (fun id -> acc.(id) = La_gather) ids then
-    Result.Error "gather"
-  else if
-    List.exists
-      (fun id ->
-        Array.exists
-          (fun r' -> r' <> r && IntSet.mem r' written)
-          tp.tp_accs.(id).ac_var.regs)
-      ids
-  then Result.Error "offset_written"
-  else
-    let moving =
-      List.concat
-        (List.mapi
-           (fun k i ->
-             List.filter_map
-               (fun (v, id) ->
-                 match aff_coef tp.tp_accs.(id).ac_var r with
-                 | 0 -> None
-                 | c -> Some (top + k, v, c))
-               (mem_views i))
-           body)
-    in
-    Result.Ok { fl_top = top; fl_back = q; fl_moving = moving }
+  match ops.(q) with
+  | Iloopc (r, _, _, top) -> fold r top true
+  | Iloop (r, a, _, top) -> fold r top (aff_coef a r = 1)
+  | _ -> None
 
 (* Float lane registers a pass reads or writes through an array view in
    place of a lane array, so that the instruction whose pass moved the
    value runs no pass ([ln_run] -3). Only body temporaries qualify —
    registers at or above [scalar_reals], which no code after the fork
-   reads — varying, written by one instruction and outside lane loop
-   bodies:
+   reads — varying and written by one instruction:
 
    - a forwarded load: [r <- load X] whose every reader follows it in
      one straight run (no jump in it, no block start after the load)
@@ -2266,7 +2182,7 @@ let lane_loop_of (tp : tape) acc q =
    only its own element, and a kernel reads element [l]'s operands
    before it writes element [l]. Returns (register, access id, skipped
    position) per forwarded load, then per fused store. *)
-let view_regs ~jslot ~scalar_reals (lp : lane_plan) acc block (tp : tape) =
+let view_regs ~jslot ~scalar_reals (lp : lane_plan) acc (tp : tape) =
   let ops = tp.tp_ops in
   let n = Array.length ops in
   let freads i =
@@ -2277,9 +2193,8 @@ let view_regs ~jslot ~scalar_reals (lp : lane_plan) acc block (tp : tape) =
   let readers = reg_counts tp freads in
   let starts = lp.lp_starts and written_i = lp.lp_written_i in
   let jump i = instr_targets i <> [] in
-  let temp p r =
+  let temp r =
     r >= scalar_reals && IntSet.mem r lp.lp_vary_f && writers r = 1
-    && block.(p) = 0
   in
   let viewed id = match acc.(id) with La_gather -> false | _ -> true in
   (* the reads of [r] in the straight run after [q], up to the first
@@ -2300,7 +2215,7 @@ let view_regs ~jslot ~scalar_reals (lp : lane_plan) acc block (tp : tape) =
       (fun q ->
         match ops.(q) with
         | Fload (r, id)
-          when temp q r && viewed id
+          when temp r && viewed id
                && Array.for_all
                     (fun r' -> r' = jslot || not (IntSet.mem r' written_i))
                     tp.tp_accs.(id).ac_var.regs
@@ -2316,7 +2231,7 @@ let view_regs ~jslot ~scalar_reals (lp : lane_plan) acc block (tp : tape) =
         | Fstore (t, id)
           when s > 0
                && float_dst ops.(s - 1) = Some t
-               && temp (s - 1) t && readers t = 1 && (not starts.(s))
+               && temp t && readers t = 1 && (not starts.(s))
                && viewed id
                && not (List.exists (fun (r, _, _) -> r = t) loads) ->
             Some (t, id, s)
@@ -2327,22 +2242,21 @@ let view_regs ~jslot ~scalar_reals (lp : lane_plan) acc block (tp : tape) =
 
 (* Int lane registers a pass keeps as progressions, a pair (first value,
    increment) per pass in place of a lane array: the strip index, and
-   the register of an [Iaff] at a varying position outside lane loop
-   bodies ([lane p]) that has one writer and whose terms over varying
-   registers are all progressions. An [Iaff] over progressions computes
-   its pair from theirs; [Fofi] of a progression converts a running int;
-   [Imod] of a progression by a literal keeps a running remainder. Any
-   other reader (a gathered offset, a lane loop body, any other
-   instruction) reads the lane array, which the progression's writer
-   then fills. [lane_plan]'s rules make the pairs current wherever they
-   are read: no register is carried, so a progression's writer runs
-   before its readers in every pass, and the passes of a strip take the
-   same path. Returns the progressions, the positions that run on them
-   and the progressions whose lane array is read. *)
-let progressions ~jslot ~lits (lp : lane_plan) acc vary block (tp : tape) =
+   the register of an [Iaff] at a varying position that has one writer
+   and whose terms over varying registers are all progressions. An
+   [Iaff] over progressions computes its pair from theirs; [Fofi] of a
+   progression converts a running int; [Imod] of a progression by a
+   literal keeps a running remainder. Any other reader (a gathered
+   offset, any other instruction) reads the lane array, which the
+   progression's writer then fills. [lane_plan]'s rules make the pairs
+   current wherever they are read: no register is carried, so a
+   progression's writer runs before its readers in every pass, and the
+   passes of a strip take the same path. Returns the progressions, the
+   positions that run on them and the progressions whose lane array is
+   read. *)
+let progressions ~jslot ~lits (lp : lane_plan) acc vary (tp : tape) =
   let ops = tp.tp_ops in
   let writers = int_writers tp in
-  let lane p = vary.(p) && block.(p) = 0 in
   let over prog (a : aff) =
     Array.for_all
       (fun r -> IntSet.mem r prog || not (IntSet.mem r lp.lp_vary_i))
@@ -2353,7 +2267,7 @@ let progressions ~jslot ~lits (lp : lane_plan) acc vary block (tp : tape) =
     Array.iteri
       (fun p i ->
         match i with
-        | Iaff (d, a) when lane p && writers d = 1 && over prog a ->
+        | Iaff (d, a) when vary.(p) && writers d = 1 && over prog a ->
             prog' := IntSet.add d !prog'
         | _ -> ())
       ops;
@@ -2366,7 +2280,7 @@ let progressions ~jslot ~lits (lp : lane_plan) acc vary block (tp : tape) =
   let kernel =
     Array.mapi
       (fun p i ->
-        lane p
+        vary.(p)
         &&
         match i with
         | Iaff (d, _) -> IntSet.mem d prog
@@ -2392,8 +2306,8 @@ let progressions ~jslot ~lits (lp : lane_plan) acc vary block (tp : tape) =
 
 (* Lane chains: runs of consecutive positions that one kernel runs in
    one pass over the piece, in place of one pass per position ([ln_run]
-   [-6 - k] at the head, -3 past it). A chain sits outside lane loop
-   bodies, in one straight run with no block start after its head, and
+   [-6 - k] at the head, -3 past it). A chain sits on the dispatch
+   loop, in one straight run with no block start after its head, and
    every value one position hands the next is a body temporary with one
    writer whose only reader is that next position: a float register at
    or above [scalar_reals] that no view reads or writes, or, from a
@@ -2558,33 +2472,17 @@ let lanes ~jslot ~scalar_reals ~scalar_ints (tp : tape) =
             > 1
         | _ -> false
       in
-      let loops =
-        List.concat
-          (List.mapi
-             (fun q -> function
-               | Iloop _ | Iloopc _ -> [ lane_loop_of tp acc q ]
-               | _ -> [])
-             (Array.to_list tp.tp_ops))
-      in
-      let fused = List.filter_map Result.to_option loops in
       let vary = Array.map varies tp.tp_ops in
       let run = Array.map (fun v -> if v then -1 else -2) vary in
-      let block = Array.make (Array.length tp.tp_ops) 0 in
-      let blocks = ref 1 in
-      List.iteri
-        (fun k fl ->
-          run.(fl.fl_top) <- k;
-          for p = fl.fl_top to fl.fl_back - 1 do
-            block.(p) <- !blocks;
-            incr blocks
-          done)
-        fused;
-      let loads, stores = view_regs ~jslot ~scalar_reals lp acc block tp in
+      let loops =
+        List.filter_map (lane_loop_of tp acc vary)
+          (List.init (Array.length tp.tp_ops) Fun.id)
+      in
+      List.iteri (fun k ll -> run.(ll.ll_back - 1) <- k) loops;
+      let loads, stores = view_regs ~jslot ~scalar_reals lp acc tp in
       let views = loads @ stores in
       List.iter (fun (_, _, p) -> run.(p) <- -3) views;
-      let prog, kernel, filled =
-        progressions ~jslot ~lits lp acc vary block tp
-      in
+      let prog, kernel, filled = progressions ~jslot ~lits lp acc vary tp in
       Array.iteri
         (fun p k ->
           if k then
@@ -2621,31 +2519,8 @@ let lanes ~jslot ~scalar_reals ~scalar_ints (tp : tape) =
         map fregs (1 + List.fold_left (fun m (r, _, _) -> max m r) (-1) views)
       in
       List.iter (fun (r, id, _) -> flane.(r) <- -2 - id) views;
-      let dot fl =
-        match (tp.tp_ops.(fl.fl_top), tp.tp_ops.(fl.fl_back)) with
-        | ( (Fmac2 (d, a, i1, i2) | Fmsb2 (d, a, i1, i2)),
-            (Iloop (r, _, _, _) | Iloopc (r, _, _, _)) )
-          when fl.fl_back = fl.fl_top + 1 && d = a && vary.(fl.fl_top) ->
-            let c id = aff_coef tp.tp_accs.(id).ac_var r in
-            let add =
-              match tp.tp_ops.(fl.fl_top) with Fmac2 _ -> true | _ -> false
-            in
-            Some { dt_add = add; dt_cx = c i1; dt_cy = c i2 }
-        | _ -> None
-      in
-      let lane_loop fl =
-        let slot (p, v, _) = (4 * block.(p)) + v in
-        {
-          ll_back = fl.fl_back;
-          ll_views = Array.of_list (List.map slot fl.fl_moving);
-          ll_coefs = Array.of_list (List.map (fun (_, _, c) -> c) fl.fl_moving);
-          ll_dot = dot fl;
-        }
-      in
-      let ll = Array.of_list (List.map lane_loop fused) in
       Result.Ok
         {
-          ln_vary = vary;
           ln_ilane = map iregs 0;
           ln_flane = flane;
           ln_iregs = iregs;
@@ -2656,19 +2531,8 @@ let lanes ~jslot ~scalar_reals ~scalar_ints (tp : tape) =
           ln_chains = Array.of_list (List.map (fun (_, _, c) -> c) chained);
           ln_iprog = Array.map (fun r -> IntSet.mem r prog) iregs;
           ln_jfill = IntSet.mem jslot filled || not (IntSet.mem jslot prog);
-          ln_block = block;
-          ln_loops = ll;
-          ln_why =
-            Array.of_list
-              (List.map
-                 (function Result.Ok _ -> "fused" | Result.Error why -> why)
-                 loops);
-          ln_views =
-            ( List.length loads,
-              List.length stores,
-              Array.fold_left
-                (fun k l -> if Option.is_some l.ll_dot then k + 1 else k)
-                0 ll );
+          ln_loops = Array.of_list loops;
+          ln_views = (List.length loads, List.length stores, List.length loops);
           ln_index =
             ( IntSet.cardinal (IntSet.diff prog filled),
               Array.fold_left ( + ) 0
@@ -2681,8 +2545,6 @@ let lanes ~jslot ~scalar_reals ~scalar_ints (tp : tape) =
 let lane_views ln = ln.ln_views
 let lane_index ln = ln.ln_index
 let lane_chains ln = Array.length ln.ln_chains
-
-let lane_loops ln = ln.ln_why
 
 (* A strided view: element [l] sits [l] steps past [base]. *)
 type 'a view = {
@@ -3056,15 +2918,15 @@ let[@inline] fmac_lanes4 add ~xb ~yb da i xa ix tx ya iy ty x0 x1 x2 x3 x4 x5
 
 (* [trips] passes of [fmac] whose operands [x] and [y] move by [tx] and
    [ty] per trip, the destination and [a] fixed: a lane loop whose body
-   is one fold. The shape is picked once, then trips run outside and
-   lanes inside, the walk of [trips] separate passes; only the unit
-   shape is taken. When [blocked] (the destination is the accumulator
-   and neither [x] nor [y] reads its array), the trips run in blocks of
-   eight, each a walk of the lanes in steps of four with every lane's
-   accumulator in a register for the block; the trips left over run as
-   separate passes. No lane reads another's element, and no term reads
-   an element the walk writes, so every lane sees the same operations
-   in trip order. Whether it ran. *)
+   is one fold, in the unit shape. The shape is picked once, then trips
+   run outside and lanes inside, the walk of [trips] separate passes.
+   When [blocked] (the destination is the accumulator and neither [x]
+   nor [y] reads its array), the trips run in blocks of eight, each a
+   walk of the lanes in steps of four with every lane's accumulator in
+   a register for the block; the trips left over run as separate
+   passes. No lane reads another's element, and no term reads an
+   element the walk writes, so every lane sees the same operations in
+   trip order. *)
 let[@inline] t_fmac add ~xb ~yb ~blocked trips tx ty n da od aa oa xa ox ya oy
     =
   let tb = if blocked then trips land lnot 7 else 0 in
@@ -3120,10 +2982,18 @@ let[@inline] fmac_trips add trips tx ty n (d : float view) (a : float view)
           ya oy
     | _ ->
         t_fmac add ~xb:true ~yb:true ~blocked trips tx ty n da od aa oa xa ox
-          ya oy);
-    true
+          ya oy)
   end
-  else false
+  else begin
+    (* any other shape: [k_fmac] per trip over [x] and [y] moved *)
+    for t = 0 to trips - 1 do
+      x.base <- ox + (t * tx);
+      y.base <- oy + (t * ty);
+      k_fmac ~add n d a x y
+    done;
+    x.base <- ox;
+    y.base <- oy
+  end
 
 let k_fmac_trips ~add trips tx ty n d a x y =
   if add then fmac_trips true trips tx ty n d a x y
@@ -3438,9 +3308,8 @@ let make_lane_state ln =
   }
 
 (* One domain's lane runner: what its strips read, and the operand
-   views — four float and three int slots per block ([ln_block]), slot
-   0 the destination, then the operands, and six more float slots for
-   chains ([lane_chain]). *)
+   views — four float and three int slots, slot 0 the destination, then
+   the operands, and six more float slots for chains ([lane_chain]). *)
 type lane_run = {
   lr_tape : tape;
   lr_ln : lanes;
@@ -3594,168 +3463,125 @@ let lane_aff lr ~lanes n (v : int view) (a : aff) =
     done
   end
 
-(* The straight-line instruction [i] over [n] iterations, on view slot
-   block [b]: with [~bind], point the block's slots at its operands;
-   with [~run], run its kernel over the views they hold. The dispatch
-   loop does both at once ([lane_step], on the shared block); a lane
-   loop binds once per entry ([lane_loop]) and runs per trip
-   ([lane_trips]). *)
-let[@inline] lane_op lr ~lanes ~bind ~run n b (i : instr) =
+(* The straight-line instruction [i] over [n] iterations: point the
+   view slots at its operands, slot 0 its destination, then run its
+   kernel over them. *)
+let lane_step lr ~lanes n (i : instr) =
   let fv = lr.lr_fv and iv = lr.lr_iv in
-  let f = 4 * b and g = 3 * b in
   match i with
   | Iconst (d, x) ->
-      if bind then idst lr ~lanes g d;
-      if run then begin
-        let v = iv.(g) in
-        let da = v.arr and ds = v.step and od = ref v.base in
-        for _ = 1 to n do
-          Array.unsafe_set da !od x;
-          od := !od + ds
-        done
-      end
+      idst lr ~lanes 0 d;
+      let v = iv.(0) in
+      let da = v.arr and ds = v.step and od = ref v.base in
+      for _ = 1 to n do
+        Array.unsafe_set da !od x;
+        od := !od + ds
+      done
   | Iaff (d, a) ->
-      if bind then idst lr ~lanes g d;
-      if run then lane_aff lr ~lanes n iv.(g) a
+      idst lr ~lanes 0 d;
+      lane_aff lr ~lanes n iv.(0) a
   | Imul (d, a, b)
   | Idiv (d, a, b)
   | Imod (d, a, b)
   | Icdiv (d, a, b)
   | Imin (d, a, b)
   | Imax (d, a, b) ->
-      if bind then begin
-        ireg lr ~lanes (g + 1) a;
-        ireg lr ~lanes (g + 2) b;
-        idst lr ~lanes g d
-      end;
-      if run then k_ibin i n iv.(g) iv.(g + 1) iv.(g + 2)
+      ireg lr ~lanes 1 a;
+      ireg lr ~lanes 2 b;
+      idst lr ~lanes 0 d;
+      k_ibin i n iv.(0) iv.(1) iv.(2)
   | Fconst (d, x) ->
-      if bind then fdst lr ~lanes f d;
-      if run then k_ffill n fv.(f) x
+      fdst lr ~lanes 0 d;
+      k_ffill n fv.(0) x
   | Fmov (d, s) ->
-      if bind then begin
-        freg lr ~lanes (f + 1) s;
-        fdst lr ~lanes f d
-      end;
-      if run then k_fcopy n fv.(f) fv.(f + 1)
+      freg lr ~lanes 1 s;
+      fdst lr ~lanes 0 d;
+      k_fcopy n fv.(0) fv.(1)
   | Fneg (d, s) ->
-      if bind then begin
-        freg lr ~lanes (f + 1) s;
-        fdst lr ~lanes f d
-      end;
-      if run then k_fneg n fv.(f) fv.(f + 1)
+      freg lr ~lanes 1 s;
+      fdst lr ~lanes 0 d;
+      k_fneg n fv.(0) fv.(1)
   | Fofi (d, s) ->
-      if bind then begin
-        ireg lr ~lanes (g + 1) s;
-        fdst lr ~lanes f d
-      end;
-      if run then k_fofi n fv.(f) iv.(g + 1)
+      ireg lr ~lanes 1 s;
+      fdst lr ~lanes 0 d;
+      k_fofi n fv.(0) iv.(1)
   | Fadd (d, a, b)
   | Fsub (d, a, b)
   | Fmul (d, a, b)
   | Fdiv (d, a, b)
   | Fmin (d, a, b)
   | Fmax (d, a, b) ->
-      if bind then begin
-        freg lr ~lanes (f + 1) a;
-        freg lr ~lanes (f + 2) b;
-        fdst lr ~lanes f d
-      end;
-      if run then
-        let op =
-          match i with
-          | Fadd _ -> Kadd
-          | Fsub _ -> Ksub
-          | Fmul _ -> Kmul
-          | Fdiv _ -> Kdiv
-          | Fmin _ -> Kmin
-          | _ -> Kmax
-        in
-        k_fbin op n fv.(f) fv.(f + 1) fv.(f + 2)
+      freg lr ~lanes 1 a;
+      freg lr ~lanes 2 b;
+      fdst lr ~lanes 0 d;
+      let op =
+        match i with
+        | Fadd _ -> Kadd
+        | Fsub _ -> Ksub
+        | Fmul _ -> Kmul
+        | Fdiv _ -> Kdiv
+        | Fmin _ -> Kmin
+        | _ -> Kmax
+      in
+      k_fbin op n fv.(0) fv.(1) fv.(2)
   | Fmac (d, a, x, y) | Fmsb (d, a, x, y) ->
-      if bind then begin
-        freg lr ~lanes (f + 1) a;
-        freg lr ~lanes (f + 2) x;
-        freg lr ~lanes (f + 3) y;
-        fdst lr ~lanes f d
-      end;
-      if run then
-        k_fmac
-          ~add:(match i with Fmac _ -> true | _ -> false)
-          n fv.(f) fv.(f + 1) fv.(f + 2) fv.(f + 3)
+      freg lr ~lanes 1 a;
+      freg lr ~lanes 2 x;
+      freg lr ~lanes 3 y;
+      fdst lr ~lanes 0 d;
+      k_fmac
+        ~add:(match i with Fmac _ -> true | _ -> false)
+        n fv.(0) fv.(1) fv.(2) fv.(3)
   | Fload (d, id) ->
-      if bind then begin
-        fmem lr f 1 n id;
-        fdst lr ~lanes f d
-      end;
-      if run then k_fcopy n fv.(f) fv.(f + 1)
+      fmem lr 0 1 n id;
+      fdst lr ~lanes 0 d;
+      k_fcopy n fv.(0) fv.(1)
   | Fstore (s, id) ->
-      if bind then begin
-        freg lr ~lanes (f + 1) s;
-        fmem lr f 0 n id
-      end;
-      if run then k_fcopy n fv.(f) fv.(f + 1)
+      freg lr ~lanes 1 s;
+      fmem lr 0 0 n id;
+      k_fcopy n fv.(0) fv.(1)
   | Fmac2 (d, a, i1, i2) | Fmsb2 (d, a, i1, i2) ->
-      if bind then begin
-        freg lr ~lanes (f + 1) a;
-        fmem lr f 2 n i1;
-        fmem lr f 3 n i2;
-        fdst lr ~lanes f d
-      end;
-      if run then
-        k_fmac
-          ~add:(match i with Fmac2 _ -> true | _ -> false)
-          n fv.(f) fv.(f + 1) fv.(f + 2) fv.(f + 3)
+      freg lr ~lanes 1 a;
+      fmem lr 0 2 n i1;
+      fmem lr 0 3 n i2;
+      fdst lr ~lanes 0 d;
+      k_fmac
+        ~add:(match i with Fmac2 _ -> true | _ -> false)
+        n fv.(0) fv.(1) fv.(2) fv.(3)
   | Fldmac (d, a, x, id) | Fldmsb (d, a, x, id) ->
-      if bind then begin
-        freg lr ~lanes (f + 1) a;
-        freg lr ~lanes (f + 2) x;
-        fmem lr f 3 n id;
-        fdst lr ~lanes f d
-      end;
-      if run then
-        k_fmac
-          ~add:(match i with Fldmac _ -> true | _ -> false)
-          n fv.(f) fv.(f + 1) fv.(f + 2) fv.(f + 3)
+      freg lr ~lanes 1 a;
+      freg lr ~lanes 2 x;
+      fmem lr 0 3 n id;
+      fdst lr ~lanes 0 d;
+      k_fmac
+        ~add:(match i with Fldmac _ -> true | _ -> false)
+        n fv.(0) fv.(1) fv.(2) fv.(3)
   | Fldadd (d, x, id) | Fldsub (d, x, id) | Fldmul (d, x, id) ->
-      if bind then begin
-        freg lr ~lanes (f + 1) x;
-        fmem lr f 2 n id;
-        fdst lr ~lanes f d
-      end;
-      if run then
-        let op =
-          match i with Fldadd _ -> Kadd | Fldsub _ -> Ksub | _ -> Kmul
-        in
-        k_fbin op n fv.(f) fv.(f + 1) fv.(f + 2)
+      freg lr ~lanes 1 x;
+      fmem lr 0 2 n id;
+      fdst lr ~lanes 0 d;
+      let op = match i with Fldadd _ -> Kadd | Fldsub _ -> Ksub | _ -> Kmul in
+      k_fbin op n fv.(0) fv.(1) fv.(2)
   | Fld2add (d, i1, i2) ->
-      if bind then begin
-        fmem lr f 1 n i1;
-        fmem lr f 2 n i2;
-        fdst lr ~lanes f d
-      end;
-      if run then k_fbin Kadd n fv.(f) fv.(f + 1) fv.(f + 2)
+      fmem lr 0 1 n i1;
+      fmem lr 0 2 n i2;
+      fdst lr ~lanes 0 d;
+      k_fbin Kadd n fv.(0) fv.(1) fv.(2)
   | Fldst (i1, i2) ->
-      if bind then begin
-        fmem lr f 1 n i1;
-        fmem lr f 0 n i2
-      end;
-      if run then k_fcopy n fv.(f) fv.(f + 1)
+      fmem lr 0 1 n i1;
+      fmem lr 0 0 n i2;
+      k_fcopy n fv.(0) fv.(1)
   | Istep (r, name) ->
-      if run && Array.unsafe_get lr.lr_ints r <= 0 then
+      if Array.unsafe_get lr.lr_ints r <= 0 then
         error "loop %s: step must be positive" name
   | Icount _ | Ifork _ | Jmp _ | Jii _ | Jff _ | Jffn _ | Iloop _ | Iloopc _
     ->
       assert false
 
-(* One straight-line instruction over [n] iterations, on the shared
-   block of view slots. *)
-let lane_step lr ~lanes n i = lane_op lr ~lanes ~bind:true ~run:true n 0 i
-
 (* A position [progressions] runs on progressions ([ln_run] -4, or -5
-   to fill the [Iaff]'s lane array too), over [n] iterations on the
-   shared block: an [Iaff] sets its register's pair from its terms',
-   [Fofi] and [Imod] read their operand's pair. *)
+   to fill the [Iaff]'s lane array too), over [n] iterations: an [Iaff]
+   sets its register's pair from its terms', [Fofi] and [Imod] read
+   their operand's pair. *)
 let lane_prog lr n ~fill (i : instr) =
   let ls = lr.lr_ls in
   let pf = ls.ls_pf and pi = ls.ls_pi in
@@ -3804,67 +3630,15 @@ let lane_chain lr n (ch : chain) =
         (if m >= 0 then Array.unsafe_get lr.lr_ints m else 1)
         lr.lr_reals ch.ch_u
 
-(* The trips of lane loop [ll] from [top], index [r] stepping by [step]
-   while it stays <= register [bnd], on views bound for this entry. *)
-let lane_trips lr n (ll : lane_loop) top r step bnd =
-  let ops = lr.lr_tape.tp_ops and vary = lr.lr_ln.ln_vary in
-  let block = lr.lr_ln.ln_block in
-  let ints = lr.lr_ints and fv = lr.lr_fv in
-  let views = ll.ll_views and coefs = ll.ll_coefs and back = ll.ll_back in
-  let go = ref true in
-  while !go do
-    for p = top to back - 1 do
-      lane_op lr ~lanes:true ~bind:false ~run:true
-        (if Array.unsafe_get vary p then n else 1)
-        (Array.unsafe_get block p) (Array.unsafe_get ops p)
-    done;
-    let v = Array.unsafe_get ints r + step in
-    Array.unsafe_set ints r v;
-    if v <= Array.unsafe_get ints bnd then
-      for m = 0 to Array.length views - 1 do
-        let w = Array.unsafe_get fv (Array.unsafe_get views m) in
-        w.base <- w.base + (Array.unsafe_get coefs m * step)
-      done
-    else go := false
-  done
-
-(* A one-fold lane loop's trips from [top] as one kernel call, when the
-   trip count is sure: a positive step, an index at most the bound and
-   no overflow, else [lane_trips]. The index ends past the bound, as
-   [lane_trips] leaves it. *)
-let lane_dot lr n (ll : lane_loop) (dt : lane_dot) top r step bnd =
-  let ints = lr.lr_ints in
-  let v0 = Array.unsafe_get ints r and hi = Array.unsafe_get ints bnd in
-  let ran =
-    step > 0
-    && hi <= max_int - step
-    && v0 <= hi
-    && (v0 >= 0 || hi <= max_int + v0)
-    &&
-    let trips = ((hi - v0) / step) + 1 in
-    let f = 4 * Array.unsafe_get lr.lr_ln.ln_block top and fv = lr.lr_fv in
-    k_fmac_trips ~add:dt.dt_add trips (dt.dt_cx * step) (dt.dt_cy * step)
-      (if Array.unsafe_get lr.lr_ln.ln_vary top then n else 1)
-      fv.(f) fv.(f + 1) fv.(f + 2) fv.(f + 3)
-    && begin
-         Array.unsafe_set ints r (v0 + (trips * step));
-         true
-       end
-  in
-  if not ran then lane_trips lr n ll top r step bnd
-
-(* Lane loop [ll], entered at its [top] by a pass of [n] iterations:
-   the body's views bound once, then every trip. The position past the
-   back edge. *)
+(* Lane loop [ll], entered at its [top] by a pass of [n] iterations.
+   When the trip count is sure (a positive step, an index at most the
+   bound and no overflow), every trip runs as one [k_fmac_trips] call
+   and the index ends past the bound, as the back edge leaves it: the
+   position past the back edge. Else this trip runs as the dispatch
+   loop runs it: the back edge. *)
 let lane_loop lr n (ll : lane_loop) top =
-  let ops = lr.lr_tape.tp_ops and vary = lr.lr_ln.ln_vary in
   let ints = lr.lr_ints and back = ll.ll_back in
-  for p = top to back - 1 do
-    lane_op lr ~lanes:true ~bind:true ~run:false
-      (if Array.unsafe_get vary p then n else 1)
-      (Array.unsafe_get lr.lr_ln.ln_block p)
-      (Array.unsafe_get ops p)
-  done;
+  let ops = lr.lr_tape.tp_ops in
   let r, step, bnd =
     match Array.unsafe_get ops back with
     | Iloopc (r, c, bnd, _) -> (r, c, bnd)
@@ -3872,10 +3646,33 @@ let lane_loop lr n (ll : lane_loop) top =
         (r, aff_eval ints a - Array.unsafe_get ints r, bnd)
     | _ -> assert false
   in
-  (match ll.ll_dot with
-  | Some dt -> lane_dot lr n ll dt top r step bnd
-  | None -> lane_trips lr n ll top r step bnd);
-  back + 1
+  let v0 = Array.unsafe_get ints r and hi = Array.unsafe_get ints bnd in
+  let i = Array.unsafe_get ops top in
+  if
+    step > 0
+    && hi <= max_int - step
+    && v0 <= hi
+    && (v0 >= 0 || hi <= max_int + v0)
+  then begin
+    match i with
+    | Fmac2 (d, a, i1, i2) | Fmsb2 (d, a, i1, i2) ->
+        let fv = lr.lr_fv and trips = ((hi - v0) / step) + 1 in
+        freg lr ~lanes:true 1 a;
+        fmem lr 0 2 n i1;
+        fmem lr 0 3 n i2;
+        fdst lr ~lanes:true 0 d;
+        k_fmac_trips
+          ~add:(match i with Fmac2 _ -> true | _ -> false)
+          trips (ll.ll_cx * step) (ll.ll_cy * step) n fv.(0) fv.(1) fv.(2)
+          fv.(3);
+        Array.unsafe_set ints r (v0 + (trips * step));
+        back + 1
+    | _ -> assert false
+  end
+  else begin
+    lane_step lr ~lanes:true n i;
+    back
+  end
 
 let lane_strip lr ~jslot j0 jstep len =
   let tape = lr.lr_tape and ln = lr.lr_ln and ints = lr.lr_ints in
@@ -3955,7 +3752,6 @@ let lane_strip lr ~jslot j0 jstep len =
   end
 
 let lane_runner tape ln ls ~ints ~reals ~arrays ~inv ~jslot =
-  let blocks = 1 + Array.fold_left max 0 ln.ln_block in
   let lr =
     {
       lr_tape = tape;
@@ -3965,12 +3761,8 @@ let lane_runner tape ln ls ~ints ~reals ~arrays ~inv ~jslot =
       lr_reals = reals;
       lr_arrays = arrays;
       lr_inv = inv;
-      lr_fv =
-        Array.init
-          ((4 * blocks) + 6)
-          (fun _ -> { arr = reals; base = 0; step = 0 });
-      lr_iv =
-        Array.init (3 * blocks) (fun _ -> { arr = ints; base = 0; step = 0 });
+      lr_fv = Array.init 10 (fun _ -> { arr = reals; base = 0; step = 0 });
+      lr_iv = Array.init 3 (fun _ -> { arr = ints; base = 0; step = 0 });
       lr_jstep = 0;
     }
   in

@@ -451,8 +451,11 @@ val lanes :
 
 val lane_views : lanes -> int * int * int
 (** How many loads the lane program forwards, stores it fuses into
-    their writer, and lane loops it runs as one kernel call per entry
-    (a body of one varying [Fmac2]/[Fmsb2] fold [d <- d op x * y]). *)
+    their writer, and lane loops it has: serial loops whose body is one
+    varying [Fmac2]/[Fmsb2] fold [d <- d op x * y], run as one
+    {!k_fmac_trips} call per entry when the trip count is sure. Every
+    other serial loop runs on the lane dispatch loop, one trip at a
+    time. *)
 
 type 'a view = { mutable arr : 'a array; mutable base : int; mutable step : int }
 (** A strided operand of a lane kernel: element [l] sits [l] steps past
@@ -468,16 +471,16 @@ val k_fmac_trips :
   float view ->
   float view ->
   float view ->
-  bool
+  unit
 (** [k_fmac_trips ~add trips tx ty n d a x y], the kernel of a one-fold
     lane loop: [trips] passes of [d.(l) <- a.(l) +. x.(l) *. y.(l)]
     ([-.] unless [add]) over lanes [l < n], [x] and [y] moving by [tx]
-    and [ty] elements per pass. It runs only in the unit shape ([d] and
-    [a] of step 1, [x] and [y] of step 0 or 1) and returns whether it
-    ran. When [d] is [a] and neither [x] nor [y] views [d]'s array, the
-    passes run in blocks of eight with each lane's accumulator held in a
-    register for the block, which is bit-identical to running them in
-    order; otherwise every pass is one walk of the lanes. *)
+    and [ty] elements per pass. In the unit shape ([d] and [a] of step
+    1, [x] and [y] of step 0 or 1), when [d] is [a] and neither [x] nor
+    [y] views [d]'s array, the passes run in blocks of eight with each
+    lane's accumulator held in a register for the block, which is
+    bit-identical to running them in order; otherwise every pass is one
+    walk of the lanes. *)
 
 val lane_index : lanes -> int * int
 (** How many index progressions the lane program leaves unfilled (the
@@ -492,13 +495,6 @@ val lane_chains : lanes -> int
     reads, that one kernel runs in one pass — a sum of two to five
     loads, or [float] of an index progression or of its [mod] by a
     literal, then at most one [+ - * /] with a uniform register. *)
-
-val lane_loops : lanes -> string array
-(** One slug per serial loop of the body, in back-edge order: ["fused"]
-    for a lane loop — a straight-line body the lane path runs as one
-    kernel loop per pass, over operand views bound once per entry — or
-    the rule that keeps the loop on the dispatch loop: ["control"],
-    ["gather"] or ["offset_written"]. *)
 
 type lane_state
 (** One domain's lane arrays. They reference no register file or array,

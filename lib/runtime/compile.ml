@@ -123,9 +123,6 @@ and fork_state = {
   fs_lanes : (Bytecode.lanes, string) result;
       (** the body's lane program, or the lane rule it fails *)
   mutable fs_lane_states : Bytecode.lane_state array;  (** per domain *)
-  mutable fs_lane_loops : Registry.counter array;
-      (** [exec.lane_loops.<slug>] per serial loop of a lane body, made
-          at the state's first lane fork *)
   fs_tiled : bool;
       (** its lane and native forks walk whole rows in row groups
           ([Exec.run_tiled]) *)

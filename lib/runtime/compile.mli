@@ -107,9 +107,6 @@ and fork_state = {
           rule it fails *)
   mutable fs_lane_states : Bytecode.lane_state array;
       (** lane arrays per domain, kept across runs *)
-  mutable fs_lane_loops : Loopcoal_obs.Registry.counter array;
-      (** [exec.lane_loops.<slug>] per serial loop of a lane body, made
-          at the state's first lane fork *)
   fs_tiled : bool;
       (** its lane and native forks walk whole rows in row groups *)
 }

@@ -467,7 +467,6 @@ let new_state (plan : plan) =
     fs_solo = None;
     fs_lanes = lanes;
     fs_lane_states = [||];
-    fs_lane_loops = [||];
     fs_tiled = tiled plan lanes;
   }
 
@@ -554,20 +553,11 @@ let c_view_divmod = Registry.counter "exec.lane_views.divmod"
 let c_view_chain = Registry.counter "exec.lane_views.chain"
 let c_tiled = Registry.counter "exec.tiled_forks"
 
-(* A lane fork counts each serial loop of the body once, under
-   [exec.lane_loops.<slug>]: ["fused"], or the rule that keeps the loop
-   on the dispatch loop ({!Bytecode.lane_loops}); and its forwarded
-   loads, fused stores and one-call lane loops under
-   [exec.lane_views.load], [.store] and [.call], its unfilled index
-   progressions under [.index], its [mod]s on a progression under
+(* A lane fork counts its forwarded loads, fused stores and lane loops
+   under [exec.lane_views.load], [.store] and [.call], its unfilled
+   index progressions under [.index], its [mod]s on a progression under
    [.divmod] (a chain's included) and its lane chains under [.chain]. *)
-let count_lane_loops st ln =
-  if Array.length st.fs_lane_loops = 0 then
-    st.fs_lane_loops <-
-      Array.map
-        (fun slug -> Registry.counter ("exec.lane_loops." ^ slug))
-        (Bytecode.lane_loops ln);
-  Array.iter Registry.incr st.fs_lane_loops;
+let count_lane_views ln =
   let loads, stores, calls = Bytecode.lane_views ln in
   Registry.add c_view_loads loads;
   Registry.add c_view_stores stores;
@@ -584,7 +574,7 @@ let decide ?profile engine st (plan : plan) master =
     tape_mode ?profile engine plan st.fs_lanes pr ~all_unsafe:st.fs_all_unsafe
   in
   (match (mode, st.fs_lanes) with
-  | Fork_lanes _, Ok ln -> count_lane_loops st ln
+  | Fork_lanes _, Ok ln -> count_lane_views ln
   | _ -> ());
   (match mode with
   | (Fork_lanes _ | Fork_native _) when st.fs_tiled -> Registry.incr c_tiled
