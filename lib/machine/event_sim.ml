@@ -63,13 +63,7 @@ let simulate_dynamic machine ~policy ~n ~chunk_cost =
   let batch_chunk = ref 0 in
   let tss_step = ref 0 in
   let tss_first = Sched.Trapezoid.first_chunk ~n ~p in
-  let tss_dec =
-    let f = tss_first in
-    if n = 0 then 0
-    else
-      let steps = max 1 (Im.cdiv (2 * n) (f + 1)) in
-      if steps <= 1 then 0 else (f - 1) / (steps - 1)
-  in
+  let tss_dec = Sched.Trapezoid.decrement ~n ~p in
   let chunk_for_remaining remaining =
     match (policy : Sched.Policy.t) with
     | Self_sched c -> min c remaining

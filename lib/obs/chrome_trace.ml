@@ -50,13 +50,13 @@ let to_buffer ?(profile = []) buf (tr : Trace.t) =
         (Printf.sprintf
            "{\"name\":\"%s n=%d\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\
             \"pid\":0,\"tid\":%d,\"args\":{\"epoch\":%d,\"policy\":\"%s\",\
-            \"n\":%d,\"p\":%d}}"
+            \"k\":%d,\"n\":%d,\"p\":%d}}"
            (escape (Policy.name f.Trace.f_policy))
            f.Trace.f_n (us_of origin f.Trace.f_t0)
            (us_of f.Trace.f_t0 f.Trace.f_t1)
            tr.Trace.p f.Trace.f_epoch
            (escape (Policy.name f.Trace.f_policy))
-           f.Trace.f_n f.Trace.f_p))
+           f.Trace.f_k f.Trace.f_n f.Trace.f_p))
     tr.Trace.forks;
   Array.iter
     (fun (c : Trace.chunk) ->

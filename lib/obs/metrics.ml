@@ -66,7 +66,9 @@ let fork_metrics_of (tr : Trace.t) (f : Trace.fork) =
   let imbalance =
     if mean_busy <= 0.0 then 1.0 else float_of_int max_busy /. mean_busy
   in
-  let sync_ops = Chunks.sync_ops f.Trace.f_policy ~n:f.Trace.f_n ~p in
+  let sync_ops =
+    Chunks.sync_ops f.Trace.f_policy ~k:f.Trace.f_k ~n:f.Trace.f_n ~p
+  in
   {
     epoch = f.Trace.f_epoch;
     policy = f.Trace.f_policy;

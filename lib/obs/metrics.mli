@@ -23,7 +23,8 @@ type fork_metrics = {
           balanced, [p] = one worker did everything *)
   sync_ops : int;
       (** shared-counter atomic operations, from the policy's closed form
-          ({!Loopcoal_sched.Chunks.sync_ops}) — one per dispatch plus one
+          ({!Loopcoal_sched.Chunks.sync_ops}, at the fork record's
+          minimum chunk [f_k]) — one per dispatch plus one
           failed final claim per worker for dynamic policies, 0 for
           static *)
   sync_ops_per_iter : float;

@@ -14,6 +14,7 @@ type chunk = {
 type fork = {
   f_epoch : int;
   f_policy : Policy.t;
+  f_k : int;
   f_n : int;
   f_p : int;
   f_t0 : int;
@@ -38,6 +39,7 @@ type buf = {
 type open_fork = {
   o_epoch : int;
   o_policy : Policy.t;
+  o_k : int;
   o_n : int;
   o_p : int;
   o_t0 : int;
@@ -73,7 +75,7 @@ let create ?(capacity = 1024) ~p () =
     next_epoch = 0;
   }
 
-let fork_begin c ~policy ~n ~p =
+let fork_begin c ~policy ~k ~n ~p =
   (match c.open_ with
   | Some _ -> invalid_arg "Trace.fork_begin: a fork is already open"
   | None -> ());
@@ -82,6 +84,7 @@ let fork_begin c ~policy ~n ~p =
       {
         o_epoch = c.next_epoch;
         o_policy = policy;
+        o_k = k;
         o_n = n;
         o_p = p;
         o_t0 = now ();
@@ -96,6 +99,7 @@ let fork_end c =
         {
           f_epoch = o.o_epoch;
           f_policy = o.o_policy;
+          f_k = o.o_k;
           f_n = o.o_n;
           f_p = o.o_p;
           f_t0 = o.o_t0;

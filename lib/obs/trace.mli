@@ -32,6 +32,9 @@ type chunk = {
 type fork = {
   f_epoch : int;
   f_policy : Policy.t;
+  f_k : int;
+      (** the plan's minimum chunk under a decaying policy
+          ({!Loopcoal_sched.Chunks}) *)
   f_n : int;  (** coalesced iterations of the region *)
   f_p : int;  (** workers forked *)
   f_t0 : int;  (** ns, fork began (before workers start) *)
@@ -52,8 +55,10 @@ val create : ?capacity:int -> p:int -> unit -> collector
 (** A collector for up to [p] workers. [capacity] (default 1024) is the
     initial per-worker chunk capacity; buffers double when exceeded. *)
 
-val fork_begin : collector -> policy:Policy.t -> n:int -> p:int -> unit
-(** Open the next fork-join region. Must not be called while a region is
+val fork_begin :
+  collector -> policy:Policy.t -> k:int -> n:int -> p:int -> unit
+(** Open the next fork-join region of [n] iterations on [p] workers,
+    dispatched under [policy] with minimum chunk [k]. Must not be called while a region is
     open (the executor never nests traced forks: inner parallel loops of
     a parallel region run sequentially inside chunks). *)
 

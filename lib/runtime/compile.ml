@@ -108,6 +108,9 @@ and fork_state = {
   mutable fs_all_unsafe : bool;  (** every access of [fs_prep] unchecked *)
   mutable fs_mode : fork_mode option;
       (** the running fork's engine decision; [None] before the first *)
+  fs_min_chunk : int;
+      (** minimum chunk of a decaying policy's sequence: a lane pass
+          when the body has no serial loop, else 1 *)
   mutable fs_seq_key : Loopcoal_sched.Policy.t * int * int;
       (** policy, n and p of [fs_seq] *)
   mutable fs_seq : (int * int) array;  (** dynamic policy's chunk sequence *)

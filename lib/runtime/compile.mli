@@ -85,10 +85,15 @@ and fork_state = {
   mutable fs_all_unsafe : bool;  (** every access of [fs_prep] unchecked *)
   mutable fs_mode : fork_mode option;
       (** the running fork's engine decision; [None] before the first *)
+  fs_min_chunk : int;
+      (** the minimum chunk [k] of the plan's GSS, factoring and TSS
+          sequences ({!Loopcoal_sched.Chunks}): {!Bytecode.lane_width}
+          when the tape has no serial-loop back edge, else 1 *)
   mutable fs_seq_key : Loopcoal_sched.Policy.t * int * int;
       (** policy, n and p of [fs_seq] *)
   mutable fs_seq : (int * int) array;
-      (** a dynamic policy's chunk sequence, memoised *)
+      (** a dynamic policy's chunk sequence at [fs_min_chunk],
+          memoised *)
   fs_next : int Atomic.t;  (** shared dispatch index of dynamic policies *)
   fs_saved_ints : int array;  (** master's pre-fork reduction values *)
   fs_saved_reals : float array;

@@ -11,8 +11,11 @@
    - [Self_sched c]: one [Atomic.fetch_and_add] on the coalesced index
      per dispatch — the paper's "single synchronized access to the shared
      loop index" claim, executed for real;
-   - [Gss] / [Factoring] / [Trapezoid]: the chunk-size sequences from
-     [Gss.chunk_sizes] etc., served from an atomic chunk queue.
+   - [Gss] / [Factoring] / [Trapezoid]: the chunk-size sequences of
+     [Chunks.dynamic_sequence], served from an atomic chunk queue, at a
+     minimum chunk derived once per plan ([min_chunk]): one lane pass
+     for a body without a serial loop, else 1, which leaves the
+     policies' plain sequences.
 
    A chunk runs as strips: maximal runs over the innermost coalesced
    digit, each one call of the plan's tape (or its native runner) with
@@ -439,6 +442,21 @@ let copy_out (plan : plan) ~src ~dst =
 
 let c_fork_states = Registry.counter "exec.fork_states"
 
+(* The minimum chunk of the plan's decaying schedules. A body without a
+   serial-loop back edge does bounded work per iteration, so a chunk of
+   one lane pass costs at most one pass of imbalance per fork and
+   spares the dispatches that GSS's tail would spend on fewer
+   iterations. A body with a serial loop keeps the plain sequence. *)
+let min_chunk (plan : plan) =
+  let back_edge = function
+    | Bytecode.Iloop _ | Bytecode.Iloopc _ -> true
+    | _ -> false
+  in
+  let tp = plan.tape in
+  if Array.exists back_edge tp.tp_pre || Array.exists back_edge tp.tp_ops
+  then 1
+  else Bytecode.lane_width
+
 let new_state (plan : plan) =
   Registry.incr c_fork_states;
   let depth = plan.depth and nred = Array.length plan.reductions in
@@ -456,6 +474,7 @@ let new_state (plan : plan) =
     fs_prep = None;
     fs_all_unsafe = false;
     fs_mode = None;
+    fs_min_chunk = min_chunk plan;
     fs_seq_key = (Policy.Static_block, -1, 0);
     fs_seq = [||];
     fs_next = Atomic.make 0;
@@ -620,7 +639,8 @@ let seq_on st engine ?profile ?trace (plan : plan) env =
   match trace with
   | None -> run ()
   | Some tracer ->
-      Trace.fork_begin tracer ~policy:Policy.Static_block ~n:sp.total ~p:1;
+      Trace.fork_begin tracer ~policy:Policy.Static_block ~k:st.fs_min_chunk
+        ~n:sp.total ~p:1;
       let a = Trace.now () in
       run ();
       let b = Trace.now () in
@@ -732,9 +752,10 @@ let bind ?profile ~trace ~policy ~p st (plan : plan) master =
             else run_on q mode ((t0 - 1) / c) t0 (min c (n - t0 + 1))
           done
     | Gss | Factoring | Trapezoid ->
-        (* The policy's closed-form chunk sequence (a function of n and
-           p only), served from an atomic queue: one fetch-and-add per
-           dispatch, chunks in dispatch order. *)
+        (* The policy's closed-form chunk sequence (a function of n, p
+           and the plan's minimum chunk only), served from an atomic
+           queue: one fetch-and-add per dispatch, chunks in dispatch
+           order. *)
         fun q ->
           let mode = Option.get st.fs_mode and chunks = st.fs_seq in
           let continue_ = ref true in
@@ -788,7 +809,7 @@ let fork_on st engine ?trace ?profile pool policy (plan : plan) master =
   else begin
     (match trace with
     | None -> ()
-    | Some tracer -> Trace.fork_begin tracer ~policy ~n ~p);
+    | Some tracer -> Trace.fork_begin tracer ~policy ~k:st.fs_min_chunk ~n ~p);
     new_epoch master;
     (* The unsafe/checked decision is shared (it covers the whole
        space); each domain's runner hoists into private scratch. *)
@@ -807,7 +828,9 @@ let fork_on st engine ?trace ?profile pool policy (plan : plan) master =
     | Gss | Factoring | Trapezoid ->
         let kpol, kn, kp = st.fs_seq_key in
         if not (kn = n && kp = p && kpol = policy) then begin
-          st.fs_seq <- Option.get (Chunks.dynamic_sequence policy ~n ~p);
+          st.fs_seq <-
+            Option.get
+              (Chunks.dynamic_sequence policy ~k:st.fs_min_chunk ~n ~p);
           st.fs_seq_key <- (policy, n, p)
         end;
         Atomic.set st.fs_next 0);

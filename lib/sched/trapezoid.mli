@@ -11,3 +11,7 @@ val dispatch_count : n:int -> p:int -> int
 
 val first_chunk : n:int -> p:int -> int
 (** [max 1 (ceil (n / 2p))]; 0 when n = 0. *)
+
+val decrement : n:int -> p:int -> int
+(** The per-dispatch decrement [d]: [(f - 1) / (N - 1)], 0 when n = 0
+    or [N <= 1]. *)

@@ -76,7 +76,7 @@ let test_partition_all_policies () =
 let test_partition_detects_gap_and_overlap () =
   let fake chunks =
     let c = Trace.create ~p:2 () in
-    Trace.fork_begin c ~policy:Policy.Gss ~n:10 ~p:2;
+    Trace.fork_begin c ~policy:Policy.Gss ~k:1 ~n:10 ~p:2;
     List.iter
       (fun (start, len) ->
         Trace.record c ~worker:0 ~start ~len ~t0:0 ~t1:1)
@@ -99,80 +99,153 @@ let test_partition_detects_gap_and_overlap () =
 
 (* ---------- dispatch counts vs closed forms ---------- *)
 
+(* A loop-free nest whose floored GSS, factoring and TSS sequences have
+   at least four chunks at 2 and 4 domains. *)
+let wide_rows = 64
+let wide_cols = 32
+
+let wide_nest =
+  B.program
+    ~arrays:[ B.array "W" [ wide_rows; wide_cols ] ]
+    [
+      B.doall "i" (B.int 1) (B.int wide_rows)
+        [
+          B.doall "j" (B.int 1) (B.int wide_cols)
+            [ B.store "W" [ B.var "i"; B.var "j" ] B.(var "i" - var "j") ];
+        ];
+    ]
+
+(* The single nest with a serial loop in its body: a chunk of it is
+   not bounded work, so its minimum chunk stays 1. *)
+let serial_nest =
+  B.program
+    ~arrays:[ B.array "W" [ nest_rows; nest_cols ] ]
+    [
+      B.doall "i" (B.int 1) (B.int nest_rows)
+        [
+          B.doall "j" (B.int 1) (B.int nest_cols)
+            [
+              B.store "W" [ B.var "i"; B.var "j" ] (B.var "i");
+              B.for_ "k" (B.int 1) (B.var "j")
+                [
+                  B.store "W" [ B.var "i"; B.var "j" ]
+                    B.(load "W" [ var "i"; var "j" ] + var "k");
+                ];
+            ];
+        ];
+    ]
+
+(* Each closed-form nest with its iterations and the minimum chunk its
+   plan must derive. *)
+let closed_form_nests =
+  [
+    ("single nest", single_nest, nest_n, Runtime.Bytecode.lane_width);
+    ("wide nest", wide_nest, wide_rows * wide_cols, Runtime.Bytecode.lane_width);
+    ("serial-loop nest", serial_nest, nest_n, 1);
+  ]
+
+(* The one fork region of a traced run, with its recorded minimum
+   chunk. *)
+let one_fork what tr =
+  match (Metrics.of_trace tr, tr.Trace.forks) with
+  | { Metrics.forks = [ f ]; _ }, [| tf |] -> (f, tf.Trace.f_k)
+  | m, _ ->
+      Alcotest.failf "%s: expected one fork region, got %d" what
+        (List.length m.Metrics.forks)
+
 let test_dispatch_counts_match_closed_forms () =
   List.iter
-    (fun policy ->
+    (fun (what, prog, n, k) ->
       List.iter
-        (fun domains ->
-          if domains > 1 then begin
-            let _, tr = traced_run ~domains ~policy () in
-            let m = Metrics.of_trace tr in
-            match m.Metrics.forks with
-            | [ f ] ->
+        (fun policy ->
+          List.iter
+            (fun domains ->
+              if domains > 1 then begin
+                let _, tr = traced_run ~prog ~domains ~policy () in
+                let where =
+                  Printf.sprintf "%s, %s @ %d domains" what
+                    (Policy.name policy) domains
+                in
+                let f, fk = one_fork where tr in
+                Alcotest.(check int) (where ^ ": n") n f.Metrics.n;
+                Alcotest.(check int) (where ^ ": k") k fk;
                 Alcotest.(check int)
-                  (Printf.sprintf "%s @ %d domains: n" (Policy.name policy)
-                     domains)
-                  nest_n f.Metrics.n;
-                Alcotest.(check int)
-                  (Printf.sprintf "%s @ %d domains: dispatches"
-                     (Policy.name policy) domains)
-                  (Chunks.count policy ~n:nest_n ~p:domains)
+                  (where ^ ": dispatches")
+                  (Chunks.count policy ~k ~n ~p:domains)
                   f.Metrics.chunks_dispatched;
                 Alcotest.(check int)
-                  (Printf.sprintf "%s @ %d domains: sync ops"
-                     (Policy.name policy) domains)
-                  (Chunks.sync_ops policy ~n:nest_n ~p:domains)
+                  (where ^ ": sync ops")
+                  (Chunks.sync_ops policy ~k ~n ~p:domains)
                   f.Metrics.sync_ops
-            | forks ->
-                Alcotest.failf "expected one fork region, got %d"
-                  (List.length forks)
-          end)
-        domain_counts)
-    all_policies
+              end)
+            domain_counts)
+        all_policies)
+    closed_form_nests
 
-(* The three decaying policies, against their own chunk_sizes modules —
-   not just through Chunks — so a drift in either shows up. *)
+(* The three decaying policies, at the plan's minimum chunk. A plan with
+   a serial loop dispatches exactly the policies' own chunk_sizes
+   modules — not just through Chunks — so a drift in either shows up;
+   the loop-free wide nest still splits into at least four chunks. *)
 let test_decaying_policies_exact () =
   List.iter
-    (fun (policy, closed_form) ->
+    (fun (what, prog, n, k) ->
       List.iter
-        (fun domains ->
-          let _, tr = traced_run ~domains ~policy () in
-          let m = Metrics.of_trace tr in
-          let f = List.hd m.Metrics.forks in
-          Alcotest.(check int)
-            (Printf.sprintf "%s @ %d: closed form" (Policy.name policy) domains)
-            (closed_form ~n:nest_n ~p:domains)
-            f.Metrics.chunks_dispatched)
-        [ 2; 4 ])
-    [
-      (Policy.Gss, Gss.dispatch_count);
-      (Policy.Factoring, Factoring.dispatch_count);
-      (Policy.Trapezoid, Trapezoid.dispatch_count);
-    ]
+        (fun (policy, plain_count) ->
+          List.iter
+            (fun domains ->
+              let _, tr = traced_run ~prog ~domains ~policy () in
+              let where =
+                Printf.sprintf "%s, %s @ %d" what (Policy.name policy) domains
+              in
+              let f, _ = one_fork where tr in
+              let got = f.Metrics.chunks_dispatched in
+              Alcotest.(check int)
+                (where ^ ": closed form")
+                (Chunks.count policy ~k ~n ~p:domains)
+                got;
+              if k = 1 then
+                Alcotest.(check int)
+                  (where ^ ": plain sequence")
+                  (plain_count ~n ~p:domains) got;
+              if prog == wide_nest && got < 4 then
+                Alcotest.failf "%s: %d chunks, want at least 4" where got)
+            [ 2; 4 ])
+        [
+          (Policy.Gss, Gss.dispatch_count);
+          (Policy.Factoring, Factoring.dispatch_count);
+          (Policy.Trapezoid, Trapezoid.dispatch_count);
+        ])
+    closed_form_nests
 
 (* Traced chunk boundaries of the dynamic policies must be exactly the
    closed-form (start, len) sequence — not merely the same count. *)
 let test_chunk_boundaries_match_sequence () =
   List.iter
-    (fun policy ->
-      let domains = 4 in
-      let _, tr = traced_run ~domains ~policy () in
-      let expected =
-        match Chunks.dynamic_sequence policy ~n:nest_n ~p:domains with
-        | Some seq -> seq
-        | None -> Alcotest.fail "dynamic policy has no sequence"
-      in
-      let traced =
-        Array.to_list tr.Trace.chunks
-        |> List.map (fun (c : Trace.chunk) -> (c.Trace.start, c.Trace.len))
-        |> List.sort compare
-      in
-      let expected = Array.to_list expected |> List.sort compare in
-      Alcotest.(check (list (pair int int)))
-        (Policy.name policy ^ ": chunk boundaries")
-        expected traced)
-    [ Policy.Self_sched 7; Policy.Gss; Policy.Factoring; Policy.Trapezoid ]
+    (fun (what, prog, n, k) ->
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun domains ->
+              let _, tr = traced_run ~prog ~domains ~policy () in
+              let expected =
+                match Chunks.dynamic_sequence policy ~k ~n ~p:domains with
+                | Some seq -> seq
+                | None -> Alcotest.fail "dynamic policy has no sequence"
+              in
+              let traced =
+                Array.to_list tr.Trace.chunks
+                |> List.map (fun (c : Trace.chunk) ->
+                       (c.Trace.start, c.Trace.len))
+                |> List.sort compare
+              in
+              let expected = Array.to_list expected |> List.sort compare in
+              Alcotest.(check (list (pair int int)))
+                (Printf.sprintf "%s, %s @ %d: chunk boundaries" what
+                   (Policy.name policy) domains)
+                expected traced)
+            [ 2; 4 ])
+        [ Policy.Self_sched 7; Policy.Gss; Policy.Factoring; Policy.Trapezoid ])
+    closed_form_nests
 
 (* ---------- tracing is observation only ---------- *)
 
@@ -218,7 +291,9 @@ let test_metrics_accounting () =
   Alcotest.(check bool) "sync/iter matches closed form" true
     (Float.abs
        (f.Metrics.sync_ops_per_iter
-       -. float_of_int (Chunks.sync_ops Policy.Factoring ~n:nest_n ~p:4)
+       -. float_of_int
+            (Chunks.sync_ops Policy.Factoring ~k:Runtime.Bytecode.lane_width
+               ~n:nest_n ~p:4)
           /. float_of_int nest_n)
     < 1e-12)
 
@@ -240,7 +315,7 @@ let prop_chunks_sequence_tiles =
     (fun (n, p) ->
       List.for_all
         (fun policy ->
-          match Chunks.dynamic_sequence policy ~n ~p with
+          match Chunks.dynamic_sequence policy ~k:1 ~n ~p with
           | None -> true
           | Some seq ->
               let total = Array.fold_left (fun acc (_, l) -> acc + l) 0 seq in
@@ -253,8 +328,9 @@ let prop_chunks_sequence_tiles =
                 |> fst
               in
               total = n && sorted_ok
-              && Array.length seq = Chunks.count policy ~n ~p
-              && (n = 0 || Chunks.sync_ops policy ~n ~p = Array.length seq + p))
+              && Array.length seq = Chunks.count policy ~k:1 ~n ~p
+              && (n = 0
+                 || Chunks.sync_ops policy ~k:1 ~n ~p = Array.length seq + p))
         [ Policy.Self_sched 1; Policy.Self_sched 5; Policy.Gss;
           Policy.Factoring; Policy.Trapezoid ])
 
@@ -262,12 +338,47 @@ let prop_chunks_static_counts =
   QCheck.Test.make ~count:200 ~name:"Chunks.count static policies"
     QCheck.(pair (int_range 0 400) (int_range 1 16))
     (fun (n, p) ->
-      Chunks.count Policy.Static_block ~n ~p = min p n
-      && Chunks.sync_ops Policy.Static_block ~n ~p = 0
-      && Chunks.sync_ops Policy.Static_cyclic ~n ~p = 0
+      Chunks.count Policy.Static_block ~k:1 ~n ~p = min p n
+      && Chunks.sync_ops Policy.Static_block ~k:1 ~n ~p = 0
+      && Chunks.sync_ops Policy.Static_cyclic ~k:1 ~n ~p = 0
       &&
-      let cyclic = Chunks.count Policy.Static_cyclic ~n ~p in
+      let cyclic = Chunks.count Policy.Static_cyclic ~k:1 ~n ~p in
       if n = 0 then cyclic = 0 else if p = 1 then cyclic = 1 else cyclic = n)
+
+(* The floored sequences: they tile [1..n], every chunk but the last
+   covers at least [k] iterations, count and sync_ops agree with them,
+   and [k = 1] reproduces the policies' own chunk_sizes modules. *)
+let prop_chunks_floored =
+  QCheck.Test.make ~count:300 ~name:"Chunks floored sequences (GSS(k) etc.)"
+    QCheck.(triple (int_range 0 3000) (int_range 1 16) (int_range 1 300))
+    (fun (n, p, k) ->
+      List.for_all
+        (fun (policy, plain) ->
+          let sizes = Option.get (Chunks.dynamic_sizes policy ~k ~n ~p) in
+          let seq = Option.get (Chunks.dynamic_sequence policy ~k ~n ~p) in
+          let rec floored = function
+            | [] | [ _ ] -> true
+            | c :: rest -> c >= k && floored rest
+          in
+          let tiles, _ =
+            Array.fold_left
+              (fun (ok, next) (start, len) ->
+                (ok && start = next && len > 0, next + len))
+              (true, 1) seq
+          in
+          List.fold_left ( + ) 0 sizes = n
+          && tiles
+          && Array.to_list (Array.map snd seq) = sizes
+          && floored sizes
+          && List.length sizes = Chunks.count policy ~k ~n ~p
+          && List.length sizes = Chunks.per_worker_bound policy ~k ~n ~p
+          && (n = 0 || Chunks.sync_ops policy ~k ~n ~p = List.length sizes + p)
+          && Chunks.dynamic_sizes policy ~k:1 ~n ~p = Some (plain ~n ~p))
+        [
+          (Policy.Gss, Gss.chunk_sizes);
+          (Policy.Factoring, Factoring.chunk_sizes);
+          (Policy.Trapezoid, Trapezoid.chunk_sizes);
+        ])
 
 (* ---------- Chrome trace export ---------- *)
 
@@ -410,7 +521,13 @@ let test_chrome_trace_valid_json () =
       let chunk_events = count_needle "\"name\":\"chunk [" in
       Alcotest.(check int) "one event per chunk"
         (Array.length tr.Trace.chunks)
-        chunk_events)
+        chunk_events;
+      (* The fork's args carry the plan's minimum chunk: the nest has
+         no serial loop. *)
+      Alcotest.(check int) "fork args carry k"
+        (Array.length tr.Trace.forks)
+        (count_needle
+           (Printf.sprintf "\"k\":%d," Runtime.Bytecode.lane_width)))
     [ (1, Policy.Static_block); (4, Policy.Gss) ]
 
 let test_chrome_trace_escapes () =
@@ -653,6 +770,7 @@ let suite =
     Alcotest.test_case "model check grading" `Quick test_model_check_grades;
     Gen.to_alcotest prop_chunks_sequence_tiles;
     Gen.to_alcotest prop_chunks_static_counts;
+    Gen.to_alcotest prop_chunks_floored;
     Alcotest.test_case "transform atoms count fired" `Quick
       test_transform_fired;
   ]

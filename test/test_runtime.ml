@@ -1,11 +1,12 @@
 (* Runtime tests: the staging compiler and the multi-domain executor.
 
-   The load-bearing property: for every built-in kernel and every
-   scheduling policy, parallel execution on 1, 2 and 4 domains produces
-   arrays bit-identical to the sequential reference interpreter —
-   including reduction kernels, whose per-domain partials merge exactly
-   because the test reductions accumulate integral values (FP addition
-   of integers is exact, so any association agrees bit-for-bit). *)
+   The load-bearing property: for every built-in kernel, every example
+   program and every scheduling policy, parallel execution on 1 to 4
+   domains produces arrays bit-identical to the sequential reference
+   interpreter — including reduction kernels, whose per-domain partials
+   merge exactly because the test reductions accumulate integral values
+   (FP addition of integers is exact, so any association agrees
+   bit-for-bit). *)
 
 open Loopcoal
 module B = Builder
@@ -34,23 +35,39 @@ let check_against_interp ?(compare_scalars = false) ~what prog ~domains
     Alcotest.failf "%s: parallel (%d domains, %s) differs from interpreter"
       what domains (Policy.name policy)
 
-(* ---------- every kernel x every policy x 1/2/4 domains ---------- *)
+(* ---------- every kernel x every policy x 1-4 domains ---------- *)
 
+(* The kernels, the example programs and a wide relax, whose loop-free
+   forks take chunk sequences floored at one lane pass. *)
 let test_kernels_all_policies () =
+  let dir = "../examples/programs" in
+  let examples =
+    List.filter_map
+      (fun f ->
+        if Filename.check_suffix f ".loop" then
+          match Driver.load_file (Filename.concat dir f) with
+          | Ok p -> Some (f, p)
+          | Error m -> Alcotest.failf "%s: %s" f m
+        else None)
+      (Array.to_list (Sys.readdir dir))
+  in
   List.iter
-    (fun name ->
-      let prog = Option.get (Kernels.by_name name) () in
+    (fun (what, prog) ->
       List.iter
         (fun policy ->
           List.iter
             (fun domains ->
               (* Sequential staging must reproduce the full store exactly;
                  with domains > 1, arrays must still be bit-identical. *)
-              check_against_interp ~compare_scalars:(domains = 1)
-                ~what:("kernel " ^ name) prog ~domains ~policy)
-            domain_counts)
+              check_against_interp ~compare_scalars:(domains = 1) ~what prog
+                ~domains ~policy)
+            [ 1; 2; 3; 4 ])
         all_policies)
-    Kernels.all_names
+    (List.map
+       (fun name -> ("kernel " ^ name, Option.get (Kernels.by_name name) ()))
+       Kernels.all_names
+    @ examples
+    @ [ ("relax 600", Kernels.relax ~n:600 ~steps:3) ])
 
 (* ---------- reduction kernels ---------- *)
 
@@ -645,6 +662,42 @@ let test_adopted_scalars_repeatable () =
       done)
     [ Policy.Gss; Policy.Factoring; Policy.Self_sched 1 ]
 
+(* A float sum's partials merge in chunk order, and a loop-free plan's
+   floored chunk sequence is a function of n, p and the plan: two runs
+   at the same (n, p) give the same bits, and the schedule splits the
+   space into several chunks. *)
+let test_float_reduction_repeatable () =
+  let prog =
+    B.program
+      ~scalars:[ B.real_scalar "s" ]
+      [
+        B.doall "i" (B.int 1) (B.int 5000)
+          [ B.assign "s" B.(var "s" + (real 1.0 / (var "i" + real 0.5))) ];
+      ]
+  in
+  let bits (o : Exec.outcome) =
+    List.map
+      (fun (name, v) ->
+        match v with
+        | Eval.Vreal x -> (name, Int64.bits_of_float x)
+        | Eval.Vint i -> (name, Int64.of_int i))
+      o.Exec.scalars
+  in
+  List.iter
+    (fun (policy, domains) ->
+      let where = Printf.sprintf "%s @ %d" (Policy.name policy) domains in
+      let tracer = Trace.create ~p:domains () in
+      let first = Exec.run ~domains ~policy ~trace:tracer prog in
+      let chunks = Array.length (Trace.snapshot tracer).Trace.chunks in
+      if chunks < 3 then Alcotest.failf "%s: only %d chunks" where chunks;
+      let second = Exec.run ~domains ~policy prog in
+      if bits first <> bits second then
+        Alcotest.failf "%s: float reduction bits changed between runs" where)
+    [
+      (Policy.Gss, 2); (Policy.Gss, 3); (Policy.Factoring, 2);
+      (Policy.Trapezoid, 3);
+    ]
+
 (* ---------- per-plan fork state ---------- *)
 
 (* A plan keeps its fork state (clones, chunk sequence, range proof)
@@ -974,6 +1027,8 @@ let suite =
       `Quick test_pool_shutdown;
     Alcotest.test_case "adopted scalars repeatable under dynamic schedules"
       `Quick test_adopted_scalars_repeatable;
+    Alcotest.test_case "float reduction repeatable under floored schedules"
+      `Quick test_float_reduction_repeatable;
     Alcotest.test_case "fork state: proof reused only on equal inputs"
       `Quick test_fork_state_proof_reuse;
     Alcotest.test_case "fork state: one program run from two domains" `Quick
