@@ -989,6 +989,9 @@ let run_cmd =
                  (L.Runtime.Compile.shadow_layout compiled))
           else None
         in
+        (* forks run on the caller, for --time's inline= *)
+        let inline_forks = L.Registry.counter "exec.inline_forks.one_chunk" in
+        let inline0 = L.Registry.value inline_forks in
         let t0 = Unix.gettimeofday () in
         match L.Runtime.Exec.run_compiled ~domains ~policy ~engine:exec_engine
                 ?trace:tracer ?profile:profiler ?shadow compiled with
@@ -1116,7 +1119,12 @@ let run_cmd =
                      @ (match native_build with
                        | Some b -> [ ("build", b) ]
                        | None -> [])
-                     @ [ ("search", search_state) ])
+                     @ [
+                         ("search", search_state);
+                         ( "inline",
+                           string_of_int
+                             (L.Registry.value inline_forks - inline0) );
+                       ])
                    ~opt:opt_level ~plan_cache:plan_cache_state ());
             (match stats_file with
             | None -> ()

@@ -133,40 +133,92 @@ let mul_ov a b =
     let p = a * b in
     if p / b <> a then raise Overflow else p
 
+(* The hull of [r] into [s.(0)] (low) and [s.(1)] (high); false when a
+   leaf is [Rux]. Raises [Overflow]. A node's operand bounds are read out
+   of [s] into locals before its next operand overwrites them, so the
+   walk allocates nothing. *)
+let rec rng_hull s ints lo hi = function
+  | Rux -> false
+  | Rconst n ->
+      s.(0) <- n;
+      s.(1) <- n;
+      true
+  | Rplan k ->
+      s.(0) <- lo.(k);
+      s.(1) <- hi.(k);
+      true
+  | Rreg r ->
+      let v = ints.(r) in
+      s.(0) <- v;
+      s.(1) <- v;
+      true
+  | Raff (base, terms) -> aff_hull s ints lo hi terms 0 base base
+  | Rmul (a, b) ->
+      rng_hull s ints lo hi a
+      &&
+      let al = s.(0) and ah = s.(1) in
+      rng_hull s ints lo hi b
+      &&
+      let bl = s.(0) and bh = s.(1) in
+      let p1 = mul_ov al bl and p2 = mul_ov al bh in
+      let p3 = mul_ov ah bl and p4 = mul_ov ah bh in
+      s.(0) <- Int.min (Int.min p1 p2) (Int.min p3 p4);
+      s.(1) <- Int.max (Int.max p1 p2) (Int.max p3 p4);
+      true
+  | Rmin (a, b) ->
+      rng_hull s ints lo hi a
+      &&
+      let al = s.(0) and ah = s.(1) in
+      rng_hull s ints lo hi b
+      &&
+      (s.(0) <- Int.min al s.(0);
+       s.(1) <- Int.min ah s.(1);
+       true)
+  | Rmax (a, b) ->
+      rng_hull s ints lo hi a
+      &&
+      let al = s.(0) and ah = s.(1) in
+      rng_hull s ints lo hi b
+      &&
+      (s.(0) <- Int.max al s.(0);
+       s.(1) <- Int.max ah s.(1);
+       true)
+  | Rspan (a, b) ->
+      (* A serial index takes values in [lo .. hi]; executed accesses
+         only see iterations where lo <= hi, so the hull is sound. *)
+      rng_hull s ints lo hi a
+      &&
+      let al = s.(0) in
+      rng_hull s ints lo hi b
+      &&
+      (s.(0) <- al;
+       true)
+
+(* [Raff]'s terms from [i] on, onto the partial hull [a .. b]. *)
+and aff_hull s ints lo hi terms i a b =
+  if i = Array.length terms then begin
+    s.(0) <- a;
+    s.(1) <- b;
+    true
+  end
+  else
+    let c, t = terms.(i) in
+    rng_hull s ints lo hi t
+    &&
+    let p = mul_ov c s.(0) and q = mul_ov c s.(1) in
+    aff_hull s ints lo hi terms (i + 1)
+      (add_ov a (Int.min p q))
+      (add_ov b (Int.max p q))
+
+(* Each domain's two-slot scratch for [rng_hull]. *)
+let hull_scratch = Domain.DLS.new_key (fun () -> Array.make 2 0)
+
 let rng_eval ~ints ~lo ~hi (r : rng) : (int * int) option =
-  let exception Unknown in
-  let rec go = function
-    | Rux -> raise Unknown
-    | Rconst n -> (n, n)
-    | Rplan k -> (lo.(k), hi.(k))
-    | Rreg s ->
-        let v = ints.(s) in
-        (v, v)
-    | Raff (base, terms) ->
-        Array.fold_left
-          (fun (a, b) (c, t) ->
-            let x, y = go t in
-            let p = mul_ov c x and q = mul_ov c y in
-            (add_ov a (min p q), add_ov b (max p q)))
-          (base, base) terms
-    | Rmul (a, b) ->
-        let al, ah = go a and bl, bh = go b in
-        let p1 = mul_ov al bl and p2 = mul_ov al bh in
-        let p3 = mul_ov ah bl and p4 = mul_ov ah bh in
-        (min (min p1 p2) (min p3 p4), max (max p1 p2) (max p3 p4))
-    | Rmin (a, b) ->
-        let al, ah = go a and bl, bh = go b in
-        (min al bl, min ah bh)
-    | Rmax (a, b) ->
-        let al, ah = go a and bl, bh = go b in
-        (max al bl, max ah bh)
-    | Rspan (a, b) ->
-        (* A serial index takes values in [lo .. hi]; executed accesses
-           only see iterations where lo <= hi, so the hull is sound. *)
-        let al, _ = go a and _, bh = go b in
-        (al, bh)
-  in
-  match go r with hull -> Some hull | exception (Unknown | Overflow) -> None
+  let s = Domain.DLS.get hull_scratch in
+  match rng_hull s ints lo hi r with
+  | true -> Some (s.(0), s.(1))
+  | false -> None
+  | exception Overflow -> None
 
 (* ---------- instruction set ---------- *)
 
@@ -1150,27 +1202,40 @@ let lower ?fork ~lookup ~array_ref ~fresh_int ~fresh_real ~plan_names
 
 (* ---------- per-fork preparation ---------- *)
 
-type prep = { pr_unsafe : bool array }
+type prep = { pr_unsafe : bool array; pr_all : bool }
 
+(* The all-unsafe flag by a loop: [Array.for_all] allocates a closure. *)
+let prep_of flags =
+  let all = ref true in
+  for i = 0 to Array.length flags - 1 do
+    if not flags.(i) then all := false
+  done;
+  { pr_unsafe = flags; pr_all = !all }
+
+(* Whether subscripts [k..] of an access provably stay in [1 .. dims]. *)
+let rec subs_in_bounds s ints lo hi rngs dims k =
+  k = Array.length rngs
+  || (match rng_hull s ints lo hi rngs.(k) with
+     | true -> 1 <= s.(0) && s.(1) <= dims.(k)
+     | false | (exception Overflow) -> false)
+     && subs_in_bounds s ints lo hi rngs dims (k + 1)
+
+(* Allocates the flags and the record only: each skeleton is evaluated
+   into the domain's [hull_scratch]. *)
 let prepare tape ~ints ~lo ~hi =
-  let n = Array.length tape.tp_accs in
-  let flags =
-    if tape.tp_sanitize then Array.make n false
-    else
-      Array.init n (fun i ->
-          let ac = tape.tp_accs.(i) in
-          let ok = ref true in
-          Array.iteri
-            (fun k r ->
-              match rng_eval ~ints ~lo ~hi r with
-              | Some (l, h) when 1 <= l && h <= ac.ac_dims.(k) -> ()
-              | _ -> ok := false)
-            ac.ac_rngs;
-          !ok)
-  in
-  { pr_unsafe = flags }
+  let accs = tape.tp_accs in
+  let flags = Array.make (Array.length accs) false in
+  if not tape.tp_sanitize then begin
+    let s = Domain.DLS.get hull_scratch in
+    for i = 0 to Array.length accs - 1 do
+      let ac = accs.(i) in
+      flags.(i) <- subs_in_bounds s ints lo hi ac.ac_rngs ac.ac_dims 0
+    done
+  end;
+  prep_of flags
 
 let unsafe_flags p = Array.copy p.pr_unsafe
+let all_unsafe p = p.pr_all
 
 (* [prepare] reads [ints] only at the [Rreg] leaves of the access
    ranges, so its flags are a function of those slots' values and of
@@ -1514,7 +1579,7 @@ let exec_strip tape prep ~ints ~reals ~arrays ~shadow ~inv ~jslot ~j0 ~jstep
    iteration there is no strip advance, so the strip index is unused. *)
 let exec_top tape ~ints ~reals ~arrays ~fork =
   exec_tape ~fork tape
-    { pr_unsafe = Array.make (Array.length tape.tp_accs) false }
+    (prep_of (Array.make (Array.length tape.tp_accs) false))
     ~ints ~reals ~arrays ~shadow:None ~inv:(make_scratch tape) ~jslot:0
     ~jstep:0 ~len:1 ~iter0:0
 

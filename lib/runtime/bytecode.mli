@@ -308,10 +308,16 @@ val prepare : tape -> ints:int array -> lo:int array -> hi:int array -> prep
 (** Decide checked-vs-unsafe per access for a fork whose level-[k] index
     ranges over [lo.(k) .. hi.(k)] (inclusive, actual attained values).
     [ints] supplies the values of fork-invariant registers referenced by
-    bounds or subscripts. On a sanitized tape every flag is false. *)
+    bounds or subscripts. On a sanitized tape every flag is false.
+    Allocates the flags array and the result record only: each range
+    skeleton is evaluated into a per-domain two-slot scratch. *)
 
 val unsafe_flags : prep -> bool array
 (** Copy of the per-access unsafe flags, in access order. *)
+
+val all_unsafe : prep -> bool
+(** Whether every access may run unchecked (true on a tape without
+    accesses): the conjunction of {!unsafe_flags}, without the copy. *)
 
 val proof_inputs : tape -> int array
 (** The int slots {!prepare} reads through [ints], ascending: the

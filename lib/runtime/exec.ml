@@ -34,7 +34,10 @@
 
    A plan keeps those clones, its chunk sequence and its range proof in
    a fork state ([Compile.fork_state]) that its later forks refresh
-   instead of rebuilding; see [claim] and [fork_on]. *)
+   instead of rebuilding; see [claim] and [fork_on]. A fork whose
+   schedule is one chunk needs none of them: it runs on the caller's
+   environment, as at one domain, and a run's own pool starts at its
+   first fork that splits. *)
 
 module Policy = Loopcoal_sched.Policy
 module Static = Loopcoal_sched.Static
@@ -560,7 +563,7 @@ let prove ?profile st (plan : plan) master =
       let pr =
         Bytecode.prepare plan.tape ~ints:master.ints ~lo:sp.los ~hi:st.fs_hi
       in
-      st.fs_all_unsafe <- Array.for_all Fun.id (Bytecode.unsafe_flags pr);
+      st.fs_all_unsafe <- Bytecode.all_unsafe pr;
       st.fs_prep <- Some pr;
       pr
 
@@ -795,18 +798,37 @@ let binding ?profile ~trace ~policy ~p st plan master =
 
 (* ---------- parallel execution ---------- *)
 
-(* One parallel fork on a held state. Per fork it only refreshes: the
-   space in place, the proof when its inputs changed, the clones'
-   scalars and partials, the chunk sequence when (policy, n, p) changed,
-   the dispatch index and the marks. *)
-let fork_on st engine ?trace ?profile pool policy (plan : plan) master =
-  let p = Pool.size pool in
+let c_inline_one_chunk = Registry.counter "exec.inline_forks.one_chunk"
+
+(* Whether the fork's schedule is one chunk: the decaying policies' when
+   [n] is at most the plan's minimum chunk, self-scheduling's when [n]
+   is at most its chunk. The static policies still split [p] ways. *)
+let one_chunk st (policy : Policy.t) n =
+  match policy with
+  | Gss | Factoring | Trapezoid -> n <= st.fs_min_chunk
+  | Self_sched c -> n <= c
+  | Static_block | Static_cyclic -> false
+
+(* One parallel fork on a held state, over [p] domains of [pool], which
+   is forced only by a fork that splits. A fork whose schedule is one
+   chunk runs as the sequential fork does, on the caller's environment:
+   no clone, publish, join or merge; it is counted as a pool fork and
+   under [exec.inline_forks.one_chunk]. Per split fork it only
+   refreshes: the space in place, the proof when its inputs changed, the
+   clones' scalars and partials, the chunk sequence when (policy, n, p)
+   changed, the dispatch index and the marks. *)
+let fork_on st engine ?trace ?profile ~p pool policy (plan : plan) master =
   let sp = st.fs_space in
   fill_space plan sp master;
   let n = sp.total in
   if n = 0 then ()
   else if p = 1 || n = 1 then seq_on st engine ?profile ?trace plan master
+  else if one_chunk st policy n then begin
+    Registry.incr c_inline_one_chunk;
+    Pool.inline (fun () -> seq_on st engine ?profile ?trace plan master)
+  end
   else begin
+    let pool = Lazy.force pool in
     (match trace with
     | None -> ()
     | Some tracer -> Trace.fork_begin tracer ~policy ~k:st.fs_min_chunk ~n ~p);
@@ -876,9 +898,9 @@ let fork_on st engine ?trace ?profile pool policy (plan : plan) master =
     | Some tracer -> Trace.fork_end tracer
   end
 
-let parallel_fork engine ?trace ?profile pool policy (plan : plan) master =
+let parallel_fork engine ?trace ?profile ~p pool policy (plan : plan) master =
   holding plan (fun st ->
-      fork_on st engine ?trace ?profile pool policy plan master)
+      fork_on st engine ?trace ?profile ~p pool policy plan master)
 
 (* ---------- whole-program entry points ---------- *)
 
@@ -916,7 +938,7 @@ let run_compiled ?(array_init = 0.0) ?unfilled ?pool
     let fork =
       match pool with
       | None -> seq_fork engine ?profile ?trace
-      | Some pool -> parallel_fork engine ?trace ?profile pool policy
+      | Some (p, pool) -> parallel_fork engine ?trace ?profile ~p pool policy
     in
     let env =
       Registry.time h_alloc_ns (fun () ->
@@ -931,10 +953,16 @@ let run_compiled ?(array_init = 0.0) ?unfilled ?pool
     outcome_of t env
   in
   match pool with
-  | Some p -> go (if Pool.size p > 1 then Some p else None)
+  | Some p ->
+      go (if Pool.size p > 1 then Some (Pool.size p, Lazy.from_val p) else None)
+  | None when domains = 1 -> go None
   | None ->
-      if domains = 1 then go None
-      else Pool.with_pool domains (fun p -> go (Some p))
+      (* The run's own pool starts at its first fork that splits. *)
+      let pool = lazy (Pool.create domains) in
+      Fun.protect
+        ~finally:(fun () ->
+          if Lazy.is_val pool then Pool.shutdown (Lazy.force pool))
+        (fun () -> go (Some (domains, pool)))
 
 let run ?array_init ?pool ?policy ?domains ?engine ?trace ?profile ?opt_level
     (p : Loopcoal_ir.Ast.program) =

@@ -58,8 +58,14 @@ val run_compiled :
   outcome
 (** Execute a compiled program. With [domains = 1] (default) and no
     [pool], every plan runs sequentially. With [domains = p > 1], a
-    fresh pool of [p] domains is created for the run; passing [pool]
-    instead reuses an existing pool (its size wins over [domains]).
+    fresh pool of [p] domains is created at the run's first fork that
+    splits (none for a run whose forks all run on the caller) and shut
+    down when the run ends; passing [pool] instead reuses an existing
+    pool (its size wins over [domains]). A fork whose schedule is one
+    chunk — GSS, factoring or TSS over at most the plan's minimum chunk,
+    self-scheduling over at most its chunk — runs on the caller as a
+    sequential fork does, counted under [exec.inline_forks.one_chunk]
+    and once in [pool.forks].
     [policy] (default [Static_block]) selects the dispatcher for
     parallel plans. Raises [Compile.Error] on runtime faults.
 
@@ -69,9 +75,10 @@ val run_compiled :
     collector must have at least as many worker slots as the pool has
     domains. With no [trace] (the default) the untraced code paths run —
     tracing has strictly zero cost when off. Regions that fall back to
-    sequential execution (one domain, or a single-iteration space) are
-    recorded as a one-chunk [Static_block] region at [p = 1], since that
-    is the dispatch that actually happened.
+    sequential execution (one domain, a single-iteration space, or a
+    schedule of one chunk) are recorded as a one-chunk [Static_block]
+    region at [p = 1], since that is the dispatch that actually
+    happened.
 
     [profile] turns on tape profiling: each worker runs the collector's
     counting copy of the plan's tape (block counters at every basic-block

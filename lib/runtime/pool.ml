@@ -53,6 +53,9 @@ module Trace = Loopcoal_obs.Trace
 let c_forks = Registry.counter "pool.forks"
 let h_fork_join_ns = Registry.histogram "pool.fork_join_ns"
 
+(* Pools created: a run that never splits a fork creates none. *)
+let c_created = Registry.counter "pool.created"
+
 (* Parks by an idle worker or by the joining caller: waits that went
    to sleep in the kernel, after their spin ran out or without one. *)
 let c_parks = Registry.counter "pool.parks"
@@ -154,6 +157,7 @@ let worker_loop t self =
 
 let create size =
   if size < 1 then invalid_arg "Pool.create: size must be >= 1";
+  Registry.incr c_created;
   let t =
     {
       size;
@@ -202,10 +206,13 @@ let join t =
     Mutex.unlock t.mutex
   end
 
+let inline f =
+  Registry.incr c_forks;
+  Registry.time h_fork_join_ns f
+
 let run t f =
   if t.stop then invalid_arg "Pool.run: pool is shut down";
-  Registry.incr c_forks;
-  Registry.time h_fork_join_ns @@ fun () ->
+  inline @@ fun () ->
   if t.size = 1 then f 0
   else begin
     Array.fill t.errors 0 t.size None;

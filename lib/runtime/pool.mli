@@ -24,7 +24,8 @@
 type t
 
 val create : int -> t
-(** [create p] spawns [p - 1] workers. Raises [Invalid_argument] for
+(** [create p] spawns [p - 1] workers, counted once in the
+    [pool.created] registry counter. Raises [Invalid_argument] for
     [p < 1]. *)
 
 val size : t -> int
@@ -39,6 +40,11 @@ val run : t -> (int -> unit) -> unit
     raises, the exception of the lowest id is re-raised after the join
     (all shares still complete, and the pool stays usable). Raises
     [Invalid_argument] on a pool that has been shut down. *)
+
+val inline : (unit -> unit) -> unit
+(** [inline f] runs [f ()] on the caller as one fork that needs no
+    other domain: counted and timed in [pool.forks] and
+    [pool.fork_join_ns] like a {!run}, whether or not a pool exists. *)
 
 val shutdown : t -> unit
 (** Terminate and join the worker domains. A second call does nothing;

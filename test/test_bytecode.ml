@@ -3727,6 +3727,442 @@ let test_fused_fault_order () =
         "array A: subscript 10 out of bounds 1..4" );
     ]
 
+(* ---------- range proof: soundness, overflow, allocation ---------- *)
+
+(* The hull evaluator as it was written before it moved onto a two-slot
+   scratch, tuples and all: the rewrite must agree with it exactly,
+   [None] included. *)
+let reference_hull ~ints ~lo ~hi (r : Bytecode.rng) =
+  let exception Unknown in
+  let exception Over in
+  let add a b =
+    let s = a + b in
+    if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then raise Over else s
+  in
+  let mul a b =
+    if a = 0 || b = 0 then 0
+    else if (a = -1 && b = min_int) || (b = -1 && a = min_int) then raise Over
+    else
+      let p = a * b in
+      if p / b <> a then raise Over else p
+  in
+  let rec go : Bytecode.rng -> int * int = function
+    | Rux -> raise Unknown
+    | Rconst n -> (n, n)
+    | Rplan k -> (lo.(k), hi.(k))
+    | Rreg s -> (ints.(s), ints.(s))
+    | Raff (base, terms) ->
+        Array.fold_left
+          (fun (a, b) (c, t) ->
+            let x, y = go t in
+            let p = mul c x and q = mul c y in
+            (add a (min p q), add b (max p q)))
+          (base, base) terms
+    | Rmul (a, b) ->
+        let al, ah = go a and bl, bh = go b in
+        let p1 = mul al bl and p2 = mul al bh in
+        let p3 = mul ah bl and p4 = mul ah bh in
+        (min (min p1 p2) (min p3 p4), max (max p1 p2) (max p3 p4))
+    | Rmin (a, b) ->
+        let al, ah = go a and bl, bh = go b in
+        (min al bl, min ah bh)
+    | Rmax (a, b) ->
+        let al, ah = go a and bl, bh = go b in
+        (max al bl, max ah bh)
+    | Rspan (a, b) ->
+        let al, _ = go a and _, bh = go b in
+        (al, bh)
+  in
+  match go r with h -> Some h | exception (Unknown | Over) -> None
+
+(* Skeletons over plan levels 0-1 and registers 0-2, leaves and
+   coefficients from [value]; [Rux] is rare. *)
+let rng_gen (value : int QCheck.Gen.t) : Bytecode.rng QCheck.Gen.t =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (1, return Bytecode.Rux);
+        (3, map (fun n -> Bytecode.Rconst n) value);
+        (4, map (fun k -> Bytecode.Rplan k) (int_range 0 1));
+        (3, map (fun r -> Bytecode.Rreg r) (int_range 0 2));
+      ]
+  in
+  fix
+    (fun self d ->
+      if d = 0 then leaf
+      else
+        let sub = self (d - 1) in
+        frequency
+          [
+            (3, leaf);
+            ( 2,
+              map2
+                (fun b ts -> Bytecode.Raff (b, Array.of_list ts))
+                value
+                (list_size (int_range 1 3) (pair value sub)) );
+            (1, map2 (fun a b -> Bytecode.Rmul (a, b)) sub sub);
+            (1, map2 (fun a b -> Bytecode.Rmin (a, b)) sub sub);
+            (1, map2 (fun a b -> Bytecode.Rmax (a, b)) sub sub);
+            (1, map2 (fun a b -> Bytecode.Rspan (a, b)) sub sub);
+          ])
+    3
+
+let rec rng_to_string : Bytecode.rng -> string = function
+  | Rux -> "?"
+  | Rconst n -> string_of_int n
+  | Rplan k -> Printf.sprintf "p%d" k
+  | Rreg r -> Printf.sprintf "r%d" r
+  | Raff (b, ts) ->
+      Printf.sprintf "(%d%s)" b
+        (String.concat ""
+           (Array.to_list
+              (Array.map
+                 (fun (c, t) -> Printf.sprintf " + %d*%s" c (rng_to_string t))
+                 ts)))
+  | Rmul (a, b) -> Printf.sprintf "(%s * %s)" (rng_to_string a) (rng_to_string b)
+  | Rmin (a, b) -> Printf.sprintf "min(%s, %s)" (rng_to_string a) (rng_to_string b)
+  | Rmax (a, b) -> Printf.sprintf "max(%s, %s)" (rng_to_string a) (rng_to_string b)
+  | Rspan (a, b) -> Printf.sprintf "[%s .. %s]" (rng_to_string a) (rng_to_string b)
+
+(* A fork's inputs: register values and each plan level's [lo <= hi]. *)
+let box_gen (value : int QCheck.Gen.t) =
+  let open QCheck.Gen in
+  let level = map2 (fun a b -> (min a b, max a b)) value value in
+  triple (array_size (return 3) value) level level
+
+let hull_case value =
+  QCheck.make
+    ~print:(fun (r, (ints, (l0, h0), (l1, h1))) ->
+      Printf.sprintf "%s  regs [%s]  p0 %d..%d  p1 %d..%d" (rng_to_string r)
+        (String.concat "; " (Array.to_list (Array.map string_of_int ints)))
+        l0 h0 l1 h1)
+    QCheck.Gen.(pair (rng_gen value) (box_gen value))
+
+(* Every value a skeleton takes at plan point [x]: a serial index
+   ([Rspan]) every value between one of its bounds' lows and one of its
+   highs; [None] under an [Rux]. *)
+let rec rng_values ints x : Bytecode.rng -> int list option =
+  let uniq l = Some (List.sort_uniq Int.compare l) in
+  let both a b f =
+    match (rng_values ints x a, rng_values ints x b) with
+    | Some va, Some vb -> uniq (List.concat_map (fun u -> List.concat_map (f u) vb) va)
+    | _ -> None
+  in
+  function
+  | Rux -> None
+  | Rconst n -> Some [ n ]
+  | Rplan k -> Some [ x.(k) ]
+  | Rreg r -> Some [ ints.(r) ]
+  | Raff (b, ts) ->
+      Array.fold_left
+        (fun acc (c, t) ->
+          match (acc, rng_values ints x t) with
+          | Some va, Some vt ->
+              uniq (List.concat_map (fun a -> List.map (fun v -> a + (c * v)) vt) va)
+          | _ -> None)
+        (Some [ b ]) ts
+  | Rmul (a, b) -> both a b (fun u v -> [ u * v ])
+  | Rmin (a, b) -> both a b (fun u v -> [ min u v ])
+  | Rmax (a, b) -> both a b (fun u v -> [ max u v ])
+  | Rspan (a, b) -> both a b (fun u v -> List.init (max 0 (v - u + 1)) (( + ) u))
+
+(* Soundness, by enumeration over small boxes: the hull holds every
+   value the skeleton takes at every plan point, and it is [None] only
+   under an [Rux] (nothing here can overflow). *)
+let prop_hull_sound =
+  QCheck.Test.make ~count:500 ~name:"range proof: hull holds every value"
+    (hull_case QCheck.Gen.(int_range (-3) 3))
+    (fun (r, (ints, (l0, h0), (l1, h1))) ->
+      let lo = [| l0; l1 |] and hi = [| h0; h1 |] in
+      let hull = Bytecode.rng_eval ~ints ~lo ~hi r in
+      let points =
+        List.concat_map
+          (fun a -> List.init (h1 - l1 + 1) (fun b -> [| a; l1 + b |]))
+          (List.init (h0 - l0 + 1) (( + ) l0))
+      in
+      hull = reference_hull ~ints ~lo ~hi r
+      &&
+      match hull with
+      | None -> Option.is_none (rng_values ints [| l0; l1 |] r)
+      | Some (l, h) ->
+          List.for_all
+            (fun x ->
+              match rng_values ints x r with
+              | Some vs -> List.for_all (fun v -> l <= v && v <= h) vs
+              | None -> false)
+            points)
+
+(* Values at the edges of the int range, where a bound can wrap. *)
+let edge_value =
+  let open QCheck.Gen in
+  oneof
+    [
+      int_range (-3) 3;
+      map (fun d -> max_int - d) (int_range 0 3);
+      map (fun d -> min_int + d) (int_range 0 3);
+      map (fun d -> (1 lsl 61) + d) (int_range (-2) 2);
+      map (fun d -> -(1 lsl 61) + d) (int_range (-2) 2);
+      map (fun d -> (1 lsl 31) + d) (int_range (-2) 2);
+    ]
+
+(* Exact integers for the overflow model: a sign and a magnitude in
+   base-2^15 digits, least significant first, without high zeros. *)
+module Exact = struct
+  type t = bool * int list (* negative, magnitude *)
+
+  let base = 1 lsl 15
+
+  let of_int n : t =
+    (* [n mod base] and [n / base] round towards zero, so the digits of
+       a negative [n] (min_int too) are the absolute remainders *)
+    let rec digits n = if n = 0 then [] else abs (n mod base) :: digits (n / base) in
+    (n < 0, digits n)
+
+  let rec trim = function
+    | [] -> []
+    | d :: rest -> (
+        match trim rest with [] when d = 0 -> [] | rest -> d :: rest)
+
+  let rec mag_cmp a b =
+    match (a, b) with
+    | [], [] -> 0
+    | [], _ -> -1
+    | _, [] -> 1
+    | x :: a', y :: b' ->
+        let c = mag_cmp a' b' in
+        if c <> 0 then c else compare x y
+
+  let mag_cmp a b = mag_cmp (trim a) (trim b)
+
+  let rec mag_add carry a b =
+    match (a, b) with
+    | [], [] -> if carry = 0 then [] else [ carry ]
+    | x :: a', [] | [], x :: a' ->
+        let s = x + carry in
+        (s mod base) :: mag_add (s / base) a' []
+    | x :: a', y :: b' ->
+        let s = x + y + carry in
+        (s mod base) :: mag_add (s / base) a' b'
+
+  (* [a - b] for [a >= b] *)
+  let rec mag_sub borrow a b =
+    match (a, b) with
+    | [], _ -> []
+    | x :: a', _ ->
+        let y, b' = match b with [] -> (0, []) | y :: b' -> (y, b') in
+        let d = x - y - borrow in
+        if d < 0 then (d + base) :: mag_sub 1 a' b' else d :: mag_sub 0 a' b'
+
+  let mag_mul a b =
+    List.fold_left
+      (fun (acc, shift) x ->
+        let row = List.map (fun y -> x * y) b in
+        (* propagate carries through the row, then add it shifted *)
+        let rec carry c = function
+          | [] -> if c = 0 then [] else (c mod base) :: carry (c / base) []
+          | d :: rest ->
+              let s = d + c in
+              (s mod base) :: carry (s / base) rest
+        in
+        (mag_add 0 acc (List.init shift (fun _ -> 0) @ carry 0 row), shift + 1))
+      ([], 0) a
+    |> fst
+
+  let norm ((neg, m) : t) : t =
+    let m = trim m in
+    (neg && m <> [], m)
+
+  let add ((na, a) : t) ((nb, b) : t) =
+    if na = nb then norm (na, mag_add 0 a b)
+    else if mag_cmp a b >= 0 then norm (na, mag_sub 0 a b)
+    else norm (nb, mag_sub 0 b a)
+
+  let mul ((na, a) : t) ((nb, b) : t) = norm (na <> nb, mag_mul a b)
+
+  let compare ((na, a) : t) ((nb, b) : t) =
+    match (na, nb) with
+    | false, true -> 1
+    | true, false -> -1
+    | false, false -> mag_cmp a b
+    | true, true -> mag_cmp b a
+
+  let min a b = if compare a b <= 0 then a else b
+  let max a b = if compare a b >= 0 then a else b
+  let fits x = compare x (of_int min_int) >= 0 && compare x (of_int max_int) <= 0
+  let equal_int x n = compare x (of_int n) = 0
+end
+
+(* The skeleton's hull in exact arithmetic, following the evaluator's
+   formulas, and whether a sum or product it forms leaves the int range;
+   [None] under an [Rux]. *)
+let exact_hull ~ints ~lo ~hi r =
+  let left = ref false in
+  let chk x =
+    if not (Exact.fits x) then left := true;
+    x
+  in
+  let ( +! ) a b = chk (Exact.add a b) and ( *! ) a b = chk (Exact.mul a b) in
+  let e = Exact.of_int in
+  let exception Unknown in
+  let rec go : Bytecode.rng -> Exact.t * Exact.t = function
+    | Rux -> raise Unknown
+    | Rconst n -> (e n, e n)
+    | Rplan k -> (e lo.(k), e hi.(k))
+    | Rreg s -> (e ints.(s), e ints.(s))
+    | Raff (base, terms) ->
+        Array.fold_left
+          (fun (a, b) (c, t) ->
+            let x, y = go t in
+            let p = e c *! x and q = e c *! y in
+            (a +! Exact.min p q, b +! Exact.max p q))
+          (e base, e base) terms
+    | Rmul (a, b) ->
+        let al, ah = go a and bl, bh = go b in
+        let ps = [ al *! bl; al *! bh; ah *! bl; ah *! bh ] in
+        ( List.fold_left Exact.min (List.hd ps) ps,
+          List.fold_left Exact.max (List.hd ps) ps )
+    | Rmin (a, b) ->
+        let al, ah = go a and bl, bh = go b in
+        (Exact.min al bl, Exact.min ah bh)
+    | Rmax (a, b) ->
+        let al, ah = go a and bl, bh = go b in
+        (Exact.max al bl, Exact.max ah bh)
+    | Rspan (a, b) ->
+        let al, _ = go a and _, bh = go b in
+        (al, bh)
+  in
+  match go r with h -> Some (h, !left) | exception Unknown -> None
+
+(* Overflow: with values at the edges of the int range, a sum or product
+   that leaves it makes the hull [None], and a hull that is returned is
+   the exact one, never one wrapped round the int range. *)
+let prop_hull_overflow =
+  QCheck.Test.make ~count:2000 ~name:"range proof: overflow never wraps a hull"
+    (hull_case edge_value)
+    (fun (r, (ints, (l0, h0), (l1, h1))) ->
+      let lo = [| l0; l1 |] and hi = [| h0; h1 |] in
+      let hull = Bytecode.rng_eval ~ints ~lo ~hi r in
+      hull = reference_hull ~ints ~lo ~hi r
+      &&
+      match (hull, exact_hull ~ints ~lo ~hi r) with
+      | None, None -> true
+      | None, Some (_, left) -> left
+      | Some _, None -> false
+      | Some (l, h), Some ((el, eh), left) ->
+          (not left) && Exact.equal_int el l && Exact.equal_int eh h)
+
+(* [A[i * c + k]] in a 10-element array: the plan's tape, read in a
+   fork hook, and the slots of [c] and [k]. *)
+let wrap_tape =
+  lazy
+    (let prog =
+       parse "wrap"
+         "program\n\
+         \  real A[10]\n\
+         \  int c = 0\n\
+         \  int k = 0\n\
+          begin\n\
+         \  c = 3\n\
+         \  k = -2\n\
+         \  doall i = 1, 10\n\
+         \    A[i * c + k] = 1.0\n\
+         \  end\n\
+          end\n"
+     in
+     let t = Compile.compile prog in
+     let env = Compile.make_env t in
+     let found = ref None in
+     Compile.run_code t env ~fork:(fun pl -> found := Some pl.Compile.tape);
+     let tape = Option.get !found in
+     (* the proof's two register inputs, found by the values set above *)
+     let slot v =
+       match
+         List.find_opt
+           (fun s -> env.Compile.ints.(s) = v)
+           (Array.to_list (Bytecode.proof_inputs tape))
+       with
+       | Some s -> s
+       | None -> Alcotest.failf "wrap: no proof input holds %d" v
+     in
+     (tape, slot 3, slot (-2)))
+
+(* Exact [a * b] and [a + b], [None] when the result leaves the int
+   range. *)
+let mul_exact a b =
+  if a = 0 || b = 0 then Some 0
+  else if (a = -1 && b = min_int) || (b = -1 && a = min_int) then None
+  else
+    let p = a * b in
+    if p / b = a then Some p else None
+
+let add_exact a b =
+  let s = a + b in
+  if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then None else Some s
+
+(* The access of [wrap_tape] is proved exactly when [i * c + k] stays in
+   the int range at every step and lies in [1 .. 10] at both ends of the
+   fork's [i] range: a product that wraps round to a subscript in range
+   (say [4 * (2^61 + 1)]) leaves it checked. *)
+let prop_access_overflow =
+  QCheck.Test.make ~count:2000
+    ~name:"range proof: a wrapping access stays checked"
+    QCheck.(
+      make
+        ~print:(fun (c, k, (l, h)) ->
+          Printf.sprintf "c=%d k=%d i=%d..%d" c k l h)
+        Gen.(
+          triple edge_value edge_value
+            (map2 (fun a b -> (min a b, max a b)) edge_value edge_value)))
+    (fun (c, k, (l, h)) ->
+      let tape, c_slot, k_slot = Lazy.force wrap_tape in
+      let ints = Array.make (max c_slot k_slot + 1) 0 in
+      ints.(c_slot) <- c;
+      ints.(k_slot) <- k;
+      let pr = Bytecode.prepare tape ~ints ~lo:[| l |] ~hi:[| h |] in
+      let in_range i =
+        match Option.bind (mul_exact i c) (add_exact k) with
+        | Some v -> 1 <= v && v <= 10
+        | None -> false
+      in
+      Bytecode.all_unsafe pr = (in_range l && in_range h))
+
+(* [prepare] allocates its flags array (a header and a word per access)
+   and its two-field record, nothing else: not on the kernels' forks,
+   and not when a bound overflows ([wrap_tape] at [c = 2^61 + 1]). *)
+let test_prepare_allocation () =
+  let base = minor_words ignore in
+  let check what tape ~ints ~lo ~hi =
+    let allowed = Array.length tape.Bytecode.tp_accs + 1 + 3 in
+    ignore (Bytecode.prepare tape ~ints ~lo ~hi : Bytecode.prep);
+    let words =
+      minor_words (fun () ->
+          ignore
+            (Sys.opaque_identity (Bytecode.prepare tape ~ints ~lo ~hi)
+              : Bytecode.prep))
+    in
+    if words -. base > float allowed then
+      Alcotest.failf "%s: prepare allocated %.0f words, at most %d allowed" what
+        (words -. base) allowed
+  in
+  List.iter
+    (fun name ->
+      let t = Compile.compile ((Option.get (Kernels.by_name name)) ()) in
+      let env = Compile.make_env t in
+      let ints = env.Compile.ints in
+      Compile.run_code t env ~fork:(fun pl ->
+          let reg r = ints.(r) in
+          check name pl.Compile.tape ~ints
+            ~lo:(Array.map reg pl.Compile.lo_regs)
+            ~hi:(Array.map reg pl.Compile.hi_regs)))
+    Kernels.all_names;
+  let tape, c_slot, _ = Lazy.force wrap_tape in
+  let ints = Array.make (c_slot + 8) 0 in
+  ints.(c_slot) <- (1 lsl 61) + 1;
+  check "overflowing product" tape ~ints ~lo:[| 4 |] ~hi:[| 4 |];
+  Alcotest.(check bool) "overflowing product: checked" false
+    (Bytecode.all_unsafe (Bytecode.prepare tape ~ints ~lo:[| 4 |] ~hi:[| 4 |]))
+
 let suite =
   [
     Alcotest.test_case "strip bounds pinned" `Quick test_strip_bounds;
@@ -3794,4 +4230,9 @@ let suite =
       test_blocked_folds;
     Alcotest.test_case "blocked lane folds: kernel shapes = per-trip" `Quick
       test_blocked_fold_kernel;
+    Gen.to_alcotest prop_hull_sound;
+    Gen.to_alcotest prop_hull_overflow;
+    Gen.to_alcotest prop_access_overflow;
+    Alcotest.test_case "range proof: prepare allocates flags and record only"
+      `Quick test_prepare_allocation;
   ]

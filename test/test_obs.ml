@@ -153,6 +153,27 @@ let one_fork what tr =
       Alcotest.failf "%s: expected one fork region, got %d" what
         (List.length m.Metrics.forks)
 
+(* Whether a fork of [n] iterations at minimum chunk [k] is one chunk
+   under [policy], so runs on the caller. *)
+let runs_inline (policy : Policy.t) ~k n =
+  match policy with
+  | Gss | Factoring | Trapezoid -> n <= k
+  | Self_sched c -> n <= c
+  | Static_block | Static_cyclic -> false
+
+(* The trace of a fork run on the caller: one chunk, on worker 0, that
+   tiles the space. *)
+let check_inline where tr =
+  (match tr.Trace.chunks with
+  | [| c |] -> Alcotest.(check int) (where ^ ": on worker 0") 0 c.Trace.worker
+  | cs -> Alcotest.failf "%s: %d chunks, want 1" where (Array.length cs));
+  match Metrics.check_partition tr with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "%s: %s" where m
+
+(* The 253-iteration single nest is one chunk under the decaying
+   policies, so runs on the caller: one chunk, no sync. The closed forms
+   of splitting forks are checked on the wide nest. *)
 let test_dispatch_counts_match_closed_forms () =
   List.iter
     (fun (what, prog, n, k) ->
@@ -173,10 +194,16 @@ let test_dispatch_counts_match_closed_forms () =
                   (where ^ ": dispatches")
                   (Chunks.count policy ~k ~n ~p:domains)
                   f.Metrics.chunks_dispatched;
-                Alcotest.(check int)
-                  (where ^ ": sync ops")
-                  (Chunks.sync_ops policy ~k ~n ~p:domains)
-                  f.Metrics.sync_ops
+                if runs_inline policy ~k n then begin
+                  check_inline where tr;
+                  Alcotest.(check int) (where ^ ": no sync") 0
+                    f.Metrics.sync_ops
+                end
+                else
+                  Alcotest.(check int)
+                    (where ^ ": sync ops")
+                    (Chunks.sync_ops policy ~k ~n ~p:domains)
+                    f.Metrics.sync_ops
               end)
             domain_counts)
         all_policies)
@@ -273,10 +300,11 @@ let test_tracing_changes_nothing () =
 (* ---------- metrics sanity ---------- *)
 
 let test_metrics_accounting () =
-  let _, tr = traced_run ~domains:4 ~policy:Policy.Factoring () in
+  let wide_n = wide_rows * wide_cols in
+  let _, tr = traced_run ~prog:wide_nest ~domains:4 ~policy:Policy.Factoring () in
   let m = Metrics.of_trace tr in
   let f = List.hd m.Metrics.forks in
-  Alcotest.(check int) "iterations covered" nest_n f.Metrics.iterations;
+  Alcotest.(check int) "iterations covered" wide_n f.Metrics.iterations;
   Alcotest.(check int) "worker arrays sized p" 4
     (Array.length f.Metrics.busy_ns);
   Alcotest.(check int) "chunk counts sum" f.Metrics.chunks_dispatched
@@ -293,9 +321,15 @@ let test_metrics_accounting () =
        (f.Metrics.sync_ops_per_iter
        -. float_of_int
             (Chunks.sync_ops Policy.Factoring ~k:Runtime.Bytecode.lane_width
-               ~n:nest_n ~p:4)
-          /. float_of_int nest_n)
-    < 1e-12)
+               ~n:wide_n ~p:4)
+          /. float_of_int wide_n)
+    < 1e-12);
+  (* The single nest is one chunk: one region of one worker. *)
+  let _, tr = traced_run ~domains:4 ~policy:Policy.Factoring () in
+  let f, _ = one_fork "single nest, inline" tr in
+  Alcotest.(check int) "inline: iterations covered" nest_n f.Metrics.iterations;
+  Alcotest.(check int) "inline: one worker" 1 (Array.length f.Metrics.busy_ns);
+  check_inline "single nest, inline" tr
 
 let test_sequential_region_traced_as_block () =
   let _, tr = traced_run ~domains:1 ~policy:Policy.Gss () in
@@ -612,7 +646,20 @@ let test_time_suffix_contract () =
   Alcotest.(check string) "pinned line with search field"
     "time engine=bytecode domains=2 policy=GSS wall_s=0.500000 opt=2 \
      plan_cache=hit tapecheck=off search=hit"
-    searched
+    searched;
+  (* The inline field (forks run on the caller, counted under
+     exec.inline_forks.one_chunk) appends after search. *)
+  let inlined =
+    Report.time_line ~engine:"bytecode" ~domains:2 ~policy:"GSS"
+      ~wall_s:0.5
+    ^ Report.time_suffix
+        ~extra:[ ("tapecheck", "off"); ("search", "off"); ("inline", "13") ]
+        ~opt:2 ~plan_cache:"hit" ()
+  in
+  Alcotest.(check string) "pinned line with inline field"
+    "time engine=bytecode domains=2 policy=GSS wall_s=0.500000 opt=2 \
+     plan_cache=hit tapecheck=off search=off inline=13"
+    inlined
 
 (* ---------- metrics registry ---------- *)
 
@@ -680,15 +727,17 @@ let test_registry_reset () =
   Alcotest.(check int) "histograms zeroed" 0 (Registry.hstats h).Registry.count
 
 let test_measured_gantt_rows () =
-  let _, tr = traced_run ~domains:4 ~policy:Policy.Trapezoid () in
-  let f = (Metrics.of_trace tr).Metrics.forks |> List.hd in
-  let g = Report.measured_gantt ~width:40 tr ~epoch:f.Metrics.epoch in
-  let rows =
+  let rows prog =
+    let _, tr = traced_run ~prog ~domains:4 ~policy:Policy.Trapezoid () in
+    let f = (Metrics.of_trace tr).Metrics.forks |> List.hd in
+    let g = Report.measured_gantt ~width:40 tr ~epoch:f.Metrics.epoch in
     String.split_on_char '\n' g
     |> List.filter (fun l -> String.length l > 0 && l.[0] = 'p')
   in
   (* Every forked worker gets a row, even one that executed nothing. *)
-  Alcotest.(check int) "one row per worker" 4 (List.length rows)
+  Alcotest.(check int) "one row per worker" 4 (List.length (rows wide_nest));
+  (* The single nest is one chunk, run on the caller alone. *)
+  Alcotest.(check int) "inline fork: one row" 1 (List.length (rows single_nest))
 
 let test_side_by_side () =
   let joined = Report.side_by_side "aa\nb\n" "xxx\nyyyy\nz\n" in

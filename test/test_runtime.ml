@@ -698,6 +698,115 @@ let test_float_reduction_repeatable () =
       (Policy.Trapezoid, 3);
     ]
 
+(* ---------- one-chunk forks run on the caller ---------- *)
+
+let count name = Registry.value (Registry.counter name)
+
+(* [sweeps] forks of a loop-free [rows x cols] nest. *)
+let swept_nest ~sweeps ~rows ~cols =
+  B.program
+    ~arrays:[ B.array "W" [ rows; cols ] ]
+    [
+      B.for_ "t" (B.int 1) (B.int sweeps)
+        [
+          B.doall "i" (B.int 1) (B.int rows)
+            [
+              B.doall "j" (B.int 1) (B.int cols)
+                [
+                  B.store "W" [ B.var "i"; B.var "j" ]
+                    B.(load "W" [ var "i"; var "j" ] + var "i" + var "t");
+                ];
+            ];
+        ];
+    ]
+
+(* A fork whose schedule is one chunk runs on the caller: counted once
+   per fork under [exec.inline_forks.one_chunk] and [pool.forks], and a
+   run of such forks creates no pool. A 253-iteration loop-free nest is
+   one GSS(256), factoring or TSS chunk, and one self-scheduled chunk of
+   300; a 257-iteration one, or any under static block, still splits. *)
+let test_one_chunk_forks_inline () =
+  let sweeps = 4 in
+  List.iter
+    (fun (policy, domains) ->
+      List.iter
+        (fun (rows, cols) ->
+          let n = rows * cols in
+          let inline =
+            match policy with
+            | Policy.Self_sched c -> n <= c
+            | Policy.Static_block | Policy.Static_cyclic -> false
+            | _ -> n <= Runtime.Bytecode.lane_width
+          in
+          let where =
+            Printf.sprintf "%d iterations, %s @ %d" n (Policy.name policy)
+              domains
+          in
+          let prog = swept_nest ~sweeps ~rows ~cols in
+          let inl0 = count "exec.inline_forks.one_chunk"
+          and forks0 = count "pool.forks"
+          and pools0 = count "pool.created" in
+          let tracer = Trace.create ~p:domains () in
+          let outcome = Exec.run ~domains ~policy ~trace:tracer prog in
+          if not (Exec.agrees_with_interpreter outcome (Eval.run prog)) then
+            Alcotest.failf "%s: differs from interpreter" where;
+          Alcotest.(check int) (where ^ ": inline forks")
+            (if inline then sweeps else 0)
+            (count "exec.inline_forks.one_chunk" - inl0);
+          Alcotest.(check int) (where ^ ": pool forks") sweeps
+            (count "pool.forks" - forks0);
+          Alcotest.(check int) (where ^ ": pools created")
+            (if inline then 0 else 1)
+            (count "pool.created" - pools0);
+          let chunks = Array.length (Trace.snapshot tracer).Trace.chunks in
+          if inline then
+            Alcotest.(check int) (where ^ ": one chunk per fork") sweeps chunks
+          else if chunks <= sweeps then
+            Alcotest.failf "%s: %d chunks in %d forks, want a split" where
+              chunks sweeps)
+        [ (23, 11); (257, 1) ])
+    [
+      (Policy.Gss, 2); (Policy.Gss, 3); (Policy.Factoring, 2);
+      (Policy.Factoring, 3); (Policy.Trapezoid, 2); (Policy.Trapezoid, 3);
+      (Policy.Self_sched 300, 2); (Policy.Static_block, 2);
+    ]
+
+(* A one-chunk float sum runs on the caller's scalars, as at one
+   domain, so it gives Eval's bits: 1e16 + 0.75 rounds back to 1e16 at
+   every step, where the chunk-merged sum, 1e16 + 150.0, would not. *)
+let test_one_chunk_sum_sequential_bits () =
+  let prog =
+    B.program
+      ~scalars:[ B.real_scalar "s" ]
+      [
+        B.assign "s" (B.real 1e16);
+        B.doall "i" (B.int 1) (B.int 200)
+          [ B.assign "s" B.(var "s" + real 0.75) ];
+      ]
+  in
+  let st = Eval.run prog in
+  (match List.assoc "s" (snd (Eval.dump st)) with
+  | Eval.Vreal s ->
+      Alcotest.(check bool) "Eval's sum is not the merged one" false
+        (Int64.equal (Int64.bits_of_float s) (Int64.bits_of_float (1e16 +. 150.0)))
+  | Eval.Vint _ -> Alcotest.fail "s is real");
+  List.iter
+    (fun engine ->
+      let compiled = Compile.compile prog in
+      List.iter
+        (fun (policy, domains) ->
+          let o = Exec.run_compiled ~domains ~policy ~engine compiled in
+          if not (Exec.agrees_with_interpreter ~compare_scalars:true o st) then
+            Alcotest.failf "%s @ %d, %s: sum differs from Eval"
+              (Policy.name policy) domains
+              (if engine = Exec.Native then "native" else "bytecode"))
+        [
+          (Policy.Gss, 1); (Policy.Gss, 2); (Policy.Gss, 3);
+          (Policy.Factoring, 2); (Policy.Trapezoid, 3);
+          (Policy.Self_sched 256, 2);
+        ])
+    [ Exec.Bytecode; Exec.Native ]
+
 (* ---------- per-plan fork state ---------- *)
 
 (* A plan keeps its fork state (clones, chunk sequence, range proof)
@@ -1029,6 +1138,10 @@ let suite =
       `Quick test_adopted_scalars_repeatable;
     Alcotest.test_case "float reduction repeatable under floored schedules"
       `Quick test_float_reduction_repeatable;
+    Alcotest.test_case "one-chunk forks run on the caller, no pool" `Quick
+      test_one_chunk_forks_inline;
+    Alcotest.test_case "one-chunk float sum = Eval bits" `Quick
+      test_one_chunk_sum_sequential_bits;
     Alcotest.test_case "fork state: proof reused only on equal inputs"
       `Quick test_fork_state_proof_reuse;
     Alcotest.test_case "fork state: one program run from two domains" `Quick
